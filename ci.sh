@@ -242,8 +242,10 @@ echo "== wall gate (full scale, --jobs 1, verification every replay) =="
 # committed baseline with a 1.5x noise band — wide enough for
 # machine-to-machine variance, tight enough to catch the digest path
 # going accidentally O(world) again.
+# grep -m1 stops on its own: piping a multi-match grep into `head -1`
+# lets grep die of SIGPIPE, which pipefail turns into a silent exit.
 extract_wall() {
-  grep -o '"wall_ms": *[0-9.]*' "$1" | head -1 | grep -o '[0-9.]*$'
+  grep -m1 -o '"wall_ms": *[0-9.]*' "$1" | grep -o '[0-9.]*$'
 }
 if [ -s results/bench_runner.json ]; then
   wall_base=$(extract_wall results/bench_runner.json)
@@ -262,7 +264,7 @@ echo "== throughput gate (aggregate_events_per_sec) =="
 # thousands of host-world events per run) land in the same report, so
 # an events/s collapse in the sharded executor trips this gate.
 extract_rate() {
-  grep -o '"aggregate_events_per_sec": *[0-9.]*' "$1" | head -1 | grep -o '[0-9.]*$'
+  grep -m1 -o '"aggregate_events_per_sec": *[0-9.]*' "$1" | grep -o '[0-9.]*$'
 }
 if [ -s results/bench_runner.json ]; then
   baseline=$(extract_rate results/bench_runner.json)

@@ -42,7 +42,7 @@ fn sweep_creates(cp: &mut ControlPlane, img: &GuestImage, n: usize) -> Vec<f64> 
 
 fn log_rotation_unit(scale: Scale) -> UnitSpec {
     let n = scale.scaled(500);
-    UnitSpec::new("log-rotation", move || {
+    UnitSpec::new("log-rotation", move |_| {
         let img = GuestImage::unikernel_daytime();
         let mut mean = Series::new("log-rotation: mean create (ms)");
         let mut p99 = Series::new("log-rotation: p99 create (ms)");
@@ -70,7 +70,7 @@ fn log_rotation_unit(scale: Scale) -> UnitSpec {
 }
 
 fn flavor_unit(_scale: Scale) -> UnitSpec {
-    UnitSpec::new("xs-flavor", move || {
+    UnitSpec::new("xs-flavor", move |_| {
         let cost = CostModel::paper_defaults();
         let mut s = Series::new("flavor: 2000 writes (ms; 0=oxen, 1=cxen)");
         let mut out = UnitOutput::new();
@@ -93,7 +93,7 @@ fn flavor_unit(_scale: Scale) -> UnitSpec {
 
 fn pool_size_unit(scale: Scale) -> UnitSpec {
     let n = scale.scaled(500).min(200);
-    UnitSpec::new("pool-size", move || {
+    UnitSpec::new("pool-size", move |_| {
         let img = GuestImage::unikernel_daytime();
         let mut mean = Series::new("pool: mean create (ms)");
         let mut p99 = Series::new("pool: p99 create (ms)");
@@ -119,7 +119,7 @@ fn pool_size_unit(scale: Scale) -> UnitSpec {
 }
 
 fn hotplug_unit(_scale: Scale) -> UnitSpec {
-    UnitSpec::new("hotplug", move || {
+    UnitSpec::new("hotplug", move |_| {
         let cost = CostModel::paper_defaults();
         let mut s = Series::new("hotplug: 100 vif plugs (ms; 0=bash, 1=xendevd)");
         let mut out = UnitOutput::new();
@@ -141,7 +141,7 @@ fn hotplug_unit(_scale: Scale) -> UnitSpec {
 
 fn interference_unit(scale: Scale) -> UnitSpec {
     let txns = scale.scaled(500);
-    UnitSpec::new("interference", move || {
+    UnitSpec::new("interference", move |_| {
         let cost = CostModel::paper_defaults();
         let mut conflicts = Series::new("interference: txn conflicts");
         let mut retried = Series::new("interference: retried fraction (%)");
@@ -183,7 +183,7 @@ fn interference_unit(scale: Scale) -> UnitSpec {
 
 fn page_sharing_unit(scale: Scale) -> UnitSpec {
     let cap = scale.scaled(4000);
-    UnitSpec::new("page-sharing", move || {
+    UnitSpec::new("page-sharing", move |_| {
         let mut s = Series::new("sharing: guests before OOM (8 GiB host)");
         let mut out = UnitOutput::new();
         for share in [None, Some(0.3), Some(0.6)] {
@@ -215,7 +215,7 @@ fn page_sharing_unit(scale: Scale) -> UnitSpec {
 
 fn sensitivity_unit(scale: Scale) -> UnitSpec {
     let n = scale.scaled(200);
-    UnitSpec::new("cost-sensitivity", move || {
+    UnitSpec::new("cost-sensitivity", move |_| {
         // One series per swept cost: x = scale factor on that single
         // cost (all others at calibration), y = mean xl create latency.
         // A reproduction conclusion that flips inside ±20% of one

@@ -12,13 +12,16 @@
 //!   resources (`Dep`s), run nothing
 //! * `--seq`      force a single worker (equivalent to `--jobs 1`)
 //! * `--report`   perf-report path (default `results/bench_runner.json`)
-//! * `--no-snapshot-cache`  disable the world snapshot cache: every
-//!   unit re-simulates its world from scratch. Artefacts are
-//!   byte-identical either way (`ci.sh` gates it); the flag exists to
-//!   prove that and to time the uncached path.
-//! * `--no-clone-boot`  disable template boots: every create runs the
-//!   full toolstack path instead of replaying a recorded delta.
+//! * `--no-snapshot-cache`  run with the world store's cache off: no
+//!   chain or probe tasks, every unit simulates its world from scratch.
+//!   Artefacts are byte-identical either way (`ci.sh` gates it); the
+//!   flag exists to prove that and to time the uncached path.
+//! * `--no-clone-boot`  run with template boots off: every create runs
+//!   the full toolstack path instead of replaying a recorded delta.
 //!   Artefacts are byte-identical either way (`ci.sh` gates this too).
+//!
+//! Both switches live in the run's `bench::worldcache::Store`; nothing
+//! is process-global.
 //!
 //! Figure artefacts go to `LIGHTVM_FIG_DIR` (default `target/figures`)
 //! exactly as the individual `figNN` binaries write them; the merged
@@ -31,6 +34,7 @@ use std::process::ExitCode;
 use bench::alloc::CountingAlloc;
 use bench::figures::{all_specs, Scale};
 use bench::runner;
+use bench::worldcache::Store;
 
 // Counting the run's allocations is how the report's `allocs_per_event`
 // stays honest; the wrapper adds one thread-local increment per call.
@@ -50,6 +54,8 @@ struct Args {
     filters: Vec<String>,
     list: bool,
     report: std::path::PathBuf,
+    cache: bool,
+    clone_boot: bool,
 }
 
 fn usage() -> ! {
@@ -65,6 +71,8 @@ fn parse_args() -> Args {
         filters: Vec::new(),
         list: false,
         report: std::path::PathBuf::from("results/bench_runner.json"),
+        cache: true,
+        clone_boot: true,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -86,8 +94,8 @@ fn parse_args() -> Args {
             "--report" => {
                 args.report = std::path::PathBuf::from(it.next().unwrap_or_else(|| usage()));
             }
-            "--no-snapshot-cache" => bench::worldcache::set_enabled(false),
-            "--no-clone-boot" => toolstack::cloneboot::set_enabled(false),
+            "--no-snapshot-cache" => args.cache = false,
+            "--no-clone-boot" => args.clone_boot = false,
             _ => usage(),
         }
     }
@@ -139,7 +147,8 @@ fn main() -> ExitCode {
         if scale.quick { ", quick profile" } else { "" }
     );
 
-    let (figures, report) = runner::run(specs, args.jobs, scale.quick);
+    let store = Store::new(args.cache, args.clone_boot);
+    let (figures, report, store) = runner::run_with(specs, args.jobs, scale.quick, store);
 
     let dir = bench::out_dir();
     let mut failed = false;
@@ -162,14 +171,14 @@ fn main() -> ExitCode {
 
     say!(
         "# {} | scheduler: {} tasks, width {}, critical path {:.1} ms",
-        bench::worldcache::summary(),
+        store.summary(),
         report.tasks.len(),
         report.max_width(),
         report.critical_path_ms()
     );
     say!(
         "# cloneboot: {}",
-        if toolstack::cloneboot::enabled() {
+        if store.clone_boot {
             toolstack::cloneboot::summary()
         } else {
             "disabled (--no-clone-boot)".to_string()

@@ -33,7 +33,7 @@ use simcore::{FaultPlan, Machine, MachinePreset, SimRng};
 use toolstack::{ToolstackMode, WorldCensus};
 
 use crate::figures::{meta, Dep, FigureSpec, Scale, UnitOutput, UnitSpec};
-use crate::worldcache::{self, WorldSpec};
+use crate::worldcache::WorldSpec;
 
 /// Seed for the arrival/departure process (xored with a per-unit tag).
 const CHURN_SEED: u64 = 0xc402;
@@ -97,11 +97,12 @@ fn churn_unit(scale: Scale, mode: ToolstackMode, faulty: bool) -> UnitSpec {
         ToolstackMode::ChaosXs => 30.0,
         _ => 8.0,
     };
-    UnitSpec::new(label.clone(), move || {
+    UnitSpec::new(label.clone(), move |store| {
         let img = GuestImage::unikernel_daytime();
         // The resident base population is the same world the density
-        // figures boot (shared worldcache chain); churn runs on a fork.
-        let (mut cp, _records, stats) = worldcache::world_at(&spec, base);
+        // figures boot (a World rung of the shared chain); churn runs
+        // on a fork.
+        let (mut cp, stats) = store.world_at(&spec, base);
         let mut out = UnitOutput::new();
         stats.into_output(&mut out);
         let start = UnitOutput::from_plane(&cp);
@@ -269,7 +270,7 @@ fn churn_unit(scale: Scale, mode: ToolstackMode, faulty: bool) -> UnitSpec {
         ];
         out
     })
-    .dep(Dep::Chain {
+    .dep(Dep::World {
         spec: dep_spec,
         rung: base,
     })

@@ -3,7 +3,7 @@
 //!
 //! Every other figure simulates one host. This figure runs *thousands*:
 //! one prewarmed template host per (toolstack, density) configuration is
-//! pulled from the worldcache chain and captured as a
+//! forked from a World rung of the run's world store and captured as a
 //! [`toolstack::HostTemplate`]; every cluster host is then *stamped*
 //! from it (a structure-sharing fork + domid recycling + per-host RNG),
 //! so instantiating 1k hosts costs O(hosts) clone work, not
@@ -39,8 +39,6 @@
 //! byte-gated artefacts.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use guests::GuestImage;
@@ -49,10 +47,10 @@ use metrics::{Cdf, Series};
 use simcore::shard::{self, Envelope, Outbox, WorkerSpan, CONTROLLER};
 use simcore::{FaultPlan, FaultSite};
 use toolstack::fleet::{domid_limit_for, HostTemplate};
-use toolstack::{cloneboot, ControlPlane, ToolstackMode, WorldCensus};
+use toolstack::{ControlPlane, ToolstackMode, WorldCensus};
 
 use crate::figures::{meta, xeon, Dep, FigureSpec, Scale, UnitOutput, UnitSpec};
-use crate::worldcache::{self, WorldSpec};
+use crate::worldcache::{Store, WorldSpec};
 
 /// Seed for the evacuation units' failure draws (distinct from the
 /// plane seed 42, churn's 0xc402/0xc4fa and the faultsweep's 0xfa17).
@@ -80,18 +78,6 @@ const MISSED_LIMIT: u32 = 2;
 
 // --- runner plumbing -------------------------------------------------------
 
-static SHARD_JOBS: AtomicUsize = AtomicUsize::new(1);
-
-/// Worker threads the shard executor may use. The runner forwards its
-/// `--jobs` here; artefact bytes never depend on it.
-pub fn set_shard_jobs(jobs: usize) {
-    SHARD_JOBS.store(jobs.max(1), Ordering::Relaxed);
-}
-
-fn shard_jobs() -> usize {
-    SHARD_JOBS.load(Ordering::Relaxed)
-}
-
 /// One worker's aggregate shard occupancy for one cluster unit — the
 /// per-shard task trace the runner appends to `bench_runner.json`.
 pub struct ShardTrace {
@@ -104,15 +90,8 @@ pub struct ShardTrace {
     pub messages: u64,
 }
 
-static TRACE: Mutex<Vec<ShardTrace>> = Mutex::new(Vec::new());
-
-/// Drains the shard spans recorded since the last drain.
-pub fn drain_shard_trace() -> Vec<ShardTrace> {
-    std::mem::take(&mut *TRACE.lock().unwrap())
-}
-
-fn record_trace(unit: &str, spans: &[WorkerSpan]) {
-    let mut t = TRACE.lock().unwrap();
+fn record_trace(store: &Store, unit: &str, spans: &[WorkerSpan]) {
+    let mut t = store.shard_trace.lock().expect("shard trace lock");
     for (w, s) in spans.iter().enumerate() {
         if let (Some(first), Some(last)) = (s.first, s.last) {
             t.push(ShardTrace {
@@ -217,10 +196,10 @@ struct ScenarioOut {
     pool_mean: Vec<f64>,
 }
 
-fn run_scenario(sc: &Scenario) -> ScenarioOut {
+fn run_scenario(store: &Store, sc: &Scenario) -> ScenarioOut {
     let eps = lvnet::Link::datacenter().delay.as_millis_f64();
-    let jobs = shard_jobs();
-    let mut spans = vec![WorkerSpan::default(); jobs.max(1)];
+    let jobs = store.shard_jobs.max(1);
+    let mut spans = vec![WorkerSpan::default(); jobs];
 
     let mut hosts: Vec<Option<Host>> = (0..sc.hosts)
         .map(|i| {
@@ -248,12 +227,12 @@ fn run_scenario(sc: &Scenario) -> ScenarioOut {
                 } else {
                     format!("arr-{slot}")
                 };
-                match cloneboot::create_and_boot(&mut host.cp, &name, &img) {
-                    Ok((dom, create, boot)) => {
-                        host.placed.push(dom);
+                match store.create_and_boot(&mut host.cp, &name, &img) {
+                    Ok((report, boot)) => {
+                        host.placed.push(report.dom);
                         out.send(
                             CONTROLLER,
-                            Msg::Done { slot, evac, ms: (create + boot).as_millis_f64() },
+                            Msg::Done { slot, evac, ms: (report.total() + boot).as_millis_f64() },
                         );
                     }
                     Err(_) => host.failures += 1,
@@ -432,7 +411,7 @@ fn run_scenario(sc: &Scenario) -> ScenarioOut {
         epoch += 1;
     }
 
-    record_trace(&sc.label, &spans);
+    record_trace(store, &sc.label, &spans);
     ScenarioOut {
         hosts,
         placed,
@@ -547,10 +526,10 @@ fn ladder_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
         ToolstackMode::Xl => 900.0,
         _ => 500.0,
     };
-    UnitSpec::new(label.clone(), move || {
+    UnitSpec::new(label.clone(), move |store| {
         let wall0 = Instant::now();
         let img = spec.image.clone();
-        let (mut world, _records, stats) = worldcache::world_at(&spec, density);
+        let (mut world, stats) = store.world_at(&spec, density);
         let mut out = UnitOutput::new();
         stats.into_output(&mut out);
         let template = HostTemplate::capture(&mut world, HEADROOM);
@@ -579,7 +558,7 @@ fn ladder_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
                 fail_at: None,
                 pre_drain: false,
             };
-            let res = run_scenario(&sc);
+            let res = run_scenario(store, &sc);
             assert_eq!(res.placed.len(), 2 * rung, "{label}@{rung}: arrivals lost");
             let guests = absorb_hosts(&mut out, &res.hosts, &base, base_clone);
             hosts_total += rung as u64;
@@ -606,7 +585,7 @@ fn ladder_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
         );
         out
     })
-    .dep(Dep::HostTemplate { spec: dep_spec, guests: density })
+    .dep(Dep::World { spec: dep_spec, rung: density })
     .cost(cost)
 }
 
@@ -617,9 +596,9 @@ fn placement_unit(scale: Scale) -> UnitSpec {
     let hosts = scale.scaled(32);
     let spec = spec_for(ToolstackMode::LightVm);
     let dep_spec = spec.clone();
-    UnitSpec::new("placement", move || {
+    UnitSpec::new("placement", move |store| {
         let img = spec.image.clone();
-        let (mut world, _records, stats) = worldcache::world_at(&spec, density);
+        let (mut world, stats) = store.world_at(&spec, density);
         let mut out = UnitOutput::new();
         stats.into_output(&mut out);
         let template = HostTemplate::capture(&mut world, HEADROOM);
@@ -642,7 +621,7 @@ fn placement_unit(scale: Scale) -> UnitSpec {
                 fail_at: None,
                 pre_drain: true,
             };
-            let res = run_scenario(&sc);
+            let res = run_scenario(store, &sc);
             assert_eq!(res.placed.len(), 4 * hosts, "placement arrivals lost");
             absorb_hosts(&mut out, &res.hosts, &base, base_clone);
             let pl = policy.label();
@@ -662,7 +641,7 @@ fn placement_unit(scale: Scale) -> UnitSpec {
         }
         out
     })
-    .dep(Dep::HostTemplate { spec: dep_spec, guests: density })
+    .dep(Dep::World { spec: dep_spec, rung: density })
     .cost(120.0)
 }
 
@@ -676,9 +655,9 @@ fn evac_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
     let spec = spec_for(mode);
     let dep_spec = spec.clone();
     let label = format!("{} evac", mode.label());
-    UnitSpec::new(label.clone(), move || {
+    UnitSpec::new(label.clone(), move |store| {
         let img = spec.image.clone();
-        let (mut world, _records, stats) = worldcache::world_at(&spec, density);
+        let (mut world, stats) = store.world_at(&spec, density);
         let mut out = UnitOutput::new();
         stats.into_output(&mut out);
 
@@ -691,9 +670,10 @@ fn evac_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
         for _round in 0..16 {
             let mut doms = Vec::new();
             for k in 0..EVAC_NAMES {
-                let (dom, ..) = cloneboot::create_and_boot(&mut world, &format!("evac-{k}"), &img)
+                let (report, _) = store
+                    .create_and_boot(&mut world, &format!("evac-{k}"), &img)
                     .expect("saturation create");
-                doms.push(dom);
+                doms.push(report.dom);
             }
             for dom in doms {
                 world.destroy_vm(dom).expect("saturation destroy");
@@ -728,7 +708,7 @@ fn evac_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
             fail_at: Some((3, 2)),
             pre_drain: false,
         };
-        let mut res = run_scenario(&sc);
+        let mut res = run_scenario(store, &sc);
         let expected: usize = res.victims.len() * template.guests();
         assert_eq!(res.evac.len(), expected, "{label}: evacuation incomplete");
 
@@ -773,7 +753,7 @@ fn evac_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
         ];
         out
     })
-    .dep(Dep::HostTemplate { spec: dep_spec, guests: density })
+    .dep(Dep::World { spec: dep_spec, rung: density })
     .cost(200.0)
 }
 

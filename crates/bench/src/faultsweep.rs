@@ -20,7 +20,7 @@ use simcore::{FaultPlan, FaultSite, Machine, MachinePreset};
 use toolstack::{ControlPlane, ToolstackMode};
 
 use crate::figures::{meta, Dep, FigureSpec, Scale, UnitOutput, UnitSpec};
-use crate::worldcache::{self, WorldSpec};
+use crate::worldcache::WorldSpec;
 
 /// Injection probabilities swept per mode (0 = fault-free baseline).
 const RATES: [f64; 5] = [0.0, 0.02, 0.05, 0.1, 0.2];
@@ -46,12 +46,13 @@ fn mode_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
         image: GuestImage::unikernel_daytime(),
         seed: 42,
     };
+    let dep_spec = zero_rate_spec.clone();
     let cost = match mode {
         ToolstackMode::Xl => 60.0,
         ToolstackMode::ChaosXs => 40.0,
         _ => 10.0,
     };
-    UnitSpec::new(mode.label(), move || {
+    UnitSpec::new(mode.label(), move |store| {
         let img = GuestImage::unikernel_daytime();
         let mut success = Series::new(format!("{}: success rate (%)", mode.label()));
         let mut mean_ok = Series::new(format!("{}: mean create (ms, successes)", mode.label()));
@@ -63,7 +64,7 @@ fn mode_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
             // image and seed). Read it instead of re-simulating; the
             // faulty rates genuinely diverge and build their own worlds.
             let (per, ok_times, injected) = if rate == 0.0 {
-                let (info, records, stats) = worldcache::records_at(&zero_rate_spec, n);
+                let (info, records, stats) = store.records_at(&zero_rate_spec, n);
                 let per = UnitOutput::from_info(&info);
                 stats.into_output(&mut out);
                 let ok_times: Vec<f64> =
@@ -124,16 +125,7 @@ fn mode_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
         out.series = vec![success, mean_ok];
         out
     })
-    .dep(Dep::Chain {
-        spec: WorldSpec {
-            machine: machine(),
-            dom0_cores: 1,
-            mode,
-            image: GuestImage::unikernel_daytime(),
-            seed: 42,
-        },
-        rung: n,
-    })
+    .dep(Dep::Chain { spec: dep_spec, rung: n })
     .cost(cost)
 }
 
@@ -143,7 +135,7 @@ fn mode_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
 /// them crash the control plane.
 fn per_site_unit(mode: ToolstackMode) -> UnitSpec {
     let label = format!("per-site {}", mode.label());
-    UnitSpec::new(label.clone(), move || {
+    UnitSpec::new(label.clone(), move |_| {
         let img = GuestImage::unikernel_daytime();
         let mut s = Series::new(format!("{label}: failed creates of 10 (rate 1.0)"));
         let mut out = UnitOutput::new();

@@ -17,7 +17,7 @@ use metrics::{Cdf, Series};
 use simcore::{Category, CostModel, Machine, MachinePreset};
 use toolstack::{ControlPlane, ToolstackMode};
 
-use crate::worldcache::{self, WorldSpec};
+use crate::worldcache::{RungInfo, Store, WorldSpec};
 use crate::{density_steps, series_ms, SweepPoint};
 
 /// Run-size profile, passed explicitly so tests can pin it without
@@ -127,9 +127,9 @@ impl UnitOutput {
     }
 
     /// The observables [`from_plane`] would read off the live world,
-    /// served instead from the [`worldcache::RungInfo`] a chain task
-    /// published — same numbers, no world contact.
-    pub(crate) fn from_info(info: &worldcache::RungInfo) -> UnitOutput {
+    /// served instead from the [`RungInfo`] a chain task published —
+    /// same numbers, no world contact.
+    pub(crate) fn from_info(info: &RungInfo) -> UnitOutput {
         let mut out = UnitOutput::new();
         out.virtual_ms = info.virtual_ms;
         out.events = info.events;
@@ -139,22 +139,23 @@ impl UnitOutput {
 
 /// A shared resource a unit consumes. Units declare these instead of
 /// lazily racing to build caches: the planner (`crate::sched`) turns
-/// each distinct dependency into exactly one producing task and gates
-/// the unit on it, so the expensive builds are scheduled explicitly —
-/// pipelined, critical-path first — and units run as pure readers.
-/// With the snapshot cache disabled no producer tasks exist and the
-/// unit bodies fall back to building inline, byte-identically.
+/// each distinct dependency into exactly one producing task, declares
+/// the read on the run's [`Store`] and gates the unit on the producer,
+/// so the expensive builds are scheduled explicitly — pipelined,
+/// critical-path first — and units run as pure readers. With the cache
+/// off no producer tasks exist and the unit bodies simulate inline,
+/// byte-identically.
 pub enum Dep {
-    /// Rung `rung` of `spec`'s worldcache chain must be published.
+    /// Records and rung observables of `spec`'s chain at `rung`
+    /// ([`Store::records_at`]).
     Chain { spec: WorldSpec, rung: usize },
-    /// The memoized probe walk for (mode, steps) must be complete.
+    /// A fork of the world `spec`'s chain deposits at `rung`
+    /// ([`Store::world_at`]).
+    World { spec: WorldSpec, rung: usize },
+    /// The probe walk for (mode, steps) ([`Store::walk`]).
     Walk { mode: ToolstackMode, steps: Vec<usize> },
-    /// The memoized overload simulation for `cfg` must have run.
+    /// The overload simulation for `cfg` ([`Store::compute`]).
     Compute { cfg: ComputeConfig },
-    /// The cluster host template for `spec` at `guests` density: the
-    /// same chain rung as `Chain`, consumed via `HostTemplate::capture`
-    /// instead of a direct fork (the planner maps both to one producer).
-    HostTemplate { spec: WorldSpec, guests: usize },
 }
 
 impl Dep {
@@ -162,13 +163,11 @@ impl Dep {
     pub fn describe(&self) -> String {
         match self {
             Dep::Chain { spec, rung } => format!("chain {}@{rung}", spec.label()),
+            Dep::World { spec, rung } => format!("world {}@{rung}", spec.label()),
             Dep::Walk { mode, steps } => {
                 format!("walk {} ({} steps)", mode.label(), steps.len())
             }
             Dep::Compute { cfg } => format!("compute {}/{}", cfg.mode.label(), cfg.requests),
-            Dep::HostTemplate { spec, guests } => {
-                format!("host-template {}@{guests}", spec.label())
-            }
         }
     }
 }
@@ -184,12 +183,16 @@ pub struct UnitSpec {
     /// critical-path-first ordering. Only relative magnitude matters;
     /// mis-estimates cost schedule quality, never correctness.
     pub cost_hint: f64,
-    /// The computation. Runs on an arbitrary worker thread.
-    pub run: Box<dyn FnOnce() -> UnitOutput + Send>,
+    /// The computation. Runs on an arbitrary worker thread and reads
+    /// shared worlds through the run's store.
+    pub run: Box<dyn FnOnce(&Store) -> UnitOutput + Send>,
 }
 
 impl UnitSpec {
-    pub(crate) fn new(label: impl Into<String>, run: impl FnOnce() -> UnitOutput + Send + 'static) -> UnitSpec {
+    pub(crate) fn new(
+        label: impl Into<String>,
+        run: impl FnOnce(&Store) -> UnitOutput + Send + 'static,
+    ) -> UnitSpec {
         UnitSpec {
             label: label.into(),
             deps: Vec::new(),
@@ -273,8 +276,8 @@ fn sweep_unit(
         seed,
     };
     let dep_spec = spec.clone();
-    UnitSpec::new(unit_label, move || {
-        let (info, records, stats) = worldcache::records_at(&spec, n);
+    UnitSpec::new(unit_label, move |store| {
+        let (info, records, stats) = store.records_at(&spec, n);
         let mut out = UnitOutput::from_info(&info);
         let points: Vec<SweepPoint> = records
             .iter()
@@ -310,7 +313,7 @@ fn fig01(_scale: Scale) -> FigureSpec {
         ylabel: "no. of syscalls",
         sample_xs: syscall_history().iter().map(|r| r.year as f64).collect(),
         meta: vec![meta("source", "curated x86_32 syscall-table history")],
-        units: vec![UnitSpec::new("syscalls", || {
+        units: vec![UnitSpec::new("syscalls", |_| {
             let hist = syscall_history();
             let mut out = UnitOutput::new();
             out.series.push(Series::from_points(
@@ -338,7 +341,7 @@ fn fig02(_scale: Scale) -> FigureSpec {
             meta("machine", "Xeon E5-1630 v3"),
             meta("toolstack", "chaos [NoXS]"),
         ],
-        units: vec![UnitSpec::new("padded-image", move || {
+        units: vec![UnitSpec::new("padded-image", move |_| {
             let mut series = Series::new("daytime unikernel (padded)");
             let mut out = UnitOutput::new();
             // Each size must boot on a pristine host (fresh RNG, zero
@@ -389,7 +392,7 @@ fn fig04(scale: Scale) -> FigureSpec {
             },
         ));
     }
-    units.push(UnitSpec::new("docker", move || {
+    units.push(UnitSpec::new("docker", move |_| {
         let cost = CostModel::paper_defaults();
         let mut docker = DockerRuntime::new(ContainerImage::noop(), xeon().mem_bytes, 42);
         let mut create_s = Series::new("Docker Boot");
@@ -406,7 +409,7 @@ fn fig04(scale: Scale) -> FigureSpec {
         out.series = vec![create_s, run_s];
         out
     }));
-    units.push(UnitSpec::new("process", move || {
+    units.push(UnitSpec::new("process", move |_| {
         let cost = CostModel::paper_defaults();
         let mut procs = ProcessRuntime::new(42);
         let mut proc_s = Series::new("Process Create");
@@ -452,11 +455,11 @@ fn fig05(scale: Scale) -> FigureSpec {
                 seed: 42,
             };
             let dep_spec = spec.clone();
-            UnitSpec::new("xl-breakdown", move || {
+            UnitSpec::new("xl-breakdown", move |store| {
             // Same world as the fig04/fig09 xl sweeps; the chain's
             // per-create meters carry the full category breakdown, and
             // the rung observables carry the store-health metadata.
-            let (info, records, stats) = worldcache::records_at(&spec, n);
+            let (info, records, stats) = store.records_at(&spec, n);
             let mut out = UnitOutput::from_info(&info);
             let (rotations, conflicts) = (info.log_rotations, info.txn_conflicts);
             let cats = [
@@ -537,7 +540,7 @@ fn fig10(scale: Scale) -> FigureSpec {
         42,
         |label, pts| vec![series_ms(label, pts, |p| p.create + p.boot)],
     )];
-    units.push(UnitSpec::new("docker", move || {
+    units.push(UnitSpec::new("docker", move |_| {
         let cost = machine.cost.clone();
         let mut docker = DockerRuntime::new(ContainerImage::noop(), machine.mem_bytes, 42);
         let mut docker_s = Series::new("Docker");
@@ -601,7 +604,7 @@ fn fig11(scale: Scale) -> FigureSpec {
             |label, pts| vec![series_ms(label, pts, |p| p.boot)],
         ),
     ];
-    units.push(UnitSpec::new("docker", move || {
+    units.push(UnitSpec::new("docker", move |_| {
         let cost = CostModel::paper_defaults();
         let mut docker = DockerRuntime::new(ContainerImage::noop(), xeon().mem_bytes, 42);
         let mut docker_s = Series::new("Docker");
@@ -632,11 +635,11 @@ fn checkpoint_unit(mode: ToolstackMode, plot_save: bool, steps: Vec<usize>) -> U
         mode,
         steps: steps.clone(),
     };
-    UnitSpec::new(mode.label(), move || {
+    UnitSpec::new(mode.label(), move |store| {
         // One shared probe walk serves fig12a, fig12b and fig13: the
         // destructive save/restore probes run on throwaway forks at
-        // every density while the walk's live world grows pristine.
-        let (walk, stats) = crate::probewalk::walk(mode, &steps);
+        // every density while the walk's source world grows pristine.
+        let (walk, stats) = store.walk(mode, &steps);
         let mut s = Series::new(mode.label());
         for row in &walk.rows {
             s.push(
@@ -697,11 +700,11 @@ fn fig13(scale: Scale) -> FigureSpec {
             mode,
             steps: steps.clone(),
         };
-        UnitSpec::new(mode.label(), move || {
+        UnitSpec::new(mode.label(), move |store| {
             // Migration mutates the source (the migrated VM leaves it),
             // so the shared probe walk migrates out of throwaway forks
             // at every density; the destination accumulates normally.
-            let (walk, stats) = crate::probewalk::walk(mode, &steps);
+            let (walk, stats) = store.walk(mode, &steps);
             let mut s = Series::new(mode.label());
             for row in &walk.rows {
                 s.push(row.n as f64, row.migrate_ms);
@@ -737,7 +740,7 @@ fn fig14(scale: Scale) -> FigureSpec {
     let mut units = Vec::new();
     {
         let steps = steps.clone();
-        units.push(UnitSpec::new("vm-families", move || {
+        units.push(UnitSpec::new("vm-families", move |_| {
             let mut out = UnitOutput::new();
             for (img, label) in [
                 (GuestImage::debian(), "Debian"),
@@ -756,7 +759,7 @@ fn fig14(scale: Scale) -> FigureSpec {
     }
     {
         let steps = steps.clone();
-        units.push(UnitSpec::new("docker", move || {
+        units.push(UnitSpec::new("docker", move |_| {
             let cost = CostModel::paper_defaults();
             let mut docker =
                 DockerRuntime::new(ContainerImage::micropython(), xeon().mem_bytes, 42);
@@ -775,7 +778,7 @@ fn fig14(scale: Scale) -> FigureSpec {
     }
     {
         let steps = steps.clone();
-        units.push(UnitSpec::new("process", move || {
+        units.push(UnitSpec::new("process", move |_| {
             let cost = CostModel::paper_defaults();
             let mut procs = ProcessRuntime::new(42);
             let mut s = Series::new("Micropython Process");
@@ -821,8 +824,8 @@ fn fig15(scale: Scale) -> FigureSpec {
         };
         let dep_spec = spec.clone();
         units.push(
-            UnitSpec::new(label, move || {
-                let (info, records, stats) = worldcache::records_at(&spec, n);
+            UnitSpec::new(label, move |store| {
+                let (info, records, stats) = store.records_at(&spec, n);
                 let mut out = UnitOutput::from_info(&info);
                 let mut s = Series::new(label);
                 for &i in &steps {
@@ -840,7 +843,7 @@ fn fig15(scale: Scale) -> FigureSpec {
     }
     {
         let steps = steps.clone();
-        units.push(UnitSpec::new("docker", move || {
+        units.push(UnitSpec::new("docker", move |_| {
             let cost = CostModel::paper_defaults();
             let machine = xeon();
             let mut docker = DockerRuntime::new(ContainerImage::noop(), machine.mem_bytes, 42);
@@ -880,7 +883,7 @@ fn fig16a(_scale: Scale) -> FigureSpec {
         ylabel: "Gbps / ms",
         sample_xs: sizes.iter().map(|&v| v as f64).collect(),
         meta: vec![meta("machine", "Xeon E5-2690 v4 (14 cores)")],
-        units: vec![UnitSpec::new("firewall", move || {
+        units: vec![UnitSpec::new("firewall", move |_| {
             let r = firewall::run(42, &sizes);
             let mut out = UnitOutput::new();
             out.series = vec![
@@ -912,7 +915,7 @@ fn fig16b(_scale: Scale) -> FigureSpec {
     let units = [(10u64, 1u64), (25, 2), (50, 3), (100, 4)]
         .into_iter()
         .map(|(ms, seed)| {
-            UnitSpec::new(format!("{ms}ms"), move || {
+            UnitSpec::new(format!("{ms}ms"), move |_| {
                 let r = jit::run(&JitConfig::paper(ms, seed));
                 let samples: Vec<f64> = r.rtts.iter().map(|t| t.as_millis_f64()).collect();
                 let cdf = Cdf::of(&samples).expect("has samples");
@@ -951,7 +954,7 @@ fn fig16c(_scale: Scale) -> FigureSpec {
         ylabel: "throughput (req/s)",
         sample_xs: counts.iter().map(|&v| v as f64).collect(),
         meta: vec![meta("machine", "Xeon E5-2690 v4 (14 cores), RSA-1024")],
-        units: vec![UnitSpec::new("tls", move || {
+        units: vec![UnitSpec::new("tls", move |_| {
             let series = tls::run(42, &counts);
             let mut out = UnitOutput::new();
             for s in &series {
@@ -984,9 +987,9 @@ fn fig17(scale: Scale) -> FigureSpec {
             let mut cfg = ComputeConfig::paper(mode, seed);
             cfg.requests = n;
             let dep_cfg = cfg.clone();
-            UnitSpec::new(mode.label(), move || {
+            UnitSpec::new(mode.label(), move |store| {
                 // fig18 runs the identical overload simulation.
-                let (r, stats) = worldcache::compute_cached(&cfg);
+                let (r, stats) = store.compute(&cfg);
                 let mut out = UnitOutput::new();
                 stats.into_output(&mut out);
                 out.series = vec![Series::from_points(
@@ -1032,9 +1035,9 @@ fn fig18(scale: Scale) -> FigureSpec {
             let mut cfg = ComputeConfig::paper(mode, seed);
             cfg.requests = n;
             let dep_cfg = cfg.clone();
-            UnitSpec::new(mode.label(), move || {
+            UnitSpec::new(mode.label(), move |store| {
                 // fig17 runs the identical overload simulation.
-                let (r, stats) = worldcache::compute_cached(&cfg);
+                let (r, stats) = store.compute(&cfg);
                 let mut out = UnitOutput::new();
                 stats.into_output(&mut out);
                 out.series = vec![Series::from_points(

@@ -60,20 +60,13 @@ pub fn on_density_ladder(n: usize) -> bool {
     matches!(n, 1 | 2 | 5 | 10 | 20 | 35 | 50 | 75 | 100) || (n >= 150 && n % 50 == 0)
 }
 
-/// Whether a quick (reduced-scale) run was requested.
-pub fn quick() -> bool {
-    Scale::from_env().quick
-}
-
 /// Scale factor for run sizes: full scale by default, 1/10 with
 /// `LIGHTVM_QUICK=1`.
 pub fn scaled(n: usize) -> usize {
     Scale::from_env().scaled(n)
 }
 
-use guests::GuestImage;
-use simcore::{Machine, SimTime};
-use toolstack::{ControlPlane, ToolstackMode};
+use simcore::SimTime;
 
 /// One guest's create/boot measurement within a density sweep.
 #[derive(Clone, Copy, Debug)]
@@ -84,33 +77,6 @@ pub struct SweepPoint {
     pub create: SimTime,
     /// Guest boot latency.
     pub boot: SimTime,
-}
-
-/// Sequentially creates and boots `n` guests of `image` under `mode`,
-/// returning one point per guest (the Figure 4/9/11 methodology).
-pub fn sweep_create_boot(
-    machine: Machine,
-    dom0_cores: usize,
-    mode: ToolstackMode,
-    image: &GuestImage,
-    n: usize,
-    seed: u64,
-) -> Vec<SweepPoint> {
-    let mut cp = ControlPlane::new(machine, dom0_cores, mode, seed);
-    cp.prewarm(image);
-    let mut points = Vec::with_capacity(n);
-    for i in 0..n {
-        let n_before = cp.running_count();
-        let (_, create, boot) = cp
-            .create_and_boot(&format!("{}-{i}", image.name), image)
-            .expect("density sweep create");
-        points.push(SweepPoint {
-            n_before,
-            create,
-            boot,
-        });
-    }
-    points
 }
 
 /// Extracts an (x = index, y = value ms) series from sweep points.

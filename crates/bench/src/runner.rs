@@ -2,10 +2,14 @@
 //! (see [`crate::sched`]) and deterministically reassembles the
 //! figures.
 //!
-//! The planner turns every distinct resource the units declare —
-//! worldcache chain rungs, probe walks, memoized compute runs — into
-//! explicit producer tasks, and gates the consuming units on them; the
-//! executor then runs the graph critical-path first on `jobs` workers.
+//! Each run creates one [`Store`] — the run's chains, World rung
+//! deposits, compute results, walks, reuse switches, shard worker count
+//! and shard-span sink — and hands it to every task body; nothing is
+//! process-global, so concurrent or repeated runs cannot see each
+//! other. The planner turns every distinct resource the units declare —
+//! chain rungs, World rungs, probe walks, compute runs — into explicit
+//! producer tasks, and gates the consuming units on them; the executor
+//! then runs the graph critical-path first on `jobs` workers.
 //! Results are written into per-unit slots and the merge walks figures
 //! and units in *declared* order, which makes the output bit-for-bit
 //! independent of scheduling (`--seq`, `--jobs 1` and `--jobs N` all
@@ -28,6 +32,7 @@ use metrics::{Figure, RunnerReport, TaskPerf, UnitPerf};
 
 use crate::figures::{FigureSpec, UnitOutput};
 use crate::sched;
+use crate::worldcache::Store;
 
 /// A completed figure plus the x positions its table is sampled at.
 pub struct FigureRun {
@@ -35,26 +40,39 @@ pub struct FigureRun {
     pub sample_xs: Vec<f64>,
 }
 
-/// Executes every unit of `specs` on `jobs` worker threads and merges
-/// the results. Returns the figures in registry order and the perf
-/// report: per-unit rows in registry order plus the full task trace.
+/// Executes every unit of `specs` on `jobs` worker threads with every
+/// reuse layer on, and merges the results. Returns the figures in
+/// registry order and the perf report: per-unit rows in registry order
+/// plus the full task trace.
 pub fn run(specs: Vec<FigureSpec>, jobs: usize, quick: bool) -> (Vec<FigureRun>, RunnerReport) {
+    let (runs, report, _) = run_with(specs, jobs, quick, Store::default());
+    (runs, report)
+}
+
+/// [`run`] against a caller-configured `store` (`runall`'s
+/// `--no-snapshot-cache`/`--no-clone-boot` switches), returned after
+/// the run for its summary.
+pub fn run_with(
+    specs: Vec<FigureSpec>,
+    jobs: usize,
+    quick: bool,
+    mut store: Store,
+) -> (Vec<FigureRun>, RunnerReport, Store) {
     let started = Instant::now();
 
-    let (heads, plan) = sched::plan(specs);
+    let (heads, plan) = sched::plan(specs, &mut store);
     let jobs = jobs.max(1).min(plan.len().max(1));
     // The cluster units' shard executor inherits the worker budget;
-    // artefact bytes never depend on it. Drop any spans left over from
-    // an earlier in-process run before collecting this run's.
-    crate::cluster::set_shard_jobs(jobs);
-    let _ = crate::cluster::drain_shard_trace();
-    let (mut trace, unit_results) = sched::execute(plan, jobs, started);
+    // artefact bytes never depend on it.
+    store.shard_jobs = jobs;
+    let (mut trace, unit_results) = sched::execute(plan, jobs, started, &store);
 
     // Append the cluster units' per-worker shard spans as informational
     // `"shard"` rows (their wall is contained in their unit's row; the
     // report's aggregates skip them).
     let next_id = trace.len() as u64;
-    for (i, s) in crate::cluster::drain_shard_trace().into_iter().enumerate() {
+    let spans = std::mem::take(&mut *store.shard_trace.lock().expect("shard trace lock"));
+    for (i, s) in spans.into_iter().enumerate() {
         trace.push(TaskPerf {
             id: next_id + i as u64,
             kind: "shard".to_string(),
@@ -111,7 +129,7 @@ pub fn run(specs: Vec<FigureSpec>, jobs: usize, quick: bool) -> (Vec<FigureRun>,
         units: perf,
         tasks: trace,
     };
-    (figures, report)
+    (figures, report, store)
 }
 
 /// Runs a single figure through the same planner/executor as the full

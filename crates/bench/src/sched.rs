@@ -1,34 +1,31 @@
 //! Dependency-aware DAG scheduler for the figure runner.
 //!
-//! PR 5 made most figure units cheap *readers* of shared state — a
-//! worldcache chain prefix, a memoized probe walk, a memoized compute
-//! run — with the expensive builds happening lazily inside whichever
-//! unit arrived first. That was correct (everything is deterministic)
-//! but scheduled badly: the flat work queue had no idea one unit was
-//! about to simulate 8000 boots while ten others would block on it.
+//! Most figure units are cheap *readers* of shared simulated state — a
+//! world-store chain rung, a forked World rung, a probe walk, a compute
+//! run. The planner makes the builds explicit: every distinct resource
+//! a unit declares (see [`Dep`]) becomes exactly one producing task,
+//! and every read is declared on the run's [`Store`] up front:
 //!
-//! The planner here makes the builds explicit. Every distinct resource
-//! a unit declares (see [`Dep`]) becomes exactly one producing task:
-//!
-//! * **chain** tasks climb a worldcache chain rung by requested rung
-//!   ([`worldcache::build_to`]), publishing records and rung
-//!   observables as they pass;
-//! * **probe** tasks run a walk's destructive probes against the fork
-//!   its chain task deposited ([`probewalk::WalkBuilder`]); probes
-//!   chain on each other (sequential RNG/destination state) but
-//!   pipeline behind the chain build, throttled so at most
-//!   [`PROBE_THROTTLE`] dense forks are ever live at once — the
-//!   memory lesson of the early per-rung snapshot cache;
-//! * **compute** tasks run the memoized overload simulation;
+//! * **chain** tasks climb a world-store chain rung by requested rung
+//!   ([`Store::build_to`]), publishing records and rung observables as
+//!   they pass and depositing a snapshot at every declared World rung;
+//! * **probe** tasks fork a walk's World rung and run its destructive
+//!   probes ([`probewalk::WalkBuilder`]); probes chain on each other
+//!   (sequential RNG/destination state) but pipeline behind the chain
+//!   climb, throttled so at most [`PROBE_THROTTLE`] deposits per walk
+//!   are ever live — the memory lesson of the early per-rung snapshot
+//!   cache;
+//! * **compute** tasks run the shared overload simulation;
 //! * **unit** tasks are the figure units themselves, gated on their
 //!   declared producers and otherwise free to run anywhere.
 //!
-//! Execution is critical-path first: each task's rank is its cost plus
-//! the heaviest downstream chain, and the ready heap pops the highest
-//! rank (ties by lowest id, so the order is deterministic). None of
-//! this affects artefact bytes — results are merged in declared order
-//! and every task body is deterministic — which the determinism tests
-//! and ci.sh's `--jobs` byte gates pin.
+//! Every run starts cold (the store is per run), so every declared
+//! resource gets its producer. Execution is critical-path first: each
+//! task's rank is its cost plus the heaviest downstream chain, and the
+//! ready heap pops the highest rank (ties by lowest id, so the order is
+//! deterministic). None of this affects artefact bytes — results are
+//! merged in declared order and every task body is deterministic —
+//! which the determinism tests and ci.sh's `--jobs` byte gates pin.
 //!
 //! Task ids are topological by construction (every dependency's id is
 //! smaller than its dependent's), which keeps the rank computation and
@@ -38,14 +35,15 @@ use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
+use lightvm::usecases::compute::ComputeConfig;
 use metrics::TaskPerf;
 use toolstack::ToolstackMode;
 
 use crate::figures::{Dep, FigureSpec, UnitOutput};
 use crate::probewalk::{self, WalkBuilder};
-use crate::worldcache::{self, WorldSpec};
+use crate::worldcache::{Key, Store, WorldSpec};
 
-/// Maximum probe forks a walk may have deposited-but-unprobed: chain
+/// Maximum World rungs a walk may have deposited-but-unprobed: chain
 /// rung `i` waits for probe `i - PROBE_THROTTLE`. Keeps the pipeline
 /// deep enough to hide probe latency without holding many megabyte
 /// dense-world forks live.
@@ -62,8 +60,8 @@ const MAX_CHAIN_SPAN: usize = 150;
 /// probes run, requests simulated) plus how many of those creates
 /// replayed a cloneboot template (chain tasks; zero elsewhere).
 enum Body {
-    Unit(Box<dyn FnOnce() -> UnitOutput + Send>),
-    Infra(Box<dyn FnOnce() -> (u64, u64) + Send>),
+    Unit(Box<dyn FnOnce(&Store) -> UnitOutput + Send>),
+    Infra(Box<dyn FnOnce(&Store) -> (u64, u64) + Send>),
 }
 
 struct Task {
@@ -129,17 +127,15 @@ fn boot_cost_ms(mode: ToolstackMode) -> f64 {
     }
 }
 
-/// Builds the task graph for `specs`. Returns the figure heads
+/// Builds the task graph for `specs`, declaring every read it plans on
+/// `store` (chain rungs, World rungs, walks). Returns the figure heads
 /// (stripped of units, for merging) and the plan.
 ///
-/// With the snapshot cache disabled no infrastructure tasks are
-/// emitted and units carry no dependencies: each unit body falls back
-/// to building what it needs inline, byte-identically — the planner
-/// only ever changes *when* work happens, never *what* runs.
-/// Resources that are already cached in-process (warm repeated runs)
-/// are likewise skipped; their consumers read the cache directly.
-pub fn plan(specs: Vec<FigureSpec>) -> (Vec<FigureSpec>, Plan) {
-    let enabled = worldcache::enabled();
+/// With the cache off (`store.cache == false`) no infrastructure tasks
+/// are emitted and units carry no dependencies: each unit body
+/// simulates what it needs inline, byte-identically — the planner only
+/// ever changes *when* work happens, never *what* runs.
+pub fn plan(specs: Vec<FigureSpec>, store: &mut Store) -> (Vec<FigureSpec>, Plan) {
     let mut tasks: Vec<Task> = Vec::new();
 
     // ---- collect distinct resources, in first-encounter order ----
@@ -148,179 +144,147 @@ pub fn plan(specs: Vec<FigureSpec>) -> (Vec<FigureSpec>, Plan) {
         rungs: Vec<usize>,
     }
     let mut chains: Vec<ChainReq> = Vec::new();
-    let mut chain_of: HashMap<worldcache::Key, usize> = HashMap::new();
+    let mut chain_of: HashMap<Key, usize> = HashMap::new();
+    let mut need = |spec: &WorldSpec, rung: usize| {
+        let idx = *chain_of.entry(spec.key()).or_insert_with(|| {
+            chains.push(ChainReq {
+                spec: spec.clone(),
+                rungs: Vec::new(),
+            });
+            chains.len() - 1
+        });
+        chains[idx].rungs.push(rung);
+    };
     let mut walks: Vec<(ToolstackMode, Vec<usize>)> = Vec::new();
-    let mut walk_of: HashMap<(&'static str, Vec<usize>), usize> = HashMap::new();
-    let mut computes: Vec<lightvm::usecases::compute::ComputeConfig> = Vec::new();
-    let mut compute_of: HashMap<String, usize> = HashMap::new();
+    let mut computes: Vec<ComputeConfig> = Vec::new();
 
-    if enabled {
+    if store.cache {
         for spec in &specs {
             for unit in &spec.units {
                 for dep in &unit.deps {
                     match dep {
                         Dep::Chain { spec: ws, rung } => {
-                            let idx = *chain_of.entry(ws.key()).or_insert_with(|| {
-                                chains.push(ChainReq {
-                                    spec: ws.clone(),
-                                    rungs: Vec::new(),
-                                });
-                                chains.len() - 1
-                            });
-                            chains[idx].rungs.push(*rung);
+                            need(ws, *rung);
+                            store.declare_chain(ws, *rung);
                         }
+                        Dep::World { spec: ws, rung } => {
+                            need(ws, *rung);
+                            store.declare_world(ws, *rung);
+                        }
+                        // A walk's probe task `i` is the one consumer
+                        // of its chain's World rung `steps[i]`.
                         Dep::Walk { mode, steps } => {
-                            let key = (mode.label(), steps.clone());
-                            if !walk_of.contains_key(&key) {
-                                walk_of.insert(key, walks.len());
+                            if !walks.iter().any(|(m, s)| m == mode && s == steps) {
                                 walks.push((*mode, steps.clone()));
+                                let ws = probewalk::chain_spec(*mode);
+                                for &n in steps {
+                                    need(&ws, n);
+                                    store.declare_world(&ws, n);
+                                }
                             }
                         }
                         Dep::Compute { cfg } => {
-                            let key = format!("{cfg:?}");
-                            if !compute_of.contains_key(&key) {
-                                compute_of.insert(key, computes.len());
+                            if !computes.iter().any(|c| format!("{c:?}") == format!("{cfg:?}")) {
                                 computes.push(cfg.clone());
                             }
                         }
-                        // A host template is the chain rung at the
-                        // template's density — same producer, consumed
-                        // through HostTemplate::capture instead of a
-                        // direct fork.
-                        Dep::HostTemplate { spec: ws, guests } => {
-                            let idx = *chain_of.entry(ws.key()).or_insert_with(|| {
-                                chains.push(ChainReq {
-                                    spec: ws.clone(),
-                                    rungs: Vec::new(),
-                                });
-                                chains.len() - 1
-                            });
-                            chains[idx].rungs.push(*guests);
-                        }
                     }
                 }
             }
         }
-        for c in &mut chains {
-            c.rungs.sort_unstable();
-            c.rungs.dedup();
-            // Split long climbs into evenly spaced intermediate rungs,
-            // so one 1000-boot chain becomes several short tasks the
-            // executor can start early and interleave with other work
-            // (template boots make the per-rung cost low enough for the
-            // extra task overhead to be noise). Byte-identical: the
-            // chain still climbs through exactly the same creates, and
-            // `advance` publishes observables at every ladder rung it
-            // crosses regardless of task boundaries; consumers only
-            // ever read the rungs they declared, which are all kept.
-            let mut split = Vec::with_capacity(c.rungs.len());
-            let mut prev = 0usize;
-            for &rung in &c.rungs {
-                let span = rung - prev;
-                if span > MAX_CHAIN_SPAN {
-                    let pieces = span.div_ceil(MAX_CHAIN_SPAN);
-                    for p in 1..pieces {
-                        split.push(prev + span * p / pieces);
-                    }
+    }
+    for c in &mut chains {
+        c.rungs.sort_unstable();
+        c.rungs.dedup();
+        // Split long climbs into evenly spaced intermediate rungs, so
+        // one 1000-boot chain becomes several short tasks the executor
+        // can start early and interleave with other work. Byte-
+        // identical: the chain still climbs through exactly the same
+        // creates, and `advance` publishes observables at every ladder
+        // rung it crosses regardless of task boundaries; consumers only
+        // ever read the rungs they declared, which are all kept.
+        let mut split = Vec::with_capacity(c.rungs.len());
+        let mut prev = 0usize;
+        for &rung in &c.rungs {
+            let span = rung - prev;
+            if span > MAX_CHAIN_SPAN {
+                let pieces = span.div_ceil(MAX_CHAIN_SPAN);
+                for p in 1..pieces {
+                    split.push(prev + span * p / pieces);
                 }
-                split.push(rung);
-                prev = rung;
             }
-            c.rungs = split;
+            split.push(rung);
+            prev = rung;
         }
+        c.rungs = split;
     }
 
     // ---- emit producer tasks (ids are topological: deps come first) ----
-    let mut chain_task: HashMap<(worldcache::Key, usize), usize> = HashMap::new();
+    // Chain rung tasks climb in ascending order, each depending on the
+    // previous rung. A walk's probe task follows its rung's chain task
+    // directly, so the throttle edge (chain rung of step `i` waits for
+    // probe `i - PROBE_THROTTLE`) always points at an earlier id.
+    let walk_keys: Vec<Key> = walks.iter().map(|(m, _)| probewalk::chain_spec(*m).key()).collect();
+    let builders: Vec<Arc<WalkBuilder>> =
+        walks.iter().map(|(m, steps)| WalkBuilder::new(*m, steps)).collect();
+    let mut probe_ids: Vec<Vec<usize>> = vec![Vec::new(); walks.len()];
+    let mut chain_task: HashMap<(Key, usize), usize> = HashMap::new();
     for req in &chains {
+        let key = req.spec.key();
         let mut prev: Option<usize> = None;
         let mut prev_rung = 0usize;
         for &rung in &req.rungs {
-            if worldcache::rung_published(&req.spec, rung) {
-                // Warm from an earlier in-process run: readers serve
-                // straight from the chain, no task needed.
-                continue;
+            // (walk, step index) pairs probing this rung.
+            let probing: Vec<(usize, usize)> = (0..walks.len())
+                .filter(|&w| walk_keys[w] == key)
+                .filter_map(|w| walks[w].1.iter().position(|&n| n == rung).map(|i| (w, i)))
+                .collect();
+            let mut deps: Vec<usize> = prev.into_iter().collect();
+            for &(w, i) in &probing {
+                if i >= PROBE_THROTTLE {
+                    deps.push(probe_ids[w][i - PROBE_THROTTLE]);
+                }
             }
             let id = tasks.len();
-            let span = rung - prev_rung;
             let spec = req.spec.clone();
             tasks.push(Task {
                 kind: "chain",
                 label: format!("chain {}@{rung}", req.spec.label()),
                 figure: String::new(),
-                deps: prev.into_iter().collect(),
-                cost: span as f64 * boot_cost_ms(req.spec.mode),
+                deps,
+                cost: (rung - prev_rung) as f64 * boot_cost_ms(req.spec.mode),
                 slot: None,
-                body: Body::Infra(Box::new(move || {
-                    let (boots, stats) = worldcache::build_to(&spec, rung);
+                body: Body::Infra(Box::new(move |store: &Store| {
+                    let (boots, stats) = store.build_to(&spec, rung);
                     (boots, stats.boots_replayed)
                 })),
             });
-            chain_task.insert((req.spec.key(), rung), id);
+            chain_task.insert((key.clone(), rung), id);
             prev = Some(id);
             prev_rung = rung;
-        }
-    }
 
-    let mut walk_task: HashMap<(&'static str, Vec<usize>), usize> = HashMap::new();
-    for (mode, steps) in &walks {
-        if probewalk::is_cached(*mode, steps) {
-            continue;
-        }
-        let builder = WalkBuilder::new(*mode, steps);
-        let chain_label = probewalk::chain_spec(*mode).label();
-        let mut prev_build: Option<usize> = None;
-        let mut probe_ids: Vec<usize> = Vec::new();
-        for (i, &n) in steps.iter().enumerate() {
-            let build_id = tasks.len();
-            let mut deps: Vec<usize> = prev_build.into_iter().collect();
-            if i >= PROBE_THROTTLE {
-                deps.push(probe_ids[i - PROBE_THROTTLE]);
+            for (w, i) in probing {
+                debug_assert_eq!(probe_ids[w].len(), i, "walk steps ascend");
+                let mut deps = vec![id];
+                deps.extend(probe_ids[w].last());
+                let b = Arc::clone(&builders[w]);
+                probe_ids[w].push(tasks.len());
+                tasks.push(Task {
+                    kind: "probe",
+                    label: format!("probe {}@{rung}", walks[w].0.label()),
+                    figure: String::new(),
+                    deps,
+                    cost: 2.0 + rung as f64 * 0.02,
+                    slot: None,
+                    body: Body::Infra(Box::new(move |store: &Store| (b.probe_rung(store, i), 0))),
+                });
             }
-            let span = n - if i == 0 { 0 } else { steps[i - 1] };
-            let b = Arc::clone(&builder);
-            tasks.push(Task {
-                kind: "chain",
-                label: format!("chain {chain_label}@{n}"),
-                figure: String::new(),
-                deps,
-                cost: span as f64 * boot_cost_ms(*mode),
-                slot: None,
-                body: Body::Infra(Box::new(move || b.build_rung(i))),
-            });
-            prev_build = Some(build_id);
-
-            let probe_id = tasks.len();
-            let mut deps = vec![build_id];
-            if i > 0 {
-                deps.push(probe_ids[i - 1]);
-            }
-            let b = Arc::clone(&builder);
-            tasks.push(Task {
-                kind: "probe",
-                label: format!("probe {}@{n}", mode.label()),
-                figure: String::new(),
-                deps,
-                cost: 2.0 + n as f64 * 0.02,
-                slot: None,
-                body: Body::Infra(Box::new(move || (b.probe_rung(i), 0))),
-            });
-            probe_ids.push(probe_id);
         }
-        // The walk is complete when its last probe publishes the memo.
-        walk_task.insert(
-            (mode.label(), steps.clone()),
-            *probe_ids.last().expect("walk has steps"),
-        );
     }
 
     let mut compute_task: HashMap<String, usize> = HashMap::new();
-    for cfg in &computes {
-        if worldcache::compute_is_cached(cfg) {
-            continue;
-        }
-        let id = tasks.len();
-        let body_cfg = cfg.clone();
+    for cfg in computes {
+        compute_task.insert(format!("{cfg:?}"), tasks.len());
         tasks.push(Task {
             kind: "compute",
             label: format!("compute {}/{}", cfg.mode.label(), cfg.requests),
@@ -328,38 +292,32 @@ pub fn plan(specs: Vec<FigureSpec>) -> (Vec<FigureSpec>, Plan) {
             deps: Vec::new(),
             cost: 120.0,
             slot: None,
-            body: Body::Infra(Box::new(move || {
-                let (r, _) = worldcache::compute_cached(&body_cfg);
-                ((r.service_times.len() + r.concurrency.len()) as u64, 0)
-            })),
+            body: Body::Infra(Box::new(move |store: &Store| (store.run_compute(&cfg), 0))),
         });
-        compute_task.insert(format!("{cfg:?}"), id);
     }
 
     // ---- unit tasks, in declared (figure, unit) order ----
     let mut heads = Vec::with_capacity(specs.len());
     for (fi, mut spec) in specs.into_iter().enumerate() {
         for (ui, unit) in spec.units.drain(..).enumerate() {
-            let mut deps: Vec<usize> = Vec::new();
-            for dep in &unit.deps {
-                let producer = match dep {
-                    Dep::Chain { spec: ws, rung } => {
-                        chain_task.get(&(ws.key(), *rung)).copied()
-                    }
-                    Dep::Walk { mode, steps } => {
-                        walk_task.get(&(mode.label(), steps.clone())).copied()
-                    }
-                    Dep::Compute { cfg } => compute_task.get(&format!("{cfg:?}")).copied(),
-                    Dep::HostTemplate { spec: ws, guests } => {
-                        chain_task.get(&(ws.key(), *guests)).copied()
-                    }
-                };
-                // A missing producer means the resource is already
-                // cached (or the cache is disabled): nothing to wait on.
-                if let Some(p) = producer {
-                    deps.push(p);
-                }
-            }
+            // With the cache off nothing was planned: nothing to wait on.
+            let deps: Vec<usize> = if store.cache {
+                unit.deps
+                    .iter()
+                    .map(|dep| match dep {
+                        Dep::Chain { spec: ws, rung } | Dep::World { spec: ws, rung } => {
+                            chain_task[&(ws.key(), *rung)]
+                        }
+                        Dep::Walk { mode, steps } => {
+                            let w = walks.iter().position(|(m, s)| m == mode && s == steps);
+                            *probe_ids[w.expect("walk planned")].last().expect("walk has steps")
+                        }
+                        Dep::Compute { cfg } => compute_task[&format!("{cfg:?}")],
+                    })
+                    .collect()
+            } else {
+                Vec::new()
+            };
             tasks.push(Task {
                 kind: "unit",
                 label: unit.label,
@@ -456,7 +414,7 @@ impl Drop for Bail<'_> {
     }
 }
 
-fn worker(ctx: &Ctx, thread: usize) {
+fn worker(ctx: &Ctx, store: &Store, thread: usize) {
     loop {
         let id = {
             let mut g = ctx.state.lock().expect("scheduler lock");
@@ -486,11 +444,11 @@ fn worker(ctx: &Ctx, thread: usize) {
         let start_ms = ctx.started.elapsed().as_secs_f64() * 1e3;
         let (events, boots_replayed, out) = match body {
             Body::Unit(f) => {
-                let o = f();
+                let o = f(store);
                 (o.events, o.boots_replayed, Some(o))
             }
             Body::Infra(f) => {
-                let (events, replayed) = f();
+                let (events, replayed) = f(store);
                 (events, replayed, None)
             }
         };
@@ -517,12 +475,14 @@ fn worker(ctx: &Ctx, thread: usize) {
 }
 
 /// Executes the plan on `jobs` workers (inline on the caller when
-/// `jobs <= 1`). Returns the task trace in id order plus every unit's
-/// output tagged with its destination slot.
+/// `jobs <= 1`), handing every task body the run's `store`. Returns the
+/// task trace in id order plus every unit's output tagged with its
+/// destination slot.
 pub(crate) fn execute(
     plan: Plan,
     jobs: usize,
     started: Instant,
+    store: &Store,
 ) -> (Vec<TaskPerf>, Vec<UnitResult>) {
     let n = plan.tasks.len();
     if n == 0 {
@@ -578,12 +538,12 @@ pub(crate) fn execute(
     };
 
     if jobs <= 1 {
-        worker(&ctx, 0);
+        worker(&ctx, store, 0);
     } else {
         std::thread::scope(|scope| {
             for w in 0..jobs {
                 let ctx = &ctx;
-                scope.spawn(move || worker(ctx, w));
+                scope.spawn(move || worker(ctx, store, w));
             }
         });
     }

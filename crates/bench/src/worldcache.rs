@@ -1,26 +1,32 @@
-//! Process-global cache of booted worlds, keyed by what makes a
-//! simulation unique: (mode, machine, config, image, seed). Density
-//! sweeps across the figure registry re-boot the same world to the
-//! same guest counts — fig04, fig05, fig09 and the faults sweep all
-//! grow an identical xl world, paying the superlinear boot cost each
-//! time. This cache stores each distinct world *chain* once — its
-//! per-create measurements plus a live world advanced in place — so
-//! every other consumer forks the deepest cached prefix instead of
-//! re-simulating it.
+//! The per-run world store: every booted world a figure unit reuses,
+//! keyed by what makes a simulation unique — (mode, machine, config,
+//! image, seed). Density sweeps across the figure registry boot the
+//! same worlds to the same guest counts — fig04, fig05, fig09 and the
+//! faults sweep all grow an identical xl world — so the store climbs
+//! each distinct world *chain* once and serves every consumer from it.
 //!
-//! A chain holds exactly two worlds, whatever is asked of it:
+//! [`runner::run`](crate::runner::run) creates one [`Store`] per run and
+//! hands it to every task body; nothing outlives the run, so every run
+//! starts cold and no run can observe another's state. The planner
+//! ([`crate::sched`]) *declares* every read up front, and a chain rung
+//! is the only producer of a reused world:
 //!
-//! * the **base** (a [`Snapshot`] at zero guests), so requests below
-//!   the tip can replay deterministically, and
-//! * the **tip** (the deepest world built so far), advanced *in place*
-//!   when a deeper density is requested and forked to serve callers.
+//! * a chain is its **tip** (the live world, advanced in place by the
+//!   chain's rung tasks and dropped once the top declared rung is
+//!   reached) plus per-create records and [`RungInfo`] observables
+//!   published as it climbs — what `Dep::Chain` readers get
+//!   ([`Store::records_at`]);
+//! * a declared **World rung** (`Dep::World`, and every probe-walk
+//!   step) is a [`Snapshot`] the chain task deposits when it reaches
+//!   that rung. Each declared consumer forks it ([`Store::world_at`])
+//!   and the last one drops it.
 //!
-//! Keeping one live tip instead of a snapshot per density matters: a
-//! snapshot of a dense world is megabytes, and an early version of this
-//! cache that deposited one per density step held hundreds of MB of
-//! snapshots live for the whole run — slowing every later unit down by
-//! 2-4x through sheer allocator/cache pressure, which cost more than
-//! the re-simulation it saved.
+//! There is no base snapshot and no replay: reading a rung the chain
+//! has not published is a planner bug and panics with the spec and the
+//! rung. A deposit is held only between its rung task and its last
+//! consumer — an early version of this cache that deposited a snapshot
+//! at *every* density held hundreds of MB live for the whole run and
+//! slowed every later unit 2-4x through allocator and cache pressure.
 //!
 //! Correctness rests on two properties, both pinned by tests:
 //!
@@ -29,28 +35,26 @@
 //!   taken on or after a fork are byte-identical to the uncached run.
 //! * **Chains are deterministic.** A chain is keyed by everything its
 //!   evolution depends on (the simulation is fully seeded), and guests
-//!   are named canonically (`{image}-{index}`), so whichever unit
-//!   builds a prefix first, the chain is the same. Artefacts therefore
-//!   do not depend on unit scheduling order, and `--no-snapshot-cache`
-//!   (which routes every call through the same build code, minus the
-//!   cache) produces identical bytes.
-//!
-//! Locking: one short-lived map lock to find/insert the chain entry,
-//! then a per-chain mutex for the build/fork. Units that need the same
-//! chain serialize (the second reuses the first's work — the point of
-//! the cache); units on different chains proceed in parallel.
+//!   are named canonically (`{image}-{index}`), so artefacts do not
+//!   depend on task scheduling order, and a run with `cache: false` —
+//!   every unit [`Store::simulate`]s its world from scratch through the
+//!   same [`Store::advance`] — produces identical bytes.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use guests::GuestImage;
+use lightvm::usecases::compute::{self, ComputeConfig, ComputeResult};
 use simcore::{Machine, Meter, SimTime};
 use toolstack::snapshot::Snapshot;
-use toolstack::{ControlPlane, ToolstackMode};
+use toolstack::{cloneboot, ControlPlane, CreateReport, PlaneError, ToolstackMode};
 
-/// Everything a cached world's evolution depends on.
+use crate::cluster::ShardTrace;
+use crate::probewalk::{self, Walk};
+
+/// Everything a chained world's evolution depends on.
 #[derive(Clone)]
 pub struct WorldSpec {
     pub machine: Machine,
@@ -62,7 +66,7 @@ pub struct WorldSpec {
 
 impl WorldSpec {
     /// The world at step 0: constructed and prewarmed, no guests yet.
-    fn build_base(&self) -> ControlPlane {
+    pub(crate) fn build_base(&self) -> ControlPlane {
         let mut cp =
             ControlPlane::new(self.machine.clone(), self.dom0_cores, self.mode, self.seed);
         cp.prewarm(&self.image);
@@ -80,34 +84,21 @@ impl WorldSpec {
         )
     }
 
-    /// Cache key. The mode/cores/image-name/seed tuple is the human-
-    /// readable identity; the fingerprint hashes the full machine and
-    /// image parameters (cost model included) so that two specs which
-    /// merely *print* alike — say, an ablation's perturbed cost model
-    /// on the stock machine name — can never share a chain.
+    /// Chain key: the label is the human-readable identity; the
+    /// fingerprint hashes the full machine and image parameters (cost
+    /// model included) so that two specs which merely *print* alike —
+    /// say, an ablation's perturbed cost model on the stock machine
+    /// name — can never share a chain.
     pub(crate) fn key(&self) -> Key {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         format!("{:?}|{:?}", self.machine, self.image).hash(&mut h);
-        Key {
-            mode: self.mode.label(),
-            dom0_cores: self.dom0_cores,
-            image: self.image.name.clone(),
-            seed: self.seed,
-            fingerprint: h.finish(),
-        }
+        (self.label(), h.finish())
     }
 }
 
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub(crate) struct Key {
-    mode: &'static str,
-    dom0_cores: usize,
-    image: String,
-    seed: u64,
-    fingerprint: u64,
-}
+pub(crate) type Key = (String, u64);
 
-/// One guest's measurements from a chain build, reusable by every
+/// One guest's measurements from a chain climb, reusable by every
 /// consumer of the chain (the guest index is the record's position).
 #[derive(Clone)]
 pub struct CreateRecord {
@@ -130,14 +121,14 @@ impl CreateRecord {
     }
 }
 
-/// What one `world_at` call did, for the per-unit perf report.
+/// What one store read did, for the per-unit perf report.
 #[derive(Clone, Copy, Default)]
 pub struct CacheStats {
-    /// 1 if a cached prefix (beyond the empty base) was reused.
+    /// 1 if a chain rung (beyond the empty base) was reused.
     pub hits: u64,
     /// Snapshot forks performed.
     pub forks: u64,
-    /// create+boot sequences skipped thanks to cached prefixes.
+    /// create+boot sequences skipped thanks to chain rungs.
     pub boots_saved: u64,
     /// Creates that found a cloneboot template (this call's builds).
     pub clone_hits: u64,
@@ -148,22 +139,20 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    fn absorb(&mut self, other: CacheStats) {
-        self.hits += other.hits;
-        self.forks += other.forks;
-        self.boots_saved += other.boots_saved;
-        self.clone_hits += other.clone_hits;
-        self.boots_replayed += other.boots_replayed;
-        self.clone_saved += other.clone_saved;
+    /// Folds these stats into a unit output.
+    pub fn into_output(self, out: &mut crate::figures::UnitOutput) {
+        out.snapshot_hits += self.hits;
+        out.snapshot_forks += self.forks;
+        out.boot_events_saved += self.boots_saved + self.clone_saved;
+        out.clone_boot_hits += self.clone_hits;
+        out.boots_replayed += self.boots_replayed;
     }
 }
 
 /// Cheap world-level observables captured when a chain passes a rung:
 /// everything a pure *reader* of the chain consumes besides the
-/// per-create records. Capturing these as the chain climbs lets a
-/// reader gated on "rung d published" serve its figure without
-/// touching (or replaying) the live world at all — even after the tip
-/// has grown past d.
+/// per-create records, so a `Dep::Chain` reader never touches the live
+/// world — even after the tip has grown past its rung.
 #[derive(Clone, Copy, Debug)]
 pub struct RungInfo {
     /// Simulated clock at this density, in milliseconds.
@@ -176,9 +165,9 @@ pub struct RungInfo {
     /// Transaction conflicts so far (fig05 metadata).
     pub txn_conflicts: u64,
     /// Fast at-rest world digest (DESIGN.md §6h) at this rung. Not a
-    /// figure input — a replay-from-base below the tip asserts against
-    /// it, so a chain that ever diverges from its own published rungs
-    /// fails loudly instead of serving two different "density d" worlds.
+    /// figure input — a World rung's deposited snapshot must match it,
+    /// so a deposit that ever diverges from the rung it claims to be
+    /// fails loudly instead of serving a different "density d" world.
     pub digest: u128,
 }
 
@@ -196,400 +185,389 @@ impl RungInfo {
     }
 }
 
+/// A declared World rung: the snapshot its chain task deposits, and how
+/// many declared consumers have yet to fork it.
 #[derive(Default)]
-struct Chain {
+struct Deposit {
+    consumers: usize,
+    snap: Option<Arc<Mutex<Snapshot>>>,
+}
+
+#[derive(Default)]
+pub(crate) struct Chain {
     records: Vec<CreateRecord>,
-    /// The world at zero guests, for replays below the tip.
-    base: Option<Snapshot>,
-    /// Deepest world built so far: (guests booted, live world).
-    tip: Option<(usize, ControlPlane)>,
-    /// Observables published per density-ladder rung as the chain
-    /// climbed (plus every explicitly requested target).
+    /// Guests booted on the tip so far.
+    at: usize,
+    /// The live world at `at` guests, built by the first rung task and
+    /// dropped by the task that reaches `top`.
+    tip: Option<ControlPlane>,
+    /// Highest rung any consumer declared.
+    top: usize,
+    /// Observables published at every ladder rung crossed and at every
+    /// rung task's target.
     info: HashMap<usize, RungInfo>,
+    deposits: HashMap<usize, Deposit>,
 }
 
-type ChainRef = Arc<Mutex<Chain>>;
+type WalkKey = (&'static str, Vec<usize>);
 
-static CACHE: OnceLock<Mutex<HashMap<Key, ChainRef>>> = OnceLock::new();
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-// Process totals for the runall summary line.
-static HITS: AtomicU64 = AtomicU64::new(0);
-static FORKS: AtomicU64 = AtomicU64::new(0);
-static BOOTS_SAVED: AtomicU64 = AtomicU64::new(0);
-static BOOTS_SIMULATED: AtomicU64 = AtomicU64::new(0);
-
-/// Globally enables/disables the cache (`runall --no-snapshot-cache`).
-/// Disabled, `world_at` runs the identical build code without storing
-/// or consulting anything, so artefacts stay byte-identical.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::SeqCst);
+/// One run's reuse state and configuration. See the module docs.
+pub struct Store {
+    /// Reuse worlds through chains (`runall --no-snapshot-cache` clears
+    /// it: every unit simulates from scratch, byte-identically).
+    pub cache: bool,
+    /// Route chain and cluster creates through template boots
+    /// (`runall --no-clone-boot` clears it).
+    pub clone_boot: bool,
+    /// Worker threads the cluster units' shard executor may use (the
+    /// runner's worker budget; artefact bytes never depend on it).
+    pub shard_jobs: usize,
+    chains: HashMap<Key, Mutex<Chain>>,
+    computes: Mutex<HashMap<String, ComputeResult>>,
+    walks: Mutex<HashMap<WalkKey, Arc<Walk>>>,
+    /// Per-worker shard spans the cluster units recorded, appended to
+    /// the runner's task trace as `shard` rows.
+    pub(crate) shard_trace: Mutex<Vec<ShardTrace>>,
+    hits: AtomicU64,
+    forks: AtomicU64,
+    boots_saved: AtomicU64,
+    boots_simulated: AtomicU64,
 }
 
-/// Whether the cache is currently consulted.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::SeqCst)
-}
-
-/// Drops every cached chain and zeroes the counters (microbenches).
-pub fn clear() {
-    if let Some(m) = CACHE.get() {
-        m.lock().expect("worldcache map lock").clear();
+impl Default for Store {
+    fn default() -> Store {
+        Store::new(true, true)
     }
-    for c in [&HITS, &FORKS, &BOOTS_SAVED, &BOOTS_SIMULATED] {
-        c.store(0, Ordering::SeqCst);
+}
+
+impl Store {
+    pub fn new(cache: bool, clone_boot: bool) -> Store {
+        Store {
+            cache,
+            clone_boot,
+            shard_jobs: 1,
+            chains: HashMap::new(),
+            computes: Mutex::new(HashMap::new()),
+            walks: Mutex::new(HashMap::new()),
+            shard_trace: Mutex::new(Vec::new()),
+            hits: AtomicU64::new(0),
+            forks: AtomicU64::new(0),
+            boots_saved: AtomicU64::new(0),
+            boots_simulated: AtomicU64::new(0),
+        }
     }
-}
 
-/// Counts `n` boots skipped by a cache reuse outside `world_at` (the
-/// probe-walk memo in [`crate::probewalk`]).
-pub(crate) fn note_reuse(boots_saved: u64) {
-    HITS.fetch_add(1, Ordering::Relaxed);
-    BOOTS_SAVED.fetch_add(boots_saved, Ordering::Relaxed);
-}
-
-/// Counts a simulated create+boot (chain builds and probe walks).
-pub(crate) fn note_boot() {
-    BOOTS_SIMULATED.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Counts a world fork served to a consumer.
-pub(crate) fn note_fork() {
-    FORKS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// One-line process summary for runall.
-pub fn summary() -> String {
-    if !enabled() {
-        return "worldcache disabled (--no-snapshot-cache)".to_string();
+    /// Declares a read of `spec`'s chain at `rung` (records + rung
+    /// observables). Plan time only.
+    pub(crate) fn declare_chain(&mut self, spec: &WorldSpec, rung: usize) -> &mut Chain {
+        let chain = self.chains.entry(spec.key()).or_default();
+        let chain = chain.get_mut().expect("worldcache chain lock");
+        chain.top = chain.top.max(rung);
+        chain
     }
-    let chains = CACHE
-        .get()
-        .map_or(0, |m| m.lock().expect("worldcache map lock").len());
-    format!(
-        "worldcache: {} chains, {} hits, {} forks, {} boots saved ({} simulated)",
-        chains,
-        HITS.load(Ordering::SeqCst),
-        FORKS.load(Ordering::SeqCst),
-        BOOTS_SAVED.load(Ordering::SeqCst),
-        BOOTS_SIMULATED.load(Ordering::SeqCst),
-    )
-}
 
-fn chain_for(key: Key) -> ChainRef {
-    let map = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    Arc::clone(
-        map.lock()
-            .expect("worldcache map lock")
-            .entry(key)
-            .or_default(),
-    )
-}
+    /// Declares one consumer of the world at `spec`'s `rung`: the chain
+    /// task deposits a snapshot there, and this consumer forks it once.
+    pub(crate) fn declare_world(&mut self, spec: &WorldSpec, rung: usize) {
+        let chain = self.declare_chain(spec, rung);
+        chain.deposits.entry(rung).or_default().consumers += 1;
+    }
 
-/// Boots guests `from..to` with canonical names, recording measurements
-/// for indices the chain has not seen and publishing [`RungInfo`] at
-/// every density-ladder rung crossed (and at `to` itself). Capturing
-/// rung observables is read-only — the world's evolution is identical
-/// with or without it, which is what keeps cached and uncached
-/// artefacts byte-identical.
-fn advance(
-    cp: &mut ControlPlane,
-    image: &GuestImage,
-    from: usize,
-    to: usize,
-    records: &mut Vec<CreateRecord>,
-    mut info: Option<&mut HashMap<usize, RungInfo>>,
-    stats: &mut CacheStats,
-) {
-    // Attribution diffs the plane's own counters, not the process
-    // totals: totals move under parallel workers, the plane is ours.
-    let before = cp.clone_stats;
-    for i in from..to {
-        // Creates route through the template-boot cache: first create
-        // of a shape records an exemplar, later ones replay the delta
-        // (closed-form xl name scan) at identical simulated charges.
-        let (report, boot) =
-            toolstack::cloneboot::create_and_boot_report(cp, &format!("{}-{i}", image.name), image)
+    fn chain(&self, spec: &WorldSpec, rung: usize) -> std::sync::MutexGuard<'_, Chain> {
+        self.chains
+            .get(&spec.key())
+            .unwrap_or_else(|| panic!("worldcache: {}@{rung} read but never declared", spec.label()))
+            .lock()
+            .expect("worldcache chain lock")
+    }
+
+    /// One create+boot, through the template-boot cache when
+    /// `clone_boot` is on (same results and simulated charges either
+    /// way; only the wall cost of xl's name scan differs).
+    pub fn create_and_boot(
+        &self,
+        cp: &mut ControlPlane,
+        name: &str,
+        image: &GuestImage,
+    ) -> Result<(CreateReport, SimTime), PlaneError> {
+        if self.clone_boot {
+            cloneboot::create_and_boot_report(cp, name, image)
+        } else {
+            cp.create_and_boot_report(name, image)
+        }
+    }
+
+    /// Boots guests `from..to` with canonical names, appending their
+    /// records and publishing [`RungInfo`] at every density-ladder rung
+    /// crossed (and at `to` itself). Capturing rung observables is
+    /// read-only — the world's evolution is identical with or without
+    /// it, which is what keeps cached and uncached artefacts
+    /// byte-identical.
+    pub(crate) fn advance(
+        &self,
+        cp: &mut ControlPlane,
+        image: &GuestImage,
+        from: usize,
+        to: usize,
+        records: &mut Vec<CreateRecord>,
+        mut info: Option<&mut HashMap<usize, RungInfo>>,
+        stats: &mut CacheStats,
+    ) {
+        // Attribution diffs the plane's own counters, not the process
+        // totals: totals move under parallel workers, the plane is ours.
+        let before = cp.clone_stats;
+        for i in from..to {
+            let (report, boot) = self
+                .create_and_boot(cp, &format!("{}-{i}", image.name), image)
                 .expect("world chain create+boot");
-        note_boot();
-        let done = i + 1;
-        if i >= records.len() {
+            self.boots_simulated.fetch_add(1, Ordering::Relaxed);
+            let done = i + 1;
+            let on_ladder = crate::on_density_ladder(done);
             records.push(CreateRecord {
                 meter: report.meter,
                 boot,
-                util_after: if crate::on_density_ladder(done) {
-                    cp.cpu_utilization()
-                } else {
-                    f64::NAN
-                },
+                util_after: if on_ladder { cp.cpu_utilization() } else { f64::NAN },
             });
-        }
-        if crate::on_density_ladder(done) {
-            if let Some(info) = info.as_deref_mut() {
+            if let (true, Some(info)) = (on_ladder, info.as_deref_mut()) {
                 info.entry(done).or_insert_with(|| RungInfo::capture(cp));
             }
         }
+        if let Some(info) = info {
+            info.entry(to).or_insert_with(|| RungInfo::capture(cp));
+        }
+        stats.clone_hits += cp.clone_stats.hits - before.hits;
+        stats.boots_replayed += cp.clone_stats.replayed - before.replayed;
+        stats.clone_saved += cp.clone_stats.saved - before.saved;
     }
-    if let Some(info) = info {
-        info.entry(to).or_insert_with(|| RungInfo::capture(cp));
-    }
-    stats.clone_hits += cp.clone_stats.hits - before.hits;
-    stats.boots_replayed += cp.clone_stats.replayed - before.replayed;
-    stats.clone_saved += cp.clone_stats.saved - before.saved;
-}
 
-/// Brings `spec`'s chain to at least `target` guests and hands the
-/// world at exactly `target` to `consume` — without cloning it when the
-/// tip already sits at the right density. The cache-disabled path
-/// simulates from scratch and consumes that world, byte-identically.
-fn with_world_at<T>(
-    spec: &WorldSpec,
-    target: usize,
-    consume: impl FnOnce(&ControlPlane, &[CreateRecord]) -> T,
-) -> (T, Vec<CreateRecord>, CacheStats) {
-    let mut stats = CacheStats::default();
-    if !enabled() {
+    /// The `cache: false` reference: simulates `spec`'s world to `n`
+    /// guests from scratch, through the same [`Store::advance`].
+    pub fn simulate(&self, spec: &WorldSpec, n: usize) -> (ControlPlane, Vec<CreateRecord>, CacheStats) {
         let mut cp = spec.build_base();
-        let mut records = Vec::new();
-        advance(&mut cp, &spec.image, 0, target, &mut records, None, &mut stats);
-        let out = consume(&cp, &records);
-        return (out, records, stats);
-    }
-
-    let chain = chain_for(spec.key());
-    let mut chain = chain.lock().expect("worldcache chain lock");
-    if chain.tip.is_none() {
-        let cp = spec.build_base();
-        chain.base = Some(cp.snapshot());
-        chain.tip = Some((0, cp));
-    }
-    let Chain {
-        records,
-        base,
-        tip: Some((at, world)),
-        info,
-    } = &mut *chain
-    else {
-        unreachable!("tip installed above")
-    };
-
-    let out = if *at <= target {
-        if *at > 0 {
-            stats.hits = 1;
-            stats.boots_saved = *at as u64;
-            note_reuse(*at as u64);
-        }
-        advance(world, &spec.image, *at, target, records, Some(info), &mut stats);
-        *at = target;
-        consume(world, records)
-    } else {
-        // Below the tip: replay from the base. No boots are saved, but
-        // the records for this prefix are, and the tip stays deep for
-        // the consumers that want it.
-        let published = info.get(&target).map(|r| r.digest);
-        let mut cp = base.as_ref().expect("base set with tip").fork();
-        advance(&mut cp, &spec.image, 0, target, records, Some(info), &mut stats);
-        // The rung was published when the chain first climbed past
-        // `target`; a replay of the same prefix must land on the same
-        // world. Cheap with warm hash caches, and it turns silent
-        // chain/replay divergence into a loud failure.
-        if let Some(digest) = published {
-            assert_eq!(
-                cp.world_digest64_at_rest(),
-                digest,
-                "worldcache: replay from base diverged from the rung published at density {target}"
-            );
-        }
-        consume(&cp, records)
-    };
-    (out, records[..target].to_vec(), stats)
-}
-
-/// Returns the world with exactly `target` guests booted under `spec`,
-/// plus the per-create records for guests `0..target`.
-///
-/// With the cache enabled, the chain's live tip is advanced in place to
-/// `target` (reusing every boot already simulated) and the caller gets
-/// a fork; a request *below* the tip replays from the base snapshot —
-/// the records are already known, so that path only pays for the world
-/// itself. Disabled, it simulates from scratch, byte-identically.
-/// Consumers that only read measurements should prefer [`records_at`],
-/// which skips the fork (cloning a dense store-mode world costs
-/// milliseconds).
-pub fn world_at(spec: &WorldSpec, target: usize) -> (ControlPlane, Vec<CreateRecord>, CacheStats) {
-    let (cp, records, mut stats) = with_world_at(spec, target, |world, _| world.fork());
-    stats.forks = 1;
-    note_fork();
-    (cp, records, stats)
-}
-
-/// Chain-task entry point: advances `spec`'s chain tip in place to
-/// `target`, publishing records and rung observables on the way, and
-/// returns how many boots this call simulated plus the cache stats of
-/// the climb (clone-boot hits/replays, for the task trace). A tip
-/// already at or past `target` makes this a no-op — the scheduler
-/// orders rung tasks so each one climbs exactly its own span. No-op
-/// when the cache is disabled (the planner emits no chain tasks then,
-/// but a stray call must not populate a cache the run has sworn off).
-pub fn build_to(spec: &WorldSpec, target: usize) -> (u64, CacheStats) {
-    if !enabled() {
-        return (0, CacheStats::default());
-    }
-    let chain = chain_for(spec.key());
-    let mut chain = chain.lock().expect("worldcache chain lock");
-    if chain.tip.is_none() {
-        let cp = spec.build_base();
-        chain.base = Some(cp.snapshot());
-        chain.tip = Some((0, cp));
-    }
-    let Chain {
-        records,
-        tip: Some((at, world)),
-        info,
-        ..
-    } = &mut *chain
-    else {
-        unreachable!("tip installed above")
-    };
-    if *at < target {
-        let boots = (target - *at) as u64;
+        let mut records = Vec::with_capacity(n);
         let mut stats = CacheStats::default();
-        advance(world, &spec.image, *at, target, records, Some(info), &mut stats);
-        *at = target;
-        (boots, stats)
-    } else {
-        // Ensure the rung is published even when a warm cache already
-        // sits exactly at the target.
-        if *at == target {
-            info.entry(target).or_insert_with(|| RungInfo::capture(world));
+        self.advance(&mut cp, &spec.image, 0, n, &mut records, None, &mut stats);
+        (cp, records, stats)
+    }
+
+    /// Chain-task body: climbs `spec`'s tip in place to `target`,
+    /// publishing records and rung observables on the way, deposits a
+    /// snapshot if `target` is a declared World rung, and drops the tip
+    /// at the chain's top rung. Returns the boots this call simulated
+    /// plus the climb's stats (clone-boot hits/replays, for the trace).
+    pub fn build_to(&self, spec: &WorldSpec, target: usize) -> (u64, CacheStats) {
+        let mut guard = self.chain(spec, target);
+        let chain = &mut *guard;
+        assert!(
+            chain.at <= target && target <= chain.top && (chain.tip.is_some() || chain.at == 0),
+            "worldcache: {} rung {target} out of order (tip at {}, top {})",
+            spec.label(),
+            chain.at,
+            chain.top
+        );
+        let world = chain.tip.get_or_insert_with(|| spec.build_base());
+        let mut stats = CacheStats::default();
+        let boots = (target - chain.at) as u64;
+        self.advance(world, &spec.image, chain.at, target, &mut chain.records, Some(&mut chain.info), &mut stats);
+        chain.at = target;
+        if let Some(deposit) = chain.deposits.get_mut(&target) {
+            let snap = world.snapshot();
+            assert_eq!(
+                snap.digest(),
+                chain.info[&target].digest,
+                "worldcache: {} world rung {target} diverged from its published digest",
+                spec.label()
+            );
+            deposit.snap = Some(Arc::new(Mutex::new(snap)));
         }
-        (0, CacheStats::default())
+        let spent = if target == chain.top { chain.tip.take() } else { None };
+        drop(guard);
+        // Nobody can read past the top rung: free the tip off the lock.
+        drop(spent);
+        (boots, stats)
     }
-}
 
-/// Whether `spec`'s chain already has `target` records and the rung
-/// observables for `target` published, i.e. a [`records_at`] reader
-/// would be served without touching the live world. The planner skips
-/// emitting chain tasks for rungs that are already warm from an
-/// earlier in-process run. Never creates a chain entry.
-pub fn rung_published(spec: &WorldSpec, target: usize) -> bool {
-    if !enabled() {
-        return false;
+    /// Returns the per-create records for guests `0..target` of `spec`
+    /// plus the rung observables at `target` — no world contact. With
+    /// the cache off, simulates the world instead.
+    pub fn records_at(&self, spec: &WorldSpec, target: usize) -> (RungInfo, Vec<CreateRecord>, CacheStats) {
+        if !self.cache {
+            let (cp, records, stats) = self.simulate(spec, target);
+            return (RungInfo::capture(&cp), records, stats);
+        }
+        let chain = self.chain(spec, target);
+        let info = *chain.info.get(&target).unwrap_or_else(|| {
+            panic!("worldcache: {} rung {target} read before its chain task published it", spec.label())
+        });
+        let records = chain.records[..target].to_vec();
+        drop(chain);
+        (info, records, self.reused(target, 0))
     }
-    let Some(map) = CACHE.get() else {
-        return false;
-    };
-    let Some(chain) = map
-        .lock()
-        .expect("worldcache map lock")
-        .get(&spec.key())
-        .map(Arc::clone)
-    else {
-        return false;
-    };
-    let chain = chain.lock().expect("worldcache chain lock");
-    chain.records.len() >= target && chain.info.contains_key(&target)
-}
 
-/// The fast at-rest digest published for `spec`'s chain at `target`,
-/// if any. Pure read (never creates a chain entry); the probe walk
-/// cross-checks each deposited fork against it.
-pub fn published_digest(spec: &WorldSpec, target: usize) -> Option<u128> {
-    let chain = CACHE
-        .get()?
-        .lock()
-        .expect("worldcache map lock")
-        .get(&spec.key())
-        .map(Arc::clone)?;
-    let chain = chain.lock().expect("worldcache chain lock");
-    chain.info.get(&target).map(|r| r.digest)
-}
-
-/// Like [`world_at`], but returns only the per-create records plus the
-/// rung observables ([`RungInfo`]) at `target` — no fork, and, when a
-/// chain task already published the rung, no contact with the live
-/// world at all: the reader serves entirely from captured state, even
-/// if the tip has long climbed past `target`. This is the sweep-figure
-/// path; its artefacts are functions of the records and the rung
-/// observables alone.
-pub fn records_at(spec: &WorldSpec, target: usize) -> (RungInfo, Vec<CreateRecord>, CacheStats) {
-    if enabled() {
-        let chain = chain_for(spec.key());
-        let chain = chain.lock().expect("worldcache chain lock");
-        if chain.records.len() >= target {
-            if let Some(&info) = chain.info.get(&target) {
-                // Pure read: every boot below `target` is served from
-                // the chain, whoever built it.
-                let mut stats = CacheStats::default();
-                if target > 0 {
-                    stats.hits = 1;
-                    stats.boots_saved = target as u64;
-                    note_reuse(target as u64);
-                }
-                let records = chain.records[..target].to_vec();
-                return (info, records, stats);
-            }
+    /// Forks the world `spec`'s chain deposited at `rung` (a declared
+    /// World rung; the last declared consumer drops the deposit). With
+    /// the cache off, simulates the world instead.
+    pub fn world_at(&self, spec: &WorldSpec, rung: usize) -> (ControlPlane, CacheStats) {
+        if !self.cache {
+            let (cp, _, stats) = self.simulate(spec, rung);
+            return (cp, stats);
+        }
+        let mut chain = self.chain(spec, rung);
+        let deposit = chain.deposits.get_mut(&rung);
+        let Some(Deposit { consumers, snap: Some(snap) }) = deposit else {
+            panic!("worldcache: {} world {rung} read before its chain task deposited it", spec.label())
+        };
+        let snap = Arc::clone(snap);
+        *consumers -= 1;
+        if *consumers == 0 {
+            chain.deposits.remove(&rung);
         }
         drop(chain);
+        // The last consumer takes the deposit itself instead of a copy.
+        let cp = match Arc::try_unwrap(snap) {
+            Ok(last) => last.into_inner().expect("deposit lock").into_plane(),
+            Err(shared) => shared.lock().expect("deposit lock").fork(),
+        };
+        (cp, self.reused(rung, 1))
     }
-    with_world_at(spec, target, |world, _| RungInfo::capture(world))
-}
 
-static COMPUTE_MEMO: OnceLock<Mutex<HashMap<String, lightvm::usecases::compute::ComputeResult>>> =
-    OnceLock::new();
-
-/// Memoizes `compute::run` for the figures that share a config
-/// (fig17 and fig18 run the identical overload simulation). Same
-/// enable flag as the world cache; a miss runs the simulation inline.
-pub fn compute_cached(
-    cfg: &lightvm::usecases::compute::ComputeConfig,
-) -> (lightvm::usecases::compute::ComputeResult, CacheStats) {
-    use lightvm::usecases::compute;
-    if !enabled() {
-        return (compute::run(cfg), CacheStats::default());
+    /// Counts one reuse of a `boots`-guest world (plus `forks` forks).
+    fn reused(&self, boots: usize, forks: u64) -> CacheStats {
+        if boots == 0 {
+            return CacheStats::default();
+        }
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.forks.fetch_add(forks, Ordering::Relaxed);
+        self.boots_saved.fetch_add(boots as u64, Ordering::Relaxed);
+        CacheStats {
+            hits: 1,
+            forks,
+            boots_saved: boots as u64,
+            ..CacheStats::default()
+        }
     }
-    let key = format!("{:?}", cfg);
-    let memo = COMPUTE_MEMO.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut memo = memo.lock().expect("compute memo lock");
-    if let Some(hit) = memo.get(&key) {
-        HITS.fetch_add(1, Ordering::Relaxed);
-        return (
-            hit.clone(),
-            CacheStats {
-                hits: 1,
+
+    /// Compute-task body: runs the overload simulation for `cfg` and
+    /// keeps it for the units that declared it. Returns its sample
+    /// count (the trace's event count).
+    pub(crate) fn run_compute(&self, cfg: &ComputeConfig) -> u64 {
+        let r = compute::run(cfg);
+        let events = (r.service_times.len() + r.concurrency.len()) as u64;
+        self.computes.lock().expect("compute lock").insert(format!("{cfg:?}"), r);
+        events
+    }
+
+    /// The overload simulation for `cfg` (fig17 and fig18 share it):
+    /// the compute task's result, or an inline run with the cache off.
+    pub fn compute(&self, cfg: &ComputeConfig) -> (ComputeResult, CacheStats) {
+        if !self.cache {
+            return (compute::run(cfg), CacheStats::default());
+        }
+        let r = self
+            .computes
+            .lock()
+            .expect("compute lock")
+            .get(&format!("{cfg:?}"))
+            .cloned()
+            .unwrap_or_else(|| panic!("worldcache: compute {cfg:?} read before its task ran"));
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        (r, CacheStats { hits: 1, ..CacheStats::default() })
+    }
+
+    /// Installs the walk the last probe task assembled.
+    pub(crate) fn publish_walk(&self, mode: ToolstackMode, steps: &[usize], walk: Walk) {
+        self.walks
+            .lock()
+            .expect("walk lock")
+            .insert((mode.label(), steps.to_vec()), Arc::new(walk));
+    }
+
+    /// `mode`'s probe walk over `steps`: the one its probe tasks built,
+    /// or an inline walk with the cache off.
+    pub fn walk(&self, mode: ToolstackMode, steps: &[usize]) -> (Arc<Walk>, CacheStats) {
+        if !self.cache {
+            let w = probewalk::run_walk(self, mode, steps);
+            let stats = CacheStats {
+                forks: w.rows.len() as u64,
                 ..CacheStats::default()
-            },
-        );
+            };
+            return (Arc::new(w), stats);
+        }
+        let w = self
+            .walks
+            .lock()
+            .expect("walk lock")
+            .get(&(mode.label(), steps.to_vec()))
+            .cloned()
+            .unwrap_or_else(|| panic!("worldcache: walk {} read before its probes ran", mode.label()));
+        (Arc::clone(&w), self.reused(w.boots as usize, 0))
     }
-    let r = compute::run(cfg);
-    memo.insert(key, r.clone());
-    (r, CacheStats::default())
-}
 
-/// Whether a compute run for `cfg` is already memoized — the planner
-/// skips emitting a compute task for it (a warm cache across repeated
-/// in-process runs).
-pub fn compute_is_cached(cfg: &lightvm::usecases::compute::ComputeConfig) -> bool {
-    enabled()
-        && COMPUTE_MEMO
-            .get()
-            .is_some_and(|m| m.lock().expect("compute memo lock").contains_key(&format!("{:?}", cfg)))
-}
+    /// create+boot sequences chain climbs (or uncached builds) ran.
+    pub fn boots_simulated(&self) -> u64 {
+        self.boots_simulated.load(Ordering::Relaxed)
+    }
 
-impl CacheStats {
-    /// Folds these stats into a unit output.
-    pub fn into_output(self, out: &mut crate::figures::UnitOutput) {
-        out.snapshot_hits += self.hits;
-        out.snapshot_forks += self.forks;
-        out.boot_events_saved += self.boots_saved + self.clone_saved;
-        out.clone_boot_hits += self.clone_hits;
-        out.boots_replayed += self.boots_replayed;
+    /// One-line run summary for runall.
+    pub fn summary(&self) -> String {
+        if !self.cache {
+            return "worldcache disabled (--no-snapshot-cache)".to_string();
+        }
+        format!(
+            "worldcache: {} chains, {} hits, {} forks, {} boots saved ({} simulated)",
+            self.chains.len(),
+            self.hits.load(Ordering::Relaxed),
+            self.forks.load(Ordering::Relaxed),
+            self.boots_saved.load(Ordering::Relaxed),
+            self.boots_simulated(),
+        )
     }
 }
 
-/// Merges two stats (units that consult the cache more than once).
-impl std::ops::AddAssign for CacheStats {
-    fn add_assign(&mut self, other: CacheStats) {
-        self.absorb(other);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simcore::MachinePreset;
+
+    fn spec() -> WorldSpec {
+        WorldSpec {
+            machine: Machine::preset(MachinePreset::XeonE5_1630V3),
+            dom0_cores: 1,
+            mode: ToolstackMode::Xl,
+            image: GuestImage::unikernel_daytime(),
+            seed: 42,
+        }
+    }
+
+    /// A World rung below the tip is served from its deposit: the fork
+    /// is the 10-guest world, and reading it boots nothing.
+    #[test]
+    fn world_rung_below_the_tip_is_a_fork_not_a_replay() {
+        let spec = spec();
+        let mut store = Store::default();
+        store.declare_world(&spec, 10);
+        store.declare_chain(&spec, 30);
+        store.build_to(&spec, 10);
+        store.build_to(&spec, 30);
+
+        let simulated = store.boots_simulated();
+        assert_eq!(simulated, 30);
+        let (mut world, stats) = store.world_at(&spec, 10);
+        assert_eq!(store.boots_simulated(), simulated, "the read simulated boots");
+        assert_eq!(stats.boots_saved, 10);
+        assert_eq!((stats.hits, stats.forks), (1, 1));
+
+        let (mut fresh, _, _) = Store::new(false, false).simulate(&spec, 10);
+        assert_eq!(world.world_digest64(), fresh.world_digest64());
+    }
+
+    /// Reading a rung no chain task published is a planner bug.
+    #[test]
+    #[should_panic(expected = "read before its chain task deposited it")]
+    fn reading_an_undeposited_world_panics() {
+        let spec = spec();
+        let mut store = Store::default();
+        store.declare_world(&spec, 5);
+        store.world_at(&spec, 5);
     }
 }

@@ -46,6 +46,17 @@ fn worker_count_does_not_change_output() {
     }
 }
 
+/// Every run starts cold, so each one really exercises the producers:
+/// its trace holds chain, probe and compute tasks.
+fn assert_producers_ran(report: &metrics::RunnerReport, jobs: usize) {
+    for kind in ["chain", "probe", "compute"] {
+        assert!(
+            report.tasks.iter().any(|t| t.kind == kind),
+            "jobs={jobs}: no {kind} task ran"
+        );
+    }
+}
+
 /// The scheduler keeps artefacts byte-identical at every worker count:
 /// `--jobs 1` (the `--seq` path), 2 and 8 produce the same figure JSON
 /// and CSV, and the report's per-unit rows keep declared order with
@@ -61,8 +72,10 @@ fn artefacts_identical_across_worker_counts() {
             .collect::<Vec<_>>()
     };
     let (base_figs, base_rep) = runner::run(build(), 1, scale.quick);
+    assert_producers_ran(&base_rep, 1);
     for jobs in [2, 8] {
         let (figs, rep) = runner::run(build(), jobs, scale.quick);
+        assert_producers_ran(&rep, jobs);
         assert_eq!(base_figs.len(), figs.len());
         for (a, b) in base_figs.iter().zip(&figs) {
             assert_eq!(a.figure.to_json(), b.figure.to_json(), "jobs={jobs}");
@@ -81,12 +94,13 @@ fn artefacts_identical_across_worker_counts() {
 /// The planner's task graph is well-formed: task ids are topological
 /// (so the DAG cannot contain a cycle), every dependency edge points at
 /// an existing task, and every infrastructure resource has exactly one
-/// producer task. Planned at full scale: the quick-scale tests in this
-/// binary may have warmed the in-process caches, but nothing builds the
-/// full-scale resources, so none of the producers may be elided.
+/// producer task. Planned at full scale into a fresh store, without
+/// running anything.
 #[test]
 fn plan_is_acyclic_with_unique_producers() {
-    let (heads, plan) = bench::sched::plan(bench::figures::all_specs(Scale::full()));
+    let mut store = bench::worldcache::Store::default();
+    let (heads, plan) =
+        bench::sched::plan(bench::figures::all_specs(Scale::full()), &mut store);
     let tasks = plan.view();
     assert!(!tasks.is_empty());
 
@@ -108,8 +122,8 @@ fn plan_is_acyclic_with_unique_producers() {
         }
     }
 
-    // Units that declared dependencies got them wired: spot-check the
-    // three dependency flavours.
+    // Units that declared dependencies got them wired: spot-check every
+    // dependency flavour (cluster units read World rungs).
     let dep_kinds = |figure: &str| -> Vec<&'static str> {
         tasks
             .iter()
@@ -121,6 +135,9 @@ fn plan_is_acyclic_with_unique_producers() {
     assert!(dep_kinds("fig13").iter().all(|&k| k == "probe"));
     assert_eq!(dep_kinds("fig13").len(), 4);
     assert!(dep_kinds("fig17").contains(&"compute"));
+    let cluster = dep_kinds("cluster");
+    assert_eq!(cluster.len(), 6, "every cluster unit reads one World rung");
+    assert!(cluster.iter().all(|&k| k == "chain"));
 
     // Every unit survived planning (heads come back drained, so count
     // against a fresh registry).

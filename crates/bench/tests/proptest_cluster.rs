@@ -5,7 +5,9 @@
 //!   `cluster` artefacts at `--jobs 1`, `2` and `8`. The shard executor
 //!   chunks hosts contiguously and concatenates per-chunk outboxes, so
 //!   cross-host message order is `(epoch, src_host, seq)` no matter how
-//!   many workers raced through the epoch.
+//!   many workers raced through the epoch. The worker count is per run,
+//!   so the `--jobs 8` run really steps shards on several workers even
+//!   while other tests run concurrently.
 //! * Fork fidelity: a host stamped from a [`toolstack::HostTemplate`]
 //!   is `world_digest64`-equal to a world built fresh through the full
 //!   toolstack path — forking shares structure, never content.
@@ -20,22 +22,31 @@ use guests::GuestImage;
 use simcore::{Machine, MachinePreset};
 use toolstack::{ControlPlane, HostTemplate, ToolstackMode};
 
-fn run_cluster(jobs: usize) -> metrics::Figure {
+fn run_cluster(jobs: usize) -> (metrics::Figure, metrics::RunnerReport) {
     let scale = Scale::quick();
     let spec = spec_by_id(scale, "cluster").expect("cluster registered");
-    let (mut runs, _) = runner::run(vec![spec], jobs, scale.quick);
+    let (mut runs, report) = runner::run(vec![spec], jobs, scale.quick);
     assert_eq!(runs.len(), 1);
-    runs.remove(0).figure
+    (runs.remove(0).figure, report)
 }
 
 /// Same seed, any width: `--jobs 1/2/8` emit the same bytes.
 #[test]
 fn cluster_artefacts_identical_across_worker_counts() {
-    let base = run_cluster(1);
+    let (base, _) = run_cluster(1);
     for jobs in [2, 8] {
-        let fig = run_cluster(jobs);
+        let (fig, report) = run_cluster(jobs);
         assert_eq!(base.to_json(), fig.to_json(), "jobs={jobs}");
         assert_eq!(base.to_csv(), fig.to_csv(), "jobs={jobs}");
+        if jobs == 8 {
+            let workers: std::collections::BTreeSet<u64> = report
+                .tasks
+                .iter()
+                .filter(|t| t.kind == "shard")
+                .map(|t| t.thread)
+                .collect();
+            assert!(workers.len() > 1, "jobs=8 stepped shards on workers {workers:?}");
+        }
     }
 }
 
@@ -72,7 +83,7 @@ fn forked_host_is_digest_equal_to_fresh_build() {
 /// leak), and the artefact pins the observed values for the record.
 #[test]
 fn evacuation_leaves_survivors_census_clean() {
-    let fig = run_cluster(1);
+    let (fig, _) = run_cluster(1);
     let mut evac_units = 0;
     for (key, value) in &fig.meta {
         if key.ends_with("evac_digest_drift") || key.ends_with("evac_census_drift") {

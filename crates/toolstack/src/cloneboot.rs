@@ -51,13 +51,14 @@
 //!    identical, and the content mask is learned here. Any difference
 //!    poisons the template.
 //!
-//! The whole subsystem is gated like the snapshot cache: `runall
-//! --no-clone-boot` (or [`set_enabled`]) routes every create through
-//! [`ControlPlane::create_and_boot`] untouched, and CI byte-compares
-//! the figure artefacts both ways.
+//! Callers opt in per create by calling [`create_and_boot`] instead of
+//! [`ControlPlane::create_and_boot`]; the bench world store routes
+//! through here unless its run was started with `runall
+//! --no-clone-boot`, and CI byte-compares the figure artefacts both
+//! ways.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use guests::GuestImage;
@@ -172,8 +173,6 @@ fn registry() -> &'static Mutex<HashMap<TemplateKey, Template>> {
     REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
 /// Per-plane clone-boot counters, accumulated on the [`ControlPlane`]
 /// a create runs on. Unlike the process-global totals below, these are
 /// race-free under parallel workers: a caller diffs the plane's own
@@ -203,17 +202,6 @@ static VERIFIES: AtomicU64 = AtomicU64::new(0);
 /// Templates poisoned by a failed check.
 static POISONS: AtomicU64 = AtomicU64::new(0);
 
-/// Globally enables/disables template boots (the `--no-clone-boot`
-/// ablation). Off, every create runs fully.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// True if template boots are on.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
 /// `(hits, replays, events saved)` since process start.
 pub fn totals() -> (u64, u64, u64) {
     (
@@ -240,14 +228,6 @@ pub fn summary() -> String {
         VERIFIES.load(Ordering::Relaxed),
         POISONS.load(Ordering::Relaxed),
     )
-}
-
-/// Drops every recorded template and zeroes the counters (tests).
-pub fn clear() {
-    registry().lock().unwrap().clear();
-    for c in [&HITS, &REPLAYED, &EVENTS_SAVED, &FALLBACKS, &VERIFIES, &POISONS] {
-        c.store(0, Ordering::Relaxed);
-    }
 }
 
 /// What the registry knows about one template (tests/diagnostics).
@@ -306,7 +286,7 @@ pub fn create_and_boot(
 }
 
 /// [`create_and_boot`] keeping the full [`CreateReport`] (what the
-/// worldcache's chain builds record for Figure 5's breakdown).
+/// bench world store's chain climbs record for Figure 5's breakdown).
 pub fn create_and_boot_report(
     cp: &mut ControlPlane,
     name: &str,
@@ -314,7 +294,7 @@ pub fn create_and_boot_report(
 ) -> Result<(CreateReport, SimTime), PlaneError> {
     // An active fault plan can fail any phase; templates only describe
     // the fault-free path, so bypass entirely.
-    if !enabled() || cp.faults.is_active() {
+    if cp.faults.is_active() {
         return cp.create_and_boot_report(name, image);
     }
     let from_shell = cp.mode.uses_split() && cp.daemon.peek(image.mem_mib, image.needs_net);
@@ -482,18 +462,15 @@ fn replay(
         let content = guest_content(cp, report.dom);
         let mut reg = registry().lock().unwrap();
         if let Some(t) = reg.get_mut(&key) {
+            // A replay that re-creates the exemplar's one-time parent
+            // directories (say, on a fresh fork of the lineage's empty
+            // world) is drift too: poisoning only costs the speedup.
             let drift_ok = match t.steady_nodes {
                 None => {
                     t.steady_nodes = Some(delta);
                     true
                 }
-                // An exemplar-shaped delta is the other legitimate
-                // steady state: a replay on a fresh fork of the
-                // lineage's base world (worldcache's replay-from-base
-                // path) re-creates the one-time parent directories the
-                // exemplar did, so it writes `nodes_written` nodes,
-                // not the post-warmup count. Anything else is drift.
-                Some(expected) => expected == delta || delta == t.nodes_written,
+                Some(expected) => expected == delta,
             };
             let content_ok = match &t.content_mask {
                 Some(mask) => content_matches(mask, &content),

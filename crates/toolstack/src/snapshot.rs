@@ -44,6 +44,17 @@ impl Snapshot {
     pub fn fork(&self) -> ControlPlane {
         self.world.clone()
     }
+
+    /// [`Snapshot::fork`] for the snapshot's last use: hands over the
+    /// captured world itself instead of copying it.
+    pub fn into_plane(self) -> ControlPlane {
+        self.world
+    }
+
+    /// The captured world's [`ControlPlane::world_digest64_at_rest`].
+    pub fn digest(&self) -> u128 {
+        self.world.world_digest64_at_rest()
+    }
 }
 
 impl ControlPlane {
@@ -183,7 +194,7 @@ fn digest_walk(cp: &ControlPlane, path: &XsPath, out: &mut String) {
 mod sanity {
     use super::*;
 
-    // The worldcache shares snapshots across runner threads.
+    // The bench world store hands snapshots across runner threads.
     fn _assert_send<T: Send>() {}
     fn _snapshot_is_send() {
         _assert_send::<Snapshot>();

@@ -7,8 +7,7 @@
 //! draws a fresh lineage, so the template registry — process-global and
 //! shared with concurrently running tests — never aliases templates
 //! across planes; reference planes use the direct
-//! `ControlPlane::create_and_boot` path rather than toggling the global
-//! enable flag.
+//! `ControlPlane::create_and_boot` path.
 //!
 //! 1. **Replay fidelity.** A chain driven through
 //!    `cloneboot::create_and_boot` returns the same `(dom, create,
@@ -21,6 +20,10 @@
 //!    `/local/domain` breaks the shape check; creates fall back to the
 //!    full scan (correct results, no poisoning) and resume replaying
 //!    once the foreign node is gone.
+//! 4. **Drift fails safe.** A replay on a fresh fork of the lineage's
+//!    empty world re-creates the exemplar's one-time parent directories;
+//!    its node delta is not the steady-state one, so it poisons the
+//!    template — and the guest it created is still correct.
 
 use guests::GuestImage;
 use simcore::{Machine, MachinePreset};
@@ -221,5 +224,39 @@ fn foreign_store_node_mid_chain_falls_back_to_full_execution() {
             digest(&reference),
             "seed {seed}: recovered world diverged"
         );
+    }
+}
+
+/// A replay whose store-node delta differs from the steady state — here
+/// the exemplar-shaped delta of a create on a fresh fork of the
+/// lineage's empty world — poisons the template, while the world it
+/// produced still equals a full create's.
+#[test]
+fn replay_on_a_fresh_empty_fork_poisons_and_fails_safe() {
+    let img = image();
+    for mode in [ToolstackMode::Xl, ToolstackMode::ChaosXs] {
+        for seed in SEEDS {
+            let empty = base_plane(mode, seed).snapshot();
+            let mut templated = empty.fork();
+            for i in 0..4 {
+                let name = format!("{}-{i}", img.name);
+                cloneboot::create_and_boot(&mut templated, &name, &img).expect("chain create");
+            }
+            let info = cloneboot::template_info(&templated, &img).expect("template recorded");
+            assert!(!info.poisoned, "{mode:?} seed {seed}: steady chain poisoned");
+
+            let mut fresh = empty.fork();
+            let mut reference = empty.fork();
+            let fast = cloneboot::create_and_boot(&mut fresh, "late", &img).expect("replay");
+            let full = reference.create_and_boot("late", &img).expect("full create");
+            let info = cloneboot::template_info(&fresh, &img).expect("template still registered");
+            assert!(info.poisoned, "{mode:?} seed {seed}: exemplar-shaped delta not flagged");
+            assert_eq!(fast, full, "{mode:?} seed {seed}: poisoning replay diverged");
+            assert_eq!(
+                digest(&fresh),
+                digest(&reference),
+                "{mode:?} seed {seed}: poisoning replay left a different world"
+            );
+        }
     }
 }
