@@ -12,9 +12,10 @@
 # cheap), if runner throughput collapsed
 # (>5x below the committed baseline in results/bench_runner.json — a
 # coarse band that only trips on real regressions, not
-# machine-to-machine noise), or if the density hot path allocates again
+# machine-to-machine noise), if the density hot path allocates again
 # (deterministic allocs/event > 1.0; the allocation-free request path
-# landed at 0.432).
+# landed at 0.432), or if guest teardown slows down as the host ages
+# (benchmark churn-xl destroy_growth > 2.0).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -26,12 +27,12 @@ test_log="$(mktemp)"
 cargo test -q --workspace 2>&1 | tee "$test_log"
 # Suite-count guard: a botched invocation (or a workspace edit that
 # drops crates from the build) silently shrinks coverage. The workspace
-# runs 70+ test binaries; fail loudly if most of them did not run.
+# runs 73 test binaries; fail loudly if any of them did not run.
 suites=$(grep -c '^test result: ok' "$test_log" || true)
 rm -f "$test_log"
-echo "workspace test suites: $suites (guard: >= 70)"
-if [ "$suites" -lt 70 ]; then
-  echo "ci: only $suites test suite(s) ran — workspace coverage lost (expected >= 70)" >&2
+echo "workspace test suites: $suites (guard: >= 73)"
+if [ "$suites" -lt 73 ]; then
+  echo "ci: only $suites test suite(s) ran — workspace coverage lost (expected >= 73)" >&2
   exit 1
 fi
 
@@ -293,6 +294,24 @@ fresh_allocs=$(printf '%s\n' "$allocs_out" \
 echo "density hot path: $fresh_allocs allocs/event (gate: <= 1.0)"
 if ! awk -v f="$fresh_allocs" 'BEGIN { exit !(f <= 1.0) }'; then
   echo "ci: density hot path regressed above 1.0 allocs/event" >&2
+  exit 1
+fi
+
+echo "== teardown growth gate (benchmark churn-xl destroy_growth) =="
+# Destroying a guest must cost only what the guest owns (DESIGN.md §6i).
+# The benchmark's churn-xl workload churns 6000 xl creates and destroys
+# around 500 resident guests; destroy_growth is the median wall latency
+# of its last tenth of destroys over its first tenth's. Both halves come
+# from one run, so other load on the host cancels out of the ratio.
+# Per-connection watch lists and closed-channel removal brought it to
+# ~1.2-1.5; whole-table scans on every destroy measured 3.7-4.5.
+churn_out=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  --workload churn-xl --seed 1 --seconds 0 --trace 1)
+growth=$(printf '%s\n' "$churn_out" | tail -n 1 \
+  | grep -o '"plane.destroy_growth":{"value":[0-9.eE+-]*' | grep -o '[0-9.eE+-]*$')
+echo "churn-xl destroy growth: $growth (gate: <= 2.0)"
+if [ -z "$growth" ] || ! awk -v g="$growth" 'BEGIN { exit !(g > 0 && g <= 2.0) }'; then
+  echo "ci: guest teardown slows down as the host ages (destroy_growth $growth > 2.0)" >&2
   exit 1
 fi
 echo "ci: OK"

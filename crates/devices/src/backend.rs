@@ -212,11 +212,15 @@ impl Backend {
             .ok_or(DevError::NotFound)?;
         meter.charge(Category::Devices, cost.backend_setup.scale(0.5));
         let backend_dom = self.backend_dom;
+        // Closing either end of a bound channel closes both, so close the
+        // channel once: through the front end when bound, else the
+        // back-end's unbound offer.
         if let Some(fport) = dev.frontend_port.take() {
             let _ = hv.evtchn.close(dom, fport);
             let _ = hv.gnttab.unmap(dom, backend_dom, dev.grant);
+        } else {
+            let _ = hv.evtchn.close(backend_dom, dev.evtchn);
         }
-        let _ = hv.evtchn.close(backend_dom, dev.evtchn);
         let _ = hv.gnttab.end_access(backend_dom, dev.grant);
         dev.state = XenbusState::Closed;
         self.devices.remove(&(dom.0, devid));
@@ -273,6 +277,18 @@ mod tests {
         assert!(hv.evtchn.poll(dom, fport).unwrap());
         be.close_device(&mut hv, &cost, &mut m, dom, 0).unwrap();
         assert!(be.device(dom, 0).is_none());
+        assert!(hv.gnttab.is_empty());
+        assert_eq!(hv.evtchn.open_channels(), 0);
+    }
+
+    #[test]
+    fn close_of_unconnected_device_closes_the_offer() {
+        let (mut hv, mut be, cost, mut m, dom) = setup();
+        let (port, _) = be.alloc_device(&mut hv, &cost, &mut m, dom, 0).unwrap();
+        assert_eq!(hv.evtchn.open_channels(), 1);
+        be.close_device(&mut hv, &cost, &mut m, dom, 0).unwrap();
+        assert_eq!(hv.evtchn.open_channels(), 0);
+        assert!(hv.evtchn.poll(DomId::DOM0, port).is_err());
         assert!(hv.gnttab.is_empty());
     }
 

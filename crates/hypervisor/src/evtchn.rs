@@ -19,8 +19,15 @@ enum ChannelState {
     Unbound { remote: DomId },
     /// Connected to `remote`'s `remote_port`.
     Interdomain { remote: DomId, remote_port: EvtchnPort },
-    /// Closed; port free for reuse.
-    Closed,
+}
+
+impl ChannelState {
+    /// The domain at the other end (bound or offered).
+    fn remote(&self) -> DomId {
+        match *self {
+            ChannelState::Unbound { remote } | ChannelState::Interdomain { remote, .. } => remote,
+        }
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -29,7 +36,9 @@ struct Channel {
     pending: bool,
 }
 
-/// Per-host event channel table, keyed by (domain, port).
+/// Per-host event channel table, keyed by (domain, port). Holds open
+/// channels only: closing removes both ends, so teardown and counting
+/// never scan channels that died earlier.
 #[derive(Clone, Default, Debug)]
 pub struct EvtchnTable {
     channels: HashMap<(DomId, EvtchnPort), Channel>,
@@ -88,7 +97,6 @@ impl EvtchnTable {
             .ok_or(EvtchnError::BadPort)?;
         match ch.state {
             ChannelState::Unbound { remote } if remote == binder => {}
-            ChannelState::Unbound { .. } => return Err(EvtchnError::NotPermitted),
             _ => return Err(EvtchnError::NotPermitted),
         }
         let local = self.alloc_port(binder);
@@ -140,23 +148,14 @@ impl EvtchnTable {
     }
 
     /// `EVTCHNOP_close`: closes a local port; the peer end (if any)
-    /// reverts to closed as well.
+    /// closes with it.
     pub fn close(&mut self, dom: DomId, port: EvtchnPort) -> Result<(), EvtchnError> {
         let ch = self
             .channels
-            .get_mut(&(dom, port))
+            .remove(&(dom, port))
             .ok_or(EvtchnError::BadPort)?;
-        let peer = match ch.state {
-            ChannelState::Interdomain { remote, remote_port } => Some((remote, remote_port)),
-            _ => None,
-        };
-        ch.state = ChannelState::Closed;
-        ch.pending = false;
-        if let Some(key) = peer {
-            if let Some(p) = self.channels.get_mut(&key) {
-                p.state = ChannelState::Closed;
-                p.pending = false;
-            }
+        if let ChannelState::Interdomain { remote, remote_port } = ch.state {
+            self.channels.remove(&(remote, remote_port));
         }
         Ok(())
     }
@@ -166,23 +165,10 @@ impl EvtchnTable {
     /// an unbound offer the dead domain can no longer accept. Like grant
     /// reaping, this is symmetric — otherwise each guest lifecycle leaks
     /// the backend-owned offers it never bound (e.g. the sysctl channel).
+    /// Both ends of a bound channel match, so one pass closes them.
     pub fn close_all(&mut self, dom: DomId) {
-        let ports: Vec<(DomId, EvtchnPort)> = self
-            .channels
-            .iter()
-            .filter(|((owner, _), ch)| {
-                *owner == dom
-                    || match ch.state {
-                        ChannelState::Unbound { remote }
-                        | ChannelState::Interdomain { remote, .. } => remote == dom,
-                        ChannelState::Closed => false,
-                    }
-            })
-            .map(|(&key, _)| key)
-            .collect();
-        for (owner, port) in ports {
-            let _ = self.close(owner, port);
-        }
+        self.channels
+            .retain(|(owner, _), ch| *owner != dom && ch.state.remote() != dom);
     }
 
     /// Total successful sends (proxy for notification load).
@@ -190,12 +176,9 @@ impl EvtchnTable {
         self.sends
     }
 
-    /// Number of non-closed channels.
+    /// Number of open channel ends.
     pub fn open_channels(&self) -> usize {
-        self.channels
-            .values()
-            .filter(|c| c.state != ChannelState::Closed)
-            .count()
+        self.channels.len()
     }
 }
 
@@ -265,6 +248,55 @@ mod tests {
         assert_eq!(t.open_channels(), 6);
         t.close_all(DomId(5));
         assert_eq!(t.open_channels(), 0);
+    }
+
+    #[test]
+    fn closed_port_is_bad_everywhere() {
+        let mut t = EvtchnTable::new();
+        let (back, front) = (DomId(0), DomId(5));
+        let bp = t.alloc_unbound(back, front);
+        let fp = t.bind_interdomain(front, back, bp).unwrap();
+        t.close(back, bp).unwrap();
+        for (dom, port) in [(back, bp), (front, fp)] {
+            assert_eq!(t.send(dom, port), Err(EvtchnError::BadPort));
+            assert_eq!(t.poll(dom, port), Err(EvtchnError::BadPort));
+            assert_eq!(t.close(dom, port), Err(EvtchnError::BadPort));
+        }
+        assert_eq!(
+            t.bind_interdomain(front, back, bp),
+            Err(EvtchnError::BadPort)
+        );
+        // A closed unbound offer cannot be bound either.
+        let offer = t.alloc_unbound(back, front);
+        t.close(back, offer).unwrap();
+        assert_eq!(
+            t.bind_interdomain(front, back, offer),
+            Err(EvtchnError::BadPort)
+        );
+        assert_eq!(t.open_channels(), 0);
+    }
+
+    #[test]
+    fn close_all_spares_other_domains() {
+        let mut t = EvtchnTable::new();
+        let (d0, d1, d2) = (DomId(0), DomId(1), DomId(2));
+        // d0<->d1 bound, d0->d2 bound, d1->d2 bound, d2 offers to d0.
+        let p01 = t.alloc_unbound(d0, d1);
+        let p10 = t.bind_interdomain(d1, d0, p01).unwrap();
+        let p02 = t.alloc_unbound(d0, d2);
+        t.bind_interdomain(d2, d0, p02).unwrap();
+        let p12 = t.alloc_unbound(d1, d2);
+        t.bind_interdomain(d2, d1, p12).unwrap();
+        t.alloc_unbound(d2, d0);
+        assert_eq!(t.open_channels(), 7);
+        t.close_all(d2);
+        assert_eq!(t.open_channels(), 2);
+        t.send(d0, p01).unwrap();
+        assert!(t.poll(d1, p10).unwrap());
+        t.send(d1, p10).unwrap();
+        assert!(t.poll(d0, p01).unwrap());
+        assert_eq!(t.send(d0, p02), Err(EvtchnError::BadPort));
+        assert_eq!(t.send(d1, p12), Err(EvtchnError::BadPort));
     }
 
     #[test]

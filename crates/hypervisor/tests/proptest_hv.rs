@@ -1,7 +1,7 @@
 //! Property tests for hypervisor resource accounting, driven by a
 //! seeded `SimRng` (offline build: no proptest).
 
-use hypervisor::{DomId, DomainConfig, EvtchnTable, GrantTable, Hypervisor};
+use hypervisor::{DomId, DomainConfig, EvtchnPort, EvtchnTable, GrantTable, Hypervisor};
 use simcore::{CostModel, Meter, SimRng};
 
 const MIB: u64 = 1 << 20;
@@ -44,36 +44,83 @@ fn memory_conservation() {
     }
 }
 
-/// Event channels: after any sequence of alloc/bind/close, the open
-/// count equals allocations minus closed ends.
+/// Event channels against a naive model of open ends, across alloc,
+/// bind, close and `close_all` over several domains: the open count
+/// always matches, and `send` succeeds exactly on the bound ends the
+/// model holds open.
 #[test]
 fn evtchn_open_count() {
+    /// One open end: its owner, port and peer (`None` while unbound,
+    /// with the domain allowed to bind it).
+    #[derive(Clone, Copy)]
+    struct End {
+        owner: DomId,
+        port: EvtchnPort,
+        remote: DomId,
+        peer: Option<(DomId, EvtchnPort)>,
+    }
+    const DOMS: usize = 4;
     let mut rng = SimRng::new(0xA702);
     for _case in 0..64 {
         let mut t = EvtchnTable::new();
-        let mut live = Vec::new(); // (owner, port, bound)
-        for _ in 0..1 + rng.index(49) {
-            match rng.index(3) {
-                0 => {
-                    let p = t.alloc_unbound(DomId(0), DomId(1));
-                    live.push((DomId(0), p, None));
+        let mut open: Vec<End> = Vec::new();
+        let mut ever: Vec<(DomId, EvtchnPort)> = Vec::new();
+        for _ in 0..1 + rng.index(79) {
+            let dom = DomId(rng.index(DOMS) as u32);
+            match rng.index(5) {
+                0 | 1 => {
+                    let remote = DomId(rng.index(DOMS) as u32);
+                    let port = t.alloc_unbound(dom, remote);
+                    open.push(End {
+                        owner: dom,
+                        port,
+                        remote,
+                        peer: None,
+                    });
+                    ever.push((dom, port));
                 }
-                1 => {
-                    if let Some(pos) = live.iter().position(|(_, _, b)| b.is_none()) {
-                        let (owner, port, _) = live[pos];
-                        let local = t.bind_interdomain(DomId(1), owner, port).unwrap();
-                        live[pos].2 = Some(local);
+                2 => {
+                    let unbound: Vec<usize> = (0..open.len())
+                        .filter(|&i| open[i].peer.is_none())
+                        .collect();
+                    if let Some(&i) = unbound.get(rng.index(unbound.len().max(1))) {
+                        let End { owner, port, remote, .. } = open[i];
+                        let local = t.bind_interdomain(remote, owner, port).unwrap();
+                        open[i].peer = Some((remote, local));
+                        open.push(End {
+                            owner: remote,
+                            port: local,
+                            remote: owner,
+                            peer: Some((owner, port)),
+                        });
+                        ever.push((remote, local));
+                    }
+                }
+                3 => {
+                    if !open.is_empty() {
+                        let End { owner, port, peer, .. } = open[rng.index(open.len())];
+                        t.close(owner, port).unwrap();
+                        open.retain(|e| {
+                            (e.owner, e.port) != (owner, port) && Some((e.owner, e.port)) != peer
+                        });
                     }
                 }
                 _ => {
-                    if let Some((owner, port, bound)) = live.pop() {
-                        t.close(owner, port).unwrap();
-                        let _ = bound; // peer closed transitively
-                    }
+                    t.close_all(dom);
+                    open.retain(|e| e.owner != dom && e.remote != dom);
                 }
             }
-            let expect: usize = live.iter().map(|(_, _, b)| 1 + b.is_some() as usize).sum();
-            assert_eq!(t.open_channels(), expect);
+            assert_eq!(t.open_channels(), open.len());
+            for &(owner, port) in &ever {
+                let bound = open
+                    .iter()
+                    .any(|e| (e.owner, e.port) == (owner, port) && e.peer.is_some());
+                assert_eq!(
+                    t.send(owner, port).is_ok(),
+                    bound,
+                    "send on {owner:?}/{port:?}"
+                );
+            }
         }
     }
 }

@@ -61,25 +61,34 @@ impl SymWatches {
         &mut Arc::make_mut(&mut self.chunks[idx >> CHUNK_BITS])[idx & (CHUNK - 1)]
     }
 
-    /// Removes every entry of `conn`, returning how many were dropped.
-    /// Chunks without a matching entry are only read, never copied.
-    fn retain_without_conn(&mut self, conn: u32) -> usize {
-        let mut removed = 0;
-        for chunk in &mut self.chunks {
-            if !chunk.iter().any(|l| l.iter().any(|(c, _)| *c == conn)) {
-                continue;
-            }
-            for list in Arc::make_mut(chunk).iter_mut() {
-                let before = list.len();
-                list.retain(|(c, _)| *c != conn);
-                removed += before - list.len();
-            }
+    /// Removes the entries at `idx` that `hit` matches, returning how
+    /// many. A slot without a match is only read, so a fork-shared chunk
+    /// is never copied for a no-op.
+    fn remove_where(&mut self, idx: usize, hit: impl Fn(&(u32, Arc<str>)) -> bool) -> usize {
+        if !self.get(idx).is_some_and(|list| list.iter().any(&hit)) {
+            return 0;
         }
-        removed
+        let list = self.ensure_mut(idx);
+        let before = list.len();
+        list.retain(|e| !hit(e));
+        before - list.len()
     }
 }
 
-/// The registry of watches plus per-connection pending event queues.
+/// One connection's watch state, as xenstored keeps it per connection
+/// (`conn->watches` plus the event queue): teardown visits only the
+/// symbols listed here, never the whole symbol-indexed table.
+#[derive(Clone, Default, Debug)]
+struct ConnWatches {
+    /// Undelivered events, FIFO.
+    queue: VecDeque<WatchEvent>,
+    /// The symbol of every watch this connection holds, one entry per
+    /// watch.
+    watched: Vec<XsSym>,
+}
+
+/// The registry of watches plus per-connection records (pending event
+/// queue and watched symbols).
 ///
 /// Watches are keyed by the *store's* interned path symbols (no second
 /// interner): a mutation arrives as a symbol and hops parent symbols
@@ -93,7 +102,11 @@ pub struct WatchTable {
     /// are empty ancestor entries).
     by_sym: SymWatches,
     count: usize,
-    pending: BTreeMap<u32, VecDeque<WatchEvent>>,
+    /// Every connection that ever registered a watch, until dropped.
+    /// Records are shared copy-on-write across world forks (like the
+    /// chunks): a fork clones each with a refcount bump, and only a
+    /// connection that changes after the fork copies its own record.
+    conns: BTreeMap<u32, Arc<ConnWatches>>,
 }
 
 /// Outcome of checking a mutation against the table (for cost charging).
@@ -121,10 +134,12 @@ impl WatchTable {
     /// the client can synchronise.
     pub fn register(&mut self, store: &Store, conn: u32, sym: XsSym, token: impl Into<Arc<str>>) {
         let token = token.into();
-        self.pending.entry(conn).or_default().push_back(WatchEvent {
+        let rec = Arc::make_mut(self.conns.entry(conn).or_default());
+        rec.queue.push_back(WatchEvent {
             path: store.path_of(sym),
             token: token.clone(),
         });
+        rec.watched.push(sym);
         self.by_sym.ensure_mut(sym.index()).push((conn, token));
         self.count += 1;
     }
@@ -143,35 +158,43 @@ impl WatchTable {
     /// returning false — the table is never corrupted by a double
     /// unregister.
     pub fn unregister_sym(&mut self, conn: u32, sym: XsSym, token: &str) -> bool {
-        // Read-only miss check first, so a no-op unregister never
-        // copies a fork-shared chunk.
-        match self.by_sym.get(sym.index()) {
-            Some(list) if list.iter().any(|(c, t)| *c == conn && &**t == token) => {}
-            _ => return false,
+        let removed = self
+            .by_sym
+            .remove_where(sym.index(), |(c, t)| *c == conn && &**t == token);
+        if removed == 0 {
+            return false;
         }
-        let list = self.by_sym.ensure_mut(sym.index());
-        let before = list.len();
-        list.retain(|(c, t)| !(*c == conn && &**t == token));
-        let removed = before - list.len();
         self.count -= removed;
-        removed > 0
+        if let Some(rec) = self.conns.get_mut(&conn) {
+            let mut left = removed;
+            Arc::make_mut(rec).watched.retain(|&s| {
+                let hit = s == sym && left > 0;
+                left -= hit as usize;
+                !hit
+            });
+        }
+        true
     }
 
     /// Iterates `(conn, queued events)` over every connection with a
     /// non-empty pending queue, in ascending connection order (the map
     /// is ordered — deterministic for digesting).
     pub fn pending_counts(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
-        self.pending
+        self.conns
             .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(&conn, q)| (conn, q.len()))
+            .filter(|(_, rec)| !rec.queue.is_empty())
+            .map(|(&conn, rec)| (conn, rec.queue.len()))
     }
 
     /// Drops all watches and pending events of a connection (domain
-    /// death).
+    /// death). Visits only the symbols the connection registered.
     pub fn drop_conn(&mut self, conn: u32) {
-        self.count -= self.by_sym.retain_without_conn(conn);
-        self.pending.remove(&conn);
+        let Some(rec) = self.conns.remove(&conn) else {
+            return;
+        };
+        for sym in rec.watched.iter() {
+            self.count -= self.by_sym.remove_where(sym.index(), |(c, _)| *c == conn);
+        }
     }
 
     /// Records that the node at `sym` was mutated, queueing events for
@@ -192,13 +215,11 @@ impl WatchTable {
                 if !list.is_empty() {
                     let path = store.path_of(sym);
                     for (conn, token) in list {
-                        self.pending
-                            .entry(*conn)
-                            .or_default()
-                            .push_back(WatchEvent {
-                                path: path.clone(),
-                                token: token.clone(),
-                            });
+                        let rec = self.conns.get_mut(conn).expect("a watcher has a record");
+                        Arc::make_mut(rec).queue.push_back(WatchEvent {
+                            path: path.clone(),
+                            token: token.clone(),
+                        });
                         fired += 1;
                     }
                 }
@@ -218,8 +239,7 @@ impl WatchTable {
     /// Allocates the returned `Vec`; the hot paths use
     /// [`WatchTable::take_events_into`] or [`WatchTable::drain_events`].
     pub fn take_events(&mut self, conn: u32) -> Vec<WatchEvent> {
-        self.pending
-            .get_mut(&conn)
+        self.queue_mut(conn)
             .map(|q| q.drain(..).collect())
             .unwrap_or_default()
     }
@@ -229,7 +249,7 @@ impl WatchTable {
     /// in steady state.
     pub fn take_events_into(&mut self, conn: u32, out: &mut Vec<WatchEvent>) {
         out.clear();
-        if let Some(q) = self.pending.get_mut(&conn) {
+        if let Some(q) = self.queue_mut(conn) {
             out.extend(q.drain(..));
         }
     }
@@ -237,19 +257,24 @@ impl WatchTable {
     /// Discards all pending events for a connection, returning how many
     /// there were. For callers that only need the count (and the charge).
     pub fn drain_events(&mut self, conn: u32) -> usize {
-        match self.pending.get_mut(&conn) {
-            Some(q) => {
-                let n = q.len();
-                q.clear();
-                n
-            }
-            None => 0,
-        }
+        self.queue_mut(conn).map_or(0, |q| {
+            let n = q.len();
+            q.clear();
+            n
+        })
+    }
+
+    /// A connection's non-empty event queue, for draining. An empty one
+    /// reads as `None`, so a no-op drain never copies a fork-shared
+    /// record.
+    fn queue_mut(&mut self, conn: u32) -> Option<&mut VecDeque<WatchEvent>> {
+        let rec = self.conns.get_mut(&conn).filter(|rec| !rec.queue.is_empty())?;
+        Some(&mut Arc::make_mut(rec).queue)
     }
 
     /// Number of events pending for a connection.
     pub fn pending_count(&self, conn: u32) -> usize {
-        self.pending.get(&conn).map(VecDeque::len).unwrap_or(0)
+        self.conns.get(&conn).map_or(0, |rec| rec.queue.len())
     }
 }
 
@@ -362,6 +387,64 @@ mod tests {
         assert_eq!(t.count(), 1);
         assert_eq!(t.pending_count(1), 0);
         assert!(t.pending_count(2) > 0);
+    }
+
+    #[test]
+    fn watched_list_tracks_each_registration() {
+        let s = store();
+        let mut t = WatchTable::new();
+        let a = sym(&s, "/a");
+        let b = sym(&s, "/b");
+        t.register(&s, 1, a, "x");
+        t.register(&s, 1, a, "y");
+        t.register(&s, 1, b, "x");
+        assert_eq!(t.conns[&1].watched, [a, a, b]);
+        assert!(t.unregister_sym(1, a, "x"));
+        assert_eq!(t.conns[&1].watched, [a, b]);
+        // A duplicate (conn, sym, token) unregisters as one: both copies go.
+        t.register(&s, 1, b, "x");
+        assert!(t.unregister_sym(1, b, "x"));
+        assert_eq!(t.conns[&1].watched, [a]);
+        assert_eq!(t.count(), 1);
+    }
+
+    #[test]
+    fn drop_conn_copies_only_its_own_chunks() {
+        let s = store();
+        let a = sym(&s, "/a");
+        for i in 0..2 * CHUNK {
+            sym(&s, &format!("/pad/{i}"));
+        }
+        let b = sym(&s, "/b");
+        assert_ne!(a.index() >> CHUNK_BITS, b.index() >> CHUNK_BITS);
+        let mut t = WatchTable::new();
+        t.register(&s, 1, a, "t");
+        t.register(&s, 2, b, "t");
+        let mut fork = t.clone();
+        fork.drop_conn(1);
+        fork.drop_conn(3);
+        for (i, (x, y)) in t.by_sym.chunks.iter().zip(&fork.by_sym.chunks).enumerate() {
+            assert_eq!(Arc::ptr_eq(x, y), i != a.index() >> CHUNK_BITS, "chunk {i}");
+        }
+        assert_eq!((t.count(), fork.count()), (2, 1));
+        assert_eq!(fork.note_mutation_sym(&s, a).fired, 0);
+        assert_eq!(t.note_mutation_sym(&s, a).fired, 1);
+    }
+
+    #[test]
+    fn fork_copies_only_the_records_it_changes() {
+        let s = store();
+        let mut t = WatchTable::new();
+        t.register(&s, 1, sym(&s, "/a"), "t");
+        t.register(&s, 2, sym(&s, "/b"), "t");
+        t.drain_events(1);
+        t.drain_events(2);
+        let mut fork = t.clone();
+        fork.note_mutation_sym(&s, sym(&s, "/a/x"));
+        assert_eq!(fork.drain_events(2), 0);
+        assert!(!Arc::ptr_eq(&t.conns[&1], &fork.conns[&1]));
+        assert!(Arc::ptr_eq(&t.conns[&2], &fork.conns[&2]));
+        assert_eq!((t.pending_count(1), fork.pending_count(1)), (0, 1));
     }
 
     #[test]
