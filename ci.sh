@@ -7,9 +7,8 @@
 # byte, if any scheduler width changes any artefact byte (quick scale
 # at --jobs 2; full scale at --jobs 1/2/8 against the committed
 # sequential reference in results/), if the full-scale sequential wall
-# regressed >1.5x above the committed baseline (every-replay clone-boot
-# verification rides on the incremental world digest — it must stay
-# cheap), if runner throughput collapsed
+# regressed >1.5x above the committed baseline, if runner throughput
+# collapsed
 # (>5x below the committed baseline in results/bench_runner.json — a
 # coarse band that only trips on real regressions, not
 # machine-to-machine noise), if the density hot path allocates again
@@ -27,12 +26,12 @@ test_log="$(mktemp)"
 cargo test -q --workspace 2>&1 | tee "$test_log"
 # Suite-count guard: a botched invocation (or a workspace edit that
 # drops crates from the build) silently shrinks coverage. The workspace
-# runs 73 test binaries; fail loudly if any of them did not run.
+# runs 72 test binaries; fail loudly if any of them did not run.
 suites=$(grep -c '^test result: ok' "$test_log" || true)
 rm -f "$test_log"
-echo "workspace test suites: $suites (guard: >= 73)"
-if [ "$suites" -lt 73 ]; then
-  echo "ci: only $suites test suite(s) ran — workspace coverage lost (expected >= 73)" >&2
+echo "workspace test suites: $suites (guard: >= 72)"
+if [ "$suites" -lt 72 ]; then
+  echo "ci: only $suites test suite(s) ran — workspace coverage lost (expected >= 72)" >&2
   exit 1
 fi
 
@@ -174,26 +173,6 @@ for id in fig01 fig02 fig04 fig05 fig09 fig10 fig11 fig12a fig12b \
   done
 done
 
-echo "== clone-boot gate (template boots vs --no-clone-boot) =="
-# Template boots (toolstack::cloneboot) replay recorded create deltas
-# instead of fully executing repeated creates. Like the snapshot cache,
-# they must be invisible in the artefacts: a run with template boots
-# disabled — every create fully executed — must reproduce the default
-# run's bytes exactly.
-LIGHTVM_QUICK=1 LIGHTVM_FIG_DIR="$FIG_DIR/noclone" \
-  cargo run --release -p bench --bin runall -- --no-clone-boot \
-  --report "$FIG_DIR/noclone/bench_runner.json" > /dev/null
-for id in fig01 fig02 fig04 fig05 fig09 fig10 fig11 fig12a fig12b \
-          fig13 fig14 fig15 fig16a fig16b fig16c fig17 fig18 ablations \
-          faults churn cluster; do
-  for ext in json csv; do
-    if ! cmp -s "$FIG_DIR/$id.$ext" "$FIG_DIR/noclone/$id.$ext"; then
-      echo "ci: $id.$ext differs with template boots disabled" >&2
-      exit 1
-    fi
-  done
-done
-
 echo "== fault-free baseline gate (full scale vs committed results/) =="
 # With the fault plan inactive the injection layer must consume zero
 # RNG draws and charge nothing: every committed figure artefact —
@@ -236,13 +215,12 @@ if [ "$hosts_total" -lt 1000 ] || [ "$guests_total" -lt 100000 ]; then
   exit 1
 fi
 
-echo "== wall gate (full scale, --jobs 1, verification every replay) =="
-# Incremental world digests (DESIGN.md §6h) pay for every-replay clone
-# boot verification; the whole point is that the full run got cheaper,
-# not dearer. Gate the fresh full-scale sequential wall against the
-# committed baseline with a 1.5x noise band — wide enough for
-# machine-to-machine variance, tight enough to catch the digest path
-# going accidentally O(world) again.
+echo "== wall gate (full scale, --jobs 1) =="
+# The world store digests every World rung it deposits through the
+# incremental world digest (DESIGN.md §6h). Gate the fresh full-scale
+# sequential wall against the committed baseline with a 1.5x noise
+# band — wide enough for machine-to-machine variance, tight enough to
+# catch the digest path going accidentally O(world) again.
 # grep -m1 stops on its own: piping a multi-match grep into `head -1`
 # lets grep die of SIGPIPE, which pipefail turns into a silent exit.
 extract_wall() {

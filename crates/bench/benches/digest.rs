@@ -1,8 +1,8 @@
 //! Full-walk vs incremental world digests (DESIGN.md §6h): after k
 //! store mutations, the cached Merkle digest recomputes only the k
 //! dirtied root-paths — O(k · depth) — while the old paths rehash or
-//! re-render the whole tree, O(world). The gap is what lets cloneboot
-//! verify every replay and the property suites digest at every step.
+//! re-render the whole tree, O(world). The gap is what lets the world
+//! store and the property suites digest at every step.
 //!
 //! Three sides per (density, mutation count):
 //!  - `string_walk`:  the pre-§6h oracle — render every path and value
@@ -22,11 +22,11 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use guests::GuestImage;
 use simcore::{Machine, MachinePreset};
-use toolstack::{cloneboot, ControlPlane, ToolstackMode};
+use toolstack::{ControlPlane, ToolstackMode};
 use xenstore::XsPath;
 
-/// Boots `n` guests (replayed through the template cache, so startup
-/// stays cheap even at 1000) in the store-heaviest mode.
+/// Boots `n` guests in the store-heaviest mode (xl's name scan is
+/// charged in closed form, so startup stays cheap even at 1000).
 fn world(n: usize) -> ControlPlane {
     let img = GuestImage::unikernel_daytime();
     let mut cp = ControlPlane::new(
@@ -37,7 +37,7 @@ fn world(n: usize) -> ControlPlane {
     );
     cp.prewarm(&img);
     for i in 0..n {
-        cloneboot::create_and_boot(&mut cp, &format!("{}-{i}", img.name), &img)
+        cp.create_and_boot(&format!("{}-{i}", img.name), &img)
             .expect("bench boot");
     }
     cp

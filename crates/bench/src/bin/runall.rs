@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! runall [--jobs N] [--filter SUBSTR[,SUBSTR..]] [--list] [--seq]
-//!        [--report PATH] [--no-snapshot-cache] [--no-clone-boot]
+//!        [--report PATH] [--no-snapshot-cache]
 //! ```
 //!
 //! * `--jobs N`   worker threads (default: available parallelism)
@@ -15,13 +15,9 @@
 //! * `--no-snapshot-cache`  run with the world store's cache off: no
 //!   chain or probe tasks, every unit simulates its world from scratch.
 //!   Artefacts are byte-identical either way (`ci.sh` gates it); the
-//!   flag exists to prove that and to time the uncached path.
-//! * `--no-clone-boot`  run with template boots off: every create runs
-//!   the full toolstack path instead of replaying a recorded delta.
-//!   Artefacts are byte-identical either way (`ci.sh` gates this too).
-//!
-//! Both switches live in the run's `bench::worldcache::Store`; nothing
-//! is process-global.
+//!   flag exists to prove that and to time the uncached path. The
+//!   switch lives in the run's `bench::worldcache::Store`; nothing is
+//!   process-global.
 //!
 //! Figure artefacts go to `LIGHTVM_FIG_DIR` (default `target/figures`)
 //! exactly as the individual `figNN` binaries write them; the merged
@@ -55,12 +51,11 @@ struct Args {
     list: bool,
     report: std::path::PathBuf,
     cache: bool,
-    clone_boot: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: runall [--jobs N] [--filter SUBSTR[,SUBSTR..]] [--list] [--seq] [--report PATH] [--no-snapshot-cache] [--no-clone-boot]"
+        "usage: runall [--jobs N] [--filter SUBSTR[,SUBSTR..]] [--list] [--seq] [--report PATH] [--no-snapshot-cache]"
     );
     std::process::exit(2);
 }
@@ -72,7 +67,6 @@ fn parse_args() -> Args {
         list: false,
         report: std::path::PathBuf::from("results/bench_runner.json"),
         cache: true,
-        clone_boot: true,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -95,7 +89,6 @@ fn parse_args() -> Args {
                 args.report = std::path::PathBuf::from(it.next().unwrap_or_else(|| usage()));
             }
             "--no-snapshot-cache" => args.cache = false,
-            "--no-clone-boot" => args.clone_boot = false,
             _ => usage(),
         }
     }
@@ -147,7 +140,7 @@ fn main() -> ExitCode {
         if scale.quick { ", quick profile" } else { "" }
     );
 
-    let store = Store::new(args.cache, args.clone_boot);
+    let store = Store::new(args.cache);
     let (figures, report, store) = runner::run_with(specs, args.jobs, scale.quick, store);
 
     let dir = bench::out_dir();
@@ -176,14 +169,7 @@ fn main() -> ExitCode {
         report.max_width(),
         report.critical_path_ms()
     );
-    say!(
-        "# cloneboot: {}",
-        if store.clone_boot {
-            toolstack::cloneboot::summary()
-        } else {
-            "disabled (--no-clone-boot)".to_string()
-        }
-    );
+    say!("# cloneboot: {}", toolstack::cloneboot::summary());
     match report.write(&args.report) {
         Ok(()) => say!("# perf report -> {}", args.report.display()),
         Err(e) => {

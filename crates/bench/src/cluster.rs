@@ -7,8 +7,7 @@
 //! [`toolstack::HostTemplate`]; every cluster host is then *stamped*
 //! from it (a structure-sharing fork + domid recycling + per-host RNG),
 //! so instantiating 1k hosts costs O(hosts) clone work, not
-//! O(hosts × boots) — and each guest created on a host replays through
-//! cloneboot. Hosts are coupled only by a modelled datacenter network
+//! O(hosts × boots). Hosts are coupled only by a modelled datacenter network
 //! ([`lvnet::Link::datacenter`]) advanced by the conservative-lookahead
 //! executor in [`simcore::shard`]: the epoch length is the link delay,
 //! every cross-host message is delivered at the next epoch barrier in
@@ -227,7 +226,7 @@ fn run_scenario(store: &Store, sc: &Scenario) -> ScenarioOut {
                 } else {
                     format!("arr-{slot}")
                 };
-                match store.create_and_boot(&mut host.cp, &name, &img) {
+                match host.cp.create_and_boot_report(&name, &img) {
                     Ok((report, boot)) => {
                         host.placed.push(report.dom);
                         out.send(
@@ -475,21 +474,12 @@ fn spec_for(mode: ToolstackMode) -> WorldSpec {
 /// Folds the per-host world deltas (relative to the template baseline)
 /// into the unit output, and reports wall-side quantities to stderr
 /// (never into the byte-gated artefacts).
-fn absorb_hosts(
-    out: &mut UnitOutput,
-    hosts: &[Option<Host>],
-    base: &UnitOutput,
-    base_clone: (u64, u64, u64),
-) -> u64 {
+fn absorb_hosts(out: &mut UnitOutput, hosts: &[Option<Host>], base: &UnitOutput) -> u64 {
     let mut guests = 0u64;
     for host in hosts.iter().flatten() {
         let end = UnitOutput::from_plane(&host.cp);
         out.events += end.events - base.events;
         out.virtual_ms += end.virtual_ms - base.virtual_ms;
-        let cs = &host.cp.clone_stats;
-        out.clone_boot_hits += cs.hits - base_clone.0;
-        out.boots_replayed += cs.replayed - base_clone.1;
-        out.boot_events_saved += cs.saved - base_clone.2;
         guests += host.cp.running_count() as u64;
         assert_eq!(host.failures, 0, "cluster host create failed");
     }
@@ -534,8 +524,6 @@ fn ladder_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
         stats.into_output(&mut out);
         let template = HostTemplate::capture(&mut world, HEADROOM);
         let base = UnitOutput::from_plane(&world);
-        let cs = &world.clone_stats;
-        let base_clone = (cs.hits, cs.replayed, cs.saved);
 
         let mut guests_s = Series::new(format!("{label}: guests"));
         let mut p50_s = Series::new(format!("{label}: create p50 (ms)"));
@@ -560,7 +548,7 @@ fn ladder_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
             };
             let res = run_scenario(store, &sc);
             assert_eq!(res.placed.len(), 2 * rung, "{label}@{rung}: arrivals lost");
-            let guests = absorb_hosts(&mut out, &res.hosts, &base, base_clone);
+            let guests = absorb_hosts(&mut out, &res.hosts, &base);
             hosts_total += rung as u64;
             guests_total += guests;
             let x = rung as f64;
@@ -603,8 +591,6 @@ fn placement_unit(scale: Scale) -> UnitSpec {
         stats.into_output(&mut out);
         let template = HostTemplate::capture(&mut world, HEADROOM);
         let base = UnitOutput::from_plane(&world);
-        let cs = &world.clone_stats;
-        let base_clone = (cs.hits, cs.replayed, cs.saved);
 
         for policy in [Policy::BinPack, Policy::Spread] {
             let sc = Scenario {
@@ -623,7 +609,7 @@ fn placement_unit(scale: Scale) -> UnitSpec {
             };
             let res = run_scenario(store, &sc);
             assert_eq!(res.placed.len(), 4 * hosts, "placement arrivals lost");
-            absorb_hosts(&mut out, &res.hosts, &base, base_clone);
+            absorb_hosts(&mut out, &res.hosts, &base);
             let pl = policy.label();
             let mut imb = Series::new(format!("{pl}: imbalance"));
             let mut pool = Series::new(format!("{pl}: pool depth"));
@@ -670,8 +656,8 @@ fn evac_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
         for _round in 0..16 {
             let mut doms = Vec::new();
             for k in 0..EVAC_NAMES {
-                let (report, _) = store
-                    .create_and_boot(&mut world, &format!("evac-{k}"), &img)
+                let (report, _) = world
+                    .create_and_boot_report(&format!("evac-{k}"), &img)
                     .expect("saturation create");
                 doms.push(report.dom);
             }
@@ -691,8 +677,6 @@ fn evac_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
         assert_eq!(template.domid_limit(), limit, "saturation changed the domid plan");
         let baseline: WorldCensus = world.census();
         let base = UnitOutput::from_plane(&world);
-        let cs = &world.clone_stats;
-        let base_clone = (cs.hits, cs.replayed, cs.saved);
 
         let sc = Scenario {
             label: format!("cluster {label}"),
@@ -735,7 +719,7 @@ fn evac_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
         assert_eq!(digest_drift, 0, "{label}: survivor digests drifted from template");
         assert_eq!(census_drift, 0, "{label}: survivor census drifted from template");
 
-        absorb_hosts(&mut out, &res.hosts, &base, base_clone);
+        absorb_hosts(&mut out, &res.hosts, &base);
         let mut lat = Series::new(format!("{label}: latency (ms)"));
         let cdf = Cdf::of(&res.evac).expect("evacuation latencies");
         for p in [50.0, 90.0, 99.0, 100.0] {

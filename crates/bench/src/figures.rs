@@ -78,14 +78,8 @@ pub struct UnitOutput {
     /// Snapshot forks the unit performed (worldcache resumes plus its
     /// own throwaway probe forks).
     pub snapshot_forks: u64,
-    /// create+boot sequences the worldcache saved the unit, plus
-    /// store-engine requests cloneboot's closed-form scans avoided.
+    /// create+boot sequences the worldcache saved the unit.
     pub boot_events_saved: u64,
-    /// Creates that found a cloneboot template during this unit's own
-    /// builds.
-    pub clone_boot_hits: u64,
-    /// Creates whose xl name scan was replayed in closed form.
-    pub boots_replayed: u64,
 }
 
 impl UnitOutput {
@@ -100,8 +94,6 @@ impl UnitOutput {
             snapshot_hits: 0,
             snapshot_forks: 0,
             boot_events_saved: 0,
-            clone_boot_hits: 0,
-            boots_replayed: 0,
         }
     }
 
@@ -121,8 +113,6 @@ impl UnitOutput {
             snapshot_hits: 0,
             snapshot_forks: 0,
             boot_events_saved: 0,
-            clone_boot_hits: 0,
-            boots_replayed: 0,
         }
     }
 

@@ -34,7 +34,7 @@ use simcore::{Machine, MachinePreset, SimRng};
 use toolstack::{ControlPlane, ToolstackMode};
 
 use crate::figures::UnitOutput;
-use crate::worldcache::{CacheStats, Store, WorldSpec};
+use crate::worldcache::{Store, WorldSpec};
 
 /// Domains probed per density step (matches the paper's methodology).
 const PROBES_PER_STEP: usize = 10;
@@ -179,10 +179,9 @@ pub(crate) fn run_walk(store: &Store, mode: ToolstackMode, steps: &[usize]) -> W
     let mut src = spec.build_base();
     let mut st = WalkState::new(mode);
     let mut records = Vec::new();
-    let mut stats = CacheStats::default();
     let mut made = 0usize;
     for &n in steps {
-        store.advance(&mut src, &spec.image, made, n, &mut records, None, &mut stats);
+        store.advance(&mut src, &spec.image, made, n, &mut records, None);
         made = n;
         st.probe_step(n, src.fork());
     }

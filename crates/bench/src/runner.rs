@@ -50,7 +50,7 @@ pub fn run(specs: Vec<FigureSpec>, jobs: usize, quick: bool) -> (Vec<FigureRun>,
 }
 
 /// [`run`] against a caller-configured `store` (`runall`'s
-/// `--no-snapshot-cache`/`--no-clone-boot` switches), returned after
+/// `--no-snapshot-cache` switch), returned after
 /// the run for its summary.
 pub fn run_with(
     specs: Vec<FigureSpec>,
@@ -82,7 +82,6 @@ pub fn run_with(
             start_ms: s.first.duration_since(started).as_secs_f64() * 1e3,
             end_ms: s.last.duration_since(started).as_secs_f64() * 1e3,
             events: s.shard_steps + s.messages,
-            boots_replayed: 0,
             allocs: 0,
             deps: Vec::new(),
         });
@@ -105,8 +104,7 @@ pub fn run_with(
                     out.snapshot_hits,
                     out.snapshot_forks,
                     out.boot_events_saved,
-                )
-                .with_clone_stats(out.clone_boot_hits, out.boots_replayed),
+                ),
         );
         outputs[fi].push(out);
     }

@@ -51,17 +51,15 @@ const PROBE_THROTTLE: usize = 4;
 
 /// Longest climb a single chain task may perform; larger requested
 /// spans are split into evenly spaced intermediate rungs. 150 boots is
-/// ~15-35 ms of simulation post-cloneboot — big enough to amortise
-/// task overhead, small enough to pipeline behind consumers.
+/// ~15-35 ms of simulation — big enough to amortise task overhead,
+/// small enough to pipeline behind consumers.
 const MAX_CHAIN_SPAN: usize = 150;
 
-/// What a task does when it runs. Infra bodies return `(events,
-/// boots_replayed)` for the trace: an event count (boots climbed,
-/// probes run, requests simulated) plus how many of those creates
-/// replayed a cloneboot template (chain tasks; zero elsewhere).
+/// What a task does when it runs. Infra bodies return an event count
+/// for the trace (boots climbed, probes run, requests simulated).
 enum Body {
     Unit(Box<dyn FnOnce(&Store) -> UnitOutput + Send>),
-    Infra(Box<dyn FnOnce(&Store) -> (u64, u64) + Send>),
+    Infra(Box<dyn FnOnce(&Store) -> u64 + Send>),
 }
 
 struct Task {
@@ -116,8 +114,8 @@ impl Plan {
 }
 
 /// Rough per-boot simulation cost by toolstack, in milliseconds (from
-/// the committed perf baseline; xl's reflects template boots replaying
-/// the name scan). Drives chain-task cost estimates.
+/// the committed perf baseline; xl's reflects the closed-form name
+/// scan). Drives chain-task cost estimates.
 fn boot_cost_ms(mode: ToolstackMode) -> f64 {
     match mode.label() {
         "xl" => 0.10,
@@ -254,10 +252,7 @@ pub fn plan(specs: Vec<FigureSpec>, store: &mut Store) -> (Vec<FigureSpec>, Plan
                 deps,
                 cost: (rung - prev_rung) as f64 * boot_cost_ms(req.spec.mode),
                 slot: None,
-                body: Body::Infra(Box::new(move |store: &Store| {
-                    let (boots, stats) = store.build_to(&spec, rung);
-                    (boots, stats.boots_replayed)
-                })),
+                body: Body::Infra(Box::new(move |store: &Store| store.build_to(&spec, rung))),
             });
             chain_task.insert((key.clone(), rung), id);
             prev = Some(id);
@@ -276,7 +271,7 @@ pub fn plan(specs: Vec<FigureSpec>, store: &mut Store) -> (Vec<FigureSpec>, Plan
                     deps,
                     cost: 2.0 + rung as f64 * 0.02,
                     slot: None,
-                    body: Body::Infra(Box::new(move |store: &Store| (b.probe_rung(store, i), 0))),
+                    body: Body::Infra(Box::new(move |store: &Store| b.probe_rung(store, i))),
                 });
             }
         }
@@ -292,7 +287,7 @@ pub fn plan(specs: Vec<FigureSpec>, store: &mut Store) -> (Vec<FigureSpec>, Plan
             deps: Vec::new(),
             cost: 120.0,
             slot: None,
-            body: Body::Infra(Box::new(move |store: &Store| (store.run_compute(&cfg), 0))),
+            body: Body::Infra(Box::new(move |store: &Store| store.run_compute(&cfg))),
         });
     }
 
@@ -390,7 +385,7 @@ struct Ctx {
     cv: Condvar,
     bodies: Vec<Mutex<Option<Body>>>,
     #[allow(clippy::type_complexity)]
-    results: Vec<Mutex<Option<(f64, f64, usize, u64, u64, u64, Option<UnitOutput>)>>>,
+    results: Vec<Mutex<Option<(f64, f64, usize, u64, u64, Option<UnitOutput>)>>>,
     succs: Vec<Vec<usize>>,
     rank: Vec<f64>,
     started: Instant,
@@ -442,21 +437,18 @@ fn worker(ctx: &Ctx, store: &Store, thread: usize) {
         // its own execution, not the shared builds it reads.
         let a0 = crate::alloc::thread_allocs();
         let start_ms = ctx.started.elapsed().as_secs_f64() * 1e3;
-        let (events, boots_replayed, out) = match body {
+        let (events, out) = match body {
             Body::Unit(f) => {
                 let o = f(store);
-                (o.events, o.boots_replayed, Some(o))
+                (o.events, Some(o))
             }
-            Body::Infra(f) => {
-                let (events, replayed) = f(store);
-                (events, replayed, None)
-            }
+            Body::Infra(f) => (f(store), None),
         };
         let end_ms = ctx.started.elapsed().as_secs_f64() * 1e3;
         let allocs = crate::alloc::thread_allocs() - a0;
         bail.armed = false;
         *ctx.results[id].lock().expect("result lock") =
-            Some((start_ms, end_ms, thread, events, boots_replayed, allocs, out));
+            Some((start_ms, end_ms, thread, events, allocs, out));
 
         let mut g = ctx.state.lock().expect("scheduler lock");
         g.done += 1;
@@ -553,7 +545,7 @@ pub(crate) fn execute(
     for (i, ((kind, label, figure, deps, slot), result)) in
         meta.into_iter().zip(ctx.results).enumerate()
     {
-        let (start_ms, end_ms, thread, events, boots_replayed, allocs, out) = result
+        let (start_ms, end_ms, thread, events, allocs, out) = result
             .into_inner()
             .expect("result lock")
             .expect("every task ran");
@@ -566,7 +558,6 @@ pub(crate) fn execute(
             start_ms,
             end_ms,
             events,
-            boots_replayed,
             allocs,
             deps: deps.into_iter().map(|d| d as u64).collect(),
         });

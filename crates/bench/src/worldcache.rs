@@ -49,7 +49,7 @@ use guests::GuestImage;
 use lightvm::usecases::compute::{self, ComputeConfig, ComputeResult};
 use simcore::{Machine, Meter, SimTime};
 use toolstack::snapshot::Snapshot;
-use toolstack::{cloneboot, ControlPlane, CreateReport, PlaneError, ToolstackMode};
+use toolstack::{ControlPlane, ToolstackMode};
 
 use crate::cluster::ShardTrace;
 use crate::probewalk::{self, Walk};
@@ -130,12 +130,6 @@ pub struct CacheStats {
     pub forks: u64,
     /// create+boot sequences skipped thanks to chain rungs.
     pub boots_saved: u64,
-    /// Creates that found a cloneboot template (this call's builds).
-    pub clone_hits: u64,
-    /// Creates whose name scan was replayed in closed form.
-    pub boots_replayed: u64,
-    /// Store-engine requests those replays avoided.
-    pub clone_saved: u64,
 }
 
 impl CacheStats {
@@ -143,9 +137,7 @@ impl CacheStats {
     pub fn into_output(self, out: &mut crate::figures::UnitOutput) {
         out.snapshot_hits += self.hits;
         out.snapshot_forks += self.forks;
-        out.boot_events_saved += self.boots_saved + self.clone_saved;
-        out.clone_boot_hits += self.clone_hits;
-        out.boots_replayed += self.boots_replayed;
+        out.boot_events_saved += self.boots_saved;
     }
 }
 
@@ -216,9 +208,6 @@ pub struct Store {
     /// Reuse worlds through chains (`runall --no-snapshot-cache` clears
     /// it: every unit simulates from scratch, byte-identically).
     pub cache: bool,
-    /// Route chain and cluster creates through template boots
-    /// (`runall --no-clone-boot` clears it).
-    pub clone_boot: bool,
     /// Worker threads the cluster units' shard executor may use (the
     /// runner's worker budget; artefact bytes never depend on it).
     pub shard_jobs: usize,
@@ -236,15 +225,14 @@ pub struct Store {
 
 impl Default for Store {
     fn default() -> Store {
-        Store::new(true, true)
+        Store::new(true)
     }
 }
 
 impl Store {
-    pub fn new(cache: bool, clone_boot: bool) -> Store {
+    pub fn new(cache: bool) -> Store {
         Store {
             cache,
-            clone_boot,
             shard_jobs: 1,
             chains: HashMap::new(),
             computes: Mutex::new(HashMap::new()),
@@ -281,22 +269,6 @@ impl Store {
             .expect("worldcache chain lock")
     }
 
-    /// One create+boot, through the template-boot cache when
-    /// `clone_boot` is on (same results and simulated charges either
-    /// way; only the wall cost of xl's name scan differs).
-    pub fn create_and_boot(
-        &self,
-        cp: &mut ControlPlane,
-        name: &str,
-        image: &GuestImage,
-    ) -> Result<(CreateReport, SimTime), PlaneError> {
-        if self.clone_boot {
-            cloneboot::create_and_boot_report(cp, name, image)
-        } else {
-            cp.create_and_boot_report(name, image)
-        }
-    }
-
     /// Boots guests `from..to` with canonical names, appending their
     /// records and publishing [`RungInfo`] at every density-ladder rung
     /// crossed (and at `to` itself). Capturing rung observables is
@@ -311,14 +283,10 @@ impl Store {
         to: usize,
         records: &mut Vec<CreateRecord>,
         mut info: Option<&mut HashMap<usize, RungInfo>>,
-        stats: &mut CacheStats,
     ) {
-        // Attribution diffs the plane's own counters, not the process
-        // totals: totals move under parallel workers, the plane is ours.
-        let before = cp.clone_stats;
         for i in from..to {
-            let (report, boot) = self
-                .create_and_boot(cp, &format!("{}-{i}", image.name), image)
+            let (report, boot) = cp
+                .create_and_boot_report(&format!("{}-{i}", image.name), image)
                 .expect("world chain create+boot");
             self.boots_simulated.fetch_add(1, Ordering::Relaxed);
             let done = i + 1;
@@ -335,27 +303,22 @@ impl Store {
         if let Some(info) = info {
             info.entry(to).or_insert_with(|| RungInfo::capture(cp));
         }
-        stats.clone_hits += cp.clone_stats.hits - before.hits;
-        stats.boots_replayed += cp.clone_stats.replayed - before.replayed;
-        stats.clone_saved += cp.clone_stats.saved - before.saved;
     }
 
     /// The `cache: false` reference: simulates `spec`'s world to `n`
     /// guests from scratch, through the same [`Store::advance`].
-    pub fn simulate(&self, spec: &WorldSpec, n: usize) -> (ControlPlane, Vec<CreateRecord>, CacheStats) {
+    pub fn simulate(&self, spec: &WorldSpec, n: usize) -> (ControlPlane, Vec<CreateRecord>) {
         let mut cp = spec.build_base();
         let mut records = Vec::with_capacity(n);
-        let mut stats = CacheStats::default();
-        self.advance(&mut cp, &spec.image, 0, n, &mut records, None, &mut stats);
-        (cp, records, stats)
+        self.advance(&mut cp, &spec.image, 0, n, &mut records, None);
+        (cp, records)
     }
 
     /// Chain-task body: climbs `spec`'s tip in place to `target`,
     /// publishing records and rung observables on the way, deposits a
     /// snapshot if `target` is a declared World rung, and drops the tip
-    /// at the chain's top rung. Returns the boots this call simulated
-    /// plus the climb's stats (clone-boot hits/replays, for the trace).
-    pub fn build_to(&self, spec: &WorldSpec, target: usize) -> (u64, CacheStats) {
+    /// at the chain's top rung. Returns the boots this call simulated.
+    pub fn build_to(&self, spec: &WorldSpec, target: usize) -> u64 {
         let mut guard = self.chain(spec, target);
         let chain = &mut *guard;
         assert!(
@@ -366,9 +329,8 @@ impl Store {
             chain.top
         );
         let world = chain.tip.get_or_insert_with(|| spec.build_base());
-        let mut stats = CacheStats::default();
         let boots = (target - chain.at) as u64;
-        self.advance(world, &spec.image, chain.at, target, &mut chain.records, Some(&mut chain.info), &mut stats);
+        self.advance(world, &spec.image, chain.at, target, &mut chain.records, Some(&mut chain.info));
         chain.at = target;
         if let Some(deposit) = chain.deposits.get_mut(&target) {
             let snap = world.snapshot();
@@ -384,7 +346,7 @@ impl Store {
         drop(guard);
         // Nobody can read past the top rung: free the tip off the lock.
         drop(spent);
-        (boots, stats)
+        boots
     }
 
     /// Returns the per-create records for guests `0..target` of `spec`
@@ -392,8 +354,8 @@ impl Store {
     /// the cache off, simulates the world instead.
     pub fn records_at(&self, spec: &WorldSpec, target: usize) -> (RungInfo, Vec<CreateRecord>, CacheStats) {
         if !self.cache {
-            let (cp, records, stats) = self.simulate(spec, target);
-            return (RungInfo::capture(&cp), records, stats);
+            let (cp, records) = self.simulate(spec, target);
+            return (RungInfo::capture(&cp), records, CacheStats::default());
         }
         let chain = self.chain(spec, target);
         let info = *chain.info.get(&target).unwrap_or_else(|| {
@@ -409,8 +371,8 @@ impl Store {
     /// the cache off, simulates the world instead.
     pub fn world_at(&self, spec: &WorldSpec, rung: usize) -> (ControlPlane, CacheStats) {
         if !self.cache {
-            let (cp, _, stats) = self.simulate(spec, rung);
-            return (cp, stats);
+            let (cp, _) = self.simulate(spec, rung);
+            return (cp, CacheStats::default());
         }
         let mut chain = self.chain(spec, rung);
         let deposit = chain.deposits.get_mut(&rung);
@@ -443,7 +405,6 @@ impl Store {
             hits: 1,
             forks,
             boots_saved: boots as u64,
-            ..CacheStats::default()
         }
     }
 
@@ -557,7 +518,7 @@ mod tests {
         assert_eq!(stats.boots_saved, 10);
         assert_eq!((stats.hits, stats.forks), (1, 1));
 
-        let (mut fresh, _, _) = Store::new(false, false).simulate(&spec, 10);
+        let (mut fresh, _) = Store::new(false).simulate(&spec, 10);
         assert_eq!(world.world_digest64(), fresh.world_digest64());
     }
 

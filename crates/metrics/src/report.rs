@@ -42,14 +42,8 @@ pub struct UnitPerf {
     /// Snapshot forks the unit performed (cache resumes plus its own
     /// throwaway probe forks).
     pub snapshot_forks: u64,
-    /// create+boot sequences the world cache saved the unit, plus
-    /// store requests cloneboot's closed-form name scans avoided.
+    /// create+boot sequences the world cache saved the unit.
     pub boot_events_saved: u64,
-    /// Creates that found a cloneboot template during this unit's own
-    /// builds (0 with `--no-clone-boot`).
-    pub clone_boot_hits: u64,
-    /// Creates whose xl name scan was replayed in closed form.
-    pub boots_replayed: u64,
 }
 
 impl UnitPerf {
@@ -79,8 +73,6 @@ impl UnitPerf {
             snapshot_hits: 0,
             snapshot_forks: 0,
             boot_events_saved: 0,
-            clone_boot_hits: 0,
-            boots_replayed: 0,
         }
     }
 
@@ -107,13 +99,6 @@ impl UnitPerf {
         self.snapshot_hits = snapshot_hits;
         self.snapshot_forks = snapshot_forks;
         self.boot_events_saved = boot_events_saved;
-        self
-    }
-
-    /// Attaches the unit's template-boot (cloneboot) statistics.
-    pub fn with_clone_stats(mut self, clone_boot_hits: u64, boots_replayed: u64) -> UnitPerf {
-        self.clone_boot_hits = clone_boot_hits;
-        self.boots_replayed = boots_replayed;
         self
     }
 
@@ -162,14 +147,6 @@ impl UnitPerf {
                 "boot_events_saved".to_string(),
                 Json::Num(self.boot_events_saved as f64),
             ),
-            (
-                "clone_boot_hits".to_string(),
-                Json::Num(self.clone_boot_hits as f64),
-            ),
-            (
-                "boots_replayed".to_string(),
-                Json::Num(self.boots_replayed as f64),
-            ),
         ])
     }
 }
@@ -202,10 +179,6 @@ pub struct TaskPerf {
     /// tasks, probes for probe tasks, own events for units; 0 where
     /// the task only reads caches).
     pub events: u64,
-    /// Of those, creates replayed from a cloneboot template (chain
-    /// tasks climb shared worlds, so template replays land here rather
-    /// than on the units that read the results).
-    pub boots_replayed: u64,
     /// Heap allocations made while the task ran on its thread.
     pub allocs: u64,
     /// Ids of the tasks this task waited for.
@@ -229,10 +202,6 @@ impl TaskPerf {
             ("end_ms".to_string(), Json::Num(round3(self.end_ms))),
             ("wall_ms".to_string(), Json::Num(round3(self.wall_ms()))),
             ("events".to_string(), Json::Num(self.events as f64)),
-            (
-                "boots_replayed".to_string(),
-                Json::Num(self.boots_replayed as f64),
-            ),
             ("allocs".to_string(), Json::Num(self.allocs as f64)),
             (
                 "deps".to_string(),
@@ -299,13 +268,6 @@ impl RunnerReport {
     /// Total create+boot sequences the world cache saved across units.
     pub fn total_boots_saved(&self) -> u64 {
         self.units.iter().map(|u| u.boot_events_saved).sum()
-    }
-
-    /// Total creates replayed from cloneboot templates, across units
-    /// and the chain tasks that climb shared worlds on their behalf.
-    pub fn total_boots_replayed(&self) -> u64 {
-        self.units.iter().map(|u| u.boots_replayed).sum::<u64>()
-            + self.tasks.iter().map(|t| t.boots_replayed).sum::<u64>()
     }
 
     /// Summed wall-clock across every scheduled task — unit tasks plus
@@ -449,10 +411,6 @@ impl RunnerReport {
                 Json::Num(self.total_boots_saved() as f64),
             ),
             (
-                "total_boots_replayed".to_string(),
-                Json::Num(self.total_boots_replayed() as f64),
-            ),
-            (
                 "scheduler".to_string(),
                 Json::obj([
                     ("tasks".to_string(), Json::Num(self.tasks.len() as f64)),
@@ -568,7 +526,6 @@ mod tests {
             start_ms: start,
             end_ms: end,
             events: 10,
-            boots_replayed: 0,
             allocs: 1,
             deps: deps.to_vec(),
         }

@@ -365,6 +365,7 @@ impl ControlPlane {
                 booted: true,
                 net_devids: if image.needs_net { vec![0] } else { vec![] },
                 blk_devids: if image.needs_block { vec![0] } else { vec![] },
+                name_sym: self.guest_name_sym(dom),
             }),
         );
         self.refresh_interference();

@@ -181,6 +181,10 @@ pub struct Vm {
     pub net_devids: Vec<u32>,
     /// Block device ids.
     pub blk_devids: Vec<u32>,
+    /// `/local/domain/<d>/name`, interned at insert in modes that use
+    /// xenstore (`None` on noxs): what xl's name check probes to admit
+    /// its closed form.
+    pub(crate) name_sym: Option<XsSym>,
 }
 
 /// Per-site counters for errors swallowed on destroy/rollback paths.
@@ -309,35 +313,9 @@ pub struct ControlPlane {
     /// (the integer sum is order-free, so it matches the old per-call
     /// fold exactly).
     booted_watches: u32,
-    /// Scratch for cloneboot's uncharged store-shape probe.
+    /// Scratch for the closed-form name check's uncharged store probe.
     scan_scratch: Vec<u32>,
-    /// When true (set by `cloneboot` around replayed creates),
-    /// `xl_name_check` may replace its O(n) store scan with the
-    /// closed-form charge in [`Xenstored::replay_name_scan`] whenever the
-    /// store shape matches the VM table exactly; any mismatch falls back
-    /// to the real scan silently.
-    pub(crate) fast_name_scan: bool,
-    /// Whether the last `xl_name_check` took the closed-form path.
-    pub(crate) last_scan_replayed: bool,
-    /// Store requests the last closed-form scan avoided (1 directory +
-    /// one read per entry).
-    pub(crate) last_scan_saved: u64,
-    /// When present, create phases append `(tag, running meter total)`
-    /// breakpoints here (cloneboot exemplar recording).
-    pub(crate) phase_trace: Option<Vec<(&'static str, SimTime)>>,
-    /// Identity of this plane's interner ancestry: clones and snapshot
-    /// forks inherit it, fresh planes draw a new one. Part of the
-    /// cloneboot template key — a lineage pins mode, machine, Dom0
-    /// sizing and interned-symbol history at once.
-    pub(crate) lineage: u64,
-    /// Clone-boot counters for creates run *on this plane* (see
-    /// [`crate::cloneboot::CloneStats`]); callers diff them around
-    /// their builds for race-free per-task attribution.
-    pub clone_stats: crate::cloneboot::CloneStats,
 }
-
-/// Lineage ids for [`ControlPlane::new`]; 0 is never issued.
-static NEXT_LINEAGE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
 impl ControlPlane {
     /// Creates a host: `dom0_cores` cores for Dom0, the rest for guests,
@@ -381,12 +359,6 @@ impl ControlPlane {
             dir_scratch: Vec::new(),
             booted_watches: 0,
             scan_scratch: Vec::new(),
-            fast_name_scan: false,
-            last_scan_replayed: false,
-            last_scan_saved: 0,
-            phase_trace: None,
-            lineage: NEXT_LINEAGE.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            clone_stats: crate::cloneboot::CloneStats::default(),
             machine,
         }
         .finish_init()
@@ -530,7 +502,6 @@ impl ControlPlane {
             Category::Config,
             cost.config_parse_base + cost.config_parse_per_byte * config_len as u64,
         );
-        self.trace_phase("config", &meter);
 
         // Toolstack-internal state keeping.
         meter.charge(
@@ -540,7 +511,6 @@ impl ControlPlane {
                 _ => cost.chaos_internal,
             },
         );
-        self.trace_phase("internal", &meter);
 
         let created = if self.mode.uses_split() {
             match self.daemon.take(image.mem_mib, image.needs_net) {
@@ -561,7 +531,6 @@ impl ControlPlane {
                 return Err(e);
             }
         };
-        self.trace_phase("domain", &meter);
 
         // Image build: parse the kernel image and lay it out in memory;
         // Linux kernels (Tinyx/Debian) additionally pay decompression and
@@ -573,7 +542,6 @@ impl ControlPlane {
             load += cost.kernel_decompress_per_mib * mib;
         }
         meter.charge(Category::Load, load);
-        self.trace_phase("load", &meter);
 
         // Boot it last: the domain is left paused; `boot_vm` unpauses.
         let slow = self.dom0_slowdown();
@@ -607,6 +575,7 @@ impl ControlPlane {
                 booted: false,
                 net_devids: if image.needs_net { vec![0] } else { vec![] },
                 blk_devids: if image.needs_block { vec![0] } else { vec![] },
+                name_sym: self.guest_name_sym(dom),
             }),
         );
         self.created_total += 1;
@@ -615,7 +584,6 @@ impl ControlPlane {
         if self.mode.uses_split() {
             self.daemon_refill(image);
         }
-        self.trace_phase("finish", &meter);
         Ok(CreateReport { dom, meter, from_shell })
     }
 
@@ -857,17 +825,30 @@ impl ControlPlane {
     }
 
     /// xl's unique-name check: list every domain and read its name.
+    /// Charged in closed form whenever its preconditions hold; the real
+    /// request scan runs otherwise (DESIGN.md §6g).
     fn xl_name_check(
         &mut self,
         cost: &CostModel,
         meter: &mut Meter,
         name: &str,
     ) -> Result<(), PlaneError> {
-        self.last_scan_replayed = false;
-        if self.fast_name_scan && self.xl_name_check_replay(cost, meter, name) {
-            self.last_scan_replayed = true;
-            return Ok(());
+        let avoided = self.xl_name_scan_closed_form(cost, meter, name);
+        crate::cloneboot::note_name_check(avoided);
+        match avoided {
+            Some(_) => Ok(()),
+            None => self.xl_name_scan(cost, meter, name),
         }
+    }
+
+    /// The real scan: one `directory` of `/local/domain`, then one
+    /// `read` of each numeric entry's `name` until one equals `name`.
+    pub(crate) fn xl_name_scan(
+        &mut self,
+        cost: &CostModel,
+        meter: &mut Meter,
+        name: &str,
+    ) -> Result<(), PlaneError> {
         let dir = self.xs.local_domain_sym();
         let mut entries = std::mem::take(&mut self.dir_scratch);
         match self.xs.directory_syms(cost, meter, 0, dir, &mut entries) {
@@ -897,66 +878,75 @@ impl ControlPlane {
         Ok(())
     }
 
-    /// Attempts the closed-form twin of `xl_name_check`: validates —
-    /// without charging — that `/local/domain`'s children are exactly
-    /// this plane's VM table (plus, possibly, Dom0's own directory,
-    /// whose `name` node must be absent) and that no guest already has
-    /// `name`; when they are, [`Xenstored::replay_name_scan`] charges
-    /// precisely what the real scan would have and the store engine is
-    /// never entered. Returns false on any mismatch — including a name
-    /// collision, so the real scan reproduces `NameTaken` with its exact
-    /// early-exit charges.
-    fn xl_name_check_replay(&mut self, cost: &CostModel, meter: &mut Meter, name: &str) -> bool {
+    /// [`ControlPlane::xl_name_scan`] charged without executing it, when
+    /// uncharged probes show what it would do: `/local/domain`'s
+    /// children are exactly this plane's guests plus, possibly, Dom0's
+    /// own directory with no `name` node, every child named in
+    /// canonical decimal, and every guest's stored name equal to its
+    /// `vm.name` and different from `name`. The scan then lists the
+    /// directory, reads every entry, finds no collision, and
+    /// [`Xenstored::replay_name_scan`] charges exactly that. Returns
+    /// the requests it stood in for, or `None` having charged nothing
+    /// — a collision included, so the real scan reproduces `NameTaken`
+    /// with its early-exit charges.
+    pub(crate) fn xl_name_scan_closed_form(
+        &mut self,
+        cost: &CostModel,
+        meter: &mut Meter,
+        name: &str,
+    ) -> Option<u64> {
         let ld = self.xs.local_domain_sym();
         let mut children = std::mem::take(&mut self.scan_scratch);
-        let shape_ok = match self.xs.probe_children_u32(ld, &mut children) {
-            Ok(all_numeric) => all_numeric,
+        let mut admitted = match self.xs.probe_children_u32(ld, &mut children) {
+            Ok(all_canonical) => all_canonical,
             // No `/local/domain` at all: the scan is one NotFound
             // directory request, which the empty closed form matches.
-            Err(XsError::NotFound) => children.is_empty(),
+            Err(XsError::NotFound) => true,
             Err(_) => false,
         };
         let mut dom0_entry = false;
-        let mut known = shape_ok;
-        if known {
-            for &c in &children {
-                if c == 0 {
-                    dom0_entry = true;
-                } else if !self.vms.contains_key(&DomId(c)) {
-                    known = false;
-                    break;
-                }
+        for &c in &children {
+            if !admitted {
+                break;
             }
-            // Children are unique, so membership + matching count means
-            // the sets are equal.
-            known &= children.len() == self.vms.len() + dom0_entry as usize;
+            if c == 0 {
+                dom0_entry = true;
+                continue;
+            }
+            admitted = self.vms.get(&DomId(c)).is_some_and(|vm| {
+                vm.name != name
+                    && vm
+                        .name_sym
+                        .is_some_and(|s| self.xs.probe_value_eq(s, vm.name.as_bytes()))
+            });
         }
-        let replayable = known
-            && (!dom0_entry || {
-                let name_sym = self.xs.child_sym(self.xs.domain_dir_sym(0), "name");
-                !self.xs.probe_exists(name_sym)
-            })
-            && !self.vms.values().any(|vm| vm.name == name);
-        let scanned = children.len() as u64;
+        // Children are unique canonical domids, so membership plus a
+        // matching count means every guest is listed.
+        admitted &= children.len() == self.vms.len() + dom0_entry as usize;
+        if admitted && dom0_entry {
+            let name_sym = self.xs.child_sym(self.xs.domain_dir_sym(0), "name");
+            admitted = !self.xs.probe_exists(name_sym);
+        }
+        let entries = children.len() as u64;
         self.scan_scratch = children;
-        if !replayable {
-            return false;
+        if !admitted {
+            return None;
         }
-        self.last_scan_saved = scanned + 1;
         self.xs.replay_name_scan(
             cost,
             meter,
             dom0_entry,
             self.vms.iter().map(|(d, vm)| (d.0, vm.name.len())),
         );
-        true
+        Some(entries + 1)
     }
 
-    /// Appends a phase breakpoint to the active trace, if any.
-    pub(crate) fn trace_phase(&mut self, tag: &'static str, meter: &Meter) {
-        if let Some(trace) = &mut self.phase_trace {
-            trace.push((tag, meter.total()));
-        }
+    /// The [`Vm::name_sym`] to cache for guest `dom`: interned only in
+    /// modes that use xenstore, where registration already did.
+    pub(crate) fn guest_name_sym(&self, dom: DomId) -> Option<XsSym> {
+        self.mode
+            .uses_xenstore()
+            .then(|| self.xs.child_sym(self.xs.domain_dir_sym(dom.0), "name"))
     }
 
     /// Writes the domain's registration records (name, memory, console,

@@ -125,8 +125,8 @@ impl ControlPlane {
     /// renders, mixed into one `u128`. After k store mutations this
     /// costs O(k · depth) plus a handful of counter reads, instead of
     /// the string digest's O(world) walk-and-render — which is what lets
-    /// cloneboot verify every replay and the property suites compare
-    /// worlds at every step. Like [`ControlPlane::world_digest`], it
+    /// the world store and the property suites compare worlds at every
+    /// step. Like [`ControlPlane::world_digest`], it
     /// first drains Dom0's pending toolstack events (background
     /// deliveries, not state), and is never charged to simulated time.
     pub fn world_digest64(&mut self) -> u128 {

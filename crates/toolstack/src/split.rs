@@ -74,15 +74,6 @@ impl ChaosDaemon {
         }
     }
 
-    /// True if [`ChaosDaemon::take`] with these arguments would hit the
-    /// pool, without consuming the shell or touching hit/miss counters
-    /// (cloneboot uses this to predict the create path it will replay).
-    pub fn peek(&self, mem_mib: u64, needs_net: bool) -> bool {
-        self.pool
-            .iter()
-            .any(|s| s.mem_mib == mem_mib && s.has_net == needs_net)
-    }
-
     /// Returns a freshly prepared shell to the pool.
     pub fn put(&mut self, shell: VmShell) {
         self.pool.push_back(shell);

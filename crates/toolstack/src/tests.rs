@@ -433,3 +433,207 @@ fn driver_domain_backend_works_on_xs_path_only() {
     );
     assert_eq!(drv_net.backend_dom(), drv);
 }
+
+// --- xl's name scan: closed form vs real scan -------------------------------
+
+/// A seeded xl world with `n` booted guests named `g-<i>`.
+fn xl_world(seed: u64, n: usize) -> ControlPlane {
+    let img = GuestImage::unikernel_daytime();
+    let mut cp = ControlPlane::new(
+        Machine::preset(MachinePreset::XeonE5_1630V3),
+        1,
+        ToolstackMode::Xl,
+        seed,
+    );
+    cp.prewarm(&img);
+    for i in 0..n {
+        cp.create_and_boot(&format!("g-{i}"), &img)
+            .expect("xl world create");
+    }
+    cp
+}
+
+/// `/local/domain` shapes the closed form must either charge exactly
+/// or refuse.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    Steady,
+    /// An entry for a domain the toolstack never created.
+    ForeignNumeric,
+    /// A guest's entry spelled with a leading zero in place of the last
+    /// guest's, which is gone (`0<d>` parses as `d`).
+    NonCanonicalNumeric,
+    NonNumeric,
+    /// A live guest whose `name` node was removed.
+    RemovedName,
+    /// A live guest whose `name` Dom0 rewrote to "victim".
+    RewrittenName,
+    /// Dom0's own `name` node present.
+    Dom0Name,
+    /// A destroyed guest's `name` node left behind.
+    DestroyedLeftovers,
+}
+
+const SHAPES: [Shape; 8] = [
+    Shape::Steady,
+    Shape::ForeignNumeric,
+    Shape::NonCanonicalNumeric,
+    Shape::NonNumeric,
+    Shape::RemovedName,
+    Shape::RewrittenName,
+    Shape::Dom0Name,
+    Shape::DestroyedLeftovers,
+];
+
+/// Plants `shape` into `cp` with uncharged store writes. Returns false
+/// when the shape needs a guest and the world has none.
+fn plant(cp: &mut ControlPlane, shape: Shape) -> bool {
+    let first = cp.vms().next().map(|(d, vm)| (d.0, vm.name.clone()));
+    let last = cp.vms().last().map(|(d, _)| d.0);
+    let p = |s: &str| xenstore::XsPath::parse(s).unwrap();
+    let name_path = |d: u32| p(&format!("/local/domain/{d}/name"));
+    let needs_guest = matches!(
+        shape,
+        Shape::NonCanonicalNumeric
+            | Shape::RemovedName
+            | Shape::RewrittenName
+            | Shape::DestroyedLeftovers
+    );
+    if first.is_none() && needs_guest {
+        return false;
+    }
+    if let (Shape::DestroyedLeftovers, Some((d, _))) = (shape, &first) {
+        cp.destroy_vm(hypervisor::DomId(*d)).expect("destroy");
+    }
+    let store = cp.xs.store_mut_for_tests();
+    match (shape, first) {
+        (Shape::Steady, _) => {}
+        (Shape::ForeignNumeric, _) => store.write(0, &name_path(9999), b"stray").unwrap(),
+        (Shape::NonCanonicalNumeric, Some((d, _))) => {
+            let gone = last.expect("a guest");
+            store.rm(0, &p(&format!("/local/domain/{gone}"))).unwrap();
+            store
+                .write(0, &p(&format!("/local/domain/0{d}/name")), b"stray")
+                .unwrap();
+        }
+        (Shape::NonNumeric, _) => store
+            .write(0, &p("/local/domain/tools/name"), b"g-0")
+            .unwrap(),
+        (Shape::RemovedName, Some((d, _))) => store.rm(0, &name_path(d)).unwrap(),
+        (Shape::RewrittenName, Some((d, _))) => store.write(0, &name_path(d), b"victim").unwrap(),
+        (Shape::Dom0Name, _) => store.write(0, &name_path(0), b"Domain-0").unwrap(),
+        (Shape::DestroyedLeftovers, Some((d, name))) => {
+            store.write(0, &name_path(d), name.as_bytes()).unwrap()
+        }
+        (_, None) => unreachable!("guest-less shapes return early"),
+    }
+    true
+}
+
+/// Everything a name check can change, observed after it ran.
+#[derive(Debug, PartialEq)]
+struct ScanOutcome {
+    result: Result<(), PlaneError>,
+    total: SimTime,
+    per_category: Vec<SimTime>,
+    requests: u64,
+    log_lines: u64,
+    log_rotations: u64,
+    digest: u128,
+}
+
+/// Runs xl's name check for `name` on `cp`: the closed form (falling
+/// back to the real scan when it refuses) or the real scan alone.
+/// Returns the outcome and whether the closed form was admitted.
+fn scan(cp: &mut ControlPlane, name: &str, closed_form: bool) -> (ScanOutcome, bool) {
+    let cost = cp.cost();
+    let mut m = simcore::Meter::new();
+    let admitted = closed_form && cp.xl_name_scan_closed_form(&cost, &mut m, name).is_some();
+    let result = if admitted {
+        Ok(())
+    } else {
+        cp.xl_name_scan(&cost, &mut m, name)
+    };
+    let outcome = ScanOutcome {
+        result,
+        total: m.total(),
+        per_category: Category::ALL.iter().map(|&c| m.of(c)).collect(),
+        requests: cp.xs.stats().requests,
+        log_lines: cp.xs.log_total_lines(),
+        log_rotations: cp.xs.log_rotations(),
+        digest: cp.world_digest64_at_rest(),
+    };
+    (outcome, admitted)
+}
+
+#[test]
+fn closed_form_name_scan_matches_real_scan() {
+    let candidates = ["new", "g-0", "victim", "Domain-0", "stray"];
+    let mut steady_admitted = 0;
+    for seed in [1, 42] {
+        for n in [0, 1, 8, 30] {
+            let world = xl_world(seed, n);
+            for shape in SHAPES {
+                let mut planted = world.fork();
+                if !plant(&mut planted, shape) {
+                    continue;
+                }
+                for name in candidates {
+                    let (mut a, mut b) = (planted.fork(), planted.fork());
+                    // Twice in a row: the first check's log lines and
+                    // stats feed the second's charges.
+                    for round in 0..2 {
+                        let (fast, admitted) = scan(&mut a, name, true);
+                        let (real, _) = scan(&mut b, name, false);
+                        assert_eq!(
+                            fast, real,
+                            "seed {seed} n {n} {shape:?} {name:?} round {round}: closed form diverged"
+                        );
+                        if admitted {
+                            assert!(fast.result.is_ok(), "closed form admitted a collision");
+                        }
+                        let expect_admitted =
+                            matches!(shape, Shape::Steady) && (name != "g-0" || n == 0);
+                        if expect_admitted {
+                            assert!(admitted, "seed {seed} n {n} {name:?}: steady state refused");
+                            steady_admitted += 1;
+                        } else if !matches!(shape, Shape::Steady) {
+                            assert!(!admitted, "seed {seed} n {n} {shape:?} {name:?}: admitted");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(steady_admitted > 0);
+}
+
+/// Dom0 rewrites a live guest's `name` to "victim": xl's scan finds the
+/// collision, so `create "victim"` must fail with `NameTaken` and charge
+/// exactly the real scan's early exit — the closed form charges only
+/// when every stored name is the one the VM table recorded.
+#[test]
+fn rewritten_guest_name_is_taken() {
+    let img = GuestImage::unikernel_daytime();
+    let mut cp = xl_world(42, 8);
+    let cost = cp.cost();
+    let victim = *cp.vms().nth(3).expect("eight guests").0;
+    let path = xenstore::XsPath::parse(&format!("/local/domain/{}/name", victim.0)).unwrap();
+    cp.xs
+        .write(&cost, &mut simcore::Meter::new(), 0, &path, b"victim")
+        .unwrap();
+
+    let mut reference = cp.fork();
+    let requests_before = cp.xs.stats().requests;
+    assert_eq!(
+        cp.create_and_boot("victim", &img).unwrap_err(),
+        PlaneError::NameTaken("victim".into())
+    );
+    let (real, _) = scan(&mut reference, "victim", false);
+    assert_eq!(real.result, Err(PlaneError::NameTaken("victim".into())));
+    assert_eq!(cp.xs.stats().requests, real.requests);
+    assert_eq!(cp.xs.log_total_lines(), real.log_lines);
+    // The early exit stopped short of reading every entry.
+    assert!(real.requests - requests_before < cp.running_count() as u64 + 2);
+    assert_eq!(cp.world_digest64_at_rest(), real.digest);
+}

@@ -502,19 +502,6 @@ impl Store {
         self.interner.borrow_mut().child_u32(sym, n)
     }
 
-    /// Non-interning child lookup: `None` when `<sym>/<name>` was never
-    /// interned. Hot read paths that probe for dirs which may not exist
-    /// use this — [`Store::child_sym`] would permanently grow the
-    /// interner (and every future world clone) per miss.
-    pub(crate) fn resolve_child_sym(&self, sym: XsSym, name: &str) -> Option<XsSym> {
-        self.interner.borrow_mut().resolve_child(sym, name)
-    }
-
-    /// [`Store::resolve_child_sym`] with a numeric component.
-    pub(crate) fn resolve_child_u32_sym(&self, sym: XsSym, n: u32) -> Option<XsSym> {
-        self.interner.borrow_mut().resolve_child_u32(sym, n)
-    }
-
     /// Byte length of a symbol's full path (for wire-payload charging).
     pub(crate) fn path_len(&self, sym: XsSym) -> usize {
         self.interner.borrow().path_str(sym).len()
@@ -523,6 +510,16 @@ impl Store {
     /// The symbol's final path component parsed as `u32`, if it is one.
     pub(crate) fn sym_name_u32(&self, sym: XsSym) -> Option<u32> {
         self.interner.borrow().name(sym).parse().ok()
+    }
+
+    /// [`Store::sym_name_u32`] for a component spelled in canonical
+    /// decimal only (no sign, no leading zeros): the spelling every
+    /// `/local/domain/<domid>` path has.
+    pub(crate) fn sym_name_canonical_u32(&self, sym: XsSym) -> Option<u32> {
+        let interner = self.interner.borrow();
+        let name = interner.name(sym);
+        let n = name.parse().ok()?;
+        (crate::sym::u32_str(&mut [0u8; 10], n) == name).then_some(n)
     }
 
     /// Sorts symbols by their full path string — the same order the
@@ -632,6 +629,12 @@ impl Store {
 
     pub(crate) fn exists_sym(&self, sym: XsSym) -> bool {
         self.node(sym).is_some()
+    }
+
+    /// True if the node exists and holds exactly `value` (permissions
+    /// ignored).
+    pub(crate) fn value_eq_sym(&self, sym: XsSym, value: &[u8]) -> bool {
+        self.node(sym).is_some_and(|n| &*n.value == value)
     }
 
     pub(crate) fn node_generation_sym(&self, sym: XsSym) -> Option<u64> {
@@ -1131,40 +1134,6 @@ impl Store {
         }
         h
     }
-
-    /// Collects `(relative-path hash, value hash)` for every node under
-    /// `root`, rooted at `tag` instead of the absolute path — so the
-    /// same guest subtree captured under two different domids yields
-    /// identical entries (cloneboot's per-replay content check compares
-    /// these across creates). Uncached: the caller's roots are tiny
-    /// per-guest subtrees. No-op if `root` has no node.
-    pub fn subtree_leaves_hashed(&self, root: XsSym, tag: u64, out: &mut Vec<(u64, u128)>) {
-        if self.node(root).is_none() {
-            return;
-        }
-        let mut path = Mix128::new();
-        path.write_u64(tag);
-        self.leaves_rec(root, path, out);
-    }
-
-    fn leaves_rec(&self, sym: XsSym, path: Mix128, out: &mut Vec<(u64, u128)>) {
-        let node = self.node(sym).expect("live subtree node");
-        let ph = path.finish();
-        out.push((
-            (ph >> 64) as u64 ^ ph as u64,
-            crate::hash::hash_bytes(&node.value),
-        ));
-        let mut cur = node.first_child;
-        while let Some(c) = cur {
-            let mut child_path = path;
-            {
-                let interner = self.interner.borrow();
-                child_path.write_field(interner.name(c).as_bytes());
-            }
-            self.leaves_rec(c, child_path, out);
-            cur = self.node(c).expect("linked child exists").next_sibling;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1450,33 +1419,6 @@ mod tests {
         assert_eq!(b.subtree_digest(), b.subtree_digest_uncached());
         b.rm(0, &p("/g/two")).unwrap();
         assert_eq!(b.subtree_digest(), da, "undo did not restore the digest");
-    }
-
-    #[test]
-    fn subtree_leaves_are_position_independent() {
-        let mut s = Store::new();
-        s.write(0, &p("/local/domain/3/name"), b"guest").unwrap();
-        s.write(0, &p("/local/domain/3/state"), b"4").unwrap();
-        s.write(0, &p("/local/domain/9/name"), b"guest").unwrap();
-        s.write(0, &p("/local/domain/9/state"), b"4").unwrap();
-        let r3 = s.resolve("/local/domain/3").unwrap();
-        let r9 = s.resolve("/local/domain/9").unwrap();
-        let (mut l3, mut l9) = (Vec::new(), Vec::new());
-        s.subtree_leaves_hashed(r3, 7, &mut l3);
-        s.subtree_leaves_hashed(r9, 7, &mut l9);
-        l3.sort_unstable();
-        l9.sort_unstable();
-        assert_eq!(l3, l9, "same subtree at two positions hashed differently");
-        // A value difference shows up.
-        s.write(0, &p("/local/domain/9/state"), b"5").unwrap();
-        let mut l9b = Vec::new();
-        s.subtree_leaves_hashed(r9, 7, &mut l9b);
-        l9b.sort_unstable();
-        assert_ne!(l3, l9b, "value drift invisible to leaves");
-        // A missing root is an empty capture.
-        let mut none = Vec::new();
-        s.subtree_leaves_hashed(s.sym(&p("/absent")), 7, &mut none);
-        assert!(none.is_empty());
     }
 
     #[test]

@@ -254,13 +254,6 @@ impl Interner {
         self.child(parent, u32_str(&mut buf, n))
     }
 
-    /// [`Interner::resolve_child`] with a numeric component, formatted
-    /// on the stack.
-    pub fn resolve_child_u32(&mut self, parent: XsSym, n: u32) -> Option<XsSym> {
-        let mut buf = [0u8; 10];
-        self.resolve_child(parent, u32_str(&mut buf, n))
-    }
-
     /// Looks the child `<parent>/<name>` up without interning it. Zero
     /// allocations; uses the same scratch buffer as [`Interner::child`].
     pub fn resolve_child(&mut self, parent: XsSym, name: &str) -> Option<XsSym> {

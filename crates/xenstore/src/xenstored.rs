@@ -171,18 +171,6 @@ impl Xenstored {
         self.log.set_enabled(enabled);
     }
 
-    /// True if the access log is recording (a cloneboot template-validity
-    /// input: batched log charges depend on it).
-    pub fn logging_enabled(&self) -> bool {
-        self.log.enabled()
-    }
-
-    /// The daemon flavor (cloneboot template-validity input: protocol
-    /// charges scale with it).
-    pub fn flavor(&self) -> Flavor {
-        self.flavor
-    }
-
     /// Rotations performed so far (spike provenance check).
     pub fn log_rotations(&self) -> u64 {
         self.log.rotations()
@@ -224,35 +212,6 @@ impl Xenstored {
     /// of guessing a connection-id range.
     pub fn pending_counts(&self) -> impl Iterator<Item = (ConnId, usize)> + '_ {
         self.watches.pending_counts()
-    }
-
-    /// `/local/domain/<domid>`, or `None` if that path was never
-    /// interned. The resolve variants never grow the interner — they
-    /// sit on cloneboot's per-replay content check, where probing for
-    /// dirs a mode never writes must stay free.
-    pub fn resolve_domain_dir_sym(&self, domid: u32) -> Option<XsSym> {
-        self.store.resolve_child_u32_sym(self.local_domain, domid)
-    }
-
-    /// `/vm/<domid>` without interning (see
-    /// [`Xenstored::resolve_domain_dir_sym`]).
-    pub fn resolve_vm_dir_sym(&self, domid: u32) -> Option<XsSym> {
-        self.store.resolve_child_u32_sym(self.vm_root, domid)
-    }
-
-    /// `/local/domain/<backend>/backend/<kind>/<domid>` — the per-guest
-    /// backend directory covering all its devids (cloneboot's content
-    /// verification digests these subtrees) — without interning.
-    pub fn resolve_backend_domain_dir_sym(
-        &self,
-        backend: u32,
-        kind: &str,
-        domid: u32,
-    ) -> Option<XsSym> {
-        let dom = self.resolve_domain_dir_sym(backend)?;
-        let be = self.store.resolve_child_sym(dom, "backend")?;
-        let kind = self.store.resolve_child_sym(be, kind)?;
-        self.store.resolve_child_u32_sym(kind, domid)
     }
 
     /// Crashes the daemon and restarts it from its persisted state,
@@ -574,26 +533,27 @@ impl Xenstored {
         Ok(())
     }
 
-    // --- cloneboot replay support ----------------------------------------
+    // --- closed-form name scan ------------------------------------------
     //
-    // `toolstack::cloneboot` replays xl's O(n) unique-name scan as closed-
-    // form arithmetic once a template boot has validated the store shape.
-    // Everything here is either an uncharged read-only probe (validity
-    // checks) or a batched charge that is integer-exactly what the real
-    // per-request scan would have charged — protocol costs are u64
-    // nanosecond arithmetic, so `n * per_request == sum of n requests`
-    // holds bit-for-bit (`replay_scan_matches_real_scan` pins it).
+    // `ControlPlane::xl_name_check` charges xl's O(n) unique-name scan in
+    // closed form whenever uncharged probes show exactly what the scan
+    // would do. Everything here is either such a read-only probe or a
+    // batched charge that is integer-exactly what the real per-request
+    // scan would have charged — protocol costs are u64 nanosecond
+    // arithmetic, so `n * per_request == sum of n requests` holds
+    // bit-for-bit (`replay_scan_matches_real_scan` pins it).
 
     /// Uncharged walk of a node's children: clears `out` and pushes each
     /// child's numeric name, returning `false` if any child's name is
-    /// non-numeric (an entry xl's scan would skip, which the closed form
-    /// cannot express). Ignores read permissions — a template-validity
-    /// probe, not a client operation.
+    /// not a domid in canonical decimal (an entry the closed form cannot
+    /// express: xl's scan skips non-numeric names and reads `007` under
+    /// its own, longer path). Ignores read permissions — a probe, not a
+    /// client operation.
     pub fn probe_children_u32(&self, sym: XsSym, out: &mut Vec<u32>) -> Result<bool, XsError> {
         out.clear();
         let mut all = true;
         self.store.for_each_child_sym(0, sym, |child| {
-            match self.store.sym_name_u32(child) {
+            match self.store.sym_name_canonical_u32(child) {
                 Some(n) => out.push(n),
                 None => all = false,
             }
@@ -601,9 +561,15 @@ impl Xenstored {
         Ok(all)
     }
 
-    /// Uncharged existence probe (template validity only).
+    /// Uncharged existence probe.
     pub fn probe_exists(&self, sym: XsSym) -> bool {
         self.store.exists_sym(sym)
+    }
+
+    /// Uncharged value probe: true if the node exists and holds exactly
+    /// `value` — what a Dom0 `read` of it would return.
+    pub fn probe_value_eq(&self, sym: XsSym, value: &[u8]) -> bool {
+        self.store.value_eq_sym(sym, value)
     }
 
     /// Byte length of `/local/domain/<domid>/name` — what
@@ -618,12 +584,12 @@ impl Xenstored {
 
     /// Charges exactly what xl's unique-name scan — one `directory` of
     /// `/local/domain` plus one `read` per numeric entry — would charge,
-    /// without executing the store operations. The caller (the cloneboot
-    /// template fast path) has already validated the preconditions this
-    /// arithmetic encodes: the directory's children are precisely the
-    /// `guests` entries plus, when `dom0_entry`, Dom0's own directory
-    /// (whose `name` node does not exist, so its read pays no value
-    /// payload); every guest read succeeds and returns `name_len` bytes.
+    /// without executing the store operations. The caller has already
+    /// probed the preconditions this arithmetic encodes: the
+    /// directory's children are precisely the `guests` entries plus,
+    /// when `dom0_entry`, Dom0's own directory (whose `name` node does
+    /// not exist, so its read pays no value payload); every guest read
+    /// succeeds and returns `name_len` bytes.
     /// Daemon stats and the access log advance as if the requests ran,
     /// so later rotation spikes land on the same request.
     pub fn replay_name_scan(
