@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# CI gate: build everything, run the whole test suite (with a
-# suite-count guard so lost --workspace coverage fails loudly),
-# smoke-run the hot-path microbenches, then regenerate all figures at
-# quick scale through the DAG runner. Fails if any expected artefact is
-# missing, if disabling the world-snapshot cache changes any artefact
+# CI gate: build everything (failing on any rustc warning), run the
+# whole test suite (with a suite-count guard so lost --workspace
+# coverage fails loudly), smoke-run the hot-path microbenches, then
+# regenerate all figures at quick scale through the DAG runner. Fails if any expected artefact is
+# missing, if disabling the world-store cache changes any artefact
 # byte, if any scheduler width changes any artefact byte (quick scale
 # at --jobs 2; full scale at --jobs 1/2/8 against the committed
 # sequential reference in results/), if the full-scale sequential wall
@@ -18,8 +18,17 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "== build (release, workspace) =="
-cargo build --release --workspace
+echo "== build (release, workspace, all targets; warnings are errors) =="
+# Cargo replays the warnings of cached crates, so a warm build that
+# compiles nothing still reports every warning and trips this check.
+build_log="$(mktemp)"
+cargo build --release --workspace --all-targets 2>&1 | tee "$build_log"
+if grep -Eq '^warning: .* generated [0-9]+ warnings?' "$build_log"; then
+  echo "ci: rustc warnings in the workspace build (see above)" >&2
+  rm -f "$build_log"
+  exit 1
+fi
+rm -f "$build_log"
 
 echo "== tests (workspace) =="
 test_log="$(mktemp)"
@@ -67,8 +76,9 @@ fi
 
 echo "== scheduler determinism gate (quick scale, --jobs 2 vs --seq) =="
 # The DAG scheduler must be invisible in the artefacts: the same quick
-# run on two workers — chains, probe walks and units genuinely
-# interleaving — must reproduce the sequential reference byte for byte.
+# run on two workers — chain rungs, probe walks, compute runs and units
+# genuinely interleaving — must reproduce the sequential reference byte
+# for byte.
 LIGHTVM_QUICK=1 LIGHTVM_FIG_DIR="$FIG_DIR/jobs2" \
   cargo run --release -p bench --bin runall -- --jobs 2 \
   --report "$FIG_DIR/jobs2/bench_runner.json" > /dev/null
@@ -154,11 +164,11 @@ done
 echo "cluster: byte-identical at shard widths 1/2/8, evac units leak-free"
 
 echo "== snapshot-cache gate (cached vs --no-snapshot-cache) =="
-# Figure units share worlds through bench::worldcache (snapshot/fork
-# chains + memoized probe walks). Caching must be invisible in the
-# artefacts: re-running with the cache disabled — every unit
-# re-simulates its world from scratch — must reproduce the cached
-# run's bytes exactly.
+# Figure units share results through bench::worldcache (chain rung
+# records and observables, probe walks, compute runs). Sharing must be
+# invisible in the artefacts: re-running with the cache disabled —
+# every unit re-simulates what it reads from scratch — must reproduce
+# the cached run's bytes exactly.
 LIGHTVM_QUICK=1 LIGHTVM_FIG_DIR="$FIG_DIR/nocache" \
   cargo run --release -p bench --bin runall -- --no-snapshot-cache \
   --report "$FIG_DIR/nocache/bench_runner.json" > /dev/null
@@ -216,11 +226,10 @@ if [ "$hosts_total" -lt 1000 ] || [ "$guests_total" -lt 100000 ]; then
 fi
 
 echo "== wall gate (full scale, --jobs 1) =="
-# The world store digests every World rung it deposits through the
-# incremental world digest (DESIGN.md §6h). Gate the fresh full-scale
-# sequential wall against the committed baseline with a 1.5x noise
-# band — wide enough for machine-to-machine variance, tight enough to
-# catch the digest path going accidentally O(world) again.
+# Gate the fresh full-scale sequential wall against the committed
+# baseline with a 1.5x noise band — wide enough for machine-to-machine
+# variance, tight enough to catch a layer (a chain climb, a probe walk,
+# the stamped cluster fleet) going accidentally O(world) per step.
 # grep -m1 stops on its own: piping a multi-match grep into `head -1`
 # lets grep die of SIGPIPE, which pipefail turns into a silent exit.
 extract_wall() {

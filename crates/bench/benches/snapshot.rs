@@ -1,8 +1,8 @@
 //! Fork cost vs boot-from-scratch cost at 10/100/1000 guests, per
-//! toolstack mode — the microbench behind the world snapshot cache
-//! (DESIGN.md §6e): a fork is a structure-sharing clone, so it should
-//! be orders of magnitude cheaper than re-simulating the boots it
-//! replaces, and the gap should widen with density.
+//! toolstack mode — the microbench behind world forks (DESIGN.md §6e):
+//! a fork is a structure-sharing clone, so it should be orders of
+//! magnitude cheaper than re-simulating the boots it replaces, and the
+//! gap should widen with density.
 //!
 //! Results are recorded in `results/bench_micro_pr5.md`.
 
@@ -39,9 +39,8 @@ fn bench_fork_vs_boot(c: &mut Criterion) {
         let mut group = c.benchmark_group(format!("snapshot_{}", mode.label()));
         for &n in counts {
             let world = booted(mode, n);
-            let snap = world.snapshot();
             group.bench_function(format!("fork_{n}"), |b| {
-                b.iter(|| black_box(snap.fork().running_count()))
+                b.iter(|| black_box(world.fork().running_count()))
             });
             group.bench_function(format!("boot_from_scratch_{n}"), |b| {
                 b.iter(|| black_box(booted(mode, n).running_count()))

@@ -11,9 +11,12 @@
 //! * `--list`     print figure ids, units and their declared shared
 //!   resources (`Dep`s), run nothing
 //! * `--seq`      force a single worker (equivalent to `--jobs 1`)
-//! * `--report`   perf-report path (default `results/bench_runner.json`)
+//! * `--report`   perf-report path (default `bench_runner.json` in the
+//!   figure directory; refreshing the committed baseline passes
+//!   `--report results/bench_runner.json`)
 //! * `--no-snapshot-cache`  run with the world store's cache off: no
-//!   chain or probe tasks, every unit simulates its world from scratch.
+//!   chain, probe or compute tasks, every unit simulates what it reads
+//!   from scratch.
 //!   Artefacts are byte-identical either way (`ci.sh` gates it); the
 //!   flag exists to prove that and to time the uncached path. The
 //!   switch lives in the run's `bench::worldcache::Store`; nothing is
@@ -65,7 +68,7 @@ fn parse_args() -> Args {
         jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
         filters: Vec::new(),
         list: false,
-        report: std::path::PathBuf::from("results/bench_runner.json"),
+        report: bench::out_dir().join("bench_runner.json"),
         cache: true,
     };
     let mut it = std::env::args().skip(1);
@@ -164,7 +167,7 @@ fn main() -> ExitCode {
 
     say!(
         "# {} | scheduler: {} tasks, width {}, critical path {:.1} ms",
-        store.summary(),
+        store.summary(&report),
         report.tasks.len(),
         report.max_width(),
         report.critical_path_ms()

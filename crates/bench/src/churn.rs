@@ -23,7 +23,7 @@
 //!
 //! Determinism contract: the arrival process and fault plan are seeded,
 //! so identical seeds produce byte-identical artefacts at every
-//! scheduler width, with the snapshot cache on or off (`ci.sh` gates
+//! scheduler width, with the world-store cache on or off (`ci.sh` gates
 //! all of it). A long soak (1M+ lifecycle events) is a CLI flag away:
 //! `cargo run --release -p bench --bin churn -- --events 1000000`.
 
@@ -32,7 +32,7 @@ use metrics::{Series, Summary};
 use simcore::{FaultPlan, Machine, MachinePreset, SimRng};
 use toolstack::{ToolstackMode, WorldCensus};
 
-use crate::figures::{meta, Dep, FigureSpec, Scale, UnitOutput, UnitSpec};
+use crate::figures::{meta, FigureSpec, Scale, UnitOutput, UnitSpec};
 use crate::worldcache::WorldSpec;
 
 /// Seed for the arrival/departure process (xored with a per-unit tag).
@@ -90,7 +90,6 @@ fn churn_unit(scale: Scale, mode: ToolstackMode, faulty: bool) -> UnitSpec {
         image: GuestImage::unikernel_daytime(),
         seed: 42,
     };
-    let dep_spec = spec.clone();
     let label = unit_label(mode, faulty);
     let cost = match mode {
         ToolstackMode::Xl => 50.0,
@@ -99,12 +98,10 @@ fn churn_unit(scale: Scale, mode: ToolstackMode, faulty: bool) -> UnitSpec {
     };
     UnitSpec::new(label.clone(), move |store| {
         let img = GuestImage::unikernel_daytime();
-        // The resident base population is the same world the density
-        // figures boot (a World rung of the shared chain); churn runs
-        // on a fork.
-        let (mut cp, stats) = store.world_at(&spec, base);
+        // The resident base population is the world the density figures
+        // boot; churn mutates it, so the unit builds its own.
+        let (mut cp, _) = store.simulate(&spec, base);
         let mut out = UnitOutput::new();
-        stats.into_output(&mut out);
         let start = UnitOutput::from_plane(&cp);
 
         // Recycle domids: real Xen wraps its domid counter, and without
@@ -269,10 +266,6 @@ fn churn_unit(scale: Scale, mode: ToolstackMode, faulty: bool) -> UnitSpec {
             ),
         ];
         out
-    })
-    .dep(Dep::World {
-        spec: dep_spec,
-        rung: base,
     })
     .cost(cost)
 }

@@ -2,8 +2,8 @@
 //! multi-world executor (DESIGN.md §6j).
 //!
 //! Every other figure simulates one host. This figure runs *thousands*:
-//! one prewarmed template host per (toolstack, density) configuration is
-//! forked from a World rung of the run's world store and captured as a
+//! each unit builds one prewarmed template host for its (toolstack,
+//! density) configuration ([`Store::simulate`]) and captures it as a
 //! [`toolstack::HostTemplate`]; every cluster host is then *stamped*
 //! from it (a structure-sharing fork + domid recycling + per-host RNG),
 //! so instantiating 1k hosts costs O(hosts) clone work, not
@@ -48,7 +48,7 @@ use simcore::{FaultPlan, FaultSite};
 use toolstack::fleet::{domid_limit_for, HostTemplate};
 use toolstack::{ControlPlane, ToolstackMode, WorldCensus};
 
-use crate::figures::{meta, xeon, Dep, FigureSpec, Scale, UnitOutput, UnitSpec};
+use crate::figures::{meta, xeon, FigureSpec, Scale, UnitOutput, UnitSpec};
 use crate::worldcache::{Store, WorldSpec};
 
 /// Seed for the evacuation units' failure draws (distinct from the
@@ -510,7 +510,6 @@ fn ladder_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
         vec![1, 10, 100, 1000]
     };
     let spec = spec_for(mode);
-    let dep_spec = spec.clone();
     let label = mode.label().to_string();
     let cost = match mode {
         ToolstackMode::Xl => 900.0,
@@ -519,9 +518,8 @@ fn ladder_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
     UnitSpec::new(label.clone(), move |store| {
         let wall0 = Instant::now();
         let img = spec.image.clone();
-        let (mut world, stats) = store.world_at(&spec, density);
+        let (mut world, _) = store.simulate(&spec, density);
         let mut out = UnitOutput::new();
-        stats.into_output(&mut out);
         let template = HostTemplate::capture(&mut world, HEADROOM);
         let base = UnitOutput::from_plane(&world);
 
@@ -573,7 +571,6 @@ fn ladder_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
         );
         out
     })
-    .dep(Dep::World { spec: dep_spec, rung: density })
     .cost(cost)
 }
 
@@ -583,12 +580,10 @@ fn placement_unit(scale: Scale) -> UnitSpec {
     let density = scale.scaled(DENSITY);
     let hosts = scale.scaled(32);
     let spec = spec_for(ToolstackMode::LightVm);
-    let dep_spec = spec.clone();
     UnitSpec::new("placement", move |store| {
         let img = spec.image.clone();
-        let (mut world, stats) = store.world_at(&spec, density);
+        let (mut world, _) = store.simulate(&spec, density);
         let mut out = UnitOutput::new();
-        stats.into_output(&mut out);
         let template = HostTemplate::capture(&mut world, HEADROOM);
         let base = UnitOutput::from_plane(&world);
 
@@ -627,7 +622,6 @@ fn placement_unit(scale: Scale) -> UnitSpec {
         }
         out
     })
-    .dep(Dep::World { spec: dep_spec, rung: density })
     .cost(120.0)
 }
 
@@ -639,13 +633,11 @@ fn evac_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
     let density = scale.scaled(DENSITY);
     let hosts = scale.scaled(50);
     let spec = spec_for(mode);
-    let dep_spec = spec.clone();
     let label = format!("{} evac", mode.label());
     UnitSpec::new(label.clone(), move |store| {
         let img = spec.image.clone();
-        let (mut world, stats) = store.world_at(&spec, density);
+        let (mut world, _) = store.simulate(&spec, density);
         let mut out = UnitOutput::new();
-        stats.into_output(&mut out);
 
         // Saturate the evacuation name window on the template under the
         // exact domid limit stamped hosts will run with, so survivor
@@ -737,7 +729,6 @@ fn evac_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
         ];
         out
     })
-    .dep(Dep::World { spec: dep_spec, rung: density })
     .cost(200.0)
 }
 

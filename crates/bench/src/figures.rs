@@ -72,11 +72,11 @@ pub struct UnitOutput {
     pub peak_queue_depth: usize,
     /// Events the unit scheduled on its engine (0 likewise).
     pub events_scheduled: u64,
-    /// Worldcache hits this unit benefited from (cached prefix or
-    /// memoized compute run reused).
+    /// World-store results this unit reused (chain rung, probe walk or
+    /// compute run).
     pub snapshot_hits: u64,
-    /// Snapshot forks the unit performed (worldcache resumes plus its
-    /// own throwaway probe forks).
+    /// World forks the unit performed itself (fig02's pristine hosts,
+    /// the cluster units' stamped hosts).
     pub snapshot_forks: u64,
     /// create+boot sequences the worldcache saved the unit.
     pub boot_events_saved: u64,
@@ -129,8 +129,8 @@ impl UnitOutput {
 
 /// A shared resource a unit consumes. Units declare these instead of
 /// lazily racing to build caches: the planner (`crate::sched`) turns
-/// each distinct dependency into exactly one producing task, declares
-/// the read on the run's [`Store`] and gates the unit on the producer,
+/// each distinct dependency into exactly one producing task, whose
+/// result the run's [`Store`] keeps, and gates the unit on it,
 /// so the expensive builds are scheduled explicitly — pipelined,
 /// critical-path first — and units run as pure readers. With the cache
 /// off no producer tasks exist and the unit bodies simulate inline,
@@ -139,9 +139,6 @@ pub enum Dep {
     /// Records and rung observables of `spec`'s chain at `rung`
     /// ([`Store::records_at`]).
     Chain { spec: WorldSpec, rung: usize },
-    /// A fork of the world `spec`'s chain deposits at `rung`
-    /// ([`Store::world_at`]).
-    World { spec: WorldSpec, rung: usize },
     /// The probe walk for (mode, steps) ([`Store::walk`]).
     Walk { mode: ToolstackMode, steps: Vec<usize> },
     /// The overload simulation for `cfg` ([`Store::compute`]).
@@ -153,7 +150,6 @@ impl Dep {
     pub fn describe(&self) -> String {
         match self {
             Dep::Chain { spec, rung } => format!("chain {}@{rung}", spec.label()),
-            Dep::World { spec, rung } => format!("world {}@{rung}", spec.label()),
             Dep::Walk { mode, steps } => {
                 format!("walk {} ({} steps)", mode.label(), steps.len())
             }
@@ -340,7 +336,7 @@ fn fig02(_scale: Scale) -> FigureSpec {
             // re-running plane construction eleven times — same bytes,
             // a third fewer allocations (the old per-size construction
             // made this unit the report's allocs/event outlier).
-            let base = ControlPlane::new(xeon(), 1, ToolstackMode::ChaosNoxs, 42).snapshot();
+            let base = ControlPlane::new(xeon(), 1, ToolstackMode::ChaosNoxs, 42);
             let unpadded = GuestImage::unikernel_daytime();
             for &mb in &sizes_mb {
                 let mut cp = base.fork();

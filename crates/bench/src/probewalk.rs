@@ -8,26 +8,18 @@
 //! the three figures' probe streams are independently seeded, one walk
 //! measures all of them in a single pass.
 //!
-//! Under the DAG scheduler the source is an ordinary world-store chain
-//! ([`chain_spec`]) and every walk step is a declared World rung of it:
-//! the chain task deposits a snapshot at the step, and one *probe* task
-//! per step forks it ([`WalkBuilder::probe_rung`]). Probe tasks chain on
-//! each other (the RNG pick streams and the accumulating migration
-//! destination are sequential state) but pipeline behind the chain
-//! climb: step d's probes run while the chain climbs toward d+1. The
-//! last probe task stores the assembled [`Walk`] in the run's
-//! [`Store`], where the consuming units read it. With the cache off,
-//! [`run_walk`] climbs its own world through the same
-//! [`Store::advance`] and drives the identical probe body, which is
-//! what keeps the bytes equal.
+//! The walk is one producer task, like a compute run: [`run_walk`]
+//! climbs the walk's world through [`Store::advance`], probes one
+//! throwaway fork per step, and the scheduler stores the finished
+//! [`Walk`] in the run's [`Store`], where the consuming units read it.
+//! With the cache off each unit runs the same [`run_walk`] inline,
+//! which is what keeps the bytes equal.
 //!
 //! Old behaviour note: the pre-cache figures probed the live world in
 //! place, so a save/restore round-trip left domain ids and RNG draws
 //! behind for the next density. Probing forks instead isolates every
 //! density — the measured latencies are the ones a fresh world of that
 //! density would show.
-
-use std::sync::{Arc, Mutex};
 
 use guests::GuestImage;
 use simcore::{Machine, MachinePreset, SimRng};
@@ -72,15 +64,16 @@ pub struct Walk {
     /// Events on the accumulated destination host (fig13 adds these to
     /// the probe world's).
     pub dst_events: u64,
+    /// Save/restore and migration probes performed.
+    pub probes: u64,
 }
 
 fn xeon() -> Machine {
     Machine::preset(MachinePreset::XeonE5_1630V3)
 }
 
-/// The world the walk climbs: the same spec whether the climb happens
-/// inline or as scheduled chain tasks in the world store.
-pub(crate) fn chain_spec(mode: ToolstackMode) -> WorldSpec {
+/// The world the walk climbs.
+fn walk_spec(mode: ToolstackMode) -> WorldSpec {
     WorldSpec {
         machine: xeon(),
         dom0_cores: 2,
@@ -90,36 +83,27 @@ pub(crate) fn chain_spec(mode: ToolstackMode) -> WorldSpec {
     }
 }
 
-/// The sequential state a walk threads through its density steps: the
-/// two probe-pick RNG streams, the accumulating migration destination,
-/// and the measured rows. One instance serves both execution shapes —
-/// the inline loop and the scheduler's probe tasks — so the probe body
-/// exists exactly once.
-struct WalkState {
-    link: lvnet::Link,
-    dst: ControlPlane,
-    rng_ckpt: SimRng,
-    rng_mig: SimRng,
-    rows: Vec<StepProbe>,
-    last_probe: Option<ControlPlane>,
-}
+/// Climbs `mode`'s walk world through the store's create path and
+/// probes one throwaway fork of it at every step. The two probe-pick
+/// RNG streams and the migration destination carry over from step to
+/// step, so the steps run in order.
+pub(crate) fn run_walk(store: &Store, mode: ToolstackMode, steps: &[usize]) -> Walk {
+    let spec = walk_spec(mode);
+    let mut src = spec.build_base();
+    let mut records = Vec::new();
+    let link = lvnet::Link::lan();
+    let mut dst = ControlPlane::new(xeon(), 2, mode, 43);
+    let mut rng_ckpt = SimRng::new(CKPT_RNG_SEED);
+    let mut rng_mig = SimRng::new(MIG_RNG_SEED);
+    let mut rows = Vec::with_capacity(steps.len());
+    let mut probes = 0u64;
+    let mut probe_stats = None;
+    let mut made = 0usize;
+    for &n in steps {
+        store.advance(&mut src, &spec.image, made, n, &mut records, None);
+        made = n;
+        let mut probe = src.fork();
 
-impl WalkState {
-    fn new(mode: ToolstackMode) -> WalkState {
-        WalkState {
-            link: lvnet::Link::lan(),
-            dst: ControlPlane::new(xeon(), 2, mode, 43),
-            rng_ckpt: SimRng::new(CKPT_RNG_SEED),
-            rng_mig: SimRng::new(MIG_RNG_SEED),
-            rows: Vec::new(),
-            last_probe: None,
-        }
-    }
-
-    /// Runs both probe families against one throwaway fork of the
-    /// `n`-guest world and records the row. Returns the number of
-    /// probes performed (for the scheduler trace).
-    fn probe_step(&mut self, n: usize, mut probe: ControlPlane) -> u64 {
         // The save/restore round-trips run first — they are
         // population-neutral (every saved domain is restored), so the
         // migration probes that follow still sample an n-guest world.
@@ -127,7 +111,7 @@ impl WalkState {
         let k = PROBES_PER_STEP.min(doms.len());
         let mut save_ms = 0.0;
         let mut restore_ms = 0.0;
-        for idx in self.rng_ckpt.sample_distinct(doms.len(), k) {
+        for idx in rng_ckpt.sample_distinct(doms.len(), k) {
             let (saved, t_save) = probe.save_vm(doms[idx]).expect("saves");
             let (_, t_restore) = probe.restore_vm(&saved).expect("restores");
             save_ms += t_save.as_millis_f64();
@@ -139,90 +123,32 @@ impl WalkState {
         let doms: Vec<_> = probe.vms().map(|(d, _)| *d).collect();
         let mk = PROBES_PER_STEP.min(doms.len());
         let mut migrate_ms = 0.0;
-        for idx in self.rng_mig.sample_distinct(doms.len(), mk) {
+        for idx in rng_mig.sample_distinct(doms.len(), mk) {
             let (new_dom, t) = probe
-                .migrate_vm_to(&mut self.dst, &self.link, doms[idx])
+                .migrate_vm_to(&mut dst, &link, doms[idx])
                 .expect("migrates");
             migrate_ms += t.as_millis_f64();
-            self.dst.destroy_vm(new_dom).expect("destroys");
+            dst.destroy_vm(new_dom).expect("destroys");
         }
 
-        self.rows.push(StepProbe {
+        rows.push(StepProbe {
             n,
             save_ms: save_ms / k as f64,
             restore_ms: restore_ms / k as f64,
             migrate_ms: migrate_ms / mk as f64,
         });
-        self.last_probe = Some(probe);
-        (k + mk) as u64
+        probes += (k + mk) as u64;
+        let out = UnitOutput::from_plane(&probe);
+        probe_stats = Some(WalkStats {
+            virtual_ms: out.virtual_ms,
+            events: out.events,
+        });
     }
-
-    fn into_walk(self, boots: u64) -> Walk {
-        let probe = UnitOutput::from_plane(&self.last_probe.expect("at least one step"));
-        let dst_out = UnitOutput::from_plane(&self.dst);
-        Walk {
-            rows: self.rows,
-            boots,
-            probe: WalkStats {
-                virtual_ms: probe.virtual_ms,
-                events: probe.events,
-            },
-            dst_events: dst_out.events,
-        }
-    }
-}
-
-/// Inline walk (the cache-off path): climbs its own source world
-/// through the store's create path and probes one fork per step.
-pub(crate) fn run_walk(store: &Store, mode: ToolstackMode, steps: &[usize]) -> Walk {
-    let spec = chain_spec(mode);
-    let mut src = spec.build_base();
-    let mut st = WalkState::new(mode);
-    let mut records = Vec::new();
-    let mut made = 0usize;
-    for &n in steps {
-        store.advance(&mut src, &spec.image, made, n, &mut records, None);
-        made = n;
-        st.probe_step(n, src.fork());
-    }
-    st.into_walk(made as u64)
-}
-
-/// Scheduler driver for one walk: probe tasks call
-/// [`WalkBuilder::probe_rung`], and the last one stores the walk in the
-/// run's [`Store`].
-pub(crate) struct WalkBuilder {
-    mode: ToolstackMode,
-    steps: Vec<usize>,
-    spec: WorldSpec,
-    state: Mutex<Option<WalkState>>,
-}
-
-impl WalkBuilder {
-    pub(crate) fn new(mode: ToolstackMode, steps: &[usize]) -> Arc<WalkBuilder> {
-        Arc::new(WalkBuilder {
-            mode,
-            steps: steps.to_vec(),
-            spec: chain_spec(mode),
-            state: Mutex::new(Some(WalkState::new(mode))),
-        })
-    }
-
-    /// Probe-task body for step `i`: forks the World rung the chain
-    /// deposited at `steps[i]` and runs the shared probe body. The
-    /// scheduler's probe(i-1) edge guarantees in-order arrival; the
-    /// assert documents it. The last step also stores the [`Walk`].
-    pub(crate) fn probe_rung(&self, store: &Store, i: usize) -> u64 {
-        let n = self.steps[i];
-        let (probe, _) = store.world_at(&self.spec, n);
-        let mut guard = self.state.lock().expect("walk state lock");
-        let st = guard.as_mut().expect("walk already finished");
-        assert_eq!(st.rows.len(), i, "probe rungs must run in dependency order");
-        let events = st.probe_step(n, probe);
-        if i + 1 == self.steps.len() {
-            let st = guard.take().expect("finished exactly once");
-            store.publish_walk(self.mode, &self.steps, st.into_walk(n as u64));
-        }
-        events
+    Walk {
+        rows,
+        boots: made as u64,
+        probe: probe_stats.expect("at least one step"),
+        dst_events: UnitOutput::from_plane(&dst).events,
+        probes,
     }
 }

@@ -2,21 +2,21 @@
 //! (see [`crate::sched`]) and deterministically reassembles the
 //! figures.
 //!
-//! Each run creates one [`Store`] — the run's chains, World rung
-//! deposits, compute results, walks, reuse switches, shard worker count
-//! and shard-span sink — and hands it to every task body; nothing is
-//! process-global, so concurrent or repeated runs cannot see each
-//! other. The planner turns every distinct resource the units declare —
-//! chain rungs, World rungs, probe walks, compute runs — into explicit
-//! producer tasks, and gates the consuming units on them; the executor
+//! Each run creates one [`Store`] — the run's chains, compute results,
+//! walks, reuse switch, shard worker count and shard-span sink — and
+//! hands it to every task body; nothing is process-global, so
+//! concurrent or repeated runs cannot see each other. The planner turns
+//! every distinct resource the units declare — chain rungs, probe
+//! walks, compute runs — into explicit producer tasks, and gates the
+//! consuming units on them; the executor
 //! then runs the graph critical-path first on `jobs` workers.
 //! Results are written into per-unit slots and the merge walks figures
 //! and units in *declared* order, which makes the output bit-for-bit
 //! independent of scheduling (`--seq`, `--jobs 1` and `--jobs N` all
 //! produce identical artefacts; ci.sh gates this). Determinism is also
 //! guaranteed per task: each task owns the simulated state it touches
-//! (a unit its whole simulation, a chain task its chain under the
-//! chain lock), so no simulated state races across threads.
+//! (a unit or walk its whole simulation, a chain task its chain under
+//! the chain lock), so no simulated state races across threads.
 //!
 //! Allocation and wall-time attribution: counting is per thread and a
 //! task runs entirely on the thread that claimed it, so each task's

@@ -1,20 +1,17 @@
 //! Dependency-aware DAG scheduler for the figure runner.
 //!
-//! Most figure units are cheap *readers* of shared simulated state — a
-//! world-store chain rung, a forked World rung, a probe walk, a compute
-//! run. The planner makes the builds explicit: every distinct resource
-//! a unit declares (see [`Dep`]) becomes exactly one producing task,
-//! and every read is declared on the run's [`Store`] up front:
+//! Most figure units are cheap *readers* of shared results — a
+//! world-store chain rung, a probe walk, a compute run. The planner
+//! makes the builds explicit: every distinct resource a unit declares
+//! (see [`Dep`]) becomes exactly one producing task, and every chain
+//! read is declared on the run's [`Store`] up front:
 //!
 //! * **chain** tasks climb a world-store chain rung by requested rung
 //!   ([`Store::build_to`]), publishing records and rung observables as
-//!   they pass and depositing a snapshot at every declared World rung;
-//! * **probe** tasks fork a walk's World rung and run its destructive
-//!   probes ([`probewalk::WalkBuilder`]); probes chain on each other
-//!   (sequential RNG/destination state) but pipeline behind the chain
-//!   climb, throttled so at most [`PROBE_THROTTLE`] deposits per walk
-//!   are ever live — the memory lesson of the early per-rung snapshot
-//!   cache;
+//!   they pass;
+//! * **probe** tasks each run one whole probe walk
+//!   ([`probewalk::run_walk`](crate::probewalk::run_walk)): climb the
+//!   walk's world and probe a throwaway fork at every step;
 //! * **compute** tasks run the shared overload simulation;
 //! * **unit** tasks are the figure units themselves, gated on their
 //!   declared producers and otherwise free to run anywhere.
@@ -32,7 +29,7 @@
 //! the report's critical-path scan a single reverse pass.
 
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use lightvm::usecases::compute::ComputeConfig;
@@ -40,14 +37,7 @@ use metrics::TaskPerf;
 use toolstack::ToolstackMode;
 
 use crate::figures::{Dep, FigureSpec, UnitOutput};
-use crate::probewalk::{self, WalkBuilder};
 use crate::worldcache::{Key, Store, WorldSpec};
-
-/// Maximum World rungs a walk may have deposited-but-unprobed: chain
-/// rung `i` waits for probe `i - PROBE_THROTTLE`. Keeps the pipeline
-/// deep enough to hide probe latency without holding many megabyte
-/// dense-world forks live.
-const PROBE_THROTTLE: usize = 4;
 
 /// Longest climb a single chain task may perform; larger requested
 /// spans are split into evenly spaced intermediate rungs. 150 boots is
@@ -125,9 +115,9 @@ fn boot_cost_ms(mode: ToolstackMode) -> f64 {
     }
 }
 
-/// Builds the task graph for `specs`, declaring every read it plans on
-/// `store` (chain rungs, World rungs, walks). Returns the figure heads
-/// (stripped of units, for merging) and the plan.
+/// Builds the task graph for `specs`, declaring every chain read it
+/// plans on `store`. Returns the figure heads (stripped of units, for
+/// merging) and the plan.
 ///
 /// With the cache off (`store.cache == false`) no infrastructure tasks
 /// are emitted and units carry no dependencies: each unit body
@@ -165,20 +155,9 @@ pub fn plan(specs: Vec<FigureSpec>, store: &mut Store) -> (Vec<FigureSpec>, Plan
                             need(ws, *rung);
                             store.declare_chain(ws, *rung);
                         }
-                        Dep::World { spec: ws, rung } => {
-                            need(ws, *rung);
-                            store.declare_world(ws, *rung);
-                        }
-                        // A walk's probe task `i` is the one consumer
-                        // of its chain's World rung `steps[i]`.
                         Dep::Walk { mode, steps } => {
                             if !walks.iter().any(|(m, s)| m == mode && s == steps) {
                                 walks.push((*mode, steps.clone()));
-                                let ws = probewalk::chain_spec(*mode);
-                                for &n in steps {
-                                    need(&ws, n);
-                                    store.declare_world(&ws, n);
-                                }
                             }
                         }
                         Dep::Compute { cfg } => {
@@ -219,37 +198,20 @@ pub fn plan(specs: Vec<FigureSpec>, store: &mut Store) -> (Vec<FigureSpec>, Plan
 
     // ---- emit producer tasks (ids are topological: deps come first) ----
     // Chain rung tasks climb in ascending order, each depending on the
-    // previous rung. A walk's probe task follows its rung's chain task
-    // directly, so the throttle edge (chain rung of step `i` waits for
-    // probe `i - PROBE_THROTTLE`) always points at an earlier id.
-    let walk_keys: Vec<Key> = walks.iter().map(|(m, _)| probewalk::chain_spec(*m).key()).collect();
-    let builders: Vec<Arc<WalkBuilder>> =
-        walks.iter().map(|(m, steps)| WalkBuilder::new(*m, steps)).collect();
-    let mut probe_ids: Vec<Vec<usize>> = vec![Vec::new(); walks.len()];
+    // previous rung.
     let mut chain_task: HashMap<(Key, usize), usize> = HashMap::new();
     for req in &chains {
         let key = req.spec.key();
         let mut prev: Option<usize> = None;
         let mut prev_rung = 0usize;
         for &rung in &req.rungs {
-            // (walk, step index) pairs probing this rung.
-            let probing: Vec<(usize, usize)> = (0..walks.len())
-                .filter(|&w| walk_keys[w] == key)
-                .filter_map(|w| walks[w].1.iter().position(|&n| n == rung).map(|i| (w, i)))
-                .collect();
-            let mut deps: Vec<usize> = prev.into_iter().collect();
-            for &(w, i) in &probing {
-                if i >= PROBE_THROTTLE {
-                    deps.push(probe_ids[w][i - PROBE_THROTTLE]);
-                }
-            }
             let id = tasks.len();
             let spec = req.spec.clone();
             tasks.push(Task {
                 kind: "chain",
                 label: format!("chain {}@{rung}", req.spec.label()),
                 figure: String::new(),
-                deps,
+                deps: prev.into_iter().collect(),
                 cost: (rung - prev_rung) as f64 * boot_cost_ms(req.spec.mode),
                 slot: None,
                 body: Body::Infra(Box::new(move |store: &Store| store.build_to(&spec, rung))),
@@ -257,24 +219,24 @@ pub fn plan(specs: Vec<FigureSpec>, store: &mut Store) -> (Vec<FigureSpec>, Plan
             chain_task.insert((key.clone(), rung), id);
             prev = Some(id);
             prev_rung = rung;
-
-            for (w, i) in probing {
-                debug_assert_eq!(probe_ids[w].len(), i, "walk steps ascend");
-                let mut deps = vec![id];
-                deps.extend(probe_ids[w].last());
-                let b = Arc::clone(&builders[w]);
-                probe_ids[w].push(tasks.len());
-                tasks.push(Task {
-                    kind: "probe",
-                    label: format!("probe {}@{rung}", walks[w].0.label()),
-                    figure: String::new(),
-                    deps,
-                    cost: 2.0 + rung as f64 * 0.02,
-                    slot: None,
-                    body: Body::Infra(Box::new(move |store: &Store| b.probe_rung(store, i))),
-                });
-            }
         }
+    }
+
+    // A walk is one task: the whole climb plus a probe pair per step.
+    let walk_base = tasks.len();
+    for (mode, steps) in &walks {
+        let top = steps.last().copied().unwrap_or(0);
+        let probes: f64 = steps.iter().map(|&n| 2.0 + n as f64 * 0.02).sum();
+        let (mode, steps) = (*mode, steps.clone());
+        tasks.push(Task {
+            kind: "probe",
+            label: format!("probe {} ({} steps)", mode.label(), steps.len()),
+            figure: String::new(),
+            deps: Vec::new(),
+            cost: top as f64 * boot_cost_ms(mode) + probes,
+            slot: None,
+            body: Body::Infra(Box::new(move |store: &Store| store.run_walk(mode, &steps))),
+        });
     }
 
     let mut compute_task: HashMap<String, usize> = HashMap::new();
@@ -300,12 +262,10 @@ pub fn plan(specs: Vec<FigureSpec>, store: &mut Store) -> (Vec<FigureSpec>, Plan
                 unit.deps
                     .iter()
                     .map(|dep| match dep {
-                        Dep::Chain { spec: ws, rung } | Dep::World { spec: ws, rung } => {
-                            chain_task[&(ws.key(), *rung)]
-                        }
+                        Dep::Chain { spec: ws, rung } => chain_task[&(ws.key(), *rung)],
                         Dep::Walk { mode, steps } => {
                             let w = walks.iter().position(|(m, s)| m == mode && s == steps);
-                            *probe_ids[w.expect("walk planned")].last().expect("walk has steps")
+                            walk_base + w.expect("walk planned")
                         }
                         Dep::Compute { cfg } => compute_task[&format!("{cfg:?}")],
                     })

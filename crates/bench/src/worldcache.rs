@@ -1,44 +1,37 @@
-//! The per-run world store: every booted world a figure unit reuses,
+//! The per-run world store: the immutable results figure units share,
 //! keyed by what makes a simulation unique — (mode, machine, config,
 //! image, seed). Density sweeps across the figure registry boot the
 //! same worlds to the same guest counts — fig04, fig05, fig09 and the
 //! faults sweep all grow an identical xl world — so the store climbs
-//! each distinct world *chain* once and serves every consumer from it.
+//! each distinct world *chain* once and serves every reader from it.
 //!
 //! [`runner::run`](crate::runner::run) creates one [`Store`] per run and
 //! hands it to every task body; nothing outlives the run, so every run
 //! starts cold and no run can observe another's state. The planner
-//! ([`crate::sched`]) *declares* every read up front, and a chain rung
-//! is the only producer of a reused world:
+//! ([`crate::sched`]) *declares* every read up front, and one producer
+//! task builds each shared result:
 //!
-//! * a chain is its **tip** (the live world, advanced in place by the
+//! * a **chain** is its tip (the live world, advanced in place by the
 //!   chain's rung tasks and dropped once the top declared rung is
 //!   reached) plus per-create records and [`RungInfo`] observables
 //!   published as it climbs — what `Dep::Chain` readers get
-//!   ([`Store::records_at`]);
-//! * a declared **World rung** (`Dep::World`, and every probe-walk
-//!   step) is a [`Snapshot`] the chain task deposits when it reaches
-//!   that rung. Each declared consumer forks it ([`Store::world_at`])
-//!   and the last one drops it.
+//!   ([`Store::records_at`]). The tip is the only live world the store
+//!   ever holds, and only while its chain climbs;
+//! * a **walk** is a finished probe walk ([`probewalk::run_walk`]);
+//! * a **compute** result is a finished overload simulation.
 //!
-//! There is no base snapshot and no replay: reading a rung the chain
-//! has not published is a planner bug and panics with the spec and the
-//! rung. A deposit is held only between its rung task and its last
-//! consumer — an early version of this cache that deposited a snapshot
-//! at *every* density held hundreds of MB live for the whole run and
-//! slowed every later unit 2-4x through allocator and cache pressure.
+//! The store shares results, never live worlds. A unit that mutates a
+//! world (churn, cluster) builds it with [`Store::simulate`] and forks
+//! it itself where it needs copies; the probe walk forks its own
+//! climbing world at every step. Reading a result no producer published
+//! is a planner bug and panics with the spec and the rung.
 //!
-//! Correctness rests on two properties, both pinned by tests:
-//!
-//! * **Forks are faithful.** A forked world is digest-identical to a
-//!   freshly simulated one (`proptest_snapshot.rs`), so measurements
-//!   taken on or after a fork are byte-identical to the uncached run.
-//! * **Chains are deterministic.** A chain is keyed by everything its
-//!   evolution depends on (the simulation is fully seeded), and guests
-//!   are named canonically (`{image}-{index}`), so artefacts do not
-//!   depend on task scheduling order, and a run with `cache: false` —
-//!   every unit [`Store::simulate`]s its world from scratch through the
-//!   same [`Store::advance`] — produces identical bytes.
+//! Correctness rests on determinism: a chain is keyed by everything its
+//! evolution depends on (the simulation is fully seeded), and guests
+//! are named canonically (`{image}-{index}`), so artefacts do not
+//! depend on task scheduling order, and a run with `cache: false` —
+//! every unit [`Store::simulate`]s its world from scratch through the
+//! same [`Store::advance`] — produces identical bytes.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -47,8 +40,8 @@ use std::sync::{Arc, Mutex};
 
 use guests::GuestImage;
 use lightvm::usecases::compute::{self, ComputeConfig, ComputeResult};
+use metrics::RunnerReport;
 use simcore::{Machine, Meter, SimTime};
-use toolstack::snapshot::Snapshot;
 use toolstack::{ControlPlane, ToolstackMode};
 
 use crate::cluster::ShardTrace;
@@ -121,22 +114,25 @@ impl CreateRecord {
     }
 }
 
-/// What one store read did, for the per-unit perf report.
+/// What one store read did, for the per-unit perf report (the run's
+/// totals are the report's sums over units).
 #[derive(Clone, Copy, Default)]
 pub struct CacheStats {
-    /// 1 if a chain rung (beyond the empty base) was reused.
+    /// 1 if a stored result was reused.
     pub hits: u64,
-    /// Snapshot forks performed.
-    pub forks: u64,
-    /// create+boot sequences skipped thanks to chain rungs.
+    /// create+boot sequences the reused result covers.
     pub boots_saved: u64,
 }
 
 impl CacheStats {
+    /// One reuse of a result covering `boots` create+boot sequences.
+    fn reused(boots: u64) -> CacheStats {
+        CacheStats { hits: 1, boots_saved: boots }
+    }
+
     /// Folds these stats into a unit output.
     pub fn into_output(self, out: &mut crate::figures::UnitOutput) {
         out.snapshot_hits += self.hits;
-        out.snapshot_forks += self.forks;
         out.boot_events_saved += self.boots_saved;
     }
 }
@@ -156,11 +152,6 @@ pub struct RungInfo {
     pub log_rotations: u64,
     /// Transaction conflicts so far (fig05 metadata).
     pub txn_conflicts: u64,
-    /// Fast at-rest world digest (DESIGN.md §6h) at this rung. Not a
-    /// figure input — a World rung's deposited snapshot must match it,
-    /// so a deposit that ever diverges from the rung it claims to be
-    /// fails loudly instead of serving a different "density d" world.
-    pub digest: u128,
 }
 
 impl RungInfo {
@@ -172,21 +163,12 @@ impl RungInfo {
             events: stats.requests + stats.watch_events + cp.cpu.tasks_started(),
             log_rotations: cp.xs.log_rotations(),
             txn_conflicts: stats.txn_conflicts,
-            digest: cp.world_digest64_at_rest(),
         }
     }
 }
 
-/// A declared World rung: the snapshot its chain task deposits, and how
-/// many declared consumers have yet to fork it.
 #[derive(Default)]
-struct Deposit {
-    consumers: usize,
-    snap: Option<Arc<Mutex<Snapshot>>>,
-}
-
-#[derive(Default)]
-pub(crate) struct Chain {
+struct Chain {
     records: Vec<CreateRecord>,
     /// Guests booted on the tip so far.
     at: usize,
@@ -198,15 +180,14 @@ pub(crate) struct Chain {
     /// Observables published at every ladder rung crossed and at every
     /// rung task's target.
     info: HashMap<usize, RungInfo>,
-    deposits: HashMap<usize, Deposit>,
 }
 
 type WalkKey = (&'static str, Vec<usize>);
 
 /// One run's reuse state and configuration. See the module docs.
 pub struct Store {
-    /// Reuse worlds through chains (`runall --no-snapshot-cache` clears
-    /// it: every unit simulates from scratch, byte-identically).
+    /// Share results between units (`runall --no-snapshot-cache` clears
+    /// it: every unit simulates what it reads, byte-identically).
     pub cache: bool,
     /// Worker threads the cluster units' shard executor may use (the
     /// runner's worker budget; artefact bytes never depend on it).
@@ -217,9 +198,6 @@ pub struct Store {
     /// Per-worker shard spans the cluster units recorded, appended to
     /// the runner's task trace as `shard` rows.
     pub(crate) shard_trace: Mutex<Vec<ShardTrace>>,
-    hits: AtomicU64,
-    forks: AtomicU64,
-    boots_saved: AtomicU64,
     boots_simulated: AtomicU64,
 }
 
@@ -238,27 +216,16 @@ impl Store {
             computes: Mutex::new(HashMap::new()),
             walks: Mutex::new(HashMap::new()),
             shard_trace: Mutex::new(Vec::new()),
-            hits: AtomicU64::new(0),
-            forks: AtomicU64::new(0),
-            boots_saved: AtomicU64::new(0),
             boots_simulated: AtomicU64::new(0),
         }
     }
 
     /// Declares a read of `spec`'s chain at `rung` (records + rung
     /// observables). Plan time only.
-    pub(crate) fn declare_chain(&mut self, spec: &WorldSpec, rung: usize) -> &mut Chain {
+    pub(crate) fn declare_chain(&mut self, spec: &WorldSpec, rung: usize) {
         let chain = self.chains.entry(spec.key()).or_default();
         let chain = chain.get_mut().expect("worldcache chain lock");
         chain.top = chain.top.max(rung);
-        chain
-    }
-
-    /// Declares one consumer of the world at `spec`'s `rung`: the chain
-    /// task deposits a snapshot there, and this consumer forks it once.
-    pub(crate) fn declare_world(&mut self, spec: &WorldSpec, rung: usize) {
-        let chain = self.declare_chain(spec, rung);
-        chain.deposits.entry(rung).or_default().consumers += 1;
     }
 
     fn chain(&self, spec: &WorldSpec, rung: usize) -> std::sync::MutexGuard<'_, Chain> {
@@ -305,8 +272,9 @@ impl Store {
         }
     }
 
-    /// The `cache: false` reference: simulates `spec`'s world to `n`
-    /// guests from scratch, through the same [`Store::advance`].
+    /// Simulates `spec`'s world to `n` guests from scratch, through the
+    /// same [`Store::advance`] chains climb: the `cache: false` path of
+    /// every reader, and how a unit that mutates a world builds it.
     pub fn simulate(&self, spec: &WorldSpec, n: usize) -> (ControlPlane, Vec<CreateRecord>) {
         let mut cp = spec.build_base();
         let mut records = Vec::with_capacity(n);
@@ -315,9 +283,9 @@ impl Store {
     }
 
     /// Chain-task body: climbs `spec`'s tip in place to `target`,
-    /// publishing records and rung observables on the way, deposits a
-    /// snapshot if `target` is a declared World rung, and drops the tip
-    /// at the chain's top rung. Returns the boots this call simulated.
+    /// publishing records and rung observables on the way, and drops
+    /// the tip at the chain's top rung. Returns the boots this call
+    /// simulated.
     pub fn build_to(&self, spec: &WorldSpec, target: usize) -> u64 {
         let mut guard = self.chain(spec, target);
         let chain = &mut *guard;
@@ -332,16 +300,6 @@ impl Store {
         let boots = (target - chain.at) as u64;
         self.advance(world, &spec.image, chain.at, target, &mut chain.records, Some(&mut chain.info));
         chain.at = target;
-        if let Some(deposit) = chain.deposits.get_mut(&target) {
-            let snap = world.snapshot();
-            assert_eq!(
-                snap.digest(),
-                chain.info[&target].digest,
-                "worldcache: {} world rung {target} diverged from its published digest",
-                spec.label()
-            );
-            deposit.snap = Some(Arc::new(Mutex::new(snap)));
-        }
         let spent = if target == chain.top { chain.tip.take() } else { None };
         drop(guard);
         // Nobody can read past the top rung: free the tip off the lock.
@@ -363,49 +321,11 @@ impl Store {
         });
         let records = chain.records[..target].to_vec();
         drop(chain);
-        (info, records, self.reused(target, 0))
-    }
-
-    /// Forks the world `spec`'s chain deposited at `rung` (a declared
-    /// World rung; the last declared consumer drops the deposit). With
-    /// the cache off, simulates the world instead.
-    pub fn world_at(&self, spec: &WorldSpec, rung: usize) -> (ControlPlane, CacheStats) {
-        if !self.cache {
-            let (cp, _) = self.simulate(spec, rung);
-            return (cp, CacheStats::default());
-        }
-        let mut chain = self.chain(spec, rung);
-        let deposit = chain.deposits.get_mut(&rung);
-        let Some(Deposit { consumers, snap: Some(snap) }) = deposit else {
-            panic!("worldcache: {} world {rung} read before its chain task deposited it", spec.label())
+        let stats = match target {
+            0 => CacheStats::default(),
+            _ => CacheStats::reused(target as u64),
         };
-        let snap = Arc::clone(snap);
-        *consumers -= 1;
-        if *consumers == 0 {
-            chain.deposits.remove(&rung);
-        }
-        drop(chain);
-        // The last consumer takes the deposit itself instead of a copy.
-        let cp = match Arc::try_unwrap(snap) {
-            Ok(last) => last.into_inner().expect("deposit lock").into_plane(),
-            Err(shared) => shared.lock().expect("deposit lock").fork(),
-        };
-        (cp, self.reused(rung, 1))
-    }
-
-    /// Counts one reuse of a `boots`-guest world (plus `forks` forks).
-    fn reused(&self, boots: usize, forks: u64) -> CacheStats {
-        if boots == 0 {
-            return CacheStats::default();
-        }
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        self.forks.fetch_add(forks, Ordering::Relaxed);
-        self.boots_saved.fetch_add(boots as u64, Ordering::Relaxed);
-        CacheStats {
-            hits: 1,
-            forks,
-            boots_saved: boots as u64,
-        }
+        (info, records, stats)
     }
 
     /// Compute-task body: runs the overload simulation for `cfg` and
@@ -431,28 +351,27 @@ impl Store {
             .get(&format!("{cfg:?}"))
             .cloned()
             .unwrap_or_else(|| panic!("worldcache: compute {cfg:?} read before its task ran"));
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        (r, CacheStats { hits: 1, ..CacheStats::default() })
+        (r, CacheStats::reused(0))
     }
 
-    /// Installs the walk the last probe task assembled.
-    pub(crate) fn publish_walk(&self, mode: ToolstackMode, steps: &[usize], walk: Walk) {
+    /// Walk-task body: runs `mode`'s probe walk over `steps` and keeps
+    /// it for the units that declared it. Returns the probes it ran
+    /// (the trace's event count).
+    pub(crate) fn run_walk(&self, mode: ToolstackMode, steps: &[usize]) -> u64 {
+        let w = probewalk::run_walk(self, mode, steps);
+        let probes = w.probes;
         self.walks
             .lock()
             .expect("walk lock")
-            .insert((mode.label(), steps.to_vec()), Arc::new(walk));
+            .insert((mode.label(), steps.to_vec()), Arc::new(w));
+        probes
     }
 
-    /// `mode`'s probe walk over `steps`: the one its probe tasks built,
-    /// or an inline walk with the cache off.
+    /// `mode`'s probe walk over `steps`: the one its walk task ran, or
+    /// an inline walk with the cache off.
     pub fn walk(&self, mode: ToolstackMode, steps: &[usize]) -> (Arc<Walk>, CacheStats) {
         if !self.cache {
-            let w = probewalk::run_walk(self, mode, steps);
-            let stats = CacheStats {
-                forks: w.rows.len() as u64,
-                ..CacheStats::default()
-            };
-            return (Arc::new(w), stats);
+            return (Arc::new(probewalk::run_walk(self, mode, steps)), CacheStats::default());
         }
         let w = self
             .walks
@@ -460,75 +379,29 @@ impl Store {
             .expect("walk lock")
             .get(&(mode.label(), steps.to_vec()))
             .cloned()
-            .unwrap_or_else(|| panic!("worldcache: walk {} read before its probes ran", mode.label()));
-        (Arc::clone(&w), self.reused(w.boots as usize, 0))
+            .unwrap_or_else(|| panic!("worldcache: walk {} read before its task ran", mode.label()));
+        let stats = CacheStats::reused(w.boots);
+        (w, stats)
     }
 
-    /// create+boot sequences chain climbs (or uncached builds) ran.
+    /// create+boot sequences every world built this run ran (chain
+    /// climbs, walks and self-built worlds alike).
     pub fn boots_simulated(&self) -> u64 {
         self.boots_simulated.load(Ordering::Relaxed)
     }
 
-    /// One-line run summary for runall.
-    pub fn summary(&self) -> String {
+    /// One-line run summary for runall; reuse counts are the `report`'s
+    /// sums over its units.
+    pub fn summary(&self, report: &RunnerReport) -> String {
         if !self.cache {
             return "worldcache disabled (--no-snapshot-cache)".to_string();
         }
         format!(
-            "worldcache: {} chains, {} hits, {} forks, {} boots saved ({} simulated)",
+            "worldcache: {} chains, {} hits, {} boots saved ({} simulated)",
             self.chains.len(),
-            self.hits.load(Ordering::Relaxed),
-            self.forks.load(Ordering::Relaxed),
-            self.boots_saved.load(Ordering::Relaxed),
+            report.units.iter().map(|u| u.snapshot_hits).sum::<u64>(),
+            report.total_boots_saved(),
             self.boots_simulated(),
         )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use simcore::MachinePreset;
-
-    fn spec() -> WorldSpec {
-        WorldSpec {
-            machine: Machine::preset(MachinePreset::XeonE5_1630V3),
-            dom0_cores: 1,
-            mode: ToolstackMode::Xl,
-            image: GuestImage::unikernel_daytime(),
-            seed: 42,
-        }
-    }
-
-    /// A World rung below the tip is served from its deposit: the fork
-    /// is the 10-guest world, and reading it boots nothing.
-    #[test]
-    fn world_rung_below_the_tip_is_a_fork_not_a_replay() {
-        let spec = spec();
-        let mut store = Store::default();
-        store.declare_world(&spec, 10);
-        store.declare_chain(&spec, 30);
-        store.build_to(&spec, 10);
-        store.build_to(&spec, 30);
-
-        let simulated = store.boots_simulated();
-        assert_eq!(simulated, 30);
-        let (mut world, stats) = store.world_at(&spec, 10);
-        assert_eq!(store.boots_simulated(), simulated, "the read simulated boots");
-        assert_eq!(stats.boots_saved, 10);
-        assert_eq!((stats.hits, stats.forks), (1, 1));
-
-        let (mut fresh, _) = Store::new(false).simulate(&spec, 10);
-        assert_eq!(world.world_digest64(), fresh.world_digest64());
-    }
-
-    /// Reading a rung no chain task published is a planner bug.
-    #[test]
-    #[should_panic(expected = "read before its chain task deposited it")]
-    fn reading_an_undeposited_world_panics() {
-        let spec = spec();
-        let mut store = Store::default();
-        store.declare_world(&spec, 5);
-        store.world_at(&spec, 5);
     }
 }

@@ -47,7 +47,8 @@ fn worker_count_does_not_change_output() {
 }
 
 /// Every run starts cold, so each one really exercises the producers:
-/// its trace holds chain, probe and compute tasks.
+/// its trace holds chain tasks, probe tasks (one per probe walk) and
+/// compute tasks.
 fn assert_producers_ran(report: &metrics::RunnerReport, jobs: usize) {
     for kind in ["chain", "probe", "compute"] {
         assert!(
@@ -123,7 +124,7 @@ fn plan_is_acyclic_with_unique_producers() {
     }
 
     // Units that declared dependencies got them wired: spot-check every
-    // dependency flavour (cluster units read World rungs).
+    // dependency flavour.
     let dep_kinds = |figure: &str| -> Vec<&'static str> {
         tasks
             .iter()
@@ -135,9 +136,29 @@ fn plan_is_acyclic_with_unique_producers() {
     assert!(dep_kinds("fig13").iter().all(|&k| k == "probe"));
     assert_eq!(dep_kinds("fig13").len(), 4);
     assert!(dep_kinds("fig17").contains(&"compute"));
-    let cluster = dep_kinds("cluster");
-    assert_eq!(cluster.len(), 6, "every cluster unit reads one World rung");
-    assert!(cluster.iter().all(|&k| k == "chain"));
+
+    // A probe walk is one producer task that climbs its own world: one
+    // per distinct walk (fig12a/b and fig13 share four), with no
+    // dependencies, and no chain exists only to feed a walk (the walks'
+    // 2-Dom0-core worlds have no other reader).
+    let probes: Vec<_> = tasks.iter().filter(|t| t.kind == "probe").collect();
+    assert_eq!(probes.len(), 4, "one probe task per distinct walk");
+    assert!(probes.iter().all(|t| t.deps.is_empty()), "probe tasks have no dependencies");
+    assert!(
+        !tasks.iter().any(|t| t.kind == "chain" && t.label.contains("/2c/")),
+        "a chain task was planned for a walk-only world"
+    );
+
+    // Units that mutate a world build it themselves: no churn or
+    // cluster unit waits on a producer.
+    for figure in ["churn", "cluster"] {
+        let units: Vec<_> = tasks
+            .iter()
+            .filter(|t| t.kind == "unit" && t.figure == figure)
+            .collect();
+        assert_eq!(units.len(), 6, "{figure} units");
+        assert!(units.iter().all(|t| t.deps.is_empty()), "{figure} unit has dependencies");
+    }
 
     // Every unit survived planning (heads come back drained, so count
     // against a fresh registry).

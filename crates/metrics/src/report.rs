@@ -36,13 +36,14 @@ pub struct UnitPerf {
     /// counting allocator is not installed — see
     /// [`RunnerReport::alloc_counting`]).
     pub allocs: u64,
-    /// World/compute-cache hits the unit benefited from (cached prefix
-    /// or memoized result reused; 0 with the cache disabled).
+    /// World-store results the unit reused (chain rung, probe walk or
+    /// compute run; 0 with the cache disabled).
     pub snapshot_hits: u64,
-    /// Snapshot forks the unit performed (cache resumes plus its own
-    /// throwaway probe forks).
+    /// World forks the unit performed itself (pristine hosts, stamped
+    /// cluster hosts).
     pub snapshot_forks: u64,
-    /// create+boot sequences the world cache saved the unit.
+    /// create+boot sequences the reused results cover (boots the unit
+    /// did not simulate itself).
     pub boot_events_saved: u64,
 }
 
@@ -152,7 +153,7 @@ impl UnitPerf {
 }
 
 /// One scheduled task in the runner's dependency graph: a figure unit,
-/// a worldcache chain rung, a probe-walk step or a memoized compute
+/// a worldcache chain rung, a whole probe walk or a shared compute
 /// run. The trace records when it ran, on which worker, and what it
 /// depended on — enough to reconstruct the schedule and its critical
 /// path offline.
@@ -160,8 +161,9 @@ impl UnitPerf {
 pub struct TaskPerf {
     /// Task id (index into the trace; `deps` refer to these).
     pub id: u64,
-    /// Task kind: `"unit"`, `"chain"`, `"probe"` or `"compute"` for
-    /// scheduled tasks; `"shard"` for the cluster units' per-worker
+    /// Task kind: `"unit"`, `"chain"`, `"probe"` (one whole probe walk:
+    /// its climb plus one fork and its probes per step) or `"compute"`
+    /// for scheduled tasks; `"shard"` for the cluster units' per-worker
     /// shard spans, which are informational — their wall is contained
     /// in their owning unit's row, so every aggregate below excludes
     /// them.
@@ -176,8 +178,8 @@ pub struct TaskPerf {
     pub start_ms: f64,
     pub end_ms: f64,
     /// Simulation work the task itself performed (boots for chain
-    /// tasks, probes for probe tasks, own events for units; 0 where
-    /// the task only reads caches).
+    /// tasks, probes run for probe tasks, own events for units; 0
+    /// where the task only reads caches).
     pub events: u64,
     /// Heap allocations made while the task ran on its thread.
     pub allocs: u64,

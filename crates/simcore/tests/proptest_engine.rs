@@ -82,7 +82,7 @@ fn trial(seed: u64, ops: usize) {
     // — stale cancels are exercised via ids we keep anyway).
     let mut ids: Vec<EventId> = Vec::new();
 
-    let mut check = |engine: &Engine, tag: &str| {
+    let check = |engine: &Engine, tag: &str| {
         let m = model.borrow();
         assert_eq!(*fired_log.borrow(), m.log, "seed {seed}: firing order ({tag})");
         assert_eq!(engine.pending(), m.pending(), "seed {seed}: pending ({tag})");

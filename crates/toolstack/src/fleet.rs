@@ -2,11 +2,11 @@
 //!
 //! The cluster layer (DESIGN.md §6j) runs thousands of host worlds in
 //! one figure. Building each host by replaying its boot chain would
-//! cost O(hosts × boots); instead one *template* host is built (or
-//! pulled from the bench world cache) per (toolstack, machine, density)
-//! configuration and every cluster host is *stamped* from it — a
-//! structure-sharing [`Snapshot::fork`], so stamping is O(hosts) clone
-//! work with the store and interner shared until first write.
+//! cost O(hosts × boots); instead one *template* host is built per
+//! (toolstack, machine, density) configuration and every cluster host
+//! is *stamped* from it — a structure-sharing [`ControlPlane::fork`],
+//! so stamping is O(hosts) clone work with the store and interner
+//! shared until first write.
 //!
 //! Stamped hosts differ from the template in exactly two declared ways:
 //!
@@ -25,12 +25,11 @@
 //! which `proptest_cluster.rs` pins.
 
 use crate::plane::ControlPlane;
-use crate::snapshot::Snapshot;
 use simcore::SimRng;
 
 /// A prewarmed host world ready to be stamped out across a cluster.
 pub struct HostTemplate {
-    snap: Snapshot,
+    world: ControlPlane,
     digest: u128,
     guests: usize,
     domid_limit: u32,
@@ -55,7 +54,7 @@ impl HostTemplate {
         // thousand-host fleet under one process's comfortable RSS.
         world.xs.store().freeze_shared();
         HostTemplate {
-            snap: world.snapshot(),
+            world: world.fork(),
             digest,
             guests: world.running_count(),
             domid_limit,
@@ -64,7 +63,7 @@ impl HostTemplate {
 
     /// Stamps host `host_id`: fork + domid recycling + per-host RNG.
     pub fn stamp(&self, host_id: u64) -> ControlPlane {
-        let mut cp = self.snap.fork();
+        let mut cp = self.world.fork();
         cp.hv.set_domid_limit(self.domid_limit);
         cp.restamp(host_id);
         cp
@@ -100,7 +99,7 @@ pub fn domid_limit_for(world: &ControlPlane, guest_headroom: u32) -> u32 {
 
 impl ControlPlane {
     /// Re-seeds the toolstack RNG as a pure function of the current
-    /// stream state and `host_id`. All forks of one snapshot share the
+    /// stream state and `host_id`. All forks of one template share the
     /// same stream state, so stamping host `i` always yields the same
     /// world no matter how many siblings were stamped before it — the
     /// property that keeps cluster artefacts byte-identical across

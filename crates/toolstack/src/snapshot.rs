@@ -1,73 +1,42 @@
-//! World snapshots: copy-on-write forks of a booted control plane.
+//! World forks and world digests.
 //!
-//! A [`Snapshot`] captures the full simulated world — xenstored (node
-//! table, sibling chains, interner, watch table, transaction log),
-//! hypervisor (domains, memory reservations, grants, event channels),
-//! device back-ends and the software switch, and toolstack bookkeeping
-//! (shell pool, RNG streams, meters, per-image counters). The capture
-//! is a structure-sharing clone: node values are `Arc<[u8]>` and the
-//! interner's symbols are `Arc<str>`, so most of the store copies as
-//! reference bumps; the flat tables (nodes, domains, grants, channels)
-//! memcpy. Forking a snapshot yields a [`ControlPlane`] that is
-//! digest-identical to one freshly simulated to the same point — the
-//! simulation is fully seeded and the clone is faithful, which
+//! [`ControlPlane::fork`] copies the full simulated world — xenstored
+//! (node table, sibling chains, interner, watch table, transaction
+//! log), hypervisor (domains, memory reservations, grants, event
+//! channels), device back-ends and the software switch, and toolstack
+//! bookkeeping (shell pool, RNG streams, meters, per-image counters).
+//! The copy is a structure-sharing clone: node values are `Arc<[u8]>`
+//! and the interner's symbols are `Arc<str>`, so most of the store
+//! copies as reference bumps; the flat tables (nodes, domains, grants,
+//! channels) memcpy. A fork is digest-identical to a world freshly
+//! simulated to the same point — the simulation is fully seeded and
+//! the clone is faithful, which
 //! `crates/toolstack/tests/proptest_snapshot.rs` pins per mode, density
 //! step and seed.
 //!
-//! The engine's timing wheel is *not* part of a snapshot: pending
-//! events hold boxed closures (uncloneable), and a `ControlPlane`
-//! advances purely on virtual time (`CpuSim`) without owning an
-//! engine, so there is nothing to capture. Units that drive an engine
-//! (jit) keep their own state and do not fork.
+//! The engine's timing wheel is *not* part of a fork: pending events
+//! hold boxed closures (uncloneable), and a `ControlPlane` advances
+//! purely on virtual time (`CpuSim`) without owning an engine, so there
+//! is nothing to copy. Units that drive an engine (jit) keep their own
+//! state and do not fork.
 //!
-//! Mutating a fork never disturbs the snapshot (or other forks): writes
+//! Mutating a fork never disturbs the original (or other forks): writes
 //! that would edit a shared `Arc<[u8]>` in place fail the
 //! `Arc::get_mut` uniqueness check and fall back to a fresh buffer, so
 //! sharing is invisible except as saved allocations.
+//!
+//! The digests compare worlds: [`ControlPlane::world_digest`] renders
+//! everything a create can allocate, and
+//! [`ControlPlane::world_digest64`] is its incremental `u128` form.
 
 use crate::plane::ControlPlane;
 use simcore::Meter;
 use xenstore::{Mix128, XsPath};
 
-/// A captured world state that can be forked into new control planes.
-///
-/// Cheap to hold (one structure-sharing clone) and cheap to fork
-/// (another). Create one with [`ControlPlane::snapshot`].
-#[derive(Clone)]
-pub struct Snapshot {
-    world: ControlPlane,
-}
-
-impl Snapshot {
-    /// Resumes simulation from the captured state: returns a control
-    /// plane byte-identical to the world at capture time.
-    pub fn fork(&self) -> ControlPlane {
-        self.world.clone()
-    }
-
-    /// [`Snapshot::fork`] for the snapshot's last use: hands over the
-    /// captured world itself instead of copying it.
-    pub fn into_plane(self) -> ControlPlane {
-        self.world
-    }
-
-    /// The captured world's [`ControlPlane::world_digest64_at_rest`].
-    pub fn digest(&self) -> u128 {
-        self.world.world_digest64_at_rest()
-    }
-}
-
 impl ControlPlane {
-    /// Captures the current world state as a [`Snapshot`].
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            world: self.clone(),
-        }
-    }
-
-    /// Forks the live world directly: a throwaway copy for destructive
-    /// probes (save/restore, migration) that must not disturb the
-    /// original. Equivalent to `self.snapshot().fork()` in one clone.
+    /// Forks the world: an independent copy to continue from, or a
+    /// throwaway one for destructive probes (save/restore, migration)
+    /// that must not disturb the original.
     pub fn fork(&self) -> ControlPlane {
         self.clone()
     }
@@ -137,7 +106,7 @@ impl ControlPlane {
     }
 
     /// [`ControlPlane::world_digest64`] without the Dom0 drain: pure
-    /// `&self`, usable on shared snapshots. Includes per-connection
+    /// `&self`, usable on shared worlds. Includes per-connection
     /// pending event counts, so it only equals another world's digest
     /// when both are at the same delivery point — compare like with
     /// like (two captured rungs, two quiescent forks), or drain first
@@ -194,10 +163,9 @@ fn digest_walk(cp: &ControlPlane, path: &XsPath, out: &mut String) {
 mod sanity {
     use super::*;
 
-    // The bench world store hands snapshots across runner threads.
+    // The bench world store climbs chain tips on runner threads.
     fn _assert_send<T: Send>() {}
-    fn _snapshot_is_send() {
-        _assert_send::<Snapshot>();
+    fn _plane_is_send() {
         _assert_send::<ControlPlane>();
     }
 
@@ -215,8 +183,7 @@ mod sanity {
         for i in 0..3 {
             cp.create_and_boot(&format!("daytime-{i}"), &img).unwrap();
         }
-        let snap = cp.snapshot();
-        let mut fork = snap.fork();
+        let mut fork = cp.fork();
         assert_eq!(cp.world_digest(), fork.world_digest());
         assert_eq!(cp.world_digest64(), fork.world_digest64());
         assert_eq!(cp.world_digest64_at_rest(), fork.world_digest64_at_rest());

@@ -1,13 +1,13 @@
-//! Property tests of the world snapshot/fork subsystem (DESIGN.md §6e):
-//! a forked world is indistinguishable from a freshly simulated one.
+//! Property tests of world forks (DESIGN.md §6e): a forked world is
+//! indistinguishable from a freshly simulated one.
 //!
 //! Two properties, each swept over every toolstack mode × density step
 //! × 8 seeds (the build environment is offline, so the sweep is a
 //! seeded loop rather than proptest):
 //!
-//! 1. **Fork-resume fidelity.** Snapshot a world at `k` guests, fork,
-//!    boot the fork to `n`, and the digest equals the world simulated
-//!    straight to `n` — so a figure forking a cached prefix measures
+//! 1. **Fork-resume fidelity.** Fork a world at `k` guests, boot the
+//!    fork to `n`, and the digest equals the world simulated straight
+//!    to `n` — so a figure continuing from a fork measures
 //!    byte-identical values.
 //! 2. **Sequence equivalence + isolation.** A create/destroy/save/
 //!    restore sequence run on a fork returns the same latencies and
@@ -56,18 +56,17 @@ fn fork_resumed_from_any_step_matches_fresh_simulation() {
     let target = *STEPS.last().unwrap();
     for mode in MODES {
         for seed in SEEDS {
-            // Straight-line reference build, snapshotting along the way.
+            // Straight-line reference build, forking along the way.
             let mut cp = base_plane(mode, seed);
-            let mut snaps = Vec::new();
+            let mut forks = Vec::new();
             let mut done = 0;
             for &k in &STEPS {
                 advance(&mut cp, done, k);
                 done = k;
-                snaps.push((k, cp.snapshot()));
+                forks.push((k, cp.fork()));
             }
             let reference = cp.world_digest64();
-            for (k, snap) in snaps {
-                let mut fork = snap.fork();
+            for (k, mut fork) in forks {
                 advance(&mut fork, k, target);
                 assert_eq!(
                     fork.world_digest64(),
