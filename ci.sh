@@ -13,8 +13,9 @@
 # coarse band that only trips on real regressions, not
 # machine-to-machine noise), if the density hot path allocates again
 # (deterministic allocs/event > 1.0; the allocation-free request path
-# landed at 0.432), or if guest teardown slows down as the host ages
-# (benchmark churn-xl destroy_growth > 2.0).
+# landed at 0.432), if guest teardown slows down as the host ages
+# (benchmark churn-xl destroy_growth > 2.0), or if the full-scale
+# sequential run's cluster units peak above 200 000 KiB resident.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -35,12 +36,12 @@ test_log="$(mktemp)"
 cargo test -q --workspace 2>&1 | tee "$test_log"
 # Suite-count guard: a botched invocation (or a workspace edit that
 # drops crates from the build) silently shrinks coverage. The workspace
-# runs 72 test binaries; fail loudly if any of them did not run.
+# runs 73 test binaries; fail loudly if any of them did not run.
 suites=$(grep -c '^test result: ok' "$test_log" || true)
 rm -f "$test_log"
-echo "workspace test suites: $suites (guard: >= 72)"
-if [ "$suites" -lt 72 ]; then
-  echo "ci: only $suites test suite(s) ran — workspace coverage lost (expected >= 72)" >&2
+echo "workspace test suites: $suites (guard: >= 73)"
+if [ "$suites" -lt 73 ]; then
+  echo "ci: only $suites test suite(s) ran — workspace coverage lost (expected >= 73)" >&2
   exit 1
 fi
 
@@ -193,9 +194,12 @@ echo "== fault-free baseline gate (full scale vs committed results/) =="
 # the full-scale byte-identity guarantee.
 for J in 1 2 8; do
   FULL_DIR="$FIG_DIR/full-j$J"
+  mkdir -p "$FULL_DIR"
+  # stderr is kept for the cluster memory gate below, then echoed.
   LIGHTVM_FIG_DIR="$FULL_DIR" \
     cargo run --release -p bench --bin runall -- --jobs "$J" \
-    --report "$FULL_DIR/bench_runner.json"
+    --report "$FULL_DIR/bench_runner.json" 2> "$FULL_DIR/runall.stderr"
+  cat "$FULL_DIR/runall.stderr" >&2
   for id in fig01 fig02 fig04 fig05 fig09 fig10 fig11 fig12a fig12b \
             fig13 fig14 fig15 fig16a fig16b fig16c fig17 fig18 ablations \
             faults churn cluster; do
@@ -222,6 +226,25 @@ guests_total=$(sum_meta guests)
 echo "cluster scale: $hosts_total hosts, $guests_total guests (gate: >= 1000 / >= 100000)"
 if [ "$hosts_total" -lt 1000 ] || [ "$guests_total" -lt 100000 ]; then
   echo "ci: cluster figure below datacenter scale ($hosts_total hosts, $guests_total guests)" >&2
+  exit 1
+fi
+
+echo "== cluster memory gate (full scale, --jobs 1) =="
+# Each cluster ladder unit prints the process's peak RSS (VmHWM, a
+# lifetime high-water mark, so in a sequential run it bounds every unit
+# so far). A stamped host must cost what its fork writes (DESIGN.md
+# §6j): with 3 x 1111 hosts the whole sequential run peaked at ~116 MB;
+# when every fork copied an empty interner table and per-guest buffers
+# it peaked at ~333 MB.
+rss_max_kib=200000
+rss_values=$(grep -o 'process_peak_rss_kib=[0-9]*' "$FIG_DIR/full-j1/runall.stderr" \
+  | grep -o '[0-9]*$' || true)
+rss_lines=$(printf '%s\n' "$rss_values" | grep -c '[0-9]' || true)
+rss_peak=$(printf '%s\n' "$rss_values" | awk 'BEGIN { m = 0 } $1 > m { m = $1 } END { print m }')
+echo "cluster process peak RSS: $rss_peak KiB over $rss_lines ladder lines (gate: 3 lines, each <= $rss_max_kib KiB)"
+if [ "$rss_lines" -ne 3 ] || [ "$rss_peak" -gt "$rss_max_kib" ]; then
+  echo "ci: cluster memory gate: expected 3 ladder lines each <= $rss_max_kib KiB, got $rss_lines peaking at $rss_peak KiB" >&2
+  grep 'process_peak_rss_kib' "$FIG_DIR/full-j1/runall.stderr" >&2 || true
   exit 1
 fi
 

@@ -487,9 +487,12 @@ fn absorb_hosts(out: &mut UnitOutput, hosts: &[Option<Host>], base: &UnitOutput)
     guests
 }
 
-/// Peak RSS of this process in KiB (0 when /proc is unavailable).
-/// Wall-side observability only — never enters the artefacts.
-fn peak_rss_kib() -> u64 {
+/// Peak RSS of the whole process in KiB (`VmHWM`; 0 when /proc is
+/// unavailable). This is the process's lifetime high-water mark, not
+/// the unit's: in a sequential run every later unit reports the largest
+/// peak of any unit before it. Wall-side observability only — never
+/// enters the artefacts.
+fn process_peak_rss_kib() -> u64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|s| {
@@ -565,9 +568,9 @@ fn ladder_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
         let wall = wall0.elapsed().as_secs_f64();
         eprintln!(
             "# cluster {label}: {hosts_total} hosts, {guests_total} guests in {wall:.2}s \
-             ({:.0} guests/s), peak_rss_kib={}",
+             ({:.0} guests/s), process_peak_rss_kib={}",
             guests_total as f64 / wall.max(1e-9),
-            peak_rss_kib(),
+            process_peak_rss_kib(),
         );
         out
     })

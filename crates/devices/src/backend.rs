@@ -64,8 +64,10 @@ impl std::fmt::Display for DevError {
 
 impl std::error::Error for DevError {}
 
-/// Back-end state for one device.
-#[derive(Clone, Debug)]
+/// Back-end state for one device. Plain data with no heap buffer, so a
+/// forked back-end copies its table in one allocation; a vif's MAC is
+/// derived on demand by [`Backend::mac_for`].
+#[derive(Clone, Copy, Debug)]
 pub struct BackendDevice {
     /// Front-end domain.
     pub dom: DomId,
@@ -79,8 +81,6 @@ pub struct BackendDevice {
     pub grant: GrantRef,
     /// Front-end's local port once bound.
     pub frontend_port: Option<EvtchnPort>,
-    /// MAC address (for vifs).
-    pub mac: String,
 }
 
 /// A back-end driver instance, normally in Dom0 but optionally in a
@@ -158,7 +158,6 @@ impl Backend {
                 evtchn,
                 grant,
                 frontend_port: None,
-                mac: Self::mac_for(dom, devid),
             },
         );
         Ok((evtchn, grant))

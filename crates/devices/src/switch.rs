@@ -4,7 +4,7 @@
 //! §4.1). For the control-plane experiments only port management matters;
 //! data-path behaviour (throughput sharing, overload) lives in `lvnet`.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use hypervisor::DomId;
 use simcore::{Category, CostModel, Meter};
@@ -12,16 +12,22 @@ use simcore::{Category, CostModel, Meter};
 /// Switch errors.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SwitchError {
-    /// Port name already attached.
+    /// Port already attached.
     PortExists,
     /// No such port.
     NoSuchPort,
 }
 
-/// A software switch: named ports mapping to guest domains.
+/// A software switch: vif ports of guest domains.
+///
+/// Ports are keyed by `(domain, devid)`, the pair a vif name encodes
+/// ([`SoftwareSwitch::vif_name`] renders it for display). Value keys
+/// keep `add_port` allocation-free and let a forked switch copy its
+/// table without one string per port; ordering by domain makes
+/// [`SoftwareSwitch::drop_domain`] a range removal.
 #[derive(Clone, Default, Debug)]
 pub struct SoftwareSwitch {
-    ports: BTreeMap<String, DomId>,
+    ports: BTreeSet<(DomId, u32)>,
 }
 
 impl SoftwareSwitch {
@@ -30,43 +36,51 @@ impl SoftwareSwitch {
         SoftwareSwitch::default()
     }
 
-    /// Attaches a vif port.
+    /// Attaches vif `devid` of `dom`.
     pub fn add_port(
         &mut self,
         cost: &CostModel,
         meter: &mut Meter,
-        name: &str,
         dom: DomId,
+        devid: u32,
     ) -> Result<(), SwitchError> {
         meter.charge(Category::Devices, cost.switch_add_port);
-        if self.ports.contains_key(name) {
-            return Err(SwitchError::PortExists);
+        if self.ports.insert((dom, devid)) {
+            Ok(())
+        } else {
+            Err(SwitchError::PortExists)
         }
-        self.ports.insert(name.to_string(), dom);
-        Ok(())
     }
 
-    /// Detaches a vif port.
+    /// Detaches vif `devid` of `dom`.
     pub fn del_port(
         &mut self,
         cost: &CostModel,
         meter: &mut Meter,
-        name: &str,
+        dom: DomId,
+        devid: u32,
     ) -> Result<(), SwitchError> {
         meter.charge(Category::Devices, cost.switch_del_port);
-        self.ports.remove(name).map(|_| ()).ok_or(SwitchError::NoSuchPort)
+        if self.ports.remove(&(dom, devid)) {
+            Ok(())
+        } else {
+            Err(SwitchError::NoSuchPort)
+        }
     }
 
     /// Detaches every port of a domain (domain death).
     pub fn drop_domain(&mut self, dom: DomId) -> usize {
-        let before = self.ports.len();
-        self.ports.retain(|_, d| *d != dom);
-        before - self.ports.len()
+        let mut dropped = 0;
+        while let Some(&port) = self.ports.range((dom, 0)..=(dom, u32::MAX)).next() {
+            self.ports.remove(&port);
+            dropped += 1;
+        }
+        dropped
     }
 
-    /// The domain behind a port.
-    pub fn port_owner(&self, name: &str) -> Option<DomId> {
-        self.ports.get(name).copied()
+    /// True if vif `devid` of `dom` is attached.
+    pub fn has_port(&self, dom: DomId, devid: u32) -> bool {
+        self.ports.contains(&(dom, devid))
     }
 
     /// Number of attached ports.
@@ -89,15 +103,16 @@ mod tests {
         let cost = CostModel::paper_defaults();
         let mut m = Meter::new();
         let mut sw = SoftwareSwitch::new();
-        sw.add_port(&cost, &mut m, "vif1.0", DomId(1)).unwrap();
-        assert_eq!(sw.port_owner("vif1.0"), Some(DomId(1)));
+        sw.add_port(&cost, &mut m, DomId(1), 0).unwrap();
+        assert!(sw.has_port(DomId(1), 0));
+        assert!(!sw.has_port(DomId(1), 1));
         assert_eq!(
-            sw.add_port(&cost, &mut m, "vif1.0", DomId(2)).unwrap_err(),
+            sw.add_port(&cost, &mut m, DomId(1), 0).unwrap_err(),
             SwitchError::PortExists
         );
-        sw.del_port(&cost, &mut m, "vif1.0").unwrap();
+        sw.del_port(&cost, &mut m, DomId(1), 0).unwrap();
         assert_eq!(
-            sw.del_port(&cost, &mut m, "vif1.0").unwrap_err(),
+            sw.del_port(&cost, &mut m, DomId(1), 0).unwrap_err(),
             SwitchError::NoSuchPort
         );
         assert!(m.of(Category::Devices) > simcore::SimTime::ZERO);
@@ -108,11 +123,14 @@ mod tests {
         let cost = CostModel::paper_defaults();
         let mut m = Meter::new();
         let mut sw = SoftwareSwitch::new();
-        sw.add_port(&cost, &mut m, "vif1.0", DomId(1)).unwrap();
-        sw.add_port(&cost, &mut m, "vif1.1", DomId(1)).unwrap();
-        sw.add_port(&cost, &mut m, "vif2.0", DomId(2)).unwrap();
+        sw.add_port(&cost, &mut m, DomId(1), 0).unwrap();
+        sw.add_port(&cost, &mut m, DomId(1), u32::MAX).unwrap();
+        sw.add_port(&cost, &mut m, DomId(2), 0).unwrap();
+        sw.add_port(&cost, &mut m, DomId(0), 7).unwrap();
         assert_eq!(sw.drop_domain(DomId(1)), 2);
-        assert_eq!(sw.port_count(), 1);
+        assert_eq!(sw.port_count(), 2);
+        assert!(sw.has_port(DomId(2), 0) && sw.has_port(DomId(0), 7));
+        assert_eq!(sw.drop_domain(DomId(1)), 0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Domains and their lifecycle.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A domain identifier. Dom0 is always id 0.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -88,7 +89,8 @@ pub struct Domain {
     /// Memory currently populated, in MiB.
     pub populated_mib: u64,
     /// Physical cores the vCPUs are pinned to (round-robin assignment).
-    pub vcpu_cores: Vec<usize>,
+    /// Shared, so a forked hypervisor copies a refcount, not a buffer.
+    pub vcpu_cores: Arc<[usize]>,
     /// Shutdown reason if `state == Shutdown` or `Suspended`.
     pub shutdown_reason: Option<ShutdownReason>,
     /// Whether a noxs device page has been set up.
@@ -120,7 +122,7 @@ mod tests {
             state: DomainState::Created,
             max_mem_mib: 8,
             populated_mib: 0,
-            vcpu_cores: vec![0],
+            vcpu_cores: vec![0].into(),
             shutdown_reason: None,
             has_device_page: false,
         };

@@ -1,6 +1,7 @@
 //! The hypervisor façade: domains, memory, hypercall dispatch.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use simcore::memory::OutOfMemory;
 use simcore::{Category, CostModel, MemoryPressure, Meter};
@@ -86,7 +87,9 @@ pub struct Hypervisor {
     pub evtchn: EvtchnTable,
     /// Grant tables.
     pub gnttab: GrantTable,
-    device_pages: HashMap<DomId, DevicePage>,
+    /// Per-entry `Arc`, so a fork shares every page by refcount and
+    /// `Arc::make_mut` copies only the page a write touches.
+    device_pages: HashMap<DomId, Arc<DevicePage>>,
     /// Cores guests may run on (Dom0's cores excluded).
     guest_cores: Vec<usize>,
     next_core_rr: usize,
@@ -173,13 +176,16 @@ impl Hypervisor {
             cost.hypercall_base + cost.domctl_create + cost.mem_reserve_base,
         );
         let id = self.alloc_domid();
-        let mut vcpu_cores = Vec::with_capacity(cfg.vcpus as usize);
-        for _ in 0..cfg.vcpus.max(1) {
-            let core = self.guest_cores[self.next_core_rr % self.guest_cores.len()];
-            self.next_core_rr += 1;
-            vcpu_cores.push(core);
-            Self::charge(meter, cost.hypercall_base + cost.vcpu_create);
-        }
+        // Collected straight into the `Arc` (the range's exact length
+        // lets it allocate once).
+        let vcpu_cores: Arc<[usize]> = (0..cfg.vcpus.max(1))
+            .map(|_| {
+                let core = self.guest_cores[self.next_core_rr % self.guest_cores.len()];
+                self.next_core_rr += 1;
+                Self::charge(meter, cost.hypercall_base + cost.vcpu_create);
+                core
+            })
+            .collect();
         self.domains.insert(
             id,
             Domain {
@@ -462,7 +468,7 @@ impl Hypervisor {
             .device_pages
             .get_mut(&dom)
             .ok_or(HvError::NoSuchDomain)?;
-        Ok(page.push(entry)?)
+        Ok(Arc::make_mut(page).push(entry)?)
     }
 
     /// Removes a device entry (Dom0 only).
@@ -483,7 +489,7 @@ impl Hypervisor {
             .device_pages
             .get_mut(&dom)
             .ok_or(HvError::NoSuchDomain)?;
-        Ok(page.remove(kind, devid)?)
+        Ok(Arc::make_mut(page).remove(kind, devid)?)
     }
 
     /// The guest maps and reads its own device page (one hypercall to get
@@ -493,7 +499,7 @@ impl Hypervisor {
         cost: &CostModel,
         meter: &mut Meter,
         caller: DomId,
-    ) -> Result<DevicePage, HvError> {
+    ) -> Result<Arc<DevicePage>, HvError> {
         Self::charge(meter, cost.hypercall_base + cost.noxs_page_op);
         self.device_pages
             .get(&caller)

@@ -48,10 +48,12 @@ impl HostTemplate {
         let digest = world.world_digest64();
         let domid_limit = domid_limit_for(world, guest_headroom);
         // Freeze the interner so every stamped host shares the symbol
-        // table by refcount; together with the store's chunked CoW
-        // arena this makes a stamp's memory cost O(post-fork writes),
-        // not O(template size) — the property that keeps a
-        // thousand-host fleet under one process's comfortable RSS.
+        // table by refcount. With the store's chunked CoW arena and the
+        // shared per-guest records (`Arc` vCPU lists and device pages,
+        // heap-free back-end and switch entries), a stamp of a
+        // 100-guest template makes ~115 allocations and ~70 KB: the
+        // flat tables and map nodes, nothing per guest and no empty
+        // overlay table (freezing leaves the overlay with no capacity).
         world.xs.store().freeze_shared();
         HostTemplate {
             world: world.fork(),

@@ -21,11 +21,12 @@
 //! **overlay** of post-freeze additions. [`Interner::freeze`] (called at
 //! world fork points — template capture, cluster stamping) folds the
 //! overlay into the base behind an `Arc`, after which cloning the
-//! interner is a refcount bump plus an empty-overlay copy instead of a
-//! deep copy of every path ever seen. Symbols are indices into the
-//! concatenation `base.entries ++ overlay.entries`, so freezing never
-//! renumbers anything and forked siblings assign identical symbols for
-//! identical operation sequences.
+//! interner is a refcount bump (plus its scratch buffer) instead of a
+//! deep copy of every path ever seen; the frozen overlay keeps no
+//! capacity, so there is no empty table to copy. Symbols are indices
+//! into the concatenation `base.entries ++ overlay.entries`, so
+//! freezing never renumbers anything and forked siblings assign
+//! identical symbols for identical operation sequences.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -119,6 +120,11 @@ impl Interner {
     /// deep-copying it. Symbols are unaffected (the concatenation order
     /// is preserved). Called at world fork points; a no-op when the
     /// overlay is already empty.
+    ///
+    /// The overlay is left with no capacity, not merely empty: a
+    /// drained `HashMap` keeps its buckets and every clone copies them
+    /// (8 192 empty buckets, ~205 KB, per fork of a 100-guest xl host),
+    /// and the fork's first inserts then land on those cold pages.
     pub fn freeze(&mut self) {
         if self.entries.is_empty() {
             return;
@@ -129,8 +135,8 @@ impl Interner {
             self.base = Arc::new((*self.base).clone());
         }
         let base = Arc::get_mut(&mut self.base).expect("just made unique");
-        base.entries.append(&mut self.entries);
-        base.by_path.extend(self.by_path.drain());
+        base.entries.extend(std::mem::take(&mut self.entries));
+        base.by_path.extend(std::mem::take(&mut self.by_path));
     }
 
     /// The entry behind a symbol, wherever it lives.
@@ -475,6 +481,35 @@ mod tests {
         i.freeze();
         assert_eq!(i.resolve("/new/leaf").map(XsSym::index), Some(before + 1));
         assert_eq!(i.intern("/a/x"), i.resolve("/a/x").unwrap());
+    }
+
+    #[test]
+    fn freeze_leaves_no_overlay_capacity_to_clone() {
+        let mut i = Interner::new();
+        let mut syms = Vec::new();
+        for d in 0..500u32 {
+            let dom = i.child_u32(XsSym::ROOT, d);
+            for leaf in ["name", "memory/target", "device/vif/0/state"] {
+                let path = format!("{}/{leaf}", i.path_str(dom));
+                syms.push((i.intern(&path), path));
+            }
+        }
+        assert!(i.len() > 3000, "only {} symbols", i.len());
+        i.freeze();
+        assert_eq!(i.by_path.capacity(), 0, "frozen overlay map kept its buckets");
+        assert_eq!(i.entries.capacity(), 0, "frozen overlay entries kept their buffer");
+        // A fork of the frozen table copies no overlay table at all.
+        let mut fork = i.clone();
+        assert_eq!(fork.by_path.capacity(), 0);
+        assert_eq!(fork.entries.capacity(), 0);
+        // Symbols survive the freeze and further interning on either side.
+        let fresh = fork.intern("/post/freeze");
+        assert_eq!(i.intern("/post/freeze"), fresh, "forks assign identical symbols");
+        for (sym, path) in &syms {
+            assert_eq!(i.resolve(path), Some(*sym));
+            assert_eq!(fork.intern(path), *sym);
+            assert_eq!(fork.path_str(*sym), path);
+        }
     }
 
     #[test]
