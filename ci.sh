@@ -19,6 +19,33 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Every figure artefact id runall writes (as <id>.json and <id>.csv).
+ARTEFACTS="fig01 fig02 fig04 fig05 fig09 fig10 fig11 fig12a fig12b
+  fig13 fig14 fig15 fig16a fig16b fig16c fig17 fig18 ablations
+  faults churn cluster"
+
+# same_artefacts <ref> <dir> <label>: exits unless every artefact in
+# <dir> is byte-identical to the one in <ref>. On a mismatch it prints
+# cmp's first differing byte and line, and that line from both files.
+same_artefacts() {
+  local ref="$1" dir="$2" label="$3" id ext f out line
+  for id in $ARTEFACTS; do
+    for ext in json csv; do
+      f="$id.$ext"
+      if ! out=$(cmp "$ref/$f" "$dir/$f" 2>&1); then
+        echo "ci: $f differs $label" >&2
+        echo "  $out" >&2
+        line=$(printf '%s\n' "$out" | grep -o 'line [0-9]*' | grep -o '[0-9]*' || true)
+        if [ -n "$line" ]; then
+          echo "  $ref/$f:$line: $(sed -n "${line}p" "$ref/$f")" >&2
+          echo "  $dir/$f:$line: $(sed -n "${line}p" "$dir/$f")" >&2
+        fi
+        exit 1
+      fi
+    done
+  done
+}
+
 echo "== build (release, workspace, all targets; warnings are errors) =="
 # Cargo replays the warnings of cached crates, so a warm build that
 # compiles nothing still reports every warning and trips this check.
@@ -56,9 +83,7 @@ LIGHTVM_QUICK=1 LIGHTVM_FIG_DIR="$FIG_DIR" \
 
 echo "== artefact check =="
 missing=0
-for id in fig01 fig02 fig04 fig05 fig09 fig10 fig11 fig12a fig12b \
-          fig13 fig14 fig15 fig16a fig16b fig16c fig17 fig18 ablations \
-          faults churn cluster; do
+for id in $ARTEFACTS; do
   for ext in json csv; do
     if [ ! -s "$FIG_DIR/$id.$ext" ]; then
       echo "MISSING: $FIG_DIR/$id.$ext" >&2
@@ -83,16 +108,7 @@ echo "== scheduler determinism gate (quick scale, --jobs 2 vs --seq) =="
 LIGHTVM_QUICK=1 LIGHTVM_FIG_DIR="$FIG_DIR/jobs2" \
   cargo run --release -p bench --bin runall -- --jobs 2 \
   --report "$FIG_DIR/jobs2/bench_runner.json" > /dev/null
-for id in fig01 fig02 fig04 fig05 fig09 fig10 fig11 fig12a fig12b \
-          fig13 fig14 fig15 fig16a fig16b fig16c fig17 fig18 ablations \
-          faults churn cluster; do
-  for ext in json csv; do
-    if ! cmp -s "$FIG_DIR/$id.$ext" "$FIG_DIR/jobs2/$id.$ext"; then
-      echo "ci: $id.$ext differs between --seq and --jobs 2" >&2
-      exit 1
-    fi
-  done
-done
+same_artefacts "$FIG_DIR" "$FIG_DIR/jobs2" "between --seq and --jobs 2"
 
 echo "== fault determinism gate (same seed => same artefact) =="
 # The fault plan is seeded: replaying the faults figure (quick scale,
@@ -173,16 +189,7 @@ echo "== snapshot-cache gate (cached vs --no-snapshot-cache) =="
 LIGHTVM_QUICK=1 LIGHTVM_FIG_DIR="$FIG_DIR/nocache" \
   cargo run --release -p bench --bin runall -- --no-snapshot-cache \
   --report "$FIG_DIR/nocache/bench_runner.json" > /dev/null
-for id in fig01 fig02 fig04 fig05 fig09 fig10 fig11 fig12a fig12b \
-          fig13 fig14 fig15 fig16a fig16b fig16c fig17 fig18 ablations \
-          faults churn cluster; do
-  for ext in json csv; do
-    if ! cmp -s "$FIG_DIR/$id.$ext" "$FIG_DIR/nocache/$id.$ext"; then
-      echo "ci: $id.$ext differs with the snapshot cache disabled" >&2
-      exit 1
-    fi
-  done
-done
+same_artefacts "$FIG_DIR" "$FIG_DIR/nocache" "with the snapshot cache disabled"
 
 echo "== fault-free baseline gate (full scale vs committed results/) =="
 # With the fault plan inactive the injection layer must consume zero
@@ -200,16 +207,7 @@ for J in 1 2 8; do
     cargo run --release -p bench --bin runall -- --jobs "$J" \
     --report "$FULL_DIR/bench_runner.json" 2> "$FULL_DIR/runall.stderr"
   cat "$FULL_DIR/runall.stderr" >&2
-  for id in fig01 fig02 fig04 fig05 fig09 fig10 fig11 fig12a fig12b \
-            fig13 fig14 fig15 fig16a fig16b fig16c fig17 fig18 ablations \
-            faults churn cluster; do
-    for ext in json csv; do
-      if ! cmp -s "results/$id.$ext" "$FULL_DIR/$id.$ext"; then
-        echo "ci: $id.$ext (--jobs $J) differs from committed results/$id.$ext" >&2
-        exit 1
-      fi
-    done
-  done
+  same_artefacts results "$FULL_DIR" "at --jobs $J from committed results/"
 done
 
 echo "== cluster scale gate (committed results/cluster.json) =="

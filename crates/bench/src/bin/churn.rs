@@ -3,14 +3,16 @@
 //! detection, writing `churn.{json,csv}`. `runall` runs the same units
 //! on its thread pool alongside the paper figures.
 //!
-//! For a real soak (the CI artefacts use the default sizes), override
-//! the total lifecycle-event count:
+//! For a real soak (the CI artefacts use the default sizes), pass the
+//! total lifecycle-event count per unit; it is handed to the churn spec
+//! directly:
 //!
 //! ```text
 //! cargo run --release -p bench --bin churn -- --events 1000000
 //! ```
 
 fn main() {
+    let mut events = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -18,11 +20,11 @@ fn main() {
                 let n = args
                     .next()
                     .expect("--events takes a lifecycle-event count");
-                let _: usize = n.parse().expect("--events must be an integer");
-                std::env::set_var("LIGHTVM_CHURN_EVENTS", n);
+                events = Some(n.parse().expect("--events must be an integer"));
             }
             other => panic!("unknown argument {other:?} (supported: --events N)"),
         }
     }
-    bench::runner::figure_main("churn");
+    let scale = bench::Scale::from_env();
+    bench::runner::spec_main(bench::churn::spec(scale, events), 1, scale);
 }

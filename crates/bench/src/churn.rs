@@ -25,7 +25,9 @@
 //! so identical seeds produce byte-identical artefacts at every
 //! scheduler width, with the world-store cache on or off (`ci.sh` gates
 //! all of it). A long soak (1M+ lifecycle events) is a CLI flag away:
-//! `cargo run --release -p bench --bin churn -- --events 1000000`.
+//! `cargo run --release -p bench --bin churn -- --events 1000000`, which
+//! passes the total to [`spec`]; nothing reads it from the environment,
+//! so every other caller (`runall`, the registry) runs the default size.
 
 use guests::GuestImage;
 use metrics::{Series, Summary};
@@ -59,16 +61,13 @@ fn machine() -> Machine {
 }
 
 /// Lifecycle events per window: 240 at full scale (1,920 per unit),
-/// 1/10 under `LIGHTVM_QUICK`; a soak run overrides the total with
-/// `LIGHTVM_CHURN_EVENTS` (set by the `churn` binary's `--events`).
-fn events_per_window(scale: Scale) -> usize {
-    if let Ok(v) = std::env::var("LIGHTVM_CHURN_EVENTS") {
-        let total: usize = v
-            .parse()
-            .expect("LIGHTVM_CHURN_EVENTS must be an integer event count");
-        return (total / WINDOWS).max(1);
+/// 1/10 under `LIGHTVM_QUICK`, or a soak's requested total (the `churn`
+/// binary's `--events`) spread over the windows.
+fn events_per_window(scale: Scale, total_events: Option<usize>) -> usize {
+    match total_events {
+        Some(total) => (total / WINDOWS).max(1),
+        None => scale.scaled(240),
     }
-    scale.scaled(240)
 }
 
 fn unit_label(mode: ToolstackMode, faulty: bool) -> String {
@@ -80,9 +79,8 @@ fn unit_label(mode: ToolstackMode, faulty: bool) -> String {
 }
 
 /// One mode's churn soak, fault-free or under a seeded plan.
-fn churn_unit(scale: Scale, mode: ToolstackMode, faulty: bool) -> UnitSpec {
+fn churn_unit(scale: Scale, per_window: usize, mode: ToolstackMode, faulty: bool) -> UnitSpec {
     let base = scale.scaled(100);
-    let per_window = events_per_window(scale);
     let spec = WorldSpec {
         machine: machine(),
         dom0_cores: 1,
@@ -270,8 +268,11 @@ fn churn_unit(scale: Scale, mode: ToolstackMode, faulty: bool) -> UnitSpec {
     .cost(cost)
 }
 
-/// The churn soak as a registry figure.
-pub fn spec(scale: Scale) -> FigureSpec {
+/// The churn soak as a registry figure. `total_events` overrides the
+/// lifecycle-event count per unit (a soak run); `None` is the default
+/// size every artefact uses.
+pub fn spec(scale: Scale, total_events: Option<usize>) -> FigureSpec {
+    let per_window = events_per_window(scale, total_events);
     FigureSpec {
         id: "churn",
         title: "Long-horizon churn: leak-checked create/destroy at steady density",
@@ -286,12 +287,12 @@ pub fn spec(scale: Scale) -> FigureSpec {
             meta("windows", WINDOWS),
         ],
         units: vec![
-            churn_unit(scale, ToolstackMode::Xl, false),
-            churn_unit(scale, ToolstackMode::ChaosXs, false),
-            churn_unit(scale, ToolstackMode::LightVm, false),
-            churn_unit(scale, ToolstackMode::Xl, true),
-            churn_unit(scale, ToolstackMode::ChaosXs, true),
-            churn_unit(scale, ToolstackMode::LightVm, true),
+            churn_unit(scale, per_window, ToolstackMode::Xl, false),
+            churn_unit(scale, per_window, ToolstackMode::ChaosXs, false),
+            churn_unit(scale, per_window, ToolstackMode::LightVm, false),
+            churn_unit(scale, per_window, ToolstackMode::Xl, true),
+            churn_unit(scale, per_window, ToolstackMode::ChaosXs, true),
+            churn_unit(scale, per_window, ToolstackMode::LightVm, true),
         ],
     }
 }

@@ -1081,7 +1081,7 @@ pub fn all_specs(scale: Scale) -> Vec<FigureSpec> {
         fig18(scale),
         crate::ablations::spec(scale),
         crate::faultsweep::spec(scale),
-        crate::churn::spec(scale),
+        crate::churn::spec(scale, None),
         crate::cluster::spec(scale),
     ]
 }

@@ -151,6 +151,12 @@ pub fn figure_main_jobs(id: &str, jobs: usize) {
     let scale = crate::figures::Scale::from_env();
     let spec = crate::figures::spec_by_id(scale, id)
         .unwrap_or_else(|| panic!("unknown figure id {id:?}"));
+    spec_main(spec, jobs, scale);
+}
+
+/// [`figure_main_jobs`] on a spec the binary built itself, for flags
+/// that shape the figure (the `churn` binary's `--events`).
+pub fn spec_main(spec: FigureSpec, jobs: usize, scale: crate::figures::Scale) {
     let (mut runs, _) = run(vec![spec], jobs, scale.quick);
     let run = runs.pop().expect("one figure in, one figure out");
     crate::finish(&run.figure, &run.sample_xs);

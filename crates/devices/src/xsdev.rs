@@ -13,8 +13,6 @@
 //! activation and the transactional writes are the load the paper
 //! measures in Figure 5's "xenstore" band.
 
-use std::sync::Arc;
-
 use hypervisor::{DeviceKind, DomId, Hypervisor};
 use simcore::{CostModel, FaultPlan, FaultSite, Meter};
 use xenstore::{u32_str, WatchEvent, XsError, Xenstored};
@@ -72,8 +70,7 @@ pub fn register_backend_watch(
     // /local/domain/0/backend/<kind>, composed without string formatting.
     let backend = xs.child_sym(xs.domain_dir_sym(0), "backend");
     let class = xs.child_sym(backend, kind.as_str());
-    let token: Arc<str> = Arc::from(BACKEND_TOKEN);
-    xs.watch_s(cost, meter, 0, class, &token);
+    xs.watch(cost, meter, 0, class, BACKEND_TOKEN);
     xs.drain_events(cost, meter, 0); // drain the registration event
 }
 
@@ -109,16 +106,16 @@ pub fn toolstack_announce_device(
     let dom_s = u32_str(&mut dom_buf, dom.0);
     xs.transaction(cost, meter, 0, TXN_RETRIES, |xs, cost, meter, id| {
         // Front-end side.
-        xs.txn_write_s(cost, meter, 0, id, fe_backend, be_path.as_str().as_bytes())?;
-        xs.txn_write_s(cost, meter, 0, id, fe_backend_id, b"0")?;
-        xs.txn_write_s(cost, meter, 0, id, fe_handle, devid_s.as_bytes())?;
-        xs.txn_write_s(cost, meter, 0, id, fe_state, XenbusState::Initialising.as_str().as_bytes())?;
+        xs.txn_write(cost, meter, 0, id, fe_backend, be_path.as_str().as_bytes())?;
+        xs.txn_write(cost, meter, 0, id, fe_backend_id, b"0")?;
+        xs.txn_write(cost, meter, 0, id, fe_handle, devid_s.as_bytes())?;
+        xs.txn_write(cost, meter, 0, id, fe_state, XenbusState::Initialising.as_str().as_bytes())?;
         // Back-end side.
-        xs.txn_write_s(cost, meter, 0, id, be_frontend, fe_path.as_str().as_bytes())?;
-        xs.txn_write_s(cost, meter, 0, id, be_frontend_id, dom_s.as_bytes())?;
-        xs.txn_write_s(cost, meter, 0, id, be_mac, mac.as_bytes())?;
-        xs.txn_write_s(cost, meter, 0, id, be_online, b"1")?;
-        xs.txn_write_s(cost, meter, 0, id, be_state, XenbusState::Initialising.as_str().as_bytes())
+        xs.txn_write(cost, meter, 0, id, be_frontend, fe_path.as_str().as_bytes())?;
+        xs.txn_write(cost, meter, 0, id, be_frontend_id, dom_s.as_bytes())?;
+        xs.txn_write(cost, meter, 0, id, be_mac, mac.as_bytes())?;
+        xs.txn_write(cost, meter, 0, id, be_online, b"1")?;
+        xs.txn_write(cost, meter, 0, id, be_state, XenbusState::Initialising.as_str().as_bytes())
     })?;
     // Hand the front-end directory to the guest (libxl sets permissions
     // so the guest can update its own `state` node).
@@ -127,8 +124,8 @@ pub fn toolstack_announce_device(
         others_read: true,
         others_write: false,
     };
-    xs.set_perms_s(cost, meter, 0, fe, guest_owned)?;
-    xs.set_perms_s(cost, meter, 0, fe_state, guest_owned)?;
+    xs.set_perms(cost, meter, 0, fe, guest_owned)?;
+    xs.set_perms(cost, meter, 0, fe_state, guest_owned)?;
     Ok(())
 }
 
@@ -202,9 +199,9 @@ pub fn backend_process_events(
         let be_grant = xs.child_sym(be, "grant-ref");
         let be_state = xs.child_sym(be, "state");
         let mut buf = [0u8; 10];
-        xs.write_s(cost, meter, 0, be_evtchn, u32_str(&mut buf, port.0).as_bytes())?;
-        xs.write_s(cost, meter, 0, be_grant, u32_str(&mut buf, grant.0).as_bytes())?;
-        xs.write_s(cost, meter, 0, be_state, XenbusState::InitWait.as_str().as_bytes())?;
+        xs.write(cost, meter, 0, be_evtchn, u32_str(&mut buf, port.0).as_bytes())?;
+        xs.write(cost, meter, 0, be_grant, u32_str(&mut buf, grant.0).as_bytes())?;
+        xs.write(cost, meter, 0, be_state, XenbusState::InitWait.as_str().as_bytes())?;
         watchdog_gate(faults, FaultSite::HotplugTimeout, cost, meter)
             .map_err(XsDevError::Dev)?;
         if kind == DeviceKind::Net {
@@ -247,13 +244,13 @@ pub fn frontend_connect_via_xenstore(
     let be_mac = xs.child_sym(be, "mac");
     let fe_state = xs.child_sym(fe, "state");
     let be_state = xs.child_sym(be, "state");
-    let _backend_path = xs.read_s(cost, meter, dom.0, fe_backend)?;
-    let _port = xs.read_s(cost, meter, dom.0, be_evtchn)?;
-    let _gref = xs.read_s(cost, meter, dom.0, be_grant)?;
-    let _mac = xs.read_s(cost, meter, dom.0, be_mac)?;
+    let _backend_path = xs.read(cost, meter, dom.0, fe_backend)?;
+    let _port = xs.read(cost, meter, dom.0, be_evtchn)?;
+    let _gref = xs.read(cost, meter, dom.0, be_grant)?;
+    let _mac = xs.read(cost, meter, dom.0, be_mac)?;
     backend.frontend_connect(hv, cost, meter, dom, devid)?;
-    xs.write_s(cost, meter, dom.0, fe_state, XenbusState::Connected.as_str().as_bytes())?;
-    xs.write_s(cost, meter, 0, be_state, XenbusState::Connected.as_str().as_bytes())?;
+    xs.write(cost, meter, dom.0, fe_state, XenbusState::Connected.as_str().as_bytes())?;
+    xs.write(cost, meter, 0, be_state, XenbusState::Connected.as_str().as_bytes())?;
     Ok(())
 }
 
@@ -285,12 +282,12 @@ pub fn destroy_device_via_xenstore(
     }
     let fe = xs.frontend_dir_sym(dom.0, kind.as_str(), devid);
     let be = xs.backend_dir_sym(0, kind.as_str(), dom.0, devid);
-    let _ = xs.rm_s(cost, meter, 0, fe);
+    let _ = xs.rm(cost, meter, 0, fe);
     // libxl removes the guest's whole per-domain backend directory, not
     // just the devid node (otherwise `/backend/<kind>/<domid>` dirs
     // accumulate forever).
     let be_domain_dir = xs.parent_sym(be);
-    let _ = xs.rm_s(cost, meter, 0, be_domain_dir);
+    let _ = xs.rm(cost, meter, 0, be_domain_dir);
     Ok(())
 }
 

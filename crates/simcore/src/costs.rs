@@ -7,7 +7,6 @@
 //! The [`Meter`] reproduces the creation-overhead categorisation of
 //! Figure 5.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::time::SimTime;
@@ -32,8 +31,11 @@ pub enum Category {
 }
 
 impl Category {
+    /// Number of categories (the [`Meter`]'s array length).
+    pub const COUNT: usize = 7;
+
     /// All categories in the order Figure 5 stacks them.
-    pub const ALL: [Category; 7] = [
+    pub const ALL: [Category; Category::COUNT] = [
         Category::Toolstack,
         Category::Load,
         Category::Devices,
@@ -66,11 +68,13 @@ impl fmt::Display for Category {
 /// Accumulates virtual-time cost by [`Category`].
 ///
 /// Subsystems charge their work here; the toolstack snapshots the meter
-/// before and after an operation to produce a breakdown.
-#[derive(Clone, Debug, Default)]
+/// before and after an operation to produce a breakdown. One slot per
+/// category, indexed by the enum: a charge is an add, and a copy is a
+/// memcpy.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Meter {
     total: SimTime,
-    by_cat: BTreeMap<Category, SimTime>,
+    by_cat: [SimTime; Category::COUNT],
 }
 
 impl Meter {
@@ -82,7 +86,7 @@ impl Meter {
     /// Charges `dt` to `cat`, returning `dt` for chaining.
     pub fn charge(&mut self, cat: Category, dt: SimTime) -> SimTime {
         self.total += dt;
-        *self.by_cat.entry(cat).or_insert(SimTime::ZERO) += dt;
+        self.by_cat[cat as usize] += dt;
         dt
     }
 
@@ -93,7 +97,7 @@ impl Meter {
 
     /// Amount charged to one category.
     pub fn of(&self, cat: Category) -> SimTime {
-        self.by_cat.get(&cat).copied().unwrap_or(SimTime::ZERO)
+        self.by_cat[cat as usize]
     }
 
     /// Difference against an earlier snapshot of the same meter.
@@ -112,13 +116,6 @@ impl Meter {
             }
         }
         out
-    }
-
-    /// Iterates over non-zero categories in stacking order.
-    pub fn iter(&self) -> impl Iterator<Item = (Category, SimTime)> + '_ {
-        Category::ALL
-            .into_iter()
-            .filter_map(|c| self.by_cat.get(&c).map(|&t| (c, t)))
     }
 }
 
@@ -324,7 +321,7 @@ mod tests {
     fn meter_since_gives_delta() {
         let mut m = Meter::new();
         m.charge(Category::Load, SimTime::from_millis(1));
-        let snap = m.clone();
+        let snap = m;
         m.charge(Category::Load, SimTime::from_millis(2));
         m.charge(Category::Config, SimTime::from_millis(4));
         let d = m.since(&snap);
@@ -346,19 +343,21 @@ mod tests {
     }
 
     #[test]
+    fn categories_index_the_meter_array_once_each() {
+        let mut seen = [false; Category::COUNT];
+        for cat in Category::ALL {
+            assert!(
+                !std::mem::replace(&mut seen[cat as usize], true),
+                "{cat} twice"
+            );
+        }
+    }
+
+    #[test]
     fn categories_cover_figure_five() {
         let labels: Vec<&str> = Category::ALL.iter().map(|c| c.label()).collect();
         for want in ["toolstack", "load", "devices", "xenstore", "hypervisor", "config"] {
             assert!(labels.contains(&want), "missing category {want}");
         }
-    }
-
-    #[test]
-    fn meter_iter_is_in_stacking_order() {
-        let mut m = Meter::new();
-        m.charge(Category::Config, SimTime::from_millis(1));
-        m.charge(Category::Toolstack, SimTime::from_millis(1));
-        let cats: Vec<Category> = m.iter().map(|(c, _)| c).collect();
-        assert_eq!(cats, vec![Category::Toolstack, Category::Config]);
     }
 }

@@ -49,7 +49,7 @@ impl ControlPlane {
         if self.mode.uses_xenstore() {
             // Suspend request via control/shutdown + watch wait.
             let cs = self.xs.control_shutdown_sym(dom.0);
-            self.xs.write_s(&cost, &mut meter, 0, cs, b"suspend")?;
+            self.xs.write(&cost, &mut meter, 0, cs, b"suspend")?;
             let wait = match self.mode {
                 ToolstackMode::Xl => cost.xl_suspend_wait,
                 _ => cost.xl_suspend_wait.scale(0.45),
@@ -233,7 +233,7 @@ impl ControlPlane {
         meter.charge(Category::Other, link.tcp_handshake() + link.transfer_time(2048));
         // Suspend at the source.
         let cs = self.xs.control_shutdown_sym(dom.0);
-        self.xs.write_s(&cost, &mut meter, 0, cs, b"suspend")?;
+        self.xs.write(&cost, &mut meter, 0, cs, b"suspend")?;
         let wait = match self.mode {
             ToolstackMode::Xl => cost.xl_suspend_wait,
             _ => cost.xl_suspend_wait.scale(0.45),
@@ -314,9 +314,9 @@ impl ControlPlane {
             );
         }
         let d = self.xs.domain_dir_sym(dom.0);
-        let _ = self.xs.rm_s(cost, meter, 0, d);
+        let _ = self.xs.rm(cost, meter, 0, d);
         let v = self.xs.vm_dir_sym(dom.0);
-        let _ = self.xs.rm_s(cost, meter, 0, v);
+        let _ = self.xs.rm(cost, meter, 0, v);
         self.xs.disconnect(dom.0);
     }
 

@@ -761,11 +761,11 @@ impl ControlPlane {
             let d_devinit = self.xs.child_sym(d, "device-init");
             self.stormy_registration(cost, meter, "shell finalisation", |xs, cost, meter| {
                 xs.transaction(cost, meter, 0, xsdev::TXN_RETRIES, |xs, cost, meter, id| {
-                    xs.txn_write_s(cost, meter, 0, id, d_name, name.as_bytes())?;
-                    xs.txn_write_s(cost, meter, 0, id, d_image, b"kernel")?;
-                    xs.txn_write_s(cost, meter, 0, id, d_mem_target, b"mem")?;
-                    xs.txn_write_s(cost, meter, 0, id, d_con_ring, b"1")?;
-                    xs.txn_write_s(cost, meter, 0, id, d_devinit, b"done")
+                    xs.txn_write(cost, meter, 0, id, d_name, name.as_bytes())?;
+                    xs.txn_write(cost, meter, 0, id, d_image, b"kernel")?;
+                    xs.txn_write(cost, meter, 0, id, d_mem_target, b"mem")?;
+                    xs.txn_write(cost, meter, 0, id, d_con_ring, b"1")?;
+                    xs.txn_write(cost, meter, 0, id, d_devinit, b"done")
                 })
             })?;
         } else {
@@ -863,7 +863,7 @@ impl ControlPlane {
         for &domain in &entries {
             if self.xs.sym_name_u32(domain).is_some() {
                 let name_sym = self.xs.child_sym(domain, "name");
-                if let Ok(existing) = self.xs.read_s(cost, meter, 0, name_sym) {
+                if let Ok(existing) = self.xs.read(cost, meter, 0, name_sym) {
                     if &*existing == name.as_bytes() {
                         taken = true;
                         break;
@@ -991,21 +991,21 @@ impl ControlPlane {
         };
         self.stormy_registration(cost, meter, "domain registration", |xs, cost, meter| {
             xs.transaction(cost, meter, 0, xsdev::TXN_RETRIES, |xs, cost, meter, id| {
-                xs.txn_write_s(cost, meter, 0, id, d_name, name.as_bytes())?;
-                xs.txn_write_s(cost, meter, 0, id, d_domid, dom_s.as_bytes())?;
-                xs.txn_write_s(cost, meter, 0, id, d_mem_target, b"mem")?;
-                xs.txn_write_s(cost, meter, 0, id, d_con_ring, b"0")?;
-                xs.txn_write_s(cost, meter, 0, id, d_con_port, b"0")?;
-                xs.txn_write_s(cost, meter, 0, id, d_ctrl_shutdown, b"")?;
+                xs.txn_write(cost, meter, 0, id, d_name, name.as_bytes())?;
+                xs.txn_write(cost, meter, 0, id, d_domid, dom_s.as_bytes())?;
+                xs.txn_write(cost, meter, 0, id, d_mem_target, b"mem")?;
+                xs.txn_write(cost, meter, 0, id, d_con_ring, b"0")?;
+                xs.txn_write(cost, meter, 0, id, d_con_port, b"0")?;
+                xs.txn_write(cost, meter, 0, id, d_ctrl_shutdown, b"")?;
                 if let Some([vm_uuid, vm_name, vm_ostype, vm_start, d_static_max, d_cpu0, d_store_ring, d_store_port]) = full_syms {
-                    xs.txn_write_s(cost, meter, 0, id, vm_uuid, b"0000-0000")?;
-                    xs.txn_write_s(cost, meter, 0, id, vm_name, name.as_bytes())?;
-                    xs.txn_write_s(cost, meter, 0, id, vm_ostype, b"linux")?;
-                    xs.txn_write_s(cost, meter, 0, id, vm_start, b"0")?;
-                    xs.txn_write_s(cost, meter, 0, id, d_static_max, b"max")?;
-                    xs.txn_write_s(cost, meter, 0, id, d_cpu0, b"online")?;
-                    xs.txn_write_s(cost, meter, 0, id, d_store_ring, b"1")?;
-                    xs.txn_write_s(cost, meter, 0, id, d_store_port, b"1")?;
+                    xs.txn_write(cost, meter, 0, id, vm_uuid, b"0000-0000")?;
+                    xs.txn_write(cost, meter, 0, id, vm_name, name.as_bytes())?;
+                    xs.txn_write(cost, meter, 0, id, vm_ostype, b"linux")?;
+                    xs.txn_write(cost, meter, 0, id, vm_start, b"0")?;
+                    xs.txn_write(cost, meter, 0, id, d_static_max, b"max")?;
+                    xs.txn_write(cost, meter, 0, id, d_cpu0, b"online")?;
+                    xs.txn_write(cost, meter, 0, id, d_store_ring, b"1")?;
+                    xs.txn_write(cost, meter, 0, id, d_store_port, b"1")?;
                 }
                 Ok(())
             })
@@ -1054,8 +1054,8 @@ impl ControlPlane {
                 Ok(shell) => {
                     self.daemon.put(shell);
                     // Background (daemon) work.
-                    for (cat, dt) in m.iter() {
-                        self.background_meter.charge(cat, dt);
+                    for cat in Category::ALL {
+                        self.background_meter.charge(cat, m.of(cat));
                     }
                 }
                 // e.g. out of memory or an injected fault: the failed
@@ -1197,13 +1197,13 @@ impl ControlPlane {
             // have run at all, and `/vm/<d>` is only written by xl's
             // registration transaction in the first place.
             let d = self.xs.domain_dir_sym(dom.0);
-            if let Err(e) = self.xs.rm_s(cost, meter, 0, d) {
+            if let Err(e) = self.xs.rm(cost, meter, 0, d) {
                 if e != XsError::NotFound {
                     self.teardown_errors.store_dirs += 1;
                 }
             }
             let v = self.xs.vm_dir_sym(dom.0);
-            if let Err(e) = self.xs.rm_s(cost, meter, 0, v) {
+            if let Err(e) = self.xs.rm(cost, meter, 0, v) {
                 if e != XsError::NotFound {
                     self.teardown_errors.store_dirs += 1;
                 }
@@ -1269,8 +1269,8 @@ impl ControlPlane {
                     .push(format!("fe-{}", self.fe_tokens.len()).into());
             }
             for w in 0..image.watches as usize {
-                self.xs
-                    .watch_s(&cost, &mut meter, dom.0, d, &self.fe_tokens[w]);
+                let token = Arc::clone(&self.fe_tokens[w]);
+                self.xs.watch(&cost, &mut meter, dom.0, d, token);
             }
             self.xs.drain_events(&cost, &mut meter, dom.0);
             if let Err(e) =
@@ -1286,7 +1286,7 @@ impl ControlPlane {
                     // watch-table entry).
                     if self
                         .xs
-                        .unwatch_s(&cost, &mut meter, dom.0, d, &self.fe_tokens[w])
+                        .unwatch(&cost, &mut meter, dom.0, d, &self.fe_tokens[w])
                         .is_err()
                     {
                         self.teardown_errors.unwatch += 1;
@@ -1455,7 +1455,7 @@ impl ControlPlane {
                 }
             }
             let d = self.xs.domain_dir_sym(dom.0);
-            if let Err(e) = self.xs.rm_s(&cost, &mut meter, 0, d) {
+            if let Err(e) = self.xs.rm(&cost, &mut meter, 0, d) {
                 if e != XsError::NotFound {
                     self.teardown_errors.store_dirs += 1;
                 }
@@ -1464,7 +1464,7 @@ impl ControlPlane {
             // writes `/local/domain/<d>` alone), so `NotFound` here is
             // the expected no-op for the chaos [XS] modes.
             let v = self.xs.vm_dir_sym(dom.0);
-            if let Err(e) = self.xs.rm_s(&cost, &mut meter, 0, v) {
+            if let Err(e) = self.xs.rm(&cost, &mut meter, 0, v) {
                 if e != XsError::NotFound {
                     self.teardown_errors.store_dirs += 1;
                 }

@@ -21,6 +21,12 @@
 //!
 //! Costs are charged to a [`simcore::Meter`] under
 //! [`simcore::Category::Xenstore`].
+//!
+//! Every operation — on [`Xenstored`], [`Store`], [`txn::Txn`] and
+//! [`WatchTable`] — has a single entry point that names its node by an
+//! [`XsKey`]: a parsed [`XsPath`] or an interned [`XsSym`] composed by
+//! symbol hops. Both keys charge the same; lookups never intern a path,
+//! mutations and transactional ops do.
 
 pub mod hash;
 pub mod log;
@@ -35,7 +41,7 @@ pub use hash::Mix128;
 pub use log::AccessLog;
 pub use path::XsPath;
 pub use store::{Perms, Store, StoreCensus, XsError};
-pub use sym::{u32_str, Interner, XsSym};
+pub use sym::{u32_str, Interner, XsKey, XsSym};
 pub use txn::TxnId;
 pub use watch::{FireStats, WatchEvent, WatchTable};
 pub use xenstored::{ConnId, Flavor, Xenstored};

@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use crate::hash::Mix128;
 use crate::path::XsPath;
-use crate::sym::{Interner, XsSym};
+use crate::sym::{Interner, XsKey, XsSym};
 
 /// Errors mirroring the errno values xenstored returns.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -460,14 +460,19 @@ impl Store {
 
     // --- symbol plumbing --------------------------------------------------
 
-    /// Interns a path (and its ancestors), returning its symbol.
-    pub fn sym(&self, path: &XsPath) -> XsSym {
-        self.interner.borrow_mut().intern(path.as_str())
+    /// A key's symbol, interning its path (and ancestors) if new.
+    pub fn sym(&self, key: impl XsKey) -> XsSym {
+        key.intern(&mut self.interner.borrow_mut())
     }
 
-    /// Resolves a path string without interning it.
-    pub(crate) fn resolve(&self, path: &str) -> Option<XsSym> {
-        self.interner.borrow().resolve(path)
+    /// A key's symbol, if its path was ever interned (never interns).
+    pub(crate) fn find(&self, key: impl XsKey) -> Option<XsSym> {
+        key.find(&self.interner.borrow())
+    }
+
+    /// Byte length of a key's full path (for wire-payload charging).
+    pub(crate) fn wire_len(&self, key: impl XsKey) -> usize {
+        key.wire_len(&self.interner.borrow())
     }
 
     /// Materialises a symbol back into a path (refcount bump, no copy).
@@ -500,11 +505,6 @@ impl Store {
     /// [`Store::child_sym`] with a numeric component.
     pub(crate) fn child_u32_sym(&self, sym: XsSym, n: u32) -> XsSym {
         self.interner.borrow_mut().child_u32(sym, n)
-    }
-
-    /// Byte length of a symbol's full path (for wire-payload charging).
-    pub(crate) fn path_len(&self, sym: XsSym) -> usize {
-        self.interner.borrow().path_str(sym).len()
     }
 
     /// The symbol's final path component parsed as `u32`, if it is one.
@@ -627,64 +627,48 @@ impl Store {
         }
     }
 
-    pub(crate) fn exists_sym(&self, sym: XsSym) -> bool {
-        self.node(sym).is_some()
-    }
-
     /// True if the node exists and holds exactly `value` (permissions
     /// ignored).
     pub(crate) fn value_eq_sym(&self, sym: XsSym, value: &[u8]) -> bool {
         self.node(sym).is_some_and(|n| &*n.value == value)
     }
 
-    pub(crate) fn node_generation_sym(&self, sym: XsSym) -> Option<u64> {
-        self.node(sym).map(|n| n.generation)
+    /// The live node behind a key, looked up without interning.
+    fn find_node(&self, key: impl XsKey) -> Option<&Node> {
+        self.node(self.find(key)?)
     }
 
-    // --- public path-keyed API -------------------------------------------
+    // --- operations: each takes a path or a symbol (`impl XsKey`) --------
 
-    /// True if the path exists.
-    pub fn exists(&self, path: &XsPath) -> bool {
-        match self.resolve(path.as_str()) {
-            Some(sym) => self.exists_sym(sym),
-            None => false,
-        }
+    /// True if the node exists.
+    pub fn exists(&self, key: impl XsKey) -> bool {
+        self.find_node(key).is_some()
     }
 
     /// Modification generation of a node, `None` if absent.
-    pub fn node_generation(&self, path: &XsPath) -> Option<u64> {
-        self.resolve(path.as_str())
-            .and_then(|sym| self.node_generation_sym(sym))
+    pub fn node_generation(&self, key: impl XsKey) -> Option<u64> {
+        self.find_node(key).map(|n| n.generation)
     }
 
-    /// Reads a node's value as bytes.
-    pub fn read(&self, dom: u32, path: &XsPath) -> Result<&[u8], XsError> {
-        let sym = self.resolve(path.as_str()).ok_or(XsError::NotFound)?;
-        self.read_sym(dom, sym)
-    }
-
-    pub(crate) fn read_sym(&self, dom: u32, sym: XsSym) -> Result<&[u8], XsError> {
-        let node = self.node(sym).ok_or(XsError::NotFound)?;
+    /// The node behind `key` if `dom` may read it.
+    fn readable(&self, dom: u32, key: impl XsKey) -> Result<&Node, XsError> {
+        let node = self.find_node(key).ok_or(XsError::NotFound)?;
         if !node.perms.may_read(dom) {
             return Err(XsError::PermissionDenied);
         }
-        Ok(&node.value)
+        Ok(node)
+    }
+
+    /// Reads a node's value as bytes.
+    pub fn read(&self, dom: u32, key: impl XsKey) -> Result<&[u8], XsError> {
+        Ok(&self.readable(dom, key)?.value)
     }
 
     /// Reads a node's value as a shared payload — a refcount bump, not a
     /// byte copy. The snapshot stays stable even if the node is written
     /// or removed afterwards.
-    pub fn read_rc(&self, dom: u32, path: &XsPath) -> Result<Arc<[u8]>, XsError> {
-        let sym = self.resolve(path.as_str()).ok_or(XsError::NotFound)?;
-        self.read_rc_sym(dom, sym)
-    }
-
-    pub(crate) fn read_rc_sym(&self, dom: u32, sym: XsSym) -> Result<Arc<[u8]>, XsError> {
-        let node = self.node(sym).ok_or(XsError::NotFound)?;
-        if !node.perms.may_read(dom) {
-            return Err(XsError::PermissionDenied);
-        }
-        Ok(Arc::clone(&node.value))
+    pub fn read_rc(&self, dom: u32, key: impl XsKey) -> Result<Arc<[u8]>, XsError> {
+        Ok(Arc::clone(&self.readable(dom, key)?.value))
     }
 
     /// Wraps `value` as a shareable payload (the store-wide empty buffer
@@ -734,21 +718,15 @@ impl Store {
     }
 
     /// Reads a node's value as UTF-8 (lossy values are an error).
-    pub fn read_str(&self, dom: u32, path: &XsPath) -> Result<&str, XsError> {
-        std::str::from_utf8(self.read(dom, path)?).map_err(|_| XsError::Invalid)
+    pub fn read_str(&self, dom: u32, key: impl XsKey) -> Result<&str, XsError> {
+        std::str::from_utf8(self.read(dom, key)?).map_err(|_| XsError::Invalid)
     }
 
-    /// Writes `value` to `path`, creating the node and any missing parents
-    /// (xenstored semantics). New nodes are owned by `dom`.
-    pub fn write(&mut self, dom: u32, path: &XsPath, value: &[u8]) -> Result<(), XsError> {
-        if path.depth() == 0 {
-            return Err(XsError::Invalid);
-        }
-        let sym = self.sym(path);
-        self.write_sym(dom, sym, value)
-    }
-
-    pub(crate) fn write_sym(&mut self, dom: u32, sym: XsSym, value: &[u8]) -> Result<(), XsError> {
+    /// Writes `value` to the node, creating it and any missing parents
+    /// (xenstored semantics). New nodes are owned by `dom`; the root is
+    /// not writable.
+    pub fn write(&mut self, dom: u32, key: impl XsKey, value: &[u8]) -> Result<(), XsError> {
+        let sym = self.sym(key);
         self.write_val_sym(dom, sym, ValSrc::Bytes(value))
     }
 
@@ -763,12 +741,7 @@ impl Store {
         self.write_val_sym(dom, sym, ValSrc::Shared(value))
     }
 
-    pub(crate) fn write_val_sym(
-        &mut self,
-        dom: u32,
-        sym: XsSym,
-        value: ValSrc<'_>,
-    ) -> Result<(), XsError> {
+    fn write_val_sym(&mut self, dom: u32, sym: XsSym, value: ValSrc<'_>) -> Result<(), XsError> {
         if sym == XsSym::ROOT {
             return Err(XsError::Invalid);
         }
@@ -786,7 +759,7 @@ impl Store {
         // quota or parent checks apply — only the node's own write bit.
         // (The generation still bumps before a permission failure, as on
         // the slow path below.)
-        if self.exists_sym(sym) {
+        if self.node(sym).is_some() {
             self.generation += 1;
             let generation = self.generation;
             let empty = self.empty.clone();
@@ -826,7 +799,7 @@ impl Store {
         if dom != 0 {
             if let Some(q) = self.quota {
                 let have = self.owned.get(&dom).copied().unwrap_or(0);
-                let missing = chain.iter().filter(|&&s| !self.exists_sym(s)).count();
+                let missing = chain.iter().filter(|&&s| self.node(s).is_none()).count();
                 if have + missing > q {
                     return Err(XsError::QuotaExceeded);
                 }
@@ -838,7 +811,7 @@ impl Store {
         let mut parent = XsSym::ROOT;
         for (i, &s) in chain.iter().enumerate() {
             let is_last = i + 1 == chain.len();
-            if !self.exists_sym(s) {
+            if self.node(s).is_none() {
                 let parent_perms = self.node(parent).expect("parent exists").perms;
                 if !parent_perms.may_write(dom) {
                     self.node_count += created;
@@ -883,23 +856,16 @@ impl Store {
     }
 
     /// Creates an empty directory node.
-    pub fn mkdir(&mut self, dom: u32, path: &XsPath) -> Result<(), XsError> {
-        if self.exists(path) {
+    pub fn mkdir(&mut self, dom: u32, key: impl XsKey) -> Result<(), XsError> {
+        if self.exists(key) {
             return Err(XsError::AlreadyExists);
         }
-        self.write(dom, path, b"")
+        self.write(dom, key, b"")
     }
 
-    /// Removes a node and its subtree.
-    pub fn rm(&mut self, dom: u32, path: &XsPath) -> Result<(), XsError> {
-        if path.depth() == 0 {
-            return Err(XsError::Invalid);
-        }
-        let sym = self.resolve(path.as_str()).ok_or(XsError::NotFound)?;
-        self.rm_sym(dom, sym)
-    }
-
-    pub(crate) fn rm_sym(&mut self, dom: u32, sym: XsSym) -> Result<(), XsError> {
+    /// Removes a node and its subtree; the root cannot be removed.
+    pub fn rm(&mut self, dom: u32, key: impl XsKey) -> Result<(), XsError> {
+        let sym = self.find(key).ok_or(XsError::NotFound)?;
         if sym == XsSym::ROOT {
             return Err(XsError::Invalid);
         }
@@ -952,16 +918,8 @@ impl Store {
     }
 
     /// Lists the child names of a node, sorted.
-    pub fn directory(&self, dom: u32, path: &XsPath) -> Result<Vec<String>, XsError> {
-        let sym = self.resolve(path.as_str()).ok_or(XsError::NotFound)?;
-        self.directory_sym(dom, sym)
-    }
-
-    pub(crate) fn directory_sym(&self, dom: u32, sym: XsSym) -> Result<Vec<String>, XsError> {
-        let node = self.node(sym).ok_or(XsError::NotFound)?;
-        if !node.perms.may_read(dom) {
-            return Err(XsError::PermissionDenied);
-        }
+    pub fn directory(&self, dom: u32, key: impl XsKey) -> Result<Vec<String>, XsError> {
+        let node = self.readable(dom, key)?;
         // The child chain is in insertion order; sort the listing.
         let interner = self.interner.borrow();
         let mut out = Vec::new();
@@ -984,10 +942,7 @@ impl Store {
         sym: XsSym,
         mut f: impl FnMut(XsSym),
     ) -> Result<usize, XsError> {
-        let node = self.node(sym).ok_or(XsError::NotFound)?;
-        if !node.perms.may_read(dom) {
-            return Err(XsError::PermissionDenied);
-        }
+        let node = self.readable(dom, sym)?;
         let mut count = 0;
         let mut cur = node.first_child;
         while let Some(c) = cur {
@@ -999,25 +954,15 @@ impl Store {
     }
 
     /// Reads a node's permissions.
-    pub fn get_perms(&self, path: &XsPath) -> Result<Perms, XsError> {
-        self.resolve(path.as_str())
-            .and_then(|sym| self.node(sym))
+    pub fn get_perms(&self, key: impl XsKey) -> Result<Perms, XsError> {
+        self.find_node(key)
             .map(|n| n.perms)
             .ok_or(XsError::NotFound)
     }
 
     /// Sets a node's permissions. Only Dom0 or the owner may do this.
-    pub fn set_perms(&mut self, dom: u32, path: &XsPath, perms: Perms) -> Result<(), XsError> {
-        let sym = self.sym(path);
-        self.set_perms_sym(dom, sym, perms)
-    }
-
-    pub(crate) fn set_perms_sym(
-        &mut self,
-        dom: u32,
-        sym: XsSym,
-        perms: Perms,
-    ) -> Result<(), XsError> {
+    pub fn set_perms(&mut self, dom: u32, key: impl XsKey, perms: Perms) -> Result<(), XsError> {
+        let sym = self.sym(key);
         // As before the flattening: the global generation bumps even when
         // the lookup or permission check below fails.
         self.generation += 1;
@@ -1217,12 +1162,12 @@ mod tests {
     fn recreated_node_reuses_its_symbol() {
         let mut s = Store::new();
         s.write(0, &p("/a/b"), b"first").unwrap();
-        let sym = s.resolve("/a/b").unwrap();
+        let sym = s.find(&p("/a/b")).unwrap();
         s.rm(0, &p("/a/b")).unwrap();
-        assert!(!s.exists_sym(sym), "node gone, symbol retained");
+        assert!(!s.exists(sym), "node gone, symbol retained");
         s.write(0, &p("/a/b"), b"second").unwrap();
-        assert_eq!(s.resolve("/a/b").unwrap(), sym, "append-only table");
-        assert_eq!(s.read_sym(0, sym).unwrap(), b"second");
+        assert_eq!(s.find(&p("/a/b")).unwrap(), sym, "append-only table");
+        assert_eq!(s.read(0, sym).unwrap(), b"second");
     }
 
     #[test]

@@ -31,6 +31,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::path::XsPath;
+
 /// An interned path symbol. `XsSym::ROOT` is always `/`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct XsSym(u32);
@@ -42,6 +44,49 @@ impl XsSym {
     /// The symbol's table index.
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+}
+
+/// The key of a store node: a parsed path or an interned symbol. Every
+/// store, transaction, watch and daemon operation takes one `impl
+/// XsKey`, so each operation has a single entry point whichever key the
+/// caller holds. Lookups (`read`, `rm`, `directory`, `unwatch`, ...)
+/// [`find`](XsKey::find) the key and never grow the table; mutations
+/// and every transactional op [`intern`](XsKey::intern) it.
+pub trait XsKey: Copy {
+    /// The key's symbol if its path was ever interned; never interns.
+    fn find(self, interner: &Interner) -> Option<XsSym>;
+    /// The key's symbol, interning the path and its ancestors if new.
+    fn intern(self, interner: &mut Interner) -> XsSym;
+    /// Byte length of the key's path: the request's path payload.
+    fn wire_len(self, interner: &Interner) -> usize;
+}
+
+impl XsKey for XsSym {
+    fn find(self, _: &Interner) -> Option<XsSym> {
+        Some(self)
+    }
+
+    fn intern(self, _: &mut Interner) -> XsSym {
+        self
+    }
+
+    fn wire_len(self, interner: &Interner) -> usize {
+        interner.path_str(self).len()
+    }
+}
+
+impl XsKey for &XsPath {
+    fn find(self, interner: &Interner) -> Option<XsSym> {
+        interner.resolve(self.as_str())
+    }
+
+    fn intern(self, interner: &mut Interner) -> XsSym {
+        interner.intern(self.as_str())
+    }
+
+    fn wire_len(self, _: &Interner) -> usize {
+        self.len()
     }
 }
 

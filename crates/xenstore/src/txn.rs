@@ -17,16 +17,17 @@
 //! [`Txn::snapshot_nodes`].
 //!
 //! Overlay and touched sets are keyed by interned path symbols
-//! ([`XsSym`]): each operation resolves its path to a symbol once at
-//! entry, after which every probe, ancestor walk and write-log entry is
-//! integer-keyed — no path clones, no string comparisons.
+//! ([`XsSym`]): each operation takes a path or a symbol ([`XsKey`]) and
+//! interns it once at entry — even a read, since the transaction must
+//! touch the node for conflict detection — after which every probe,
+//! ancestor walk and write-log entry is integer-keyed: no path clones,
+//! no string comparisons.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::path::XsPath;
 use crate::store::{Perms, Store, XsError};
-use crate::sym::XsSym;
+use crate::sym::{XsKey, XsSym};
 
 /// Transaction identifier.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -66,8 +67,8 @@ pub struct Txn {
     /// (`None` = the node did not exist then).
     touched: HashMap<XsSym, Option<u64>>,
     write_log: Vec<WriteOp>,
-    /// Reusable symbol buffer for [`Txn::write_sym`] parent chains and
-    /// [`Txn::rm_sym`] overlay sweeps; capacity survives [`Txn::reset`].
+    /// Reusable symbol buffer for [`Txn::write`] parent chains and
+    /// [`Txn::rm`] overlay sweeps; capacity survives [`Txn::reset`].
     scratch: Vec<XsSym>,
     /// Number of nodes the oxenstored snapshot would copy (cost model).
     pub snapshot_nodes: usize,
@@ -118,7 +119,7 @@ impl Txn {
     fn touch(&mut self, main: &Store, sym: XsSym) {
         self.touched
             .entry(sym)
-            .or_insert_with(|| main.node_generation_sym(sym));
+            .or_insert_with(|| main.node_generation(sym));
     }
 
     /// Whether `sym` exists from the transaction's point of view.
@@ -137,7 +138,7 @@ impl Txn {
                     (Overlay::Value(_) | Overlay::Recreated(_), 0) => true,
                     (Overlay::Removed, _) => false,
                     (Overlay::Recreated(_), _) => false, // hidden main child
-                    (Overlay::Value(_), _) => main.exists_sym(sym),
+                    (Overlay::Value(_), _) => main.exists(sym),
                 };
             }
             if cur == XsSym::ROOT {
@@ -146,7 +147,7 @@ impl Txn {
             cur = main.parent_sym(cur);
             dist += 1;
         }
-        main.exists_sym(sym)
+        main.exists(sym)
     }
 
     /// Whether main-store content below `sym` is hidden by a removal in
@@ -166,20 +167,15 @@ impl Txn {
 
     /// Transactional read: sees the transaction's own writes. Returns a
     /// shared payload — a refcount bump, never a byte copy.
-    pub fn read(&mut self, main: &Store, path: &XsPath) -> Result<Arc<[u8]>, XsError> {
-        let sym = main.sym(path);
-        self.read_sym(main, sym)
-    }
-
-    /// [`Txn::read`] on an already-interned symbol.
-    pub fn read_sym(&mut self, main: &Store, sym: XsSym) -> Result<Arc<[u8]>, XsError> {
+    pub fn read(&mut self, main: &Store, key: impl XsKey) -> Result<Arc<[u8]>, XsError> {
+        let sym = main.sym(key);
         self.touch(main, sym);
         match self.overlay.get(&sym) {
             Some(Overlay::Value(v) | Overlay::Recreated(v)) => Ok(Arc::clone(v)),
             Some(Overlay::Removed) => Err(XsError::NotFound),
             None => {
                 if self.exists_view(main, sym) {
-                    main.read_rc_sym(self.conn, sym)
+                    main.read_rc(self.conn, sym)
                 } else {
                     Err(XsError::NotFound)
                 }
@@ -188,26 +184,21 @@ impl Txn {
     }
 
     /// Transactional existence check.
-    pub fn exists(&mut self, main: &Store, path: &XsPath) -> bool {
-        let sym = main.sym(path);
-        self.exists_sym(main, sym)
-    }
-
-    /// [`Txn::exists`] on an already-interned symbol.
-    pub fn exists_sym(&mut self, main: &Store, sym: XsSym) -> bool {
+    pub fn exists(&mut self, main: &Store, key: impl XsKey) -> bool {
+        let sym = main.sym(key);
         self.touch(main, sym);
         self.exists_view(main, sym)
     }
 
     /// Transactional directory listing: main-store children (unless
     /// hidden by a removal) merged with children created in the overlay.
-    pub fn directory(&mut self, main: &Store, path: &XsPath) -> Result<Vec<String>, XsError> {
-        let sym = main.sym(path);
+    pub fn directory(&mut self, main: &Store, key: impl XsKey) -> Result<Vec<String>, XsError> {
+        let sym = main.sym(key);
         self.touch(main, sym);
         if !self.exists_view(main, sym) {
             return Err(XsError::NotFound);
         }
-        let mut names: Vec<String> = match main.directory_sym(self.conn, sym) {
+        let mut names: Vec<String> = match main.directory(self.conn, sym) {
             Ok(v) => v,
             Err(XsError::NotFound) => Vec::new(),
             Err(e) => return Err(e),
@@ -235,19 +226,11 @@ impl Txn {
         Ok(names)
     }
 
-    /// Transactional write (buffered until commit).
-    pub fn write(&mut self, main: &Store, path: &XsPath, value: &[u8]) -> Result<(), XsError> {
-        if path.depth() == 0 {
-            return Err(XsError::Invalid);
-        }
-        let sym = main.sym(path);
-        self.write_sym(main, sym, value)
-    }
-
-    /// [`Txn::write`] on an already-interned symbol. The payload is
+    /// Transactional write (buffered until commit). The payload is
     /// allocated once and shared between the overlay, the write log and
     /// (after commit) the store node.
-    pub fn write_sym(&mut self, main: &Store, sym: XsSym, value: &[u8]) -> Result<(), XsError> {
+    pub fn write(&mut self, main: &Store, key: impl XsKey, value: &[u8]) -> Result<(), XsError> {
+        let sym = main.sym(key);
         if sym == XsSym::ROOT {
             return Err(XsError::Invalid);
         }
@@ -282,34 +265,21 @@ impl Txn {
     }
 
     /// Transactional mkdir.
-    pub fn mkdir(&mut self, main: &Store, path: &XsPath) -> Result<(), XsError> {
-        let sym = main.sym(path);
-        self.mkdir_sym(main, sym)
-    }
-
-    /// [`Txn::mkdir`] on an already-interned symbol.
-    pub fn mkdir_sym(&mut self, main: &Store, sym: XsSym) -> Result<(), XsError> {
-        if self.exists_sym(main, sym) {
+    pub fn mkdir(&mut self, main: &Store, key: impl XsKey) -> Result<(), XsError> {
+        let sym = main.sym(key);
+        if self.exists(main, sym) {
             return Err(XsError::AlreadyExists);
         }
-        self.write_sym(main, sym, b"")
+        self.write(main, sym, b"")
     }
 
     /// Transactional remove.
-    pub fn rm(&mut self, main: &Store, path: &XsPath) -> Result<(), XsError> {
-        if path.depth() == 0 {
-            return Err(XsError::Invalid);
-        }
-        let sym = main.sym(path);
-        self.rm_sym(main, sym)
-    }
-
-    /// [`Txn::rm`] on an already-interned symbol.
-    pub fn rm_sym(&mut self, main: &Store, sym: XsSym) -> Result<(), XsError> {
+    pub fn rm(&mut self, main: &Store, key: impl XsKey) -> Result<(), XsError> {
+        let sym = main.sym(key);
         if sym == XsSym::ROOT {
             return Err(XsError::Invalid);
         }
-        if !self.exists_sym(main, sym) {
+        if !self.exists(main, sym) {
             return Err(XsError::NotFound);
         }
         // Drop any overlay entries underneath.
@@ -331,11 +301,16 @@ impl Txn {
     }
 
     /// Transactional permission change.
-    pub fn set_perms(&mut self, main: &Store, path: &XsPath, perms: Perms) -> Result<(), XsError> {
-        if !self.exists(main, path) {
+    pub fn set_perms(
+        &mut self,
+        main: &Store,
+        key: impl XsKey,
+        perms: Perms,
+    ) -> Result<(), XsError> {
+        let sym = main.sym(key);
+        if !self.exists(main, sym) {
             return Err(XsError::NotFound);
         }
-        let sym = main.sym(path);
         self.write_log.push(WriteOp::SetPerms(sym, perms));
         Ok(())
     }
@@ -351,7 +326,7 @@ impl Txn {
     pub fn commit(&mut self, main: &mut Store, fired: &mut Vec<XsSym>) -> Result<(), XsError> {
         fired.clear();
         for (&sym, gen0) in &self.touched {
-            if main.node_generation_sym(sym) != *gen0 {
+            if main.node_generation(sym) != *gen0 {
                 return Err(XsError::Again);
             }
         }
@@ -369,7 +344,7 @@ impl Txn {
                 WriteOp::Rm(s) => {
                     // The subtree may already be gone if an earlier Rm in
                     // this same log removed an ancestor.
-                    match main.rm_sym(self.conn, *s) {
+                    match main.rm(self.conn, *s) {
                         Ok(()) | Err(XsError::NotFound) => fired.push(*s),
                         Err(e) => {
                             result = Err(e);
@@ -378,7 +353,7 @@ impl Txn {
                     }
                 }
                 WriteOp::SetPerms(s, perms) => {
-                    if let Err(e) = main.set_perms_sym(self.conn, *s, *perms) {
+                    if let Err(e) = main.set_perms(self.conn, *s, *perms) {
                         result = Err(e);
                         break;
                     }
@@ -394,6 +369,7 @@ impl Txn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::path::XsPath;
 
     fn p(s: &str) -> XsPath {
         XsPath::parse(s).unwrap()

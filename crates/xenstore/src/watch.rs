@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use crate::path::XsPath;
 use crate::store::Store;
-use crate::sym::XsSym;
+use crate::sym::{XsKey, XsSym};
 
 /// A delivered watch notification.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -144,20 +144,15 @@ impl WatchTable {
         self.count += 1;
     }
 
-    /// Unregisters a watch by (connection, path, token). Returns true if
-    /// one was removed.
-    pub fn unregister(&mut self, store: &Store, conn: u32, path: &XsPath, token: &str) -> bool {
-        let Some(sym) = store.resolve(path.as_str()) else {
+    /// Unregisters a watch by (connection, path or symbol, token).
+    /// Returns true if one was removed. A path that was never interned,
+    /// or a key that was never watched (or whose watch was already
+    /// removed), is a no-op returning false — the table is never
+    /// corrupted by a double unregister.
+    pub fn unregister(&mut self, store: &Store, conn: u32, key: impl XsKey, token: &str) -> bool {
+        let Some(sym) = store.find(key) else {
             return false;
         };
-        self.unregister_sym(conn, sym, token)
-    }
-
-    /// [`WatchTable::unregister`] on an interned symbol. A symbol that was
-    /// never watched (or whose watch was already removed) is a no-op
-    /// returning false — the table is never corrupted by a double
-    /// unregister.
-    pub fn unregister_sym(&mut self, conn: u32, sym: XsSym, token: &str) -> bool {
         let removed = self
             .by_sym
             .remove_where(sym.index(), |(c, t)| *c == conn && &**t == token);
@@ -357,21 +352,21 @@ mod tests {
     }
 
     #[test]
-    fn unregister_sym_is_noop_on_unknown_and_exact_on_known() {
+    fn unregister_by_symbol_is_noop_on_unknown_and_exact_on_known() {
         let s = store();
         let mut t = WatchTable::new();
         let a = sym(&s, "/a");
         // Never registered: clean no-op, count untouched.
-        assert!(!t.unregister_sym(1, a, "t"));
+        assert!(!t.unregister(&s, 1, a, "t"));
         assert_eq!(t.count(), 0);
         t.register(&s, 1, a, "t");
         t.register(&s, 2, a, "t");
         // Wrong token / wrong conn leave the other entries intact.
-        assert!(!t.unregister_sym(1, a, "other"));
-        assert!(t.unregister_sym(1, a, "t"));
+        assert!(!t.unregister(&s, 1, a, "other"));
+        assert!(t.unregister(&s, 1, a, "t"));
         assert_eq!(t.count(), 1, "conn 2's watch survives");
         // Double unregister after the fact: no-op, no corruption.
-        assert!(!t.unregister_sym(1, a, "t"));
+        assert!(!t.unregister(&s, 1, a, "t"));
         assert_eq!(t.count(), 1);
         assert_eq!(t.note_mutation_sym(&s, sym(&s, "/a/x")).fired, 1);
     }
@@ -399,11 +394,11 @@ mod tests {
         t.register(&s, 1, a, "y");
         t.register(&s, 1, b, "x");
         assert_eq!(t.conns[&1].watched, [a, a, b]);
-        assert!(t.unregister_sym(1, a, "x"));
+        assert!(t.unregister(&s, 1, a, "x"));
         assert_eq!(t.conns[&1].watched, [a, b]);
         // A duplicate (conn, sym, token) unregisters as one: both copies go.
         t.register(&s, 1, b, "x");
-        assert!(t.unregister_sym(1, b, "x"));
+        assert!(t.unregister(&s, 1, b, "x"));
         assert_eq!(t.conns[&1].watched, [a]);
         assert_eq!(t.count(), 1);
     }

@@ -18,12 +18,12 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use simcore::{Category, CostModel, Meter, SimRng, SimTime};
+use simcore::{Category, CostModel, Meter, SimRng};
 
 use crate::log::{AccessLog, LogOutcome};
 use crate::path::XsPath;
 use crate::store::{Perms, Store, XsError};
-use crate::sym::XsSym;
+use crate::sym::{XsKey, XsSym};
 use crate::txn::{Txn, TxnId};
 use crate::watch::{WatchEvent, WatchTable};
 
@@ -231,8 +231,8 @@ impl Xenstored {
                 self.txn_pool.push(txn);
             }
         }
-        self.charge(
-            meter,
+        meter.charge(
+            Category::Xenstore,
             cost.xs_daemon_restart
                 + cost.xs_restart_replay_per_node * self.store.node_count() as u64,
         );
@@ -347,12 +347,7 @@ impl Xenstored {
         meter.charge(Category::Xenstore, dt);
     }
 
-    fn charge(&self, meter: &mut Meter, dt: SimTime) {
-        let _ = self; // parallel to charge_protocol's signature
-        meter.charge(Category::Xenstore, dt);
-    }
-
-    fn note_mutation_sym(&mut self, cost: &CostModel, meter: &mut Meter, sym: XsSym) {
+    fn note_mutation(&mut self, cost: &CostModel, meter: &mut Meter, sym: XsSym) {
         let stats = self.watches.note_mutation_sym(&self.store, sym);
         self.stats.watch_events += stats.fired as u64;
         let dt = cost.xs_watch_check * stats.checked as u64
@@ -362,8 +357,11 @@ impl Xenstored {
 
     // --- direct (non-transactional) operations ---------------------------
     //
-    // Each path-keyed operation resolves/interns once and forwards to its
-    // `_s` symbol twin; the twins are the allocation-free hot path.
+    // Each operation takes a path or an interned symbol (`impl XsKey`)
+    // and charges the same either way. Lookups (`read`, `rm`,
+    // `directory`, `unwatch`) never intern a path; mutations (`write`,
+    // `mkdir`, `set_perms`, `watch`) do. Callers composing symbols are
+    // the allocation-free hot path.
 
     /// Reads a value as a shared payload — a refcount bump, not a copy.
     pub fn read(
@@ -371,26 +369,14 @@ impl Xenstored {
         cost: &CostModel,
         meter: &mut Meter,
         conn: ConnId,
-        path: &XsPath,
+        key: impl XsKey,
     ) -> Result<Arc<[u8]>, XsError> {
-        self.charge_protocol(cost, meter, path.len());
-        let sym = self.store.resolve(path.as_str()).ok_or(XsError::NotFound)?;
-        let v = self.store.read_rc_sym(conn, sym)?;
-        self.charge(meter, cost.xs_payload_per_byte * v.len() as u64);
-        Ok(v)
-    }
-
-    /// [`Xenstored::read`] on an interned symbol.
-    pub fn read_s(
-        &mut self,
-        cost: &CostModel,
-        meter: &mut Meter,
-        conn: ConnId,
-        sym: XsSym,
-    ) -> Result<Arc<[u8]>, XsError> {
-        self.charge_protocol(cost, meter, self.store.path_len(sym));
-        let v = self.store.read_rc_sym(conn, sym)?;
-        self.charge(meter, cost.xs_payload_per_byte * v.len() as u64);
+        self.charge_protocol(cost, meter, self.store.wire_len(key));
+        let v = self.store.read_rc(conn, key)?;
+        meter.charge(
+            Category::Xenstore,
+            cost.xs_payload_per_byte * v.len() as u64,
+        );
         Ok(v)
     }
 
@@ -400,31 +386,13 @@ impl Xenstored {
         cost: &CostModel,
         meter: &mut Meter,
         conn: ConnId,
-        path: &XsPath,
+        key: impl XsKey,
         value: &[u8],
     ) -> Result<(), XsError> {
-        self.charge_protocol(cost, meter, path.len() + value.len());
-        if path.depth() == 0 {
-            return Err(XsError::Invalid);
-        }
-        let sym = self.store.sym(path);
-        self.store.write_sym(conn, sym, value)?;
-        self.note_mutation_sym(cost, meter, sym);
-        Ok(())
-    }
-
-    /// [`Xenstored::write`] on an interned symbol.
-    pub fn write_s(
-        &mut self,
-        cost: &CostModel,
-        meter: &mut Meter,
-        conn: ConnId,
-        sym: XsSym,
-        value: &[u8],
-    ) -> Result<(), XsError> {
-        self.charge_protocol(cost, meter, self.store.path_len(sym) + value.len());
-        self.store.write_sym(conn, sym, value)?;
-        self.note_mutation_sym(cost, meter, sym);
+        self.charge_protocol(cost, meter, self.store.wire_len(key) + value.len());
+        let sym = self.store.sym(key);
+        self.store.write(conn, sym, value)?;
+        self.note_mutation(cost, meter, sym);
         Ok(())
     }
 
@@ -434,36 +402,12 @@ impl Xenstored {
         cost: &CostModel,
         meter: &mut Meter,
         conn: ConnId,
-        path: &XsPath,
+        key: impl XsKey,
     ) -> Result<(), XsError> {
-        self.charge_protocol(cost, meter, path.len());
-        self.mkdir_inner(cost, meter, conn, self.store.sym(path))
-    }
-
-    /// [`Xenstored::mkdir`] on an interned symbol.
-    pub fn mkdir_s(
-        &mut self,
-        cost: &CostModel,
-        meter: &mut Meter,
-        conn: ConnId,
-        sym: XsSym,
-    ) -> Result<(), XsError> {
-        self.charge_protocol(cost, meter, self.store.path_len(sym));
-        self.mkdir_inner(cost, meter, conn, sym)
-    }
-
-    fn mkdir_inner(
-        &mut self,
-        cost: &CostModel,
-        meter: &mut Meter,
-        conn: ConnId,
-        sym: XsSym,
-    ) -> Result<(), XsError> {
-        if self.store.exists_sym(sym) {
-            return Err(XsError::AlreadyExists);
-        }
-        self.store.write_sym(conn, sym, b"")?;
-        self.note_mutation_sym(cost, meter, sym);
+        self.charge_protocol(cost, meter, self.store.wire_len(key));
+        let sym = self.store.sym(key);
+        self.store.mkdir(conn, sym)?;
+        self.note_mutation(cost, meter, sym);
         Ok(())
     }
 
@@ -473,29 +417,12 @@ impl Xenstored {
         cost: &CostModel,
         meter: &mut Meter,
         conn: ConnId,
-        path: &XsPath,
+        key: impl XsKey,
     ) -> Result<(), XsError> {
-        self.charge_protocol(cost, meter, path.len());
-        if path.depth() == 0 {
-            return Err(XsError::Invalid);
-        }
-        let sym = self.store.resolve(path.as_str()).ok_or(XsError::NotFound)?;
-        self.store.rm_sym(conn, sym)?;
-        self.note_mutation_sym(cost, meter, sym);
-        Ok(())
-    }
-
-    /// [`Xenstored::rm`] on an interned symbol.
-    pub fn rm_s(
-        &mut self,
-        cost: &CostModel,
-        meter: &mut Meter,
-        conn: ConnId,
-        sym: XsSym,
-    ) -> Result<(), XsError> {
-        self.charge_protocol(cost, meter, self.store.path_len(sym));
-        self.store.rm_sym(conn, sym)?;
-        self.note_mutation_sym(cost, meter, sym);
+        self.charge_protocol(cost, meter, self.store.wire_len(key));
+        let sym = self.store.find(key).ok_or(XsError::NotFound)?;
+        self.store.rm(conn, sym)?;
+        self.note_mutation(cost, meter, sym);
         Ok(())
     }
 
@@ -506,17 +433,20 @@ impl Xenstored {
         cost: &CostModel,
         meter: &mut Meter,
         conn: ConnId,
-        path: &XsPath,
+        key: impl XsKey,
     ) -> Result<Vec<String>, XsError> {
-        self.charge_protocol(cost, meter, path.len());
-        let entries = self.store.directory(conn, path)?;
-        self.charge(meter, cost.xs_dir_per_entry * entries.len() as u64);
+        self.charge_protocol(cost, meter, self.store.wire_len(key));
+        let entries = self.store.directory(conn, key)?;
+        meter.charge(
+            Category::Xenstore,
+            cost.xs_dir_per_entry * entries.len() as u64,
+        );
         Ok(entries)
     }
 
     /// Allocation-free directory listing: appends each child's symbol to
     /// `out` (cleared first), in sorted name order, with the same
-    /// per-entry charge as [`Xenstored::directory`].
+    /// charges as [`Xenstored::directory`].
     pub fn directory_syms(
         &mut self,
         cost: &CostModel,
@@ -525,11 +455,11 @@ impl Xenstored {
         sym: XsSym,
         out: &mut Vec<XsSym>,
     ) -> Result<(), XsError> {
-        self.charge_protocol(cost, meter, self.store.path_len(sym));
+        self.charge_protocol(cost, meter, self.store.wire_len(sym));
         out.clear();
         let n = self.store.for_each_child_sym(conn, sym, |child| out.push(child))?;
         self.store.sort_syms_by_name(out);
-        self.charge(meter, cost.xs_dir_per_entry * n as u64);
+        meter.charge(Category::Xenstore, cost.xs_dir_per_entry * n as u64);
         Ok(())
     }
 
@@ -563,7 +493,7 @@ impl Xenstored {
 
     /// Uncharged existence probe.
     pub fn probe_exists(&self, sym: XsSym) -> bool {
-        self.store.exists_sym(sym)
+        self.store.exists(sym)
     }
 
     /// Uncharged value probe: true if the node exists and holds exactly
@@ -573,13 +503,13 @@ impl Xenstored {
     }
 
     /// Byte length of `/local/domain/<domid>/name` — what
-    /// [`Xenstored::read_s`] would charge as path payload for a domain's
+    /// [`Xenstored::read`] would charge as path payload for a domain's
     /// name node. Derived from the live `/local/domain` path length so
     /// it cannot drift from the interner's path strings.
     fn domain_name_path_len(&self, domid: u32) -> u64 {
         let digits = if domid == 0 { 1 } else { domid.ilog10() as u64 + 1 };
         // "<local_domain>" + "/" + digits + "/name"
-        self.store.path_len(self.local_domain) as u64 + 1 + digits + "/name".len() as u64
+        self.store.wire_len(self.local_domain) as u64 + 1 + digits + "/name".len() as u64
     }
 
     /// Charges exactly what xl's unique-name scan — one `directory` of
@@ -601,7 +531,7 @@ impl Xenstored {
     ) {
         let mut children: u64 = dom0_entry as u64;
         // Path payload of each request, starting with the directory's.
-        let mut path_payload = self.store.path_len(self.local_domain) as u64;
+        let mut path_payload = self.store.wire_len(self.local_domain) as u64;
         let mut value_payload: u64 = 0;
         if dom0_entry {
             path_payload += self.domain_name_path_len(0);
@@ -633,60 +563,32 @@ impl Xenstored {
         cost: &CostModel,
         meter: &mut Meter,
         conn: ConnId,
-        path: &XsPath,
+        key: impl XsKey,
         perms: Perms,
     ) -> Result<(), XsError> {
-        self.charge_protocol(cost, meter, path.len());
-        let sym = self.store.sym(path);
-        self.store.set_perms_sym(conn, sym, perms)?;
-        self.note_mutation_sym(cost, meter, sym);
-        Ok(())
-    }
-
-    /// [`Xenstored::set_perms`] on an interned symbol.
-    pub fn set_perms_s(
-        &mut self,
-        cost: &CostModel,
-        meter: &mut Meter,
-        conn: ConnId,
-        sym: XsSym,
-        perms: Perms,
-    ) -> Result<(), XsError> {
-        self.charge_protocol(cost, meter, self.store.path_len(sym));
-        self.store.set_perms_sym(conn, sym, perms)?;
-        self.note_mutation_sym(cost, meter, sym);
+        self.charge_protocol(cost, meter, self.store.wire_len(key));
+        let sym = self.store.sym(key);
+        self.store.set_perms(conn, sym, perms)?;
+        self.note_mutation(cost, meter, sym);
         Ok(())
     }
 
     // --- watches ------------------------------------------------------------
 
-    /// Registers a watch.
+    /// Registers a watch. Callers that register the same token often
+    /// pass a shared `Arc<str>`, which is kept by refcount, not copied.
     pub fn watch(
         &mut self,
         cost: &CostModel,
         meter: &mut Meter,
         conn: ConnId,
-        path: &XsPath,
-        token: &str,
+        key: impl XsKey,
+        token: impl Into<Arc<str>>,
     ) {
-        self.charge_protocol(cost, meter, path.len() + token.len());
-        let sym = self.store.sym(path);
+        let token = token.into();
+        self.charge_protocol(cost, meter, self.store.wire_len(key) + token.len());
+        let sym = self.store.sym(key);
         self.watches.register(&self.store, conn, sym, token);
-        self.stats.watch_events += 1; // the initial synchronisation event
-    }
-
-    /// [`Xenstored::watch`] on an interned symbol; the token is shared,
-    /// not copied (callers keep a cache of reused tokens).
-    pub fn watch_s(
-        &mut self,
-        cost: &CostModel,
-        meter: &mut Meter,
-        conn: ConnId,
-        sym: XsSym,
-        token: &Arc<str>,
-    ) {
-        self.charge_protocol(cost, meter, self.store.path_len(sym) + token.len());
-        self.watches.register(&self.store, conn, sym, Arc::clone(token));
         self.stats.watch_events += 1; // the initial synchronisation event
     }
 
@@ -702,29 +604,11 @@ impl Xenstored {
         cost: &CostModel,
         meter: &mut Meter,
         conn: ConnId,
-        path: &XsPath,
+        key: impl XsKey,
         token: &str,
     ) -> Result<(), XsError> {
-        self.charge_protocol(cost, meter, path.len() + token.len());
-        if self.watches.unregister(&self.store, conn, path, token) {
-            Ok(())
-        } else {
-            Err(XsError::NotFound)
-        }
-    }
-
-    /// [`Xenstored::unwatch`] on an interned symbol (teardown twin of
-    /// [`Xenstored::watch_s`]; identical charges).
-    pub fn unwatch_s(
-        &mut self,
-        cost: &CostModel,
-        meter: &mut Meter,
-        conn: ConnId,
-        sym: XsSym,
-        token: &str,
-    ) -> Result<(), XsError> {
-        self.charge_protocol(cost, meter, self.store.path_len(sym) + token.len());
-        if self.watches.unregister_sym(conn, sym, token) {
+        self.charge_protocol(cost, meter, self.store.wire_len(key) + token.len());
+        if self.watches.unregister(&self.store, conn, key, token) {
             Ok(())
         } else {
             Err(XsError::NotFound)
@@ -741,7 +625,7 @@ impl Xenstored {
         conn: ConnId,
     ) -> Vec<WatchEvent> {
         let evs = self.watches.take_events(conn);
-        self.charge(meter, cost.xs_watch_fire * evs.len() as u64);
+        meter.charge(Category::Xenstore, cost.xs_watch_fire * evs.len() as u64);
         evs
     }
 
@@ -756,14 +640,14 @@ impl Xenstored {
         out: &mut Vec<WatchEvent>,
     ) {
         self.watches.take_events_into(conn, out);
-        self.charge(meter, cost.xs_watch_fire * out.len() as u64);
+        meter.charge(Category::Xenstore, cost.xs_watch_fire * out.len() as u64);
     }
 
     /// Discards pending watch events, charging delivery for each (the
     /// client still received them; it just does not act on them).
     pub fn drain_events(&mut self, cost: &CostModel, meter: &mut Meter, conn: ConnId) -> usize {
         let n = self.watches.drain_events(conn);
-        self.charge(meter, cost.xs_watch_fire * n as u64);
+        meter.charge(Category::Xenstore, cost.xs_watch_fire * n as u64);
         n
     }
 
@@ -781,8 +665,8 @@ impl Xenstored {
             }
             None => Txn::start(id, conn, &self.store),
         };
-        self.charge(
-            meter,
+        meter.charge(
+            Category::Xenstore,
             cost.xs_txn_snapshot_per_node
                 .scale(self.flavor.txn_mult())
                 * txn.snapshot_nodes as u64,
@@ -823,23 +707,10 @@ impl Xenstored {
         meter: &mut Meter,
         conn: ConnId,
         id: TxnId,
-        path: &XsPath,
+        key: impl XsKey,
     ) -> Result<Arc<[u8]>, XsError> {
-        self.charge_protocol(cost, meter, path.len());
-        self.with_txn(conn, id, |txn, main| txn.read(main, path))?
-    }
-
-    /// [`Xenstored::txn_read`] on an interned symbol.
-    pub fn txn_read_s(
-        &mut self,
-        cost: &CostModel,
-        meter: &mut Meter,
-        conn: ConnId,
-        id: TxnId,
-        sym: XsSym,
-    ) -> Result<Arc<[u8]>, XsError> {
-        self.charge_protocol(cost, meter, self.store.path_len(sym));
-        self.with_txn(conn, id, |txn, main| txn.read_sym(main, sym))?
+        self.charge_protocol(cost, meter, self.store.wire_len(key));
+        self.with_txn(conn, id, |txn, main| txn.read(main, key))?
     }
 
     /// Transactional write.
@@ -849,25 +720,11 @@ impl Xenstored {
         meter: &mut Meter,
         conn: ConnId,
         id: TxnId,
-        path: &XsPath,
+        key: impl XsKey,
         value: &[u8],
     ) -> Result<(), XsError> {
-        self.charge_protocol(cost, meter, path.len() + value.len());
-        self.with_txn(conn, id, |txn, main| txn.write(main, path, value))?
-    }
-
-    /// [`Xenstored::txn_write`] on an interned symbol.
-    pub fn txn_write_s(
-        &mut self,
-        cost: &CostModel,
-        meter: &mut Meter,
-        conn: ConnId,
-        id: TxnId,
-        sym: XsSym,
-        value: &[u8],
-    ) -> Result<(), XsError> {
-        self.charge_protocol(cost, meter, self.store.path_len(sym) + value.len());
-        self.with_txn(conn, id, |txn, main| txn.write_sym(main, sym, value))?
+        self.charge_protocol(cost, meter, self.store.wire_len(key) + value.len());
+        self.with_txn(conn, id, |txn, main| txn.write(main, key, value))?
     }
 
     /// Transactional mkdir.
@@ -877,23 +734,10 @@ impl Xenstored {
         meter: &mut Meter,
         conn: ConnId,
         id: TxnId,
-        path: &XsPath,
+        key: impl XsKey,
     ) -> Result<(), XsError> {
-        self.charge_protocol(cost, meter, path.len());
-        self.with_txn(conn, id, |txn, main| txn.mkdir(main, path))?
-    }
-
-    /// [`Xenstored::txn_mkdir`] on an interned symbol.
-    pub fn txn_mkdir_s(
-        &mut self,
-        cost: &CostModel,
-        meter: &mut Meter,
-        conn: ConnId,
-        id: TxnId,
-        sym: XsSym,
-    ) -> Result<(), XsError> {
-        self.charge_protocol(cost, meter, self.store.path_len(sym));
-        self.with_txn(conn, id, |txn, main| txn.mkdir_sym(main, sym))?
+        self.charge_protocol(cost, meter, self.store.wire_len(key));
+        self.with_txn(conn, id, |txn, main| txn.mkdir(main, key))?
     }
 
     /// Transactional directory listing.
@@ -903,11 +747,14 @@ impl Xenstored {
         meter: &mut Meter,
         conn: ConnId,
         id: TxnId,
-        path: &XsPath,
+        key: impl XsKey,
     ) -> Result<Vec<String>, XsError> {
-        self.charge_protocol(cost, meter, path.len());
-        let entries = self.with_txn(conn, id, |txn, main| txn.directory(main, path))??;
-        self.charge(meter, cost.xs_dir_per_entry * entries.len() as u64);
+        self.charge_protocol(cost, meter, self.store.wire_len(key));
+        let entries = self.with_txn(conn, id, |txn, main| txn.directory(main, key))??;
+        meter.charge(
+            Category::Xenstore,
+            cost.xs_dir_per_entry * entries.len() as u64,
+        );
         Ok(entries)
     }
 
@@ -918,23 +765,10 @@ impl Xenstored {
         meter: &mut Meter,
         conn: ConnId,
         id: TxnId,
-        path: &XsPath,
+        key: impl XsKey,
     ) -> Result<(), XsError> {
-        self.charge_protocol(cost, meter, path.len());
-        self.with_txn(conn, id, |txn, main| txn.rm(main, path))?
-    }
-
-    /// [`Xenstored::txn_rm`] on an interned symbol.
-    pub fn txn_rm_s(
-        &mut self,
-        cost: &CostModel,
-        meter: &mut Meter,
-        conn: ConnId,
-        id: TxnId,
-        sym: XsSym,
-    ) -> Result<(), XsError> {
-        self.charge_protocol(cost, meter, self.store.path_len(sym));
-        self.with_txn(conn, id, |txn, main| txn.rm_sym(main, sym))?
+        self.charge_protocol(cost, meter, self.store.wire_len(key));
+        self.with_txn(conn, id, |txn, main| txn.rm(main, key))?
     }
 
     /// Ends a transaction. With `commit = true` this validates and applies
@@ -982,7 +816,7 @@ impl Xenstored {
                 let storm = self.storm;
                 candidates.extend(
                     txn.touched_syms()
-                        .filter(|&s| storm || self.store.exists_sym(s)),
+                        .filter(|&s| storm || self.store.exists(s)),
                 );
                 self.store.sort_syms_by_path(&mut candidates);
                 if !candidates.is_empty() {
@@ -991,7 +825,7 @@ impl Xenstored {
                     // genuine generation bump, zero byte copies.
                     let value = self
                         .store
-                        .read_rc_sym(0, victim)
+                        .read_rc(0, victim)
                         .unwrap_or_else(|_| self.store.empty_rc());
                     let _ = self.store.write_rc_sym(0, victim, &value);
                 }
@@ -999,8 +833,8 @@ impl Xenstored {
             }
         }
         // Validation cost per touched node.
-        self.charge(
-            meter,
+        meter.charge(
+            Category::Xenstore,
             cost.xs_txn_validate_per_node
                 .scale(self.flavor.txn_mult())
                 * txn.touched_nodes() as u64,
@@ -1010,7 +844,7 @@ impl Xenstored {
             Ok(()) => {
                 self.stats.txn_commits += 1;
                 for &sym in &fired {
-                    self.note_mutation_sym(cost, meter, sym);
+                    self.note_mutation(cost, meter, sym);
                 }
                 Ok(())
             }
@@ -1061,6 +895,7 @@ impl Xenstored {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::SimTime;
 
     fn p(s: &str) -> XsPath {
         XsPath::parse(s).unwrap()
@@ -1115,7 +950,7 @@ mod tests {
                     continue;
                 }
                 let name_sym = real.child_sym(entry, "name");
-                let _ = real.read_s(&cost, &mut m_real, 0, name_sym);
+                let _ = real.read(&cost, &mut m_real, 0, name_sym);
             }
             // ...versus its closed form.
             fast.replay_name_scan(
@@ -1290,37 +1125,100 @@ mod tests {
         );
     }
 
+    /// Runs every request once, naming the nodes `state`, its directory
+    /// `fe`, `data`, `t`, and `t`'s children `ta` and `tb` by one kind
+    /// of key.
+    fn every_op<K: XsKey>(
+        xs: &mut Xenstored,
+        cost: &CostModel,
+        m: &mut Meter,
+        [state, fe, data, t, ta, tb]: [K; 6],
+    ) {
+        xs.connect(5);
+        xs.write(cost, m, 0, state, b"4").unwrap();
+        assert_eq!(&*xs.read(cost, m, 0, state).unwrap(), b"4");
+        xs.mkdir(cost, m, 0, data).unwrap();
+        assert_eq!(xs.directory(cost, m, 0, fe).unwrap(), ["state"]);
+        xs.set_perms(cost, m, 0, state, Perms::private(3)).unwrap();
+        xs.watch(cost, m, 5, fe, "tok");
+        xs.write(cost, m, 0, state, b"5").unwrap();
+        assert_eq!(xs.drain_events(cost, m, 5), 2);
+        xs.unwatch(cost, m, 5, fe, "tok").unwrap();
+        xs.rm(cost, m, 0, state).unwrap();
+        let id = xs.txn_start(cost, m, 0);
+        xs.txn_mkdir(cost, m, 0, id, t).unwrap();
+        xs.txn_write(cost, m, 0, id, ta, b"1").unwrap();
+        assert_eq!(&*xs.txn_read(cost, m, 0, id, ta).unwrap(), b"1");
+        xs.txn_write(cost, m, 0, id, tb, b"2").unwrap();
+        assert_eq!(xs.txn_directory(cost, m, 0, id, t).unwrap(), ["a", "b"]);
+        xs.txn_rm(cost, m, 0, id, ta).unwrap();
+        xs.txn_end(cost, m, 0, id, true).unwrap();
+    }
+
     #[test]
     fn sym_ops_charge_identically_to_path_ops() {
         // The figure pipeline's determinism rests on this: converting a
         // caller from path strings to symbol composition must not change
-        // a single charged nanosecond.
+        // a single charged nanosecond, counter or interned symbol.
         let cost = CostModel::paper_defaults();
         let mut a = Xenstored::new(Flavor::Oxenstored, 7);
         let mut b = Xenstored::new(Flavor::Oxenstored, 7);
-        let mut ma = Meter::new();
-        let mut mb = Meter::new();
+        let (mut ma, mut mb) = (Meter::new(), Meter::new());
 
-        let path = p("/local/domain/3/device/vif/0/state");
-        a.write(&cost, &mut ma, 0, &path, b"4").unwrap();
-        let _ = a.read(&cost, &mut ma, 0, &path).unwrap();
-        a.mkdir(&cost, &mut ma, 0, &p("/local/domain/3/data")).unwrap();
-        let _ = a.directory(&cost, &mut ma, 0, &p("/local/domain/3/device/vif/0")).unwrap();
-        a.rm(&cost, &mut ma, 0, &path).unwrap();
+        let paths = [
+            "/local/domain/3/device/vif/0/state",
+            "/local/domain/3/device/vif/0",
+            "/local/domain/3/data",
+            "/local/domain/3/t",
+            "/local/domain/3/t/a",
+            "/local/domain/3/t/b",
+        ]
+        .map(p);
+        every_op(&mut a, &cost, &mut ma, paths.each_ref());
 
         let fe = b.frontend_dir_sym(3, "vif", 0);
-        let state = b.child_sym(fe, "state");
-        b.write_s(&cost, &mut mb, 0, state, b"4").unwrap();
-        let _ = b.read_s(&cost, &mut mb, 0, state).unwrap();
-        let data = b.child_sym(b.domain_dir_sym(3), "data");
-        b.mkdir_s(&cost, &mut mb, 0, data).unwrap();
-        let mut kids = Vec::new();
-        b.directory_syms(&cost, &mut mb, 0, fe, &mut kids).unwrap();
-        assert_eq!(kids.len(), 1);
-        b.rm_s(&cost, &mut mb, 0, state).unwrap();
+        let dom = b.domain_dir_sym(3);
+        let t = b.child_sym(dom, "t");
+        let syms = [
+            b.child_sym(fe, "state"),
+            fe,
+            b.child_sym(dom, "data"),
+            t,
+            b.child_sym(t, "a"),
+            b.child_sym(t, "b"),
+        ];
+        every_op(&mut b, &cost, &mut mb, syms);
 
-        assert_eq!(ma.total(), mb.total(), "charge parity path vs sym");
+        for cat in Category::ALL {
+            assert_eq!(ma.of(cat), mb.of(cat), "{cat} charge, path vs sym");
+        }
+        assert_eq!(ma.total(), mb.total());
         assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.store_census(), b.store_census());
+        assert_eq!(a.store().subtree_digest(), b.store().subtree_digest());
+    }
+
+    #[test]
+    fn lookups_of_a_never_interned_path_are_charged_enoent() {
+        let (mut xs, cost, _) = setup();
+        let ghost = p("/local/domain/9/never");
+        let syms = xs.store_census().interned_syms;
+        let requests = xs.stats().requests;
+        let mut meters = [(); 4].map(|_| Meter::new());
+        let [m_read, m_rm, m_dir, m_unwatch] = &mut meters;
+        let results = [
+            xs.read(&cost, m_read, 0, &ghost).map(drop),
+            xs.rm(&cost, m_rm, 0, &ghost),
+            xs.directory(&cost, m_dir, 0, &ghost).map(drop),
+            xs.unwatch(&cost, m_unwatch, 0, &ghost, "tok"),
+        ];
+        assert_eq!(results, [Err(XsError::NotFound); 4]);
+        for m in &meters {
+            assert!(m.of(Category::Xenstore) > SimTime::ZERO, "uncharged");
+            assert_eq!(m.total(), m.of(Category::Xenstore));
+        }
+        assert_eq!(xs.stats().requests, requests + 4);
+        assert_eq!(xs.store_census().interned_syms, syms, "a lookup interned");
     }
 
     #[test]

@@ -182,7 +182,7 @@ impl Side {
             4 => {
                 let path = random_path(rng);
                 let sym = self.store.sym(&xp(&path));
-                let got = self.table.unregister_sym(conn, sym, &token);
+                let got = self.table.unregister(&self.store, conn, sym, &token);
                 assert_eq!(got, self.model.unregister(conn, &path, &token));
             }
             5 => self.drop_conn(conn),
@@ -293,8 +293,8 @@ fn unregister_of_unwatched_path_is_a_noop() {
     let before = s.table.clone();
     assert!(!s.table.unregister(&s.store, 2, &xp("/never/interned"), "t"));
     let sym = s.store.sym(&xp("/local/domain/3"));
-    assert!(!s.table.unregister_sym(2, sym, "t"));
-    assert!(!s.table.unregister_sym(3, sym, "t"));
+    assert!(!s.table.unregister(&s.store, 2, sym, "t"));
+    assert!(!s.table.unregister(&s.store, 3, sym, "t"));
     assert_eq!(s.table.count(), before.count());
     s.check();
     s.drain_all();
