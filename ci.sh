@@ -14,8 +14,10 @@
 # machine-to-machine noise), if the density hot path allocates again
 # (deterministic allocs/event > 1.0; the allocation-free request path
 # landed at 0.432), if guest teardown slows down as the host ages
-# (benchmark churn-xl destroy_growth > 2.0), or if the full-scale
-# sequential run's cluster units peak above 200 000 KiB resident.
+# (benchmark churn-xl destroy_growth > 2.0), if the full-scale
+# sequential run's cluster units peak above 200 000 KiB resident, or if
+# it simulates fewer than 24 200 boots or charges any xl name check
+# through the O(n) request scan instead of its closed form.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -24,12 +26,15 @@ ARTEFACTS="fig01 fig02 fig04 fig05 fig09 fig10 fig11 fig12a fig12b
   fig13 fig14 fig15 fig16a fig16b fig16c fig17 fig18 ablations
   faults churn cluster"
 
-# same_artefacts <ref> <dir> <label>: exits unless every artefact in
-# <dir> is byte-identical to the one in <ref>. On a mismatch it prints
-# cmp's first differing byte and line, and that line from both files.
+# same_artefacts <ref> <dir> <label> [<id>...]: exits unless every
+# listed artefact (default: all of ARTEFACTS) in <dir> is byte-identical
+# to the one in <ref>. On a mismatch it prints cmp's first differing
+# byte and line, and that line from both files.
 same_artefacts() {
-  local ref="$1" dir="$2" label="$3" id ext f out line
-  for id in $ARTEFACTS; do
+  local ref="$1" dir="$2" label="$3" id ext f out line ids
+  shift 3
+  ids="${*:-$ARTEFACTS}"
+  for id in $ids; do
     for ext in json csv; do
       f="$id.$ext"
       if ! out=$(cmp "$ref/$f" "$dir/$f" 2>&1); then
@@ -116,12 +121,7 @@ echo "== fault determinism gate (same seed => same artefact) =="
 # byte for byte.
 LIGHTVM_QUICK=1 LIGHTVM_FIG_DIR="$FIG_DIR/faults-replay" \
   cargo run --release -p bench --bin faults > /dev/null
-for ext in json csv; do
-  if ! cmp -s "$FIG_DIR/faults.$ext" "$FIG_DIR/faults-replay/faults.$ext"; then
-    echo "ci: faults.$ext not reproducible from the same seed" >&2
-    exit 1
-  fi
-done
+same_artefacts "$FIG_DIR" "$FIG_DIR/faults-replay" "when replayed from the same seed" faults
 
 echo "== churn smoke gate (replay bytes + census plateau) =="
 # The churn soak (DESIGN.md §6i) is seeded the same way: re-running the
@@ -131,12 +131,7 @@ echo "== churn smoke gate (replay bytes + census plateau) =="
 # the published meta so a weakened assertion can't slip through.
 LIGHTVM_QUICK=1 LIGHTVM_FIG_DIR="$FIG_DIR/churn-replay" \
   cargo run --release -p bench --bin churn > /dev/null
-for ext in json csv; do
-  if ! cmp -s "$FIG_DIR/churn.$ext" "$FIG_DIR/churn-replay/churn.$ext"; then
-    echo "ci: churn.$ext not reproducible from the same seed" >&2
-    exit 1
-  fi
-done
+same_artefacts "$FIG_DIR" "$FIG_DIR/churn-replay" "when replayed from the same seed" churn
 # Census-plateau gate: every unit's leak meta — digest drift, census
 # drift, last-window arena/interner growth, teardown errors — must be
 # exactly "0", and all 6 units must have published each key.
@@ -160,12 +155,7 @@ echo "== cluster determinism gate (replay bytes + shard widths) =="
 for J in 1 2 8; do
   LIGHTVM_QUICK=1 LIGHTVM_FIG_DIR="$FIG_DIR/cluster-j$J" \
     cargo run --release -p bench --bin cluster -- --jobs "$J" > /dev/null
-  for ext in json csv; do
-    if ! cmp -s "$FIG_DIR/cluster.$ext" "$FIG_DIR/cluster-j$J/cluster.$ext"; then
-      echo "ci: cluster.$ext (--jobs $J) not reproducible from the same seed" >&2
-      exit 1
-    fi
-  done
+  same_artefacts "$FIG_DIR" "$FIG_DIR/cluster-j$J" "when replayed from the same seed at --jobs $J" cluster
 done
 # Evacuation hygiene: both evac units must record zero digest and
 # census drift across the surviving hosts (the units assert it too;
@@ -202,13 +192,36 @@ echo "== fault-free baseline gate (full scale vs committed results/) =="
 for J in 1 2 8; do
   FULL_DIR="$FIG_DIR/full-j$J"
   mkdir -p "$FULL_DIR"
-  # stderr is kept for the cluster memory gate below, then echoed.
+  # Both streams are kept for the gates below, then echoed.
   LIGHTVM_FIG_DIR="$FULL_DIR" \
     cargo run --release -p bench --bin runall -- --jobs "$J" \
-    --report "$FULL_DIR/bench_runner.json" 2> "$FULL_DIR/runall.stderr"
+    --report "$FULL_DIR/bench_runner.json" \
+    > "$FULL_DIR/runall.stdout" 2> "$FULL_DIR/runall.stderr"
+  cat "$FULL_DIR/runall.stdout"
   cat "$FULL_DIR/runall.stderr" >&2
   same_artefacts results "$FULL_DIR" "at --jobs $J from committed results/"
 done
+
+echo "== simulated-work gate (full scale, --jobs 1) =="
+# The run must simulate every boot it did before (the world store's
+# summary line) and charge every xl name check in closed form (DESIGN.md
+# §6g). A check that silently falls back to the O(n) request scan keeps
+# every artefact byte and costs only wall time, which the 1.5x wall gate
+# below is too loose to see.
+run_out="$FIG_DIR/full-j1/runall.stdout"
+cloneboot=$(grep -m1 '^# cloneboot:' "$run_out" || true)
+echo "full-scale --jobs 1: ${cloneboot:-no cloneboot line}"
+if ! grep -q '(24200 simulated)' "$run_out"; then
+  echo "ci: simulated-work gate: the full-scale run did not report (24200 simulated)" >&2
+  grep -m1 'simulated)' "$run_out" >&2 || true
+  exit 1
+fi
+if ! [[ $cloneboot =~ name-checks\ ([0-9]+)\ closed-form\ ([0-9]+) ]] \
+  || [ "${BASH_REMATCH[1]}" != "${BASH_REMATCH[2]}" ] \
+  || [[ $cloneboot != *" fallbacks 0" ]]; then
+  echo "ci: simulated-work gate: xl name checks fell back to the request scan" >&2
+  exit 1
+fi
 
 echo "== cluster scale gate (committed results/cluster.json) =="
 # The density ladder must actually reach datacenter scale: summed over

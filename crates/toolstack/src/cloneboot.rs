@@ -1,7 +1,7 @@
 //! Process-wide counters of xl's unique-name check.
 //!
 //! `ControlPlane::xl_name_check` charges xl's O(n) scan of
-//! `/local/domain` in closed form whenever its preconditions hold (see
+//! `/local/domain` in closed form unless the name may be taken (see
 //! DESIGN.md §6g) and runs the real request scan otherwise. These three
 //! counters exist only because the frozen `benchmark/` package reads
 //! them through [`totals`], [`fallback_total`] and [`summary`]; nothing

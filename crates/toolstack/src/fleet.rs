@@ -47,14 +47,15 @@ impl HostTemplate {
     pub fn capture(world: &mut ControlPlane, guest_headroom: u32) -> HostTemplate {
         let digest = world.world_digest64();
         let domid_limit = domid_limit_for(world, guest_headroom);
-        // Freeze the interner so every stamped host shares the symbol
-        // table by refcount. With the store's chunked CoW arena and the
-        // shared per-guest records (`Arc` vCPU lists and device pages,
-        // heap-free back-end and switch entries), a stamp of a
-        // 100-guest template makes ~115 allocations and ~70 KB: the
-        // flat tables and map nodes, nothing per guest and no empty
-        // overlay table (freezing leaves the overlay with no capacity).
-        world.xs.store().freeze_shared();
+        // Freeze the interner and the name tally so every stamped host
+        // shares the symbol table and name multiset by refcount. With
+        // the store's chunked CoW arena and the shared per-guest
+        // records (`Arc` vCPU lists and device pages, heap-free back-end
+        // and switch entries), a stamp of a 100-guest template makes
+        // ~115 allocations and ~70 KB: the flat tables and map nodes,
+        // nothing per guest and no empty overlay table (freezing leaves
+        // the overlays with no capacity).
+        world.xs.freeze_shared();
         HostTemplate {
             world: world.fork(),
             digest,

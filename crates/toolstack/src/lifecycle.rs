@@ -351,10 +351,7 @@ impl ControlPlane {
         let bg = self.cpu.add_background(core, image.idle_demand);
         self.note_booted(image.watches);
         self.dom0_load_total += image.dom0_load;
-        *self
-            .image_instances
-            .entry(image.name.to_string())
-            .or_insert(0) += 1;
+        self.count_instance(image);
         self.vms.insert(
             dom,
             Arc::new(Vm {
@@ -365,7 +362,6 @@ impl ControlPlane {
                 booted: true,
                 net_devids: if image.needs_net { vec![0] } else { vec![] },
                 blk_devids: if image.needs_block { vec![0] } else { vec![] },
-                name_sym: self.guest_name_sym(dom),
             }),
         );
         self.refresh_interference();

@@ -181,10 +181,6 @@ pub struct Vm {
     pub net_devids: Vec<u32>,
     /// Block device ids.
     pub blk_devids: Vec<u32>,
-    /// `/local/domain/<d>/name`, interned at insert in modes that use
-    /// xenstore (`None` on noxs): what xl's name check probes to admit
-    /// its closed form.
-    pub(crate) name_sym: Option<XsSym>,
 }
 
 /// Per-site counters for errors swallowed on destroy/rollback paths.
@@ -313,8 +309,6 @@ pub struct ControlPlane {
     /// (the integer sum is order-free, so it matches the old per-call
     /// fold exactly).
     booted_watches: u32,
-    /// Scratch for the closed-form name check's uncharged store probe.
-    scan_scratch: Vec<u32>,
 }
 
 impl ControlPlane {
@@ -358,7 +352,6 @@ impl ControlPlane {
             fe_tokens: Vec::new(),
             dir_scratch: Vec::new(),
             booted_watches: 0,
-            scan_scratch: Vec::new(),
             machine,
         }
         .finish_init()
@@ -406,6 +399,18 @@ impl ControlPlane {
         }
     }
 
+    /// Counts one more instance of `image`. The name is cloned into the
+    /// map only for an image's first instance, so a steady-state create
+    /// allocates nothing here.
+    pub(crate) fn count_instance(&mut self, image: &GuestImage) {
+        match self.image_instances.get_mut(&image.name) {
+            Some(n) => *n += 1,
+            None => {
+                self.image_instances.insert(image.name.clone(), 1);
+            }
+        }
+    }
+
     /// Installs a fault plan. Pass [`FaultPlan::none()`] to disable
     /// injection again; an inactive plan never touches the RNG, so
     /// fault-free runs stay byte-identical with or without this call.
@@ -448,13 +453,6 @@ impl ControlPlane {
         let dom0 = (self.dom0_load_total / self.dom0_cores as f64).min(1.0);
         let cores = self.machine.cores as f64;
         (guest * cores + dom0 * self.dom0_cores as f64).min(cores) / cores
-            - (self.cpu_dom0_double_count())
-    }
-
-    fn cpu_dom0_double_count(&self) -> f64 {
-        // Dom0 load lives outside the CpuSim (guests only), so nothing is
-        // double counted; kept as an explicit zero for clarity.
-        0.0
     }
 
     /// Dom0 contention multiplier on toolstack work: backends and
@@ -464,8 +462,6 @@ impl ControlPlane {
         1.0 / (1.0 - load)
     }
 
-    /// Updates the ambient-interference level from the registered
-    /// watch count (stand-in for the running guests' own xenbus traffic).
     /// Bookkeeping for a guest entering/leaving the booted set (watch
     /// registrations feed the ambient-interference level).
     pub(crate) fn note_booted(&mut self, watches: u32) {
@@ -476,6 +472,8 @@ impl ControlPlane {
         self.booted_watches -= watches;
     }
 
+    /// Updates the ambient-interference level from the registered
+    /// watch count (stand-in for the running guests' own xenbus traffic).
     pub(crate) fn refresh_interference(&mut self) {
         debug_assert_eq!(
             self.booted_watches,
@@ -561,10 +559,7 @@ impl ControlPlane {
         }
 
         let core = self.hv.domain(dom)?.vcpu_cores[0];
-        *self
-            .image_instances
-            .entry(image.name.clone())
-            .or_insert(0) += 1;
+        self.count_instance(image);
         self.vms.insert(
             dom,
             Arc::new(Vm {
@@ -575,7 +570,6 @@ impl ControlPlane {
                 booted: false,
                 net_devids: if image.needs_net { vec![0] } else { vec![] },
                 blk_devids: if image.needs_block { vec![0] } else { vec![] },
-                name_sym: self.guest_name_sym(dom),
             }),
         );
         self.created_total += 1;
@@ -825,8 +819,8 @@ impl ControlPlane {
     }
 
     /// xl's unique-name check: list every domain and read its name.
-    /// Charged in closed form whenever its preconditions hold; the real
-    /// request scan runs otherwise (DESIGN.md §6g).
+    /// Charged in closed form unless the name may be taken; the real
+    /// request scan runs then (DESIGN.md §6g).
     fn xl_name_check(
         &mut self,
         cost: &CostModel,
@@ -879,74 +873,32 @@ impl ControlPlane {
     }
 
     /// [`ControlPlane::xl_name_scan`] charged without executing it, when
-    /// uncharged probes show what it would do: `/local/domain`'s
-    /// children are exactly this plane's guests plus, possibly, Dom0's
-    /// own directory with no `name` node, every child named in
-    /// canonical decimal, and every guest's stored name equal to its
-    /// `vm.name` and different from `name`. The scan then lists the
-    /// directory, reads every entry, finds no collision, and
-    /// [`Xenstored::replay_name_scan`] charges exactly that. Returns
-    /// the requests it stood in for, or `None` having charged nothing
-    /// — a collision included, so the real scan reproduces `NameTaken`
-    /// with its early-exit charges.
+    /// the store's `/local/domain` tally shows no `name` node holds
+    /// `name`: the scan then reads every numeric entry, finds no
+    /// collision, and [`Xenstored::replay_name_scan`] charges exactly
+    /// that in O(1). Returns the requests it stood in for, or `None`
+    /// having charged nothing when the name may be taken, so the real
+    /// scan reproduces `NameTaken` with its early-exit charges.
     pub(crate) fn xl_name_scan_closed_form(
         &mut self,
         cost: &CostModel,
         meter: &mut Meter,
         name: &str,
     ) -> Option<u64> {
-        let ld = self.xs.local_domain_sym();
-        let mut children = std::mem::take(&mut self.scan_scratch);
-        let mut admitted = match self.xs.probe_children_u32(ld, &mut children) {
-            Ok(all_canonical) => all_canonical,
-            // No `/local/domain` at all: the scan is one NotFound
-            // directory request, which the empty closed form matches.
-            Err(XsError::NotFound) => true,
-            Err(_) => false,
-        };
-        let mut dom0_entry = false;
-        for &c in &children {
-            if !admitted {
-                break;
-            }
-            if c == 0 {
-                dom0_entry = true;
-                continue;
-            }
-            admitted = self.vms.get(&DomId(c)).is_some_and(|vm| {
-                vm.name != name
-                    && vm
-                        .name_sym
-                        .is_some_and(|s| self.xs.probe_value_eq(s, vm.name.as_bytes()))
-            });
-        }
-        // Children are unique canonical domids, so membership plus a
-        // matching count means every guest is listed.
-        admitted &= children.len() == self.vms.len() + dom0_entry as usize;
-        if admitted && dom0_entry {
-            let name_sym = self.xs.child_sym(self.xs.domain_dir_sym(0), "name");
-            admitted = !self.xs.probe_exists(name_sym);
-        }
-        let entries = children.len() as u64;
-        self.scan_scratch = children;
-        if !admitted {
+        let tally = self.xs.store().domain_tally();
+        if tally.may_hold_name(name.as_bytes()) {
             return None;
         }
-        self.xs.replay_name_scan(
-            cost,
-            meter,
-            dom0_entry,
-            self.vms.iter().map(|(d, vm)| (d.0, vm.name.len())),
-        );
-        Some(entries + 1)
-    }
-
-    /// The [`Vm::name_sym`] to cache for guest `dom`: interned only in
-    /// modes that use xenstore, where registration already did.
-    pub(crate) fn guest_name_sym(&self, dom: DomId) -> Option<XsSym> {
-        self.mode
-            .uses_xenstore()
-            .then(|| self.xs.child_sym(self.xs.domain_dir_sym(dom.0), "name"))
+        // The real scan interns `<entry>/name` for every entry it reads.
+        // Guests interned theirs when they registered; Dom0's directory
+        // has no `name` node, so intern its path here, as the scan
+        // would. This keeps the interned-symbol counts that churn's
+        // artefacts print, and so the committed bytes, unchanged.
+        let dom0 = self.xs.domain_dir_sym(0);
+        if self.xs.store().exists(dom0) {
+            self.xs.child_sym(dom0, "name");
+        }
+        Some(self.xs.replay_name_scan(cost, meter))
     }
 
     /// Writes the domain's registration records (name, memory, console,

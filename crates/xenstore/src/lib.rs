@@ -33,6 +33,7 @@ pub mod log;
 pub mod path;
 pub mod store;
 pub mod sym;
+pub mod tally;
 pub mod txn;
 pub mod watch;
 pub mod xenstored;
@@ -42,6 +43,7 @@ pub use log::AccessLog;
 pub use path::XsPath;
 pub use store::{Perms, Store, StoreCensus, XsError};
 pub use sym::{u32_str, Interner, XsKey, XsSym};
+pub use tally::DomainTally;
 pub use txn::TxnId;
 pub use watch::{FireStats, WatchEvent, WatchTable};
 pub use xenstored::{ConnId, Flavor, Xenstored};

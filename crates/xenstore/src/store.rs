@@ -29,6 +29,7 @@ use std::sync::Arc;
 use crate::hash::Mix128;
 use crate::path::XsPath;
 use crate::sym::{Interner, XsKey, XsSym};
+use crate::tally::DomainTally;
 
 /// Errors mirroring the errno values xenstored returns.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -393,6 +394,22 @@ pub struct Store {
     owned: BTreeMap<u32, usize>,
     /// Per-domain node quota (None = unlimited).
     quota: Option<usize>,
+    /// `/local/domain`, interned at construction: the directory
+    /// `tally` describes.
+    local_domain: XsSym,
+    /// What xl's name scan of `local_domain` would observe, updated
+    /// wherever a node is created, written or removed.
+    tally: DomainTally,
+}
+
+/// A node's part in the `/local/domain` tally, decided by its path.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum TallyRole {
+    Untallied,
+    /// A child of `/local/domain`.
+    Entry,
+    /// `/local/domain/<entry>/name` with `<entry>` parsing as `u32`.
+    Name,
 }
 
 impl Default for Store {
@@ -407,8 +424,11 @@ impl Store {
         let empty: Arc<[u8]> = Arc::from(&b""[..]);
         let mut nodes = NodeArena::new();
         nodes.push(Node::new(&empty, Perms::dom0(), 0));
+        let mut interner = Interner::new();
+        let local = interner.child(XsSym::ROOT, "local");
+        let local_domain = interner.child(local, "domain");
         Store {
-            interner: RefCell::new(Interner::new()),
+            interner: RefCell::new(interner),
             nodes,
             hash_cache: RefCell::new(HashCache::new()),
             slot_of: { let mut m = SlotMap::new(); m.set(0, 0); m },
@@ -421,6 +441,8 @@ impl Store {
             generation: 0,
             owned: BTreeMap::new(),
             quota: None,
+            local_domain,
+            tally: DomainTally::default(),
         }
     }
 
@@ -456,6 +478,60 @@ impl Store {
             free: self.free_slots.len(),
             interned_syms: self.interner.borrow().len(),
         }
+    }
+
+    /// `/local/domain`'s symbol (interned by [`Store::new`]).
+    pub(crate) fn local_domain(&self) -> XsSym {
+        self.local_domain
+    }
+
+    /// What xl's name scan of `/local/domain` would observe (see
+    /// [`DomainTally`]), kept up to date by every mutation.
+    pub fn domain_tally(&self) -> &DomainTally {
+        &self.tally
+    }
+
+    /// [`Store::domain_tally`] recounted from scratch by listing
+    /// `/local/domain` and reading each numeric entry's `name` — the
+    /// differential oracle for the incremental tally.
+    pub fn domain_tally_recount(&self) -> DomainTally {
+        let mut tally = DomainTally::default();
+        let mut entries = Vec::new();
+        let _ = self.for_each_child_sym(0, self.local_domain, |c| entries.push(c));
+        for entry in entries {
+            let name_path_len = self.scanned_name_path_len(entry);
+            tally.entry(name_path_len, true);
+            let name = self.resolve_child(entry, "name").and_then(|s| self.node(s));
+            if let (Some(_), Some(node)) = (name_path_len, name) {
+                tally.name(&node.value, true);
+            }
+        }
+        tally
+    }
+
+    /// `sym`'s part in the tally: a pure function of its path.
+    fn tally_role(&self, sym: XsSym) -> TallyRole {
+        let interner = self.interner.borrow();
+        match interner.depth(sym) {
+            3 if interner.parent(sym) == self.local_domain => TallyRole::Entry,
+            4 if interner.name(sym) == "name" => {
+                let entry = interner.parent(sym);
+                let numeric = interner.name(entry).parse::<u32>().is_ok();
+                if numeric && interner.parent(entry) == self.local_domain {
+                    TallyRole::Name
+                } else {
+                    TallyRole::Untallied
+                }
+            }
+            _ => TallyRole::Untallied,
+        }
+    }
+
+    /// Byte length of `<entry>/name` when `entry`'s name parses as
+    /// `u32`: the path of the read xl's name scan makes for it.
+    fn scanned_name_path_len(&self, entry: XsSym) -> Option<u64> {
+        self.sym_name_u32(entry)
+            .map(|_| self.wire_len(entry) as u64 + "/name".len() as u64)
     }
 
     // --- symbol plumbing --------------------------------------------------
@@ -510,16 +586,6 @@ impl Store {
     /// The symbol's final path component parsed as `u32`, if it is one.
     pub(crate) fn sym_name_u32(&self, sym: XsSym) -> Option<u32> {
         self.interner.borrow().name(sym).parse().ok()
-    }
-
-    /// [`Store::sym_name_u32`] for a component spelled in canonical
-    /// decimal only (no sign, no leading zeros): the spelling every
-    /// `/local/domain/<domid>` path has.
-    pub(crate) fn sym_name_canonical_u32(&self, sym: XsSym) -> Option<u32> {
-        let interner = self.interner.borrow();
-        let name = interner.name(sym);
-        let n = name.parse().ok()?;
-        (crate::sym::u32_str(&mut [0u8; 10], n) == name).then_some(n)
     }
 
     /// Sorts symbols by their full path string — the same order the
@@ -625,12 +691,6 @@ impl Store {
         if p.last_child == Some(child) {
             p.last_child = prev;
         }
-    }
-
-    /// True if the node exists and holds exactly `value` (permissions
-    /// ignored).
-    pub(crate) fn value_eq_sym(&self, sym: XsSym, value: &[u8]) -> bool {
-        self.node(sym).is_some_and(|n| &*n.value == value)
     }
 
     /// The live node behind a key, looked up without interning.
@@ -761,14 +821,7 @@ impl Store {
         // the slow path below.)
         if self.node(sym).is_some() {
             self.generation += 1;
-            let generation = self.generation;
-            let empty = self.empty.clone();
-            let node = self.node_mut(sym).expect("just checked");
-            if !node.perms.may_write(dom) {
-                return Err(XsError::PermissionDenied);
-            }
-            value.assign(&empty, &mut node.value);
-            node.generation = generation;
+            self.assign(dom, sym, &value, self.generation)?;
             self.invalidate_hash_up(sym);
             return Ok(());
         }
@@ -811,6 +864,7 @@ impl Store {
         let mut parent = XsSym::ROOT;
         for (i, &s) in chain.iter().enumerate() {
             let is_last = i + 1 == chain.len();
+            let role = self.tally_role(s);
             if self.node(s).is_none() {
                 let parent_perms = self.node(parent).expect("parent exists").perms;
                 if !parent_perms.may_write(dom) {
@@ -831,19 +885,20 @@ impl Store {
                 // already dirty and exit immediately.
                 self.invalidate_hash_up(parent);
                 created += 1;
+                match role {
+                    TallyRole::Entry => self.tally.entry(self.scanned_name_path_len(s), true),
+                    TallyRole::Name => self.tally.name(b"", true),
+                    TallyRole::Untallied => {}
+                }
             }
             if is_last {
-                let empty = self.empty.clone();
-                let node = self.node_mut(s).expect("just ensured");
-                if !node.perms.may_write(dom) {
+                if let Err(e) = self.assign(dom, s, &value, generation) {
                     // A permission failure on the final node can only
                     // happen when it already existed; implicitly created
                     // parents stay, as in xenstored.
                     self.node_count += created;
-                    return Err(XsError::PermissionDenied);
+                    return Err(e);
                 }
-                value.assign(&empty, &mut node.value);
-                node.generation = generation;
                 self.invalidate_hash_up(s);
             }
             parent = s;
@@ -851,6 +906,33 @@ impl Store {
         self.node_count += created;
         if dom != 0 && created > 0 {
             *self.owned.entry(dom).or_insert(0) += created;
+        }
+        Ok(())
+    }
+
+    /// Assigns `value` to the live node `sym` if `dom` may write it,
+    /// moving the node's value in the tally's name multiset when it is a
+    /// tallied `name` node.
+    fn assign(
+        &mut self,
+        dom: u32,
+        sym: XsSym,
+        value: &ValSrc<'_>,
+        generation: u64,
+    ) -> Result<(), XsError> {
+        let named = self.tally_role(sym) == TallyRole::Name;
+        let empty = self.empty.clone();
+        let node = self.node_mut(sym).expect("assigned node is live");
+        if !node.perms.may_write(dom) {
+            return Err(XsError::PermissionDenied);
+        }
+        let old = named.then(|| Arc::clone(&node.value));
+        value.assign(&empty, &mut node.value);
+        node.generation = generation;
+        if let Some(old) = old {
+            let new = Arc::clone(&node.value);
+            self.tally.name(&old, false);
+            self.tally.name(&new, true);
         }
         Ok(())
     }
@@ -897,6 +979,14 @@ impl Store {
             let idx = s.index();
             let slot = self.slot_of.get(idx);
             debug_assert_ne!(slot, NO_SLOT, "doomed node has a slot");
+            match self.tally_role(s) {
+                TallyRole::Entry => self.tally.entry(self.scanned_name_path_len(s), false),
+                TallyRole::Name => {
+                    let node = self.nodes.get(slot as usize).expect("doomed node is live");
+                    self.tally.name(&node.value, false);
+                }
+                TallyRole::Untallied => {}
+            }
             self.nodes.set(slot as usize, None);
             self.slot_of.set(idx, NO_SLOT);
             self.free_slots.push(slot);
@@ -1029,14 +1119,15 @@ impl Store {
         self.hash_cache.borrow_mut().clear();
     }
 
-    /// Freezes the interner's overlay into its shared base (see
-    /// [`Interner::freeze`]): clones taken from here on share the whole
-    /// symbol table by refcount instead of deep-copying it. Called at
-    /// fork points — host-template capture before cluster stamping.
-    /// Purely a representation change; symbols and lookups are
-    /// unaffected.
-    pub fn freeze_shared(&self) {
-        self.interner.borrow_mut().freeze();
+    /// Freezes the interner's and the name tally's overlays into their
+    /// shared bases (see [`Interner::freeze`]): clones taken from here
+    /// on share the whole symbol table and name multiset by refcount
+    /// instead of deep-copying them. Called at fork points — host-template
+    /// capture before cluster stamping. Purely a representation change;
+    /// symbols, lookups and tally counts are unaffected.
+    pub fn freeze_shared(&mut self) {
+        self.interner.get_mut().freeze();
+        self.tally.freeze();
     }
 
     /// Digest of one node's subtree: its name, raw value bytes (never a

@@ -92,9 +92,8 @@ pub struct Xenstored {
     storm: bool,
     rng: SimRng,
     stats: XsStats,
-    /// Pre-interned path skeleton roots (`/local/domain`, `/vm`): every
-    /// domain/device path is composed from these by symbol hops.
-    local_domain: XsSym,
+    /// Pre-interned `/vm`: with the store's `/local/domain`, the roots
+    /// every domain/device path is composed from by symbol hops.
     vm_root: XsSym,
     /// Recycled transactions ([`Txn::reset`]) so steady-state
     /// `txn_start` allocates nothing.
@@ -111,8 +110,6 @@ impl Xenstored {
         let mut conns = BTreeSet::new();
         conns.insert(0);
         let store = Store::new();
-        let local = store.child_sym(XsSym::ROOT, "local");
-        let local_domain = store.child_sym(local, "domain");
         let vm_root = store.child_sym(XsSym::ROOT, "vm");
         Xenstored {
             store,
@@ -126,7 +123,6 @@ impl Xenstored {
             storm: false,
             rng: SimRng::new(seed),
             stats: XsStats::default(),
-            local_domain,
             vm_root,
             txn_pool: Vec::new(),
             fired_scratch: Vec::new(),
@@ -137,6 +133,12 @@ impl Xenstored {
     /// Read-only access to the underlying store (assertions, tooling).
     pub fn store(&self) -> &Store {
         &self.store
+    }
+
+    /// Freezes the store's shared tables before a fork point (see
+    /// [`Store::freeze_shared`]).
+    pub fn freeze_shared(&mut self) {
+        self.store.freeze_shared();
     }
 
     /// Mutable store access for configuration (quotas) and tests.
@@ -293,12 +295,12 @@ impl Xenstored {
 
     /// `/local/domain` (pre-interned).
     pub fn local_domain_sym(&self) -> XsSym {
-        self.local_domain
+        self.store.local_domain()
     }
 
     /// `/local/domain/<domid>`.
     pub fn domain_dir_sym(&self, domid: u32) -> XsSym {
-        self.store.child_u32_sym(self.local_domain, domid)
+        self.store.child_u32_sym(self.store.local_domain(), domid)
     }
 
     /// `/vm/<domid>`.
@@ -464,84 +466,24 @@ impl Xenstored {
     }
 
     // --- closed-form name scan ------------------------------------------
-    //
-    // `ControlPlane::xl_name_check` charges xl's O(n) unique-name scan in
-    // closed form whenever uncharged probes show exactly what the scan
-    // would do. Everything here is either such a read-only probe or a
-    // batched charge that is integer-exactly what the real per-request
-    // scan would have charged — protocol costs are u64 nanosecond
-    // arithmetic, so `n * per_request == sum of n requests` holds
-    // bit-for-bit (`replay_scan_matches_real_scan` pins it).
-
-    /// Uncharged walk of a node's children: clears `out` and pushes each
-    /// child's numeric name, returning `false` if any child's name is
-    /// not a domid in canonical decimal (an entry the closed form cannot
-    /// express: xl's scan skips non-numeric names and reads `007` under
-    /// its own, longer path). Ignores read permissions — a probe, not a
-    /// client operation.
-    pub fn probe_children_u32(&self, sym: XsSym, out: &mut Vec<u32>) -> Result<bool, XsError> {
-        out.clear();
-        let mut all = true;
-        self.store.for_each_child_sym(0, sym, |child| {
-            match self.store.sym_name_canonical_u32(child) {
-                Some(n) => out.push(n),
-                None => all = false,
-            }
-        })?;
-        Ok(all)
-    }
-
-    /// Uncharged existence probe.
-    pub fn probe_exists(&self, sym: XsSym) -> bool {
-        self.store.exists(sym)
-    }
-
-    /// Uncharged value probe: true if the node exists and holds exactly
-    /// `value` — what a Dom0 `read` of it would return.
-    pub fn probe_value_eq(&self, sym: XsSym, value: &[u8]) -> bool {
-        self.store.value_eq_sym(sym, value)
-    }
-
-    /// Byte length of `/local/domain/<domid>/name` — what
-    /// [`Xenstored::read`] would charge as path payload for a domain's
-    /// name node. Derived from the live `/local/domain` path length so
-    /// it cannot drift from the interner's path strings.
-    fn domain_name_path_len(&self, domid: u32) -> u64 {
-        let digits = if domid == 0 { 1 } else { domid.ilog10() as u64 + 1 };
-        // "<local_domain>" + "/" + digits + "/name"
-        self.store.wire_len(self.local_domain) as u64 + 1 + digits + "/name".len() as u64
-    }
 
     /// Charges exactly what xl's unique-name scan — one `directory` of
-    /// `/local/domain` plus one `read` per numeric entry — would charge,
-    /// without executing the store operations. The caller has already
-    /// probed the preconditions this arithmetic encodes: the
-    /// directory's children are precisely the `guests` entries plus,
-    /// when `dom0_entry`, Dom0's own directory (whose `name` node does
-    /// not exist, so its read pays no value payload); every guest read
-    /// succeeds and returns `name_len` bytes.
-    /// Daemon stats and the access log advance as if the requests ran,
-    /// so later rotation spikes land on the same request.
-    pub fn replay_name_scan(
-        &mut self,
-        cost: &CostModel,
-        meter: &mut Meter,
-        dom0_entry: bool,
-        guests: impl Iterator<Item = (u32, usize)>,
-    ) {
-        let mut children: u64 = dom0_entry as u64;
-        // Path payload of each request, starting with the directory's.
-        let mut path_payload = self.store.wire_len(self.local_domain) as u64;
-        let mut value_payload: u64 = 0;
-        if dom0_entry {
-            path_payload += self.domain_name_path_len(0);
-        }
-        for (domid, name_len) in guests {
-            children += 1;
-            path_payload += self.domain_name_path_len(domid);
-            value_payload += name_len as u64;
-        }
-        let requests = 1 + children;
+    /// `/local/domain`, then one `read` of `<entry>/name` per entry
+    /// whose name parses as `u32` — charges when no entry holds the
+    /// candidate (the store tally's `may_hold_name` is false), without
+    /// executing the requests. The store's [`crate::DomainTally`] holds
+    /// every aggregate the charge needs, so this is O(1). Protocol costs are u64 nanosecond arithmetic, so
+    /// `n * per_request` equals the sum of `n` requests bit for bit
+    /// (`replay_scan_matches_real_scan` pins it). Daemon stats and the
+    /// access log advance as if the requests ran, so later rotation
+    /// spikes land on the same request. Returns the requests charged.
+    pub fn replay_name_scan(&mut self, cost: &CostModel, meter: &mut Meter) -> u64 {
+        let tally = self.store.domain_tally();
+        let requests = 1 + tally.numeric;
+        let payload = self.store.wire_len(self.store.local_domain()) as u64
+            + tally.name_path_bytes
+            + tally.name_value_bytes;
+        let entries = tally.children;
 
         self.stats.requests += requests;
         let per_request = cost.xs_soft_interrupt * 4
@@ -549,12 +491,13 @@ impl Xenstored {
             + cost.xs_process_base.scale(self.flavor.process_mult())
             + cost.xs_poll_per_conn * self.conns.len() as u64;
         let mut dt = per_request * requests;
-        dt += cost.xs_payload_per_byte * (path_payload + value_payload);
-        dt += cost.xs_dir_per_entry * children;
+        dt += cost.xs_payload_per_byte * payload;
+        dt += cost.xs_dir_per_entry * entries;
         let (lines, rotations) = self.log.append_many(requests);
         dt += cost.xs_log_line * lines
             + (cost.xs_log_rotate_per_file * crate::log::NUM_LOG_FILES as u64) * rotations;
         meter.charge(Category::Xenstore, dt);
+        requests
     }
 
     /// Changes permissions on a node.
@@ -911,15 +854,27 @@ mod tests {
 
     #[test]
     fn replay_scan_matches_real_scan() {
-        // Twin daemons with identical state: four guests with name nodes
-        // plus Dom0's own directory (whose `name` node does not exist).
+        // Twin daemons with identical state: four guests with name nodes,
+        // Dom0's own directory and a numeric entry without one, an entry
+        // spelled `007`, and a non-numeric entry the scan lists but skips.
         let (mut real, cost, _) = setup();
         let mut fast = Xenstored::new(Flavor::Oxenstored, 42);
-        let guests = [(1u32, "a"), (5, "guest-5"), (42, "long-guest-name-42"), (123, "x")];
+        let guests = [
+            ("1", "a"),
+            ("5", "guest-5"),
+            ("42", "long-guest-name-42"),
+            ("123", "x"),
+            ("007", ""),
+        ];
         let mut m = Meter::new();
         for xs in [&mut real, &mut fast] {
-            xs.write(&cost, &mut m, 0, &p("/local/domain/0/backend"), b"")
-                .unwrap();
+            for other in [
+                "/local/domain/0/backend",
+                "/local/domain/9/memory",
+                "/local/domain/tools/name",
+            ] {
+                xs.write(&cost, &mut m, 0, &p(other), b"other").unwrap();
+            }
             for (d, name) in guests {
                 xs.write(
                     &cost,
@@ -935,8 +890,13 @@ mod tests {
             }
         }
 
+        // Only the numeric entries' names count as taken.
+        let tally = fast.store().domain_tally();
+        assert!(tally.may_hold_name(b"guest-5") && tally.may_hold_name(b""));
+        assert!(!tally.may_hold_name(b"other") && !tally.may_hold_name(b"new"));
+
         // Enough scans to cross a log rotation inside the batched path:
-        // 2500 scans x 6 requests each > ROTATE_LINES.
+        // 2500 scans x 8 requests each > ROTATE_LINES.
         let (mut m_real, mut m_fast) = (Meter::new(), Meter::new());
         let mut dir = Vec::new();
         for _ in 0..2500 {
@@ -953,12 +913,7 @@ mod tests {
                 let _ = real.read(&cost, &mut m_real, 0, name_sym);
             }
             // ...versus its closed form.
-            fast.replay_name_scan(
-                &cost,
-                &mut m_fast,
-                true,
-                guests.iter().map(|&(d, name)| (d, name.len())),
-            );
+            assert_eq!(fast.replay_name_scan(&cost, &mut m_fast), 8);
         }
 
         assert_eq!(m_real.total(), m_fast.total());

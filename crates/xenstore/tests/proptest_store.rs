@@ -1,6 +1,7 @@
 //! Property tests of the store tree and transactions: random operation
-//! sequences preserve structural invariants, and transactions are
-//! equivalent to direct application when nothing interferes.
+//! sequences preserve structural invariants, transactions are
+//! equivalent to direct application when nothing interferes, and the
+//! running `/local/domain` tally always equals a recount.
 //!
 //! Randomness comes from the workspace's own seeded `SimRng` (the build
 //! environment is offline, so no proptest), with a fixed seed per test:
@@ -8,10 +9,10 @@
 
 use std::sync::Arc;
 
-use simcore::SimRng;
+use simcore::{CostModel, Meter, SimRng};
 use xenstore::txn::{Txn, TxnId};
 use xenstore::watch::WatchTable;
-use xenstore::{Store, XsError, XsPath};
+use xenstore::{Flavor, Store, Xenstored, XsError, XsPath, XsSym};
 
 /// A small path universe so operations collide often.
 fn random_path(rng: &mut SimRng) -> XsPath {
@@ -311,4 +312,124 @@ fn watch_scratch_reuse_loses_and_duplicates_nothing() {
         assert_eq!(delivered_a, fired, "every fired event delivered exactly once");
         assert_eq!(delivered_b, fired);
     }
+}
+
+/// A node under `/local/domain` for the tally op stream: entries spelled
+/// canonically, as `0<d>`, as `+<d>` and non-numerically; their `name`
+/// nodes, a sibling, a node below `name`; and the directories above.
+/// Composed by symbol hops, since `+` is no valid path byte.
+fn tally_node(xs: &Xenstored, rng: &mut SimRng) -> XsSym {
+    let d = rng.index(4);
+    let spelling = match rng.index(4) {
+        0 => format!("{d}"),
+        1 => format!("0{d}"),
+        2 => format!("+{d}"),
+        _ => ["tools", "vm"][d % 2].to_string(),
+    };
+    let ld = xs.local_domain_sym();
+    let entry = xs.child_sym(ld, &spelling);
+    match rng.index(10) {
+        0..=4 => xs.child_sym(entry, "name"),
+        5 => entry,
+        6 => xs.child_sym(entry, "memory"),
+        7 => xs.child_sym(xs.child_sym(entry, "name"), "sub"),
+        8 => ld,
+        _ => xs.parent_sym(ld),
+    }
+}
+
+/// A name value from a small set, so the name multiset holds duplicates.
+fn tally_value(rng: &mut SimRng) -> &'static [u8] {
+    [&b""[..], b"g-0", b"g-1", b"Domain-0"][rng.index(4)]
+}
+
+/// One op of the tally stream on `xs`: a direct write or rm (by Dom0 or
+/// by guest 1, whose writes may be refused), a write or rm through
+/// `store_mut_for_tests`, a freeze of the shared tables, or a
+/// transaction mixing writes and removes, committed with ambient
+/// interference and sometimes in storm mode.
+fn tally_op(xs: &mut Xenstored, rng: &mut SimRng) {
+    let cost = CostModel::paper_defaults();
+    let mut m = Meter::new();
+    let conn = if rng.chance(0.2) { 1 } else { 0 };
+    match rng.index(7) {
+        0 | 1 => {
+            let v = tally_value(rng);
+            let node = tally_node(xs, rng);
+            let _ = xs.write(&cost, &mut m, conn, node, v);
+        }
+        2 => {
+            let node = tally_node(xs, rng);
+            let _ = xs.rm(&cost, &mut m, conn, node);
+        }
+        3 => {
+            let (node, v) = (tally_node(xs, rng), tally_value(rng));
+            let store = xs.store_mut_for_tests();
+            let _ = if rng.chance(0.5) {
+                store.write(0, node, v)
+            } else {
+                store.rm(0, node)
+            };
+        }
+        4 => xs.freeze_shared(),
+        _ => {
+            xs.set_ambient_interference(if rng.chance(0.5) { 0.3 } else { 0.0 });
+            xs.set_storm(rng.chance(0.5));
+            let id = xs.txn_start(&cost, &mut m, 0);
+            for _ in 0..1 + rng.index(4) {
+                let node = tally_node(xs, rng);
+                let _ = if rng.chance(0.6) {
+                    let v = tally_value(rng);
+                    xs.txn_write(&cost, &mut m, 0, id, node, v)
+                } else {
+                    xs.txn_rm(&cost, &mut m, 0, id, node)
+                };
+            }
+            let _ = xs.txn_end(&cost, &mut m, 0, id, true);
+        }
+    }
+}
+
+/// The store's running `/local/domain` tally equals a from-scratch
+/// recount after every op — direct, test-only and transactional writes
+/// and removes, storm interference, freezes — and on both sides of a
+/// fork taken mid-stream, frozen first in half the cases.
+#[test]
+fn domain_tally_matches_recount() {
+    let mut rng = SimRng::new(0x5707);
+    // (non-numeric entries seen, name bytes seen, commits, conflicts)
+    let mut seen = (false, false, 0, 0);
+    for case in 0..64 {
+        let mut xs = Xenstored::new(Flavor::Oxenstored, case);
+        xs.connect(1);
+        let mut forked: Option<(Xenstored, SimRng)> = None;
+        let n_ops = 20 + rng.index(80);
+        for op in 0..n_ops {
+            if op == n_ops / 2 {
+                if case % 2 == 0 {
+                    xs.freeze_shared();
+                }
+                forked = Some((xs.clone(), rng.fork()));
+            }
+            tally_op(&mut xs, &mut rng);
+            let store = xs.store();
+            let tally = store.domain_tally();
+            assert_eq!(*tally, store.domain_tally_recount(), "case {case} op {op}");
+            seen.0 |= tally.children > tally.numeric;
+            seen.1 |= tally.name_value_bytes > 0;
+            if let Some((twin, twin_rng)) = forked.as_mut() {
+                tally_op(twin, twin_rng);
+                let store = twin.store();
+                assert_eq!(
+                    *store.domain_tally(),
+                    store.domain_tally_recount(),
+                    "case {case} op {op} (fork)"
+                );
+            }
+        }
+        seen.2 += xs.stats().txn_commits;
+        seen.3 += xs.stats().txn_conflicts;
+    }
+    // The stream reached the shapes it exists to cover.
+    assert!(seen.0 && seen.1 && seen.2 > 0 && seen.3 > 0, "{seen:?}");
 }
