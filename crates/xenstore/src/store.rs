@@ -7,19 +7,20 @@
 //!
 //! Nodes live in one flat slot arena addressed through a symbol→slot
 //! map; the tree shape is the interner's parent links plus each node's
-//! sibling chain. A lookup is one O(1) symbol resolution on the full
-//! path string followed by two array indexes — no per-component map
-//! walk, no hashing beyond the single resolve — and interior operations
-//! (transaction replay, ancestor checks) work on copyable `u32` symbols
-//! with no string traffic at all. Symbols are append-only — removing a
-//! node never retires its symbol, so transactions and watches can hold
-//! symbols across removals and recreations — but the *slot* behind a
-//! removed node goes onto a free list and is recycled by the next
-//! insert, whatever its symbol. That keeps arena capacity O(peak live
-//! nodes) under create/destroy churn instead of O(total creates)
-//! (churned guests get fresh domids, hence fresh symbols, forever);
-//! [`Store::census`] exposes the occupancy for the churn suite's leak
-//! gates.
+//! doubly linked sibling chain, so linking and unlinking a child are
+//! both O(1) whatever the sibling count. A lookup is one O(1) symbol
+//! resolution on the full path string followed by two array indexes —
+//! no per-component map walk, no hashing beyond the single resolve —
+//! and interior operations (transaction replay, ancestor checks) work
+//! on copyable `u32` symbols with no string traffic at all. Symbols are
+//! append-only — removing a node never retires its symbol, so
+//! transactions and watches can hold symbols across removals and
+//! recreations — but the *slot* behind a removed node goes onto a free
+//! list and is recycled by the next insert, whatever its symbol. That
+//! keeps arena capacity O(peak live nodes) under create/destroy churn
+//! instead of O(total creates) (churned guests get fresh domids, hence
+//! fresh symbols, forever); [`Store::census`] exposes the occupancy for
+//! the churn suite's leak gates.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -28,7 +29,7 @@ use std::sync::Arc;
 
 use crate::hash::Mix128;
 use crate::path::XsPath;
-use crate::sym::{Interner, XsKey, XsSym};
+use crate::sym::{Interner, SymLink, XsKey, XsSym};
 use crate::tally::DomainTally;
 
 /// Errors mirroring the errno values xenstored returns.
@@ -122,17 +123,25 @@ struct Node {
     value: Arc<[u8]>,
     perms: Perms,
     generation: u64,
-    /// Head of this node's child list — an intrusive chain threaded
-    /// through the child slots via `next_sibling`, in insertion order.
-    /// Linking a child is an O(1) tail append that allocates nothing;
-    /// listings sort at read time (directories are read far less often
+    /// Head of this node's child list — an intrusive doubly linked
+    /// chain threaded through the child slots via `next_sibling` and
+    /// `prev_sibling`, in insertion order. Linking a child is an O(1)
+    /// tail append and unlinking one an O(1) splice; neither allocates.
+    /// Listings sort at read time (directories are read far less often
     /// than children are created on the density hot path).
-    first_child: Option<XsSym>,
+    first_child: SymLink,
     /// Tail of the child chain, for O(1) append.
-    last_child: Option<XsSym>,
+    last_child: SymLink,
     /// Next sibling in the parent's child chain.
-    next_sibling: Option<XsSym>,
+    next_sibling: SymLink,
+    /// Previous sibling in the parent's child chain, for O(1) unlink.
+    prev_sibling: SymLink,
 }
+
+// The links are compact `u32`s so the back link costs no space: a node
+// (and an arena slot, via `Arc`'s niche) stays at 48 bytes.
+const _: () = assert!(std::mem::size_of::<Node>() <= 48);
+const _: () = assert!(std::mem::size_of::<Option<Node>>() <= 48);
 
 impl Node {
     fn new(empty: &Arc<[u8]>, perms: Perms, generation: u64) -> Node {
@@ -140,9 +149,10 @@ impl Node {
             value: empty.clone(),
             perms,
             generation,
-            first_child: None,
-            last_child: None,
-            next_sibling: None,
+            first_child: SymLink::NONE,
+            last_child: SymLink::NONE,
+            next_sibling: SymLink::NONE,
+            prev_sibling: SymLink::NONE,
         }
     }
 }
@@ -192,6 +202,12 @@ impl NodeArena {
     fn set(&mut self, slot: usize, node: Option<Node>) {
         let chunk = &mut self.chunks[slot >> CHUNK_BITS];
         Arc::make_mut(chunk)[slot & (CHUNK - 1)] = node;
+    }
+
+    /// Empties a slot, returning the node it held.
+    fn take(&mut self, slot: usize) -> Option<Node> {
+        let chunk = &mut self.chunks[slot >> CHUNK_BITS];
+        Arc::make_mut(chunk)[slot & (CHUNK - 1)].take()
     }
 
     /// Appends a node in the next fresh slot, growing by one chunk when
@@ -373,6 +389,8 @@ pub struct Store {
     digit_cache: RefCell<Vec<Option<Arc<[u8]>>>>,
     /// Reusable ancestor-chain buffer for the node-creating write path.
     chain_scratch: Vec<XsSym>,
+    /// Reusable doomed-subtree buffer for [`Store::rm`].
+    doomed_scratch: Vec<XsSym>,
     /// Node slot arena, addressed through `slot_of`; `None` = a recycled
     /// hole awaiting reuse (listed in `free_slots`). Chunked CoW — see
     /// [`NodeArena`].
@@ -437,6 +455,7 @@ impl Store {
             consts: CONST_VALS.iter().map(|&v| Arc::from(v)).collect(),
             digit_cache: RefCell::new(Vec::new()),
             chain_scratch: Vec::new(),
+            doomed_scratch: Vec::new(),
             node_count: 1,
             generation: 0,
             owned: BTreeMap::new(),
@@ -616,6 +635,14 @@ impl Store {
         self.nodes.get(self.slot(sym)?)
     }
 
+    /// The sibling after `c` in its parent's child chain.
+    fn next_sibling(&self, c: XsSym) -> Option<XsSym> {
+        self.node(c)
+            .expect("linked child exists")
+            .next_sibling
+            .get()
+    }
+
     fn node_mut(&mut self, sym: XsSym) -> Option<&mut Node> {
         let slot = self.slot(sym)?;
         self.nodes.get_mut(slot)
@@ -652,44 +679,41 @@ impl Store {
     fn link_child(&mut self, parent: XsSym, child: XsSym) {
         let tail = {
             let p = self.node_mut(parent).expect("parent exists");
-            let tail = p.last_child.replace(child);
-            if tail.is_none() {
-                p.first_child = Some(child);
+            let tail = std::mem::replace(&mut p.last_child, child.into());
+            if tail == SymLink::NONE {
+                p.first_child = child.into();
             }
             tail
         };
-        if let Some(t) = tail {
-            self.node_mut(t).expect("tail sibling exists").next_sibling = Some(child);
+        self.node_mut(child).expect("child exists").prev_sibling = tail;
+        if let Some(t) = tail.get() {
+            self.node_mut(t).expect("tail sibling exists").next_sibling = child.into();
         }
     }
 
-    /// Removes `child` from `parent`'s child chain, if linked. The child
-    /// slot must still be live (its `next_sibling` is read). O(siblings)
-    /// symbol hops, no string work.
+    /// Splices the live, linked `child` out of `parent`'s child chain
+    /// through its own sibling links: O(1), whatever the sibling count.
+    /// The child's links are left as they are; its slot is released next.
     fn unlink_child(&mut self, parent: XsSym, child: XsSym) {
-        let next = self.node(child).and_then(|n| n.next_sibling);
-        let mut prev: Option<XsSym> = None;
-        let mut cur = self
-            .node(parent)
-            .expect("parent of a live node exists")
-            .first_child;
-        while let Some(c) = cur {
-            if c == child {
-                break;
-            }
-            prev = Some(c);
-            cur = self.node(c).expect("sibling exists").next_sibling;
-        }
-        if cur != Some(child) {
-            return; // not linked
-        }
-        match prev {
-            None => self.node_mut(parent).expect("parent exists").first_child = next,
+        let (prev, next) = {
+            let c = self.node(child).expect("unlinked child exists");
+            (c.prev_sibling, c.next_sibling)
+        };
+        match prev.get() {
             Some(p) => self.node_mut(p).expect("sibling exists").next_sibling = next,
+            None => {
+                let p = self.node_mut(parent).expect("parent exists");
+                debug_assert_eq!(p.first_child.get(), Some(child), "child is not linked");
+                p.first_child = next;
+            }
         }
-        let p = self.node_mut(parent).expect("parent exists");
-        if p.last_child == Some(child) {
-            p.last_child = prev;
+        match next.get() {
+            Some(n) => self.node_mut(n).expect("sibling exists").prev_sibling = prev,
+            None => {
+                let p = self.node_mut(parent).expect("parent exists");
+                debug_assert_eq!(p.last_child.get(), Some(child), "child is not linked");
+                p.last_child = prev;
+            }
         }
     }
 
@@ -955,49 +979,59 @@ impl Store {
         if !target.perms.may_write(dom) {
             return Err(XsError::PermissionDenied);
         }
-        // Collect the subtree, tallying per-owner credits.
-        let mut credits: BTreeMap<u32, usize> = BTreeMap::new();
-        let mut doomed = Vec::new();
-        let mut stack = vec![sym];
-        while let Some(s) = stack.pop() {
-            let node = self.node(s).expect("subtree nodes exist");
-            *credits.entry(node.perms.owner).or_insert(0) += 1;
-            let mut cur = node.first_child;
-            while let Some(c) = cur {
-                stack.push(c);
-                cur = self.node(c).expect("linked child exists").next_sibling;
+        // Collect the subtree in DFS doom order: the order in which a
+        // stack walk that pushes each node's children first to last pops
+        // them, i.e. pre-order visiting children last to first. The
+        // `prev_sibling` links let the walk back up without a stack.
+        let mut doomed = std::mem::take(&mut self.doomed_scratch);
+        let mut cur = sym;
+        'walk: loop {
+            doomed.push(cur);
+            let mut node = self.node(cur).expect("subtree nodes exist");
+            if let Some(c) = node.last_child.get() {
+                cur = c;
+                continue;
             }
-            doomed.push(s);
+            // A leaf: climb to the nearest node at or below `sym` with a
+            // previous sibling, which is the next one the stack pops.
+            while cur != sym {
+                if let Some(p) = node.prev_sibling.get() {
+                    cur = p;
+                    continue 'walk;
+                }
+                cur = self.parent_sym(cur);
+                node = self.node(cur).expect("subtree nodes exist");
+            }
+            break;
         }
         let removed = doomed.len();
         let parent = self.parent_sym(sym);
         self.unlink_child(parent, sym);
         // Release the slots in DFS doom order (deterministic, so the
         // LIFO reuse order — and with it every later world byte — is a
-        // pure function of the operation sequence).
-        for s in doomed {
+        // pure function of the operation sequence), crediting each
+        // node's owner as it goes.
+        for &s in &doomed {
             let idx = s.index();
             let slot = self.slot_of.get(idx);
             debug_assert_ne!(slot, NO_SLOT, "doomed node has a slot");
+            let node = self.nodes.take(slot as usize).expect("doomed node is live");
             match self.tally_role(s) {
                 TallyRole::Entry => self.tally.entry(self.scanned_name_path_len(s), false),
-                TallyRole::Name => {
-                    let node = self.nodes.get(slot as usize).expect("doomed node is live");
-                    self.tally.name(&node.value, false);
-                }
+                TallyRole::Name => self.tally.name(&node.value, false),
                 TallyRole::Untallied => {}
             }
-            self.nodes.set(slot as usize, None);
+            if node.perms.owner != 0 {
+                if let Some(c) = self.owned.get_mut(&node.perms.owner) {
+                    *c = c.saturating_sub(1);
+                }
+            }
             self.slot_of.set(idx, NO_SLOT);
             self.free_slots.push(slot);
         }
-        for (owner, n) in credits {
-            if owner != 0 {
-                if let Some(c) = self.owned.get_mut(&owner) {
-                    *c = c.saturating_sub(n);
-                }
-            }
-        }
+        // Kept empty between calls, so a cloned store copies nothing.
+        doomed.clear();
+        self.doomed_scratch = doomed;
         self.generation += 1;
         let generation = self.generation;
         // The parent's generation changes: its child list was modified.
@@ -1013,10 +1047,10 @@ impl Store {
         // The child chain is in insertion order; sort the listing.
         let interner = self.interner.borrow();
         let mut out = Vec::new();
-        let mut cur = node.first_child;
+        let mut cur = node.first_child.get();
         while let Some(c) = cur {
             out.push(interner.name(c).to_string());
-            cur = self.node(c).expect("linked child exists").next_sibling;
+            cur = self.next_sibling(c);
         }
         out.sort_unstable();
         Ok(out)
@@ -1034,11 +1068,11 @@ impl Store {
     ) -> Result<usize, XsError> {
         let node = self.readable(dom, sym)?;
         let mut count = 0;
-        let mut cur = node.first_child;
+        let mut cur = node.first_child.get();
         while let Some(c) = cur {
             f(c);
             count += 1;
-            cur = self.node(c).expect("linked child exists").next_sibling;
+            cur = self.next_sibling(c);
         }
         Ok(count)
     }
@@ -1154,11 +1188,11 @@ impl Store {
         mix.write_field(&node.value);
         let mut child_sum: u128 = 0;
         let mut children: u64 = 0;
-        let mut cur = node.first_child;
+        let mut cur = node.first_child.get();
         while let Some(c) = cur {
             child_sum = child_sum.wrapping_add(self.node_hash(c, use_cache));
             children += 1;
-            cur = self.node(c).expect("linked child exists").next_sibling;
+            cur = self.next_sibling(c);
         }
         mix.write_u64(children);
         mix.write_u128(child_sum);
@@ -1516,5 +1550,345 @@ mod tests {
         // Two levels fit.
         s.write(9, &p("/g/x/y"), b"").unwrap();
         assert_eq!(s.owned_by(9), 2);
+    }
+
+    /// Directory path → child names in insertion order: the naive model
+    /// of the store's sibling chains.
+    type ChainModel = BTreeMap<String, Vec<String>>;
+
+    fn join(dir: &str, name: &str) -> String {
+        if dir == "/" {
+            format!("/{name}")
+        } else {
+            format!("{dir}/{name}")
+        }
+    }
+
+    /// `write` on the model: creates every missing node on the path.
+    fn model_write(m: &mut ChainModel, path: &str) {
+        let mut cur = "/".to_string();
+        for comp in path.split('/').filter(|c| !c.is_empty()) {
+            let child = join(&cur, comp);
+            if !m.contains_key(&child) {
+                m.get_mut(&cur)
+                    .expect("model parent")
+                    .push(comp.to_string());
+                m.insert(child.clone(), Vec::new());
+            }
+            cur = child;
+        }
+    }
+
+    /// `rm` on the model: drops the subtree, if the path exists.
+    fn model_rm(m: &mut ChainModel, path: &str) {
+        if m.remove(path).is_none() {
+            return;
+        }
+        let (dir, name) = path.rsplit_once('/').expect("absolute path");
+        let dir = if dir.is_empty() { "/" } else { dir };
+        m.get_mut(dir).expect("model parent").retain(|c| c != name);
+        let below = format!("{path}/");
+        m.retain(|k, _| !k.starts_with(&below));
+    }
+
+    /// The order the original stack walk dooms a subtree in: pop a node,
+    /// push its children first to last.
+    fn model_doom_order(m: &ChainModel, path: &str) -> Vec<String> {
+        let mut order = Vec::new();
+        let mut stack = vec![path.to_string()];
+        while let Some(d) = stack.pop() {
+            stack.extend(m[&d].iter().map(|c| join(&d, c)));
+            order.push(d);
+        }
+        order
+    }
+
+    /// Every directory's chain, walked forward and back, against the
+    /// model.
+    fn check_chains(s: &Store, m: &ChainModel, what: &str) {
+        assert_eq!(s.node_count(), m.len(), "{what}: node count");
+        let name = |c: XsSym| s.interner.borrow().name(c).to_string();
+        for (dir, children) in m {
+            let node = s
+                .find_node(&p(dir))
+                .unwrap_or_else(|| panic!("{what}: {dir} missing"));
+            let mut forward = Vec::new();
+            let mut cur = node.first_child.get();
+            while let Some(c) = cur {
+                assert!(forward.len() < m.len(), "{what}: {dir}'s chain cycles");
+                forward.push(name(c));
+                cur = s.next_sibling(c);
+            }
+            assert_eq!(&forward, children, "{what}: forward chain of {dir}");
+            let mut backward = Vec::new();
+            let mut cur = node.last_child.get();
+            while let Some(c) = cur {
+                assert!(
+                    backward.len() < m.len(),
+                    "{what}: {dir}'s back chain cycles"
+                );
+                backward.push(name(c));
+                cur = s.node(c).expect("linked child exists").prev_sibling.get();
+            }
+            backward.reverse();
+            assert_eq!(&backward, children, "{what}: backward chain of {dir}");
+            assert_eq!(
+                node.last_child.get().map(name).as_ref(),
+                children.last(),
+                "{what}: last child of {dir}"
+            );
+        }
+    }
+
+    /// What the op stream has exercised.
+    #[derive(Default)]
+    struct Seen {
+        rm_first: usize,
+        rm_middle: usize,
+        rm_last: usize,
+        rm_only: usize,
+        recreated: usize,
+        txn_rm_commits: usize,
+        conflicts: usize,
+        removed: std::collections::BTreeSet<String>,
+    }
+
+    const CHAIN_DIRS: [&str; 3] = ["/local/domain", "/vm", "/backend/vif/0"];
+    const CHAIN_KEYS: [&str; 4] = ["", "name", "memory/target", "device/vif/0/state"];
+
+    /// A random `(entry, path)`: a child of one of the directories and a
+    /// path at or below it.
+    fn random_entry(rng: &mut simcore::SimRng) -> (String, String) {
+        let entry = join(
+            CHAIN_DIRS[rng.index(CHAIN_DIRS.len())],
+            &rng.index(6).to_string(),
+        );
+        let path = match CHAIN_KEYS[rng.index(CHAIN_KEYS.len())] {
+            "" => entry.clone(),
+            key => format!("{entry}/{key}"),
+        };
+        (entry, path)
+    }
+
+    /// One random op on the store and the model alike.
+    fn chain_step(
+        s: &mut Store,
+        m: &mut ChainModel,
+        rng: &mut simcore::SimRng,
+        seen: &mut Seen,
+        what: &str,
+    ) {
+        match rng.index(10) {
+            // A write, creating children when the path is new.
+            0..=3 => {
+                let (entry, path) = random_entry(rng);
+                if !m.contains_key(&entry) && seen.removed.contains(&entry) {
+                    seen.recreated += 1;
+                }
+                s.write(0, &p(&path), b"v").unwrap();
+                model_write(m, &path);
+            }
+            // `rm` of a directory's first, middle or last child.
+            4..=6 => {
+                let dir = CHAIN_DIRS[rng.index(CHAIN_DIRS.len())];
+                let Some(children) = m.get(dir).filter(|c| !c.is_empty()) else {
+                    return;
+                };
+                let n = children.len();
+                let pos = [0, n / 2, n - 1][rng.index(3)];
+                match pos {
+                    _ if n == 1 => seen.rm_only += 1,
+                    0 => seen.rm_first += 1,
+                    _ if pos == n - 1 => seen.rm_last += 1,
+                    _ => seen.rm_middle += 1,
+                }
+                let path = join(dir, &children[pos]);
+                let doomed: Vec<u32> = model_doom_order(m, &path)
+                    .iter()
+                    .map(|q| s.slot(s.find(&p(q)).unwrap()).unwrap() as u32)
+                    .collect();
+                s.rm(0, &p(&path)).unwrap();
+                model_rm(m, &path);
+                let freed = &s.free_slots[s.free_slots.len() - doomed.len()..];
+                assert_eq!(
+                    freed,
+                    &doomed[..],
+                    "{what}: slots released out of doom order"
+                );
+                seen.removed.insert(path);
+            }
+            // `rm` of any path: a deep one, a whole tree, or a missing one.
+            7 => {
+                let path = if rng.chance(0.2) {
+                    "/backend".to_string()
+                } else {
+                    random_entry(rng).1
+                };
+                let existed = m.contains_key(&path);
+                assert_eq!(s.rm(0, &p(&path)).is_ok(), existed, "{what}: rm {path}");
+                model_rm(m, &path);
+            }
+            // A transaction of writes and removals, sometimes conflicting.
+            _ => {
+                let mut t = crate::txn::Txn::start(crate::txn::TxnId(1), 0, s);
+                let mut log: Vec<(bool, String)> = Vec::new();
+                for _ in 0..1 + rng.index(4) {
+                    let (entry, path) = random_entry(rng);
+                    if rng.chance(0.5) {
+                        t.write(s, &p(&path), b"t").unwrap();
+                        log.push((false, path));
+                    } else if t.rm(s, &p(&entry)).is_ok() {
+                        log.push((true, entry));
+                    }
+                }
+                if !log.is_empty() && rng.chance(0.2) {
+                    // A direct write to a node the transaction touched.
+                    let path = log[rng.index(log.len())].1.clone();
+                    s.write(0, &p(&path), b"direct").unwrap();
+                    model_write(m, &path);
+                }
+                match t.commit(s, &mut Vec::new()) {
+                    Ok(()) => {
+                        for (rm, path) in &log {
+                            if *rm {
+                                model_rm(m, path);
+                            } else {
+                                model_write(m, path);
+                            }
+                        }
+                        if log.iter().any(|(rm, _)| *rm) {
+                            seen.txn_rm_commits += 1;
+                        }
+                    }
+                    Err(XsError::Again) => seen.conflicts += 1,
+                    Err(e) => panic!("{what}: commit failed: {e}"),
+                }
+            }
+        }
+        check_chains(s, m, what);
+    }
+
+    /// The doubly linked sibling chains stay equal to an insertion-order
+    /// model, forward and back, under a seeded stream of writes, `rm`s at
+    /// every chain position, re-creations and transaction commits, on
+    /// both sides of a fork taken mid-stream. `rm` releases slots in the
+    /// stack walk's doom order.
+    #[test]
+    fn sibling_chains_match_insertion_order_model() {
+        let mut seen = Seen::default();
+        for seed in 0..4 {
+            let mut rng = simcore::SimRng::new(seed);
+            let mut s = Store::new();
+            let mut m = ChainModel::from([("/".to_string(), Vec::new())]);
+            for i in 0..150 {
+                chain_step(
+                    &mut s,
+                    &mut m,
+                    &mut rng,
+                    &mut seen,
+                    &format!("seed {seed} op {i}"),
+                );
+            }
+            let (mut fs, mut fm, mut frng) = (s.clone(), m.clone(), rng.fork());
+            for i in 150..300 {
+                chain_step(
+                    &mut s,
+                    &mut m,
+                    &mut rng,
+                    &mut seen,
+                    &format!("seed {seed} op {i}"),
+                );
+                let what = format!("seed {seed} fork op {i}");
+                chain_step(&mut fs, &mut fm, &mut frng, &mut seen, &what);
+            }
+        }
+        for (n, what) in [
+            (seen.rm_first, "rm of a first child"),
+            (seen.rm_middle, "rm of a middle child"),
+            (seen.rm_last, "rm of a last child"),
+            (seen.rm_only, "rm of an only child"),
+            (seen.recreated, "re-creation after rm"),
+            (seen.txn_rm_commits, "committed transaction with rm"),
+            (seen.conflicts, "transaction conflict"),
+        ] {
+            assert!(n > 0, "the stream never made a {what}");
+        }
+    }
+
+    /// Host time per `rm` of a guest-shaped directory does not grow with
+    /// its sibling count: the median over interleaved batches with 4000
+    /// siblings is at most twice that with 200. With a sibling walk in
+    /// `unlink_child` instead of the back links it reads about 12x in a
+    /// debug build.
+    #[test]
+    fn rm_cost_does_not_grow_with_siblings() {
+        const KEYS: [&str; 6] = [
+            "name",
+            "domid",
+            "memory/target",
+            "device/vif/0/state",
+            "device/vif/0/backend-id",
+            "control/shutdown",
+        ];
+        const VICTIMS: u32 = 40;
+        const BATCHES: usize = 15;
+        fn add_guest(s: &mut Store, d: u32) {
+            for key in KEYS {
+                s.write(0, &p(&format!("/local/domain/{d}/{key}")), b"1")
+                    .unwrap();
+            }
+        }
+        struct Host {
+            store: Store,
+            victims: Vec<(u32, XsSym)>,
+            per_rm: Vec<f64>,
+        }
+        let mut hosts: Vec<Host> = [200u32, 4000]
+            .into_iter()
+            .map(|n| {
+                let mut store = Store::new();
+                for d in 0..n {
+                    add_guest(&mut store, d);
+                }
+                let victims = (0..VICTIMS)
+                    .map(|i| {
+                        let d = i * n / VICTIMS;
+                        (d, store.find(&p(&format!("/local/domain/{d}"))).unwrap())
+                    })
+                    .collect();
+                Host {
+                    store,
+                    victims,
+                    per_rm: Vec::new(),
+                }
+            })
+            .collect();
+        for _ in 0..BATCHES {
+            for h in &mut hosts {
+                let start = std::time::Instant::now();
+                for &(_, sym) in &h.victims {
+                    h.store.rm(0, sym).unwrap();
+                }
+                h.per_rm
+                    .push(start.elapsed().as_secs_f64() / f64::from(VICTIMS));
+                // Re-created guests rejoin at the chain's tail.
+                for &(d, _) in &h.victims {
+                    add_guest(&mut h.store, d);
+                }
+            }
+        }
+        let median = |v: &mut Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
+        let small = median(&mut hosts[0].per_rm);
+        let large = median(&mut hosts[1].per_rm);
+        assert!(
+            large <= 2.0 * small,
+            "rm with 4000 siblings took {:.2}x as long as with 200 ({:.2} vs {:.2} µs)",
+            large / small,
+            large * 1e6,
+            small * 1e6
+        );
     }
 }

@@ -47,6 +47,30 @@ impl XsSym {
     }
 }
 
+/// A compact `Option<XsSym>`: four bytes where the `Option` takes
+/// eight, with `u32::MAX` as "none" (the interner would need 2^32
+/// paths to hand that index out). The store's sibling links use it to
+/// keep a node at 48 bytes.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct SymLink(u32);
+
+impl SymLink {
+    /// No symbol.
+    pub(crate) const NONE: SymLink = SymLink(u32::MAX);
+
+    /// The linked symbol, if any.
+    #[inline]
+    pub(crate) fn get(self) -> Option<XsSym> {
+        (self != SymLink::NONE).then_some(XsSym(self.0))
+    }
+}
+
+impl From<XsSym> for SymLink {
+    fn from(sym: XsSym) -> SymLink {
+        SymLink(sym.0)
+    }
+}
+
 /// The key of a store node: a parsed path or an interned symbol. Every
 /// store, transaction, watch and daemon operation takes one `impl
 /// XsKey`, so each operation has a single entry point whichever key the
