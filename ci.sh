@@ -71,16 +71,16 @@ test_log="$(mktemp)"
 cargo test -q --workspace 2>&1 | tee "$test_log"
 # Suite-count guard: a botched invocation (or a workspace edit that
 # drops crates from the build) silently shrinks coverage. The workspace
-# runs 73 test binaries; fail loudly if any of them did not run.
+# runs 72 test binaries; fail loudly if any of them did not run.
 suites=$(grep -c '^test result: ok' "$test_log" || true)
 rm -f "$test_log"
-echo "workspace test suites: $suites (guard: >= 73)"
-if [ "$suites" -lt 73 ]; then
-  echo "ci: only $suites test suite(s) ran — workspace coverage lost (expected >= 73)" >&2
+echo "workspace test suites: $suites (guard: >= 72)"
+if [ "$suites" -lt 72 ]; then
+  echo "ci: only $suites test suite(s) ran — workspace coverage lost (expected >= 72)" >&2
   exit 1
 fi
 
-echo "== microbenches (quick smoke: scheduler + xenstore hot paths) =="
+echo "== microbenches (quick smoke: xenstore hot paths + CPU model) =="
 LIGHTVM_BENCH_QUICK=1 cargo bench -p bench --bench hotpath
 LIGHTVM_BENCH_QUICK=1 cargo bench -p bench --bench simcore_hot
 

@@ -1,7 +1,7 @@
-//! Criterion benches of the simulation core's hot paths.
+//! Criterion bench of the simulation core's CPU contention model.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use simcore::{CpuSim, Engine, SimTime};
+use simcore::CpuSim;
 
 fn bench_cpu(c: &mut Criterion) {
     c.bench_function("cpusim_recompute_1000_tasks", |b| {
@@ -16,55 +16,6 @@ fn bench_cpu(c: &mut Criterion) {
             let r = cpu.rate_of(id);
             cpu.remove(id);
             r
-        })
-    });
-    c.bench_function("engine_schedule_fire_1000", |b| {
-        b.iter(|| {
-            let mut e = Engine::new();
-            for i in 0..1000u64 {
-                e.schedule_at(SimTime::from_micros(i), |_| {});
-            }
-            e.run();
-            e.events_fired()
-        })
-    });
-    // Timer churn: the guest-lifecycle pattern where most timers are
-    // armed and then cancelled before they fire (timeouts, retries,
-    // speculative teardowns). 16384 timers over a 1-second window,
-    // ~94% cancelled.
-    c.bench_function("engine_timer_churn_16k", |b| {
-        b.iter(|| {
-            let mut e = Engine::new();
-            let ids: Vec<_> = (0..16384u64)
-                .map(|i| {
-                    e.schedule_at(SimTime::from_micros((i * 9973) % 1_000_000), |_| {})
-                })
-                .collect();
-            for (i, id) in ids.iter().enumerate() {
-                if i % 16 != 0 {
-                    e.cancel(*id);
-                }
-            }
-            e.run();
-            e.events_fired()
-        })
-    });
-    // Rolling timeout window: each firing event re-arms a far timer and
-    // cancels the previous one, interleaving schedule/cancel/fire the
-    // way device-model timeout chains do.
-    c.bench_function("engine_rolling_timeout_2048", |b| {
-        b.iter(|| {
-            let mut e = Engine::new();
-            let mut last = None;
-            for i in 0..2048u64 {
-                if let Some(id) = last.take() {
-                    e.cancel(id);
-                }
-                last = Some(e.schedule_at(SimTime::from_millis(i + 1000), |_| {}));
-                e.schedule_at(SimTime::from_micros(i), |_| {});
-            }
-            e.run();
-            e.events_fired()
         })
     });
 }

@@ -67,11 +67,6 @@ pub struct UnitOutput {
     /// Simulation events processed (xenstored requests + watch events
     /// for toolstack units; operation counts for container units).
     pub events: u64,
-    /// Deepest the unit's engine event queue ever got (0 when the unit
-    /// does not drive a timer engine).
-    pub peak_queue_depth: usize,
-    /// Events the unit scheduled on its engine (0 likewise).
-    pub events_scheduled: u64,
     /// World-store results this unit reused (chain rung, probe walk or
     /// compute run).
     pub snapshot_hits: u64,
@@ -89,8 +84,6 @@ impl UnitOutput {
             meta: Vec::new(),
             virtual_ms: 0.0,
             events: 0,
-            peak_queue_depth: 0,
-            events_scheduled: 0,
             snapshot_hits: 0,
             snapshot_forks: 0,
             boot_events_saved: 0,
@@ -108,8 +101,6 @@ impl UnitOutput {
             meta: Vec::new(),
             virtual_ms: cp.cpu.now().as_millis_f64(),
             events: stats.requests + stats.watch_events + cp.cpu.tasks_started(),
-            peak_queue_depth: 0,
-            events_scheduled: 0,
             snapshot_hits: 0,
             snapshot_forks: 0,
             boot_events_saved: 0,
@@ -913,8 +904,6 @@ fn fig16b(_scale: Scale) -> FigureSpec {
                 )];
                 out.meta = vec![meta(&format!("drops_{ms}ms"), r.drops)];
                 out.events = r.rtts.len() as u64;
-                out.peak_queue_depth = r.peak_queue_depth;
-                out.events_scheduled = r.events_scheduled;
                 out
             })
             .cost(15.0)

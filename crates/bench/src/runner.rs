@@ -98,7 +98,6 @@ pub fn run_with(
         let out = r.out;
         perf.push(
             UnitPerf::new(heads[fi].id, r.label, r.wall_ms, out.virtual_ms, out.events)
-                .with_queue_stats(out.peak_queue_depth as u64, out.events_scheduled)
                 .with_allocs(r.allocs)
                 .with_snapshot_stats(
                     out.snapshot_hits,

@@ -6,12 +6,12 @@
 //! yet: RTT = network + VM instantiation (+ ARP retry penalties once the
 //! Linux bridge's broadcast path overloads at fast arrival rates).
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use guests::GuestImage;
 use lvnet::Bridge;
-use simcore::{Engine, MachinePreset, SimRng, SimTime};
+use simcore::{MachinePreset, SimRng, SimTime};
 use toolstack::ToolstackMode;
 
 use crate::host::Host;
@@ -50,10 +50,6 @@ pub struct JitResult {
     pub drops: usize,
     /// Peak number of concurrently running service VMs.
     pub peak_vms: usize,
-    /// Deepest the teardown event queue ever got.
-    pub peak_queue_depth: usize,
-    /// Teardown events scheduled over the run.
-    pub events_scheduled: u64,
 }
 
 /// Base network RTT between client and MEC machine.
@@ -73,20 +69,21 @@ pub fn run(cfg: &JitConfig) -> JitResult {
     let mut rng = SimRng::new(cfg.seed ^ 0x117);
 
     let arrivals_per_sec = 1.0 / cfg.inter_arrival.as_secs_f64();
-    // Teardown deadlines live on the simulation engine's timing wheel;
-    // fired events park their domain id here for the main loop to reap
-    // (events can't borrow `host` directly).
-    let mut timers = Engine::new();
-    let doomed: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
+    // Pending teardowns as (deadline, arrival index, domid), earliest
+    // first; the arrival index breaks deadline ties in launch order.
+    let mut teardowns: BinaryHeap<Reverse<(SimTime, usize, u32)>> = BinaryHeap::new();
     let mut rtts = Vec::with_capacity(cfg.clients);
     let mut drops = 0;
     let mut peak = 0;
 
     for i in 0..cfg.clients {
         let now = cfg.inter_arrival * i as u64;
-        // Idle VMs past their teardown deadline are reaped first.
-        timers.run_until(now);
-        for dom in doomed.borrow_mut().drain(..) {
+        // Idle VMs whose deadline is at or before `now` are reaped first.
+        while let Some(&Reverse((deadline, _, dom))) = teardowns.peek() {
+            if deadline > now {
+                break;
+            }
+            teardowns.pop();
             let _ = host.destroy(hypervisor::DomId(dom));
         }
 
@@ -106,19 +103,13 @@ pub fn run(cfg: &JitConfig) -> JitResult {
         let rtt = NET_RTT + vm.create_time + vm.boot_time + penalty;
         rtts.push(rtt);
         peak = peak.max(host.running());
-        let dom = vm.dom.0;
-        let doomed = Rc::clone(&doomed);
-        timers.schedule_at(now + rtt + cfg.idle_teardown, move |_| {
-            doomed.borrow_mut().push(dom);
-        });
+        teardowns.push(Reverse((now + rtt + cfg.idle_teardown, i, vm.dom.0)));
     }
 
     JitResult {
         rtts,
         drops,
         peak_vms: peak,
-        peak_queue_depth: timers.peak_pending(),
-        events_scheduled: timers.events_scheduled(),
     }
 }
 
@@ -168,13 +159,24 @@ mod tests {
 
     #[test]
     fn vms_are_torn_down_after_idle() {
-        let r = run(&JitConfig {
-            clients: 100,
-            inter_arrival: SimTime::from_millis(100),
-            idle_teardown: SimTime::from_secs(2),
-            seed: 4,
-        });
-        // ~2 s lifetime at 10 arrivals/s -> about 20 resident VMs.
-        assert!(r.peak_vms <= 30, "peak {}", r.peak_vms);
+        // Naive recount of the reaping rule: after arrival i launches,
+        // VM j <= i is still running unless its deadline
+        // t_j + rtt_j + idle is at or before t_i.
+        for (ms, seed) in [(10u64, 1u64), (25, 2), (50, 3), (100, 4)] {
+            let cfg = JitConfig::paper(ms, seed);
+            let r = run(&cfg);
+            let arrival = |i: usize| cfg.inter_arrival * i as u64;
+            let recount = (0..r.rtts.len())
+                .map(|i| {
+                    (0..=i)
+                        .filter(|&j| {
+                            j == i || arrival(j) + r.rtts[j] + cfg.idle_teardown > arrival(i)
+                        })
+                        .count()
+                })
+                .max()
+                .expect("has arrivals");
+            assert_eq!(r.peak_vms, recount, "{ms} ms arrivals, seed {seed}");
+        }
     }
 }

@@ -3,9 +3,15 @@
 //! The workspace builds in offline environments, so figure and report
 //! serialisation cannot depend on crates.io. This module implements the
 //! small JSON subset the artefacts need: objects with ordered keys,
-//! arrays, strings, finite numbers, booleans and null.
+//! arrays, strings, finite numbers, booleans and null. The parser is
+//! recursive, so it rejects documents nested deeper than 128 levels
+//! instead of overflowing the stack.
 
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. Every artefact
+/// and report this workspace writes nests at most 5 levels.
+const MAX_DEPTH: usize = 128;
 
 /// A JSON value. Objects preserve insertion order so emission is
 /// deterministic and independent of hash state.
@@ -152,6 +158,7 @@ impl Json {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -230,6 +237,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -271,11 +280,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(JsonError::at("expected a value", self.pos)),
         }
+    }
+
+    /// Parses one array or object, one level deeper than the caller.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Parser<'a>) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::at("nesting too deep", self.pos));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -459,6 +482,18 @@ mod tests {
         for bad in ["", "{", "[1,", "\"x", "nul", "{\"a\" 1}"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"k\":"] {
+            let err = Json::parse(&open.repeat(200_000)).unwrap_err();
+            assert_eq!(err.message, "nesting too deep", "{open}");
+        }
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let deep = format!("[{ok}]");
+        assert_eq!(Json::parse(&deep).unwrap_err().message, "nesting too deep");
     }
 
     #[test]

@@ -21,17 +21,13 @@ pub struct UnitPerf {
     pub wall_ms: f64,
     /// Simulated virtual time covered by the unit, in milliseconds.
     pub virtual_ms: f64,
-    /// Simulation events processed (xenstored requests, engine firings,
-    /// container operations — whatever the unit's workload counts).
+    /// Simulation events processed (xenstored requests and watch events,
+    /// CPU-model task starts, container operations, client pings —
+    /// whatever the unit's workload counts).
     pub events: u64,
     /// `events / wall seconds`: the single-thread throughput figure the
     /// hot-path optimisations move.
     pub events_per_sec: f64,
-    /// Deepest the unit's engine event queue ever got (0 for units that
-    /// do not drive a timer engine).
-    pub peak_queue_depth: u64,
-    /// Events the unit scheduled on its engine (0 likewise).
-    pub events_scheduled: u64,
     /// Host heap allocations made while the unit ran (0 when the
     /// counting allocator is not installed — see
     /// [`RunnerReport::alloc_counting`]).
@@ -68,20 +64,11 @@ impl UnitPerf {
             virtual_ms,
             events,
             events_per_sec,
-            peak_queue_depth: 0,
-            events_scheduled: 0,
             allocs: 0,
             snapshot_hits: 0,
             snapshot_forks: 0,
             boot_events_saved: 0,
         }
-    }
-
-    /// Attaches the unit's engine event-queue statistics.
-    pub fn with_queue_stats(mut self, peak_queue_depth: u64, events_scheduled: u64) -> UnitPerf {
-        self.peak_queue_depth = peak_queue_depth;
-        self.events_scheduled = events_scheduled;
-        self
     }
 
     /// Attaches the unit's host allocation count.
@@ -122,14 +109,6 @@ impl UnitPerf {
             (
                 "events_per_sec".to_string(),
                 Json::Num(round3(self.events_per_sec)),
-            ),
-            (
-                "peak_queue_depth".to_string(),
-                Json::Num(self.peak_queue_depth as f64),
-            ),
-            (
-                "events_scheduled".to_string(),
-                Json::Num(self.events_scheduled as f64),
             ),
             ("allocs".to_string(), Json::Num(self.allocs as f64)),
             (
@@ -503,8 +482,6 @@ mod tests {
         assert!(js.contains("\"fig04\""));
         assert!(js.contains("\"debian\""));
         assert!(js.contains("\"events_per_sec\""));
-        assert!(js.contains("\"peak_queue_depth\""));
-        assert!(js.contains("\"events_scheduled\""));
         assert!(js.contains("\"host_cores\": 4"));
         assert!(js.contains("\"alloc_counting\": false"));
         assert!(js.contains("\"total_allocs\""));

@@ -1,24 +1,27 @@
-//! Deterministic discrete-event simulation core for the LightVM reproduction.
+//! Deterministic simulation core for the LightVM reproduction.
 //!
 //! This crate provides the substrate every other crate builds on:
 //!
 //! - [`SimTime`]: a nanosecond-resolution virtual clock value.
-//! - [`Engine`]: a single-threaded discrete-event executor with cancellable
-//!   scheduled closures.
-//! - [`CpuSim`]: a fluid processor-sharing CPU contention model used for
-//!   boot-time-under-load and use-case experiments.
+//! - [`CpuSim`]: a fluid processor-sharing CPU contention model. Control
+//!   planes advance their virtual clock through it; there is no event
+//!   queue.
 //! - [`CostModel`] / [`Meter`]: the calibrated primitive-cost constants of
 //!   the paper's testbed and the per-category accounting used to reproduce
 //!   the creation-overhead breakdown (Figure 5).
 //! - [`Machine`]: presets of the paper's three evaluation machines.
 //! - [`SimRng`]: a seeded RNG wrapper so every experiment is reproducible.
+//! - [`FaultPlan`]: seeded, replayable fault injection.
+//! - [`MemoryPressure`]: host memory accounting and reclaim pressure.
+//! - [`run_epoch`]: the cluster layer's sharded conservative-lookahead
+//!   executor.
 //!
-//! The simulation is intentionally single-threaded and fully deterministic:
-//! reruns with the same seed produce byte-identical figure data.
+//! Each simulated world is single-threaded and fully deterministic:
+//! reruns with the same seed produce byte-identical figure data, and the
+//! sharded executor's worker count changes wall clock, never bytes.
 
 pub mod costs;
 pub mod cpu;
-pub mod engine;
 pub mod faults;
 pub mod machine;
 pub mod memory;
@@ -29,7 +32,6 @@ pub mod time;
 pub use costs::{Category, CostModel, Meter};
 pub use faults::{FaultPlan, FaultSite, FAULT_RETRIES};
 pub use cpu::{CpuSim, TaskId, TaskKind};
-pub use engine::{Engine, EventId};
 pub use machine::{Machine, MachinePreset};
 pub use memory::MemoryPressure;
 pub use rng::SimRng;

@@ -14,11 +14,9 @@
 //! `crates/toolstack/tests/proptest_snapshot.rs` pins per mode, density
 //! step and seed.
 //!
-//! The engine's timing wheel is *not* part of a fork: pending events
-//! hold boxed closures (uncloneable), and a `ControlPlane` advances
-//! purely on virtual time (`CpuSim`) without owning an engine, so there
-//! is nothing to copy. Units that drive an engine (jit) keep their own
-//! state and do not fork.
+//! A fork copies no pending events: a `ControlPlane` advances purely on
+//! virtual time (`CpuSim`) and holds no event queue. The jit use case
+//! keeps its teardown deadlines in its own heap and does not fork.
 //!
 //! Mutating a fork never disturbs the original (or other forks): writes
 //! that would edit a shared `Arc<[u8]>` in place fail the
