@@ -149,12 +149,14 @@ for key in digest_drift census_drift arena_growth_last \
 done
 echo "churn: 6 units leak-free (digest, census, arena, interner, teardown)"
 
-echo "== cluster determinism gate (replay bytes + shard widths) =="
+echo "== cluster determinism gate (replay bytes + DAG widths) =="
 # The cluster figure couples thousands of fork-stamped hosts through
-# the sharded conservative-lookahead executor (DESIGN.md §6j). The
-# standalone binary replays it from the same seed and must reproduce
-# the runner's bytes; its --jobs flag widens the shard worker pool,
-# which must be invisible in the artefacts too.
+# the conservative-lookahead epoch executor (DESIGN.md §6j); each unit
+# steps its hosts in index order on its own thread. The standalone
+# binary replays it from the same seed and must reproduce the runner's
+# bytes; its --jobs flag widens the DAG runner's pool, which spreads
+# the six cluster units over workers and must be invisible in the
+# artefacts too.
 for J in 1 2 8; do
   LIGHTVM_QUICK=1 LIGHTVM_FIG_DIR="$FIG_DIR/cluster-j$J" \
     cargo run --release -p bench --bin cluster -- --jobs "$J" > /dev/null
@@ -171,7 +173,7 @@ for key in evac_digest_drift evac_census_drift; do
     exit 1
   fi
 done
-echo "cluster: byte-identical at shard widths 1/2/8, evac units leak-free"
+echo "cluster: replay byte-identical at DAG widths 1/2/8, evac units leak-free"
 
 echo "== snapshot-cache gate (cached vs --no-snapshot-cache) =="
 # Figure units share results through bench::worldcache (chain rung
@@ -287,7 +289,7 @@ fi
 echo "== throughput gate (aggregate_events_per_sec) =="
 # Covers the cluster units too: their simulated events (hundreds of
 # thousands of host-world events per run) land in the same report, so
-# an events/s collapse in the sharded executor trips this gate.
+# an events/s collapse in the epoch executor trips this gate.
 extract_rate() {
   grep -m1 -o '"aggregate_events_per_sec": *[0-9.]*' "$1" | grep -o '[0-9.]*$'
 }

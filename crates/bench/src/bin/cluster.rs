@@ -1,11 +1,12 @@
 //! Thin wrapper over the `cluster` registry figure (see
 //! `bench::cluster`): thousands of fork-stamped host worlds coupled by
-//! a modelled datacenter network on the sharded executor, writing
+//! a modelled datacenter network on the epoch executor, writing
 //! `cluster.{json,csv}`. `runall` runs the same units on its thread
 //! pool alongside the paper figures.
 //!
-//! `--jobs N` widens the shard executor's worker pool; artefact bytes
-//! are identical at every width (ci.sh gates it).
+//! `--jobs N` widens the DAG runner's worker pool, which runs the six
+//! cluster units side by side; each unit steps its hosts on its own
+//! thread. Artefact bytes are identical at every width (ci.sh gates it).
 
 fn main() {
     let mut jobs = 1usize;

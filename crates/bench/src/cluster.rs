@@ -1,20 +1,22 @@
-//! Cluster-scale simulation: fork-stamped hosts on a sharded
+//! Cluster-scale simulation: fork-stamped hosts on an epoch-stepped
 //! multi-world executor (DESIGN.md §6j).
 //!
 //! Every other figure simulates one host. This figure runs *thousands*:
 //! each unit builds one prewarmed template host for its (toolstack,
-//! density) configuration ([`Store::simulate`]) and captures it as a
-//! [`toolstack::HostTemplate`]; every cluster host is then *stamped*
-//! from it (a structure-sharing fork + domid recycling + per-host RNG),
-//! so instantiating 1k hosts costs O(hosts) clone work, not
-//! O(hosts × boots). Hosts are coupled only by a modelled datacenter network
-//! ([`lvnet::Link::datacenter`]) advanced by the conservative-lookahead
-//! executor in [`simcore::shard`]: the epoch length is the link delay,
-//! every cross-host message is delivered at the next epoch barrier in
-//! `(epoch, src_host, seq)` order, and a sequential controller does all
-//! placement at the barrier. `--jobs N` therefore changes wall clock,
-//! never bytes (`ci.sh` gates the artefacts at every width, cached or
-//! not, against same-seed replay).
+//! density) configuration
+//! ([`Store::simulate`](crate::worldcache::Store::simulate)) and
+//! captures it as a [`toolstack::HostTemplate`]; every cluster host is
+//! then *stamped* from it (a structure-sharing fork + domid recycling +
+//! per-host RNG), so instantiating 1k hosts costs O(hosts) clone work,
+//! not O(hosts × boots). Hosts are coupled only by a modelled
+//! datacenter network ([`lvnet::Link::datacenter`]) advanced by the
+//! conservative-lookahead executor in [`simcore::shard`]: the epoch
+//! length is the link delay, every cross-host message is delivered at
+//! the next epoch barrier in `(epoch, src_host, seq)` order, and a
+//! sequential controller does all placement at the barrier. Hosts step in index order on the unit's
+//! own thread; `--jobs N` runs whole units side by side, so it changes
+//! wall clock, never bytes (`ci.sh` gates the artefacts at every width,
+//! cached or not, against same-seed replay).
 //!
 //! Units:
 //!
@@ -31,11 +33,8 @@
 //!   evacuation-latency tail and leak-checks every survivor against
 //!   the template (digest + census) after the evacuees are drained.
 //!
-//! Honest 1-core reporting: per-worker shard spans are recorded and
-//! surfaced as `kind: "shard"` rows in `bench_runner.json` (informational
-//! — their wall is contained in their unit's row), and each unit prints
-//! guests-per-wall-second and peak RSS to stderr. Neither enters the
-//! byte-gated artefacts.
+//! Each unit prints guests-per-wall-second and peak RSS to stderr;
+//! neither enters the byte-gated artefacts.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -43,13 +42,13 @@ use std::time::Instant;
 use guests::GuestImage;
 use hypervisor::DomId;
 use metrics::{Cdf, Series};
-use simcore::shard::{self, Envelope, Outbox, WorkerSpan, CONTROLLER};
+use simcore::shard::{self, Envelope, Outbox, CONTROLLER};
 use simcore::{FaultPlan, FaultSite};
 use toolstack::fleet::{domid_limit_for, HostTemplate};
 use toolstack::{ControlPlane, ToolstackMode, WorldCensus};
 
 use crate::figures::{meta, xeon, FigureSpec, Scale, UnitOutput, UnitSpec};
-use crate::worldcache::{Store, WorldSpec};
+use crate::worldcache::WorldSpec;
 
 /// Seed for the evacuation units' failure draws (distinct from the
 /// plane seed 42, churn's 0xc402/0xc4fa and the faultsweep's 0xfa17).
@@ -74,37 +73,6 @@ const EVAC_NAMES: usize = 16;
 /// Consecutive missed heartbeats before the controller declares a host
 /// dead and starts evacuating.
 const MISSED_LIMIT: u32 = 2;
-
-// --- runner plumbing -------------------------------------------------------
-
-/// One worker's aggregate shard occupancy for one cluster unit — the
-/// per-shard task trace the runner appends to `bench_runner.json`.
-pub struct ShardTrace {
-    pub unit: String,
-    pub worker: usize,
-    pub first: Instant,
-    pub last: Instant,
-    pub busy_ms: f64,
-    pub shard_steps: u64,
-    pub messages: u64,
-}
-
-fn record_trace(store: &Store, unit: &str, spans: &[WorkerSpan]) {
-    let mut t = store.shard_trace.lock().expect("shard trace lock");
-    for (w, s) in spans.iter().enumerate() {
-        if let (Some(first), Some(last)) = (s.first, s.last) {
-            t.push(ShardTrace {
-                unit: unit.to_string(),
-                worker: w,
-                first,
-                last,
-                busy_ms: s.busy.as_secs_f64() * 1e3,
-                shard_steps: s.shards,
-                messages: s.messages,
-            });
-        }
-    }
-}
 
 // --- the cluster model -----------------------------------------------------
 
@@ -195,10 +163,8 @@ struct ScenarioOut {
     pool_mean: Vec<f64>,
 }
 
-fn run_scenario(store: &Store, sc: &Scenario) -> ScenarioOut {
+fn run_scenario(sc: &Scenario) -> ScenarioOut {
     let eps = lvnet::Link::datacenter().delay.as_millis_f64();
-    let jobs = store.shard_jobs.max(1);
-    let mut spans = vec![WorkerSpan::default(); jobs];
 
     let mut hosts: Vec<Option<Host>> = (0..sc.hosts)
         .map(|i| {
@@ -215,8 +181,7 @@ fn run_scenario(store: &Store, sc: &Scenario) -> ScenarioOut {
         })
         .collect();
 
-    let img = sc.image.clone();
-    let step = move |_idx: u32, host: &mut Host, inbox: Vec<Msg>, out: &mut Outbox<Msg>| {
+    let mut step = |_idx: u32, host: &mut Host, inbox: Vec<Msg>, out: &mut Outbox<Msg>| {
         for m in inbox {
             if let Msg::Place { slot, evac } = m {
                 let name = if evac {
@@ -226,7 +191,7 @@ fn run_scenario(store: &Store, sc: &Scenario) -> ScenarioOut {
                 } else {
                     format!("arr-{slot}")
                 };
-                match host.cp.create_and_boot_report(&name, &img) {
+                match host.cp.create_and_boot_report(&name, sc.image) {
                     Ok((report, boot)) => {
                         host.placed.push(report.dom);
                         out.send(
@@ -392,7 +357,7 @@ fn run_scenario(store: &Store, sc: &Scenario) -> ScenarioOut {
             }
         }
 
-        // --- run the epoch across the worker pool ---------------------
+        // --- step every live host through the epoch ------------------
         let done_main = epoch + 1 >= sc.epochs;
         let outstanding =
             !queue.is_empty() || view.iter().any(|v| v.pending > 0);
@@ -402,7 +367,7 @@ fn run_scenario(store: &Store, sc: &Scenario) -> ScenarioOut {
         }
         assert!(epoch < max_epochs, "{}: placement queue never drained", sc.label);
         let taken = std::mem::take(&mut inboxes);
-        let msgs = shard::run_epoch(&mut hosts, taken, jobs, &mut spans, &step);
+        let msgs = shard::run_epoch(&mut hosts, taken, &mut step);
         messages += msgs.len() as u64;
         let (next, to_ctrl) = shard::route(msgs, hosts.len());
         inboxes = next;
@@ -410,7 +375,6 @@ fn run_scenario(store: &Store, sc: &Scenario) -> ScenarioOut {
         epoch += 1;
     }
 
-    record_trace(store, &sc.label, &spans);
     ScenarioOut {
         hosts,
         placed,
@@ -547,7 +511,7 @@ fn ladder_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
                 fail_at: None,
                 pre_drain: false,
             };
-            let res = run_scenario(store, &sc);
+            let res = run_scenario(&sc);
             assert_eq!(res.placed.len(), 2 * rung, "{label}@{rung}: arrivals lost");
             let guests = absorb_hosts(&mut out, &res.hosts, &base);
             hosts_total += rung as u64;
@@ -605,7 +569,7 @@ fn placement_unit(scale: Scale) -> UnitSpec {
                 fail_at: None,
                 pre_drain: true,
             };
-            let res = run_scenario(store, &sc);
+            let res = run_scenario(&sc);
             assert_eq!(res.placed.len(), 4 * hosts, "placement arrivals lost");
             absorb_hosts(&mut out, &res.hosts, &base);
             let pl = policy.label();
@@ -687,7 +651,7 @@ fn evac_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
             fail_at: Some((3, 2)),
             pre_drain: false,
         };
-        let mut res = run_scenario(store, &sc);
+        let mut res = run_scenario(&sc);
         let expected: usize = res.victims.len() * template.guests();
         assert_eq!(res.evac.len(), expected, "{label}: evacuation incomplete");
 

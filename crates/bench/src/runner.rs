@@ -3,13 +3,14 @@
 //! figures.
 //!
 //! Each run creates one [`Store`] — the run's chains, compute results,
-//! walks, reuse switch, shard worker count and shard-span sink — and
-//! hands it to every task body; nothing is process-global, so
-//! concurrent or repeated runs cannot see each other. The planner turns
-//! every distinct resource the units declare — chain rungs, probe
-//! walks, compute runs — into explicit producer tasks, and gates the
-//! consuming units on them; the executor
-//! then runs the graph critical-path first on `jobs` workers.
+//! walks and reuse switch — and hands it to every task body; nothing is
+//! process-global, so concurrent or repeated runs cannot see each
+//! other. The planner turns every distinct resource the units declare —
+//! chain rungs, probe walks, compute runs — into explicit producer
+//! tasks, and gates the consuming units on them; the executor then runs
+//! the graph critical-path first on `jobs` workers. That pool is the
+//! run's only parallelism: a task body, the cluster units' epoch loops
+//! included, runs on the one thread that claimed it.
 //! Results are written into per-unit slots and the merge walks figures
 //! and units in *declared* order, which makes the output bit-for-bit
 //! independent of scheduling (`--seq`, `--jobs 1` and `--jobs N` all
@@ -28,7 +29,7 @@
 
 use std::time::Instant;
 
-use metrics::{Figure, RunnerReport, TaskPerf, UnitPerf};
+use metrics::{Figure, RunnerReport, UnitPerf};
 
 use crate::figures::{FigureSpec, UnitOutput};
 use crate::sched;
@@ -62,30 +63,7 @@ pub fn run_with(
 
     let (heads, plan) = sched::plan(specs, &mut store);
     let jobs = jobs.max(1).min(plan.len().max(1));
-    // The cluster units' shard executor inherits the worker budget;
-    // artefact bytes never depend on it.
-    store.shard_jobs = jobs;
-    let (mut trace, unit_results) = sched::execute(plan, jobs, started, &store);
-
-    // Append the cluster units' per-worker shard spans as informational
-    // `"shard"` rows (their wall is contained in their unit's row; the
-    // report's aggregates skip them).
-    let next_id = trace.len() as u64;
-    let spans = std::mem::take(&mut *store.shard_trace.lock().expect("shard trace lock"));
-    for (i, s) in spans.into_iter().enumerate() {
-        trace.push(TaskPerf {
-            id: next_id + i as u64,
-            kind: "shard".to_string(),
-            label: format!("shard {}#w{}", s.unit, s.worker),
-            figure: "cluster".to_string(),
-            thread: s.worker as u64,
-            start_ms: s.first.duration_since(started).as_secs_f64() * 1e3,
-            end_ms: s.last.duration_since(started).as_secs_f64() * 1e3,
-            events: s.shard_steps + s.messages,
-            allocs: 0,
-            deps: Vec::new(),
-        });
-    }
+    let (trace, unit_results) = sched::execute(plan, jobs, started, &store);
 
     // Reassemble in declared order. Unit task ids follow declaration
     // order, so the results arrive (figure, unit)-sorted already; the

@@ -44,7 +44,6 @@ use metrics::RunnerReport;
 use simcore::{Machine, Meter, SimTime};
 use toolstack::{ControlPlane, ToolstackMode};
 
-use crate::cluster::ShardTrace;
 use crate::probewalk::{self, Walk};
 
 /// Everything a chained world's evolution depends on.
@@ -189,15 +188,9 @@ pub struct Store {
     /// Share results between units (`runall --no-snapshot-cache` clears
     /// it: every unit simulates what it reads, byte-identically).
     pub cache: bool,
-    /// Worker threads the cluster units' shard executor may use (the
-    /// runner's worker budget; artefact bytes never depend on it).
-    pub shard_jobs: usize,
     chains: HashMap<Key, Mutex<Chain>>,
     computes: Mutex<HashMap<String, ComputeResult>>,
     walks: Mutex<HashMap<WalkKey, Arc<Walk>>>,
-    /// Per-worker shard spans the cluster units recorded, appended to
-    /// the runner's task trace as `shard` rows.
-    pub(crate) shard_trace: Mutex<Vec<ShardTrace>>,
     boots_simulated: AtomicU64,
 }
 
@@ -211,11 +204,9 @@ impl Store {
     pub fn new(cache: bool) -> Store {
         Store {
             cache,
-            shard_jobs: 1,
             chains: HashMap::new(),
             computes: Mutex::new(HashMap::new()),
             walks: Mutex::new(HashMap::new()),
-            shard_trace: Mutex::new(Vec::new()),
             boots_simulated: AtomicU64::new(0),
         }
     }

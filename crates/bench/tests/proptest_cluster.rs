@@ -1,13 +1,13 @@
 //! Cluster-layer invariants (DESIGN.md §6j): the properties that make
-//! fork-stamped, shard-executed cluster figures trustworthy.
+//! fork-stamped, epoch-stepped cluster figures trustworthy.
 //!
 //! * Worker-count independence: the same seed produces byte-identical
-//!   `cluster` artefacts at `--jobs 1`, `2` and `8`. The shard executor
-//!   chunks hosts contiguously and concatenates per-chunk outboxes, so
-//!   cross-host message order is `(epoch, src_host, seq)` no matter how
-//!   many workers raced through the epoch. The worker count is per run,
-//!   so the `--jobs 8` run really steps shards on several workers even
-//!   while other tests run concurrently.
+//!   `cluster` artefacts at `--jobs 1`, `2` and `8`. Each unit steps
+//!   its hosts in index order on its own thread, so cross-host message
+//!   order is `(epoch, src_host, seq)`; the DAG runner only decides
+//!   which thread runs which unit. The worker count is per run, so the
+//!   `--jobs 8` run really spreads the units over several runner
+//!   threads even while other tests run concurrently.
 //! * Fork fidelity: a host stamped from a [`toolstack::HostTemplate`]
 //!   is `world_digest64`-equal to a world built fresh through the full
 //!   toolstack path — forking shares structure, never content.
@@ -42,10 +42,10 @@ fn cluster_artefacts_identical_across_worker_counts() {
             let workers: std::collections::BTreeSet<u64> = report
                 .tasks
                 .iter()
-                .filter(|t| t.kind == "shard")
+                .filter(|t| t.kind == "unit")
                 .map(|t| t.thread)
                 .collect();
-            assert!(workers.len() > 1, "jobs=8 stepped shards on workers {workers:?}");
+            assert!(workers.len() > 1, "jobs=8 ran the cluster units on workers {workers:?}");
         }
     }
 }

@@ -485,6 +485,26 @@ mod tests {
     }
 
     #[test]
+    fn oversized_config_fails_and_creates_nothing() {
+        let mut c = cli();
+        let dir = std::env::temp_dir().join("lightvm-cli-oversized");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wrap.cfg");
+        // 2^44 MiB = 2^64 bytes: wraps to a 0-byte guest if unchecked.
+        std::fs::write(
+            &path,
+            "name = \"wrap\"\nkernel = \"/images/daytime.bin\"\nmemory = 17592186044416\n",
+        )
+        .unwrap();
+        let out = run(&mut c, &format!("create-config {}", path.display()));
+        assert!(out.contains("create failed"), "{out}");
+        let list = run(&mut c, "list");
+        assert_eq!(list.lines().count(), 1, "only the header: {list}");
+        assert_eq!(c.host().running(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn parsers_cover_all_variants() {
         for m in ["xl", "chaos-xs", "chaos-xs-split", "chaos-noxs", "lightvm"] {
             assert!(parse_mode(m).is_some(), "{m}");

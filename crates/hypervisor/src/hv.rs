@@ -214,11 +214,18 @@ impl Hypervisor {
     ) -> Result<(), HvError> {
         let pressure = self.memory.factor();
         let d = self.domains.get_mut(&dom).ok_or(HvError::NoSuchDomain)?;
-        if d.populated_mib + mib > d.max_mem_mib {
+        // A request whose size does not fit in a u64 is larger than any
+        // host: refuse it before anything is charged or changed.
+        let (Some(total), Some(bytes)) = (d.populated_mib.checked_add(mib), mib.checked_mul(MIB))
+        else {
+            let free = self.memory.free();
+            return Err(HvError::OutOfMemory(OutOfMemory { requested: u64::MAX, free }));
+        };
+        if total > d.max_mem_mib {
             return Err(HvError::BadState);
         }
-        self.memory.allocate(mib * MIB)?;
-        d.populated_mib += mib;
+        self.memory.allocate(bytes)?;
+        d.populated_mib = total;
         Self::charge(
             meter,
             cost.hypercall_base + (cost.mem_prep_per_mib * mib).scale(pressure),
@@ -564,6 +571,27 @@ mod tests {
             hv.populate_physmap(&cost, &mut m, id, 128).unwrap_err(),
             HvError::OutOfMemory(_)
         ));
+    }
+
+    #[test]
+    fn oversized_populate_fails_before_any_change() {
+        let (mut hv, cost, mut m) = setup();
+        let id = hv
+            .create_domain(&cost, &mut m, &DomainConfig { max_mem_mib: u64::MAX, vcpus: 1 })
+            .unwrap();
+        hv.populate_physmap(&cost, &mut m, id, 1).unwrap();
+        let (used, charged) = (hv.memory.used(), m.total());
+        // 2^44 MiB is 2^64 bytes: the byte count wraps to 0 unchecked;
+        // u64::MAX MiB also overflows the populated total.
+        for mib in [1 << 44, (1 << 44) + 1, u64::MAX] {
+            assert!(matches!(
+                hv.populate_physmap(&cost, &mut m, id, mib).unwrap_err(),
+                HvError::OutOfMemory(_)
+            ));
+            assert_eq!(hv.memory.used(), used, "{mib} MiB");
+            assert_eq!(m.total(), charged, "{mib} MiB");
+            assert_eq!(hv.domain(id).unwrap().populated_mib, 1);
+        }
     }
 
     #[test]

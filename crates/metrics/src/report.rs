@@ -141,11 +141,7 @@ pub struct TaskPerf {
     /// Task id (index into the trace; `deps` refer to these).
     pub id: u64,
     /// Task kind: `"unit"`, `"chain"`, `"probe"` (one whole probe walk:
-    /// its climb plus one fork and its probes per step) or `"compute"`
-    /// for scheduled tasks; `"shard"` for the cluster units' per-worker
-    /// shard spans, which are informational — their wall is contained
-    /// in their owning unit's row, so every aggregate below excludes
-    /// them.
+    /// its climb plus one fork and its probes per step) or `"compute"`.
     pub kind: String,
     /// Human-readable label, e.g. `"chain xl/daytime@1000"`.
     pub label: String,
@@ -259,14 +255,8 @@ impl RunnerReport {
         if self.tasks.is_empty() {
             self.total_unit_wall_ms()
         } else {
-            self.scheduled().map(TaskPerf::wall_ms).sum()
+            self.tasks.iter().map(TaskPerf::wall_ms).sum()
         }
-    }
-
-    /// The scheduled tasks: everything except informational `"shard"`
-    /// rows, whose wall is already inside their owning unit's row.
-    fn scheduled(&self) -> impl Iterator<Item = &TaskPerf> {
-        self.tasks.iter().filter(|t| t.kind != "shard")
     }
 
     /// Total host allocations across every scheduled task (falls back
@@ -275,7 +265,7 @@ impl RunnerReport {
         if self.tasks.is_empty() {
             self.total_allocs()
         } else {
-            self.scheduled().map(|t| t.allocs).sum()
+            self.tasks.iter().map(|t| t.allocs).sum()
         }
     }
 
@@ -286,12 +276,7 @@ impl RunnerReport {
         let mut cp = vec![0.0f64; self.tasks.len()];
         let mut longest = 0.0f64;
         // Tasks are emitted in topological (id) order: deps < id.
-        // Shard rows are informational (wall contained in their unit's
-        // row) and never on the path.
         for (i, t) in self.tasks.iter().enumerate() {
-            if t.kind == "shard" {
-                continue;
-            }
             let from_deps = t
                 .deps
                 .iter()
@@ -307,7 +292,7 @@ impl RunnerReport {
     /// intervals overlapped at one instant.
     pub fn max_width(&self) -> u64 {
         let mut edges: Vec<(f64, i64)> = Vec::with_capacity(self.tasks.len() * 2);
-        for t in self.scheduled() {
+        for t in &self.tasks {
             edges.push((t.start_ms, 1));
             edges.push((t.end_ms, -1));
         }

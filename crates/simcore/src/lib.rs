@@ -13,12 +13,13 @@
 //! - [`SimRng`]: a seeded RNG wrapper so every experiment is reproducible.
 //! - [`FaultPlan`]: seeded, replayable fault injection.
 //! - [`MemoryPressure`]: host memory accounting and reclaim pressure.
-//! - [`run_epoch`]: the cluster layer's sharded conservative-lookahead
+//! - [`run_epoch`]: the cluster layer's conservative-lookahead epoch
 //!   executor.
 //!
 //! Each simulated world is single-threaded and fully deterministic:
-//! reruns with the same seed produce byte-identical figure data, and the
-//! sharded executor's worker count changes wall clock, never bytes.
+//! reruns with the same seed produce byte-identical figure data. The
+//! epoch executor steps a cluster's hosts in index order on one thread;
+//! parallelism comes from running whole figure units side by side.
 
 pub mod costs;
 pub mod cpu;
@@ -35,5 +36,5 @@ pub use cpu::{CpuSim, TaskId, TaskKind};
 pub use machine::{Machine, MachinePreset};
 pub use memory::MemoryPressure;
 pub use rng::SimRng;
-pub use shard::{route, run_epoch, Envelope, Outbox, WorkerSpan, CONTROLLER};
+pub use shard::{route, run_epoch, Envelope, Outbox, CONTROLLER};
 pub use time::SimTime;

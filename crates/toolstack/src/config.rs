@@ -118,22 +118,8 @@ impl VmConfig {
             match key {
                 "name" => set_once(&mut name, parse_string(value, lineno, key)?, lineno, key)?,
                 "kernel" => set_once(&mut kernel, parse_string(value, lineno, key)?, lineno, key)?,
-                "memory" => set_once(
-                    &mut memory,
-                    value
-                        .parse::<u64>()
-                        .map_err(|_| ConfigError::BadValue(lineno, key.into()))?,
-                    lineno,
-                    key,
-                )?,
-                "vcpus" => set_once(
-                    &mut vcpus,
-                    value
-                        .parse::<u32>()
-                        .map_err(|_| ConfigError::BadValue(lineno, key.into()))?,
-                    lineno,
-                    key,
-                )?,
+                "memory" => set_once(&mut memory, parse_positive(value, lineno, key)?, lineno, key)?,
+                "vcpus" => set_once(&mut vcpus, parse_positive(value, lineno, key)?, lineno, key)?,
                 "vif" => set_once(&mut vifs, parse_list(value, lineno, key)?, lineno, key)?,
                 "disk" => set_once(&mut disks, parse_list(value, lineno, key)?, lineno, key)?,
                 _ => return Err(ConfigError::BadValue(lineno, key.into())),
@@ -225,6 +211,19 @@ fn set_once<T>(
     }
     *slot = Some(value);
     Ok(())
+}
+
+/// Parses a count that must be at least 1: a guest with no memory or
+/// no vCPU cannot run.
+fn parse_positive<T>(value: &str, lineno: usize, key: &str) -> Result<T, ConfigError>
+where
+    T: std::str::FromStr + Default + PartialEq,
+{
+    value
+        .parse::<T>()
+        .ok()
+        .filter(|n| *n != T::default())
+        .ok_or_else(|| ConfigError::BadValue(lineno, key.into()))
 }
 
 fn parse_string(value: &str, lineno: usize, key: &str) -> Result<String, ConfigError> {
@@ -319,6 +318,15 @@ disk = [ "file:/images/root.img,xvda,w" ]
         let err =
             VmConfig::parse("name = \"a\"\nkernel = \"/k\"\nmemory = lots\n").unwrap_err();
         assert_eq!(err, ConfigError::BadValue(3, "memory".into()));
+    }
+
+    #[test]
+    fn zero_memory_or_vcpus_is_an_error() {
+        let err = VmConfig::parse("name = \"a\"\nkernel = \"/k\"\nmemory = 0\n").unwrap_err();
+        assert_eq!(err, ConfigError::BadValue(3, "memory".into()));
+        let err = VmConfig::parse("name = \"a\"\nkernel = \"/k\"\nmemory = 4\nvcpus = 0\n")
+            .unwrap_err();
+        assert_eq!(err, ConfigError::BadValue(4, "vcpus".into()));
     }
 
     #[test]

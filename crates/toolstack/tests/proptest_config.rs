@@ -1,9 +1,11 @@
 //! Property tests: the xl config parser round-trips every config the
-//! serialiser can produce and never panics on arbitrary input. Driven by
-//! a seeded `SimRng` (offline build: no proptest).
+//! serialiser can produce and never panics on arbitrary input, and a
+//! config that parses creates a guest or fails cleanly under every
+//! toolstack. Driven by a seeded `SimRng` (offline build: no proptest).
 
-use simcore::SimRng;
-use toolstack::VmConfig;
+use guests::GuestImage;
+use simcore::{Machine, MachinePreset, SimRng};
+use toolstack::{ControlPlane, ToolstackMode, VmConfig};
 
 fn pick(rng: &mut SimRng, alphabet: &[u8]) -> char {
     alphabet[rng.index(alphabet.len())] as char
@@ -84,4 +86,58 @@ fn parser_never_panics_liney() {
             .collect();
         let _ = VmConfig::parse(&lines.join("\n"));
     }
+}
+
+/// Config text to create: `memory` and `vcpus` swept over edge values
+/// (zero, one, 2^44 MiB = 2^64 bytes and past it, the type maxima)
+/// plus seeded draws of every magnitude. Each config that parses is
+/// created and booted on a fresh host under all five toolstacks: none
+/// may panic, and any request larger than the host must fail.
+#[test]
+fn config_text_creates_or_fails_cleanly() {
+    const EDGES: [u64; 6] = [0, 1, 1 << 44, (1 << 44) + 1, u64::MAX, u32::MAX as u64];
+    const MODES: [ToolstackMode; 5] = [
+        ToolstackMode::Xl,
+        ToolstackMode::ChaosXs,
+        ToolstackMode::ChaosXsSplit,
+        ToolstackMode::ChaosNoxs,
+        ToolstackMode::LightVm,
+    ];
+    let mut rng = SimRng::new(0xCF64);
+    let mut values: Vec<(u64, u64)> =
+        EDGES.iter().flat_map(|&m| EDGES.iter().map(move |&v| (m, v))).collect();
+    for _ in 0..24 {
+        let mut draw = || rng.next_u64() >> rng.index(64);
+        values.push((draw(), draw()));
+    }
+    let machine = Machine::preset(MachinePreset::XeonE5_1630V3);
+    let image = GuestImage::unikernel_daytime();
+    let mut created = 0;
+    for (memory, vcpus) in values {
+        let text = format!(
+            "name = \"sweep\"\nkernel = \"/images/daytime.bin\"\nmemory = {memory}\nvcpus = {vcpus}\n"
+        );
+        let Ok(cfg) = VmConfig::parse(&text) else {
+            assert!(memory == 0 || vcpus == 0 || vcpus > u64::from(u32::MAX), "{text}");
+            continue;
+        };
+        let larger_than_host = cfg
+            .memory_mib
+            .checked_mul(1 << 20)
+            .is_none_or(|bytes| bytes > machine.mem_bytes);
+        let mut img = image.clone();
+        img.mem_mib = cfg.memory_mib;
+        for mode in MODES {
+            let mut cp = ControlPlane::new(machine.clone(), 1, mode, 7);
+            cp.prewarm(&image);
+            let res = cp.create_and_boot(&cfg.name, &img);
+            if larger_than_host {
+                assert!(res.is_err(), "{mode:?} created a {} MiB guest", cfg.memory_mib);
+                assert_eq!(cp.running_count(), 0, "{mode:?}");
+            } else if res.is_ok() {
+                created += 1;
+            }
+        }
+    }
+    assert!(created > 0, "the sweep must create some guests");
 }
