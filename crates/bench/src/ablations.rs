@@ -66,7 +66,6 @@ fn log_rotation_unit(scale: Scale) -> UnitSpec {
         out.series = vec![mean, p99, max];
         out
     })
-    .cost(95.0)
 }
 
 fn flavor_unit(_scale: Scale) -> UnitSpec {
@@ -88,7 +87,6 @@ fn flavor_unit(_scale: Scale) -> UnitSpec {
         out.series = vec![s];
         out
     })
-    .cost(2.0)
 }
 
 fn pool_size_unit(scale: Scale) -> UnitSpec {
@@ -115,7 +113,6 @@ fn pool_size_unit(scale: Scale) -> UnitSpec {
         out.series = vec![mean, p99];
         out
     })
-    .cost(5.0)
 }
 
 fn hotplug_unit(_scale: Scale) -> UnitSpec {
@@ -136,7 +133,6 @@ fn hotplug_unit(_scale: Scale) -> UnitSpec {
         out.series = vec![s];
         out
     })
-    .cost(1.0)
 }
 
 fn interference_unit(scale: Scale) -> UnitSpec {
@@ -178,7 +174,6 @@ fn interference_unit(scale: Scale) -> UnitSpec {
         out.series = vec![conflicts, retried];
         out
     })
-    .cost(6.0)
 }
 
 fn page_sharing_unit(scale: Scale) -> UnitSpec {
@@ -210,7 +205,6 @@ fn page_sharing_unit(scale: Scale) -> UnitSpec {
         out.series = vec![s];
         out
     })
-    .cost(5.0)
 }
 
 fn sensitivity_unit(scale: Scale) -> UnitSpec {
@@ -257,7 +251,6 @@ fn sensitivity_unit(scale: Scale) -> UnitSpec {
         }
         out
     })
-    .cost(130.0)
 }
 
 /// The ablation suite as a registry figure: seven units, one per ablation.

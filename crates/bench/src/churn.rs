@@ -89,11 +89,6 @@ fn churn_unit(scale: Scale, per_window: usize, mode: ToolstackMode, faulty: bool
         seed: 42,
     };
     let label = unit_label(mode, faulty);
-    let cost = match mode {
-        ToolstackMode::Xl => 50.0,
-        ToolstackMode::ChaosXs => 30.0,
-        _ => 8.0,
-    };
     UnitSpec::new(label.clone(), move |store| {
         let img = GuestImage::unikernel_daytime();
         // The resident base population is the world the density figures
@@ -265,7 +260,6 @@ fn churn_unit(scale: Scale, per_window: usize, mode: ToolstackMode, faulty: bool
         ];
         out
     })
-    .cost(cost)
 }
 
 /// The churn soak as a registry figure. `total_events` overrides the

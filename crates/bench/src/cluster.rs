@@ -1,5 +1,5 @@
-//! Cluster-scale simulation: fork-stamped hosts on an epoch-stepped
-//! multi-world executor (DESIGN.md §6j).
+//! Cluster-scale simulation: fork-stamped hosts stepped in lockstep
+//! epochs (DESIGN.md §6j).
 //!
 //! Every other figure simulates one host. This figure runs *thousands*:
 //! each unit builds one prewarmed template host for its (toolstack,
@@ -8,15 +8,17 @@
 //! captures it as a [`toolstack::HostTemplate`]; every cluster host is
 //! then *stamped* from it (a structure-sharing fork + domid recycling +
 //! per-host RNG), so instantiating 1k hosts costs O(hosts) clone work,
-//! not O(hosts × boots). Hosts are coupled only by a modelled
-//! datacenter network ([`lvnet::Link::datacenter`]) advanced by the
-//! conservative-lookahead executor in [`simcore::shard`]: the epoch
-//! length is the link delay, every cross-host message is delivered at
-//! the next epoch barrier in `(epoch, src_host, seq)` order, and a
-//! sequential controller does all placement at the barrier. Hosts step in index order on the unit's
-//! own thread; `--jobs N` runs whole units side by side, so it changes
-//! wall clock, never bytes (`ci.sh` gates the artefacts at every width,
-//! cached or not, against same-seed replay).
+//! not O(hosts × boots). Hosts talk only to the controller, over a
+//! modelled datacenter network ([`lvnet::Link::datacenter`]) whose
+//! delay is the epoch length (conservative lookahead): placements the
+//! controller sends at a barrier run during the next epoch, and the
+//! reports hosts send during an epoch reach the controller at the next
+//! barrier in `(host, send order)` order. The controller does all
+//! placement and failure detection at the barrier. `run_scenario`
+//! steps the live hosts in index order on the unit's own thread;
+//! `--jobs N` runs whole units side by side, so it changes wall clock,
+//! never bytes (`ci.sh` gates the artefacts at every width, cached or
+//! not, against same-seed replay).
 //!
 //! Units:
 //!
@@ -42,7 +44,6 @@ use std::time::Instant;
 use guests::GuestImage;
 use hypervisor::DomId;
 use metrics::{Cdf, Series};
-use simcore::shard::{self, Envelope, Outbox, CONTROLLER};
 use simcore::{FaultPlan, FaultSite};
 use toolstack::fleet::{domid_limit_for, HostTemplate};
 use toolstack::{ControlPlane, ToolstackMode, WorldCensus};
@@ -76,14 +77,16 @@ const MISSED_LIMIT: u32 = 2;
 
 // --- the cluster model -----------------------------------------------------
 
-/// Cross-host traffic. Controller→host commands and host→controller
-/// reports both ride the same modelled link (one epoch of latency).
-enum Msg {
+/// A placement: create one guest for slot `.0`; `.1` marks an
+/// evacuee. Sent by the controller at a barrier, run by the host
+/// during the next epoch.
+type Place = (u32, bool);
+
+/// Host→controller traffic, delivered at the next barrier.
+enum Report {
     /// Host liveness + load report, sent every epoch.
     Heartbeat { guests: u32, pool: u32 },
-    /// Controller: create one guest for placement slot `slot`.
-    Place { slot: u32, evac: bool },
-    /// Host: slot placed; `ms` is the simulated create+boot latency.
+    /// Slot placed; `ms` is the simulated create+boot latency.
     Done { slot: u32, evac: bool, ms: f64 },
 }
 
@@ -112,14 +115,15 @@ impl Policy {
 }
 
 /// Controller-side view of one host, built from heartbeats.
-#[derive(Clone, Copy)]
+#[derive(Clone)]
 struct HostView {
     alive: bool,
     seen: bool,
     missed: u32,
     guests: u32,
     pool: u32,
-    pending: u32,
+    /// Placements sent to this host and not yet acknowledged.
+    inflight: Vec<Place>,
     evac_total: u32,
 }
 
@@ -181,37 +185,6 @@ fn run_scenario(sc: &Scenario) -> ScenarioOut {
         })
         .collect();
 
-    let mut step = |_idx: u32, host: &mut Host, inbox: Vec<Msg>, out: &mut Outbox<Msg>| {
-        for m in inbox {
-            if let Msg::Place { slot, evac } = m {
-                let name = if evac {
-                    let k = host.evac_seq as usize % EVAC_NAMES;
-                    host.evac_seq += 1;
-                    format!("evac-{k}")
-                } else {
-                    format!("arr-{slot}")
-                };
-                match host.cp.create_and_boot_report(&name, sc.image) {
-                    Ok((report, boot)) => {
-                        host.placed.push(report.dom);
-                        out.send(
-                            CONTROLLER,
-                            Msg::Done { slot, evac, ms: (report.total() + boot).as_millis_f64() },
-                        );
-                    }
-                    Err(_) => host.failures += 1,
-                }
-            }
-        }
-        out.send(
-            CONTROLLER,
-            Msg::Heartbeat {
-                guests: host.cp.running_count() as u32,
-                pool: host.cp.daemon.len() as u32,
-            },
-        );
-    };
-
     let mut view = vec![
         HostView {
             alive: true,
@@ -219,14 +192,14 @@ fn run_scenario(sc: &Scenario) -> ScenarioOut {
             missed: 0,
             guests: sc.template.guests() as u32,
             pool: 0,
-            pending: 0,
+            inflight: Vec::new(),
             evac_total: 0,
         };
         sc.hosts
     ];
-    // Placement queue: (slot, evac). `origin[slot]` is the cluster time
-    // the slot became placeable (arrival enqueue / host failure).
-    let mut queue: VecDeque<(u32, bool)> = VecDeque::new();
+    // Placement queue. `origin[slot]` is the cluster time the slot
+    // became placeable (arrival enqueue / host failure).
+    let mut queue: VecDeque<Place> = VecDeque::new();
     let mut origin: Vec<f64> = Vec::new();
     let mut placed: Vec<f64> = Vec::new();
     let mut evac: Vec<f64> = Vec::new();
@@ -236,8 +209,10 @@ fn run_scenario(sc: &Scenario) -> ScenarioOut {
     let mut messages = 0u64;
     let mut imbalance = Vec::new();
     let mut pool_mean = Vec::new();
-    let mut inboxes: Vec<Vec<Msg>> = Vec::new();
-    let mut ctrl: Vec<Envelope<Msg>> = Vec::new();
+    // Placements sent at this barrier, per host.
+    let mut inboxes: Vec<Vec<Place>> = vec![Vec::new(); sc.hosts];
+    // Reports sent during the last epoch, in (host, send order) order.
+    let mut reports: Vec<(usize, Report)> = Vec::new();
 
     let max_epochs = sc.epochs + 512;
     let mut epoch = 0usize;
@@ -245,21 +220,20 @@ fn run_scenario(sc: &Scenario) -> ScenarioOut {
         let t_now = epoch as f64 * eps;
 
         // --- barrier: controller work, in deterministic order ---------
-        // 1. Consume last epoch's reports ((src, seq)-ordered).
+        // 1. Consume last epoch's reports.
         for v in view.iter_mut() {
             v.seen = false;
         }
-        for env in ctrl.drain(..) {
-            let h = env.src as usize;
-            match env.msg {
-                Msg::Heartbeat { guests, pool } => {
+        for (h, report) in reports.drain(..) {
+            match report {
+                Report::Heartbeat { guests, pool } => {
                     view[h].seen = true;
                     view[h].missed = 0;
                     view[h].guests = guests;
                     view[h].pool = pool;
                 }
-                Msg::Done { slot, evac: is_evac, ms } => {
-                    view[h].pending = view[h].pending.saturating_sub(1);
+                Report::Done { slot, evac: is_evac, ms } => {
+                    view[h].inflight.retain(|&(s, _)| s != slot);
                     let lat = (t_now - origin[slot as usize]) + ms;
                     if is_evac {
                         evac.push(lat);
@@ -267,11 +241,11 @@ fn run_scenario(sc: &Scenario) -> ScenarioOut {
                         placed.push(lat);
                     }
                 }
-                Msg::Place { .. } => unreachable!("hosts never send Place"),
             }
         }
 
-        // 2. Missed-heartbeat detection → evacuate the lost guests.
+        // 2. Missed-heartbeat detection → re-queue the placements the
+        //    dead host never acknowledged, and evacuate its guests.
         if epoch > 0 {
             for h in 0..view.len() {
                 if !view[h].alive || view[h].seen {
@@ -285,6 +259,7 @@ fn run_scenario(sc: &Scenario) -> ScenarioOut {
                     if detect_ms == 0.0 {
                         detect_ms = t_now - t_fail;
                     }
+                    queue.extend(std::mem::take(&mut view[h].inflight));
                     for _ in 0..view[h].guests {
                         let slot = origin.len() as u32;
                         origin.push(t_fail);
@@ -331,14 +306,14 @@ fn run_scenario(sc: &Scenario) -> ScenarioOut {
 
         // 5. Placement: drain the queue into host inboxes while a host
         //    can take work (policy + warm-pool tie-break + caps).
-        inboxes.resize_with(hosts.len(), Vec::new);
-        while let Some(&(slot, is_evac)) = queue.front() {
+        while let Some(&place) = queue.front() {
+            let is_evac = place.1;
             let Some(h) = pick_host(&view, sc, is_evac) else {
                 break;
             };
             queue.pop_front();
-            inboxes[h].push(Msg::Place { slot, evac: is_evac });
-            view[h].pending += 1;
+            inboxes[h].push(place);
+            view[h].inflight.push(place);
             if is_evac {
                 view[h].evac_total += 1;
             }
@@ -360,18 +335,20 @@ fn run_scenario(sc: &Scenario) -> ScenarioOut {
         // --- step every live host through the epoch ------------------
         let done_main = epoch + 1 >= sc.epochs;
         let outstanding =
-            !queue.is_empty() || view.iter().any(|v| v.pending > 0);
+            !queue.is_empty() || view.iter().any(|v| !v.inflight.is_empty());
         if done_main && !outstanding {
             epoch += 1;
             break;
         }
         assert!(epoch < max_epochs, "{}: placement queue never drained", sc.label);
-        let taken = std::mem::take(&mut inboxes);
-        let msgs = shard::run_epoch(&mut hosts, taken, &mut step);
-        messages += msgs.len() as u64;
-        let (next, to_ctrl) = shard::route(msgs, hosts.len());
-        inboxes = next;
-        ctrl = to_ctrl;
+        // A dead host's placements are lost with it.
+        for (h, (slot, inbox)) in hosts.iter_mut().zip(&mut inboxes).enumerate() {
+            let places = std::mem::take(inbox);
+            if let Some(host) = slot {
+                step_host(h, host, places, sc.image, &mut reports);
+            }
+        }
+        messages += reports.len() as u64;
         epoch += 1;
     }
 
@@ -388,15 +365,51 @@ fn run_scenario(sc: &Scenario) -> ScenarioOut {
     }
 }
 
+/// Runs one host through an epoch: its placements in send order, then
+/// its heartbeat, each report appended to `reports`.
+fn step_host(
+    h: usize,
+    host: &mut Host,
+    places: Vec<Place>,
+    image: &GuestImage,
+    reports: &mut Vec<(usize, Report)>,
+) {
+    for (slot, evac) in places {
+        let name = if evac {
+            let k = host.evac_seq as usize % EVAC_NAMES;
+            host.evac_seq += 1;
+            format!("evac-{k}")
+        } else {
+            format!("arr-{slot}")
+        };
+        match host.cp.create_and_boot_report(&name, image) {
+            Ok((report, boot)) => {
+                host.placed.push(report.dom);
+                let ms = (report.total() + boot).as_millis_f64();
+                reports.push((h, Report::Done { slot, evac, ms }));
+            }
+            Err(_) => host.failures += 1,
+        }
+    }
+    reports.push((
+        h,
+        Report::Heartbeat {
+            guests: host.cp.running_count() as u32,
+            pool: host.cp.daemon.len() as u32,
+        },
+    ));
+}
+
 /// The placement decision: best alive host under the caps, or `None`
 /// when every candidate is saturated this epoch.
 fn pick_host(view: &[HostView], sc: &Scenario, is_evac: bool) -> Option<usize> {
     let mut best: Option<(usize, u32, u32)> = None; // (idx, load, pool)
     for (h, v) in view.iter().enumerate() {
-        if !v.alive || v.pending >= sc.place_cap {
+        let pending = v.inflight.len() as u32;
+        if !v.alive || pending >= sc.place_cap {
             continue;
         }
-        let load = v.guests + v.pending;
+        let load = v.guests + pending;
         if load >= sc.capacity {
             continue;
         }
@@ -478,10 +491,6 @@ fn ladder_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
     };
     let spec = spec_for(mode);
     let label = mode.label().to_string();
-    let cost = match mode {
-        ToolstackMode::Xl => 900.0,
-        _ => 500.0,
-    };
     UnitSpec::new(label.clone(), move |store| {
         let wall0 = Instant::now();
         let img = spec.image.clone();
@@ -538,7 +547,6 @@ fn ladder_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
         );
         out
     })
-    .cost(cost)
 }
 
 /// Placement policies over an imbalanced fleet: bin-packing vs spread,
@@ -589,7 +597,6 @@ fn placement_unit(scale: Scale) -> UnitSpec {
         }
         out
     })
-    .cost(120.0)
 }
 
 /// Host failure + evacuation: seeded kill, missed-heartbeat detection,
@@ -696,7 +703,6 @@ fn evac_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
         ];
         out
     })
-    .cost(200.0)
 }
 
 /// The cluster figure: density ladder (×3 toolstacks), placement
@@ -728,5 +734,41 @@ pub fn spec(scale: Scale) -> FigureSpec {
             evac_unit(scale, ToolstackMode::ChaosXs),
             evac_unit(scale, ToolstackMode::LightVm),
         ],
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::worldcache::Store;
+
+    /// A host that dies with placements in flight: they are sent at the
+    /// kill barrier and the one after it, before the missed heartbeats
+    /// add up, and the dead host never acknowledges them. Detection must
+    /// re-queue them onto the survivor, or the run never drains.
+    #[test]
+    fn placements_in_flight_at_a_host_failure_are_requeued() {
+        let density = 4;
+        let (mut world, _) = Store::default().simulate(&spec_for(ToolstackMode::LightVm), density);
+        let template = HostTemplate::capture(&mut world, HEADROOM);
+        let image = GuestImage::unikernel_daytime();
+        let sc = Scenario {
+            label: "cluster in-flight failure".to_string(),
+            template: &template,
+            image: &image,
+            hosts: 2,
+            epochs: 8,
+            arrivals: 16,
+            arrival_epochs: 8,
+            policy: Policy::Spread,
+            place_cap: 4,
+            capacity: density as u32 + HEADROOM,
+            fail_at: Some((3, 1)),
+            pre_drain: false,
+        };
+        let res = run_scenario(&sc);
+        assert_eq!(res.victims.len(), 1);
+        assert_eq!(res.placed.len(), 16, "every arrival is placed exactly once");
+        assert!(res.evac.len() >= template.guests(), "the victim's guests are evacuated");
     }
 }

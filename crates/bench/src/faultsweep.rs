@@ -47,11 +47,6 @@ fn mode_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
         seed: 42,
     };
     let dep_spec = zero_rate_spec.clone();
-    let cost = match mode {
-        ToolstackMode::Xl => 60.0,
-        ToolstackMode::ChaosXs => 40.0,
-        _ => 10.0,
-    };
     UnitSpec::new(mode.label(), move |store| {
         let img = GuestImage::unikernel_daytime();
         let mut success = Series::new(format!("{}: success rate (%)", mode.label()));
@@ -126,7 +121,6 @@ fn mode_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
         out
     })
     .dep(Dep::Chain { spec: dep_spec, rung: n })
-    .cost(cost)
 }
 
 /// Drives every named injection site at rate 1.0 against a small pool:

@@ -122,8 +122,8 @@ impl UnitOutput {
 /// lazily racing to build caches: the planner (`crate::sched`) turns
 /// each distinct dependency into exactly one producing task, whose
 /// result the run's [`Store`] keeps, and gates the unit on it,
-/// so the expensive builds are scheduled explicitly — pipelined,
-/// critical-path first — and units run as pure readers. With the cache
+/// so the expensive builds are scheduled explicitly, ahead of the
+/// units that read them, and units run as pure readers. With the cache
 /// off no producer tasks exist and the unit bodies simulate inline,
 /// byte-identically.
 pub enum Dep {
@@ -156,10 +156,6 @@ pub struct UnitSpec {
     /// Shared resources this unit reads (empty for self-contained
     /// units). The scheduler orders the unit after their producers.
     pub deps: Vec<Dep>,
-    /// Rough expected wall-clock in milliseconds at full scale, for
-    /// critical-path-first ordering. Only relative magnitude matters;
-    /// mis-estimates cost schedule quality, never correctness.
-    pub cost_hint: f64,
     /// The computation. Runs on an arbitrary worker thread and reads
     /// shared worlds through the run's store.
     pub run: Box<dyn FnOnce(&Store) -> UnitOutput + Send>,
@@ -173,7 +169,6 @@ impl UnitSpec {
         UnitSpec {
             label: label.into(),
             deps: Vec::new(),
-            cost_hint: 1.0,
             run: Box::new(run),
         }
     }
@@ -181,12 +176,6 @@ impl UnitSpec {
     /// Declares a resource dependency.
     pub(crate) fn dep(mut self, dep: Dep) -> UnitSpec {
         self.deps.push(dep);
-        self
-    }
-
-    /// Sets the cost hint (ms at full scale, from the perf report).
-    pub(crate) fn cost(mut self, ms: f64) -> UnitSpec {
-        self.cost_hint = ms;
         self
     }
 }
@@ -883,8 +872,7 @@ fn fig16a(_scale: Scale) -> FigureSpec {
             ];
             out.events = r.booted as u64;
             out
-        })
-        .cost(8.0)],
+        })],
     }
 }
 
@@ -906,7 +894,6 @@ fn fig16b(_scale: Scale) -> FigureSpec {
                 out.events = r.rtts.len() as u64;
                 out
             })
-            .cost(15.0)
         })
         .collect();
     FigureSpec {
@@ -949,8 +936,7 @@ fn fig16c(_scale: Scale) -> FigureSpec {
                 out.events += s.points.len() as u64;
             }
             out
-        })
-        .cost(11.0)],
+        })],
     }
 }
 

@@ -8,9 +8,10 @@
 //! other. The planner turns every distinct resource the units declare —
 //! chain rungs, probe walks, compute runs — into explicit producer
 //! tasks, and gates the consuming units on them; the executor then runs
-//! the graph critical-path first on `jobs` workers. That pool is the
-//! run's only parallelism: a task body, the cluster units' epoch loops
-//! included, runs on the one thread that claimed it.
+//! the graph in plan order (lowest ready task id first) on `jobs`
+//! workers. That pool is the run's only parallelism: a task body, the
+//! cluster units' epoch loops included, runs on the one thread that
+//! claimed it.
 //! Results are written into per-unit slots and the merge walks figures
 //! and units in *declared* order, which makes the output bit-for-bit
 //! independent of scheduling (`--seq`, `--jobs 1` and `--jobs N` all

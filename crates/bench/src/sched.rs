@@ -6,7 +6,7 @@
 //! (see [`Dep`]) becomes exactly one producing task, and every chain
 //! read is declared on the run's [`Store`] up front:
 //!
-//! * **chain** tasks climb a world-store chain rung by requested rung
+//! * **chain** tasks climb a world-store chain to one declared rung
 //!   ([`Store::build_to`]), publishing records and rung observables as
 //!   they pass;
 //! * **probe** tasks each run one whole probe walk
@@ -17,17 +17,16 @@
 //!   declared producers and otherwise free to run anywhere.
 //!
 //! Every run starts cold (the store is per run), so every declared
-//! resource gets its producer. Execution is critical-path first: each
-//! task's rank is its cost plus the heaviest downstream chain, and the
-//! ready heap pops the highest rank (ties by lowest id, so the order is
-//! deterministic). None of this affects artefact bytes — results are
-//! merged in declared order and every task body is deterministic —
-//! which the determinism tests and ci.sh's `--jobs` byte gates pin.
-//!
-//! Task ids are topological by construction (every dependency's id is
-//! smaller than its dependent's), which keeps the rank computation and
-//! the report's critical-path scan a single reverse pass.
+//! resource gets its producer. Task ids are topological by
+//! construction (every dependency's id is smaller than its
+//! dependent's), and execution is plan order: the ready heap pops the
+//! lowest ready id, so `--jobs 1` runs the tasks exactly in id order
+//! and a wider pool always starts the lowest id whose dependencies are
+//! done. None of this affects artefact bytes — results are merged in
+//! declared order and every task body is deterministic — which the
+//! determinism tests and ci.sh's `--jobs` byte gates pin.
 
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
@@ -38,12 +37,6 @@ use toolstack::ToolstackMode;
 
 use crate::figures::{Dep, FigureSpec, UnitOutput};
 use crate::worldcache::{Key, Store, WorldSpec};
-
-/// Longest climb a single chain task may perform; larger requested
-/// spans are split into evenly spaced intermediate rungs. 150 boots is
-/// ~15-35 ms of simulation — big enough to amortise task overhead,
-/// small enough to pipeline behind consumers.
-const MAX_CHAIN_SPAN: usize = 150;
 
 /// What a task does when it runs. Infra bodies return an event count
 /// for the trace (boots climbed, probes run, requests simulated).
@@ -58,9 +51,6 @@ struct Task {
     /// Owning figure id for unit tasks, empty for infrastructure.
     figure: String,
     deps: Vec<usize>,
-    /// Estimated wall-clock (ms) for rank seeding; correctness never
-    /// depends on it.
-    cost: f64,
     /// Destination (figure index, unit index) for unit outputs.
     slot: Option<(usize, usize)>,
     body: Body,
@@ -100,18 +90,6 @@ impl Plan {
                 deps: t.deps.clone(),
             })
             .collect()
-    }
-}
-
-/// Rough per-boot simulation cost by toolstack, in milliseconds (from
-/// the committed perf baseline; xl's reflects the closed-form name
-/// scan). Drives chain-task cost estimates.
-fn boot_cost_ms(mode: ToolstackMode) -> f64 {
-    match mode.label() {
-        "xl" => 0.10,
-        "chaos [XS]" | "chaos [XS+split]" => 0.08,
-        "chaos [NoXS]" => 0.02,
-        _ => 0.03,
     }
 }
 
@@ -170,40 +148,16 @@ pub fn plan(specs: Vec<FigureSpec>, store: &mut Store) -> (Vec<FigureSpec>, Plan
             }
         }
     }
-    for c in &mut chains {
-        c.rungs.sort_unstable();
-        c.rungs.dedup();
-        // Split long climbs into evenly spaced intermediate rungs, so
-        // one 1000-boot chain becomes several short tasks the executor
-        // can start early and interleave with other work. Byte-
-        // identical: the chain still climbs through exactly the same
-        // creates, and `advance` publishes observables at every ladder
-        // rung it crosses regardless of task boundaries; consumers only
-        // ever read the rungs they declared, which are all kept.
-        let mut split = Vec::with_capacity(c.rungs.len());
-        let mut prev = 0usize;
-        for &rung in &c.rungs {
-            let span = rung - prev;
-            if span > MAX_CHAIN_SPAN {
-                let pieces = span.div_ceil(MAX_CHAIN_SPAN);
-                for p in 1..pieces {
-                    split.push(prev + span * p / pieces);
-                }
-            }
-            split.push(rung);
-            prev = rung;
-        }
-        c.rungs = split;
-    }
 
     // ---- emit producer tasks (ids are topological: deps come first) ----
-    // Chain rung tasks climb in ascending order, each depending on the
-    // previous rung.
+    // One chain task per distinct declared rung, climbing in ascending
+    // order, each depending on the previous rung's task.
     let mut chain_task: HashMap<(Key, usize), usize> = HashMap::new();
-    for req in &chains {
+    for req in &mut chains {
+        req.rungs.sort_unstable();
+        req.rungs.dedup();
         let key = req.spec.key();
         let mut prev: Option<usize> = None;
-        let mut prev_rung = 0usize;
         for &rung in &req.rungs {
             let id = tasks.len();
             let spec = req.spec.clone();
@@ -212,28 +166,23 @@ pub fn plan(specs: Vec<FigureSpec>, store: &mut Store) -> (Vec<FigureSpec>, Plan
                 label: format!("chain {}@{rung}", req.spec.label()),
                 figure: String::new(),
                 deps: prev.into_iter().collect(),
-                cost: (rung - prev_rung) as f64 * boot_cost_ms(req.spec.mode),
                 slot: None,
                 body: Body::Infra(Box::new(move |store: &Store| store.build_to(&spec, rung))),
             });
             chain_task.insert((key.clone(), rung), id);
             prev = Some(id);
-            prev_rung = rung;
         }
     }
 
     // A walk is one task: the whole climb plus a probe pair per step.
     let walk_base = tasks.len();
     for (mode, steps) in &walks {
-        let top = steps.last().copied().unwrap_or(0);
-        let probes: f64 = steps.iter().map(|&n| 2.0 + n as f64 * 0.02).sum();
         let (mode, steps) = (*mode, steps.clone());
         tasks.push(Task {
             kind: "probe",
             label: format!("probe {} ({} steps)", mode.label(), steps.len()),
             figure: String::new(),
             deps: Vec::new(),
-            cost: top as f64 * boot_cost_ms(mode) + probes,
             slot: None,
             body: Body::Infra(Box::new(move |store: &Store| store.run_walk(mode, &steps))),
         });
@@ -247,7 +196,6 @@ pub fn plan(specs: Vec<FigureSpec>, store: &mut Store) -> (Vec<FigureSpec>, Plan
             label: format!("compute {}/{}", cfg.mode.label(), cfg.requests),
             figure: String::new(),
             deps: Vec::new(),
-            cost: 120.0,
             slot: None,
             body: Body::Infra(Box::new(move |store: &Store| store.run_compute(&cfg))),
         });
@@ -278,7 +226,6 @@ pub fn plan(specs: Vec<FigureSpec>, store: &mut Store) -> (Vec<FigureSpec>, Plan
                 label: unit.label,
                 figure: spec.id.to_string(),
                 deps,
-                cost: unit.cost_hint,
                 slot: Some((fi, ui)),
                 body: Body::Unit(unit.run),
             });
@@ -307,34 +254,9 @@ pub(crate) struct UnitResult {
     pub allocs: u64,
 }
 
-/// Ready-heap priority: highest rank first, ties to the lowest id so
-/// equal-rank pops are deterministic.
-struct Prio {
-    rank: f64,
-    id: usize,
-}
-
-impl PartialEq for Prio {
-    fn eq(&self, other: &Self) -> bool {
-        self.id == other.id
-    }
-}
-impl Eq for Prio {}
-impl PartialOrd for Prio {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Prio {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.rank
-            .total_cmp(&other.rank)
-            .then_with(|| other.id.cmp(&self.id))
-    }
-}
-
 struct SchedState {
-    ready: BinaryHeap<Prio>,
+    /// Ready task ids, lowest first.
+    ready: BinaryHeap<Reverse<usize>>,
     indeg: Vec<usize>,
     done: usize,
 }
@@ -347,7 +269,6 @@ struct Ctx {
     #[allow(clippy::type_complexity)]
     results: Vec<Mutex<Option<(f64, f64, usize, u64, u64, Option<UnitOutput>)>>>,
     succs: Vec<Vec<usize>>,
-    rank: Vec<f64>,
     started: Instant,
 }
 
@@ -377,8 +298,8 @@ fn worker(ctx: &Ctx, store: &Store, thread: usize) {
                 if g.done == ctx.n {
                     return;
                 }
-                if let Some(p) = g.ready.pop() {
-                    break p.id;
+                if let Some(Reverse(id)) = g.ready.pop() {
+                    break id;
                 }
                 g = ctx.cv.wait(g).expect("scheduler wait");
             }
@@ -415,10 +336,7 @@ fn worker(ctx: &Ctx, store: &Store, thread: usize) {
         for &s in &ctx.succs[id] {
             g.indeg[s] -= 1;
             if g.indeg[s] == 0 {
-                g.ready.push(Prio {
-                    rank: ctx.rank[s],
-                    id: s,
-                });
+                g.ready.push(Reverse(s));
             }
         }
         drop(g);
@@ -441,19 +359,6 @@ pub(crate) fn execute(
         return (Vec::new(), Vec::new());
     }
 
-    // rank[t] = cost[t] + heaviest downstream chain. Ids are
-    // topological, so one reverse pass relaxing each task into its
-    // dependencies settles every rank.
-    let mut rank: Vec<f64> = plan.tasks.iter().map(|t| t.cost).collect();
-    for i in (0..n).rev() {
-        for &d in &plan.tasks[i].deps {
-            let through = plan.tasks[d].cost + rank[i];
-            if rank[d] < through {
-                rank[d] = through;
-            }
-        }
-    }
-
     let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut indeg = vec![0usize; n];
     for (i, t) in plan.tasks.iter().enumerate() {
@@ -462,10 +367,8 @@ pub(crate) fn execute(
             succs[d].push(i);
         }
     }
-    let ready: BinaryHeap<Prio> = (0..n)
-        .filter(|&i| indeg[i] == 0)
-        .map(|i| Prio { rank: rank[i], id: i })
-        .collect();
+    let ready: BinaryHeap<Reverse<usize>> =
+        (0..n).filter(|&i| indeg[i] == 0).map(Reverse).collect();
 
     let mut meta = Vec::with_capacity(n);
     let mut bodies = Vec::with_capacity(n);
@@ -485,7 +388,6 @@ pub(crate) fn execute(
         bodies,
         results: (0..n).map(|_| Mutex::new(None)).collect(),
         succs,
-        rank,
         started,
     };
 

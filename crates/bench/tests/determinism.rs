@@ -3,6 +3,8 @@
 //! order, never completion order. Scale is pinned explicitly so the test
 //! never touches the environment.
 
+use std::collections::BTreeSet;
+
 use bench::figures::{spec_by_id, Scale};
 use bench::runner;
 
@@ -62,7 +64,8 @@ fn assert_producers_ran(report: &metrics::RunnerReport, jobs: usize) {
 /// `--jobs 1` (the `--seq` path), 2 and 8 produce the same figure JSON
 /// and CSV, and the report's per-unit rows keep declared order with
 /// identical deterministic fields (wall-clock and allocation counts are
-/// the only things allowed to move).
+/// the only things allowed to move). `--jobs 1` runs the plan in id
+/// order: each task starts no earlier than the one before it ends.
 #[test]
 fn artefacts_identical_across_worker_counts() {
     let scale = Scale::quick();
@@ -74,6 +77,17 @@ fn artefacts_identical_across_worker_counts() {
     };
     let (base_figs, base_rep) = runner::run(build(), 1, scale.quick);
     assert_producers_ran(&base_rep, 1);
+    for (i, pair) in base_rep.tasks.windows(2).enumerate() {
+        assert_eq!(pair[0].id, i as u64, "trace is in id order");
+        assert!(
+            pair[1].start_ms >= pair[0].end_ms,
+            "jobs=1: task {} ({}) started before task {} ({}) ended",
+            pair[1].id,
+            pair[1].label,
+            pair[0].id,
+            pair[0].label
+        );
+    }
     for jobs in [2, 8] {
         let (figs, rep) = runner::run(build(), jobs, scale.quick);
         assert_producers_ran(&rep, jobs);
@@ -94,9 +108,10 @@ fn artefacts_identical_across_worker_counts() {
 
 /// The planner's task graph is well-formed: task ids are topological
 /// (so the DAG cannot contain a cycle), every dependency edge points at
-/// an existing task, and every infrastructure resource has exactly one
-/// producer task. Planned at full scale into a fresh store, without
-/// running anything.
+/// an existing task, every infrastructure resource has exactly one
+/// producer task, and the chain tasks are exactly the distinct declared
+/// rungs. Planned at full scale into a fresh store, without running
+/// anything.
 #[test]
 fn plan_is_acyclic_with_unique_producers() {
     let mut store = bench::worldcache::Store::default();
@@ -136,6 +151,22 @@ fn plan_is_acyclic_with_unique_producers() {
     assert!(dep_kinds("fig13").iter().all(|&k| k == "probe"));
     assert_eq!(dep_kinds("fig13").len(), 4);
     assert!(dep_kinds("fig17").contains(&"compute"));
+
+    // One chain task per distinct declared rung, and no intermediate
+    // rungs: a chain task's label names the rung it climbs to, in the
+    // same form as the declaring dependency.
+    let chain_tasks: BTreeSet<String> = tasks
+        .iter()
+        .filter(|t| t.kind == "chain")
+        .map(|t| t.label.clone())
+        .collect();
+    let declared_rungs: BTreeSet<String> = bench::figures::all_specs(Scale::full())
+        .iter()
+        .flat_map(|s| s.units.iter().flat_map(|u| u.deps.iter()))
+        .filter(|d| matches!(d, bench::figures::Dep::Chain { .. }))
+        .map(|d| d.describe())
+        .collect();
+    assert_eq!(chain_tasks, declared_rungs, "chain tasks are exactly the declared rungs");
 
     // A probe walk is one producer task that climbs its own world: one
     // per distinct walk (fig12a/b and fig13 share four), with no

@@ -13,13 +13,10 @@
 //! - [`SimRng`]: a seeded RNG wrapper so every experiment is reproducible.
 //! - [`FaultPlan`]: seeded, replayable fault injection.
 //! - [`MemoryPressure`]: host memory accounting and reclaim pressure.
-//! - [`run_epoch`]: the cluster layer's conservative-lookahead epoch
-//!   executor.
 //!
 //! Each simulated world is single-threaded and fully deterministic:
-//! reruns with the same seed produce byte-identical figure data. The
-//! epoch executor steps a cluster's hosts in index order on one thread;
-//! parallelism comes from running whole figure units side by side.
+//! reruns with the same seed produce byte-identical figure data.
+//! Parallelism comes from running whole figure units side by side.
 
 pub mod costs;
 pub mod cpu;
@@ -27,7 +24,6 @@ pub mod faults;
 pub mod machine;
 pub mod memory;
 pub mod rng;
-pub mod shard;
 pub mod time;
 
 pub use costs::{Category, CostModel, Meter};
@@ -36,5 +32,4 @@ pub use cpu::{CpuSim, TaskId, TaskKind};
 pub use machine::{Machine, MachinePreset};
 pub use memory::MemoryPressure;
 pub use rng::SimRng;
-pub use shard::{route, run_epoch, Envelope, Outbox, CONTROLLER};
 pub use time::SimTime;
