@@ -20,7 +20,9 @@
 # for xenstore), if the full-scale
 # sequential run's cluster units peak above 200 000 KiB resident, or if
 # it simulates fewer than 24 200 boots or charges any xl name check
-# through the O(n) request scan instead of its closed form.
+# through the O(n) request scan instead of its closed form, or if a
+# std HashMap/HashSet outside the hasher allowlist appears in the
+# simulator crates (ids belong in simcore::IdMap).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -65,6 +67,43 @@ if grep -Eq '^warning: .* generated [0-9]+ warnings?' "$build_log"; then
   exit 1
 fi
 rm -f "$build_log"
+
+echo "== hasher gate (SipHash only for keys from outside the program) =="
+# Maps keyed by ids the simulator assigns (domids, ports, grant refs,
+# task, transaction and symbol ids) use simcore::IdMap; std's SipHash
+# RandomState stays where a guest or config text chooses the key
+# (DESIGN.md §6a, Hashing). Every HashMap</HashSet< in the non-test part
+# (before the first #[cfg(test)]) of these crates must match an entry
+# below, and every entry must still match one, so a new id-keyed table
+# cannot fall back to SipHash and an outside-keyed one cannot lose it.
+# Entry: <file>;<regex for the line>;<why it keeps std's hasher>.
+hasher_allow=(
+  "crates/simcore/src/idmap.rs;pub type IdMap<;IdMap itself is a HashMap with the id hasher"
+  "crates/xenstore/src/sym.rs;by_path: HashMap<;the interner is keyed by guest-chosen path strings"
+  "crates/xenstore/src/tally.rs;(frozen|recent): .*HashMap<;keyed by digests of guest-written name values"
+  "crates/toolstack/src/plane.rs;image_instances: .*HashMap<;keyed by image names from config text"
+)
+hasher_hits=$(for f in crates/{simcore,hypervisor,devices,xenstore,toolstack}/src/*.rs; do
+  # toolstack's tests.rs is a #[cfg(test)] module in a file of its own.
+  [ "${f##*/}" = tests.rs ] && continue
+  awk '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next }
+       /Hash(Map|Set)</ { print FILENAME ":" FNR ": " $0 }' "$f"
+done)
+hasher_rest="$hasher_hits"
+for entry in "${hasher_allow[@]}"; do
+  IFS=';' read -r file re why <<< "$entry"
+  if ! printf '%s\n' "$hasher_rest" | grep -Eq "^$file:[0-9]+: .*$re"; then
+    echo "ci: hasher gate: $file no longer has a std map matching '$re' ($why)" >&2
+    exit 1
+  fi
+  hasher_rest=$(printf '%s\n' "$hasher_rest" | grep -Ev "^$file:[0-9]+: .*$re" || true)
+done
+if [ -n "$hasher_rest" ]; then
+  echo "ci: hasher gate: std HashMap/HashSet outside the allowlist (ids go in simcore::IdMap):" >&2
+  printf '%s\n' "$hasher_rest" >&2
+  exit 1
+fi
+echo "hasher gate: $(printf '%s\n' "$hasher_hits" | grep -c .) std map lines, each allowlisted"
 
 echo "== tests (workspace) =="
 test_log="$(mktemp)"

@@ -211,6 +211,7 @@ impl Cli {
             return;
         };
         image.mem_mib = cfg.memory_mib;
+        image.vcpus = cfg.vcpus;
         let name = cfg.name.clone();
         if self.names.contains_key(&name) {
             let _ = writeln!(out, "name {name} already in use here");
@@ -481,6 +482,25 @@ mod tests {
         // The config's memory override took effect.
         let (_, vm) = c.host().plane.vms().next().unwrap();
         assert_eq!(vm.image.mem_mib, 16);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn config_vcpus_reach_the_domain() {
+        let mut c = cli();
+        let dir = std::env::temp_dir().join("lightvm-cli-vcpus");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("smp.cfg");
+        std::fs::write(
+            &path,
+            "name = \"smp\"\nkernel = \"/images/daytime.bin\"\nmemory = 8\nvcpus = 4\n",
+        )
+        .unwrap();
+        let out = run(&mut c, &format!("create-config {}", path.display()));
+        assert!(out.contains("created smp"), "{out}");
+        let (&dom, vm) = c.host().plane.vms().next().unwrap();
+        assert_eq!(vm.image.vcpus, 4);
+        assert_eq!(c.host().plane.hv.domain(dom).unwrap().vcpu_cores.len(), 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

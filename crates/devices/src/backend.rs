@@ -8,10 +8,8 @@
 //! `(backend-id, event channel, grant reference)` triple reaches the guest
 //! differs.
 
-use std::collections::HashMap;
-
 use hypervisor::{DeviceKind, DomId, EvtchnPort, GrantRef, HvError, Hypervisor};
-use simcore::{Category, CostModel, Meter};
+use simcore::{Category, CostModel, IdMap, Meter};
 
 use crate::xenbus::XenbusState;
 
@@ -90,7 +88,7 @@ pub struct BackendDevice {
 pub struct Backend {
     kind: DeviceKind,
     backend_dom: DomId,
-    devices: HashMap<(u32, u32), BackendDevice>,
+    devices: IdMap<(u32, u32), BackendDevice>,
     next_ctrl_frame: u64,
 }
 
@@ -105,7 +103,7 @@ impl Backend {
         Backend {
             kind,
             backend_dom,
-            devices: HashMap::new(),
+            devices: IdMap::default(),
             next_ctrl_frame: 0x10_0000,
         }
     }

@@ -28,6 +28,8 @@ pub struct GuestImage {
     pub image_bytes: u64,
     /// Running memory footprint in MiB (what the toolstack populates).
     pub mem_mib: u64,
+    /// Virtual CPUs (1 for every preset; an xl config's `vcpus` sets it).
+    pub vcpus: u32,
     /// CPU-seconds of guest-side boot work at reference core speed.
     pub boot_work: f64,
     /// Times the boot path sleeps and re-queues behind core peers
@@ -60,6 +62,7 @@ impl GuestImage {
             kind: GuestKind::Unikernel,
             image_bytes: 306 * KIB,
             mem_mib: 4,
+            vcpus: 1,
             boot_work: 0.0009,
             boot_yield_points: 0,
             idle_demand: 0.000_02,
@@ -79,6 +82,7 @@ impl GuestImage {
             kind: GuestKind::Unikernel,
             image_bytes: 480 * KIB,
             mem_mib: 4,
+            vcpus: 1,
             boot_work: 0.0024,
             boot_yield_points: 0,
             idle_demand: 0.000_02,
@@ -98,6 +102,7 @@ impl GuestImage {
             kind: GuestKind::Unikernel,
             image_bytes: 1100 * KIB,
             mem_mib: 8,
+            vcpus: 1,
             boot_work: 0.0045,
             boot_yield_points: 0,
             idle_demand: 0.000_02,
@@ -117,6 +122,7 @@ impl GuestImage {
             kind: GuestKind::Unikernel,
             image_bytes: 1740 * KIB,
             mem_mib: 8,
+            vcpus: 1,
             boot_work: 0.0078,
             boot_yield_points: 0,
             idle_demand: 0.000_03,
@@ -136,6 +142,7 @@ impl GuestImage {
             kind: GuestKind::Unikernel,
             image_bytes: 1024 * KIB,
             mem_mib: 16,
+            vcpus: 1,
             boot_work: 0.0052,
             boot_yield_points: 0,
             idle_demand: 0.000_02,
@@ -163,6 +170,7 @@ impl GuestImage {
             kind: GuestKind::Tinyx,
             image_bytes: img.total_bytes(),
             mem_mib: img.boot_ram_bytes.div_ceil(MIB),
+            vcpus: 1,
             boot_work: 0.165,
             boot_yield_points: 60,
             idle_demand: 0.000_04,
@@ -210,6 +218,7 @@ impl GuestImage {
             kind: GuestKind::Debian,
             image_bytes: 1100 * MIB,
             mem_mib: 111,
+            vcpus: 1,
             boot_work: 1.35,
             boot_yield_points: 130,
             idle_demand: 0.001,

@@ -5,7 +5,7 @@
 //! which either side can `send` notifications. Split drivers use one
 //! channel per device to signal ring activity (paper §4.1).
 
-use std::collections::HashMap;
+use simcore::IdMap;
 
 use crate::domain::DomId;
 
@@ -41,8 +41,8 @@ struct Channel {
 /// never scan channels that died earlier.
 #[derive(Clone, Default, Debug)]
 pub struct EvtchnTable {
-    channels: HashMap<(DomId, EvtchnPort), Channel>,
-    next_port: HashMap<DomId, u32>,
+    channels: IdMap<(DomId, EvtchnPort), Channel>,
+    next_port: IdMap<DomId, u32>,
     sends: u64,
 }
 

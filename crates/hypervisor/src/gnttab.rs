@@ -5,7 +5,7 @@
 //! space. Split drivers move all bulk data this way (paper §4.1), and the
 //! noxs device control pages (§5.1) are shared through grants too.
 
-use std::collections::HashMap;
+use simcore::IdMap;
 
 use crate::domain::DomId;
 
@@ -38,8 +38,8 @@ struct Grant {
 /// Per-host grant table keyed by (granter, reference).
 #[derive(Clone, Default, Debug)]
 pub struct GrantTable {
-    grants: HashMap<(DomId, GrantRef), Grant>,
-    next_ref: HashMap<DomId, u32>,
+    grants: IdMap<(DomId, GrantRef), Grant>,
+    next_ref: IdMap<DomId, u32>,
 }
 
 impl GrantTable {

@@ -1,10 +1,10 @@
 //! The hypervisor façade: domains, memory, hypercall dispatch.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use simcore::memory::OutOfMemory;
-use simcore::{Category, CostModel, MemoryPressure, Meter};
+use simcore::{Category, CostModel, IdMap, MemoryPressure, Meter};
 
 use crate::devpage::{DevicePage, DevicePageEntry, DevicePageError, DeviceKind};
 use crate::domain::{DomId, Domain, DomainConfig, DomainState, ShutdownReason};
@@ -89,7 +89,7 @@ pub struct Hypervisor {
     pub gnttab: GrantTable,
     /// Per-entry `Arc`, so a fork shares every page by refcount and
     /// `Arc::make_mut` copies only the page a write touches.
-    device_pages: HashMap<DomId, Arc<DevicePage>>,
+    device_pages: IdMap<DomId, Arc<DevicePage>>,
     /// Cores guests may run on (Dom0's cores excluded).
     guest_cores: Vec<usize>,
     next_core_rr: usize,
@@ -112,7 +112,7 @@ impl Hypervisor {
             memory: MemoryPressure::new(mem_bytes, dom0_reserved),
             evtchn: EvtchnTable::new(),
             gnttab: GrantTable::new(),
-            device_pages: HashMap::new(),
+            device_pages: IdMap::default(),
             guest_cores,
             next_core_rr: 0,
         }

@@ -28,8 +28,7 @@
 //! monotonically away from the common demand), and the fold-left demand
 //! sum over the stable-sorted array equals the insertion-order sum.
 
-use std::collections::HashMap;
-
+use crate::idmap::IdMap;
 use crate::time::SimTime;
 
 /// Handle to a task registered with [`CpuSim`].
@@ -93,7 +92,7 @@ impl CoreState {
 #[derive(Clone)]
 pub struct CpuSim {
     /// Task id -> core index.
-    tasks: HashMap<TaskId, usize>,
+    tasks: IdMap<TaskId, usize>,
     per_core: Vec<CoreState>,
     now: SimTime,
     next_id: u64,
@@ -111,7 +110,7 @@ impl CpuSim {
         assert!(cores > 0, "need at least one core");
         assert!(speed > 0.0, "speed must be positive");
         CpuSim {
-            tasks: HashMap::new(),
+            tasks: IdMap::default(),
             per_core: vec![CoreState::new(); cores],
             now: SimTime::ZERO,
             next_id: 0,

@@ -13,6 +13,8 @@
 //! - [`SimRng`]: a seeded RNG wrapper so every experiment is reproducible.
 //! - [`FaultPlan`]: seeded, replayable fault injection.
 //! - [`MemoryPressure`]: host memory accounting and reclaim pressure.
+//! - [`IdMap`]: a `HashMap` with a fast hasher, for keys the simulator
+//!   assigns itself (domain ids, ports, task ids, symbols).
 //!
 //! Each simulated world is single-threaded and fully deterministic:
 //! reruns with the same seed produce byte-identical figure data.
@@ -21,6 +23,7 @@
 pub mod costs;
 pub mod cpu;
 pub mod faults;
+pub mod idmap;
 pub mod machine;
 pub mod memory;
 pub mod rng;
@@ -29,6 +32,7 @@ pub mod time;
 pub use costs::{Category, CostModel, Meter};
 pub use faults::{FaultPlan, FaultSite, FAULT_RETRIES};
 pub use cpu::{CpuSim, TaskId, TaskKind};
+pub use idmap::{IdHasher, IdMap};
 pub use machine::{Machine, MachinePreset};
 pub use memory::MemoryPressure;
 pub use rng::SimRng;

@@ -16,6 +16,11 @@
 
 use guests::GuestImage;
 
+/// Most vCPUs a config may ask for: Xen's `HVM_MAX_VCPUS`. The
+/// hypervisor allocates a core slot per vCPU at create, so an unbounded
+/// count would size that allocation from config text.
+pub const MAX_VCPUS: u32 = 128;
+
 /// A parsed VM configuration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct VmConfig {
@@ -74,7 +79,7 @@ impl VmConfig {
             name: name.to_string(),
             kernel: format!("/images/{}.bin", image.name),
             memory_mib: image.mem_mib,
-            vcpus: 1,
+            vcpus: image.vcpus,
             vifs,
             disks,
         }
@@ -119,7 +124,13 @@ impl VmConfig {
                 "name" => set_once(&mut name, parse_string(value, lineno, key)?, lineno, key)?,
                 "kernel" => set_once(&mut kernel, parse_string(value, lineno, key)?, lineno, key)?,
                 "memory" => set_once(&mut memory, parse_positive(value, lineno, key)?, lineno, key)?,
-                "vcpus" => set_once(&mut vcpus, parse_positive(value, lineno, key)?, lineno, key)?,
+                "vcpus" => {
+                    let n = parse_positive(value, lineno, key)?;
+                    if n > MAX_VCPUS {
+                        return Err(ConfigError::BadValue(lineno, key.into()));
+                    }
+                    set_once(&mut vcpus, n, lineno, key)?
+                }
                 "vif" => set_once(&mut vifs, parse_list(value, lineno, key)?, lineno, key)?,
                 "disk" => set_once(&mut disks, parse_list(value, lineno, key)?, lineno, key)?,
                 _ => return Err(ConfigError::BadValue(lineno, key.into())),
@@ -163,7 +174,7 @@ impl VmConfig {
         len += 8 + name.len() + 2;
         len += 10 + kernel_len + 2;
         len += 9 + u64_digits(image.mem_mib) + 1;
-        len += 8 + 1 + 1; // vcpus = 1\n
+        len += 8 + u64_digits(u64::from(image.vcpus)) + 1;
         if image.needs_net {
             len += 8 + (2 + "bridge=xenbr0".len()) + 3;
         }
@@ -330,6 +341,16 @@ disk = [ "file:/images/root.img,xvda,w" ]
     }
 
     #[test]
+    fn vcpus_above_max_is_an_error() {
+        let text = |n: u64| format!("name = \"a\"\nkernel = \"/k\"\nmemory = 4\nvcpus = {n}\n");
+        assert_eq!(VmConfig::parse(&text(128)).unwrap().vcpus, MAX_VCPUS);
+        for n in [u64::from(MAX_VCPUS) + 1, u64::from(u32::MAX)] {
+            let err = VmConfig::parse(&text(n)).unwrap_err();
+            assert_eq!(err, ConfigError::BadValue(4, "vcpus".into()));
+        }
+    }
+
+    #[test]
     fn unknown_key_is_an_error() {
         let err = VmConfig::parse("frobnicate = 1\n").unwrap_err();
         assert!(matches!(err, ConfigError::BadValue(1, _)));
@@ -358,6 +379,7 @@ disk = [ "file:/images/root.img,xvda,w" ]
             GuestImage::unikernel_minipython(),
             GuestImage::tinyx_noop(),
             GuestImage::debian(),
+            GuestImage { vcpus: MAX_VCPUS, ..GuestImage::debian() },
         ];
         for img in &images {
             for name in ["g", "guest-123", "a-rather-long-guest-name-0001"] {

@@ -23,7 +23,7 @@ pub mod split;
 
 pub use census::WorldCensus;
 pub use fleet::HostTemplate;
-pub use config::{ConfigError, VmConfig};
+pub use config::{ConfigError, VmConfig, MAX_VCPUS};
 pub use lifecycle::SavedVm;
 pub use plane::{ControlPlane, CreateReport, PlaneError, TeardownErrors, ToolstackMode, Vm};
 pub use split::{ChaosDaemon, VmShell};

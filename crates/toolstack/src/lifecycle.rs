@@ -104,7 +104,7 @@ impl ControlPlane {
                 &mut meter,
                 &DomainConfig {
                     max_mem_mib: saved.mem_mib.max(1),
-                    vcpus: 1,
+                    vcpus: saved.image.vcpus,
                 },
             )?;
             self.hv.populate_physmap(&cost, &mut meter, dom, saved.mem_mib)?;
@@ -139,7 +139,7 @@ impl ControlPlane {
         } else {
             let guest = noxs_ckpt::SavedGuest {
                 mem_mib: saved.mem_mib,
-                vcpus: 1,
+                vcpus: saved.image.vcpus,
                 net_devids: if saved.image.needs_net { vec![0] } else { vec![] },
             };
             let dom = noxs_ckpt::restore(
@@ -251,7 +251,7 @@ impl ControlPlane {
             &mut meter,
             &DomainConfig {
                 max_mem_mib: mem_mib.max(1),
-                vcpus: 1,
+                vcpus: vm.image.vcpus,
             },
         )?;
         dst.hv.populate_physmap(&dst_cost, &mut meter, new_dom, mem_mib)?;

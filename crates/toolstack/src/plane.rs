@@ -511,7 +511,7 @@ impl ControlPlane {
         );
 
         let created = if self.mode.uses_split() {
-            match self.daemon.take(image.mem_mib, image.needs_net) {
+            match self.daemon.take(image.mem_mib, image.vcpus, image.needs_net) {
                 Some(shell) => self
                     .finish_from_shell(&cost, &mut meter, shell, name, image)
                     .map(|dom| (dom, true)),
@@ -603,7 +603,7 @@ impl ControlPlane {
             meter,
             &DomainConfig {
                 max_mem_mib: image.mem_mib,
-                vcpus: 1,
+                vcpus: image.vcpus,
             },
         )?;
         match self.provision(cost, meter, dom, name, image) {
@@ -1035,13 +1035,14 @@ impl ControlPlane {
             meter,
             &DomainConfig {
                 max_mem_mib: image.mem_mib,
-                vcpus: 1,
+                vcpus: image.vcpus,
             },
         )?;
         match self.prepare_shell_inner(cost, meter, dom, image) {
             Ok(()) => Ok(VmShell {
                 dom,
                 mem_mib: image.mem_mib,
+                vcpus: image.vcpus,
                 has_net: image.needs_net,
             }),
             Err(e) => {

@@ -19,6 +19,8 @@ pub struct VmShell {
     pub dom: DomId,
     /// Memory it was populated with (the shell's "flavor").
     pub mem_mib: u64,
+    /// Virtual CPUs it was created with.
+    pub vcpus: u32,
     /// Whether a vif was pre-created.
     pub has_net: bool,
 }
@@ -57,11 +59,11 @@ impl ChaosDaemon {
     }
 
     /// Takes a shell fitting the request, if one exists.
-    pub fn take(&mut self, mem_mib: u64, needs_net: bool) -> Option<VmShell> {
+    pub fn take(&mut self, mem_mib: u64, vcpus: u32, needs_net: bool) -> Option<VmShell> {
         let pos = self
             .pool
             .iter()
-            .position(|s| s.mem_mib == mem_mib && s.has_net == needs_net);
+            .position(|s| s.mem_mib == mem_mib && s.vcpus == vcpus && s.has_net == needs_net);
         match pos {
             Some(i) => {
                 self.hits += 1;
@@ -105,6 +107,7 @@ mod tests {
         VmShell {
             dom: DomId(dom),
             mem_mib: mem,
+            vcpus: 1,
             has_net: net,
         }
     }
@@ -114,9 +117,13 @@ mod tests {
         let mut d = ChaosDaemon::new(4);
         d.put(shell(1, 4, true));
         d.put(shell(2, 128, true));
-        assert_eq!(d.take(128, true).unwrap().dom, DomId(2));
-        assert!(d.take(128, true).is_none(), "only one 128 MiB shell");
-        assert_eq!(d.take(4, true).unwrap().dom, DomId(1));
+        assert_eq!(d.take(128, 1, true).unwrap().dom, DomId(2));
+        assert!(d.take(128, 1, true).is_none(), "only one 128 MiB shell");
+        assert!(
+            d.take(4, 2, true).is_none(),
+            "a 1-vCPU shell cannot serve 2 vCPUs"
+        );
+        assert_eq!(d.take(4, 1, true).unwrap().dom, DomId(1));
         assert!(d.is_empty());
     }
 
@@ -124,16 +131,16 @@ mod tests {
     fn net_requirement_must_match() {
         let mut d = ChaosDaemon::new(4);
         d.put(shell(1, 4, false));
-        assert!(d.take(4, true).is_none());
-        assert!(d.take(4, false).is_some());
+        assert!(d.take(4, 1, true).is_none());
+        assert!(d.take(4, 1, false).is_some());
     }
 
     #[test]
     fn stats_count_hits_and_misses() {
         let mut d = ChaosDaemon::new(4);
         d.put(shell(1, 4, true));
-        let _ = d.take(4, true);
-        let _ = d.take(4, true);
+        let _ = d.take(4, 1, true);
+        let _ = d.take(4, 1, true);
         assert_eq!(d.stats(), (1, 1));
     }
 
@@ -142,7 +149,7 @@ mod tests {
         let mut d = ChaosDaemon::new(4);
         d.put(shell(1, 4, true));
         d.put(shell(2, 4, true));
-        assert_eq!(d.take(4, true).unwrap().dom, DomId(1));
-        assert_eq!(d.take(4, true).unwrap().dom, DomId(2));
+        assert_eq!(d.take(4, 1, true).unwrap().dom, DomId(1));
+        assert_eq!(d.take(4, 1, true).unwrap().dom, DomId(2));
     }
 }

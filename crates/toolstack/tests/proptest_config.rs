@@ -5,7 +5,7 @@
 
 use guests::GuestImage;
 use simcore::{Machine, MachinePreset, SimRng};
-use toolstack::{ControlPlane, ToolstackMode, VmConfig};
+use toolstack::{ControlPlane, ToolstackMode, VmConfig, MAX_VCPUS};
 
 fn pick(rng: &mut SimRng, alphabet: &[u8]) -> char {
     alphabet[rng.index(alphabet.len())] as char
@@ -89,13 +89,23 @@ fn parser_never_panics_liney() {
 }
 
 /// Config text to create: `memory` and `vcpus` swept over edge values
-/// (zero, one, 2^44 MiB = 2^64 bytes and past it, the type maxima)
-/// plus seeded draws of every magnitude. Each config that parses is
-/// created and booted on a fresh host under all five toolstacks: none
-/// may panic, and any request larger than the host must fail.
+/// (zero, one, `MAX_VCPUS` and past it, 2^44 MiB = 2^64 bytes and past
+/// it, the type maxima) plus seeded draws of every magnitude. Each
+/// config that parses is created and booted on a fresh host under all
+/// five toolstacks: none may panic, any request larger than the host
+/// must fail, and every created domain has the config's vCPU count.
 #[test]
 fn config_text_creates_or_fails_cleanly() {
-    const EDGES: [u64; 6] = [0, 1, 1 << 44, (1 << 44) + 1, u64::MAX, u32::MAX as u64];
+    const EDGES: [u64; 8] = [
+        0,
+        1,
+        128,
+        129,
+        1 << 44,
+        (1 << 44) + 1,
+        u64::MAX,
+        u32::MAX as u64,
+    ];
     const MODES: [ToolstackMode; 5] = [
         ToolstackMode::Xl,
         ToolstackMode::ChaosXs,
@@ -118,7 +128,7 @@ fn config_text_creates_or_fails_cleanly() {
             "name = \"sweep\"\nkernel = \"/images/daytime.bin\"\nmemory = {memory}\nvcpus = {vcpus}\n"
         );
         let Ok(cfg) = VmConfig::parse(&text) else {
-            assert!(memory == 0 || vcpus == 0 || vcpus > u64::from(u32::MAX), "{text}");
+            assert!(memory == 0 || vcpus == 0 || vcpus > u64::from(MAX_VCPUS), "{text}");
             continue;
         };
         let larger_than_host = cfg
@@ -127,6 +137,7 @@ fn config_text_creates_or_fails_cleanly() {
             .is_none_or(|bytes| bytes > machine.mem_bytes);
         let mut img = image.clone();
         img.mem_mib = cfg.memory_mib;
+        img.vcpus = cfg.vcpus;
         for mode in MODES {
             let mut cp = ControlPlane::new(machine.clone(), 1, mode, 7);
             cp.prewarm(&image);
@@ -134,7 +145,9 @@ fn config_text_creates_or_fails_cleanly() {
             if larger_than_host {
                 assert!(res.is_err(), "{mode:?} created a {} MiB guest", cfg.memory_mib);
                 assert_eq!(cp.running_count(), 0, "{mode:?}");
-            } else if res.is_ok() {
+            } else if let Ok((dom, _, _)) = res {
+                let vcpus = cp.hv.domain(dom).expect("created domain exists").vcpu_cores.len();
+                assert_eq!(vcpus, cfg.vcpus as usize, "{mode:?}: {text}");
                 created += 1;
             }
         }

@@ -23,8 +23,9 @@
 //! ancestor walk and write-log entry is integer-keyed: no path clones,
 //! no string comparisons.
 
-use std::collections::HashMap;
 use std::sync::Arc;
+
+use simcore::IdMap;
 
 use crate::store::{Perms, Store, XsError};
 use crate::sym::{XsKey, XsSym};
@@ -55,6 +56,13 @@ enum Overlay {
     Removed,
 }
 
+impl Overlay {
+    /// Whether this entry hides the main store's content below it.
+    fn hides_main(&self) -> bool {
+        matches!(self, Overlay::Removed | Overlay::Recreated(_))
+    }
+}
+
 /// An in-flight transaction.
 #[derive(Clone, Debug)]
 pub struct Txn {
@@ -62,10 +70,14 @@ pub struct Txn {
     pub id: TxnId,
     /// Owning connection (domain id).
     pub conn: u32,
-    overlay: HashMap<XsSym, Overlay>,
+    overlay: IdMap<XsSym, Overlay>,
+    /// Overlay entries that are `Removed` or `Recreated`. While it is 0
+    /// no overlay entry hides main-store content, so existence and cut
+    /// tests need no ancestor walk (xl's create transactions only write).
+    cuts: usize,
     /// Main-store generation of each touched node at first touch
     /// (`None` = the node did not exist then).
-    touched: HashMap<XsSym, Option<u64>>,
+    touched: IdMap<XsSym, Option<u64>>,
     write_log: Vec<WriteOp>,
     /// Reusable symbol buffer for [`Txn::write`] parent chains and
     /// [`Txn::rm`] overlay sweeps; capacity survives [`Txn::reset`].
@@ -80,8 +92,9 @@ impl Txn {
         Txn {
             id,
             conn,
-            overlay: HashMap::new(),
-            touched: HashMap::new(),
+            overlay: IdMap::default(),
+            cuts: 0,
+            touched: IdMap::default(),
             write_log: Vec::new(),
             scratch: Vec::new(),
             snapshot_nodes: store.node_count(),
@@ -95,6 +108,7 @@ impl Txn {
         self.id = id;
         self.conn = conn;
         self.overlay.clear();
+        self.cuts = 0;
         self.touched.clear();
         self.write_log.clear();
         self.snapshot_nodes = store.node_count();
@@ -116,6 +130,21 @@ impl Txn {
         self.touched.keys().copied()
     }
 
+    /// Sets `sym`'s overlay entry, keeping `cuts` exact.
+    fn put(&mut self, sym: XsSym, entry: Overlay) {
+        self.cuts += usize::from(entry.hides_main());
+        if let Some(old) = self.overlay.insert(sym, entry) {
+            self.cuts -= usize::from(old.hides_main());
+        }
+    }
+
+    /// Drops `sym`'s overlay entry, keeping `cuts` exact.
+    fn unput(&mut self, sym: XsSym) {
+        if let Some(old) = self.overlay.remove(&sym) {
+            self.cuts -= usize::from(old.hides_main());
+        }
+    }
+
     fn touch(&mut self, main: &Store, sym: XsSym) {
         self.touched
             .entry(sym)
@@ -130,6 +159,16 @@ impl Txn {
     /// plain `Value` ancestor or no entry at all defers to the main
     /// store.
     fn exists_view(&self, main: &Store, sym: XsSym) -> bool {
+        if self.cuts == 0 {
+            let fast = self.overlay.contains_key(&sym) || main.exists(sym);
+            debug_assert_eq!(fast, self.exists_walk(main, sym));
+            return fast;
+        }
+        self.exists_walk(main, sym)
+    }
+
+    /// [`Txn::exists_view`] by walking the ancestors.
+    fn exists_walk(&self, main: &Store, sym: XsSym) -> bool {
         let mut cur = sym;
         let mut dist = 0usize;
         loop {
@@ -153,10 +192,19 @@ impl Txn {
     /// Whether main-store content below `sym` is hidden by a removal in
     /// this transaction (the "cut" test for write markers).
     fn is_cut(&self, main: &Store, sym: XsSym) -> bool {
+        if self.cuts == 0 {
+            debug_assert!(!self.cut_walk(main, sym));
+            return false;
+        }
+        self.cut_walk(main, sym)
+    }
+
+    /// [`Txn::is_cut`] by walking the ancestors.
+    fn cut_walk(&self, main: &Store, sym: XsSym) -> bool {
         let mut cur = sym;
         loop {
             if let Some(e) = self.overlay.get(&cur) {
-                return matches!(e, Overlay::Removed | Overlay::Recreated(_));
+                return e.hides_main();
             }
             if cur == XsSym::ROOT {
                 return false;
@@ -250,7 +298,7 @@ impl Txn {
             } else {
                 Overlay::Value(main.empty_rc())
             };
-            self.overlay.insert(q, marker);
+            self.put(q, marker);
         }
         self.scratch = chain;
         let rc = main.rc_value(value);
@@ -259,7 +307,7 @@ impl Txn {
         } else {
             Overlay::Value(Arc::clone(&rc))
         };
-        self.overlay.insert(sym, marker);
+        self.put(sym, marker);
         self.write_log.push(WriteOp::Write(sym, rc));
         Ok(())
     }
@@ -292,10 +340,10 @@ impl Txn {
                 .copied(),
         );
         for &s in &doomed {
-            self.overlay.remove(&s);
+            self.unput(s);
         }
         self.scratch = doomed;
-        self.overlay.insert(sym, Overlay::Removed);
+        self.put(sym, Overlay::Removed);
         self.write_log.push(WriteOp::Rm(sym));
         Ok(())
     }
@@ -522,6 +570,33 @@ mod tests {
         assert_eq!(t.mkdir(&store, &p("/a")).unwrap_err(), XsError::AlreadyExists);
         t.mkdir(&store, &p("/b")).unwrap();
         assert_eq!(t.mkdir(&store, &p("/b")).unwrap_err(), XsError::AlreadyExists);
+    }
+
+    #[test]
+    fn cut_count_stays_exact() {
+        let paths = ["/a", "/a/b", "/a/b/c", "/a/d", "/e"];
+        let mut rng = simcore::SimRng::new(0xC075);
+        let mut store = Store::new();
+        store.write(0, &p("/a/b/c"), b"x").unwrap();
+        let mut t = Txn::start(TxnId(1), 0, &store);
+        for step in 0..2000 {
+            let path = p(paths[rng.index(paths.len())]);
+            match rng.index(4) {
+                0 => {
+                    let _ = t.rm(&store, &path);
+                }
+                1 => t.write(&store, &path, b"v").unwrap(),
+                2 => {
+                    let _ = t.exists(&store, &path);
+                }
+                _ if step % 50 == 0 => t.reset(TxnId(step), 0, &store),
+                _ => {
+                    let _ = t.read(&store, &path);
+                }
+            }
+            let recount = t.overlay.values().filter(|o| o.hides_main()).count();
+            assert_eq!(t.cuts, recount, "step {step}");
+        }
     }
 
     #[test]

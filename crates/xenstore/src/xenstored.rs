@@ -15,10 +15,10 @@
 //! to the main store, so conflicts and retries are real, not sampled
 //! outcomes.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use simcore::{Category, CostModel, Meter, SimRng};
+use simcore::{Category, CostModel, IdMap, Meter, SimRng};
 
 use crate::log::{AccessLog, LogOutcome};
 use crate::path::XsPath;
@@ -77,7 +77,7 @@ pub struct XsStats {
 #[derive(Clone)]
 pub struct Xenstored {
     store: Store,
-    txns: HashMap<TxnId, Txn>,
+    txns: IdMap<TxnId, Txn>,
     watches: WatchTable,
     conns: BTreeSet<ConnId>,
     log: AccessLog,
@@ -113,7 +113,7 @@ impl Xenstored {
         let vm_root = store.child_sym(XsSym::ROOT, "vm");
         Xenstored {
             store,
-            txns: HashMap::new(),
+            txns: IdMap::default(),
             watches: WatchTable::new(),
             conns,
             log: AccessLog::default(),
