@@ -110,12 +110,12 @@ test_log="$(mktemp)"
 cargo test -q --workspace 2>&1 | tee "$test_log"
 # Suite-count guard: a botched invocation (or a workspace edit that
 # drops crates from the build) silently shrinks coverage. The workspace
-# runs 72 test binaries; fail loudly if any of them did not run.
+# runs 52 test binaries; fail loudly if any of them did not run.
 suites=$(grep -c '^test result: ok' "$test_log" || true)
 rm -f "$test_log"
-echo "workspace test suites: $suites (guard: >= 72)"
-if [ "$suites" -lt 72 ]; then
-  echo "ci: only $suites test suite(s) ran — workspace coverage lost (expected >= 72)" >&2
+echo "workspace test suites: $suites (guard: >= 52)"
+if [ "$suites" -lt 52 ]; then
+  echo "ci: only $suites test suite(s) ran — workspace coverage lost (expected >= 52)" >&2
   exit 1
 fi
 
@@ -158,11 +158,12 @@ LIGHTVM_QUICK=1 LIGHTVM_FIG_DIR="$FIG_DIR/jobs2" \
 same_artefacts "$FIG_DIR" "$FIG_DIR/jobs2" "between --seq and --jobs 2"
 
 echo "== fault determinism gate (same seed => same artefact) =="
-# The fault plan is seeded: replaying the faults figure (quick scale,
-# standalone binary this time) must reproduce the runner's artefacts
-# byte for byte.
+# The fault plan is seeded: replaying the faults figure on its own
+# (quick scale, `runall --seq --filter faults`, so no other figure's
+# units share the run) must reproduce the full run's artefacts byte for
+# byte.
 LIGHTVM_QUICK=1 LIGHTVM_FIG_DIR="$FIG_DIR/faults-replay" \
-  cargo run --release -p bench --bin faults > /dev/null
+  cargo run --release -p bench --bin runall -- --seq --filter faults > /dev/null
 same_artefacts "$FIG_DIR" "$FIG_DIR/faults-replay" "when replayed from the same seed" faults
 
 echo "== churn smoke gate (replay bytes + census plateau) =="
@@ -191,14 +192,14 @@ echo "churn: 6 units leak-free (digest, census, arena, interner, teardown)"
 echo "== cluster determinism gate (replay bytes + DAG widths) =="
 # The cluster figure couples thousands of fork-stamped hosts through
 # the conservative-lookahead epoch executor (DESIGN.md §6j); each unit
-# steps its hosts in index order on its own thread. The standalone
-# binary replays it from the same seed and must reproduce the runner's
-# bytes; its --jobs flag widens the DAG runner's pool, which spreads
-# the six cluster units over workers and must be invisible in the
-# artefacts too.
+# steps its hosts in index order on its own thread. Replaying the
+# cluster figure on its own (`runall --filter cluster`) from the same
+# seed must reproduce the full run's bytes; --jobs widens the DAG
+# runner's pool, which spreads the six cluster units over workers and
+# must be invisible in the artefacts too.
 for J in 1 2 8; do
   LIGHTVM_QUICK=1 LIGHTVM_FIG_DIR="$FIG_DIR/cluster-j$J" \
-    cargo run --release -p bench --bin cluster -- --jobs "$J" > /dev/null
+    cargo run --release -p bench --bin runall -- --filter cluster --jobs "$J" > /dev/null
   same_artefacts "$FIG_DIR" "$FIG_DIR/cluster-j$J" "when replayed from the same seed at --jobs $J" cluster
 done
 # Evacuation hygiene: both evac units must record zero digest and

@@ -19,7 +19,7 @@ fn main() {
     let n: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| bench::scaled(200));
+        .unwrap_or_else(|| bench::Scale::from_env().scaled(200));
 
     let image = GuestImage::unikernel_daytime();
     let machine = Machine::preset(MachinePreset::XeonE5_1630V3);

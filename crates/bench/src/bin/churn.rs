@@ -1,7 +1,7 @@
-//! Thin wrapper over the `churn` registry figure (see `bench::churn`):
-//! the long-horizon churn & soak suite with digest/census leak
-//! detection, writing `churn.{json,csv}`. `runall` runs the same units
-//! on its thread pool alongside the paper figures.
+//! Runs the `churn` registry figure (see `bench::churn`): the
+//! long-horizon churn & soak suite with digest/census leak detection,
+//! printing its table and writing `churn.{json,csv}`. `runall` runs the
+//! same units at the default size alongside the paper figures.
 //!
 //! For a real soak (the CI artefacts use the default sizes), pass the
 //! total lifecycle-event count per unit; it is handed to the churn spec
@@ -11,7 +11,9 @@
 //! cargo run --release -p bench --bin churn -- --events 1000000
 //! ```
 
-fn main() {
+use std::process::ExitCode;
+
+fn main() -> ExitCode {
     let mut events = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -26,5 +28,12 @@ fn main() {
         }
     }
     let scale = bench::Scale::from_env();
-    bench::runner::spec_main(bench::churn::spec(scale, events), 1, scale);
+    let (runs, _) = bench::runner::run(vec![bench::churn::spec(scale, events)], 1, scale.quick);
+    match bench::finish(&runs[0], &bench::out_dir()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("# ERROR: could not write churn: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }

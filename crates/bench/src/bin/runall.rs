@@ -22,10 +22,13 @@
 //!   switch lives in the run's `bench::worldcache::Store`; nothing is
 //!   process-global.
 //!
-//! Figure artefacts go to `LIGHTVM_FIG_DIR` (default `target/figures`)
-//! exactly as the individual `figNN` binaries write them; the merged
-//! output is byte-identical to a sequential run regardless of `--jobs`.
-//! `LIGHTVM_QUICK=1` runs the reduced-scale profile.
+//! This is the one way to run a figure: `runall --filter fig09` runs
+//! just Figure 9 (no figure id is a substring of another). For each
+//! figure it ran, `runall` prints the table sampled at the figure's x
+//! positions and writes its artefacts to `LIGHTVM_FIG_DIR` (default
+//! `target/figures`); the merged output is byte-identical to a
+//! sequential run regardless of `--jobs`. `LIGHTVM_QUICK=1` runs the
+//! reduced-scale profile.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -149,19 +152,9 @@ fn main() -> ExitCode {
     let dir = bench::out_dir();
     let mut failed = false;
     for run in &figures {
-        match run.figure.write_files(&dir) {
-            Ok(()) => {
-                let id = &run.figure.id;
-                say!(
-                    "# {id}: {} series -> {}/{id}.{{json,csv}}",
-                    run.figure.series.len(),
-                    dir.display()
-                );
-            }
-            Err(e) => {
-                eprintln!("# ERROR: could not write {}: {e}", run.figure.id);
-                failed = true;
-            }
+        if let Err(e) = bench::finish(run, &dir) {
+            eprintln!("# ERROR: could not write {}: {e}", run.figure.id);
+            failed = true;
         }
     }
 

@@ -12,9 +12,8 @@ pub mod runner;
 pub mod sched;
 pub mod worldcache;
 
-use std::path::PathBuf;
-
-use metrics::Figure;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 
 pub use figures::Scale;
 
@@ -25,17 +24,20 @@ pub fn out_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("target/figures"))
 }
 
-/// Prints the figure as a table sampled at `xs` and writes the artefacts.
-pub fn finish(fig: &Figure, xs: &[f64]) {
-    print!("{}", fig.render_table(xs));
-    let dir = out_dir();
-    match fig.write_files(&dir) {
-        Ok(()) => println!("# wrote {}/{}.{{json,csv}}", dir.display(), fig.id),
-        Err(e) => eprintln!("# WARNING: could not write artefacts: {e}"),
-    }
+/// Prints a finished figure as a table sampled at its `sample_xs` and
+/// writes `<id>.{json,csv}` into `dir`. Stdout is best-effort (a closed
+/// pipe, as in `runall | head`, is ignored rather than a panic); a
+/// failed artefact write is the caller's error.
+pub fn finish(run: &runner::FigureRun, dir: &Path) -> io::Result<()> {
+    let fig = &run.figure;
+    let mut out = io::stdout().lock();
+    let _ = out.write_all(fig.render_table(&run.sample_xs).as_bytes());
+    fig.write_files(dir)?;
+    let _ = writeln!(out, "# wrote {}/{}.{{json,csv}}", dir.display(), fig.id);
+    Ok(())
 }
 
-/// Densities at which the sweep binaries measure (denser at the start,
+/// Densities at which the density sweeps measure (denser at the start,
 /// then every 50 up to `max`).
 pub fn density_steps(max: usize) -> Vec<usize> {
     let mut steps = vec![1, 2, 5, 10, 20, 35, 50, 75, 100];
@@ -58,12 +60,6 @@ pub fn density_steps(max: usize) -> Vec<usize> {
 /// must not depend on any particular sweep's target.
 pub fn on_density_ladder(n: usize) -> bool {
     matches!(n, 1 | 2 | 5 | 10 | 20 | 35 | 50 | 75 | 100) || (n >= 150 && n % 50 == 0)
-}
-
-/// Scale factor for run sizes: full scale by default, 1/10 with
-/// `LIGHTVM_QUICK=1`.
-pub fn scaled(n: usize) -> usize {
-    Scale::from_env().scaled(n)
 }
 
 use simcore::SimTime;
@@ -94,3 +90,21 @@ pub fn series_ms(
     )
 }
 
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn finish_reports_an_unwritable_figure_dir() {
+        let dir = std::env::temp_dir().join(format!("bench-finish-{}", std::process::id()));
+        std::fs::write(&dir, b"a regular file, not a directory").unwrap();
+        let run = runner::FigureRun {
+            figure: metrics::Figure::new("fig00", "t", "x", "y"),
+            sample_xs: vec![1.0],
+        };
+        let res = finish(&run, &dir);
+        std::fs::remove_file(&dir).unwrap();
+        assert!(res.is_err(), "writing into a regular file must fail");
+    }
+}

@@ -13,7 +13,9 @@ use bench::runner;
 #[test]
 fn parallel_merge_is_byte_identical_to_sequential() {
     let scale = Scale::quick();
-    let seq = runner::run_single(spec_by_id(scale, "fig14").expect("fig14 registered"));
+    let spec = spec_by_id(scale, "fig14").expect("fig14 registered");
+    let (mut seq, _) = runner::run(vec![spec], 1, scale.quick);
+    let seq = seq.remove(0);
     let (mut par, report) =
         runner::run(vec![spec_by_id(scale, "fig14").unwrap()], 4, scale.quick);
     assert_eq!(par.len(), 1);
@@ -27,6 +29,22 @@ fn parallel_merge_is_byte_identical_to_sequential() {
     let labels: Vec<&str> = report.units.iter().map(|u| u.unit.as_str()).collect();
     assert_eq!(labels, ["vm-families", "docker", "process"]);
     assert!(report.units.iter().all(|u| u.figure == "fig14"));
+}
+
+/// `runall --filter` matches substrings of figure ids, and it is the
+/// only way to run one figure: every id must therefore select itself
+/// alone, so no id may be a substring of another.
+#[test]
+fn every_figure_id_filters_to_itself_alone() {
+    let specs = bench::figures::all_specs(Scale::quick());
+    for a in &specs {
+        let hits: Vec<&str> = specs
+            .iter()
+            .map(|s| s.id)
+            .filter(|id| id.contains(a.id))
+            .collect();
+        assert_eq!(hits, [a.id], "--filter {} would select {hits:?}", a.id);
+    }
 }
 
 /// Two runner invocations with different worker counts agree with each

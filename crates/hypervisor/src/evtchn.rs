@@ -43,7 +43,6 @@ struct Channel {
 pub struct EvtchnTable {
     channels: IdMap<(DomId, EvtchnPort), Channel>,
     next_port: IdMap<DomId, u32>,
-    sends: u64,
 }
 
 /// Event-channel errors.
@@ -129,7 +128,6 @@ impl EvtchnTable {
         };
         if let Some(peer) = self.channels.get_mut(&(remote, remote_port)) {
             peer.pending = true;
-            self.sends += 1;
             Ok(())
         } else {
             Err(EvtchnError::BadPort)
@@ -169,11 +167,6 @@ impl EvtchnTable {
     pub fn close_all(&mut self, dom: DomId) {
         self.channels
             .retain(|(owner, _), ch| *owner != dom && ch.state.remote() != dom);
-    }
-
-    /// Total successful sends (proxy for notification load).
-    pub fn total_sends(&self) -> u64 {
-        self.sends
     }
 
     /// Number of open channel ends.

@@ -233,25 +233,6 @@ impl Hypervisor {
         Ok(())
     }
 
-    /// Releases `mib` of a domain's populated memory (ballooning or
-    /// suspend-to-disk).
-    pub fn depopulate(
-        &mut self,
-        cost: &CostModel,
-        meter: &mut Meter,
-        dom: DomId,
-        mib: u64,
-    ) -> Result<(), HvError> {
-        let d = self.domains.get_mut(&dom).ok_or(HvError::NoSuchDomain)?;
-        if d.populated_mib < mib {
-            return Err(HvError::BadState);
-        }
-        d.populated_mib -= mib;
-        self.memory.release(mib * MIB);
-        Self::charge(meter, cost.hypercall_base + cost.mem_release_per_mib * mib);
-        Ok(())
-    }
-
     /// Unpauses a domain (Created/Paused -> Running).
     pub fn unpause(
         &mut self,

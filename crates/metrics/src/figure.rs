@@ -54,19 +54,6 @@ impl Series {
             })
             .map(|p| p.1)
     }
-
-    /// Largest y value.
-    pub fn max_y(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|p| p.1)
-            .max_by(|a, b| a.partial_cmp(b).expect("NaN y value"))
-    }
-
-    /// y values only.
-    pub fn ys(&self) -> Vec<f64> {
-        self.points.iter().map(|p| p.1).collect()
-    }
 }
 
 /// A reproduced paper figure: series plus axis/em metadata.
@@ -114,13 +101,8 @@ impl Figure {
         self.meta.insert(key.into(), value.to_string());
     }
 
-    /// Finds a series by label.
-    pub fn series_by_label(&self, label: &str) -> Option<&Series> {
-        self.series.iter().find(|s| s.label == label)
-    }
-
     /// Renders an ASCII table sampling each series at the given x values
-    /// (nearest data point). This is what the figure binaries print.
+    /// (nearest data point). This is what `runall` prints for each figure.
     pub fn render_table(&self, xs: &[f64]) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "# {} — {}", self.id, self.title);

@@ -106,13 +106,6 @@ impl MemoryPressure {
             (self.threshold / free).powf(self.exponent)
         }
     }
-
-    /// Overrides the pressure-curve parameters.
-    pub fn with_curve(mut self, threshold: f64, exponent: f64) -> Self {
-        self.threshold = threshold.clamp(0.0, 1.0);
-        self.exponent = exponent.max(0.0);
-        self
-    }
 }
 
 #[cfg(test)]

@@ -57,15 +57,6 @@ impl Platform {
             Platform::BareMetal => "CONFIG_E1000",
         }
     }
-
-    /// The block front-end driver for this platform.
-    pub fn block_driver(self) -> &'static str {
-        match self {
-            Platform::Xen => "CONFIG_XEN_BLKFRONT",
-            Platform::Kvm => "CONFIG_VIRTIO_BLK",
-            Platform::BareMetal => "CONFIG_SATA_AHCI",
-        }
-    }
 }
 
 macro_rules! opt {

@@ -218,11 +218,6 @@ pub mod layout {
         XsPath::parse(&format!("/local/domain/{domid}")).expect("static path is valid")
     }
 
-    /// `/local/domain/<domid>/name`.
-    pub fn domain_name(domid: u32) -> XsPath {
-        XsPath::parse(&format!("/local/domain/{domid}/name")).expect("static path is valid")
-    }
-
     /// `/local/domain/<backend_domid>/backend/<kind>/<domid>/<devid>`.
     pub fn backend_dir(backend: u32, kind: &str, domid: u32, devid: u32) -> XsPath {
         XsPath::parse(&format!(
@@ -235,17 +230,6 @@ pub mod layout {
     pub fn frontend_dir(domid: u32, kind: &str, devid: u32) -> XsPath {
         XsPath::parse(&format!("/local/domain/{domid}/device/{kind}/{devid}"))
             .expect("static path is valid")
-    }
-
-    /// `/local/domain/<domid>/control/shutdown`.
-    pub fn control_shutdown(domid: u32) -> XsPath {
-        XsPath::parse(&format!("/local/domain/{domid}/control/shutdown"))
-            .expect("static path is valid")
-    }
-
-    /// `/vm/<uuid-ish>` bookkeeping directory.
-    pub fn vm_dir(domid: u32) -> XsPath {
-        XsPath::parse(&format!("/vm/{domid}")).expect("static path is valid")
     }
 }
 

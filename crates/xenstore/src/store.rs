@@ -1077,13 +1077,6 @@ impl Store {
         Ok(count)
     }
 
-    /// Reads a node's permissions.
-    pub fn get_perms(&self, key: impl XsKey) -> Result<Perms, XsError> {
-        self.find_node(key)
-            .map(|n| n.perms)
-            .ok_or(XsError::NotFound)
-    }
-
     /// Sets a node's permissions. Only Dom0 or the owner may do this.
     pub fn set_perms(&mut self, dom: u32, key: impl XsKey, perms: Perms) -> Result<(), XsError> {
         let sym = self.sym(key);
