@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate: build everything (failing on any rustc warning), run the
+# CI gate: build everything (failing on any rustc or clippy warning), run the
 # whole test suite (with a suite-count guard so lost --workspace
 # coverage fails loudly), smoke-run the hot-path microbenches, then
 # regenerate all figures at quick scale through the DAG runner. Fails if any expected artefact is
@@ -67,6 +67,11 @@ if grep -Eq '^warning: .* generated [0-9]+ warnings?' "$build_log"; then
   exit 1
 fi
 rm -f "$build_log"
+
+echo "== clippy (workspace, all targets; warnings are errors) =="
+# Every lint clippy enables by default must hold; a deliberate exception
+# is an #[allow] at the site with a one-line reason.
+cargo clippy --release --workspace --all-targets -- -D warnings
 
 echo "== hasher gate (SipHash only for keys from outside the program) =="
 # Maps keyed by ids the simulator assigns (domids, ports, grant refs,

@@ -188,14 +188,8 @@ fn page_sharing_unit(scale: Scale) -> UnitSpec {
             cp.set_page_sharing(share);
             let img = GuestImage::tinyx_noop();
             let mut n = 0;
-            loop {
-                match cp.create_and_boot(&format!("t-{n}"), &img) {
-                    Ok(_) => n += 1,
-                    Err(_) => break,
-                }
-                if n >= cap {
-                    break;
-                }
+            while n < cap && cp.create_and_boot(&format!("t-{n}"), &img).is_ok() {
+                n += 1;
             }
             s.push(share.unwrap_or(0.0), n as f64);
             let per = UnitOutput::from_plane(&cp);
@@ -207,6 +201,9 @@ fn page_sharing_unit(scale: Scale) -> UnitSpec {
     })
 }
 
+/// A named cost and how to scale it by a factor.
+type CostKnob = (&'static str, fn(&mut CostModel, f64));
+
 fn sensitivity_unit(scale: Scale) -> UnitSpec {
     let n = scale.scaled(200);
     UnitSpec::new("cost-sensitivity", move |_| {
@@ -214,7 +211,7 @@ fn sensitivity_unit(scale: Scale) -> UnitSpec {
         // cost (all others at calibration), y = mean xl create latency.
         // A reproduction conclusion that flips inside ±20% of one
         // primitive would be resting on calibration, not mechanism.
-        let params: [(&str, fn(&mut CostModel, f64)); 5] = [
+        let params: [CostKnob; 5] = [
             ("xl_internal", |c, f| c.xl_internal = c.xl_internal.scale(f)),
             ("xl_qemu_spawn", |c, f| c.xl_qemu_spawn = c.xl_qemu_spawn.scale(f)),
             ("hotplug_bash", |c, f| c.hotplug_bash = c.hotplug_bash.scale(f)),

@@ -247,20 +247,20 @@ fn run_scenario(sc: &Scenario) -> ScenarioOut {
         // 2. Missed-heartbeat detection → re-queue the placements the
         //    dead host never acknowledged, and evacuate its guests.
         if epoch > 0 {
-            for h in 0..view.len() {
-                if !view[h].alive || view[h].seen {
+            for (h, hv) in view.iter_mut().enumerate() {
+                if !hv.alive || hv.seen {
                     continue;
                 }
-                view[h].missed += 1;
-                if view[h].missed >= MISSED_LIMIT {
-                    view[h].alive = false;
+                hv.missed += 1;
+                if hv.missed >= MISSED_LIMIT {
+                    hv.alive = false;
                     let vi = victims.iter().position(|&v| v == h);
                     let t_fail = vi.map(|i| kill_time[i]).unwrap_or(t_now);
                     if detect_ms == 0.0 {
                         detect_ms = t_now - t_fail;
                     }
-                    queue.extend(std::mem::take(&mut view[h].inflight));
-                    for _ in 0..view[h].guests {
+                    queue.extend(std::mem::take(&mut hv.inflight));
+                    for _ in 0..hv.guests {
                         let slot = origin.len() as u32;
                         origin.push(t_fail);
                         queue.push_back((slot, true));
@@ -273,14 +273,14 @@ fn run_scenario(sc: &Scenario) -> ScenarioOut {
         if let Some((at, max)) = sc.fail_at {
             if epoch == at {
                 let mut plan = FaultPlan::seeded(EVAC_SEED, EVAC_RATE);
-                for h in 0..hosts.len() {
-                    if hosts[h].is_some()
+                for (h, host) in hosts.iter_mut().enumerate() {
+                    if host.is_some()
                         && victims.len() < max
                         && plan.should_inject(FaultSite::XsCrash)
                     {
                         victims.push(h);
                         kill_time.push(t_now);
-                        hosts[h] = None;
+                        *host = None;
                     }
                 }
                 if victims.is_empty() {

@@ -126,6 +126,9 @@ impl UnitOutput {
 /// units that read them, and units run as pure readers. With the cache
 /// off no producer tasks exist and the unit bodies simulate inline,
 /// byte-identically.
+// A plan holds one `Dep` per declared read, built once at plan time;
+// boxing the large `WorldSpec` would save nothing measurable.
+#[allow(clippy::large_enum_variant)]
 pub enum Dep {
     /// Records and rung observables of `spec`'s chain at `rung`
     /// ([`Store::records_at`]).
@@ -222,6 +225,8 @@ pub(crate) fn xeon() -> Machine {
 }
 
 /// A create/boot density sweep as a unit: one mode × image × machine.
+// Each argument is one axis of a figure's sweep, named at every call.
+#[allow(clippy::too_many_arguments)]
 fn sweep_unit(
     label: impl Into<String>,
     machine: Machine,

@@ -100,7 +100,7 @@ pub(crate) fn run_walk(store: &Store, mode: ToolstackMode, steps: &[usize]) -> W
     let mut probe_stats = None;
     let mut made = 0usize;
     for &n in steps {
-        store.advance(&mut src, &spec.image, made, n, &mut records, None);
+        store.advance(&mut src, &spec.image, made, n, &mut records);
         made = n;
         let mut probe = src.fork();
 

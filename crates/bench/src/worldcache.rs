@@ -176,8 +176,7 @@ struct Chain {
     tip: Option<ControlPlane>,
     /// Highest rung any consumer declared.
     top: usize,
-    /// Observables published at every ladder rung crossed and at every
-    /// rung task's target.
+    /// Observables published at every rung task's target.
     info: HashMap<usize, RungInfo>,
 }
 
@@ -228,11 +227,7 @@ impl Store {
     }
 
     /// Boots guests `from..to` with canonical names, appending their
-    /// records and publishing [`RungInfo`] at every density-ladder rung
-    /// crossed (and at `to` itself). Capturing rung observables is
-    /// read-only — the world's evolution is identical with or without
-    /// it, which is what keeps cached and uncached artefacts
-    /// byte-identical.
+    /// records.
     pub(crate) fn advance(
         &self,
         cp: &mut ControlPlane,
@@ -240,7 +235,6 @@ impl Store {
         from: usize,
         to: usize,
         records: &mut Vec<CreateRecord>,
-        mut info: Option<&mut HashMap<usize, RungInfo>>,
     ) {
         for i in from..to {
             let (report, boot) = cp
@@ -254,12 +248,6 @@ impl Store {
                 boot,
                 util_after: if on_ladder { cp.cpu_utilization() } else { f64::NAN },
             });
-            if let (true, Some(info)) = (on_ladder, info.as_deref_mut()) {
-                info.entry(done).or_insert_with(|| RungInfo::capture(cp));
-            }
-        }
-        if let Some(info) = info {
-            info.entry(to).or_insert_with(|| RungInfo::capture(cp));
         }
     }
 
@@ -269,13 +257,16 @@ impl Store {
     pub fn simulate(&self, spec: &WorldSpec, n: usize) -> (ControlPlane, Vec<CreateRecord>) {
         let mut cp = spec.build_base();
         let mut records = Vec::with_capacity(n);
-        self.advance(&mut cp, &spec.image, 0, n, &mut records, None);
+        self.advance(&mut cp, &spec.image, 0, n, &mut records);
         (cp, records)
     }
 
     /// Chain-task body: climbs `spec`'s tip in place to `target`,
-    /// publishing records and rung observables on the way, and drops
-    /// the tip at the chain's top rung. Returns the boots this call
+    /// publishing the records on the way and the rung observables at
+    /// `target` (every chain task ends at a declared rung, the only
+    /// rungs [`Store::records_at`] reads), and drops the tip at the
+    /// chain's top rung. Capturing observables is read-only, so the
+    /// world evolves identically with the cache on or off. Returns the boots this call
     /// simulated.
     pub fn build_to(&self, spec: &WorldSpec, target: usize) -> u64 {
         let mut guard = self.chain(spec, target);
@@ -289,7 +280,8 @@ impl Store {
         );
         let world = chain.tip.get_or_insert_with(|| spec.build_base());
         let boots = (target - chain.at) as u64;
-        self.advance(world, &spec.image, chain.at, target, &mut chain.records, Some(&mut chain.info));
+        self.advance(world, &spec.image, chain.at, target, &mut chain.records);
+        chain.info.entry(target).or_insert_with(|| RungInfo::capture(world));
         chain.at = target;
         let spent = if target == chain.top { chain.tip.take() } else { None };
         drop(guard);

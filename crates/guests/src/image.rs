@@ -271,11 +271,6 @@ impl GuestImage {
             _ => self.image_bytes,
         }
     }
-
-    /// Number of devices this guest needs (vif + vbd + console).
-    pub fn device_count(&self) -> u32 {
-        self.needs_net as u32 + self.needs_block as u32 + self.needs_console as u32
-    }
 }
 
 #[cfg(test)]
@@ -286,7 +281,7 @@ mod tests {
     fn daytime_matches_headline_numbers() {
         let g = GuestImage::unikernel_daytime();
         assert_eq!(g.image_bytes, 480 * KIB);
-        assert!(g.mem_mib * MIB as u64 <= 4 * MIB);
+        assert!(g.mem_mib * MIB <= 4 * MIB);
         // Boot alone ≈ 3 ms on an idle machine.
         let cost = CostModel::paper_defaults();
         let boot = g.boot_latency(&cost, 1.0, 0);
@@ -357,13 +352,6 @@ mod tests {
         assert!((0.8..1.2).contains(&(db.idle_demand * 1000.0)));
         assert!(tx.idle_demand * 1000.0 < 0.08);
         assert!(uk.idle_demand < tx.idle_demand);
-    }
-
-    #[test]
-    fn devices_match_guest_needs() {
-        assert_eq!(GuestImage::unikernel_noop().device_count(), 0, "no devices at all");
-        assert_eq!(GuestImage::unikernel_daytime().device_count(), 2, "vif + console");
-        assert_eq!(GuestImage::debian().device_count(), 3, "vif + vbd + console");
     }
 
     #[test]

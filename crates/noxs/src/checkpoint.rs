@@ -19,8 +19,6 @@ pub struct SavedGuest {
     pub mem_mib: u64,
     /// vCPUs the guest had.
     pub vcpus: u32,
-    /// Devices to recreate on restore (net devids).
-    pub net_devids: Vec<u32>,
 }
 
 /// Checkpoint errors.
@@ -55,7 +53,6 @@ pub fn save(
     cost: &CostModel,
     meter: &mut Meter,
     dom: DomId,
-    net_devids: Vec<u32>,
 ) -> Result<SavedGuest, CheckpointError> {
     let (mem_mib, vcpus) = {
         let d = hv.domain(dom)?;
@@ -68,17 +65,14 @@ pub fn save(
     meter.charge(Category::Other, cost.ramdisk_write_per_mib * mem_mib);
     hv.destroy(cost, meter, dom)?;
     sysctl.drop_domain(dom);
-    Ok(SavedGuest {
-        mem_mib,
-        vcpus,
-        net_devids,
-    })
+    Ok(SavedGuest { mem_mib, vcpus })
 }
 
 /// Restores a saved guest: a fresh domain, memory read back from the
 /// ramdisk, context restore, device page + sysctl re-setup, resume.
 /// Device reconnection is the caller's job (the toolstack knows which
-/// backends to use).
+/// backends to use). A failure after the domain exists destroys it
+/// again, so a failed restore leaves nothing behind.
 pub fn restore(
     hv: &mut Hypervisor,
     sysctl: &mut SysctlBackend,
@@ -94,12 +88,22 @@ pub fn restore(
             vcpus: saved.vcpus.max(1),
         },
     )?;
-    hv.populate_physmap(cost, meter, dom, saved.mem_mib)?;
-    meter.charge(Category::Other, cost.ramdisk_read_per_mib * saved.mem_mib);
-    meter.charge(Category::Other, cost.xc_context_restore);
-    setup_device_page(hv, cost, meter, dom)?;
-    sysctl.setup(hv, cost, meter, dom)?;
-    hv.unpause(cost, meter, dom)?;
+    let resumed = (|| {
+        hv.populate_physmap(cost, meter, dom, saved.mem_mib)?;
+        meter.charge(Category::Other, cost.ramdisk_read_per_mib * saved.mem_mib);
+        meter.charge(Category::Other, cost.xc_context_restore);
+        setup_device_page(hv, cost, meter, dom)?;
+        sysctl.setup(hv, cost, meter, dom)?;
+        hv.unpause(cost, meter, dom)?;
+        Ok(())
+    })();
+    if let Err(e) = resumed {
+        // The domain was created above, so it can be destroyed; the
+        // error worth reporting is the one that failed the restore.
+        let _ = hv.destroy(cost, meter, dom);
+        sysctl.drop_domain(dom);
+        return Err(e);
+    }
     Ok(dom)
 }
 
@@ -139,7 +143,7 @@ mod tests {
         let used_running = hv.memory.used();
 
         let mut m_save = Meter::new();
-        let saved = save(&mut hv, &mut sysctl, &cost, &mut m_save, dom, vec![0]).unwrap();
+        let saved = save(&mut hv, &mut sysctl, &cost, &mut m_save, dom).unwrap();
         assert_eq!(saved.mem_mib, 4);
         assert!(hv.domain(dom).is_err(), "domain destroyed after save");
         assert!(hv.memory.used() < used_running, "memory released");
@@ -160,7 +164,7 @@ mod tests {
         let dom = boot_guest(&mut hv, &mut sysctl, &cost);
 
         let mut m_save = Meter::new();
-        let saved = save(&mut hv, &mut sysctl, &cost, &mut m_save, dom, vec![0]).unwrap();
+        let saved = save(&mut hv, &mut sysctl, &cost, &mut m_save, dom).unwrap();
         let save_ms = m_save.total().as_millis_f64();
         assert!((5.0..45.0).contains(&save_ms), "save took {save_ms} ms");
 
@@ -171,12 +175,24 @@ mod tests {
     }
 
     #[test]
+    fn a_restore_that_does_not_fit_leaves_no_domain() {
+        let mut hv = Hypervisor::new(GIB, 0, vec![0]);
+        let mut sysctl = SysctlBackend::new();
+        let cost = CostModel::paper_defaults();
+        let mut m = Meter::new();
+        let saved = SavedGuest { mem_mib: 2048, vcpus: 1 };
+        assert!(restore(&mut hv, &mut sysctl, &cost, &mut m, &saved).is_err());
+        assert_eq!(hv.domain_count(), 0, "the half-restored domain leaked");
+        assert_eq!(hv.memory.used(), 0);
+    }
+
+    #[test]
     fn save_of_unknown_domain_fails() {
         let mut hv = Hypervisor::new(GIB, 0, vec![0]);
         let mut sysctl = SysctlBackend::new();
         let cost = CostModel::paper_defaults();
         let mut m = Meter::new();
-        let err = save(&mut hv, &mut sysctl, &cost, &mut m, DomId(99), vec![]).unwrap_err();
+        let err = save(&mut hv, &mut sysctl, &cost, &mut m, DomId(99)).unwrap_err();
         assert!(matches!(err, CheckpointError::Noxs(_)));
     }
 
@@ -195,7 +211,7 @@ mod tests {
             sysctl.setup(&mut hv, &cost, &mut m, dom).unwrap();
             hv.unpause(&cost, &mut m, dom).unwrap();
             let mut m_save = Meter::new();
-            save(&mut hv, &mut sysctl, &cost, &mut m_save, dom, vec![]).unwrap();
+            save(&mut hv, &mut sysctl, &cost, &mut m_save, dom).unwrap();
             m_save.total()
         };
         assert!(time_for(128) > time_for(4));

@@ -59,7 +59,9 @@ const CONFIG_BYTES: u64 = 2048;
 
 /// Migrates `dom` from `src` to `dst` over `link`. Returns the new
 /// domain id at the destination and charges the total migration latency
-/// to `meter` (network time under [`Category::Other`]).
+/// to `meter` (network time under [`Category::Other`]). If the target
+/// cannot be prepared or the guest cannot be suspended, the half-built
+/// target domain is discarded and the guest runs on at the source.
 pub fn migrate(
     src: &mut MigrationEndpoint<'_>,
     dst: &mut MigrationEndpoint<'_>,
@@ -89,18 +91,32 @@ pub fn migrate(
             vcpus: vcpus.max(1),
         },
     )?;
-    dst.hv.populate_physmap(dst.cost, meter, new_dom, mem_mib)?;
-    driver::setup_device_page(dst.hv, dst.cost, meter, new_dom)?;
-    dst.sysctl.setup(dst.hv, dst.cost, meter, new_dom)?;
-    for &devid in net_devids {
-        driver::create_device(
-            dst.hv, dst.net, dst.switch, Hotplug::Xendevd,
-            dst.cost, meter, new_dom, devid, &mut FaultPlan::none(),
-        )?;
+    let prepared = (|| -> Result<(), MigrateError> {
+        dst.hv.populate_physmap(dst.cost, meter, new_dom, mem_mib)?;
+        driver::setup_device_page(dst.hv, dst.cost, meter, new_dom)?;
+        dst.sysctl.setup(dst.hv, dst.cost, meter, new_dom)?;
+        for &devid in net_devids {
+            driver::create_device(
+                dst.hv, dst.net, dst.switch, Hotplug::Xendevd,
+                dst.cost, meter, new_dom, devid, &mut FaultPlan::none(),
+            )?;
+        }
+        // 3. Suspend the guest through the sysctl back-end.
+        src.sysctl.request_suspend(src.hv, src.cost, meter, dom)?;
+        Ok(())
+    })();
+    if let Err(e) = prepared {
+        // Discard the half-built target: its records go without a
+        // charge, and destroying the domain reaps its memory, channels,
+        // grants and device page. It was created above, so the destroy
+        // cannot fail; the error worth reporting is the one that
+        // stopped the migration.
+        dst.net.drop_domain(new_dom);
+        dst.switch.drop_domain(new_dom);
+        dst.sysctl.drop_domain(new_dom);
+        let _ = dst.hv.destroy(dst.cost, meter, new_dom);
+        return Err(e);
     }
-
-    // 3. Suspend the guest through the sysctl back-end.
-    src.sysctl.request_suspend(src.hv, src.cost, meter, dom)?;
 
     // 4. libxc sends the guest data to the remote host.
     meter.charge(Category::Other, src.cost.xc_context_save);

@@ -25,7 +25,9 @@ pub use census::WorldCensus;
 pub use fleet::HostTemplate;
 pub use config::{ConfigError, VmConfig, MAX_VCPUS};
 pub use lifecycle::SavedVm;
-pub use plane::{ControlPlane, CreateReport, PlaneError, TeardownErrors, ToolstackMode, Vm};
+pub use plane::{
+    ControlPlane, CreateReport, Device, DeviceList, PlaneError, TeardownErrors, ToolstackMode, Vm,
+};
 pub use split::{ChaosDaemon, VmShell};
 
 #[cfg(test)]

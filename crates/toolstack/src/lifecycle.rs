@@ -7,16 +7,16 @@
 //! of milliseconds, independent of density.
 
 use guests::GuestImage;
-use hypervisor::{DomId, DomainConfig, DeviceKind, ShutdownReason};
+use hypervisor::{DeviceKind, DomId, DomainConfig, ShutdownReason};
 use lvnet::Link;
 use noxs::checkpoint as noxs_ckpt;
 use noxs::migrate::{self as noxs_migrate, MigrationEndpoint};
-use simcore::{Category, Meter, SimTime};
+use simcore::{Category, CostModel, Meter, SimTime};
 use std::sync::Arc;
 
-use devices::{xsdev, Backend};
+use devices::Backend;
 
-use crate::plane::{ControlPlane, PlaneError, ToolstackMode, Vm};
+use crate::plane::{ControlPlane, DeviceList, PlaneError, ToolstackMode, Vm};
 
 /// A guest saved to the ramdisk (or serialised for migration).
 #[derive(Clone, Debug)]
@@ -38,40 +38,19 @@ impl ControlPlane {
         let vm = self.vms.get(&dom).ok_or(PlaneError::NoSuchVm)?.as_ref().clone();
         let mem_mib = self.hv.domain(dom)?.populated_mib;
 
-        meter.charge(
-            Category::Toolstack,
-            match self.mode {
-                ToolstackMode::Xl => cost.xl_internal,
-                _ => cost.chaos_internal,
-            },
-        );
+        self.charge_internal(&cost, &mut meter);
 
         if self.mode.uses_xenstore() {
-            // Suspend request via control/shutdown + watch wait.
-            let cs = self.xs.control_shutdown_sym(dom.0);
-            self.xs.write(&cost, &mut meter, 0, cs, b"suspend")?;
-            let wait = match self.mode {
-                ToolstackMode::Xl => cost.xl_suspend_wait,
-                _ => cost.xl_suspend_wait.scale(0.45),
-            };
-            meter.charge(Category::Other, wait);
-            self.hv.shutdown(&cost, &mut meter, dom, ShutdownReason::Suspend)?;
-            meter.charge(Category::Other, cost.xc_context_save);
+            self.xs_suspend(&cost, &mut meter, dom)?;
             meter.charge(Category::Other, cost.ramdisk_write_per_mib * mem_mib);
-            self.teardown_xs_vm(&cost, &mut meter, dom, &vm);
+            self.xs_teardown(&cost, &mut meter, dom, &DeviceList::of(&vm.image));
             self.hv.destroy(&cost, &mut meter, dom)?;
         } else {
             if !self.sysctl.is_set_up(dom) {
                 self.sysctl.setup(&mut self.hv, &cost, &mut meter, dom)?;
             }
-            noxs_ckpt::save(
-                &mut self.hv, &mut self.sysctl, &cost, &mut meter, dom,
-                vm.net_devids.clone(),
-            )?;
-            self.net.drop_domain(dom);
-            self.blk.drop_domain(dom);
-            self.console.drop_domain(dom);
-            self.switch.drop_domain(dom);
+            noxs_ckpt::save(&mut self.hv, &mut self.sysctl, &cost, &mut meter, dom)?;
+            self.drop_backend_records(dom);
         }
 
         self.forget_vm(dom, &vm);
@@ -90,86 +69,72 @@ impl ControlPlane {
     pub fn restore_vm(&mut self, saved: &SavedVm) -> Result<(DomId, SimTime), PlaneError> {
         let cost = self.cost();
         let mut meter = Meter::new();
-        meter.charge(
-            Category::Toolstack,
-            match self.mode {
-                ToolstackMode::Xl => cost.xl_internal,
-                _ => cost.chaos_internal,
-            },
-        );
+        self.charge_internal(&cost, &mut meter);
 
         let dom = if self.mode.uses_xenstore() {
-            let dom = self.hv.create_domain(
-                &cost,
-                &mut meter,
-                &DomainConfig {
-                    max_mem_mib: saved.mem_mib.max(1),
-                    vcpus: saved.image.vcpus,
-                },
-            )?;
-            self.hv.populate_physmap(&cost, &mut meter, dom, saved.mem_mib)?;
+            // Read the memory dump back from the ramdisk.
             meter.charge(Category::Other, cost.ramdisk_read_per_mib * saved.mem_mib);
-            meter.charge(Category::Other, cost.xc_context_restore);
-            self.xs.connect(dom.0);
-            self.xs_register_domain(&cost, &mut meter, dom, &saved.name)?;
-            for devid in device_ids(&saved.image) {
-                let mac = Backend::mac_for(dom, devid.1);
-                xsdev::toolstack_announce_device(
-                    &mut self.xs, &cost, &mut meter, devid.0, dom, devid.1, &mac,
-                )?;
-                self.process_backend_events(&cost, &mut meter, devid.0)?;
-                let backend = match devid.0 {
-                    DeviceKind::Net => &mut self.net,
-                    DeviceKind::Block => &mut self.blk,
-                    _ => &mut self.console,
-                };
-                xsdev::frontend_connect_via_xenstore(
-                    &mut self.xs, &mut self.hv, backend, &cost, &mut meter, dom, devid.1,
-                    &mut self.faults,
-                )?;
-            }
             // Device/driver reconnection wait (udev + xenbus settling).
             let reconnect = match self.mode {
                 ToolstackMode::Xl => cost.xl_restore_reconnect,
                 _ => cost.xl_restore_reconnect.scale(0.12),
             };
-            meter.charge(Category::Other, reconnect);
-            self.hv.unpause(&cost, &mut meter, dom)?;
-            dom
+            self.xs_recreate(&cost, &mut meter, saved, reconnect)?
         } else {
             let guest = noxs_ckpt::SavedGuest {
                 mem_mib: saved.mem_mib,
                 vcpus: saved.image.vcpus,
-                net_devids: if saved.image.needs_net { vec![0] } else { vec![] },
             };
-            let dom = noxs_ckpt::restore(
-                &mut self.hv, &mut self.sysctl, &cost, &mut meter, &guest,
-            )?;
-            for devid in &guest.net_devids {
-                noxs::driver::create_device(
-                    &mut self.hv, &mut self.net, &mut self.switch, self.mode.hotplug(),
-                    &cost, &mut meter, dom, *devid, &mut self.faults,
-                )?;
-            }
-            if saved.image.needs_console {
-                noxs::driver::create_device(
-                    &mut self.hv, &mut self.console, &mut self.switch, self.mode.hotplug(),
-                    &cost, &mut meter, dom, 0, &mut self.faults,
-                )?;
-            }
-            noxs::driver::guest_connect_devices(
-                &mut self.hv,
-                &mut [&mut self.net, &mut self.blk, &mut self.console],
-                &cost,
-                &mut meter,
-                dom,
-                &mut self.faults,
-            )?;
+            let dom =
+                noxs_ckpt::restore(&mut self.hv, &mut self.sysctl, &cost, &mut meter, &guest)?;
+            let devices = DeviceList::of(&saved.image);
+            self.build_or_rollback(&cost, &mut meter, dom, &devices, |cp, meter| {
+                for &dev in devices.iter() {
+                    cp.noxs_attach(&cost, meter, dom, dev)?;
+                }
+                cp.noxs_connect(&cost, meter, dom)
+            })?;
             dom
         };
 
         self.adopt_vm(dom, &saved.name, &saved.image);
         Ok((dom, meter.total()))
+    }
+
+    /// Re-creates a checkpointed guest through the XenStore: restore,
+    /// and the target side of a migration. A fresh domain gets the
+    /// guest's memory and context back, registers, and announces and
+    /// connects each device with its [`Backend::mac_for`] MAC; then the
+    /// `reconnect` settling wait and the unpause. A failure after the
+    /// domain exists unwinds it.
+    fn xs_recreate(
+        &mut self,
+        cost: &CostModel,
+        meter: &mut Meter,
+        saved: &SavedVm,
+        reconnect: SimTime,
+    ) -> Result<DomId, PlaneError> {
+        let dom = self.hv.create_domain(
+            cost,
+            meter,
+            &DomainConfig {
+                max_mem_mib: saved.mem_mib.max(1),
+                vcpus: saved.image.vcpus,
+            },
+        )?;
+        let devices = DeviceList::of(&saved.image);
+        self.build_or_rollback(cost, meter, dom, &devices, |cp, meter| {
+            cp.hv.populate_physmap(cost, meter, dom, saved.mem_mib)?;
+            meter.charge(Category::Other, cost.xc_context_restore);
+            cp.xs_register(cost, meter, dom, &saved.name)?;
+            for &dev in devices.iter() {
+                cp.xs_attach(cost, meter, dom, dev, &Backend::mac_for(dom, dev.1))?;
+                cp.xs_connect(cost, meter, dom, dev)?;
+            }
+            meter.charge(Category::Other, reconnect);
+            cp.hv.unpause(cost, meter, dom)?;
+            Ok(dom)
+        })
     }
 
     /// Migrates a guest to another host over `link`. Returns the new
@@ -200,10 +165,19 @@ impl ControlPlane {
                 sysctl: &mut dst.sysctl,
                 cost: &dst_cost,
             };
-            let (new_dom, t) =
-                noxs_migrate::migrate_timed(&mut src_ep, &mut dst_ep, link, dom, &vm.net_devids)
-                    .map_err(|e| PlaneError::Dev(format!("{e:?}")))?;
-            (new_dom, t)
+            // noxs migration re-creates the vifs only (ROADMAP item 8
+            // lists this difference).
+            let vifs: Vec<u32> = DeviceList::of(&vm.image)
+                .iter()
+                .filter(|dev| dev.0 == DeviceKind::Net)
+                .map(|dev| dev.1)
+                .collect();
+            let moved = noxs_migrate::migrate_timed(&mut src_ep, &mut dst_ep, link, dom, &vifs)
+                .map_err(|e| PlaneError::Dev(format!("{e:?}")))?;
+            // The source's vifs went with the migration; its other
+            // back-end records go without a charge, as in `save_vm`.
+            self.drop_backend_records(dom);
+            moved
         };
         self.forget_vm(dom, &vm);
         dst.adopt_vm(new_dom, &vm.name, &vm.image);
@@ -212,6 +186,8 @@ impl ControlPlane {
 
     /// XenStore-based migration: suspend via control/shutdown, stream
     /// config + memory over TCP, full device re-handshake at the target.
+    /// If the target fails, it unwinds its half-built domain and the
+    /// guest runs on at the source.
     fn migrate_via_xenstore(
         &mut self,
         dst: &mut ControlPlane,
@@ -222,102 +198,72 @@ impl ControlPlane {
         let cost = self.cost();
         let mut meter = Meter::new();
         let mem_mib = self.hv.domain(dom)?.populated_mib;
-        meter.charge(
-            Category::Toolstack,
-            match self.mode {
-                ToolstackMode::Xl => cost.xl_internal,
-                _ => cost.chaos_internal,
-            },
-        );
+        self.charge_internal(&cost, &mut meter);
         // Connect to the remote daemon, ship the config.
         meter.charge(Category::Other, link.tcp_handshake() + link.transfer_time(2048));
-        // Suspend at the source.
-        let cs = self.xs.control_shutdown_sym(dom.0);
-        self.xs.write(&cost, &mut meter, 0, cs, b"suspend")?;
-        let wait = match self.mode {
-            ToolstackMode::Xl => cost.xl_suspend_wait,
-            _ => cost.xl_suspend_wait.scale(0.45),
-        };
-        meter.charge(Category::Other, wait);
-        self.hv.shutdown(&cost, &mut meter, dom, ShutdownReason::Suspend)?;
-        meter.charge(Category::Other, cost.xc_context_save);
+        self.xs_suspend(&cost, &mut meter, dom)?;
         // Stream memory.
         meter.charge(Category::Other, link.transfer_time(mem_mib << 20));
 
         // Target side: create + register + devices + reconnect.
         let dst_cost = dst.cost();
-        let new_dom = dst.hv.create_domain(
-            &dst_cost,
-            &mut meter,
-            &DomainConfig {
-                max_mem_mib: mem_mib.max(1),
-                vcpus: vm.image.vcpus,
-            },
-        )?;
-        dst.hv.populate_physmap(&dst_cost, &mut meter, new_dom, mem_mib)?;
-        meter.charge(Category::Other, dst_cost.xc_context_restore);
-        dst.xs.connect(new_dom.0);
-        dst.xs_register_domain(&dst_cost, &mut meter, new_dom, &vm.name)?;
-        for devid in device_ids(&vm.image) {
-            let mac = Backend::mac_for(new_dom, devid.1);
-            xsdev::toolstack_announce_device(
-                &mut dst.xs, &dst_cost, &mut meter, devid.0, new_dom, devid.1, &mac,
-            )?;
-            dst.process_backend_events(&dst_cost, &mut meter, devid.0)?;
-            let backend = match devid.0 {
-                DeviceKind::Net => &mut dst.net,
-                DeviceKind::Block => &mut dst.blk,
-                _ => &mut dst.console,
-            };
-            xsdev::frontend_connect_via_xenstore(
-                &mut dst.xs, &mut dst.hv, backend, &dst_cost, &mut meter, new_dom, devid.1,
-                &mut dst.faults,
-            )?;
-        }
         let reconnect = match self.mode {
             ToolstackMode::Xl => dst_cost.xl_restore_reconnect.scale(0.5),
             _ => dst_cost.xl_restore_reconnect.scale(0.1),
         };
-        meter.charge(Category::Other, reconnect);
-        dst.hv.unpause(&dst_cost, &mut meter, new_dom)?;
+        let shipped = SavedVm {
+            name: vm.name.clone(),
+            image: vm.image.clone(),
+            mem_mib,
+        };
+        let new_dom = match dst.xs_recreate(&dst_cost, &mut meter, &shipped, reconnect) {
+            Ok(new_dom) => new_dom,
+            // The target unwound its half-built domain; the guest never
+            // left, so it runs again here and the suspend request is
+            // withdrawn.
+            Err(e) => {
+                self.hv.resume(&cost, &mut meter, dom)?;
+                let cs = self.xs.control_shutdown_sym(dom.0);
+                self.xs.write(&cost, &mut meter, 0, cs, b"")?;
+                return Err(e);
+            }
+        };
 
         // Source clean-up.
-        self.teardown_xs_vm(&cost, &mut meter, dom, vm);
+        self.xs_teardown(&cost, &mut meter, dom, &DeviceList::of(&vm.image));
         self.hv.destroy(&cost, &mut meter, dom)?;
         Ok((new_dom, meter.total()))
     }
 
-    /// Removes XenStore state and backend devices of a gone guest.
-    fn teardown_xs_vm(
+    /// The XenStore suspend handshake: the request through
+    /// `control/shutdown`, the wait for the guest, the suspend, and the
+    /// context save.
+    fn xs_suspend(
         &mut self,
-        cost: &simcore::CostModel,
+        cost: &CostModel,
         meter: &mut Meter,
         dom: DomId,
-        vm: &Vm,
-    ) {
-        for devid in &vm.net_devids {
-            let _ = xsdev::destroy_device_via_xenstore(
-                &mut self.xs, &mut self.hv, &mut self.net, &mut self.switch,
-                self.mode.hotplug(), cost, meter, dom, *devid,
-            );
-        }
-        for devid in &vm.blk_devids {
-            let _ = xsdev::destroy_device_via_xenstore(
-                &mut self.xs, &mut self.hv, &mut self.blk, &mut self.switch,
-                self.mode.hotplug(), cost, meter, dom, *devid,
-            );
-        }
-        if vm.image.needs_console {
-            let _ = xsdev::destroy_device_via_xenstore(
-                &mut self.xs, &mut self.hv, &mut self.console, &mut self.switch,
-                self.mode.hotplug(), cost, meter, dom, 0,
-            );
-        }
-        let d = self.xs.domain_dir_sym(dom.0);
-        let _ = self.xs.rm(cost, meter, 0, d);
-        let v = self.xs.vm_dir_sym(dom.0);
-        let _ = self.xs.rm(cost, meter, 0, v);
-        self.xs.disconnect(dom.0);
+    ) -> Result<(), PlaneError> {
+        let cs = self.xs.control_shutdown_sym(dom.0);
+        self.xs.write(cost, meter, 0, cs, b"suspend")?;
+        let wait = match self.mode {
+            ToolstackMode::Xl => cost.xl_suspend_wait,
+            _ => cost.xl_suspend_wait.scale(0.45),
+        };
+        meter.charge(Category::Other, wait);
+        self.hv.shutdown(cost, meter, dom, ShutdownReason::Suspend)?;
+        meter.charge(Category::Other, cost.xc_context_save);
+        Ok(())
+    }
+
+    /// Forgets a departed noxs guest's back-end devices and switch ports
+    /// without a charge: its domain is gone or going, and the
+    /// hypervisor reaps its channels and grants.
+    fn drop_backend_records(&mut self, dom: DomId) {
+        self.net.drop_domain(dom);
+        self.blk.drop_domain(dom);
+        self.console.drop_domain(dom);
+        self.switch.drop_domain(dom);
     }
 
     /// Drops local bookkeeping for a guest that left this host.
@@ -360,24 +306,8 @@ impl ControlPlane {
                 core,
                 bg: Some(bg),
                 booted: true,
-                net_devids: if image.needs_net { vec![0] } else { vec![] },
-                blk_devids: if image.needs_block { vec![0] } else { vec![] },
             }),
         );
         self.refresh_interference();
     }
-}
-
-fn device_ids(image: &GuestImage) -> Vec<(DeviceKind, u32)> {
-    let mut out = Vec::new();
-    if image.needs_net {
-        out.push((DeviceKind::Net, 0));
-    }
-    if image.needs_block {
-        out.push((DeviceKind::Block, 0));
-    }
-    if image.needs_console {
-        out.push((DeviceKind::Console, 0));
-    }
-    out
 }

@@ -177,13 +177,63 @@ pub struct Vm {
     pub bg: Option<TaskId>,
     /// Whether the guest finished booting.
     pub booted: bool,
-    /// Net device ids.
-    pub net_devids: Vec<u32>,
-    /// Block device ids.
-    pub blk_devids: Vec<u32>,
 }
 
-/// Per-site counters for errors swallowed on destroy/rollback paths.
+/// One device of a guest: its class and its device id.
+pub type Device = (DeviceKind, u32);
+
+/// A guest's devices in vif, vbd, console order, derived from its image
+/// by [`DeviceList::of`]: the one list every lifecycle path creates,
+/// connects and tears down. It is `Copy` and inline, so deriving it
+/// allocates nothing.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct DeviceList {
+    slots: [Device; 3],
+    len: usize,
+}
+
+impl DeviceList {
+    /// The devices `image` asks for, each with device id 0.
+    pub fn of(image: &GuestImage) -> DeviceList {
+        let mut list = DeviceList {
+            slots: [(DeviceKind::Net, 0); 3],
+            len: 0,
+        };
+        for (kind, wanted) in [
+            (DeviceKind::Net, image.needs_net),
+            (DeviceKind::Block, image.needs_block),
+            (DeviceKind::Console, image.needs_console),
+        ] {
+            if wanted {
+                list.slots[list.len] = (kind, 0);
+                list.len += 1;
+            }
+        }
+        list
+    }
+}
+
+impl std::ops::Deref for DeviceList {
+    type Target = [Device];
+
+    fn deref(&self) -> &[Device] {
+        &self.slots[..self.len]
+    }
+}
+
+/// A back-end borrowed together with the rest of Dom0 that a device
+/// operation touches (see [`ControlPlane::backend`]).
+struct BackendOps<'a> {
+    backend: &'a mut Backend,
+    xs: &'a mut Xenstored,
+    hv: &'a mut Hypervisor,
+    switch: &'a mut SoftwareSwitch,
+    faults: &'a mut FaultPlan,
+    hotplug: Hotplug,
+}
+
+/// Per-site counters for errors swallowed on teardown paths (destroy,
+/// rollback, save and a migration's source).
 ///
 /// Teardown must keep going whatever an individual step returns — a
 /// half-created guest has half the state, so "nothing to remove" is
@@ -201,7 +251,7 @@ pub struct Vm {
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct TeardownErrors {
     /// XenStore-path device teardown failed with something other than
-    /// "already gone" (rollback or destroy).
+    /// "already gone".
     pub xsdev: u64,
     /// noxs device teardown failed with something other than
     /// "already gone" (rollback or destroy).
@@ -486,6 +536,15 @@ impl ControlPlane {
 
     // --- create ---------------------------------------------------------------
 
+    /// Charges the toolstack's internal state keeping for one operation.
+    pub(crate) fn charge_internal(&self, cost: &CostModel, meter: &mut Meter) {
+        let internal = match self.mode {
+            ToolstackMode::Xl => cost.xl_internal,
+            _ => cost.chaos_internal,
+        };
+        meter.charge(Category::Toolstack, internal);
+    }
+
     /// Creates (but does not boot) a VM, returning the Figure 5-style
     /// breakdown.
     pub fn create_vm(&mut self, name: &str, image: &GuestImage) -> Result<CreateReport, PlaneError> {
@@ -501,19 +560,13 @@ impl ControlPlane {
             cost.config_parse_base + cost.config_parse_per_byte * config_len as u64,
         );
 
-        // Toolstack-internal state keeping.
-        meter.charge(
-            Category::Toolstack,
-            match self.mode {
-                ToolstackMode::Xl => cost.xl_internal,
-                _ => cost.chaos_internal,
-            },
-        );
+        self.charge_internal(&cost, &mut meter);
 
         let created = if self.mode.uses_split() {
-            match self.daemon.take(image.mem_mib, image.vcpus, image.needs_net) {
+            let devices = DeviceList::of(image);
+            match self.daemon.take(image.mem_mib, image.vcpus, devices) {
                 Some(shell) => self
-                    .finish_from_shell(&cost, &mut meter, shell, name, image)
+                    .finish_from_shell(&cost, &mut meter, shell, name)
                     .map(|dom| (dom, true)),
                 None => self.full_create(&cost, &mut meter, name, image).map(|dom| (dom, false)),
             }
@@ -568,8 +621,6 @@ impl ControlPlane {
                 core,
                 bg: None,
                 booted: false,
-                net_devids: if image.needs_net { vec![0] } else { vec![] },
-                blk_devids: if image.needs_block { vec![0] } else { vec![] },
             }),
         );
         self.created_total += 1;
@@ -606,18 +657,15 @@ impl ControlPlane {
                 vcpus: image.vcpus,
             },
         )?;
-        match self.provision(cost, meter, dom, name, image) {
-            Ok(()) => Ok(dom),
-            Err(e) => {
-                self.rollback_partial_create(cost, meter, dom, image);
-                Err(e)
-            }
-        }
+        let devices = DeviceList::of(image);
+        self.build_or_rollback(cost, meter, dom, &devices, |cp, meter| {
+            cp.provision(cost, meter, dom, name, image, &devices)
+        })?;
+        Ok(dom)
     }
 
     /// Everything `full_create` does once the domain exists: memory
-    /// preparation, registration and device creation. Split out so any
-    /// mid-create failure funnels through `rollback_partial_create`.
+    /// preparation, registration and device creation.
     fn provision(
         &mut self,
         cost: &CostModel,
@@ -625,6 +673,7 @@ impl ControlPlane {
         dom: DomId,
         name: &str,
         image: &GuestImage,
+        devices: &[Device],
     ) -> Result<(), PlaneError> {
         // Under page sharing, repeat instances only populate their
         // unique pages.
@@ -632,28 +681,8 @@ impl ControlPlane {
         self.hv.populate_physmap(cost, meter, dom, mem)?;
 
         if self.mode.uses_xenstore() {
-            self.xs.connect(dom.0);
-            self.xs_register_domain(cost, meter, dom, name)?;
-            for devid in net_ids(image) {
-                let mac = Backend::mac_for(dom, devid);
-                xsdev::toolstack_announce_device(
-                    &mut self.xs, cost, meter, DeviceKind::Net, dom, devid, &mac,
-                )?;
-                self.process_backend_events(cost, meter, DeviceKind::Net)?;
-            }
-            for devid in blk_ids(image) {
-                let mac = String::new();
-                xsdev::toolstack_announce_device(
-                    &mut self.xs, cost, meter, DeviceKind::Block, dom, devid, &mac,
-                )?;
-                self.process_backend_events(cost, meter, DeviceKind::Block)?;
-            }
-            if image.needs_console {
-                xsdev::toolstack_announce_device(
-                    &mut self.xs, cost, meter, DeviceKind::Console, dom, 0, "",
-                )?;
-                self.process_backend_events(cost, meter, DeviceKind::Console)?;
-            }
+            self.xs_register(cost, meter, dom, name)?;
+            self.xs_create_devices(cost, meter, dom, devices)?;
             if self.mode == ToolstackMode::Xl {
                 // xl spawns a qemu device model per guest (PV console and
                 // qdisk backend).
@@ -662,53 +691,41 @@ impl ControlPlane {
         } else {
             noxs_driver::setup_device_page(&mut self.hv, cost, meter, dom)?;
             self.sysctl.setup(&mut self.hv, cost, meter, dom)?;
-            for devid in net_ids(image) {
-                noxs_driver::create_device(
-                    &mut self.hv, &mut self.net, &mut self.switch, self.mode.hotplug(),
-                    cost, meter, dom, devid, &mut self.faults,
-                )?;
-            }
-            for devid in blk_ids(image) {
-                meter.charge(Category::Devices, cost.noxs_ioctl);
-                let (evtchn, grant) = self
-                    .blk
-                    .alloc_device(&mut self.hv, cost, meter, dom, devid)
-                    .map_err(|e| PlaneError::Dev(e.to_string()))?;
-                self.hv.devpage_write(
-                    cost,
-                    meter,
-                    DomId::DOM0,
-                    dom,
-                    hypervisor::DevicePageEntry {
-                        kind: DeviceKind::Block,
-                        devid,
-                        backend: DomId::DOM0,
-                        evtchn,
-                        grant,
-                    },
-                )?;
-            }
-            if image.needs_console {
-                meter.charge(Category::Devices, cost.noxs_ioctl);
-                let (evtchn, grant) = self
-                    .console
-                    .alloc_device(&mut self.hv, cost, meter, dom, 0)
-                    .map_err(|e| PlaneError::Dev(e.to_string()))?;
-                self.hv.devpage_write(
-                    cost,
-                    meter,
-                    DomId::DOM0,
-                    dom,
-                    hypervisor::DevicePageEntry {
-                        kind: DeviceKind::Console,
-                        devid: 0,
-                        backend: DomId::DOM0,
-                        evtchn,
-                        grant,
-                    },
-                )?;
+            for &dev in devices {
+                match dev.0 {
+                    DeviceKind::Net => self.noxs_attach(cost, meter, dom, dev)?,
+                    _ => self.noxs_attach_inline(cost, meter, dom, dev)?,
+                }
             }
         }
+        Ok(())
+    }
+
+    /// A full create's noxs attach of a vbd or console: the back-end
+    /// ioctl and the device-page write, without the refusal and
+    /// hotplug-timeout fault sites of [`noxs_driver::create_device`]
+    /// (ROADMAP item 8 lists this difference).
+    fn noxs_attach_inline(
+        &mut self,
+        cost: &CostModel,
+        meter: &mut Meter,
+        dom: DomId,
+        (kind, devid): Device,
+    ) -> Result<(), PlaneError> {
+        meter.charge(Category::Devices, cost.noxs_ioctl);
+        let ops = self.backend(kind);
+        let (evtchn, grant) = ops
+            .backend
+            .alloc_device(ops.hv, cost, meter, dom, devid)
+            .map_err(|e| PlaneError::Dev(e.to_string()))?;
+        let entry = hypervisor::DevicePageEntry {
+            kind,
+            devid,
+            backend: DomId::DOM0,
+            evtchn,
+            grant,
+        };
+        self.hv.devpage_write(cost, meter, DomId::DOM0, dom, entry)?;
         Ok(())
     }
 
@@ -721,55 +738,39 @@ impl ControlPlane {
         meter: &mut Meter,
         shell: VmShell,
         name: &str,
-        image: &GuestImage,
     ) -> Result<DomId, PlaneError> {
         let dom = shell.dom;
-        match self.finish_from_shell_inner(cost, meter, dom, name, image) {
-            Ok(()) => Ok(dom),
-            Err(e) => {
-                self.rollback_partial_create(cost, meter, dom, image);
-                Err(e)
+        self.build_or_rollback(cost, meter, dom, &shell.devices, |cp, meter| {
+            if cp.mode.uses_xenstore() {
+                cp.xs.connect(dom.0);
+                // Finalise naming and device initialisation in a transaction:
+                // the split toolstack still pays the store for VM-specific
+                // records (why chaos [XS+split] grows to ~25 ms at 1,000
+                // guests while chaos [NoXS] does not).
+                let d = cp.xs.domain_dir_sym(dom.0);
+                let d_name = cp.xs.child_sym(d, "name");
+                let d_image = cp.xs.child_sym(d, "image");
+                let d_mem_target = cp.xs.child_sym(cp.xs.child_sym(d, "memory"), "target");
+                let d_con_ring = cp.xs.child_sym(cp.xs.child_sym(d, "console"), "ring-ref");
+                let d_devinit = cp.xs.child_sym(d, "device-init");
+                cp.stormy_registration(cost, meter, "shell finalisation", |xs, cost, meter| {
+                    xs.transaction(cost, meter, 0, xsdev::TXN_RETRIES, |xs, cost, meter, id| {
+                        xs.txn_write(cost, meter, 0, id, d_name, name.as_bytes())?;
+                        xs.txn_write(cost, meter, 0, id, d_image, b"kernel")?;
+                        xs.txn_write(cost, meter, 0, id, d_mem_target, b"mem")?;
+                        xs.txn_write(cost, meter, 0, id, d_con_ring, b"1")?;
+                        xs.txn_write(cost, meter, 0, id, d_devinit, b"done")
+                    })
+                })?;
+            } else {
+                // Finalise device initialisation over the control pages.
+                meter.charge(
+                    Category::Devices,
+                    cost.ctrl_page_exchange * shell.devices.len().max(1) as u64,
+                );
             }
-        }
-    }
-
-    fn finish_from_shell_inner(
-        &mut self,
-        cost: &CostModel,
-        meter: &mut Meter,
-        dom: DomId,
-        name: &str,
-        image: &GuestImage,
-    ) -> Result<(), PlaneError> {
-        if self.mode.uses_xenstore() {
-            self.xs.connect(dom.0);
-            // Finalise naming and device initialisation in a transaction:
-            // the split toolstack still pays the store for VM-specific
-            // records (why chaos [XS+split] grows to ~25 ms at 1,000
-            // guests while chaos [NoXS] does not).
-            let d = self.xs.domain_dir_sym(dom.0);
-            let d_name = self.xs.child_sym(d, "name");
-            let d_image = self.xs.child_sym(d, "image");
-            let d_mem_target = self.xs.child_sym(self.xs.child_sym(d, "memory"), "target");
-            let d_con_ring = self.xs.child_sym(self.xs.child_sym(d, "console"), "ring-ref");
-            let d_devinit = self.xs.child_sym(d, "device-init");
-            self.stormy_registration(cost, meter, "shell finalisation", |xs, cost, meter| {
-                xs.transaction(cost, meter, 0, xsdev::TXN_RETRIES, |xs, cost, meter, id| {
-                    xs.txn_write(cost, meter, 0, id, d_name, name.as_bytes())?;
-                    xs.txn_write(cost, meter, 0, id, d_image, b"kernel")?;
-                    xs.txn_write(cost, meter, 0, id, d_mem_target, b"mem")?;
-                    xs.txn_write(cost, meter, 0, id, d_con_ring, b"1")?;
-                    xs.txn_write(cost, meter, 0, id, d_devinit, b"done")
-                })
-            })?;
-        } else {
-            // Finalise device initialisation over the control pages.
-            meter.charge(
-                Category::Devices,
-                cost.ctrl_page_exchange * (image.device_count().max(1)) as u64,
-            );
-        }
-        Ok(())
+            Ok(dom)
+        })
     }
 
     /// Registration phase under fault injection: an injected daemon
@@ -901,16 +902,17 @@ impl ControlPlane {
         Some(self.xs.replay_name_scan(cost, meter))
     }
 
-    /// Writes the domain's registration records (name, memory, console,
-    /// /vm bookkeeping) in a transaction. xl writes the full set; chaos
-    /// a lean subset.
-    pub(crate) fn xs_register_domain(
+    /// Connects the guest to the store and writes its registration
+    /// records (name, memory, console, /vm bookkeeping) in a
+    /// transaction. xl writes the full set; chaos a lean subset.
+    pub(crate) fn xs_register(
         &mut self,
         cost: &CostModel,
         meter: &mut Meter,
         dom: DomId,
         name: &str,
     ) -> Result<(), PlaneError> {
+        self.xs.connect(dom.0);
         let full = self.mode == ToolstackMode::Xl;
         // Pre-intern the whole per-domain skeleton once; the transaction
         // body (including conflict retries) then allocates nothing.
@@ -966,17 +968,12 @@ impl ControlPlane {
     }
 
     /// Lets the back-ends drain their shared watch queue (device
-    /// allocation + hotplug). The `kind` argument documents what the
-    /// caller just announced; dispatch is by event path.
-    pub(crate) fn process_backend_events(
+    /// allocation + hotplug); dispatch is by event path.
+    fn process_backend_events(
         &mut self,
         cost: &CostModel,
         meter: &mut Meter,
-        kind: DeviceKind,
     ) -> Result<(), PlaneError> {
-        // Not a swallowed error: `kind` exists to make call sites
-        // self-describing (dispatch really is by event path).
-        let _ = kind;
         let mut events = std::mem::take(&mut self.xs_events);
         let result = xsdev::backend_process_events(
             &mut self.xs, &mut self.hv,
@@ -1038,67 +1035,53 @@ impl ControlPlane {
                 vcpus: image.vcpus,
             },
         )?;
-        match self.prepare_shell_inner(cost, meter, dom, image) {
-            Ok(()) => Ok(VmShell {
-                dom,
-                mem_mib: image.mem_mib,
-                vcpus: image.vcpus,
-                has_net: image.needs_net,
-            }),
-            Err(e) => {
-                self.rollback_partial_create(cost, meter, dom, image);
-                Err(e)
+        let devices = DeviceList::of(image);
+        self.build_or_rollback(cost, meter, dom, &devices, |cp, meter| {
+            let mem = cp.effective_mem_mib(image);
+            cp.hv.populate_physmap(cost, meter, dom, mem)?;
+            if cp.mode.uses_xenstore() {
+                cp.xs_register(cost, meter, dom, &format!("shell-{}", dom.0))?;
+                cp.xs_create_devices(cost, meter, dom, &devices)
+            } else {
+                noxs_driver::setup_device_page(&mut cp.hv, cost, meter, dom)?;
+                cp.sysctl.setup(&mut cp.hv, cost, meter, dom)?;
+                for &dev in devices.iter() {
+                    cp.noxs_attach(cost, meter, dom, dev)?;
+                }
+                Ok(())
             }
-        }
+        })?;
+        Ok(VmShell {
+            dom,
+            mem_mib: image.mem_mib,
+            vcpus: image.vcpus,
+            devices,
+        })
     }
 
-    fn prepare_shell_inner(
+    /// Runs `build` on `dom`, which already exists, and unwinds the
+    /// domain through [`ControlPlane::rollback_partial_create`] if
+    /// `build` fails. Every path that builds a guest goes through here:
+    /// full create, shell prepare and finish, restore and the target
+    /// side of a migration.
+    pub(crate) fn build_or_rollback<T>(
         &mut self,
         cost: &CostModel,
         meter: &mut Meter,
         dom: DomId,
-        image: &GuestImage,
-    ) -> Result<(), PlaneError> {
-        let mem = self.effective_mem_mib(image);
-        self.hv.populate_physmap(cost, meter, dom, mem)?;
-        if self.mode.uses_xenstore() {
-            self.xs.connect(dom.0);
-            self.xs_register_domain(cost, meter, dom, &format!("shell-{}", dom.0))?;
-            for devid in net_ids(image) {
-                let mac = Backend::mac_for(dom, devid);
-                xsdev::toolstack_announce_device(
-                    &mut self.xs, cost, meter, DeviceKind::Net, dom, devid, &mac,
-                )?;
-                self.process_backend_events(cost, meter, DeviceKind::Net)?;
-            }
-            if image.needs_console {
-                xsdev::toolstack_announce_device(
-                    &mut self.xs, cost, meter, DeviceKind::Console, dom, 0, "",
-                )?;
-                self.process_backend_events(cost, meter, DeviceKind::Console)?;
-            }
-        } else {
-            noxs_driver::setup_device_page(&mut self.hv, cost, meter, dom)?;
-            self.sysctl.setup(&mut self.hv, cost, meter, dom)?;
-            for devid in net_ids(image) {
-                noxs_driver::create_device(
-                    &mut self.hv, &mut self.net, &mut self.switch, self.mode.hotplug(),
-                    cost, meter, dom, devid, &mut self.faults,
-                )?;
-            }
-            if image.needs_console {
-                noxs_driver::create_device(
-                    &mut self.hv, &mut self.console, &mut self.switch, self.mode.hotplug(),
-                    cost, meter, dom, 0, &mut self.faults,
-                )?;
-            }
+        devices: &[Device],
+        build: impl FnOnce(&mut Self, &mut Meter) -> Result<T, PlaneError>,
+    ) -> Result<T, PlaneError> {
+        let built = build(self, meter);
+        if built.is_err() {
+            self.rollback_partial_create(cost, meter, dom, devices);
         }
-        Ok(())
+        built
     }
 
-    /// Compensating teardown for a create/prepare that failed after its
-    /// domain existed. Undoes, in reverse creation order, everything the
-    /// aborted create *may* have set up — backend devices, switch ports,
+    /// Compensating teardown for a build that failed after its domain
+    /// existed. Undoes, in reverse creation order, everything the
+    /// aborted build *may* have set up — backend devices, switch ports,
     /// store nodes and watches, the store connection, and the domain
     /// itself (whose destruction reaps memory, event channels, grants
     /// and the device page). Every step tolerates never-created state,
@@ -1109,89 +1092,187 @@ impl ControlPlane {
         cost: &CostModel,
         meter: &mut Meter,
         dom: DomId,
-        image: &GuestImage,
+        devices: &[Device],
     ) {
-        if self.mode.uses_xenstore() {
-            // Absence errors are the expected no-op on every rollback
-            // step below: the aborted create may have failed before
-            // reaching the device/dir in question, so "already gone" is
-            // normal. Anything else is counted — it may mask a leak.
-            for devid in net_ids(image) {
-                if let Err(e) = xsdev::destroy_device_via_xenstore(
-                    &mut self.xs, &mut self.hv, &mut self.net, &mut self.switch,
-                    self.mode.hotplug(), cost, meter, dom, devid,
-                ) {
-                    if !xsdev_err_is_absence(&e) {
-                        self.teardown_errors.xsdev += 1;
-                    }
-                }
-            }
-            for devid in blk_ids(image) {
-                if let Err(e) = xsdev::destroy_device_via_xenstore(
-                    &mut self.xs, &mut self.hv, &mut self.blk, &mut self.switch,
-                    self.mode.hotplug(), cost, meter, dom, devid,
-                ) {
-                    if !xsdev_err_is_absence(&e) {
-                        self.teardown_errors.xsdev += 1;
-                    }
-                }
-            }
-            if image.needs_console {
-                if let Err(e) = xsdev::destroy_device_via_xenstore(
-                    &mut self.xs, &mut self.hv, &mut self.console, &mut self.switch,
-                    self.mode.hotplug(), cost, meter, dom, 0,
-                ) {
-                    if !xsdev_err_is_absence(&e) {
-                        self.teardown_errors.xsdev += 1;
-                    }
-                }
-            }
-            // `NotFound` is expected for both dirs: registration may not
-            // have run at all, and `/vm/<d>` is only written by xl's
-            // registration transaction in the first place.
-            let d = self.xs.domain_dir_sym(dom.0);
-            if let Err(e) = self.xs.rm(cost, meter, 0, d) {
-                if e != XsError::NotFound {
-                    self.teardown_errors.store_dirs += 1;
-                }
-            }
-            let v = self.xs.vm_dir_sym(dom.0);
-            if let Err(e) = self.xs.rm(cost, meter, 0, v) {
-                if e != XsError::NotFound {
-                    self.teardown_errors.store_dirs += 1;
-                }
-            }
-            self.xs.disconnect(dom.0);
-        } else {
-            for devid in net_ids(image) {
-                if let Err(e) = noxs_driver::destroy_device(
-                    &mut self.hv, &mut self.net, &mut self.switch, self.mode.hotplug(),
-                    cost, meter, dom, devid,
-                ) {
-                    if !noxs_err_is_absence(&e) {
-                        self.teardown_errors.noxs += 1;
-                    }
-                }
-            }
-            if image.needs_console {
-                if let Err(e) = noxs_driver::destroy_device(
-                    &mut self.hv, &mut self.console, &mut self.switch, self.mode.hotplug(),
-                    cost, meter, dom, 0,
-                ) {
-                    if !noxs_err_is_absence(&e) {
-                        self.teardown_errors.noxs += 1;
-                    }
-                }
-            }
-            self.blk.drop_domain(dom);
-            self.sysctl.drop_domain(dom);
-        }
+        self.teardown(cost, meter, dom, devices);
         self.switch.drop_domain(dom);
         // The domain exists on every path into rollback (it was created
         // first), so any destroy failure at all is anomalous.
         if self.hv.destroy(cost, meter, dom).is_err() {
             self.teardown_errors.hv_destroy += 1;
         }
+    }
+
+    // --- devices --------------------------------------------------------------
+
+    /// The back-end serving `kind`, borrowed with the rest of Dom0.
+    fn backend(&mut self, kind: DeviceKind) -> BackendOps<'_> {
+        let backend = match kind {
+            DeviceKind::Net => &mut self.net,
+            DeviceKind::Block => &mut self.blk,
+            _ => &mut self.console,
+        };
+        BackendOps {
+            backend,
+            xs: &mut self.xs,
+            hv: &mut self.hv,
+            switch: &mut self.switch,
+            faults: &mut self.faults,
+            hotplug: self.mode.hotplug(),
+        }
+    }
+
+    /// A create's XenStore device setup: `devices` announced in order,
+    /// with a MAC in the back-end record of each vif only.
+    fn xs_create_devices(
+        &mut self,
+        cost: &CostModel,
+        meter: &mut Meter,
+        dom: DomId,
+        devices: &[Device],
+    ) -> Result<(), PlaneError> {
+        for &dev in devices {
+            let mac = match dev.0 {
+                DeviceKind::Net => Backend::mac_for(dom, dev.1),
+                _ => String::new(),
+            };
+            self.xs_attach(cost, meter, dom, dev, &mac)?;
+        }
+        Ok(())
+    }
+
+    /// The toolstack announces one device through the XenStore, with
+    /// `mac` in its back-end record, and the back-ends allocate it.
+    pub(crate) fn xs_attach(
+        &mut self,
+        cost: &CostModel,
+        meter: &mut Meter,
+        dom: DomId,
+        (kind, devid): Device,
+        mac: &str,
+    ) -> Result<(), PlaneError> {
+        xsdev::toolstack_announce_device(&mut self.xs, cost, meter, kind, dom, devid, mac)?;
+        self.process_backend_events(cost, meter)
+    }
+
+    /// The guest's half of one device's XenStore handshake.
+    pub(crate) fn xs_connect(
+        &mut self,
+        cost: &CostModel,
+        meter: &mut Meter,
+        dom: DomId,
+        (kind, devid): Device,
+    ) -> Result<(), PlaneError> {
+        let ops = self.backend(kind);
+        xsdev::frontend_connect_via_xenstore(
+            ops.xs, ops.hv, ops.backend, cost, meter, dom, devid, ops.faults,
+        )?;
+        Ok(())
+    }
+
+    /// One device through its back-end's noxs ioctl and the device page.
+    pub(crate) fn noxs_attach(
+        &mut self,
+        cost: &CostModel,
+        meter: &mut Meter,
+        dom: DomId,
+        (kind, devid): Device,
+    ) -> Result<(), PlaneError> {
+        let ops = self.backend(kind);
+        noxs_driver::create_device(
+            ops.hv, ops.backend, ops.switch, ops.hotplug, cost, meter, dom, devid, ops.faults,
+        )?;
+        Ok(())
+    }
+
+    /// The booting guest maps its device page and connects every device
+    /// listed there.
+    pub(crate) fn noxs_connect(
+        &mut self,
+        cost: &CostModel,
+        meter: &mut Meter,
+        dom: DomId,
+    ) -> Result<(), PlaneError> {
+        noxs_driver::guest_connect_devices(
+            &mut self.hv,
+            &mut [&mut self.net, &mut self.blk, &mut self.console],
+            cost,
+            meter,
+            dom,
+            &mut self.faults,
+        )?;
+        Ok(())
+    }
+
+    /// Tears down a guest that is leaving this host through its
+    /// mechanism's teardown. The domain itself is the caller's.
+    fn teardown(
+        &mut self,
+        cost: &CostModel,
+        meter: &mut Meter,
+        dom: DomId,
+        devices: &[Device],
+    ) {
+        if self.mode.uses_xenstore() {
+            self.xs_teardown(cost, meter, dom, devices);
+        } else {
+            self.noxs_teardown(cost, meter, dom, devices);
+        }
+    }
+
+    /// The XenStore teardown: removes `devices`, `/local/domain/<d>` and
+    /// `/vm/<d>`, and disconnects the guest. A guest whose build
+    /// failed may lack any of these, and `/vm/<d>` only exists under
+    /// xl, so absence errors are routine and stay silent; anything else
+    /// may mask a leak and is counted in [`TeardownErrors`].
+    pub(crate) fn xs_teardown(
+        &mut self,
+        cost: &CostModel,
+        meter: &mut Meter,
+        dom: DomId,
+        devices: &[Device],
+    ) {
+        for &(kind, devid) in devices {
+            let ops = self.backend(kind);
+            if let Err(e) = xsdev::destroy_device_via_xenstore(
+                ops.xs, ops.hv, ops.backend, ops.switch, ops.hotplug, cost, meter, dom, devid,
+            ) {
+                if !xsdev_err_is_absence(&e) {
+                    self.teardown_errors.xsdev += 1;
+                }
+            }
+        }
+        for dir in [self.xs.domain_dir_sym(dom.0), self.xs.vm_dir_sym(dom.0)] {
+            if let Err(e) = self.xs.rm(cost, meter, 0, dir) {
+                if e != XsError::NotFound {
+                    self.teardown_errors.store_dirs += 1;
+                }
+            }
+        }
+        self.xs.disconnect(dom.0);
+    }
+
+    /// The noxs teardown: removes `devices` from the device page and
+    /// their back-ends and forgets the guest's sysctl device. Absence
+    /// errors stay silent; anything else is counted.
+    fn noxs_teardown(
+        &mut self,
+        cost: &CostModel,
+        meter: &mut Meter,
+        dom: DomId,
+        devices: &[Device],
+    ) {
+        for &(kind, devid) in devices {
+            let ops = self.backend(kind);
+            if let Err(e) = noxs_driver::destroy_device(
+                ops.hv, ops.backend, ops.switch, ops.hotplug, cost, meter, dom, devid,
+            ) {
+                if !noxs_err_is_absence(&e) {
+                    self.teardown_errors.noxs += 1;
+                }
+            }
+        }
+        self.sysctl.drop_domain(dom);
     }
 
     // --- boot -----------------------------------------------------------------
@@ -1201,14 +1282,9 @@ impl ControlPlane {
     pub fn boot_vm(&mut self, dom: DomId) -> Result<SimTime, PlaneError> {
         let cost = self.cost();
         let mut meter = Meter::new();
-        let (image, core, net_devids, blk_devids) = {
+        let (image, core) = {
             let vm = self.vms.get(&dom).ok_or(PlaneError::NoSuchVm)?;
-            (
-                vm.image.clone(),
-                vm.core,
-                vm.net_devids.clone(),
-                vm.blk_devids.clone(),
-            )
+            (vm.image.clone(), vm.core)
         };
         self.hv.unpause(&cost, &mut meter, dom)?;
 
@@ -1226,9 +1302,10 @@ impl ControlPlane {
                 self.xs.watch(&cost, &mut meter, dom.0, d, token);
             }
             self.xs.drain_events(&cost, &mut meter, dom.0);
-            if let Err(e) =
-                self.connect_frontends(&cost, &mut meter, dom, &net_devids, &blk_devids, &image)
-            {
+            let connected = DeviceList::of(&image)
+                .iter()
+                .try_for_each(|&dev| self.xs_connect(&cost, &mut meter, dom, dev));
+            if let Err(e) = connected {
                 // Aborted boot: unregister the watches registered above
                 // and drop any events they fired, so the watch table and
                 // queues return to their pre-boot state. The domain
@@ -1249,14 +1326,7 @@ impl ControlPlane {
                 return Err(e);
             }
         } else {
-            noxs_driver::guest_connect_devices(
-                &mut self.hv,
-                &mut [&mut self.net, &mut self.blk, &mut self.console],
-                &cost,
-                &mut meter,
-                dom,
-                &mut self.faults,
-            )?;
+            self.noxs_connect(&cost, &mut meter, dom)?;
         }
 
         // Guest boot work under processor sharing on its core.
@@ -1285,38 +1355,6 @@ impl ControlPlane {
         vm.booted = true;
         self.refresh_interference();
         Ok(meter.total())
-    }
-
-    /// Front-end connection for every device of a booting guest; split
-    /// out so `boot_vm` can unwind its watch registrations on failure.
-    fn connect_frontends(
-        &mut self,
-        cost: &CostModel,
-        meter: &mut Meter,
-        dom: DomId,
-        net_devids: &[u32],
-        blk_devids: &[u32],
-        image: &GuestImage,
-    ) -> Result<(), PlaneError> {
-        for &devid in net_devids {
-            xsdev::frontend_connect_via_xenstore(
-                &mut self.xs, &mut self.hv, &mut self.net, cost, meter, dom, devid,
-                &mut self.faults,
-            )?;
-        }
-        for &devid in blk_devids {
-            xsdev::frontend_connect_via_xenstore(
-                &mut self.xs, &mut self.hv, &mut self.blk, cost, meter, dom, devid,
-                &mut self.faults,
-            )?;
-        }
-        if image.needs_console {
-            xsdev::frontend_connect_via_xenstore(
-                &mut self.xs, &mut self.hv, &mut self.console, cost, meter, dom, 0,
-                &mut self.faults,
-            )?;
-        }
-        Ok(())
     }
 
     /// `create_vm` + `boot_vm`. A guest that created but failed to boot
@@ -1372,99 +1410,9 @@ impl ControlPlane {
             self.dom0_load_total = (self.dom0_load_total - vm.image.dom0_load).max(0.0);
             self.booted_watches -= vm.image.watches;
         }
-        if self.mode.uses_xenstore() {
-            // The devids below were recorded when the create succeeded,
-            // so the devices exist; still, an "already gone" error
-            // cannot mask a leak (there is nothing left to free), so
-            // only non-absence errors are counted.
-            for devid in &vm.net_devids {
-                if let Err(e) = xsdev::destroy_device_via_xenstore(
-                    &mut self.xs, &mut self.hv, &mut self.net, &mut self.switch,
-                    self.mode.hotplug(), &cost, &mut meter, dom, *devid,
-                ) {
-                    if !xsdev_err_is_absence(&e) {
-                        self.teardown_errors.xsdev += 1;
-                    }
-                }
-            }
-            for devid in &vm.blk_devids {
-                if let Err(e) = xsdev::destroy_device_via_xenstore(
-                    &mut self.xs, &mut self.hv, &mut self.blk, &mut self.switch,
-                    self.mode.hotplug(), &cost, &mut meter, dom, *devid,
-                ) {
-                    if !xsdev_err_is_absence(&e) {
-                        self.teardown_errors.xsdev += 1;
-                    }
-                }
-            }
-            if vm.image.needs_console {
-                if let Err(e) = xsdev::destroy_device_via_xenstore(
-                    &mut self.xs, &mut self.hv, &mut self.console, &mut self.switch,
-                    self.mode.hotplug(), &cost, &mut meter, dom, 0,
-                ) {
-                    if !xsdev_err_is_absence(&e) {
-                        self.teardown_errors.xsdev += 1;
-                    }
-                }
-            }
-            let d = self.xs.domain_dir_sym(dom.0);
-            if let Err(e) = self.xs.rm(&cost, &mut meter, 0, d) {
-                if e != XsError::NotFound {
-                    self.teardown_errors.store_dirs += 1;
-                }
-            }
-            // `/vm/<d>` only exists in Xl mode (chaos's registration
-            // writes `/local/domain/<d>` alone), so `NotFound` here is
-            // the expected no-op for the chaos [XS] modes.
-            let v = self.xs.vm_dir_sym(dom.0);
-            if let Err(e) = self.xs.rm(&cost, &mut meter, 0, v) {
-                if e != XsError::NotFound {
-                    self.teardown_errors.store_dirs += 1;
-                }
-            }
-            self.xs.disconnect(dom.0);
-        } else {
-            for devid in &vm.net_devids {
-                if let Err(e) = noxs_driver::destroy_device(
-                    &mut self.hv, &mut self.net, &mut self.switch, self.mode.hotplug(),
-                    &cost, &mut meter, dom, *devid,
-                ) {
-                    if !noxs_err_is_absence(&e) {
-                        self.teardown_errors.noxs += 1;
-                    }
-                }
-            }
-            if vm.image.needs_console {
-                if let Err(e) = noxs_driver::destroy_device(
-                    &mut self.hv, &mut self.console, &mut self.switch, self.mode.hotplug(),
-                    &cost, &mut meter, dom, 0,
-                ) {
-                    if !noxs_err_is_absence(&e) {
-                        self.teardown_errors.noxs += 1;
-                    }
-                }
-            }
-            self.blk.drop_domain(dom);
-            self.sysctl.drop_domain(dom);
-        }
+        self.teardown(&cost, &mut meter, dom, &DeviceList::of(&vm.image));
         self.hv.destroy(&cost, &mut meter, dom)?;
         self.refresh_interference();
         Ok(meter.total())
-    }
-}
-
-fn net_ids(image: &GuestImage) -> Vec<u32> {
-    if image.needs_net {
-        vec![0]
-    } else {
-        Vec::new()
-    }
-}
-
-fn blk_ids(image: &GuestImage) -> Vec<u32> {
-    if image.needs_block {
-        vec![0]
-    } else {
-        Vec::new()
     }
 }

@@ -11,6 +11,8 @@ use std::collections::VecDeque;
 
 use hypervisor::DomId;
 
+use crate::plane::DeviceList;
+
 /// A pre-created VM shell: domain + memory + pre-created devices,
 /// waiting for an image and a name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,8 +23,8 @@ pub struct VmShell {
     pub mem_mib: u64,
     /// Virtual CPUs it was created with.
     pub vcpus: u32,
-    /// Whether a vif was pre-created.
-    pub has_net: bool,
+    /// The devices it was pre-created with.
+    pub devices: DeviceList,
 }
 
 /// The chaos daemon's shell pool.
@@ -58,12 +60,13 @@ impl ChaosDaemon {
         self.pool.is_empty()
     }
 
-    /// Takes a shell fitting the request, if one exists.
-    pub fn take(&mut self, mem_mib: u64, vcpus: u32, needs_net: bool) -> Option<VmShell> {
+    /// Takes a shell fitting the request, if one exists: same memory,
+    /// vCPUs and devices.
+    pub fn take(&mut self, mem_mib: u64, vcpus: u32, devices: DeviceList) -> Option<VmShell> {
         let pos = self
             .pool
             .iter()
-            .position(|s| s.mem_mib == mem_mib && s.vcpus == vcpus && s.has_net == needs_net);
+            .position(|s| s.mem_mib == mem_mib && s.vcpus == vcpus && s.devices == devices);
         match pos {
             Some(i) => {
                 self.hits += 1;
@@ -102,54 +105,69 @@ impl ChaosDaemon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use guests::GuestImage;
 
-    fn shell(dom: u32, mem: u64, net: bool) -> VmShell {
+    fn daytime() -> DeviceList {
+        DeviceList::of(&GuestImage::unikernel_daytime())
+    }
+
+    fn shell(dom: u32, mem: u64, devices: DeviceList) -> VmShell {
         VmShell {
             dom: DomId(dom),
             mem_mib: mem,
             vcpus: 1,
-            has_net: net,
+            devices,
         }
     }
 
     #[test]
     fn take_matches_flavor() {
         let mut d = ChaosDaemon::new(4);
-        d.put(shell(1, 4, true));
-        d.put(shell(2, 128, true));
-        assert_eq!(d.take(128, 1, true).unwrap().dom, DomId(2));
-        assert!(d.take(128, 1, true).is_none(), "only one 128 MiB shell");
+        d.put(shell(1, 4, daytime()));
+        d.put(shell(2, 128, daytime()));
+        assert_eq!(d.take(128, 1, daytime()).unwrap().dom, DomId(2));
+        assert!(d.take(128, 1, daytime()).is_none(), "only one 128 MiB shell");
         assert!(
-            d.take(4, 2, true).is_none(),
+            d.take(4, 2, daytime()).is_none(),
             "a 1-vCPU shell cannot serve 2 vCPUs"
         );
-        assert_eq!(d.take(4, 1, true).unwrap().dom, DomId(1));
+        assert_eq!(d.take(4, 1, daytime()).unwrap().dom, DomId(1));
         assert!(d.is_empty());
+
+        // A vif + console shell cannot serve a guest that also needs a
+        // vbd, even at the same memory size.
+        let debian = DeviceList::of(&GuestImage::debian());
+        d.put(shell(3, 128, daytime()));
+        d.put(shell(4, 128, debian));
+        assert_eq!(d.take(128, 1, debian).unwrap().dom, DomId(4));
+        assert!(d.take(128, 1, debian).is_none(), "no other shell has a vbd");
+        assert_eq!(d.take(128, 1, daytime()).unwrap().dom, DomId(3));
     }
 
     #[test]
     fn net_requirement_must_match() {
         let mut d = ChaosDaemon::new(4);
-        d.put(shell(1, 4, false));
-        assert!(d.take(4, 1, true).is_none());
-        assert!(d.take(4, 1, false).is_some());
+        let noop = DeviceList::of(&GuestImage::unikernel_noop());
+        d.put(shell(1, 4, noop));
+        assert!(d.take(4, 1, daytime()).is_none());
+        assert!(d.take(4, 1, noop).is_some());
     }
 
     #[test]
     fn stats_count_hits_and_misses() {
         let mut d = ChaosDaemon::new(4);
-        d.put(shell(1, 4, true));
-        let _ = d.take(4, 1, true);
-        let _ = d.take(4, 1, true);
+        d.put(shell(1, 4, daytime()));
+        let _ = d.take(4, 1, daytime());
+        let _ = d.take(4, 1, daytime());
         assert_eq!(d.stats(), (1, 1));
     }
 
     #[test]
     fn fifo_order_within_flavor() {
         let mut d = ChaosDaemon::new(4);
-        d.put(shell(1, 4, true));
-        d.put(shell(2, 4, true));
-        assert_eq!(d.take(4, 1, true).unwrap().dom, DomId(1));
-        assert_eq!(d.take(4, 1, true).unwrap().dom, DomId(2));
+        d.put(shell(1, 4, daytime()));
+        d.put(shell(2, 4, daytime()));
+        assert_eq!(d.take(4, 1, daytime()).unwrap().dom, DomId(1));
+        assert_eq!(d.take(4, 1, daytime()).unwrap().dom, DomId(2));
     }
 }

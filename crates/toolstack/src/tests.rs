@@ -5,7 +5,7 @@ use guests::GuestImage;
 use lvnet::Link;
 use simcore::{Category, Machine, MachinePreset, SimTime};
 
-use crate::plane::{ControlPlane, PlaneError, ToolstackMode};
+use crate::plane::{ControlPlane, DeviceList, PlaneError, ToolstackMode};
 
 fn plane(mode: ToolstackMode) -> ControlPlane {
     ControlPlane::new(Machine::preset(MachinePreset::XeonE5_1630V3), 1, mode, 42)
@@ -103,17 +103,39 @@ fn xl_rejects_duplicate_names() {
 }
 
 #[test]
+fn devices_match_guest_needs() {
+    use hypervisor::DeviceKind::{Block, Console, Net};
+    let devices = |img: GuestImage| DeviceList::of(&img).to_vec();
+    assert_eq!(devices(GuestImage::unikernel_noop()), [], "no devices at all");
+    assert_eq!(devices(GuestImage::unikernel_daytime()), [(Net, 0), (Console, 0)]);
+    assert_eq!(devices(GuestImage::debian()), [(Net, 0), (Block, 0), (Console, 0)]);
+}
+
+#[test]
 fn split_pool_hits_after_prewarm() {
-    let mut cp = plane(ToolstackMode::LightVm);
-    let img = GuestImage::unikernel_daytime();
-    cp.prewarm(&img);
-    assert!(!cp.daemon.is_empty());
-    let r1 = cp.create_vm("a", &img).unwrap();
-    assert!(r1.from_shell);
-    // Pool refilled in the background; the next create hits again.
-    let r2 = cp.create_vm("b", &img).unwrap();
-    assert!(r2.from_shell);
-    assert!(cp.background_meter.total() > SimTime::ZERO);
+    for mode in [ToolstackMode::ChaosXsSplit, ToolstackMode::LightVm] {
+        for img in [GuestImage::unikernel_daytime(), GuestImage::debian()] {
+            let what = format!("{mode:?}/{}", img.name);
+            let mut cp = plane(mode);
+            cp.prewarm(&img);
+            assert!(!cp.daemon.is_empty());
+            let (r1, _) = cp.create_and_boot_report("a", &img).unwrap();
+            assert!(r1.from_shell, "{what}");
+            // Pool refilled in the background; the next create hits again.
+            let r2 = cp.create_vm("b", &img).unwrap();
+            assert!(r2.from_shell, "{what}");
+            assert!(cp.background_meter.total() > SimTime::ZERO);
+            // A shell carries every device its flavor asks for: one vbd
+            // per pooled shell and per guest, and the booted guest's is
+            // connected.
+            let vbds = if img.needs_block { cp.daemon.len() + 2 } else { 0 };
+            assert_eq!(cp.blk.count(), vbds, "{what}");
+            if img.needs_block {
+                let vbd = cp.blk.device(r1.dom, 0).expect("the guest has a vbd");
+                assert_eq!(vbd.state, devices::XenbusState::Connected, "{what}");
+            }
+        }
+    }
 }
 
 #[test]

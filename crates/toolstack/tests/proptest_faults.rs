@@ -1,13 +1,16 @@
 //! Property tests of the fault-injection plan and compensating teardown
-//! (DESIGN.md § Fault model): for every injection site, a failed create
-//! rolls the world back byte-for-byte, a successful create is fully
-//! undone by destroy, and identical seeds yield identical artefacts.
+//! (DESIGN.md § Fault model): for every injection site and every
+//! operation that builds a guest — create, restore, and the target side
+//! of a migration — a failed build rolls the world back byte-for-byte, a
+//! successful one is fully undone by destroy, and identical seeds yield
+//! identical artefacts.
 //!
 //! Randomness comes from the workspace's own seeded `SimRng`-backed
 //! `FaultPlan` (the build environment is offline, so no proptest), with
 //! fixed seeds per case: failures reproduce exactly.
 
 use guests::GuestImage;
+use hypervisor::DomainState;
 use simcore::faults::{FaultPlan, FaultSite};
 use simcore::{Machine, MachinePreset};
 use toolstack::plane::{ControlPlane, ToolstackMode};
@@ -16,37 +19,91 @@ fn plane(mode: ToolstackMode) -> ControlPlane {
     ControlPlane::new(Machine::preset(MachinePreset::XeonE5_1630V3), 1, mode, 42)
 }
 
+/// The operation that builds the victim guest on the host under
+/// injection.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    /// `create_and_boot`.
+    Create,
+    /// `restore_vm` of a guest saved fault-free on the same host.
+    Restore,
+    /// The target side of `migrate_vm_to` from a fault-free source.
+    MigrateIn,
+}
+
+const OPS: [Op; 3] = [Op::Create, Op::Restore, Op::MigrateIn];
+
 /// One full scenario: boot a healthy resident VM, snapshot the world,
-/// then attempt a victim create with certain injection at `site`.
-/// Whatever the outcome, the world must return to the snapshot — via
-/// compensating rollback on failure, or via destroy on success (sites
-/// that only add latency, or that the mode never exercises). Returns
-/// the outcome string and the final digest for determinism checks.
+/// then build a victim through `op` with certain injection at `site`.
+/// Whatever the outcome, the host that built the victim must return to
+/// the snapshot — via compensating rollback on failure, or via destroy
+/// on success (sites that only add latency, or that the mode never
+/// exercises). A migration whose target failed leaves the guest running
+/// at its source. Returns the outcome string and the final digest for
+/// determinism checks.
 ///
 /// Digests use the fast incremental path with the Dom0 drain
 /// (`world_digest64`, not the at-rest variant): a rolled-back create
 /// fires extra Dom0 watch events on the way down, so only drained
 /// worlds compare like with like here.
-fn run_case(mode: ToolstackMode, site: FaultSite, seed: u64) -> (String, u128) {
+fn run_case(mode: ToolstackMode, op: Op, site: FaultSite, seed: u64) -> (String, u128) {
     let mut cp = plane(mode);
     let img = GuestImage::unikernel_daytime();
     cp.prewarm(&img);
     cp.create_and_boot("resident", &img)
         .expect("fault-free resident VM boots");
+    let mut src = plane(mode);
+    let (saved, src_dom) = match op {
+        Op::Create => (None, None),
+        Op::Restore => {
+            let (dom, ..) = cp.create_and_boot("victim", &img).expect("fault-free boot");
+            (Some(cp.save_vm(dom).expect("fault-free save").0), None)
+        }
+        Op::MigrateIn => {
+            let (dom, ..) = src.create_and_boot("victim", &img).expect("fault-free boot");
+            (None, Some(dom))
+        }
+    };
     let before = cp.world_digest64();
 
     cp.set_fault_plan(FaultPlan::at_site(seed, site));
-    let outcome = match cp.create_and_boot("victim", &img) {
-        Ok((dom, create, boot)) => {
+    let built = match op {
+        Op::Create => cp.create_and_boot("victim", &img).map(|(dom, create, boot)| {
+            (dom, format!("create={create} boot={boot}"))
+        }),
+        Op::Restore => cp
+            .restore_vm(saved.as_ref().expect("saved above"))
+            .map(|(dom, t)| (dom, format!("restore={t}"))),
+        Op::MigrateIn => {
+            let link = lvnet::Link::datacenter();
+            let from = src_dom.expect("booted above");
+            let moved = src.migrate_vm_to(&mut cp, &link, from);
+            if moved.is_err() {
+                let dom = src.hv.domain(from).expect("the guest stays at its source");
+                assert_eq!(dom.state, DomainState::Running, "{mode:?}: source not resumed");
+                assert!(src.vm(from).is_ok(), "{mode:?}: source forgot the guest");
+                if mode.uses_xenstore() {
+                    let cs = src.xs.control_shutdown_sym(from.0);
+                    let request = src.xs.store().read(0, cs).expect("registered");
+                    assert_eq!(request, b"", "{mode:?}: suspend request left at the source");
+                }
+            }
+            moved.map(|(dom, t)| (dom, format!("migrate={t}")))
+        }
+    };
+    let outcome = match built {
+        Ok((dom, times)) => {
             cp.destroy_vm(dom).expect("victim destroy succeeds");
-            format!("ok dom={} create={create} boot={boot}", dom.0)
+            format!("ok dom={} {times}", dom.0)
         }
         Err(e) => {
-            assert!(
-                cp.create_failures() >= 1,
-                "{mode:?}/{}: failure not recorded",
-                site.name()
-            );
+            if let Op::Create = op {
+                assert!(
+                    cp.create_failures() >= 1,
+                    "{mode:?}/{}: failure not recorded",
+                    site.name()
+                );
+            }
             format!("err {e:?}")
         }
     };
@@ -60,15 +117,15 @@ fn run_case(mode: ToolstackMode, site: FaultSite, seed: u64) -> (String, u128) {
     assert_eq!(
         before,
         after,
-        "{mode:?}/{} seed {seed}: leaked state after `{outcome}`",
+        "{mode:?}/{op:?}/{} seed {seed}: leaked state after `{outcome}`",
         site.name()
     );
     (outcome, after)
 }
 
-/// Every injection site, in every representative mode, with several
-/// seeds: no leaks, and the resident VM is untouched by its neighbour's
-/// failure.
+/// Every injection site and every building operation, in every
+/// representative mode, with several seeds: no leaks, and the resident
+/// VM is untouched by its neighbour's failure.
 #[test]
 fn injection_at_every_site_leaves_no_leaks() {
     for mode in [
@@ -77,9 +134,11 @@ fn injection_at_every_site_leaves_no_leaks() {
         ToolstackMode::ChaosNoxs,
         ToolstackMode::LightVm,
     ] {
-        for site in FaultSite::ALL {
-            for seed in [1, 7, 0xfa17] {
-                run_case(mode, site, seed);
+        for op in OPS {
+            for site in FaultSite::ALL {
+                for seed in [1, 7, 0xfa17] {
+                    run_case(mode, op, site, seed);
+                }
             }
         }
     }
@@ -90,10 +149,12 @@ fn injection_at_every_site_leaves_no_leaks() {
 #[test]
 fn identical_seeds_give_identical_artefacts() {
     for mode in [ToolstackMode::ChaosXs, ToolstackMode::LightVm] {
-        for site in FaultSite::ALL {
-            let a = run_case(mode, site, 0xdead);
-            let b = run_case(mode, site, 0xdead);
-            assert_eq!(a, b, "{mode:?}/{} replay diverged", site.name());
+        for op in OPS {
+            for site in FaultSite::ALL {
+                let a = run_case(mode, op, site, 0xdead);
+                let b = run_case(mode, op, site, 0xdead);
+                assert_eq!(a, b, "{mode:?}/{op:?}/{} replay diverged", site.name());
+            }
         }
     }
 }
@@ -109,23 +170,29 @@ fn fatal_sites_actually_fail() {
         FaultSite::XenbusStall,
         FaultSite::BackendRefusal,
     ];
-    for site in fatal_xs {
-        let (outcome, _) = run_case(ToolstackMode::ChaosXs, site, 3);
-        assert!(outcome.starts_with("err"), "chaos[XS]/{}: {outcome}", site.name());
+    for op in OPS {
+        for site in fatal_xs {
+            let (outcome, _) = run_case(ToolstackMode::ChaosXs, op, site, 3);
+            assert!(outcome.starts_with("err"), "chaos[XS]/{op:?}/{}: {outcome}", site.name());
+        }
     }
     // ChaosNoxs creates domains directly, so device-path sites are hit
-    // on the victim's own create/boot.
-    for site in [
-        FaultSite::HotplugTimeout,
-        FaultSite::XenbusStall,
-        FaultSite::BackendRefusal,
-    ] {
-        let (outcome, _) = run_case(ToolstackMode::ChaosNoxs, site, 3);
-        assert!(outcome.starts_with("err"), "chaos[NoXS]/{}: {outcome}", site.name());
+    // on the victim's own create/boot, and on its restore. (A noxs
+    // migration's target runs fault-free: its daemon pre-creates the
+    // domain outside the toolstack's plan.)
+    for op in [Op::Create, Op::Restore] {
+        for site in [
+            FaultSite::HotplugTimeout,
+            FaultSite::XenbusStall,
+            FaultSite::BackendRefusal,
+        ] {
+            let (outcome, _) = run_case(ToolstackMode::ChaosNoxs, op, site, 3);
+            assert!(outcome.starts_with("err"), "chaos[NoXS]/{op:?}/{}: {outcome}", site.name());
+        }
     }
     // In LightVm the victim still connects its frontends at boot, so the
     // xenbus-stall site fails it there.
-    let (outcome, _) = run_case(ToolstackMode::LightVm, FaultSite::XenbusStall, 3);
+    let (outcome, _) = run_case(ToolstackMode::LightVm, Op::Create, FaultSite::XenbusStall, 3);
     assert!(outcome.starts_with("err"), "lightvm/xenbus-stall: {outcome}");
     // Store-side sites never touch a noxs-mode host; and the remaining
     // create-path sites land on the daemon's pool refill (recorded
@@ -137,7 +204,7 @@ fn fatal_sites_actually_fail() {
         FaultSite::HotplugTimeout,
         FaultSite::BackendRefusal,
     ] {
-        let (outcome, _) = run_case(ToolstackMode::LightVm, site, 3);
+        let (outcome, _) = run_case(ToolstackMode::LightVm, Op::Create, site, 3);
         assert!(outcome.starts_with("ok"), "lightvm/{}: {outcome}", site.name());
     }
 }

@@ -265,8 +265,8 @@ impl Interner {
                 }
             }
         }
-        let mut depth = self.entry(parent.index()).depth;
-        for end in missing.into_iter().rev() {
+        let base = self.entry(parent.index()).depth;
+        for (depth, end) in (base + 1..).zip(missing.into_iter().rev()) {
             let arc: Arc<str> = path[..end].into();
             let name_off = if parent == XsSym::ROOT {
                 1
@@ -274,7 +274,6 @@ impl Interner {
                 self.entry(parent.index()).path.len() as u32 + 1
             };
             let sym = XsSym(self.len() as u32);
-            depth += 1;
             self.entries.push(SymEntry {
                 parent,
                 depth,

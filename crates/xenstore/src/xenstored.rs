@@ -904,8 +904,7 @@ mod tests {
             let ld = real.local_domain_sym();
             real.directory_syms(&cost, &mut m_real, 0, ld, &mut dir)
                 .unwrap();
-            for i in 0..dir.len() {
-                let entry = dir[i];
+            for &entry in &dir {
                 if real.sym_name_u32(entry).is_none() {
                     continue;
                 }

@@ -134,9 +134,13 @@ fn migration_to_full_host_fails_safely() {
         .unwrap_err();
     assert!(matches!(err, PlaneError::Dev(_) | PlaneError::Hv(_)), "{err:?}");
     assert_eq!(dst.running(), 0);
+    // Nothing of the half-built target domain is left behind.
+    assert_eq!(dst.plane.hv.domain_count(), 0);
+    assert_eq!((dst.plane.net.count(), dst.plane.switch.port_count()), (0, 0));
     // The source still tracks the guest as running.
     assert_eq!(src.running(), 1);
-    assert!(src.plane.hv.domain(vm.dom).is_ok());
+    let dom = src.plane.hv.domain(vm.dom).unwrap();
+    assert_eq!(dom.state, hypervisor::DomainState::Running);
 }
 
 /// The daemon stops refilling the pool when memory runs out instead of
