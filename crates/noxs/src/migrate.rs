@@ -27,6 +27,9 @@ pub struct MigrationEndpoint<'a> {
     pub sysctl: &'a mut SysctlBackend,
     /// Its cost calibration.
     pub cost: &'a CostModel,
+    /// Its fault plan. The destination's fires while the daemon
+    /// pre-creates the guest's devices.
+    pub faults: &'a mut FaultPlan,
 }
 
 /// Migration errors.
@@ -98,7 +101,7 @@ pub fn migrate(
         for &devid in net_devids {
             driver::create_device(
                 dst.hv, dst.net, dst.switch, Hotplug::Xendevd,
-                dst.cost, meter, new_dom, devid, &mut FaultPlan::none(),
+                dst.cost, meter, new_dom, devid, dst.faults,
             )?;
         }
         // 3. Suspend the guest through the sysctl back-end.
@@ -162,6 +165,7 @@ mod tests {
         switch: SoftwareSwitch,
         sysctl: SysctlBackend,
         cost: CostModel,
+        faults: FaultPlan,
     }
 
     impl Host {
@@ -172,6 +176,7 @@ mod tests {
                 switch: SoftwareSwitch::new(),
                 sysctl: SysctlBackend::new(),
                 cost: CostModel::paper_defaults(),
+                faults: FaultPlan::none(),
             }
         }
 
@@ -182,6 +187,7 @@ mod tests {
                 switch: &mut self.switch,
                 sysctl: &mut self.sysctl,
                 cost: &self.cost,
+                faults: &mut self.faults,
             }
         }
 

@@ -14,19 +14,25 @@
 //! how the Xen credit scheduler degrades boot times under load (Fig. 11)
 //! and the CPU-utilisation scaling of Fig. 15.
 //!
-//! Density sweeps register thousands of *identical* background demands per
-//! core (every guest of one image), and every boot probes the share three
-//! times (add probe / read rate / swap probe for the idle demand). The
-//! share recompute therefore keeps per-core aggregates and solves the
-//! water-fill in closed form when all background demands on a core are
-//! equal — O(1) per mutation instead of gather + sort over every task.
-//! Any mutation that leaves that regime (removing a background task,
-//! changing a demand, mixed demands) falls back to the original sorted
-//! water-fill, which also re-establishes the aggregates. Both paths
-//! produce bit-identical shares: with equal demands the sorted scan can
-//! only terminate at `j == 0` or `j == k` (the candidate share moves
-//! monotonically away from the common demand), and the fold-left demand
-//! sum over the stable-sorted array equals the insertion-order sum.
+//! Density sweeps register thousands of background demands per core, but
+//! only a handful of distinct values (one per guest image), and every boot
+//! probes the share three times (add probe / read rate / swap probe for
+//! the idle demand). Each core therefore keeps its background demands as
+//! a sorted run-length multiset: one `Run` per distinct demand,
+//! ascending, carrying the fold-left demand sum through its end. The
+//! water-fill visits only run starts and the all-satisfied end, so a
+//! finite-task mutation costs O(distinct demands), and a background
+//! mutation re-folds only the runs at or above the changed one.
+//!
+//! The shares are bit-identical to gathering every demand, sorting and
+//! scanning each prefix: a run's fold is exactly the float the sorted
+//! fold-left sum reaches at its end, and no position strictly inside a
+//! run can end the scan first. There the scan's candidate
+//! `s_j = (1 - prefix_j) / (k - j + n)` satisfies
+//! `s_{j+1} - d = (s_j - d) * D_j / (D_j - 1)` with `D_j = k - j + n`, so
+//! in exact arithmetic it only moves away from the run's demand `d`, and
+//! a position inside the run accepts only if its run start already
+//! accepted. The test oracle pins the floats.
 
 use crate::idmap::IdMap;
 use crate::time::SimTime;
@@ -50,26 +56,26 @@ pub enum TaskKind {
     },
 }
 
-/// One core's tasks (kinds inline, insertion-ordered) plus the cached
-/// fair share and the aggregates behind the O(1) recompute fast path.
+/// `count` equal background demands in a core's sorted multiset.
+#[derive(Clone, Copy, Debug)]
+struct Run {
+    demand: f64,
+    count: usize,
+    /// Fold-left sum of every demand up to and including this run, in
+    /// ascending order.
+    fold: f64,
+}
+
+/// One core's tasks (kinds inline, insertion-ordered), its background
+/// demands as ascending runs, and the cached fair share.
 #[derive(Clone, Debug)]
 struct CoreState {
     entries: Vec<(TaskId, TaskKind)>,
     /// Cached fair share (rate granted to each finite task).
     share: f64,
-    /// Whether the background aggregates below mirror `entries`.
-    agg_ok: bool,
-    /// All background demands on this core are equal.
-    bg_equal: bool,
-    bg_count: usize,
-    /// The common demand when `bg_equal && bg_count > 0`.
-    bg_demand: f64,
-    /// Fold-left sum of background demands in insertion order.
-    bg_total: f64,
+    runs: Vec<Run>,
     /// Finite tasks with remaining work > 0.
     n_active: usize,
-    /// Reused slow-path sort buffer.
-    scratch: Vec<f64>,
 }
 
 impl CoreState {
@@ -77,13 +83,64 @@ impl CoreState {
         CoreState {
             entries: Vec::new(),
             share: 1.0,
-            agg_ok: true,
-            bg_equal: true,
-            bg_count: 0,
-            bg_demand: 0.0,
-            bg_total: 0.0,
+            runs: Vec::new(),
             n_active: 0,
-            scratch: Vec::new(),
+        }
+    }
+
+    /// The fold through the end of the run below `i`.
+    fn fold_below(&self, i: usize) -> f64 {
+        if i == 0 {
+            0.0
+        } else {
+            self.runs[i - 1].fold
+        }
+    }
+
+    /// Adds `demand` at the end of its run (a stable sort puts it there),
+    /// so that run's fold takes one more addition; the runs above re-fold.
+    fn insert_demand(&mut self, demand: f64) {
+        let i = self.runs.partition_point(|r| r.demand < demand);
+        match self.runs.get_mut(i) {
+            Some(r) if r.demand == demand => {
+                r.count += 1;
+                r.fold += demand;
+            }
+            _ => {
+                let fold = self.fold_below(i) + demand;
+                self.runs.insert(
+                    i,
+                    Run {
+                        demand,
+                        count: 1,
+                        fold,
+                    },
+                );
+            }
+        }
+        self.refold(i + 1);
+    }
+
+    fn remove_demand(&mut self, demand: f64) {
+        let i = self.runs.partition_point(|r| r.demand < demand);
+        let r = &mut self.runs[i];
+        debug_assert!(r.demand == demand, "demand {demand} has no run");
+        r.count -= 1;
+        if r.count == 0 {
+            self.runs.remove(i);
+        }
+        self.refold(i);
+    }
+
+    /// Recomputes the folds of the runs from `from` upwards, one addition
+    /// per demand, exactly as a fold over the sorted demands would.
+    fn refold(&mut self, from: usize) {
+        let mut acc = self.fold_below(from);
+        for r in &mut self.runs[from..] {
+            for _ in 0..r.count {
+                acc += r.demand;
+            }
+            r.fold = acc;
         }
     }
 }
@@ -145,7 +202,12 @@ impl CpuSim {
     }
 
     /// Registers a background task demanding `demand` of a core.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `demand` is NaN.
     pub fn add_background(&mut self, core: usize, demand: f64) -> TaskId {
+        assert!(!demand.is_nan(), "background demand must be a number");
         self.add(
             core,
             TaskKind::Background {
@@ -166,43 +228,11 @@ impl CpuSim {
                     cs.n_active += 1;
                 }
             }
-            TaskKind::Background { demand } => {
-                if cs.agg_ok {
-                    if cs.bg_count == 0 {
-                        cs.bg_demand = demand;
-                        cs.bg_equal = true;
-                    } else if demand != cs.bg_demand {
-                        cs.bg_equal = false;
-                    }
-                    cs.bg_count += 1;
-                    cs.bg_total += demand;
-                }
-            }
+            TaskKind::Background { demand } => cs.insert_demand(demand),
         }
         cs.entries.push((id, kind));
         self.recompute(core);
         id
-    }
-
-    /// Changes a background task's demand (e.g. a guest going active/idle).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is unknown or not a background task.
-    pub fn set_background_demand(&mut self, id: TaskId, demand: f64) {
-        let core = *self.tasks.get(&id).expect("unknown task");
-        let cs = &mut self.per_core[core];
-        let pos = cs
-            .entries
-            .iter()
-            .rposition(|(tid, _)| *tid == id)
-            .expect("unknown task");
-        match &mut cs.entries[pos].1 {
-            TaskKind::Background { demand: d } => *d = demand.clamp(0.0, 1.0),
-            TaskKind::Finite { .. } => panic!("not a background task"),
-        }
-        cs.agg_ok = false;
-        self.recompute(core);
     }
 
     /// Removes a task, returning its remaining work (finite) or demand
@@ -216,23 +246,20 @@ impl CpuSim {
             .rposition(|(tid, _)| *tid == id)
             .expect("task map and core entries out of sync");
         let (_, kind) = cs.entries.remove(pos);
-        match kind {
+        let left = match kind {
             TaskKind::Finite { remaining } => {
                 if remaining > 0.0 {
                     cs.n_active -= 1;
                 }
+                remaining
             }
-            TaskKind::Background { .. } => {
-                // Removal breaks the append-only fold-left demand sum;
-                // the next recompute re-derives the aggregates.
-                cs.agg_ok = false;
+            TaskKind::Background { demand } => {
+                cs.remove_demand(demand);
+                demand
             }
-        }
+        };
         self.recompute(core);
-        Some(match kind {
-            TaskKind::Finite { remaining } => remaining,
-            TaskKind::Background { demand } => demand,
-        })
+        Some(left)
     }
 
     fn kind_of(&self, id: TaskId) -> Option<TaskKind> {
@@ -285,35 +312,32 @@ impl CpuSim {
 
     /// Time of the earliest finite-task completion under current
     /// allocations, with the task id. `None` if no finite work remains.
+    /// A task already out of work completes now (the lowest such id);
+    /// otherwise ties on the completion time go to the lower id.
     pub fn next_completion(&self) -> Option<(SimTime, TaskId)> {
-        let mut cands: Vec<(TaskId, f64, f64)> = Vec::new();
+        let mut done: Option<TaskId> = None;
+        let mut best: Option<(SimTime, TaskId)> = None;
         for cs in &self.per_core {
             let rate = cs.share * self.speed;
-            for (id, kind) in &cs.entries {
-                if let TaskKind::Finite { remaining } = kind {
-                    cands.push((*id, *remaining, rate));
+            for &(id, kind) in &cs.entries {
+                let TaskKind::Finite { remaining } = kind else {
+                    continue;
+                };
+                if remaining <= 0.0 {
+                    done = Some(done.map_or(id, |d| d.min(id)));
+                } else if rate > 0.0 {
+                    // Round up to 1 ns: a sub-nanosecond residue (float
+                    // error after a burn) must still advance the clock,
+                    // or run_to_completion would spin forever.
+                    let dt = SimTime::from_secs_f64(remaining / rate).max(SimTime::from_nanos(1));
+                    let cand = (self.now + dt, id);
+                    if best.is_none_or(|b| cand < b) {
+                        best = Some(cand);
+                    }
                 }
             }
         }
-        cands.sort_by_key(|c| c.0); // determinism
-        let mut best: Option<(SimTime, TaskId)> = None;
-        for (id, remaining, rate) in cands {
-            if remaining <= 0.0 {
-                return Some((self.now, id));
-            }
-            if rate > 0.0 {
-                // Round up to 1 ns: a sub-nanosecond residue (float
-                // error after a burn) must still advance the clock,
-                // or run_to_completion would spin forever.
-                let dt = SimTime::from_secs_f64(remaining / rate)
-                    .max(SimTime::from_nanos(1));
-                let at = self.now + dt;
-                if best.map(|(b, _)| at < b).unwrap_or(true) {
-                    best = Some((at, id));
-                }
-            }
-        }
-        best
+        done.map(|id| (self.now, id)).or(best)
     }
 
     /// Advances the model to absolute time `t`, burning down finite work.
@@ -409,117 +433,60 @@ impl CpuSim {
     /// is the cap applied to background demands (1.0 if undersubscribed).
     fn recompute(&mut self, core: usize) {
         let cs = &mut self.per_core[core];
-        if cs.agg_ok && (cs.bg_count == 0 || cs.bg_equal) {
-            let total = if cs.bg_count == 0 { 0.0 } else { cs.bg_total };
-            cs.share = Self::share_equal(cs.bg_count, cs.bg_demand, total, cs.n_active);
-            return;
-        }
-        // Slow path: gather + sort, exactly the original solve; also
-        // re-derives the fast-path aggregates.
-        let mut scratch = std::mem::take(&mut cs.scratch);
-        scratch.clear();
-        let mut n_finite = 0usize;
-        for (_, kind) in &cs.entries {
-            match *kind {
-                TaskKind::Finite { remaining } if remaining > 0.0 => n_finite += 1,
-                TaskKind::Finite { .. } => {}
-                TaskKind::Background { demand } => scratch.push(demand),
-            }
-        }
-        scratch.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let total_bg: f64 = scratch.iter().sum();
+        let total_bg = cs.runs.last().map_or(0.0, |r| r.fold);
+        let n_finite = cs.n_active;
         cs.share = if n_finite == 0 {
             if total_bg <= 1.0 {
                 1.0
             } else {
                 // Oversubscribed by background alone: water-fill the cap.
-                Self::water_fill(&scratch, 0)
+                Self::water_fill(&cs.runs, 0)
             }
-        } else if total_bg + n_finite as f64 * 1.0 <= 1.0 {
+        } else if total_bg + n_finite as f64 <= 1.0 {
             // Nobody is throttled; a finite task can take a whole core
             // minus what backgrounds consume.
             1.0 - total_bg
         } else {
-            Self::water_fill(&scratch, n_finite)
+            Self::water_fill(&cs.runs, n_finite)
         };
-        cs.bg_count = scratch.len();
-        cs.bg_equal = scratch.windows(2).all(|w| w[0] == w[1]);
-        cs.bg_demand = scratch.first().copied().unwrap_or(0.0);
-        cs.bg_total = total_bg;
-        cs.n_active = n_finite;
-        cs.agg_ok = true;
-        cs.scratch = scratch;
     }
 
-    /// The share when all `k` background demands equal `d` (fold-left sum
-    /// `total`), mirroring the branch structure of the slow path bit for
-    /// bit.
-    fn share_equal(k: usize, d: f64, total: f64, n_finite: usize) -> f64 {
-        if n_finite == 0 {
-            if total <= 1.0 {
-                return 1.0;
-            }
-            return Self::water_fill_equal(k, d, total, 0);
-        }
-        if total + n_finite as f64 * 1.0 <= 1.0 {
-            return 1.0 - total;
-        }
-        Self::water_fill_equal(k, d, total, n_finite)
-    }
-
-    /// Closed-form [`Self::water_fill`] over `k` equal demands `d`.
-    ///
-    /// The sorted scan's candidate `s_j = (1 - j*d)/(k - j + n)` moves
-    /// monotonically away from `d` as `j` grows (its derivative's sign is
-    /// `sign(s_0 - d)`), so the scan can only terminate at `j == 0` (when
-    /// `d >= s_0 - 1e-12`) or at `j == k` — intermediate `j` never satisfy
-    /// both window bounds. `total` must be the fold-left sum the slow path
-    /// would compute, so `j == k` returns the identical float.
-    fn water_fill_equal(k: usize, d: f64, total: f64, n_finite: usize) -> f64 {
-        let denom0 = (k + n_finite) as f64;
-        if denom0 == 0.0 {
-            return 1.0;
-        }
-        let s0 = 1.0 / denom0;
-        if k == 0 || d >= s0 - 1e-12 {
-            return s0.max(0.0);
-        }
-        let denom_k = n_finite as f64;
-        if denom_k == 0.0 {
-            return 1.0;
-        }
-        ((1.0 - total) / denom_k).max(0.0)
-    }
-
-    /// Water-filling solve of `sum min(d_i, s) + n*s = 1` over sorted `d`.
-    fn water_fill(sorted_demands: &[f64], n_finite: usize) -> f64 {
-        let k = sorted_demands.len();
+    /// Water-filling solve of `sum min(d_i, s) + n*s = 1` over ascending
+    /// runs. Candidate `j` assumes the `j` smallest demands are satisfied
+    /// (`d <= s`) and everything else receives `s`; only run starts and
+    /// `j == k` can be the first candidate within both window bounds
+    /// (module doc).
+    fn water_fill(runs: &[Run], n_finite: usize) -> f64 {
+        let k: usize = runs.iter().map(|r| r.count).sum();
+        let mut j = 0;
         let mut prefix = 0.0;
-        for j in 0..=k {
-            // Assume d_1..d_j are fully satisfied (d_i <= s), the rest and
-            // all finite tasks receive s.
-            let denom = (k - j + n_finite) as f64;
-            if denom == 0.0 {
-                return 1.0;
-            }
-            let s = (1.0 - prefix) / denom;
-            let lower_ok = j == 0 || sorted_demands[j - 1] <= s + 1e-12;
-            let upper_ok = j == k || sorted_demands[j] >= s - 1e-12;
-            if lower_ok && upper_ok {
+        let mut below: Option<f64> = None;
+        for r in runs {
+            let s = (1.0 - prefix) / (k - j + n_finite) as f64;
+            let lower_ok = below.is_none_or(|d| d <= s + 1e-12);
+            if lower_ok && r.demand >= s - 1e-12 {
                 return s.max(0.0);
             }
-            if j < k {
-                prefix += sorted_demands[j];
-            }
+            j += r.count;
+            prefix = r.fold;
+            below = Some(r.demand);
+        }
+        if n_finite == 0 {
+            return 1.0;
+        }
+        let s = (1.0 - prefix) / n_finite as f64;
+        if below.is_none_or(|d| d <= s + 1e-12) {
+            return s.max(0.0);
         }
         // Numerically always resolved above; be safe.
-        (1.0 / (k + n_finite).max(1) as f64).max(0.0)
+        (1.0 / (k + n_finite) as f64).max(0.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
 
     fn approx(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-9
@@ -614,18 +581,6 @@ mod tests {
     }
 
     #[test]
-    fn set_background_demand_updates_share() {
-        let mut cpu = CpuSim::new(1, 1.0);
-        let bg = cpu.add_background(0, 0.1);
-        let id = cpu.add_finite(0, 1.0);
-        assert!(approx(cpu.rate_of(id).unwrap(), 0.9));
-        // A greedy background is capped at the fair share, not prioritised:
-        // with demand 0.6 and one finite task, both get 0.5.
-        cpu.set_background_demand(bg, 0.6);
-        assert!(approx(cpu.rate_of(id).unwrap(), 0.5));
-    }
-
-    #[test]
     fn next_completion_orders_across_cores() {
         let mut cpu = CpuSim::new(2, 1.0);
         let slow = cpu.add_finite(0, 2.0);
@@ -661,61 +616,164 @@ mod tests {
         assert_eq!(done_b, SimTime::from_millis(1500));
     }
 
-    /// The fast path (equal background demands) and the slow sorted
-    /// water-fill must produce bit-identical shares through a mixed
-    /// add/remove/burn history.
+    /// Water-filling solve of `sum min(d_i, s) + n*s = 1` over sorted `d`,
+    /// scanning every prefix.
+    fn water_fill_sorted(sorted_demands: &[f64], n_finite: usize) -> f64 {
+        let k = sorted_demands.len();
+        let mut prefix = 0.0;
+        for j in 0..=k {
+            // Assume d_1..d_j are fully satisfied (d_i <= s), the rest and
+            // all finite tasks receive s.
+            let denom = (k - j + n_finite) as f64;
+            if denom == 0.0 {
+                return 1.0;
+            }
+            let s = (1.0 - prefix) / denom;
+            let lower_ok = j == 0 || sorted_demands[j - 1] <= s + 1e-12;
+            let upper_ok = j == k || sorted_demands[j] >= s - 1e-12;
+            if lower_ok && upper_ok {
+                return s.max(0.0);
+            }
+            if j < k {
+                prefix += sorted_demands[j];
+            }
+        }
+        (1.0 / (k + n_finite).max(1) as f64).max(0.0)
+    }
+
+    /// The share of a core by gathering its tasks, sorting the demands
+    /// and scanning every prefix.
+    fn oracle_share(cs: &CoreState) -> f64 {
+        let mut sorted = Vec::new();
+        let mut n_finite = 0usize;
+        for (_, kind) in &cs.entries {
+            match *kind {
+                TaskKind::Finite { remaining } if remaining > 0.0 => n_finite += 1,
+                TaskKind::Finite { .. } => {}
+                TaskKind::Background { demand } => sorted.push(demand),
+            }
+        }
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let total_bg: f64 = sorted.iter().sum();
+        if n_finite == 0 {
+            if total_bg <= 1.0 {
+                1.0
+            } else {
+                water_fill_sorted(&sorted, 0)
+            }
+        } else if total_bg + n_finite as f64 <= 1.0 {
+            1.0 - total_bg
+        } else {
+            water_fill_sorted(&sorted, n_finite)
+        }
+    }
+
+    /// Through seeded histories of background and finite adds, removals
+    /// of either kind and burns to the next completion, every core's
+    /// share is bit-identical to the gather + sort + scan solve. Each
+    /// history starts from one core pre-loaded with `n` equal demands
+    /// (or none), including oversubscribed cores.
     #[test]
-    fn equal_demand_fast_path_matches_slow_solve() {
-        for &(demand, n_bg) in &[
-            (0.003_f64, 400_usize),
+    fn run_length_solve_matches_sorted_oracle() {
+        const DEMANDS: [f64; 7] = [0.0, 2e-5, 3e-5, 1e-3, 0.25, 0.6, 0.8];
+        const PRELOADS: [(f64, usize); 6] = [
+            (0.0, 0),
+            (0.003, 400),
             (0.02, 60),
             (0.25, 7),
             (0.6, 3),
             (0.0, 100),
-        ] {
-            // `a` only ever appends (fast path); `b` is the identical
-            // world but gets a same-value set_background_demand, which
-            // forces the sorted solve and re-derives the aggregates.
-            let mut a = CpuSim::new(1, 1.0);
-            let mut b = CpuSim::new(1, 1.0);
-            let mut bg_b = None;
-            let mut bg_a = None;
-            for _ in 0..n_bg {
-                bg_a = Some(a.add_background(0, demand));
-                bg_b = Some(b.add_background(0, demand));
+        ];
+        for (case, &(preload, n)) in PRELOADS.iter().enumerate() {
+            for seed in 0..4u64 {
+                let mut rng = SimRng::new(seed * 16 + case as u64);
+                let mut cpu = CpuSim::new(3, 1.0);
+                let mut live: Vec<TaskId> =
+                    (0..n).map(|_| cpu.add_background(0, preload)).collect();
+                for step in 0..400 {
+                    let core = rng.index(cpu.cores());
+                    let op = match rng.index(6) {
+                        0 | 1 => {
+                            let demand = DEMANDS[rng.index(DEMANDS.len())];
+                            live.push(cpu.add_background(core, demand));
+                            "add_background"
+                        }
+                        2 => {
+                            live.push(cpu.add_finite(core, rng.uniform(0.0, 0.5)));
+                            "add_finite"
+                        }
+                        3 | 4 if !live.is_empty() => {
+                            let id = live.swap_remove(rng.index(live.len()));
+                            cpu.remove(id).expect("live task");
+                            "remove"
+                        }
+                        _ => {
+                            if let Some((t, _)) = cpu.next_completion() {
+                                cpu.advance_to(t);
+                            }
+                            let done = cpu.reap_done();
+                            live.retain(|id| !done.contains(id));
+                            "advance+reap"
+                        }
+                    };
+                    for (c, cs) in cpu.per_core.iter().enumerate() {
+                        assert_eq!(
+                            cs.share.to_bits(),
+                            oracle_share(cs).to_bits(),
+                            "core {c} diverges after {op} at step {step} \
+                             (preload {preload}x{n}, seed {seed}): {} vs {}",
+                            cs.share,
+                            oracle_share(cs)
+                        );
+                    }
+                }
             }
-            let (bg_a, bg_b) = (bg_a.unwrap(), bg_b.unwrap());
-            b.set_background_demand(bg_b, demand);
-            // n_finite = 0: fast- vs slow-derived share.
-            assert_eq!(
-                a.core_utilization(0).to_bits(),
-                b.core_utilization(0).to_bits(),
-                "utilization diverges at demand={demand} n_bg={n_bg}"
-            );
-            let pa = a.add_finite(0, 1.0);
-            let pb = b.add_finite(0, 1.0);
-            assert_eq!(
-                a.rate_of(pa).unwrap().to_bits(),
-                b.rate_of(pb).unwrap().to_bits(),
-                "probe rate diverges at demand={demand} n_bg={n_bg}"
-            );
-            // Slow solve with the finite probe present.
-            b.set_background_demand(bg_b, demand);
-            assert_eq!(
-                a.rate_of(pa).unwrap().to_bits(),
-                b.rate_of(pb).unwrap().to_bits(),
-                "probe rate diverges after slow resolve at demand={demand}"
-            );
-            // Removing a background falls back to the sorted solve and
-            // re-establishes the fast regime on both.
-            a.remove(bg_a);
-            b.remove(bg_b);
-            assert_eq!(
-                a.rate_of(pa).unwrap().to_bits(),
-                b.rate_of(pb).unwrap().to_bits(),
-                "probe rate diverges after removal at demand={demand}"
-            );
         }
+    }
+
+    /// Host time of `boot_vm`'s probe cycle (`add_finite`, `rate_of`,
+    /// `remove`) does not grow with the background tasks on the core:
+    /// the median over interleaved batches with 4000 tasks is at most
+    /// twice that with 200. Gathering and sorting the core's demands on
+    /// every add and remove reads about 20x.
+    #[test]
+    fn boot_probe_cost_does_not_grow_with_tasks() {
+        const CYCLES: u32 = 200;
+        const BATCHES: usize = 15;
+        let mut hosts: Vec<(CpuSim, Vec<f64>)> = [200, 4000]
+            .into_iter()
+            .map(|n| {
+                let mut cpu = CpuSim::new(1, 1.0);
+                for i in 0..n {
+                    cpu.add_background(0, if i % 4 == 3 { 3e-5 } else { 2e-5 });
+                }
+                (cpu, Vec::new())
+            })
+            .collect();
+        for _ in 0..BATCHES {
+            for (cpu, per_cycle) in &mut hosts {
+                let start = std::time::Instant::now();
+                for _ in 0..CYCLES {
+                    let probe = cpu.add_finite(0, 0.01);
+                    std::hint::black_box(cpu.rate_of(probe));
+                    cpu.remove(probe);
+                }
+                per_cycle.push(start.elapsed().as_secs_f64() / f64::from(CYCLES));
+            }
+        }
+        let median = |v: &mut Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
+        let small = median(&mut hosts[0].1);
+        let large = median(&mut hosts[1].1);
+        assert!(
+            large <= 2.0 * small,
+            "a probe cycle with 4000 tasks took {:.2}x as long as with 200 ({:.3} vs {:.3} µs)",
+            large / small,
+            large * 1e6,
+            small * 1e6
+        );
     }
 
     /// A finite task burning to exactly zero mid-advance leaves the

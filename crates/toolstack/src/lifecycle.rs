@@ -157,6 +157,7 @@ impl ControlPlane {
                 switch: &mut self.switch,
                 sysctl: &mut self.sysctl,
                 cost: &src_cost,
+                faults: &mut self.faults,
             };
             let mut dst_ep = MigrationEndpoint {
                 hv: &mut dst.hv,
@@ -164,6 +165,7 @@ impl ControlPlane {
                 switch: &mut dst.switch,
                 sysctl: &mut dst.sysctl,
                 cost: &dst_cost,
+                faults: &mut dst.faults,
             };
             // noxs migration re-creates the vifs only (ROADMAP item 8
             // lists this difference).

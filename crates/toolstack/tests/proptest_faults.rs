@@ -65,6 +65,7 @@ fn run_case(mode: ToolstackMode, op: Op, site: FaultSite, seed: u64) -> (String,
         }
     };
     let before = cp.world_digest64();
+    let census = cp.census();
 
     cp.set_fault_plan(FaultPlan::at_site(seed, site));
     let built = match op {
@@ -113,6 +114,26 @@ fn run_case(mode: ToolstackMode, op: Op, site: FaultSite, seed: u64) -> (String,
     // top it back up fault-free so the snapshots compare like with like.
     cp.prewarm(&img);
 
+    // The store arena and the interner keep their high-water marks, and
+    // queued Dom0 watch events are drained by the digest below.
+    let leaked: Vec<_> = census
+        .diff(&cp.census())
+        .into_iter()
+        .filter(|(name, ..)| {
+            ![
+                "store_capacity",
+                "store_free",
+                "interned_syms",
+                "pending_events",
+            ]
+            .contains(name)
+        })
+        .collect();
+    assert!(
+        leaked.is_empty(),
+        "{mode:?}/{op:?}/{} seed {seed}: census drifted after `{outcome}`: {leaked:?}",
+        site.name()
+    );
     let after = cp.world_digest64();
     assert_eq!(
         before,
@@ -177,9 +198,7 @@ fn fatal_sites_actually_fail() {
         }
     }
     // ChaosNoxs creates domains directly, so device-path sites are hit
-    // on the victim's own create/boot, and on its restore. (A noxs
-    // migration's target runs fault-free: its daemon pre-creates the
-    // domain outside the toolstack's plan.)
+    // on the victim's own create/boot, and on its restore.
     for op in [Op::Create, Op::Restore] {
         for site in [
             FaultSite::HotplugTimeout,
@@ -188,6 +207,15 @@ fn fatal_sites_actually_fail() {
         ] {
             let (outcome, _) = run_case(ToolstackMode::ChaosNoxs, op, site, 3);
             assert!(outcome.starts_with("err"), "chaos[NoXS]/{op:?}/{}: {outcome}", site.name());
+        }
+    }
+    // A noxs migration's daemon pre-creates the target's vifs under the
+    // destination's plan, in both noxs modes. (The migrated guest does
+    // not reconnect through xenbus, so the stall site stays quiet.)
+    for mode in [ToolstackMode::ChaosNoxs, ToolstackMode::LightVm] {
+        for site in [FaultSite::HotplugTimeout, FaultSite::BackendRefusal] {
+            let (outcome, _) = run_case(mode, Op::MigrateIn, site, 3);
+            assert!(outcome.starts_with("err"), "{mode:?}/MigrateIn/{}: {outcome}", site.name());
         }
     }
     // In LightVm the victim still connects its frontends at boot, so the
