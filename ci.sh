@@ -16,8 +16,9 @@
 # landed at 0.432), if guest teardown slows down over a long churn at
 # a steady ~500 guests (benchmark churn-xl destroy_growth > 2.0; that
 # ratio cannot see per-destroy cost that grows with the population,
-# which the store's rm_cost_does_not_grow_with_siblings test guards
-# for xenstore), if the full-scale
+# which two tests guard: the store's rm_cost_does_not_grow_with_siblings
+# and, for the whole teardown, toolstack's teardown_scaling, run in
+# release), if the full-scale
 # sequential run's cluster units peak above 200 000 KiB resident, or if
 # it simulates fewer than 24 200 boots or charges any xl name check
 # through the O(n) request scan instead of its closed form, or if a
@@ -115,14 +116,21 @@ test_log="$(mktemp)"
 cargo test -q --workspace 2>&1 | tee "$test_log"
 # Suite-count guard: a botched invocation (or a workspace edit that
 # drops crates from the build) silently shrinks coverage. The workspace
-# runs 52 test binaries; fail loudly if any of them did not run.
+# runs 54 test binaries; fail loudly if any of them did not run.
 suites=$(grep -c '^test result: ok' "$test_log" || true)
 rm -f "$test_log"
-echo "workspace test suites: $suites (guard: >= 52)"
-if [ "$suites" -lt 52 ]; then
-  echo "ci: only $suites test suite(s) ran — workspace coverage lost (expected >= 52)" >&2
+echo "workspace test suites: $suites (guard: >= 54)"
+if [ "$suites" -lt 54 ]; then
+  echo "ci: only $suites test suite(s) ran — workspace coverage lost (expected >= 54)" >&2
   exit 1
 fi
+
+echo "== teardown scaling (release: host time per destroy and save+restore) =="
+# Host time per teardown must not grow with the number of live guests:
+# chaos [NoXS] and LightVM at 2 000 guests within 2x of 200 (the
+# XenStore modes' ratios are printed). Timings are steadier in release
+# than in the debug run above, where debug-only checks walk every VM.
+cargo test --release -p toolstack --test teardown_scaling -- --nocapture
 
 echo "== microbenches (quick smoke: xenstore hot paths + CPU model) =="
 LIGHTVM_BENCH_QUICK=1 cargo bench -p bench --bench hotpath
@@ -378,10 +386,10 @@ echo "== teardown growth gate (benchmark churn-xl destroy_growth) =="
 # ~1.2-1.5; whole-table scans of state that grows with every guest ever
 # created measured 3.7-4.5. The population stays near 500 throughout, so
 # the ratio cannot see a per-destroy cost that grows with the number of
-# live guests. For the store, the xenstore unit test
-# rm_cost_does_not_grow_with_siblings guards that (rm with 4000 siblings
-# against 200). Hypervisor reaping still scans: EvtchnTable::close_all
-# and GrantTable::drop_domain retain over every open channel and grant.
+# live guests. The xenstore unit test rm_cost_does_not_grow_with_siblings
+# guards that for the store (rm with 4000 siblings against 200), and the
+# teardown scaling step above for the whole teardown (destroy and
+# save+restore at 2 000 guests against 200).
 churn_out=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
   --workload churn-xl --seed 1 --seconds 0 --trace 1)
 growth=$(printf '%s\n' "$churn_out" | tail -n 1 \

@@ -89,7 +89,7 @@ pub struct Backend {
     kind: DeviceKind,
     backend_dom: DomId,
     devices: IdMap<(u32, u32), BackendDevice>,
-    next_ctrl_frame: u64,
+    next_ctrl_frame: u32,
 }
 
 impl Backend {
@@ -143,10 +143,10 @@ impl Backend {
             return Err(DevError::Exists);
         }
         meter.charge(Category::Devices, cost.backend_setup);
-        let evtchn = hv.evtchn_alloc_unbound(cost, meter, self.backend_dom, dom);
+        let evtchn = hv.evtchn_alloc_unbound(cost, meter, self.backend_dom, dom)?;
         let frame = self.next_ctrl_frame;
         self.next_ctrl_frame += 1;
-        let grant = hv.grant_access(cost, meter, self.backend_dom, dom, frame, false);
+        let grant = hv.grant_access(cost, meter, self.backend_dom, dom, frame, false)?;
         self.devices.insert(
             (dom.0, devid),
             BackendDevice {
@@ -213,12 +213,12 @@ impl Backend {
         // channel once: through the front end when bound, else the
         // back-end's unbound offer.
         if let Some(fport) = dev.frontend_port.take() {
-            let _ = hv.evtchn.close(dom, fport);
-            let _ = hv.gnttab.unmap(dom, backend_dom, dev.grant);
+            let _ = hv.evtchn_close(dom, fport);
+            let _ = hv.grant_unmap(dom, backend_dom, dev.grant);
         } else {
-            let _ = hv.evtchn.close(backend_dom, dev.evtchn);
+            let _ = hv.evtchn_close(backend_dom, dev.evtchn);
         }
-        let _ = hv.gnttab.end_access(backend_dom, dev.grant);
+        let _ = hv.grant_end_access(backend_dom, dev.grant);
         dev.state = XenbusState::Closed;
         self.devices.remove(&(dom.0, devid));
         Ok(())
@@ -234,12 +234,11 @@ impl Backend {
         self.devices.len()
     }
 
-    /// Forgets all devices of a dead domain (resources are reaped by
-    /// [`Hypervisor::destroy`]).
-    pub fn drop_domain(&mut self, dom: DomId) -> usize {
-        let before = self.devices.len();
-        self.devices.retain(|(d, _), _| *d != dom.0);
-        before - self.devices.len()
+    /// Forgets one device of a departed domain without closing it: its
+    /// channel and grant die with the domain in [`Hypervisor::destroy`].
+    /// Returns whether the device was known.
+    pub fn forget(&mut self, dom: DomId, devid: u32) -> bool {
+        self.devices.remove(&(dom.0, devid)).is_some()
     }
 }
 
@@ -271,22 +270,22 @@ mod tests {
         assert_eq!(dev.grant, grant);
         // Notifications flow both ways.
         hv.evtchn_send(&cost, &mut m, DomId::DOM0, port).unwrap();
-        assert!(hv.evtchn.poll(dom, fport).unwrap());
+        assert!(hv.evtchn_poll(dom, fport).unwrap());
         be.close_device(&mut hv, &cost, &mut m, dom, 0).unwrap();
         assert!(be.device(dom, 0).is_none());
-        assert!(hv.gnttab.is_empty());
-        assert_eq!(hv.evtchn.open_channels(), 0);
+        assert_eq!(hv.grant_count(), 0);
+        assert_eq!(hv.open_channels(), 0);
     }
 
     #[test]
     fn close_of_unconnected_device_closes_the_offer() {
         let (mut hv, mut be, cost, mut m, dom) = setup();
         let (port, _) = be.alloc_device(&mut hv, &cost, &mut m, dom, 0).unwrap();
-        assert_eq!(hv.evtchn.open_channels(), 1);
+        assert_eq!(hv.open_channels(), 1);
         be.close_device(&mut hv, &cost, &mut m, dom, 0).unwrap();
-        assert_eq!(hv.evtchn.open_channels(), 0);
-        assert!(hv.evtchn.poll(DomId::DOM0, port).is_err());
-        assert!(hv.gnttab.is_empty());
+        assert_eq!(hv.open_channels(), 0);
+        assert!(hv.evtchn_poll(DomId::DOM0, port).is_err());
+        assert_eq!(hv.grant_count(), 0);
     }
 
     #[test]
@@ -334,11 +333,26 @@ mod tests {
     }
 
     #[test]
-    fn drop_domain_forgets_devices() {
+    fn forget_drops_only_the_named_device() {
         let (mut hv, mut be, cost, mut m, dom) = setup();
         be.alloc_device(&mut hv, &cost, &mut m, dom, 0).unwrap();
         be.alloc_device(&mut hv, &cost, &mut m, dom, 1).unwrap();
-        assert_eq!(be.drop_domain(dom), 2);
-        assert_eq!(be.count(), 0);
+        assert!(be.forget(dom, 0));
+        assert!(!be.forget(dom, 0));
+        assert!(be.device(dom, 1).is_some());
+        // The domain's death reaps what the forgotten device held.
+        assert!(be.forget(dom, 1));
+        hv.destroy(&cost, &mut m, dom).unwrap();
+        assert_eq!((be.count(), hv.open_channels(), hv.grant_count()), (0, 0, 0));
+    }
+
+    #[test]
+    fn alloc_for_a_missing_domain_allocates_nothing() {
+        let (mut hv, mut be, cost, mut m, _) = setup();
+        assert_eq!(
+            be.alloc_device(&mut hv, &cost, &mut m, DomId(99), 0).unwrap_err(),
+            DevError::Hv(HvError::NoSuchDomain)
+        );
+        assert_eq!((be.count(), hv.open_channels(), hv.grant_count()), (0, 0, 0));
     }
 }

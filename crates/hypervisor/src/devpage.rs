@@ -76,11 +76,6 @@ pub enum DevicePageError {
 }
 
 impl DevicePage {
-    /// Creates an empty page.
-    pub fn new() -> DevicePage {
-        DevicePage::default()
-    }
-
     /// Appends an entry (Dom0-only; enforced by the hypercall wrapper).
     pub fn push(&mut self, entry: DevicePageEntry) -> Result<(), DevicePageError> {
         if self.entries.len() >= MAX_ENTRIES {
@@ -93,19 +88,22 @@ impl DevicePage {
         {
             return Err(DevicePageError::Duplicate);
         }
+        // A guest lists a handful of devices, one per slot, so the page
+        // costs what it holds.
+        self.entries.reserve_exact(1);
         self.entries.push(entry);
         Ok(())
     }
 
     /// Removes an entry by (kind, devid).
     pub fn remove(&mut self, kind: DeviceKind, devid: u32) -> Result<(), DevicePageError> {
-        let before = self.entries.len();
-        self.entries.retain(|e| !(e.kind == kind && e.devid == devid));
-        if self.entries.len() == before {
-            Err(DevicePageError::NotFound)
-        } else {
-            Ok(())
-        }
+        let i = self
+            .entries
+            .iter()
+            .position(|e| e.kind == kind && e.devid == devid)
+            .ok_or(DevicePageError::NotFound)?;
+        self.entries.remove(i);
+        Ok(())
     }
 
     /// Looks up an entry.
@@ -118,16 +116,6 @@ impl DevicePage {
     /// All entries, in insertion order (what the guest iterates at boot).
     pub fn entries(&self) -> &[DevicePageEntry] {
         &self.entries
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if no devices are registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -147,10 +135,10 @@ mod tests {
 
     #[test]
     fn push_find_remove() {
-        let mut p = DevicePage::new();
+        let mut p = DevicePage::default();
         p.push(entry(DeviceKind::Net, 0)).unwrap();
         p.push(entry(DeviceKind::Block, 0)).unwrap();
-        assert_eq!(p.len(), 2);
+        assert_eq!(p.entries().len(), 2);
         assert!(p.find(DeviceKind::Net, 0).is_some());
         p.remove(DeviceKind::Net, 0).unwrap();
         assert!(p.find(DeviceKind::Net, 0).is_none());
@@ -162,7 +150,7 @@ mod tests {
 
     #[test]
     fn duplicate_rejected_but_same_devid_other_kind_ok() {
-        let mut p = DevicePage::new();
+        let mut p = DevicePage::default();
         p.push(entry(DeviceKind::Net, 0)).unwrap();
         assert_eq!(
             p.push(entry(DeviceKind::Net, 0)).unwrap_err(),
@@ -173,7 +161,7 @@ mod tests {
 
     #[test]
     fn capacity_is_one_page() {
-        let mut p = DevicePage::new();
+        let mut p = DevicePage::default();
         for i in 0..MAX_ENTRIES {
             p.push(entry(DeviceKind::Net, i as u32)).unwrap();
         }

@@ -1,10 +1,20 @@
-//! Domains and their lifecycle.
+//! Domains, their lifecycle, and what dies with them.
+//!
+//! As in Xen's `struct domain`, each [`Domain`] owns its event-channel
+//! ports, the grants it issued and its noxs device page, so a destroy
+//! walks only what the dying domain holds.
 
 use std::fmt;
 use std::sync::Arc;
 
+use simcore::IdMap;
+
+use crate::devpage::DevicePage;
+use crate::evtchn::{Channel, EvtchnPort};
+use crate::gnttab::{Grant, GrantRef};
+
 /// A domain identifier. Dom0 is always id 0.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DomId(pub u32);
 
 impl DomId {
@@ -30,10 +40,11 @@ impl fmt::Debug for DomId {
 }
 
 /// Lifecycle states, mirroring Xen's domain states.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub enum DomainState {
     /// Created but never unpaused (the state a split-toolstack *shell*
     /// sits in while waiting in the pool).
+    #[default]
     Created,
     /// Explicitly paused.
     Paused,
@@ -77,8 +88,20 @@ impl Default for DomainConfig {
     }
 }
 
-/// A domain as the hypervisor sees it.
-#[derive(Clone, Debug)]
+/// A resource another domain holds towards this one, which dies with
+/// it. Bound channels need no entry: the dying domain's own port names
+/// its peer.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Held {
+    /// An unbound port the owner offers to this domain.
+    Offer(DomId, EvtchnPort),
+    /// A grant the granter issued to this domain.
+    Grant(DomId, GrantRef),
+}
+
+/// A domain as the hypervisor sees it. The default is a fresh record:
+/// created but never unpaused, unpopulated, owning nothing.
+#[derive(Clone, Debug, Default)]
 pub struct Domain {
     /// Identifier.
     pub id: DomId,
@@ -89,12 +112,21 @@ pub struct Domain {
     /// Memory currently populated, in MiB.
     pub populated_mib: u64,
     /// Physical cores the vCPUs are pinned to (round-robin assignment).
-    /// Shared, so a forked hypervisor copies a refcount, not a buffer.
     pub vcpu_cores: Arc<[usize]>,
     /// Shutdown reason if `state == Shutdown` or `Suspended`.
     pub shutdown_reason: Option<ShutdownReason>,
-    /// Whether a noxs device page has been set up.
-    pub has_device_page: bool,
+    /// Its event-channel ports, numbered from 1 in issue order and
+    /// never reused while it lives: `last_port` is the last one issued.
+    pub(crate) ports: IdMap<u32, Channel>,
+    pub(crate) last_port: u32,
+    /// The grants it issued, numbered like its ports.
+    pub(crate) grants: IdMap<u32, Grant>,
+    pub(crate) last_ref: u32,
+    /// The unbound offers and grants other domains hold towards it.
+    pub(crate) held: Vec<Held>,
+    /// Its noxs device page, once set up. Shared, so a fork copies a
+    /// refcount and `Arc::make_mut` copies the page on its first write.
+    pub(crate) device_page: Option<Arc<DevicePage>>,
 }
 
 impl Domain {
@@ -119,12 +151,9 @@ mod tests {
     fn runnable_only_when_running() {
         let mut d = Domain {
             id: DomId(1),
-            state: DomainState::Created,
             max_mem_mib: 8,
-            populated_mib: 0,
             vcpu_cores: vec![0].into(),
-            shutdown_reason: None,
-            has_device_page: false,
+            ..Domain::default()
         };
         assert!(!d.is_runnable());
         d.state = DomainState::Running;

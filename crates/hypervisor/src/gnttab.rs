@@ -4,10 +4,15 @@
 //! grant reference; the peer *maps* the reference into its own address
 //! space. Split drivers move all bulk data this way (paper §4.1), and the
 //! noxs device control pages (§5.1) are shared through grants too.
+//!
+//! Each domain owns the grants it issued (see [`crate::Domain`]); the
+//! hypercalls below live on [`Hypervisor`] because they name both the
+//! granter and the grantee.
 
-use simcore::IdMap;
+use simcore::{CostModel, Meter};
 
-use crate::domain::DomId;
+use crate::domain::{DomId, Held};
+use crate::hv::{HvError, Hypervisor};
 
 /// A grant reference, local to the granting domain.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -26,188 +31,228 @@ pub enum GrantError {
     AlreadyMapped,
 }
 
-#[derive(Clone, Debug)]
-struct Grant {
-    grantee: DomId,
+/// One issued grant. Like Xen's v1 grant entry, the frame is 32-bit.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Grant {
+    pub(crate) grantee: DomId,
     /// Frame number in the granter's pseudo-physical space.
-    frame: u64,
+    frame: u32,
     readonly: bool,
     mapped: bool,
 }
 
-/// Per-host grant table keyed by (granter, reference).
-#[derive(Clone, Default, Debug)]
-pub struct GrantTable {
-    grants: IdMap<(DomId, GrantRef), Grant>,
-    next_ref: IdMap<DomId, u32>,
-}
-
-impl GrantTable {
-    /// Creates an empty table.
-    pub fn new() -> GrantTable {
-        GrantTable::default()
-    }
-
-    /// Grants `grantee` access to `frame` of `granter`.
+impl Hypervisor {
+    /// Grants `grantee` access to `frame` of `granter`. Both domains
+    /// must exist.
     pub fn grant_access(
         &mut self,
+        cost: &CostModel,
+        meter: &mut Meter,
         granter: DomId,
         grantee: DomId,
-        frame: u64,
+        frame: u32,
         readonly: bool,
-    ) -> GrantRef {
-        let n = self.next_ref.entry(granter).or_insert(1);
-        let gref = GrantRef(*n);
-        *n += 1;
-        self.grants.insert(
-            (granter, gref),
-            Grant {
-                grantee,
-                frame,
-                readonly,
-                mapped: false,
-            },
-        );
-        gref
+    ) -> Result<GrantRef, HvError> {
+        Self::charge(meter, cost.hypercall_base + cost.grant_op);
+        if self.record_mut(grantee).is_none() {
+            return Err(HvError::NoSuchDomain);
+        }
+        let g = self.record_mut(granter).ok_or(HvError::NoSuchDomain)?;
+        g.last_ref += 1;
+        let gref = GrantRef(g.last_ref);
+        let grant = Grant {
+            grantee,
+            frame,
+            readonly,
+            mapped: false,
+        };
+        g.grants.insert(gref.0, grant);
+        self.hold(grantee, Held::Grant(granter, gref));
+        self.live_grants += 1;
+        Ok(gref)
     }
 
-    /// Maps a grant; returns the shared frame number.
-    pub fn map(
+    /// Maps a granted frame; returns the shared frame number.
+    pub fn grant_map(
         &mut self,
+        cost: &CostModel,
+        meter: &mut Meter,
         mapper: DomId,
         granter: DomId,
         gref: GrantRef,
-    ) -> Result<u64, GrantError> {
-        let g = self
-            .grants
-            .get_mut(&(granter, gref))
-            .ok_or(GrantError::BadRef)?;
-        if g.grantee != mapper {
-            return Err(GrantError::NotPermitted);
-        }
+    ) -> Result<u32, HvError> {
+        Self::charge(meter, cost.hypercall_base + cost.grant_op);
+        let g = self.grant_mut(mapper, granter, gref)?;
         if g.mapped {
-            return Err(GrantError::AlreadyMapped);
+            return Err(GrantError::AlreadyMapped.into());
         }
         g.mapped = true;
         Ok(g.frame)
     }
 
-    /// Unmaps a grant.
-    pub fn unmap(
+    /// Unmaps a grant. Uncharged: a back-end's device close covers it.
+    pub fn grant_unmap(
         &mut self,
         mapper: DomId,
         granter: DomId,
         gref: GrantRef,
-    ) -> Result<(), GrantError> {
-        let g = self
-            .grants
-            .get_mut(&(granter, gref))
-            .ok_or(GrantError::BadRef)?;
-        if g.grantee != mapper {
-            return Err(GrantError::NotPermitted);
-        }
-        g.mapped = false;
+    ) -> Result<(), HvError> {
+        self.grant_mut(mapper, granter, gref)?.mapped = false;
         Ok(())
     }
 
     /// Ends access: the granter revokes the reference. Fails while the
-    /// grantee still has it mapped.
-    pub fn end_access(&mut self, granter: DomId, gref: GrantRef) -> Result<(), GrantError> {
-        match self.grants.get(&(granter, gref)) {
-            None => Err(GrantError::BadRef),
-            Some(g) if g.mapped => Err(GrantError::StillInUse),
-            Some(_) => {
-                self.grants.remove(&(granter, gref));
+    /// grantee still has it mapped. Uncharged, like [`Self::grant_unmap`].
+    pub fn grant_end_access(&mut self, granter: DomId, gref: GrantRef) -> Result<(), HvError> {
+        let grants = &mut self.record_mut(granter).ok_or(GrantError::BadRef)?.grants;
+        match grants.get(&gref.0) {
+            None => Err(GrantError::BadRef.into()),
+            Some(g) if g.mapped => Err(GrantError::StillInUse.into()),
+            Some(&Grant { grantee, .. }) => {
+                grants.remove(&gref.0);
+                self.release(grantee, Held::Grant(granter, gref));
+                self.live_grants -= 1;
                 Ok(())
             }
         }
     }
 
-    /// Whether a grant is currently read-only.
-    pub fn is_readonly(&self, granter: DomId, gref: GrantRef) -> Option<bool> {
-        self.grants.get(&(granter, gref)).map(|g| g.readonly)
+    /// Whether a live grant is read-only.
+    pub fn grant_is_readonly(&self, granter: DomId, gref: GrantRef) -> Option<bool> {
+        let d = if granter.is_dom0() {
+            &self.dom0
+        } else {
+            self.domain(granter).ok()?
+        };
+        d.grants.get(&gref.0).map(|g| g.readonly)
     }
 
-    /// Force-drops every grant of a dying domain (both directions).
-    pub fn drop_domain(&mut self, dom: DomId) {
-        self.grants
-            .retain(|(granter, _), g| *granter != dom && g.grantee != dom);
+    /// Number of live grants on the host.
+    pub fn grant_count(&self) -> usize {
+        self.live_grants
     }
 
-    /// Number of live grants.
-    pub fn len(&self) -> usize {
-        self.grants.len()
-    }
-
-    /// True if no grants exist.
-    pub fn is_empty(&self) -> bool {
-        self.grants.is_empty()
+    /// `granter`'s grant `gref`, if it exists and `mapper` is its grantee.
+    fn grant_mut(
+        &mut self,
+        mapper: DomId,
+        granter: DomId,
+        gref: GrantRef,
+    ) -> Result<&mut Grant, GrantError> {
+        let g = self
+            .record_mut(granter)
+            .and_then(|d| d.grants.get_mut(&gref.0))
+            .ok_or(GrantError::BadRef)?;
+        if g.grantee != mapper {
+            return Err(GrantError::NotPermitted);
+        }
+        Ok(g)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DomainConfig;
+
+    /// A host with Dom0 and guests dom1..=dom`n`, plus a cost model and
+    /// a meter.
+    fn host(n: u32) -> (Hypervisor, CostModel, Meter) {
+        let (mut hv, cost, mut m) = (
+            Hypervisor::new(1 << 34, 0, vec![1]),
+            CostModel::paper_defaults(),
+            Meter::new(),
+        );
+        for _ in 0..n {
+            hv.create_domain(&cost, &mut m, &DomainConfig::default())
+                .unwrap();
+        }
+        (hv, cost, m)
+    }
 
     #[test]
     fn grant_map_unmap_end() {
-        let mut t = GrantTable::new();
-        let gref = t.grant_access(DomId(5), DomId(0), 0x1000, false);
-        assert_eq!(t.map(DomId(0), DomId(5), gref).unwrap(), 0x1000);
+        let (mut hv, c, mut m) = host(1);
+        let (g, d0) = (DomId(1), DomId(0));
+        let gref = hv.grant_access(&c, &mut m, g, d0, 0x1000, false).unwrap();
+        assert_eq!(hv.grant_map(&c, &mut m, d0, g, gref).unwrap(), 0x1000);
         assert_eq!(
-            t.end_access(DomId(5), gref).unwrap_err(),
-            GrantError::StillInUse
+            hv.grant_end_access(g, gref).unwrap_err(),
+            HvError::Grant(GrantError::StillInUse)
         );
-        t.unmap(DomId(0), DomId(5), gref).unwrap();
-        t.end_access(DomId(5), gref).unwrap();
-        assert!(t.is_empty());
+        hv.grant_unmap(d0, g, gref).unwrap();
+        hv.grant_end_access(g, gref).unwrap();
+        assert_eq!(hv.grant_count(), 0);
     }
 
     #[test]
     fn wrong_grantee_cannot_map() {
-        let mut t = GrantTable::new();
-        let gref = t.grant_access(DomId(5), DomId(0), 1, true);
+        let (mut hv, c, mut m) = host(2);
+        let gref = hv
+            .grant_access(&c, &mut m, DomId(1), DomId(0), 1, true)
+            .unwrap();
         assert_eq!(
-            t.map(DomId(7), DomId(5), gref).unwrap_err(),
-            GrantError::NotPermitted
+            hv.grant_map(&c, &mut m, DomId(2), DomId(1), gref)
+                .unwrap_err(),
+            HvError::Grant(GrantError::NotPermitted)
         );
     }
 
     #[test]
     fn double_map_rejected() {
-        let mut t = GrantTable::new();
-        let gref = t.grant_access(DomId(5), DomId(0), 1, true);
-        t.map(DomId(0), DomId(5), gref).unwrap();
+        let (mut hv, c, mut m) = host(1);
+        let gref = hv
+            .grant_access(&c, &mut m, DomId(1), DomId(0), 1, true)
+            .unwrap();
+        hv.grant_map(&c, &mut m, DomId(0), DomId(1), gref).unwrap();
         assert_eq!(
-            t.map(DomId(0), DomId(5), gref).unwrap_err(),
-            GrantError::AlreadyMapped
+            hv.grant_map(&c, &mut m, DomId(0), DomId(1), gref)
+                .unwrap_err(),
+            HvError::Grant(GrantError::AlreadyMapped)
         );
     }
 
     #[test]
     fn readonly_flag_visible() {
-        let mut t = GrantTable::new();
-        let ro = t.grant_access(DomId(1), DomId(0), 1, true);
-        let rw = t.grant_access(DomId(1), DomId(0), 2, false);
-        assert_eq!(t.is_readonly(DomId(1), ro), Some(true));
-        assert_eq!(t.is_readonly(DomId(1), rw), Some(false));
+        let (mut hv, c, mut m) = host(1);
+        let ro = hv
+            .grant_access(&c, &mut m, DomId(1), DomId(0), 1, true)
+            .unwrap();
+        let rw = hv
+            .grant_access(&c, &mut m, DomId(1), DomId(0), 2, false)
+            .unwrap();
+        assert_eq!(hv.grant_is_readonly(DomId(1), ro), Some(true));
+        assert_eq!(hv.grant_is_readonly(DomId(1), rw), Some(false));
     }
 
     #[test]
-    fn drop_domain_clears_both_directions() {
-        let mut t = GrantTable::new();
-        t.grant_access(DomId(5), DomId(0), 1, false); // granted by 5
-        t.grant_access(DomId(0), DomId(5), 2, false); // granted to 5
-        t.grant_access(DomId(0), DomId(6), 3, false); // unrelated
-        t.drop_domain(DomId(5));
-        assert_eq!(t.len(), 1);
+    fn destroy_drops_grants_in_both_directions() {
+        let (mut hv, c, mut m) = host(2);
+        hv.grant_access(&c, &mut m, DomId(1), DomId(0), 1, false)
+            .unwrap(); // granted by 1
+        let to = hv
+            .grant_access(&c, &mut m, DomId(0), DomId(1), 2, false)
+            .unwrap(); // to 1
+        hv.grant_access(&c, &mut m, DomId(0), DomId(2), 3, false)
+            .unwrap(); // unrelated
+        hv.grant_map(&c, &mut m, DomId(1), DomId(0), to).unwrap();
+        hv.destroy(&c, &mut m, DomId(1)).unwrap();
+        assert_eq!(hv.grant_count(), 1);
+        assert_eq!(
+            hv.grant_end_access(DomId(0), to),
+            Err(HvError::Grant(GrantError::BadRef))
+        );
     }
 
     #[test]
     fn refs_are_per_granter() {
-        let mut t = GrantTable::new();
-        let a = t.grant_access(DomId(1), DomId(0), 1, false);
-        let b = t.grant_access(DomId(2), DomId(0), 1, false);
+        let (mut hv, c, mut m) = host(2);
+        let a = hv
+            .grant_access(&c, &mut m, DomId(1), DomId(0), 1, false)
+            .unwrap();
+        let b = hv
+            .grant_access(&c, &mut m, DomId(2), DomId(0), 1, false)
+            .unwrap();
         assert_eq!(a, b, "each granter has its own ref space");
     }
 }

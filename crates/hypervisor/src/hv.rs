@@ -1,15 +1,14 @@
 //! The hypervisor façade: domains, memory, hypercall dispatch.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use simcore::memory::OutOfMemory;
 use simcore::{Category, CostModel, IdMap, MemoryPressure, Meter};
 
 use crate::devpage::{DevicePage, DevicePageEntry, DevicePageError, DeviceKind};
-use crate::domain::{DomId, Domain, DomainConfig, DomainState, ShutdownReason};
-use crate::evtchn::{EvtchnError, EvtchnPort, EvtchnTable};
-use crate::gnttab::{GrantError, GrantRef, GrantTable};
+use crate::domain::{DomId, Domain, DomainConfig, DomainState, Held, ShutdownReason};
+use crate::evtchn::{EvtchnError, EvtchnPort};
+use crate::gnttab::{GrantError, GrantRef};
 
 const MIB: u64 = 1 << 20;
 
@@ -30,6 +29,8 @@ pub enum HvError {
     Grant(GrantError),
     /// Device-page failure.
     DevPage(DevicePageError),
+    /// Every domid below the configured limit is live.
+    DomidsExhausted,
 }
 
 impl std::fmt::Display for HvError {
@@ -42,6 +43,7 @@ impl std::fmt::Display for HvError {
             HvError::Evtchn(e) => write!(f, "event channel error: {e:?}"),
             HvError::Grant(e) => write!(f, "grant error: {e:?}"),
             HvError::DevPage(e) => write!(f, "device page error: {e:?}"),
+            HvError::DomidsExhausted => write!(f, "no free domid below the limit"),
         }
     }
 }
@@ -72,7 +74,17 @@ impl From<OutOfMemory> for HvError {
 /// The simulated hypervisor.
 #[derive(Clone, Debug)]
 pub struct Hypervisor {
-    domains: BTreeMap<DomId, Domain>,
+    /// Guest domains, each owning its ports, grants and device page.
+    /// Per-entry `Arc`, so a fork shares every record by refcount and
+    /// `Arc::make_mut` copies only the domain a write touches.
+    domains: IdMap<DomId, Arc<Domain>>,
+    /// Dom0's record, beside the guests: Dom0 owns ports and grants
+    /// like any domain, but is never created, destroyed or counted.
+    pub(crate) dom0: Domain,
+    /// Open channel ends and live grants on the whole host, kept as
+    /// running totals so counting them visits no domain.
+    pub(crate) open_channels: usize,
+    pub(crate) live_grants: usize,
     next_domid: u32,
     /// When set, the domid counter wraps at this bound and scans past
     /// live domids instead of growing forever (real Xen wraps at
@@ -83,13 +95,6 @@ pub struct Hypervisor {
     domid_limit: Option<u32>,
     /// Host memory book-keeping (guest allocations only).
     pub memory: MemoryPressure,
-    /// Event channels.
-    pub evtchn: EvtchnTable,
-    /// Grant tables.
-    pub gnttab: GrantTable,
-    /// Per-entry `Arc`, so a fork shares every page by refcount and
-    /// `Arc::make_mut` copies only the page a write touches.
-    device_pages: IdMap<DomId, Arc<DevicePage>>,
     /// Cores guests may run on (Dom0's cores excluded).
     guest_cores: Vec<usize>,
     next_core_rr: usize,
@@ -106,19 +111,19 @@ impl Hypervisor {
     pub fn new(mem_bytes: u64, dom0_reserved: u64, guest_cores: Vec<usize>) -> Hypervisor {
         assert!(!guest_cores.is_empty(), "need at least one guest core");
         Hypervisor {
-            domains: BTreeMap::new(),
+            domains: IdMap::default(),
+            dom0: Domain::default(),
+            open_channels: 0,
+            live_grants: 0,
             next_domid: 1,
             domid_limit: None,
             memory: MemoryPressure::new(mem_bytes, dom0_reserved),
-            evtchn: EvtchnTable::new(),
-            gnttab: GrantTable::new(),
-            device_pages: IdMap::default(),
             guest_cores,
             next_core_rr: 0,
         }
     }
 
-    fn charge(meter: &mut Meter, dt: simcore::SimTime) {
+    pub(crate) fn charge(meter: &mut Meter, dt: simcore::SimTime) {
         meter.charge(Category::Hypervisor, dt);
     }
 
@@ -137,18 +142,17 @@ impl Hypervisor {
         self.domid_limit = Some(limit);
     }
 
-    /// Next free domid under the configured policy.
-    fn alloc_domid(&mut self) -> DomId {
+    /// Next free domid under the configured policy, or
+    /// [`HvError::DomidsExhausted`] with nothing changed.
+    fn alloc_domid(&mut self) -> Result<DomId, HvError> {
         let Some(limit) = self.domid_limit else {
             let id = DomId(self.next_domid);
             self.next_domid += 1;
-            return id;
+            return Ok(id);
         };
-        assert!(
-            (self.domains.len() as u32) < limit - 1,
-            "domid space exhausted: {} live under limit {limit}",
-            self.domains.len()
-        );
+        if self.domains.len() as u32 >= limit - 1 {
+            return Err(HvError::DomidsExhausted);
+        }
         let mut cand = self.next_domid;
         loop {
             if cand >= limit || cand == 0 {
@@ -160,7 +164,7 @@ impl Hypervisor {
             cand += 1;
         }
         self.next_domid = cand + 1;
-        DomId(cand)
+        Ok(DomId(cand))
     }
 
     /// `XEN_DOMCTL_createdomain` + reservation: allocates the domain
@@ -171,11 +175,11 @@ impl Hypervisor {
         meter: &mut Meter,
         cfg: &DomainConfig,
     ) -> Result<DomId, HvError> {
+        let id = self.alloc_domid()?;
         Self::charge(
             meter,
             cost.hypercall_base + cost.domctl_create + cost.mem_reserve_base,
         );
-        let id = self.alloc_domid();
         // Collected straight into the `Arc` (the range's exact length
         // lets it allocate once).
         let vcpu_cores: Arc<[usize]> = (0..cfg.vcpus.max(1))
@@ -186,18 +190,13 @@ impl Hypervisor {
                 core
             })
             .collect();
-        self.domains.insert(
+        let d = Domain {
             id,
-            Domain {
-                id,
-                state: DomainState::Created,
-                max_mem_mib: cfg.max_mem_mib,
-                populated_mib: 0,
-                vcpu_cores,
-                shutdown_reason: None,
-                has_device_page: false,
-            },
-        );
+            max_mem_mib: cfg.max_mem_mib,
+            vcpu_cores,
+            ..Domain::default()
+        };
+        self.domains.insert(id, Arc::new(d));
         Ok(id)
     }
 
@@ -213,7 +212,7 @@ impl Hypervisor {
         mib: u64,
     ) -> Result<(), HvError> {
         let pressure = self.memory.factor();
-        let d = self.domains.get_mut(&dom).ok_or(HvError::NoSuchDomain)?;
+        let d = self.domain(dom)?;
         // A request whose size does not fit in a u64 is larger than any
         // host: refuse it before anything is charged or changed.
         let (Some(total), Some(bytes)) = (d.populated_mib.checked_add(mib), mib.checked_mul(MIB))
@@ -225,7 +224,7 @@ impl Hypervisor {
             return Err(HvError::BadState);
         }
         self.memory.allocate(bytes)?;
-        d.populated_mib = total;
+        self.domain_mut(dom)?.populated_mib = total;
         Self::charge(
             meter,
             cost.hypercall_base + (cost.mem_prep_per_mib * mib).scale(pressure),
@@ -241,7 +240,7 @@ impl Hypervisor {
         dom: DomId,
     ) -> Result<(), HvError> {
         Self::charge(meter, cost.hypercall_base);
-        let d = self.domains.get_mut(&dom).ok_or(HvError::NoSuchDomain)?;
+        let d = self.domain_mut(dom)?;
         match d.state {
             DomainState::Created | DomainState::Paused => {
                 d.state = DomainState::Running;
@@ -259,7 +258,7 @@ impl Hypervisor {
         dom: DomId,
     ) -> Result<(), HvError> {
         Self::charge(meter, cost.hypercall_base);
-        let d = self.domains.get_mut(&dom).ok_or(HvError::NoSuchDomain)?;
+        let d = self.domain_mut(dom)?;
         match d.state {
             DomainState::Running => {
                 d.state = DomainState::Paused;
@@ -278,7 +277,7 @@ impl Hypervisor {
         reason: ShutdownReason,
     ) -> Result<(), HvError> {
         Self::charge(meter, cost.hypercall_base);
-        let d = self.domains.get_mut(&dom).ok_or(HvError::NoSuchDomain)?;
+        let d = self.domain_mut(dom)?;
         if !matches!(d.state, DomainState::Running | DomainState::Paused) {
             return Err(HvError::BadState);
         }
@@ -299,7 +298,7 @@ impl Hypervisor {
         dom: DomId,
     ) -> Result<(), HvError> {
         Self::charge(meter, cost.hypercall_base);
-        let d = self.domains.get_mut(&dom).ok_or(HvError::NoSuchDomain)?;
+        let d = self.domain_mut(dom)?;
         if d.state != DomainState::Suspended {
             return Err(HvError::BadState);
         }
@@ -308,8 +307,11 @@ impl Hypervisor {
         Ok(())
     }
 
-    /// `XEN_DOMCTL_destroydomain`: tears down a domain, releasing memory,
-    /// event channels, grants and the device page.
+    /// `XEN_DOMCTL_destroydomain`: tears down a domain, releasing its
+    /// memory and device page, closing each of its ports with the peer
+    /// end the port names, and dropping the grants it issued and the
+    /// offers and grants others hold towards it. As in Xen's
+    /// `domain_kill`, it visits only what the domain owns.
     pub fn destroy(
         &mut self,
         cost: &CostModel,
@@ -318,9 +320,24 @@ impl Hypervisor {
     ) -> Result<(), HvError> {
         let d = self.domains.remove(&dom).ok_or(HvError::NoSuchDomain)?;
         self.memory.release(d.populated_mib * MIB);
-        self.evtchn.close_all(dom);
-        self.gnttab.drop_domain(dom);
-        self.device_pages.remove(&dom);
+        for (&port, &ch) in &d.ports {
+            self.open_channels -= 1;
+            self.close_peer(dom, EvtchnPort(port), ch);
+        }
+        for (&gref, g) in &d.grants {
+            self.live_grants -= 1;
+            self.release(g.grantee, Held::Grant(dom, GrantRef(gref)));
+        }
+        // An entry lives exactly as long as its offer or grant, so
+        // neither call can fail.
+        for &held in &d.held {
+            let _ = match held {
+                Held::Offer(owner, port) => self.evtchn_close(owner, port),
+                Held::Grant(granter, gref) => self
+                    .grant_unmap(dom, granter, gref)
+                    .and_then(|()| self.grant_end_access(granter, gref)),
+            };
+        }
         Self::charge(
             meter,
             cost.hypercall_base
@@ -334,12 +351,43 @@ impl Hypervisor {
 
     /// Immutable domain view.
     pub fn domain(&self, dom: DomId) -> Result<&Domain, HvError> {
-        self.domains.get(&dom).ok_or(HvError::NoSuchDomain)
+        self.domains
+            .get(&dom)
+            .map(|d| &**d)
+            .ok_or(HvError::NoSuchDomain)
     }
 
-    /// All domains in id order.
-    pub fn domains(&self) -> impl Iterator<Item = &Domain> {
-        self.domains.values()
+    /// A guest's record for writing, copied first if a fork shares it.
+    fn domain_mut(&mut self, dom: DomId) -> Result<&mut Domain, HvError> {
+        self.domains
+            .get_mut(&dom)
+            .map(Arc::make_mut)
+            .ok_or(HvError::NoSuchDomain)
+    }
+
+    /// `dom`'s record for writing, Dom0's included, if it exists.
+    pub(crate) fn record_mut(&mut self, dom: DomId) -> Option<&mut Domain> {
+        if dom.is_dom0() {
+            return Some(&mut self.dom0);
+        }
+        self.domain_mut(dom).ok()
+    }
+
+    /// Records on `dom` a resource another domain holds towards it.
+    pub(crate) fn hold(&mut self, dom: DomId, held: Held) {
+        if let Some(d) = self.record_mut(dom) {
+            d.held.push(held);
+        }
+    }
+
+    /// Forgets a resource recorded by [`Self::hold`] once it is bound
+    /// or gone.
+    pub(crate) fn release(&mut self, dom: DomId, held: Held) {
+        if let Some(d) = self.record_mut(dom) {
+            if let Some(i) = d.held.iter().position(|&h| h == held) {
+                d.held.swap_remove(i);
+            }
+        }
     }
 
     /// Number of domains.
@@ -350,72 +398,6 @@ impl Hypervisor {
     /// The cores guests run on.
     pub fn guest_cores(&self) -> &[usize] {
         &self.guest_cores
-    }
-
-    // --- event channels / grants (cost-charged wrappers) ----------------------
-
-    /// Allocates an unbound event channel.
-    pub fn evtchn_alloc_unbound(
-        &mut self,
-        cost: &CostModel,
-        meter: &mut Meter,
-        owner: DomId,
-        remote: DomId,
-    ) -> EvtchnPort {
-        Self::charge(meter, cost.hypercall_base + cost.evtchn_op);
-        self.evtchn.alloc_unbound(owner, remote)
-    }
-
-    /// Binds an interdomain event channel.
-    pub fn evtchn_bind(
-        &mut self,
-        cost: &CostModel,
-        meter: &mut Meter,
-        binder: DomId,
-        owner: DomId,
-        port: EvtchnPort,
-    ) -> Result<EvtchnPort, HvError> {
-        Self::charge(meter, cost.hypercall_base + cost.evtchn_op);
-        Ok(self.evtchn.bind_interdomain(binder, owner, port)?)
-    }
-
-    /// Sends a notification.
-    pub fn evtchn_send(
-        &mut self,
-        cost: &CostModel,
-        meter: &mut Meter,
-        dom: DomId,
-        port: EvtchnPort,
-    ) -> Result<(), HvError> {
-        Self::charge(meter, cost.hypercall_base + cost.evtchn_op);
-        Ok(self.evtchn.send(dom, port)?)
-    }
-
-    /// Grants access to a frame.
-    pub fn grant_access(
-        &mut self,
-        cost: &CostModel,
-        meter: &mut Meter,
-        granter: DomId,
-        grantee: DomId,
-        frame: u64,
-        readonly: bool,
-    ) -> GrantRef {
-        Self::charge(meter, cost.hypercall_base + cost.grant_op);
-        self.gnttab.grant_access(granter, grantee, frame, readonly)
-    }
-
-    /// Maps a granted frame.
-    pub fn grant_map(
-        &mut self,
-        cost: &CostModel,
-        meter: &mut Meter,
-        mapper: DomId,
-        granter: DomId,
-        gref: GrantRef,
-    ) -> Result<u64, HvError> {
-        Self::charge(meter, cost.hypercall_base + cost.grant_op);
-        Ok(self.gnttab.map(mapper, granter, gref)?)
     }
 
     // --- noxs device pages ------------------------------------------------------
@@ -432,9 +414,9 @@ impl Hypervisor {
             return Err(HvError::NotPermitted);
         }
         Self::charge(meter, cost.hypercall_base + cost.noxs_page_setup);
-        let d = self.domains.get_mut(&dom).ok_or(HvError::NoSuchDomain)?;
-        d.has_device_page = true;
-        self.device_pages.entry(dom).or_default();
+        self.domain_mut(dom)?
+            .device_page
+            .get_or_insert_with(Default::default);
         Ok(())
     }
 
@@ -448,15 +430,7 @@ impl Hypervisor {
         dom: DomId,
         entry: DevicePageEntry,
     ) -> Result<(), HvError> {
-        if !caller.is_dom0() {
-            return Err(HvError::NotPermitted);
-        }
-        Self::charge(meter, cost.hypercall_base + cost.noxs_page_op);
-        let page = self
-            .device_pages
-            .get_mut(&dom)
-            .ok_or(HvError::NoSuchDomain)?;
-        Ok(Arc::make_mut(page).push(entry)?)
+        self.edit_page(cost, meter, caller, dom, |page| page.push(entry))
     }
 
     /// Removes a device entry (Dom0 only).
@@ -469,15 +443,7 @@ impl Hypervisor {
         kind: DeviceKind,
         devid: u32,
     ) -> Result<(), HvError> {
-        if !caller.is_dom0() {
-            return Err(HvError::NotPermitted);
-        }
-        Self::charge(meter, cost.hypercall_base + cost.noxs_page_op);
-        let page = self
-            .device_pages
-            .get_mut(&dom)
-            .ok_or(HvError::NoSuchDomain)?;
-        Ok(Arc::make_mut(page).remove(kind, devid)?)
+        self.edit_page(cost, meter, caller, dom, |page| page.remove(kind, devid))
     }
 
     /// The guest maps and reads its own device page (one hypercall to get
@@ -489,10 +455,28 @@ impl Hypervisor {
         caller: DomId,
     ) -> Result<Arc<DevicePage>, HvError> {
         Self::charge(meter, cost.hypercall_base + cost.noxs_page_op);
-        self.device_pages
+        self.domains
             .get(&caller)
-            .cloned()
+            .and_then(|d| d.device_page.clone())
             .ok_or(HvError::NoSuchDomain)
+    }
+
+    /// Applies a Dom0-only `edit` to `dom`'s device page, copying the
+    /// page first if a fork shares it.
+    fn edit_page(
+        &mut self,
+        cost: &CostModel,
+        meter: &mut Meter,
+        caller: DomId,
+        dom: DomId,
+        edit: impl FnOnce(&mut DevicePage) -> Result<(), DevicePageError>,
+    ) -> Result<(), HvError> {
+        if !caller.is_dom0() {
+            return Err(HvError::NotPermitted);
+        }
+        Self::charge(meter, cost.hypercall_base + cost.noxs_page_op);
+        let page = self.domain_mut(dom)?.device_page.as_mut();
+        Ok(edit(Arc::make_mut(page.ok_or(HvError::NoSuchDomain)?))?)
     }
 }
 
@@ -653,7 +637,7 @@ mod tests {
         );
         hv.devpage_write(&cost, &mut m, DomId::DOM0, id, entry).unwrap();
         let page = hv.devpage_read(&cost, &mut m, id).unwrap();
-        assert_eq!(page.len(), 1);
+        assert_eq!(page.entries().len(), 1);
         assert_eq!(page.entries()[0].kind, DeviceKind::Net);
     }
 
@@ -663,14 +647,64 @@ mod tests {
         let id = hv
             .create_domain(&cost, &mut m, &DomainConfig::default())
             .unwrap();
-        let port = hv.evtchn_alloc_unbound(&cost, &mut m, DomId::DOM0, id);
+        let port = hv.evtchn_alloc_unbound(&cost, &mut m, DomId::DOM0, id).unwrap();
         hv.evtchn_bind(&cost, &mut m, id, DomId::DOM0, port).unwrap();
-        hv.grant_access(&cost, &mut m, id, DomId::DOM0, 1, false);
+        hv.evtchn_alloc_unbound(&cost, &mut m, DomId::DOM0, id).unwrap();
+        hv.grant_access(&cost, &mut m, id, DomId::DOM0, 1, false).unwrap();
+        hv.grant_access(&cost, &mut m, DomId::DOM0, id, 2, false).unwrap();
         hv.devpage_setup(&cost, &mut m, DomId::DOM0, id).unwrap();
         hv.destroy(&cost, &mut m, id).unwrap();
-        assert_eq!(hv.evtchn.open_channels(), 0);
-        assert!(hv.gnttab.is_empty());
+        assert_eq!(hv.open_channels(), 0);
+        assert_eq!(hv.grant_count(), 0);
         assert!(hv.devpage_read(&cost, &mut m, id).is_err());
+    }
+
+    #[test]
+    fn reborn_domid_numbers_from_one() {
+        let (mut hv, cost, mut m) = setup();
+        hv.set_domid_limit(2); // one guest domid: 1
+        for _ in 0..2 {
+            let id = hv.create_domain(&cost, &mut m, &DomainConfig::default()).unwrap();
+            assert_eq!(id, DomId(1));
+            let offer = hv.evtchn_alloc_unbound(&cost, &mut m, id, DomId::DOM0).unwrap();
+            let gref = hv.grant_access(&cost, &mut m, id, DomId::DOM0, 1, false).unwrap();
+            assert_eq!((offer, gref), (EvtchnPort(1), GrantRef(1)));
+            hv.destroy(&cost, &mut m, id).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_fork_shares_domains_until_written() {
+        let (mut hv, cost, mut m) = setup();
+        let id = hv.create_domain(&cost, &mut m, &DomainConfig::default()).unwrap();
+        hv.devpage_setup(&cost, &mut m, DomId::DOM0, id).unwrap();
+        let mut fork = hv.clone();
+        assert!(Arc::ptr_eq(&hv.domains[&id], &fork.domains[&id]));
+        fork.unpause(&cost, &mut m, id).unwrap();
+        assert!(!Arc::ptr_eq(&hv.domains[&id], &fork.domains[&id]));
+        assert_eq!(hv.domain(id).unwrap().state, DomainState::Created);
+        fork.destroy(&cost, &mut m, id).unwrap();
+        assert!(hv.devpage_read(&cost, &mut m, id).is_ok(), "the original keeps its page");
+    }
+
+    #[test]
+    fn domid_exhaustion_is_an_error_not_a_panic() {
+        let (mut hv, cost, mut m) = setup();
+        hv.set_domid_limit(4); // usable guest domids: 1, 2, 3
+        for _ in 0..3 {
+            hv.create_domain(&cost, &mut m, &DomainConfig::default()).unwrap();
+        }
+        let charged = m.total();
+        assert_eq!(
+            hv.create_domain(&cost, &mut m, &DomainConfig::default()),
+            Err(HvError::DomidsExhausted)
+        );
+        assert_eq!((hv.domain_count(), m.total()), (3, charged), "nothing charged or changed");
+        hv.destroy(&cost, &mut m, DomId(2)).unwrap();
+        assert_eq!(
+            hv.create_domain(&cost, &mut m, &DomainConfig::default()),
+            Ok(DomId(2))
+        );
     }
 
     #[test]

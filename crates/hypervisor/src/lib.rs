@@ -19,8 +19,8 @@ pub mod hv;
 
 pub use devpage::{DevicePage, DevicePageEntry, DeviceKind};
 pub use domain::{DomId, Domain, DomainConfig, DomainState, ShutdownReason};
-pub use evtchn::{EvtchnPort, EvtchnTable};
-pub use gnttab::{GrantRef, GrantTable};
+pub use evtchn::EvtchnPort;
+pub use gnttab::GrantRef;
 pub use hv::{HvError, Hypervisor};
 
 /// Result alias for hypercalls.

@@ -261,7 +261,7 @@ mod tests {
         assert_eq!(w.sw.port_count(), 0);
         assert_eq!(w.net.count(), 0);
         let page = w.hv.devpage_read(&w.cost, &mut m, dom).unwrap();
-        assert!(page.is_empty());
+        assert!(page.entries().is_empty());
     }
 
     #[test]

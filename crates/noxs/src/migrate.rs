@@ -114,7 +114,9 @@ pub fn migrate(
         // grants and device page. It was created above, so the destroy
         // cannot fail; the error worth reporting is the one that
         // stopped the migration.
-        dst.net.drop_domain(new_dom);
+        for &devid in net_devids {
+            dst.net.forget(new_dom, devid);
+        }
         dst.switch.drop_domain(new_dom);
         dst.sysctl.drop_domain(new_dom);
         let _ = dst.hv.destroy(dst.cost, meter, new_dom);

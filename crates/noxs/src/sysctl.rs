@@ -56,8 +56,8 @@ impl SysctlBackend {
         meter: &mut Meter,
         dom: DomId,
     ) -> Result<(), SysctlError> {
-        let evtchn = hv.evtchn_alloc_unbound(cost, meter, DomId::DOM0, dom);
-        let grant = hv.grant_access(cost, meter, DomId::DOM0, dom, 0x20_0000 + dom.0 as u64, false);
+        let evtchn = hv.evtchn_alloc_unbound(cost, meter, DomId::DOM0, dom)?;
+        let grant = hv.grant_access(cost, meter, DomId::DOM0, dom, 0x20_0000 + dom.0, false)?;
         hv.devpage_write(
             cost,
             meter,

@@ -135,8 +135,8 @@ impl ControlPlane {
             console_devs: self.console.count(),
             switch_ports: self.switch.port_count(),
             domains: self.hv.domain_count(),
-            evtchns: self.hv.evtchn.open_channels(),
-            grants: self.hv.gnttab.len(),
+            evtchns: self.hv.open_channels(),
+            grants: self.hv.grant_count(),
             guest_mem_bytes: self.guest_memory_used(),
             vms: self.running_count(),
             shell_pool: self.daemon.len(),

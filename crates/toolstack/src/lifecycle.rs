@@ -50,7 +50,7 @@ impl ControlPlane {
                 self.sysctl.setup(&mut self.hv, &cost, &mut meter, dom)?;
             }
             noxs_ckpt::save(&mut self.hv, &mut self.sysctl, &cost, &mut meter, dom)?;
-            self.drop_backend_records(dom);
+            self.drop_backend_records(dom, &DeviceList::of(&vm.image));
         }
 
         self.forget_vm(dom, &vm);
@@ -178,7 +178,7 @@ impl ControlPlane {
                 .map_err(|e| PlaneError::Dev(format!("{e:?}")))?;
             // The source's vifs went with the migration; its other
             // back-end records go without a charge, as in `save_vm`.
-            self.drop_backend_records(dom);
+            self.drop_backend_records(dom, &DeviceList::of(&vm.image));
             moved
         };
         self.forget_vm(dom, &vm);
@@ -256,16 +256,6 @@ impl ControlPlane {
         self.hv.shutdown(cost, meter, dom, ShutdownReason::Suspend)?;
         meter.charge(Category::Other, cost.xc_context_save);
         Ok(())
-    }
-
-    /// Forgets a departed noxs guest's back-end devices and switch ports
-    /// without a charge: its domain is gone or going, and the
-    /// hypervisor reaps its channels and grants.
-    fn drop_backend_records(&mut self, dom: DomId) {
-        self.net.drop_domain(dom);
-        self.blk.drop_domain(dom);
-        self.console.drop_domain(dom);
-        self.switch.drop_domain(dom);
     }
 
     /// Drops local bookkeeping for a guest that left this host.

@@ -1275,6 +1275,16 @@ impl ControlPlane {
         self.sysctl.drop_domain(dom);
     }
 
+    /// Forgets a departed noxs guest's `devices` and switch ports
+    /// without a charge: its domain is gone or going, and the
+    /// hypervisor reaps their channels and grants.
+    pub(crate) fn drop_backend_records(&mut self, dom: DomId, devices: &[Device]) {
+        for &(kind, devid) in devices {
+            self.backend(kind).backend.forget(dom, devid);
+        }
+        self.switch.drop_domain(dom);
+    }
+
     // --- boot -----------------------------------------------------------------
 
     /// Boots a created VM: unpause, guest-side device connection, guest

@@ -7,8 +7,10 @@
 //! bookkeeping (shell pool, RNG streams, meters, per-image counters).
 //! The copy is a structure-sharing clone: node values are `Arc<[u8]>`
 //! and the interner's symbols are `Arc<str>`, so most of the store
-//! copies as reference bumps; the flat tables (nodes, domains, grants,
-//! channels) memcpy. A fork is digest-identical to a world freshly
+//! copies as reference bumps; each guest domain, with the ports,
+//! grants and device page it owns, is one `Arc` bump; the flat tables
+//! (store nodes, the domain map, Dom0's ports and grants) memcpy. A
+//! fork is digest-identical to a world freshly
 //! simulated to the same point — the simulation is fully seeded and
 //! the clone is faithful, which
 //! `crates/toolstack/tests/proptest_snapshot.rs` pins per mode, density
@@ -80,8 +82,8 @@ impl ControlPlane {
             "domains={} guest_mem={} evtchns={} grants={}\n",
             self.hv.domain_count(),
             self.guest_memory_used(),
-            self.hv.evtchn.open_channels(),
-            self.hv.gnttab.len(),
+            self.hv.open_channels(),
+            self.hv.grant_count(),
         ));
         d.push_str(&format!("running={}\n", self.running_count()));
         d
@@ -125,8 +127,8 @@ impl ControlPlane {
         mix.write_u64(self.switch.port_count() as u64);
         mix.write_u64(self.hv.domain_count() as u64);
         mix.write_u64(self.guest_memory_used());
-        mix.write_u64(self.hv.evtchn.open_channels() as u64);
-        mix.write_u64(self.hv.gnttab.len() as u64);
+        mix.write_u64(self.hv.open_channels() as u64);
+        mix.write_u64(self.hv.grant_count() as u64);
         mix.write_u64(self.running_count() as u64);
         mix.finish()
     }
