@@ -1061,7 +1061,7 @@ pub fn all_specs(scale: Scale) -> Vec<FigureSpec> {
         fig18(scale),
         crate::ablations::spec(scale),
         crate::faultsweep::spec(scale),
-        crate::churn::spec(scale, None),
+        crate::churn::spec(scale),
         crate::cluster::spec(scale),
     ]
 }

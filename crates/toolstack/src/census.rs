@@ -121,6 +121,13 @@ impl WorldCensus {
 impl ControlPlane {
     /// Takes a census of everything currently held (see [`WorldCensus`]).
     pub fn census(&self) -> WorldCensus {
+        // The census already walks the world, so it is where debug
+        // builds check the incremental sum against a recount.
+        debug_assert_eq!(
+            self.booted_watches,
+            self.vms.values().filter(|v| v.booted).map(|v| v.image.watches).sum::<u32>(),
+            "incremental booted-watch sum drifted from the VM map"
+        );
         let store = self.xs.store_census();
         WorldCensus {
             store_live: store.live,

@@ -357,8 +357,8 @@ pub struct ControlPlane {
     /// Sum of `image.watches` over booted guests, maintained
     /// incrementally so `refresh_interference` is O(1) per boot/destroy
     /// (the integer sum is order-free, so it matches the old per-call
-    /// fold exactly).
-    booted_watches: u32,
+    /// fold exactly). [`ControlPlane::census`] re-sums it in debug builds.
+    pub(crate) booted_watches: u32,
 }
 
 impl ControlPlane {
@@ -525,11 +525,6 @@ impl ControlPlane {
     /// Updates the ambient-interference level from the registered
     /// watch count (stand-in for the running guests' own xenbus traffic).
     pub(crate) fn refresh_interference(&mut self) {
-        debug_assert_eq!(
-            self.booted_watches,
-            self.vms.values().filter(|v| v.booted).map(|v| v.image.watches).sum::<u32>(),
-            "incremental booted-watch sum drifted from the VM map"
-        );
         self.xs
             .set_ambient_interference((self.booted_watches as f64 * 1.2e-6).min(0.02));
     }

@@ -119,14 +119,13 @@ fn ratios(mode: ToolstackMode) -> (f64, f64) {
     (d1 / d0, r1 / r0)
 }
 
-/// One test, so the modes never time each other. Debug builds re-sum
-/// every VM's watches on each operation to check the incremental total
-/// (`ControlPlane::refresh_interference`), which is O(guests) by design,
-/// so the timing only means something in a release build.
+/// One test, so the modes never time each other. It asserts ratios of
+/// host time, and those are gated on the optimised code a release build
+/// runs; `ci.sh` runs it that way.
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "times a debug-only O(guests) check; run with --release"
+    ignore = "asserts host-time ratios of optimised code; run with --release"
 )]
 fn teardown_cost_does_not_grow_with_the_population() {
     for mode in [ToolstackMode::ChaosNoxs, ToolstackMode::LightVm] {

@@ -28,6 +28,7 @@
 //! symbol hops. Both keys charge the same; lookups never intern a path,
 //! mutations and transactional ops do.
 
+mod chunks;
 pub mod hash;
 pub mod log;
 pub mod path;

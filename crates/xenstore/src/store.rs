@@ -27,6 +27,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
+use crate::chunks::CowChunks;
 use crate::hash::Mix128;
 use crate::path::XsPath;
 use crate::sym::{Interner, SymLink, XsKey, XsSym};
@@ -157,140 +158,6 @@ impl Node {
     }
 }
 
-/// Slots per copy-on-write chunk in [`NodeArena`] and [`HashCache`].
-/// 64 keeps a chunk copy at a few KB — small enough that a forked world
-/// touching a handful of guests localises only a handful of chunks.
-const CHUNK_BITS: usize = 6;
-const CHUNK: usize = 1 << CHUNK_BITS;
-
-/// The node slot arena, stored as fixed-size chunks shared
-/// copy-on-write across world forks: cloning a store bumps one refcount
-/// per chunk instead of deep-copying every node, and a mutation
-/// localises only the 64-slot chunk it lands in (`Arc::make_mut`).
-/// This is what makes cluster-scale fork stamping O(written state) in
-/// memory rather than O(template size) per host.
-#[derive(Clone, Debug)]
-struct NodeArena {
-    chunks: Vec<Arc<Vec<Option<Node>>>>,
-    /// Slots handed out so far (`<= chunks.len() * CHUNK`); the tail of
-    /// the last chunk is unallocated padding, always `None`.
-    len: usize,
-}
-
-impl NodeArena {
-    fn new() -> NodeArena {
-        NodeArena { chunks: Vec::new(), len: 0 }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    #[inline]
-    fn get(&self, slot: usize) -> Option<&Node> {
-        self.chunks.get(slot >> CHUNK_BITS)?[slot & (CHUNK - 1)].as_ref()
-    }
-
-    /// Mutable access, localising the chunk first if it is shared with
-    /// a forked sibling.
-    #[inline]
-    fn get_mut(&mut self, slot: usize) -> Option<&mut Node> {
-        let chunk = self.chunks.get_mut(slot >> CHUNK_BITS)?;
-        Arc::make_mut(chunk)[slot & (CHUNK - 1)].as_mut()
-    }
-
-    fn set(&mut self, slot: usize, node: Option<Node>) {
-        let chunk = &mut self.chunks[slot >> CHUNK_BITS];
-        Arc::make_mut(chunk)[slot & (CHUNK - 1)] = node;
-    }
-
-    /// Empties a slot, returning the node it held.
-    fn take(&mut self, slot: usize) -> Option<Node> {
-        let chunk = &mut self.chunks[slot >> CHUNK_BITS];
-        Arc::make_mut(chunk)[slot & (CHUNK - 1)].take()
-    }
-
-    /// Appends a node in the next fresh slot, growing by one chunk when
-    /// the last is full. Returns the slot index.
-    fn push(&mut self, node: Node) -> usize {
-        let slot = self.len;
-        if slot >> CHUNK_BITS == self.chunks.len() {
-            let mut fresh = Vec::with_capacity(CHUNK);
-            fresh.resize_with(CHUNK, || None);
-            self.chunks.push(Arc::new(fresh));
-        }
-        self.len += 1;
-        self.set(slot, Some(node));
-        slot
-    }
-}
-
-/// Cached Merkle digests of each slot's subtree (DESIGN.md §6h), kept
-/// beside the arena rather than inside [`Node`] so arena chunks hold
-/// only plain data and stay shareable across forks. `0` = dirty
-/// ([`Store::node_hash`] never produces 0 — it maps a computed 0 to 1).
-/// Chunked copy-on-write like the arena: forked worlds inherit the
-/// template's warm caches by refcount (the cache is a pure function of
-/// digested state, never of lineage), and an invalidation or recompute
-/// localises only the chunk it writes — so a fork whose content
-/// diverges always owns the cache entries that describe the divergence.
-#[derive(Clone, Debug)]
-struct HashCache {
-    chunks: Vec<Arc<[u128; CHUNK]>>,
-}
-
-/// The symbol → slot map, CoW-chunked like the arena (a flat `Vec<u32>`
-/// re-copies four bytes per interned symbol on every fork). Reads
-/// beyond the populated range are `NO_SLOT`, so it never needs an
-/// explicit resize on the read side.
-#[derive(Clone, Debug)]
-struct SlotMap {
-    chunks: Vec<Arc<[u32; CHUNK]>>,
-}
-
-impl SlotMap {
-    fn new() -> SlotMap {
-        SlotMap { chunks: Vec::new() }
-    }
-
-    #[inline]
-    fn get(&self, idx: usize) -> u32 {
-        self.chunks.get(idx >> CHUNK_BITS).map_or(NO_SLOT, |c| c[idx & (CHUNK - 1)])
-    }
-
-    fn set(&mut self, idx: usize, slot: u32) {
-        while self.chunks.len() <= idx >> CHUNK_BITS {
-            self.chunks.push(Arc::new([NO_SLOT; CHUNK]));
-        }
-        Arc::make_mut(&mut self.chunks[idx >> CHUNK_BITS])[idx & (CHUNK - 1)] = slot;
-    }
-}
-
-impl HashCache {
-    fn new() -> HashCache {
-        HashCache { chunks: Vec::new() }
-    }
-
-    /// The cached digest for a slot; `0` (dirty) when out of range.
-    #[inline]
-    fn get(&self, slot: usize) -> u128 {
-        self.chunks.get(slot >> CHUNK_BITS).map_or(0, |c| c[slot & (CHUNK - 1)])
-    }
-
-    fn set(&mut self, slot: usize, digest: u128) {
-        while self.chunks.len() <= slot >> CHUNK_BITS {
-            self.chunks.push(Arc::new([0; CHUNK]));
-        }
-        Arc::make_mut(&mut self.chunks[slot >> CHUNK_BITS])[slot & (CHUNK - 1)] = digest;
-    }
-
-    fn clear(&mut self) {
-        for chunk in &mut self.chunks {
-            *chunk = Arc::new([0; CHUNK]);
-        }
-    }
-}
-
 /// Stores `value` into `slot` without allocating when avoidable: empty
 /// values share the store-wide empty buffer, and a same-length value
 /// overwrites in place when `slot` is unaliased (refcount 1). Aliased
@@ -392,18 +259,24 @@ pub struct Store {
     /// Reusable doomed-subtree buffer for [`Store::rm`].
     doomed_scratch: Vec<XsSym>,
     /// Node slot arena, addressed through `slot_of`; `None` = a recycled
-    /// hole awaiting reuse (listed in `free_slots`). Chunked CoW — see
-    /// [`NodeArena`].
-    nodes: NodeArena,
-    /// Lazy per-slot subtree digests, CoW-shared like the arena.
+    /// hole awaiting reuse (listed in `free_slots`) or a slot not yet
+    /// handed out.
+    nodes: CowChunks<Option<Node>>,
+    /// Cached Merkle digests of each slot's subtree (DESIGN.md §6h),
+    /// kept beside the arena rather than inside [`Node`]; `0` = dirty
+    /// ([`Store::node_hash`] never produces 0). A fork inherits the
+    /// template's warm entries (the cache is a pure function of digested
+    /// state) and copies only the chunks it invalidates or recomputes.
     /// Interior mutability so the `&self` digest walk can fill it;
     /// borrows are short-scoped and never escape a method.
-    hash_cache: RefCell<HashCache>,
+    hash_cache: RefCell<CowChunks<u128>>,
     /// Symbol → slot map (`NO_SLOT` = no node at that path). Grows
     /// append-only with the interner; the slots it points into are
     /// recycled, which is what keeps `nodes` at O(peak live) under
-    /// churn. CoW-chunked — see [`SlotMap`].
-    slot_of: SlotMap,
+    /// churn.
+    slot_of: CowChunks<u32>,
+    /// Arena slots handed out so far, live or recycled.
+    slots: usize,
     /// Recycled slots, reused LIFO by [`Store::insert_node`].
     free_slots: Vec<u32>,
     node_count: usize,
@@ -440,16 +313,19 @@ impl Store {
     /// Creates a store containing only the root node.
     pub fn new() -> Store {
         let empty: Arc<[u8]> = Arc::from(&b""[..]);
-        let mut nodes = NodeArena::new();
-        nodes.push(Node::new(&empty, Perms::dom0(), 0));
+        let mut nodes = CowChunks::default();
+        *nodes.get_mut(0) = Some(Node::new(&empty, Perms::dom0(), 0));
+        let mut slot_of = CowChunks::new(NO_SLOT);
+        *slot_of.get_mut(XsSym::ROOT.index()) = 0;
         let mut interner = Interner::new();
         let local = interner.child(XsSym::ROOT, "local");
         let local_domain = interner.child(local, "domain");
         Store {
             interner: RefCell::new(interner),
             nodes,
-            hash_cache: RefCell::new(HashCache::new()),
-            slot_of: { let mut m = SlotMap::new(); m.set(0, 0); m },
+            hash_cache: RefCell::default(),
+            slot_of,
+            slots: 1,
             free_slots: Vec::new(),
             empty,
             consts: CONST_VALS.iter().map(|&v| Arc::from(v)).collect(),
@@ -490,10 +366,10 @@ impl Store {
     /// the churn suite compares censuses between matching checkpoints
     /// to catch monotone resource drift.
     pub fn census(&self) -> StoreCensus {
-        debug_assert_eq!(self.node_count + self.free_slots.len(), self.nodes.len());
+        debug_assert_eq!(self.node_count + self.free_slots.len(), self.slots);
         StoreCensus {
             live: self.node_count,
-            capacity: self.nodes.len(),
+            capacity: self.slots,
             free: self.free_slots.len(),
             interned_syms: self.interner.borrow().len(),
         }
@@ -625,14 +501,14 @@ impl Store {
     /// Resolves a symbol to its live arena slot, if any.
     #[inline]
     fn slot(&self, sym: XsSym) -> Option<usize> {
-        match self.slot_of.get(sym.index()) {
+        match *self.slot_of.get(sym.index()) {
             NO_SLOT => None,
             s => Some(s as usize),
         }
     }
 
     fn node(&self, sym: XsSym) -> Option<&Node> {
-        self.nodes.get(self.slot(sym)?)
+        self.nodes.get(self.slot(sym)?).as_ref()
     }
 
     /// The sibling after `c` in its parent's child chain.
@@ -645,32 +521,31 @@ impl Store {
 
     fn node_mut(&mut self, sym: XsSym) -> Option<&mut Node> {
         let slot = self.slot(sym)?;
-        self.nodes.get_mut(slot)
+        self.nodes.get_mut(slot).as_mut()
     }
 
     /// Installs a node for `sym`, reusing a recycled slot when one is
     /// free (LIFO) and growing the arena only past the live+free peak.
     fn insert_node(&mut self, sym: XsSym, node: Node) {
         let idx = sym.index();
-        debug_assert_eq!(self.slot_of.get(idx), NO_SLOT, "insert over a live node");
-        let slot = match self.free_slots.pop() {
-            Some(s) => {
-                debug_assert!(self.nodes.get(s as usize).is_none(), "free slot was live");
-                self.nodes.set(s as usize, Some(node));
-                s
-            }
-            None => self.nodes.push(node) as u32,
-        };
+        debug_assert_eq!(*self.slot_of.get(idx), NO_SLOT, "insert over a live node");
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            self.slots += 1;
+            (self.slots - 1) as u32
+        });
+        let held = self.nodes.get_mut(slot as usize);
+        debug_assert!(held.is_none(), "free slot was live");
+        *held = Some(node);
         // A recycled slot may still carry the previous occupant's cached
         // digest; the new node starts dirty. (Fresh slots read as dirty
         // already — the cache grows lazily.)
         {
             let mut cache = self.hash_cache.borrow_mut();
-            if cache.get(slot as usize) != 0 {
-                cache.set(slot as usize, 0);
+            if *cache.get(slot as usize) != 0 {
+                *cache.get_mut(slot as usize) = 0;
             }
         }
-        self.slot_of.set(idx, slot);
+        *self.slot_of.get_mut(idx) = slot;
     }
 
     /// Appends `child` to `parent`'s child chain. O(1), allocation-free:
@@ -1013,9 +888,9 @@ impl Store {
         // node's owner as it goes.
         for &s in &doomed {
             let idx = s.index();
-            let slot = self.slot_of.get(idx);
+            let slot = *self.slot_of.get(idx);
             debug_assert_ne!(slot, NO_SLOT, "doomed node has a slot");
-            let node = self.nodes.take(slot as usize).expect("doomed node is live");
+            let node = self.nodes.get_mut(slot as usize).take().expect("doomed node is live");
             match self.tally_role(s) {
                 TallyRole::Entry => self.tally.entry(self.scanned_name_path_len(s), false),
                 TallyRole::Name => self.tally.name(&node.value, false),
@@ -1026,7 +901,7 @@ impl Store {
                     *c = c.saturating_sub(1);
                 }
             }
-            self.slot_of.set(idx, NO_SLOT);
+            *self.slot_of.get_mut(idx) = NO_SLOT;
             self.free_slots.push(slot);
         }
         // Kept empty between calls, so a cloned store copies nothing.
@@ -1113,10 +988,10 @@ impl Store {
         loop {
             if let Some(slot) = self.slot(cur) {
                 if self.nodes.get(slot).is_some() {
-                    if cache.get(slot) == 0 {
+                    if *cache.get(slot) == 0 {
                         return;
                     }
-                    cache.set(slot, 0);
+                    *cache.get_mut(slot) = 0;
                 }
             }
             if cur == XsSym::ROOT {
@@ -1166,9 +1041,9 @@ impl Store {
     /// change the sum. Generations and permissions are excluded.
     fn node_hash(&self, sym: XsSym, use_cache: bool) -> u128 {
         let slot = self.slot(sym).expect("digest walk visits live nodes");
-        let node = self.nodes.get(slot).expect("digest walk visits live nodes");
+        let node = self.nodes.get(slot).as_ref().expect("digest walk visits live nodes");
         if use_cache {
-            let h = self.hash_cache.borrow().get(slot);
+            let h = *self.hash_cache.borrow().get(slot);
             if h != 0 {
                 return h;
             }
@@ -1193,7 +1068,7 @@ impl Store {
         // nudged to 1 (uniformly, so uncached recomputes agree).
         let h = mix.finish().max(1);
         if use_cache {
-            self.hash_cache.borrow_mut().set(slot, h);
+            *self.hash_cache.borrow_mut().get_mut(slot) = h;
         }
         h
     }

@@ -9,6 +9,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
+use crate::chunks::CowChunks;
 use crate::path::XsPath;
 use crate::store::Store;
 use crate::sym::{XsKey, XsSym};
@@ -26,54 +27,6 @@ pub struct WatchEvent {
 
 /// Watches registered on one symbol: `(connection, token)` pairs.
 type WatchList = Vec<(u32, Arc<str>)>;
-
-/// Slots per copy-on-write chunk; mirrors the store arena's chunking.
-const CHUNK_BITS: usize = 6;
-const CHUNK: usize = 1 << CHUNK_BITS;
-
-/// The symbol-indexed watch lists, chunked and shared copy-on-write
-/// across world forks (like the store's node arena): a dense
-/// `Vec<Vec<..>>` costs a Vec header per interned symbol on every world
-/// clone — at cluster scale that dominated fork memory — whereas chunks
-/// clone by refcount and a registration localises only the 64-slot
-/// chunk it lands in.
-#[derive(Clone, Default, Debug)]
-struct SymWatches {
-    chunks: Vec<Arc<Vec<WatchList>>>,
-}
-
-impl SymWatches {
-    #[inline]
-    fn get(&self, idx: usize) -> Option<&WatchList> {
-        self.chunks.get(idx >> CHUNK_BITS)?.get(idx & (CHUNK - 1))
-    }
-
-    /// The list for `idx`, for editing; grows by whole chunks and
-    /// localises a shared chunk first. Callers that may not end up
-    /// mutating should pre-check with [`SymWatches::get`] to avoid a
-    /// pointless chunk copy.
-    fn ensure_mut(&mut self, idx: usize) -> &mut WatchList {
-        while self.chunks.len() <= idx >> CHUNK_BITS {
-            let mut fresh = Vec::with_capacity(CHUNK);
-            fresh.resize_with(CHUNK, Vec::new);
-            self.chunks.push(Arc::new(fresh));
-        }
-        &mut Arc::make_mut(&mut self.chunks[idx >> CHUNK_BITS])[idx & (CHUNK - 1)]
-    }
-
-    /// Removes the entries at `idx` that `hit` matches, returning how
-    /// many. A slot without a match is only read, so a fork-shared chunk
-    /// is never copied for a no-op.
-    fn remove_where(&mut self, idx: usize, hit: impl Fn(&(u32, Arc<str>)) -> bool) -> usize {
-        if !self.get(idx).is_some_and(|list| list.iter().any(&hit)) {
-            return 0;
-        }
-        let list = self.ensure_mut(idx);
-        let before = list.len();
-        list.retain(|e| !hit(e));
-        before - list.len()
-    }
-}
 
 /// One connection's watch state, as xenstored keeps it per connection
 /// (`conn->watches` plus the event queue): teardown visits only the
@@ -98,9 +51,10 @@ struct ConnWatches {
 /// watch (what xenstored pays), reported via [`FireStats::checked`].
 #[derive(Clone, Default, Debug)]
 pub struct WatchTable {
-    /// Watch lists, indexed by store symbol (CoW-chunked; most slots
-    /// are empty ancestor entries).
-    by_sym: SymWatches,
+    /// Watch lists, indexed by store symbol. Chunked copy-on-write, so
+    /// a world fork shares them by refcount and a registration copies
+    /// only the 64-symbol chunk it lands in; most entries are empty.
+    by_sym: CowChunks<WatchList>,
     count: usize,
     /// Every connection that ever registered a watch, until dropped.
     /// Records are shared copy-on-write across world forks (like the
@@ -140,7 +94,7 @@ impl WatchTable {
             token: token.clone(),
         });
         rec.watched.push(sym);
-        self.by_sym.ensure_mut(sym.index()).push((conn, token));
+        self.by_sym.get_mut(sym.index()).push((conn, token));
         self.count += 1;
     }
 
@@ -153,13 +107,10 @@ impl WatchTable {
         let Some(sym) = store.find(key) else {
             return false;
         };
-        let removed = self
-            .by_sym
-            .remove_where(sym.index(), |(c, t)| *c == conn && &**t == token);
+        let removed = self.remove_where(sym, |(c, t)| *c == conn && &**t == token);
         if removed == 0 {
             return false;
         }
-        self.count -= removed;
         if let Some(rec) = self.conns.get_mut(&conn) {
             let mut left = removed;
             Arc::make_mut(rec).watched.retain(|&s| {
@@ -187,9 +138,24 @@ impl WatchTable {
         let Some(rec) = self.conns.remove(&conn) else {
             return;
         };
-        for sym in rec.watched.iter() {
-            self.count -= self.by_sym.remove_where(sym.index(), |(c, _)| *c == conn);
+        for &sym in rec.watched.iter() {
+            self.remove_where(sym, |(c, _)| *c == conn);
         }
+    }
+
+    /// Removes the watches on `sym` that `hit` matches, returning how
+    /// many. A list without a match is only read, so a fork-shared
+    /// chunk is never copied for a no-op.
+    fn remove_where(&mut self, sym: XsSym, hit: impl Fn(&(u32, Arc<str>)) -> bool) -> usize {
+        if !self.by_sym.get(sym.index()).iter().any(&hit) {
+            return 0;
+        }
+        let list = self.by_sym.get_mut(sym.index());
+        let before = list.len();
+        list.retain(|e| !hit(e));
+        let removed = before - list.len();
+        self.count -= removed;
+        removed
     }
 
     /// Records that the node at `sym` was mutated, queueing events for
@@ -206,17 +172,16 @@ impl WatchTable {
         let mut fired = 0;
         let mut cur = sym;
         loop {
-            if let Some(list) = self.by_sym.get(cur.index()) {
-                if !list.is_empty() {
-                    let path = store.path_of(sym);
-                    for (conn, token) in list {
-                        let rec = self.conns.get_mut(conn).expect("a watcher has a record");
-                        Arc::make_mut(rec).queue.push_back(WatchEvent {
-                            path: path.clone(),
-                            token: token.clone(),
-                        });
-                        fired += 1;
-                    }
+            let list = self.by_sym.get(cur.index());
+            if !list.is_empty() {
+                let path = store.path_of(sym);
+                for (conn, token) in list {
+                    let rec = self.conns.get_mut(conn).expect("a watcher has a record");
+                    Arc::make_mut(rec).queue.push_back(WatchEvent {
+                        path: path.clone(),
+                        token: token.clone(),
+                    });
+                    fired += 1;
                 }
             }
             if cur == XsSym::ROOT {
@@ -276,6 +241,7 @@ impl WatchTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunks::{CHUNK, CHUNK_BITS};
 
     fn p(s: &str) -> XsPath {
         XsPath::parse(s).unwrap()
@@ -418,8 +384,9 @@ mod tests {
         let mut fork = t.clone();
         fork.drop_conn(1);
         fork.drop_conn(3);
-        for (i, (x, y)) in t.by_sym.chunks.iter().zip(&fork.by_sym.chunks).enumerate() {
-            assert_eq!(Arc::ptr_eq(x, y), i != a.index() >> CHUNK_BITS, "chunk {i}");
+        for idx in (0..=b.index()).step_by(CHUNK) {
+            let own = idx >> CHUNK_BITS == a.index() >> CHUNK_BITS;
+            assert_eq!(t.by_sym.shares_chunk(&fork.by_sym, idx), !own, "chunk of {idx}");
         }
         assert_eq!((t.count(), fork.count()), (2, 1));
         assert_eq!(fork.note_mutation_sym(&s, a).fired, 0);
