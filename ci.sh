@@ -125,10 +125,11 @@ if [ "$suites" -lt 51 ]; then
   exit 1
 fi
 
-echo "== teardown scaling (release: host time per destroy and save+restore) =="
+echo "== teardown scaling (release: host time per destroy, save+restore and migrate) =="
 # Host time per teardown must not grow with the number of live guests:
-# chaos [NoXS] and LightVM at 2 000 guests within 2x of 200 (the
-# XenStore modes' ratios are printed). The test asserts ratios of host
+# destroy, save+restore and migration out of chaos [NoXS] and LightVM
+# hosts at 2 000 guests within 2x of 200 (the XenStore modes' ratios
+# are printed). The test asserts ratios of host
 # time, which are gated on optimised code, so it runs in release (the
 # debug run above ignores it).
 cargo test --release -p toolstack --test teardown_scaling -- --nocapture

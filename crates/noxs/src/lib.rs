@@ -8,18 +8,18 @@
 //! transactions — device setup is a handful of hypercalls and an ioctl,
 //! and its cost does not grow with the number of guests.
 //!
+//! This crate holds the mechanism primitives only:
+//!
 //! - [`driver`]: device creation/connection through the device page
 //!   (Figure 7b);
 //! - [`sysctl`]: the power-control split pseudo-device that replaces
-//!   XenStore-based `control/shutdown` for suspend/resume/migration;
-//! - [`checkpoint`]: save/restore of guests to the ramdisk;
-//! - [`migrate`]: pre-copy-free migration via a remote daemon over TCP.
+//!   XenStore-based `control/shutdown` for suspend/resume/migration.
+//!
+//! Save, restore and migration are the toolstack's lifecycle
+//! operations (`toolstack::lifecycle`), which run one body for noxs and
+//! the XenStore and call these primitives in their noxs steps.
 
-pub mod checkpoint;
 pub mod driver;
-pub mod migrate;
 pub mod sysctl;
 
-pub use checkpoint::SavedGuest;
-pub use migrate::MigrationEndpoint;
 pub use sysctl::SysctlBackend;

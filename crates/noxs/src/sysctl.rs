@@ -41,6 +41,17 @@ impl From<HvError> for SysctlError {
     }
 }
 
+impl std::fmt::Display for SysctlError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SysctlError::NotSetUp => write!(f, "guest has no sysctl device"),
+            SysctlError::Hv(e) => write!(f, "hypervisor: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for SysctlError {}
+
 impl SysctlBackend {
     /// Creates the back-end.
     pub fn new() -> SysctlBackend {

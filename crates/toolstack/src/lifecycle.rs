@@ -1,16 +1,26 @@
 //! Checkpoint (save/restore) and migration on top of the control plane.
 //!
-//! Under the XenStore the suspend handshake goes through
-//! `control/shutdown` plus watches, and restore re-runs the whole device
-//! handshake (slow: Figure 12 shows 128 ms / 550 ms for xl). Under noxs
-//! the sysctl split device and the device page make both operations tens
-//! of milliseconds, independent of density.
+//! Each operation has one body for both mechanisms, built from four
+//! phase steps that hold the only mechanism branches:
+//!
+//! | step | XenStore | noxs |
+//! |---|---|---|
+//! | `suspend` | `control/shutdown` + the guest's wait | sysctl split device |
+//! | `arrive` | register, announce + connect each device | device page, sysctl, device ioctls, connect |
+//! | `depart` | `xs_teardown` | `noxs_teardown`, uncharged record drop |
+//! | `resume` | hypervisor resume, request withdrawn | sysctl resume |
+//!
+//! Under the XenStore the suspend handshake goes through watches, and
+//! the target re-runs the whole device handshake (slow: Figure 12 shows
+//! 128 ms / 550 ms for xl). Under noxs both operations take tens of
+//! milliseconds, independent of density. Where an operation differs
+//! between the mechanisms, the difference is a row of per-toolstack
+//! data at its call site (`ToolstackMode::pick`); DESIGN.md §6d
+//! lists each one.
 
 use guests::GuestImage;
 use hypervisor::{DeviceKind, DomId, DomainConfig, ShutdownReason};
 use lvnet::Link;
-use noxs::checkpoint as noxs_ckpt;
-use noxs::migrate::{self as noxs_migrate, MigrationEndpoint};
 use simcore::{Category, CostModel, Meter, SimTime};
 use std::sync::Arc;
 
@@ -29,39 +39,39 @@ pub struct SavedVm {
     pub mem_mib: u64,
 }
 
+/// How a checkpointed guest is rebuilt at its new host, as its
+/// operation's call site asks.
+struct Arrival {
+    /// The devices re-created there.
+    devices: DeviceList,
+    /// Whether the guest connects them before it runs.
+    connects: bool,
+    /// The driver-reconnection wait (udev + xenbus settling).
+    reconnect: SimTime,
+}
+
 impl ControlPlane {
     /// Suspends a guest and writes it to the ramdisk, destroying the
     /// domain. Returns the saved state and the save latency.
     pub fn save_vm(&mut self, dom: DomId) -> Result<(SavedVm, SimTime), PlaneError> {
         let cost = self.cost();
         let mut meter = Meter::new();
-        let vm = self.vms.get(&dom).ok_or(PlaneError::NoSuchVm)?.as_ref().clone();
+        let vm = Arc::clone(self.vms.get(&dom).ok_or(PlaneError::NoSuchVm)?);
         let mem_mib = self.hv.domain(dom)?.populated_mib;
+        let devices = DeviceList::of(&vm.image);
 
         self.charge_internal(&cost, &mut meter);
-
-        if self.mode.uses_xenstore() {
-            self.xs_suspend(&cost, &mut meter, dom)?;
-            meter.charge(Category::Other, cost.ramdisk_write_per_mib * mem_mib);
-            self.xs_teardown(&cost, &mut meter, dom, &DeviceList::of(&vm.image));
-            self.hv.destroy(&cost, &mut meter, dom)?;
-        } else {
-            if !self.sysctl.is_set_up(dom) {
-                self.sysctl.setup(&mut self.hv, &cost, &mut meter, dom)?;
-            }
-            noxs_ckpt::save(&mut self.hv, &mut self.sysctl, &cost, &mut meter, dom)?;
-            self.drop_backend_records(dom, &DeviceList::of(&vm.image));
-        }
-
-        self.forget_vm(dom, &vm);
-        Ok((
-            SavedVm {
-                name: vm.name,
-                image: vm.image,
-                mem_mib,
-            },
-            meter.total(),
-        ))
+        self.suspend(&cost, &mut meter, dom)?;
+        meter.charge(Category::Other, cost.ramdisk_write_per_mib * mem_mib);
+        // noxs drops the saved guest's back-end records without a charge.
+        let torn = self.mode.pick(devices, devices, DeviceList::NONE);
+        self.depart(&cost, &mut meter, dom, devices, torn)?;
+        let saved = SavedVm {
+            name: vm.name.clone(),
+            image: vm.image.clone(),
+            mem_mib,
+        };
+        Ok((saved, meter.total()))
     }
 
     /// Restores a saved guest. Returns the new domain and the restore
@@ -70,49 +80,126 @@ impl ControlPlane {
         let cost = self.cost();
         let mut meter = Meter::new();
         self.charge_internal(&cost, &mut meter);
-
-        let dom = if self.mode.uses_xenstore() {
-            // Read the memory dump back from the ramdisk.
-            meter.charge(Category::Other, cost.ramdisk_read_per_mib * saved.mem_mib);
-            // Device/driver reconnection wait (udev + xenbus settling).
-            let reconnect = match self.mode {
-                ToolstackMode::Xl => cost.xl_restore_reconnect,
-                _ => cost.xl_restore_reconnect.scale(0.12),
-            };
-            self.xs_recreate(&cost, &mut meter, saved, reconnect)?
-        } else {
-            let guest = noxs_ckpt::SavedGuest {
-                mem_mib: saved.mem_mib,
-                vcpus: saved.image.vcpus,
-            };
-            let dom =
-                noxs_ckpt::restore(&mut self.hv, &mut self.sysctl, &cost, &mut meter, &guest)?;
-            let devices = DeviceList::of(&saved.image);
-            self.build_or_rollback(&cost, &mut meter, dom, &devices, |cp, meter| {
-                for &dev in devices.iter() {
-                    cp.noxs_attach(&cost, meter, dom, dev)?;
-                }
-                cp.noxs_connect(&cost, meter, dom)
-            })?;
-            dom
+        meter.charge(Category::Other, cost.ramdisk_read_per_mib * saved.mem_mib);
+        let arrival = Arrival {
+            devices: DeviceList::of(&saved.image),
+            connects: true,
+            reconnect: cost.xl_restore_reconnect.scale(self.mode.pick(1.0, 0.12, 0.0)),
         };
-
+        let dom = self.arrive(&cost, &mut meter, saved, arrival)?;
         self.adopt_vm(dom, &saved.name, &saved.image);
         Ok((dom, meter.total()))
     }
 
-    /// Re-creates a checkpointed guest through the XenStore: restore,
-    /// and the target side of a migration. A fresh domain gets the
-    /// guest's memory and context back, registers, and announces and
-    /// connects each device with its [`Backend::mac_for`] MAC; then the
-    /// `reconnect` settling wait and the unpause. A failure after the
-    /// domain exists unwinds it.
-    fn xs_recreate(
+    /// Migrates a guest to another host over `link`: the config goes to
+    /// the remote daemon, the guest suspends, its memory streams over,
+    /// and the target rebuilds it. Returns the new domain id at the
+    /// destination and the total migration latency. If the target
+    /// fails, it unwinds its half-built domain and the guest runs on at
+    /// the source. Both hosts must run the same toolstack mode.
+    pub fn migrate_vm_to(
+        &mut self,
+        dst: &mut ControlPlane,
+        link: &Link,
+        dom: DomId,
+    ) -> Result<(DomId, SimTime), PlaneError> {
+        let cost = self.cost();
+        let dst_cost = dst.cost();
+        let mut meter = Meter::new();
+        let vm = Arc::clone(self.vms.get(&dom).ok_or(PlaneError::NoSuchVm)?);
+        if dst.mode != self.mode {
+            return Err(PlaneError::ModeMismatch(self.mode, dst.mode));
+        }
+        let mem_mib = self.hv.domain(dom)?.populated_mib;
+        let devices = DeviceList::of(&vm.image);
+        // noxs's migration daemon moves the vifs only: it re-creates
+        // them at the target, where the guest does not connect, and the
+        // source tears them down.
+        let vifs = devices.filter(|dev| dev.0 == DeviceKind::Net);
+        let moved = self.mode.pick(devices, devices, vifs);
+        // The daemon keeps the toolstack's state, so noxs charges none.
+        if self.mode.pick(true, true, false) {
+            self.charge_internal(&cost, &mut meter);
+        }
+
+        // Connect to the remote daemon, ship the config.
+        meter.charge(Category::Other, link.tcp_handshake() + link.transfer_time(2048));
+        self.suspend(&cost, &mut meter, dom)?;
+        // Stream memory.
+        meter.charge(Category::Other, link.transfer_time(mem_mib << 20));
+
+        let shipped = SavedVm {
+            name: vm.name.clone(),
+            image: vm.image.clone(),
+            mem_mib,
+        };
+        let arrival = Arrival {
+            devices: moved,
+            connects: self.mode.pick(true, true, false),
+            reconnect: dst_cost.xl_restore_reconnect.scale(self.mode.pick(0.5, 0.1, 0.0)),
+        };
+        let new_dom = match dst.arrive(&dst_cost, &mut meter, &shipped, arrival) {
+            Ok(new_dom) => new_dom,
+            // The target unwound its half-built domain; the guest never
+            // left, so it runs again here.
+            Err(e) => {
+                self.resume(&cost, &mut meter, dom)?;
+                return Err(e);
+            }
+        };
+        self.depart(&cost, &mut meter, dom, devices, moved)?;
+        dst.adopt_vm(new_dom, &shipped.name, &shipped.image);
+        Ok((new_dom, meter.total()))
+    }
+
+    /// Suspends a guest that is about to leave this host — through
+    /// `control/shutdown` and the guest's wait (chaos's 0.45x xl's)
+    /// under the XenStore, through the sysctl split device under noxs —
+    /// then saves its context with libxc.
+    fn suspend(&mut self, cost: &CostModel, meter: &mut Meter, dom: DomId) -> Result<(), PlaneError> {
+        if self.mode.uses_xenstore() {
+            let cs = self.xs.control_shutdown_sym(dom.0);
+            self.xs.write(cost, meter, 0, cs, b"suspend")?;
+            let wait = match self.mode {
+                ToolstackMode::Xl => cost.xl_suspend_wait,
+                _ => cost.xl_suspend_wait.scale(0.45),
+            };
+            meter.charge(Category::Other, wait);
+            self.hv.shutdown(cost, meter, dom, ShutdownReason::Suspend)?;
+        } else {
+            self.sysctl.request_suspend(&mut self.hv, cost, meter, dom)?;
+        }
+        meter.charge(Category::Other, cost.xc_context_save);
+        Ok(())
+    }
+
+    /// Runs a suspended guest again where it is and withdraws the
+    /// suspend request: the source of a migration whose target failed.
+    fn resume(&mut self, cost: &CostModel, meter: &mut Meter, dom: DomId) -> Result<(), PlaneError> {
+        if self.mode.uses_xenstore() {
+            self.hv.resume(cost, meter, dom)?;
+            let cs = self.xs.control_shutdown_sym(dom.0);
+            self.xs.write(cost, meter, 0, cs, b"")?;
+        } else {
+            self.sysctl.resume(&mut self.hv, cost, meter, dom)?;
+        }
+        Ok(())
+    }
+
+    /// Rebuilds a checkpointed guest on this host: restore, and the
+    /// target side of a migration. A fresh domain gets the guest's
+    /// memory and context back and registers with the mechanism, which
+    /// re-creates `arrival.devices` — through the XenStore, each with its
+    /// [`Backend::mac_for`] MAC, or through the device page — and the
+    /// guest connects them if `arrival.connects`; then the reconnection
+    /// wait and the unpause. A failure after the domain exists unwinds
+    /// it.
+    fn arrive(
         &mut self,
         cost: &CostModel,
         meter: &mut Meter,
         saved: &SavedVm,
-        reconnect: SimTime,
+        arrival: Arrival,
     ) -> Result<DomId, PlaneError> {
         let dom = self.hv.create_domain(
             cost,
@@ -122,165 +209,71 @@ impl ControlPlane {
                 vcpus: saved.image.vcpus,
             },
         )?;
-        let devices = DeviceList::of(&saved.image);
+        let devices = arrival.devices;
         self.build_or_rollback(cost, meter, dom, &devices, |cp, meter| {
             cp.hv.populate_physmap(cost, meter, dom, saved.mem_mib)?;
             meter.charge(Category::Other, cost.xc_context_restore);
-            cp.xs_register(cost, meter, dom, &saved.name)?;
-            for &dev in devices.iter() {
-                cp.xs_attach(cost, meter, dom, dev, &Backend::mac_for(dom, dev.1))?;
-                cp.xs_connect(cost, meter, dom, dev)?;
+            if cp.mode.uses_xenstore() {
+                cp.xs_register(cost, meter, dom, &saved.name)?;
+                for &dev in devices.iter() {
+                    cp.xs_attach(cost, meter, dom, dev, &Backend::mac_for(dom, dev.1))?;
+                    if arrival.connects {
+                        cp.xs_connect(cost, meter, dom, dev)?;
+                    }
+                }
+            } else {
+                cp.noxs_register(cost, meter, dom)?;
+                for &dev in devices.iter() {
+                    cp.noxs_attach(cost, meter, dom, dev)?;
+                }
+                if arrival.connects {
+                    cp.noxs_connect(cost, meter, dom)?;
+                }
             }
-            meter.charge(Category::Other, reconnect);
+            meter.charge(Category::Other, arrival.reconnect);
             cp.hv.unpause(cost, meter, dom)?;
             Ok(dom)
         })
     }
 
-    /// Migrates a guest to another host over `link`. Returns the new
-    /// domain id at the destination and the total migration latency.
-    pub fn migrate_vm_to(
-        &mut self,
-        dst: &mut ControlPlane,
-        link: &Link,
-        dom: DomId,
-    ) -> Result<(DomId, SimTime), PlaneError> {
-        let vm = self.vms.get(&dom).ok_or(PlaneError::NoSuchVm)?.as_ref().clone();
-        let (new_dom, latency) = if self.mode.uses_xenstore() {
-            self.migrate_via_xenstore(dst, link, dom, &vm)?
-        } else {
-            let src_cost = self.cost();
-            let dst_cost = dst.cost();
-            let mut src_ep = MigrationEndpoint {
-                hv: &mut self.hv,
-                net: &mut self.net,
-                switch: &mut self.switch,
-                sysctl: &mut self.sysctl,
-                cost: &src_cost,
-                faults: &mut self.faults,
-            };
-            let mut dst_ep = MigrationEndpoint {
-                hv: &mut dst.hv,
-                net: &mut dst.net,
-                switch: &mut dst.switch,
-                sysctl: &mut dst.sysctl,
-                cost: &dst_cost,
-                faults: &mut dst.faults,
-            };
-            // noxs migration re-creates the vifs only (ROADMAP item 8
-            // lists this difference).
-            let vifs: Vec<u32> = DeviceList::of(&vm.image)
-                .iter()
-                .filter(|dev| dev.0 == DeviceKind::Net)
-                .map(|dev| dev.1)
-                .collect();
-            let moved = noxs_migrate::migrate_timed(&mut src_ep, &mut dst_ep, link, dom, &vifs)
-                .map_err(|e| PlaneError::Dev(format!("{e:?}")))?;
-            // The source's vifs went with the migration; its other
-            // back-end records go without a charge, as in `save_vm`.
-            self.drop_backend_records(dom, &DeviceList::of(&vm.image));
-            moved
-        };
-        self.forget_vm(dom, &vm);
-        dst.adopt_vm(new_dom, &vm.name, &vm.image);
-        Ok((new_dom, latency))
-    }
-
-    /// XenStore-based migration: suspend via control/shutdown, stream
-    /// config + memory over TCP, full device re-handshake at the target.
-    /// If the target fails, it unwinds its half-built domain and the
-    /// guest runs on at the source.
-    fn migrate_via_xenstore(
-        &mut self,
-        dst: &mut ControlPlane,
-        link: &Link,
-        dom: DomId,
-        vm: &Vm,
-    ) -> Result<(DomId, SimTime), PlaneError> {
-        let cost = self.cost();
-        let mut meter = Meter::new();
-        let mem_mib = self.hv.domain(dom)?.populated_mib;
-        self.charge_internal(&cost, &mut meter);
-        // Connect to the remote daemon, ship the config.
-        meter.charge(Category::Other, link.tcp_handshake() + link.transfer_time(2048));
-        self.xs_suspend(&cost, &mut meter, dom)?;
-        // Stream memory.
-        meter.charge(Category::Other, link.transfer_time(mem_mib << 20));
-
-        // Target side: create + register + devices + reconnect.
-        let dst_cost = dst.cost();
-        let reconnect = match self.mode {
-            ToolstackMode::Xl => dst_cost.xl_restore_reconnect.scale(0.5),
-            _ => dst_cost.xl_restore_reconnect.scale(0.1),
-        };
-        let shipped = SavedVm {
-            name: vm.name.clone(),
-            image: vm.image.clone(),
-            mem_mib,
-        };
-        let new_dom = match dst.xs_recreate(&dst_cost, &mut meter, &shipped, reconnect) {
-            Ok(new_dom) => new_dom,
-            // The target unwound its half-built domain; the guest never
-            // left, so it runs again here and the suspend request is
-            // withdrawn.
-            Err(e) => {
-                self.hv.resume(&cost, &mut meter, dom)?;
-                let cs = self.xs.control_shutdown_sym(dom.0);
-                self.xs.write(&cost, &mut meter, 0, cs, b"")?;
-                return Err(e);
-            }
-        };
-
-        // Source clean-up.
-        self.xs_teardown(&cost, &mut meter, dom, &DeviceList::of(&vm.image));
-        self.hv.destroy(&cost, &mut meter, dom)?;
-        Ok((new_dom, meter.total()))
-    }
-
-    /// The XenStore suspend handshake: the request through
-    /// `control/shutdown`, the wait for the guest, the suspend, and the
-    /// context save.
-    fn xs_suspend(
+    /// Sends a guest off this host for good (destroy, save, a
+    /// migration's source): the mechanism's teardown of `torn`, an
+    /// uncharged drop of the back-end records of the rest of its
+    /// `devices`, the domain's destruction, and the host's bookkeeping.
+    pub(crate) fn depart(
         &mut self,
         cost: &CostModel,
         meter: &mut Meter,
         dom: DomId,
+        devices: DeviceList,
+        torn: DeviceList,
     ) -> Result<(), PlaneError> {
-        let cs = self.xs.control_shutdown_sym(dom.0);
-        self.xs.write(cost, meter, 0, cs, b"suspend")?;
-        let wait = match self.mode {
-            ToolstackMode::Xl => cost.xl_suspend_wait,
-            _ => cost.xl_suspend_wait.scale(0.45),
-        };
-        meter.charge(Category::Other, wait);
-        self.hv.shutdown(cost, meter, dom, ShutdownReason::Suspend)?;
-        meter.charge(Category::Other, cost.xc_context_save);
+        self.teardown(cost, meter, dom, &torn);
+        self.drop_backend_records(dom, &devices.filter(|dev| !torn.contains(dev)));
+        self.hv.destroy(cost, meter, dom)?;
+        self.forget_vm(dom);
         Ok(())
     }
 
-    /// Drops local bookkeeping for a guest that left this host.
-    pub(crate) fn forget_vm(&mut self, dom: DomId, vm: &Vm) {
-        if self.vms.contains_key(&dom) {
+    /// Drops this host's bookkeeping for a guest that left it.
+    fn forget_vm(&mut self, dom: DomId) {
+        if let Some(vm) = self.vms.remove(&dom) {
             if let Some(n) = self.image_instances.get_mut(&vm.image.name) {
                 *n = n.saturating_sub(1);
             }
-        }
-        if let Some(rec) = self.vms.remove(&dom) {
-            if let Some(bg) = rec.bg {
+            if let Some(bg) = vm.bg {
                 self.cpu.remove(bg);
             }
-            if rec.booted {
-                self.note_unbooted(rec.image.watches);
+            if vm.booted {
+                self.note_unbooted(vm.image.watches);
+                self.dom0_load_total = (self.dom0_load_total - vm.image.dom0_load).max(0.0);
             }
-        }
-        if vm.booted {
-            self.dom0_load_total = (self.dom0_load_total - vm.image.dom0_load).max(0.0);
         }
         self.refresh_interference();
     }
 
     /// Registers an arrived (restored/migrated-in) guest as booted.
-    pub(crate) fn adopt_vm(&mut self, dom: DomId, name: &str, image: &GuestImage) {
+    fn adopt_vm(&mut self, dom: DomId, name: &str, image: &GuestImage) {
         let core = self
             .hv
             .domain(dom)

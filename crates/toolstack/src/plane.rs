@@ -69,6 +69,18 @@ impl ToolstackMode {
         }
     }
 
+    /// This mode's entry in a row of per-toolstack data: xl's, chaos's
+    /// over the XenStore, or chaos's over noxs. Save, restore and
+    /// migration keep their declared mechanism differences as such rows
+    /// at their call sites.
+    pub(crate) fn pick<T>(self, xl: T, chaos_xs: T, noxs: T) -> T {
+        match self {
+            ToolstackMode::Xl => xl,
+            ToolstackMode::ChaosXs | ToolstackMode::ChaosXsSplit => chaos_xs,
+            ToolstackMode::ChaosNoxs | ToolstackMode::LightVm => noxs,
+        }
+    }
+
     /// Display label matching the paper's figure legends.
     pub fn label(self) -> &'static str {
         match self {
@@ -97,6 +109,9 @@ pub enum PlaneError {
     /// A control-plane phase timed out after bounded retries (names the
     /// phase that gave up).
     Timeout(&'static str),
+    /// A migration between hosts whose toolstack modes differ (source,
+    /// destination).
+    ModeMismatch(ToolstackMode, ToolstackMode),
 }
 
 impl From<HvError> for PlaneError {
@@ -121,12 +136,7 @@ impl From<noxs_driver::NoxsError> for PlaneError {
 }
 impl From<noxs::sysctl::SysctlError> for PlaneError {
     fn from(e: noxs::sysctl::SysctlError) -> Self {
-        PlaneError::Dev(format!("{e:?}"))
-    }
-}
-impl From<noxs::checkpoint::CheckpointError> for PlaneError {
-    fn from(e: noxs::checkpoint::CheckpointError) -> Self {
-        PlaneError::Dev(format!("{e:?}"))
+        PlaneError::Dev(e.to_string())
     }
 }
 
@@ -139,6 +149,9 @@ impl std::fmt::Display for PlaneError {
             PlaneError::Xs(e) => write!(f, "xenstore: {e}"),
             PlaneError::Dev(e) => write!(f, "device: {e}"),
             PlaneError::Timeout(phase) => write!(f, "phase timed out: {phase}"),
+            PlaneError::ModeMismatch(src, dst) => {
+                write!(f, "cannot migrate from {} to {}", src.label(), dst.label())
+            }
         }
     }
 }
@@ -193,12 +206,15 @@ pub struct DeviceList {
 }
 
 impl DeviceList {
+    /// No devices.
+    pub(crate) const NONE: DeviceList = DeviceList {
+        slots: [(DeviceKind::Net, 0); 3],
+        len: 0,
+    };
+
     /// The devices `image` asks for, each with device id 0.
     pub fn of(image: &GuestImage) -> DeviceList {
-        let mut list = DeviceList {
-            slots: [(DeviceKind::Net, 0); 3],
-            len: 0,
-        };
+        let mut list = DeviceList::NONE;
         for (kind, wanted) in [
             (DeviceKind::Net, image.needs_net),
             (DeviceKind::Block, image.needs_block),
@@ -208,6 +224,16 @@ impl DeviceList {
                 list.slots[list.len] = (kind, 0);
                 list.len += 1;
             }
+        }
+        list
+    }
+
+    /// The devices of this list that `keep` accepts, in order.
+    pub(crate) fn filter(self, keep: impl Fn(&Device) -> bool) -> DeviceList {
+        let mut list = DeviceList::NONE;
+        for &dev in self.iter().filter(|dev| keep(dev)) {
+            list.slots[list.len] = dev;
+            list.len += 1;
         }
         list
     }
@@ -533,10 +559,7 @@ impl ControlPlane {
 
     /// Charges the toolstack's internal state keeping for one operation.
     pub(crate) fn charge_internal(&self, cost: &CostModel, meter: &mut Meter) {
-        let internal = match self.mode {
-            ToolstackMode::Xl => cost.xl_internal,
-            _ => cost.chaos_internal,
-        };
+        let internal = self.mode.pick(cost.xl_internal, cost.chaos_internal, cost.chaos_internal);
         meter.charge(Category::Toolstack, internal);
     }
 
@@ -684,8 +707,7 @@ impl ControlPlane {
                 meter.charge(Category::Devices, cost.xl_qemu_spawn);
             }
         } else {
-            noxs_driver::setup_device_page(&mut self.hv, cost, meter, dom)?;
-            self.sysctl.setup(&mut self.hv, cost, meter, dom)?;
+            self.noxs_register(cost, meter, dom)?;
             for &dev in devices {
                 match dev.0 {
                     DeviceKind::Net => self.noxs_attach(cost, meter, dom, dev)?,
@@ -1038,8 +1060,7 @@ impl ControlPlane {
                 cp.xs_register(cost, meter, dom, &format!("shell-{}", dom.0))?;
                 cp.xs_create_devices(cost, meter, dom, &devices)
             } else {
-                noxs_driver::setup_device_page(&mut cp.hv, cost, meter, dom)?;
-                cp.sysctl.setup(&mut cp.hv, cost, meter, dom)?;
+                cp.noxs_register(cost, meter, dom)?;
                 for &dev in devices.iter() {
                     cp.noxs_attach(cost, meter, dom, dev)?;
                 }
@@ -1165,6 +1186,19 @@ impl ControlPlane {
         Ok(())
     }
 
+    /// Gives a new noxs guest its device page and its sysctl device:
+    /// noxs's counterpart of [`ControlPlane::xs_register`].
+    pub(crate) fn noxs_register(
+        &mut self,
+        cost: &CostModel,
+        meter: &mut Meter,
+        dom: DomId,
+    ) -> Result<(), PlaneError> {
+        noxs_driver::setup_device_page(&mut self.hv, cost, meter, dom)?;
+        self.sysctl.setup(&mut self.hv, cost, meter, dom)?;
+        Ok(())
+    }
+
     /// One device through its back-end's noxs ioctl and the device page.
     pub(crate) fn noxs_attach(
         &mut self,
@@ -1201,7 +1235,7 @@ impl ControlPlane {
 
     /// Tears down a guest that is leaving this host through its
     /// mechanism's teardown. The domain itself is the caller's.
-    fn teardown(
+    pub(crate) fn teardown(
         &mut self,
         cost: &CostModel,
         meter: &mut Meter,
@@ -1220,7 +1254,7 @@ impl ControlPlane {
     /// failed may lack any of these, and `/vm/<d>` only exists under
     /// xl, so absence errors are routine and stay silent; anything else
     /// may mask a leak and is counted in [`TeardownErrors`].
-    pub(crate) fn xs_teardown(
+    fn xs_teardown(
         &mut self,
         cost: &CostModel,
         meter: &mut Meter,
@@ -1404,20 +1438,8 @@ impl ControlPlane {
     pub fn destroy_vm(&mut self, dom: DomId) -> Result<SimTime, PlaneError> {
         let cost = self.cost();
         let mut meter = Meter::new();
-        let vm = self.vms.remove(&dom).ok_or(PlaneError::NoSuchVm)?;
-        if let Some(n) = self.image_instances.get_mut(&vm.image.name) {
-            *n = n.saturating_sub(1);
-        }
-        if let Some(bg) = vm.bg {
-            self.cpu.remove(bg);
-        }
-        if vm.booted {
-            self.dom0_load_total = (self.dom0_load_total - vm.image.dom0_load).max(0.0);
-            self.booted_watches -= vm.image.watches;
-        }
-        self.teardown(&cost, &mut meter, dom, &DeviceList::of(&vm.image));
-        self.hv.destroy(&cost, &mut meter, dom)?;
-        self.refresh_interference();
+        let devices = DeviceList::of(&self.vms.get(&dom).ok_or(PlaneError::NoSuchVm)?.image);
+        self.depart(&cost, &mut meter, dom, devices, devices)?;
         Ok(meter.total())
     }
 }

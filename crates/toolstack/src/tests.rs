@@ -2,6 +2,7 @@
 //! behaviours at small scale.
 
 use guests::GuestImage;
+use hypervisor::DomainState;
 use lvnet::Link;
 use simcore::{Category, Machine, MachinePreset, SimTime};
 
@@ -219,7 +220,12 @@ fn destroy_releases_everything() {
     assert_eq!(cp.running_count(), 0);
     assert_eq!(cp.switch.port_count(), 0);
     assert!(cp.hv.memory.used() < mem_with);
+    // Every lifecycle operation refuses a domain the host does not track.
     assert_eq!(cp.destroy_vm(dom).unwrap_err(), PlaneError::NoSuchVm);
+    assert_eq!(cp.save_vm(dom).unwrap_err(), PlaneError::NoSuchVm);
+    let mut dst = plane(ToolstackMode::ChaosNoxs);
+    let moved = cp.migrate_vm_to(&mut dst, &Link::datacenter(), dom);
+    assert_eq!(moved.unwrap_err(), PlaneError::NoSuchVm);
 }
 
 #[test]
@@ -227,18 +233,37 @@ fn save_restore_round_trip_all_modes() {
     for mode in [
         ToolstackMode::Xl,
         ToolstackMode::ChaosXs,
+        ToolstackMode::ChaosXsSplit,
         ToolstackMode::ChaosNoxs,
         ToolstackMode::LightVm,
     ] {
         let mut cp = plane(mode);
-        let img = GuestImage::unikernel_daytime();
-        let (dom, _, _) = cp.create_and_boot("ckpt", &img).unwrap();
-        let (saved, t_save) = cp.save_vm(dom).unwrap();
-        assert_eq!(cp.running_count(), 0, "{mode:?}");
-        let (new_dom, t_restore) = cp.restore_vm(&saved).unwrap();
-        assert_ne!(new_dom, dom);
-        assert_eq!(cp.running_count(), 1);
-        assert!(t_save > SimTime::ZERO && t_restore > SimTime::ZERO);
+        // Bigger guests take longer to save: the ramdisk dump is per MiB.
+        let mut last_save = SimTime::ZERO;
+        for img in [GuestImage::unikernel_daytime(), GuestImage::debian()] {
+            let (dom, _, _) = cp.create_and_boot("ckpt", &img).unwrap();
+            let used_running = cp.hv.memory.used();
+            let (saved, t_save) = cp.save_vm(dom).unwrap();
+            assert_eq!(cp.running_count(), 0, "{mode:?}");
+            assert!(cp.hv.domain(dom).is_err() && cp.hv.memory.used() < used_running);
+            let (new_dom, t_restore) = cp.restore_vm(&saved).unwrap();
+            assert_ne!(new_dom, dom);
+            assert_eq!(cp.running_count(), 1);
+            let restored = cp.hv.domain(new_dom).unwrap();
+            assert_eq!(restored.state, DomainState::Running, "{mode:?}");
+            assert_eq!(restored.populated_mib, saved.mem_mib, "{mode:?}");
+            assert!(t_save > last_save && t_restore > SimTime::ZERO, "{mode:?}/{}", img.name);
+            assert_eq!(cp.sysctl.is_set_up(new_dom), !mode.uses_xenstore(), "{mode:?}");
+            last_save = t_save;
+
+            // A restore whose memory does not fit leaves no domain and
+            // no memory behind.
+            let (domains, used) = (cp.hv.domain_count(), cp.hv.memory.used());
+            let huge = crate::SavedVm { mem_mib: cp.machine.mem_bytes >> 20, ..saved };
+            assert!(cp.restore_vm(&huge).is_err(), "{mode:?}");
+            assert_eq!((cp.hv.domain_count(), cp.hv.memory.used()), (domains, used), "{mode:?}");
+            cp.destroy_vm(new_dom).unwrap();
+        }
     }
 }
 
@@ -272,21 +297,46 @@ fn xl_checkpoint_is_order_of_magnitude_slower() {
 
 #[test]
 fn migration_between_lightvm_hosts() {
-    let mut src = ControlPlane::new(
-        Machine::preset(MachinePreset::XeonE5_1630V3), 2, ToolstackMode::LightVm, 1,
-    );
-    let mut dst = ControlPlane::new(
-        Machine::preset(MachinePreset::XeonE5_1630V3), 2, ToolstackMode::LightVm, 2,
-    );
-    let img = GuestImage::unikernel_daytime();
-    let (dom, _, _) = src.create_and_boot("mig", &img).unwrap();
-    let link = Link::datacenter();
-    let (new_dom, t) = src.migrate_vm_to(&mut dst, &link, dom).unwrap();
-    assert_eq!(src.running_count(), 0);
-    assert_eq!(dst.running_count(), 1);
-    assert!(dst.vm(new_dom).unwrap().booted);
-    let ms = t.as_millis_f64();
-    assert!((15.0..100.0).contains(&ms), "LightVM migration took {ms} ms");
+    for (img, link, band) in [
+        (GuestImage::unikernel_daytime(), Link::datacenter(), 15.0..90.0),
+        // §7.1: "Migrating a ClickOS VM over a 1Gbps, 10ms link takes
+        // just 150ms" (8 MB of guest memory).
+        (GuestImage::clickos_firewall(), Link::gigabit_wan(), 100.0..220.0),
+    ] {
+        let mut src = ControlPlane::new(
+            Machine::preset(MachinePreset::XeonE5_1630V3), 2, ToolstackMode::LightVm, 1,
+        );
+        let mut dst = ControlPlane::new(
+            Machine::preset(MachinePreset::XeonE5_1630V3), 2, ToolstackMode::LightVm, 2,
+        );
+        let (dom, _, _) = src.create_and_boot("mig", &img).unwrap();
+        let src_ports = src.switch.port_count();
+        let mem_mib = src.hv.domain(dom).unwrap().populated_mib;
+
+        // A host of another mode is refused before the guest suspends.
+        let mut xl = ControlPlane::new(
+            Machine::preset(MachinePreset::XeonE5_1630V3), 2, ToolstackMode::Xl, 3,
+        );
+        let xl_domains = xl.hv.domain_count();
+        let refused = src.migrate_vm_to(&mut xl, &link, dom).unwrap_err();
+        assert_eq!(refused, PlaneError::ModeMismatch(ToolstackMode::LightVm, ToolstackMode::Xl));
+        assert_eq!(src.hv.domain(dom).unwrap().state, DomainState::Running);
+        assert_eq!(xl.hv.domain_count(), xl_domains, "nothing built at the refused host");
+
+        let (new_dom, t) = src.migrate_vm_to(&mut dst, &link, dom).unwrap();
+        assert_eq!(src.running_count(), 0);
+        assert_eq!(dst.running_count(), 1);
+        assert!(src.hv.domain(dom).is_err(), "gone from the source");
+        assert!(dst.vm(new_dom).unwrap().booted);
+        let arrived = dst.hv.domain(new_dom).unwrap();
+        assert_eq!(arrived.state, DomainState::Running);
+        assert_eq!(arrived.populated_mib, mem_mib);
+        // The vif moved with the guest.
+        assert_eq!(src.switch.port_count(), src_ports - 1);
+        assert_eq!(dst.switch.port_count(), 1);
+        let ms = t.as_millis_f64();
+        assert!(band.contains(&ms), "LightVM migration of {} took {ms} ms", img.name);
+    }
 }
 
 #[test]

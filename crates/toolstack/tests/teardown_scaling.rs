@@ -4,14 +4,17 @@
 //! Each mode runs two hosts, one with 200 and one with 2 000 booted
 //! guests (Xeon preset, one Dom0 core, the daytime unikernel). In
 //! interleaved batches, each host boots a few extra guests untimed and
-//! then times their destroys, and times save+restore round trips of
-//! guests spread over its population. The ratio of the medians cancels
-//! host load that hits both hosts alike.
+//! then times their destroys, times save+restore round trips of guests
+//! spread over its population, and boots a few more untimed and times
+//! their migrations out to a small destination host, which destroys
+//! them untimed. The ratio of the medians cancels host load that hits
+//! both hosts alike.
 //!
 //! Under noxs (chaos [NoXS] and LightVM) the hypervisor and the
 //! back-ends are the whole teardown, and both reap only what the guest
-//! owns, so the ratio is asserted to stay at or below 2. With host-wide
-//! scans of every channel, grant and back-end record it read about 5.
+//! owns, so the ratios are asserted to stay at or below 2. With
+//! host-wide scans of every channel, grant and back-end record the
+//! destroy ratio read about 5.
 //! The XenStore modes' ratios are printed, not asserted. Run it with
 //! `cargo test --release -p toolstack --test teardown_scaling --
 //! --nocapture` to see them.
@@ -20,38 +23,45 @@ use std::time::Instant;
 
 use guests::GuestImage;
 use hypervisor::DomId;
+use lvnet::Link;
 use simcore::{Machine, MachinePreset};
 use toolstack::{ControlPlane, ToolstackMode};
 
 const SMALL: usize = 200;
 const LARGE: usize = 2_000;
-/// Destroys and round trips timed per batch.
+/// Destroys, round trips and migrations timed per batch.
 const VICTIMS: usize = 100;
 const BATCHES: usize = 15;
 /// The largest ratio of the 2 000-guest median over the 200-guest one.
 const MAX_RATIO: f64 = 2.0;
+/// The timed operations, in the order of [`Host::times`].
+const OPS: [&str; 3] = ["destroy", "save+restore", "migrate"];
 
 struct Host {
     cp: ControlPlane,
+    /// Where migrated guests go; it never holds more than a batch.
+    dst: ControlPlane,
     img: GuestImage,
     live: Vec<DomId>,
     booted: usize,
-    per_destroy: Vec<f64>,
-    per_round_trip: Vec<f64>,
+    /// Host seconds per operation, one entry per batch, for each of
+    /// [`OPS`].
+    times: [Vec<f64>; 3],
 }
 
 impl Host {
     fn new(mode: ToolstackMode, guests: usize) -> Host {
         let img = GuestImage::unikernel_daytime();
-        let mut cp = ControlPlane::new(Machine::preset(MachinePreset::XeonE5_1630V3), 1, mode, 42);
+        let machine = Machine::preset(MachinePreset::XeonE5_1630V3);
+        let mut cp = ControlPlane::new(machine.clone(), 1, mode, 42);
         cp.prewarm(&img);
         let mut h = Host {
             cp,
+            dst: ControlPlane::new(machine, 1, mode, 43),
             img,
             live: Vec::new(),
             booted: 0,
-            per_destroy: Vec::new(),
-            per_round_trip: Vec::new(),
+            times: Default::default(),
         };
         h.live = (0..guests).map(|_| h.boot()).collect();
         h
@@ -63,15 +73,14 @@ impl Host {
         self.cp.create_and_boot(&name, &self.img).expect("create").0
     }
 
-    /// One timed batch of destroys, then one of round trips.
+    /// One timed batch each of destroys, round trips and migrations.
     fn batch(&mut self) {
         let victims: Vec<DomId> = (0..VICTIMS).map(|_| self.boot()).collect();
         let start = Instant::now();
         for dom in victims {
             self.cp.destroy_vm(dom).expect("destroy");
         }
-        self.per_destroy
-            .push(start.elapsed().as_secs_f64() / VICTIMS as f64);
+        self.times[0].push(start.elapsed().as_secs_f64() / VICTIMS as f64);
 
         let start = Instant::now();
         for i in 0..VICTIMS {
@@ -79,8 +88,19 @@ impl Host {
             let (saved, _) = self.cp.save_vm(self.live[slot]).expect("save");
             self.live[slot] = self.cp.restore_vm(&saved).expect("restore").0;
         }
-        self.per_round_trip
-            .push(start.elapsed().as_secs_f64() / VICTIMS as f64);
+        self.times[1].push(start.elapsed().as_secs_f64() / VICTIMS as f64);
+
+        let link = Link::datacenter();
+        let movers: Vec<DomId> = (0..VICTIMS).map(|_| self.boot()).collect();
+        let start = Instant::now();
+        let arrived: Vec<DomId> = movers
+            .into_iter()
+            .map(|dom| self.cp.migrate_vm_to(&mut self.dst, &link, dom).expect("migrate").0)
+            .collect();
+        self.times[2].push(start.elapsed().as_secs_f64() / VICTIMS as f64);
+        for dom in arrived {
+            self.dst.destroy_vm(dom).expect("destroy at the destination");
+        }
     }
 }
 
@@ -89,9 +109,9 @@ fn median(v: &mut [f64]) -> f64 {
     v[v.len() / 2]
 }
 
-/// The 2 000-guest over the 200-guest median host time per destroy and
-/// per save+restore round trip.
-fn ratios(mode: ToolstackMode) -> (f64, f64) {
+/// The 2 000-guest over the 200-guest median host time per destroy, per
+/// save+restore round trip and per migration out.
+fn ratios(mode: ToolstackMode) -> [(&'static str, f64); 3] {
     let mut hosts = [Host::new(mode, SMALL), Host::new(mode, LARGE)];
     for _ in 0..BATCHES {
         for h in &mut hosts {
@@ -99,24 +119,15 @@ fn ratios(mode: ToolstackMode) -> (f64, f64) {
         }
     }
     let [small, large] = &mut hosts;
-    let (d0, d1) = (
-        median(&mut small.per_destroy),
-        median(&mut large.per_destroy),
-    );
-    let (r0, r1) = (
-        median(&mut small.per_round_trip),
-        median(&mut large.per_round_trip),
-    );
-    println!(
-        "{mode:?}: destroy {:.1} -> {:.1} us ({:.2}x), save+restore {:.1} -> {:.1} us ({:.2}x)",
-        d0 * 1e6,
-        d1 * 1e6,
-        d1 / d0,
-        r0 * 1e6,
-        r1 * 1e6,
-        r1 / r0
-    );
-    (d1 / d0, r1 / r0)
+    let mut report = Vec::new();
+    let ratios = std::array::from_fn(|op| {
+        let (t0, t1) = (median(&mut small.times[op]), median(&mut large.times[op]));
+        let what = OPS[op];
+        report.push(format!("{what} {:.1} -> {:.1} us ({:.2}x)", t0 * 1e6, t1 * 1e6, t1 / t0));
+        (what, t1 / t0)
+    });
+    println!("{mode:?}: {}", report.join(", "));
+    ratios
 }
 
 /// One test, so the modes never time each other. It asserts ratios of
@@ -129,8 +140,7 @@ fn ratios(mode: ToolstackMode) -> (f64, f64) {
 )]
 fn teardown_cost_does_not_grow_with_the_population() {
     for mode in [ToolstackMode::ChaosNoxs, ToolstackMode::LightVm] {
-        let (destroy, round_trip) = ratios(mode);
-        for (what, ratio) in [("destroy", destroy), ("save+restore", round_trip)] {
+        for (what, ratio) in ratios(mode) {
             assert!(
                 ratio <= MAX_RATIO,
                 "{mode:?}: {what} at {LARGE} guests costs {ratio:.2}x its cost at {SMALL} \

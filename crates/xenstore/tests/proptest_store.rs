@@ -118,6 +118,67 @@ fn write_read_round_trip() {
     }
 }
 
+/// Guests choose the paths they send, so `XsPath::parse` must answer
+/// `Ok` or `Err` for any text and never panic. The sweep mixes edge
+/// cases (empty, `//`, trailing `/`, NUL, multi-byte chars, 4 KiB
+/// paths) with seeded strings over path syntax; an accepted path must
+/// round-trip, and its accessors must answer too.
+#[test]
+fn path_parser_never_panics() {
+    let mut rng = SimRng::new(0x5A7B);
+    // Mostly valid component chars, so many draws parse.
+    let alphabet = [
+        'a', 'Z', '0', '-', '_', '@', ':', '.', 'a', 'Z', '0', '-', '_', '@', ':', '.', ' ', '*',
+        '\0', '\n', 'é', '→', '\u{1F600}',
+    ];
+    let long = format!("/{}", ["x"; 2047].join("/"));
+    let mut inputs: Vec<String> = [
+        "", "/", "//", "///", "a", "a/b", "/a/", "/a//b", "/\0", "/a\0b", "/é", "/\u{1F600}/x",
+    ]
+    .map(String::from)
+    .to_vec();
+    inputs.extend([
+        format!("{long}/"),
+        format!("{long}é"),
+        "/".repeat(4096),
+        "\0".repeat(4096),
+        long,
+    ]);
+    for _case in 0..1024 {
+        // Components joined by `/`: some empty, some carrying a bad char,
+        // now and then 4 KiB long; a leading `/` usually, a trailing one
+        // sometimes.
+        let mut text = String::new();
+        for _ in 0..rng.index(8) {
+            if !text.is_empty() || rng.chance(0.9) {
+                text.push('/');
+            }
+            let len = if rng.chance(0.01) { 4096 } else { rng.index(6) };
+            let bad = rng.chance(0.2);
+            text.extend((0..len).map(|_| alphabet[rng.index(if bad { alphabet.len() } else { 8 })]));
+        }
+        if rng.chance(0.1) {
+            text.push('/');
+        }
+        inputs.push(text);
+    }
+    let mut accepted = 0;
+    for text in &inputs {
+        let Ok(path) = XsPath::parse(text) else {
+            continue;
+        };
+        accepted += 1;
+        assert_eq!(path.as_str(), text);
+        assert_eq!(path.components().count(), path.depth(), "{text:?}");
+        assert_eq!(path.ancestors().count(), path.depth() + 1, "{text:?}");
+        let _ = (path.last_component(), path.parent());
+    }
+    for bad in ["", "//", "/a/", "a", "/\0", "/é"] {
+        assert!(XsPath::parse(bad).is_err(), "{bad:?} accepted");
+    }
+    assert!(accepted > 10, "only {accepted} of {} paths parsed", inputs.len());
+}
+
 /// An uncontended transaction commits and equals direct application.
 #[test]
 fn txn_equals_direct() {
