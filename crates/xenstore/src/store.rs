@@ -8,19 +8,19 @@
 //! Nodes live in one flat slot arena addressed through a symbol→slot
 //! map; the tree shape is the interner's parent links plus each node's
 //! doubly linked sibling chain, so linking and unlinking a child are
-//! both O(1) whatever the sibling count. A lookup is one O(1) symbol
-//! resolution on the full path string followed by two array indexes —
-//! no per-component map walk, no hashing beyond the single resolve —
-//! and interior operations (transaction replay, ancestor checks) work
-//! on copyable `u32` symbols with no string traffic at all. Symbols are
-//! append-only — removing a node never retires its symbol, so
-//! transactions and watches can hold symbols across removals and
-//! recreations — but the *slot* behind a removed node goes onto a free
-//! list and is recycled by the next insert, whatever its symbol. That
-//! keeps arena capacity O(peak live nodes) under create/destroy churn
-//! instead of O(total creates) (churned guests get fresh domids, hence
-//! fresh symbols, forever); [`Store::census`] exposes the occupancy for
-//! the churn suite's leak gates.
+//! both O(1) whatever the sibling count. A lookup by symbol is two
+//! array indexes; a lookup by path string first resolves it, one
+//! interner probe per component (`crate::sym`). Interior operations
+//! (transaction replay, ancestor checks) work on copyable `u32` symbols
+//! with no string traffic at all. Symbols are append-only — removing a
+//! node never retires its symbol, so transactions and watches can hold
+//! symbols across removals and recreations — but the *slot* behind a
+//! removed node goes onto a free list and is recycled by the next
+//! insert, whatever its symbol. That keeps arena capacity O(peak live
+//! nodes) under create/destroy churn instead of O(total creates)
+//! (churned guests get fresh domids, hence fresh symbols, forever);
+//! [`Store::census`] exposes the occupancy for the churn suite's leak
+//! gates.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -461,10 +461,10 @@ impl Store {
         self.interner.borrow().is_self_or_descendant_of(a, b)
     }
 
-    /// Resolves a child of `sym` by name, if ever interned. Zero
-    /// allocations (interner scratch buffer).
+    /// Resolves a child of `sym` by name, if ever interned (one index
+    /// probe, no allocation).
     pub(crate) fn resolve_child(&self, sym: XsSym, name: &str) -> Option<XsSym> {
-        self.interner.borrow_mut().resolve_child(sym, name)
+        self.interner.borrow().resolve_child(sym, name)
     }
 
     /// Interns the child `<sym>/<name>` by symbol composition (one hash
@@ -685,8 +685,41 @@ impl Store {
     /// (xenstored semantics). New nodes are owned by `dom`; the root is
     /// not writable.
     pub fn write(&mut self, dom: u32, key: impl XsKey, value: &[u8]) -> Result<(), XsError> {
-        let sym = self.sym(key);
+        let sym = self.admit(dom, key)?;
         self.write_val_sym(dom, sym, ValSrc::Bytes(value))
+    }
+
+    /// The key's symbol for a write or mkdir by `dom`, interning its path
+    /// only if the mutation gets past the quota and permission checks
+    /// that guard node creation: a path beyond the interned prefix has
+    /// no node, so its nearest existing ancestor decides. A refused
+    /// request interns nothing, with the error (and, on `EACCES`, the
+    /// generation bump) that the creating write would have produced.
+    pub(crate) fn admit(&mut self, dom: u32, key: impl XsKey) -> Result<XsSym, XsError> {
+        let (mut sym, mut missing) = key.find_prefix(&self.interner.borrow());
+        if missing == 0 {
+            return Ok(sym);
+        }
+        while self.node(sym).is_none() {
+            sym = self.parent_sym(sym);
+            missing += 1;
+        }
+        if self.quota_room(dom).is_some_and(|room| missing > room) {
+            return Err(XsError::QuotaExceeded);
+        }
+        let nearest = self.node(sym).expect("nearest existing node");
+        if !nearest.perms.may_write(dom) {
+            self.generation += 1;
+            return Err(XsError::PermissionDenied);
+        }
+        Ok(self.sym(key))
+    }
+
+    /// How many more nodes `dom` may own, if it has a quota (Dom0 is
+    /// exempt).
+    fn quota_room(&self, dom: u32) -> Option<usize> {
+        let quota = self.quota.filter(|_| dom != 0)?;
+        Some(quota.saturating_sub(self.owned.get(&dom).copied().unwrap_or(0)))
     }
 
     /// Writes an already-shared payload (transaction commit, ambient
@@ -748,13 +781,10 @@ impl Store {
         value: ValSrc<'_>,
     ) -> Result<(), XsError> {
         // Quota pre-check: every node this write would create must fit.
-        if dom != 0 {
-            if let Some(q) = self.quota {
-                let have = self.owned.get(&dom).copied().unwrap_or(0);
-                let missing = chain.iter().filter(|&&s| self.node(s).is_none()).count();
-                if have + missing > q {
-                    return Err(XsError::QuotaExceeded);
-                }
+        if let Some(room) = self.quota_room(dom) {
+            let missing = chain.iter().filter(|&&s| self.node(s).is_none()).count();
+            if missing > room {
+                return Err(XsError::QuotaExceeded);
             }
         }
         self.generation += 1;

@@ -17,6 +17,19 @@
 //! walks are pointer-free symbol hops (`parent` links), not string
 //! slicing.
 //!
+//! **Index.** A symbol is found by its `(parent symbol, final
+//! component)` pair, never by its full path, as oxenstored's
+//! `symbol.ml` interns components. Composing a child
+//! ([`Interner::child`], the request path's hot hop) hashes one short
+//! component, and walking a path string hashes each component once; no
+//! lookup builds a string. The index key is a 64-bit fingerprint of the
+//! pair from a keyed SipHash `RandomState`: components are chosen by
+//! guests, and an unkeyed hash would let a guest pick names that pile
+//! into one chain. Pairs with equal fingerprints share one index slot:
+//! the slot names the newest such symbol, and each entry's `next` link
+//! the next older one, so a probe walks that chain comparing parent and
+//! name.
+//!
 //! The table is split into a frozen shared **base** plus a small local
 //! **overlay** of post-freeze additions. [`Interner::freeze`] (called at
 //! world fork points — template capture, cluster stamping) folds the
@@ -26,10 +39,15 @@
 //! capacity, so there is no empty table to copy. Symbols are indices
 //! into the concatenation `base.entries ++ overlay.entries`, so
 //! freezing never renumbers anything and forked siblings assign
-//! identical symbols for identical operation sequences.
+//! identical symbols for identical operation sequences. An overlay
+//! symbol is prepended to its chain, which may continue into the base,
+//! so folding the overlay's slots over the base's keeps every chain
+//! whole. The base owns the hasher key, so forks agree on fingerprints.
 
-use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::Arc;
+
+use simcore::IdMap;
 
 use crate::path::XsPath;
 
@@ -79,7 +97,13 @@ impl From<XsSym> for SymLink {
 /// and every transactional op [`intern`](XsKey::intern) it.
 pub trait XsKey: Copy {
     /// The key's symbol if its path was ever interned; never interns.
-    fn find(self, interner: &Interner) -> Option<XsSym>;
+    fn find(self, interner: &Interner) -> Option<XsSym> {
+        let (sym, below) = self.find_prefix(interner);
+        (below == 0).then_some(sym)
+    }
+    /// The deepest interned symbol on the key's path and the number of
+    /// the path's components below it (0 when the path is interned).
+    fn find_prefix(self, interner: &Interner) -> (XsSym, usize);
     /// The key's symbol, interning the path and its ancestors if new.
     fn intern(self, interner: &mut Interner) -> XsSym;
     /// Byte length of the key's path: the request's path payload.
@@ -87,8 +111,8 @@ pub trait XsKey: Copy {
 }
 
 impl XsKey for XsSym {
-    fn find(self, _: &Interner) -> Option<XsSym> {
-        Some(self)
+    fn find_prefix(self, _: &Interner) -> (XsSym, usize) {
+        (self, 0)
     }
 
     fn intern(self, _: &mut Interner) -> XsSym {
@@ -101,8 +125,8 @@ impl XsKey for XsSym {
 }
 
 impl XsKey for &XsPath {
-    fn find(self, interner: &Interner) -> Option<XsSym> {
-        interner.resolve(self.as_str())
+    fn find_prefix(self, interner: &Interner) -> (XsSym, usize) {
+        interner.resolve_prefix(self.as_str())
     }
 
     fn intern(self, interner: &mut Interner) -> XsSym {
@@ -120,10 +144,13 @@ struct SymEntry {
     depth: u32,
     /// Byte offset of the final path component, so [`Interner::name`]
     /// is a slice, not a backwards scan (it sits on directory-listing
-    /// sort comparators).
+    /// sort comparators and on every index probe).
     name_off: u32,
-    /// Full path; shared with the `by_path` key and with any `XsPath`
-    /// materialised from this symbol (a refcount bump, not a copy).
+    /// The next older symbol whose `(parent, name)` fingerprint equals
+    /// this one's (see the module docs).
+    next: SymLink,
+    /// Full path; shared with any `XsPath` materialised from this
+    /// symbol (a refcount bump, not a copy).
     path: Arc<str>,
 }
 
@@ -131,8 +158,15 @@ struct SymEntry {
 /// built; forked worlds share it by refcount.
 #[derive(Clone, Debug)]
 struct InternerBase {
-    by_path: HashMap<Arc<str>, XsSym>,
+    /// Keys the `(parent, name)` fingerprints of this table and every
+    /// fork of it.
+    hasher: std::hash::RandomState,
+    /// Fingerprint → newest symbol with that fingerprint.
+    heads: IdMap<u64, XsSym>,
     entries: Vec<SymEntry>,
+    /// Fingerprint mask, so tests can force collision chains.
+    #[cfg(test)]
+    mask: u64,
 }
 
 /// The append-only symbol table: a frozen shared base plus a local
@@ -142,12 +176,12 @@ pub struct Interner {
     /// Frozen prefix, shared across world forks. Symbols `0..base.entries
     /// .len()` resolve here.
     base: Arc<InternerBase>,
-    /// Post-freeze additions only; symbol `i` lives at local index
-    /// `i - base.entries.len()`.
-    by_path: HashMap<Arc<str>, XsSym>,
+    /// Post-freeze additions only: the chain heads they set, and their
+    /// entries (symbol `i` lives at local index `i - base.entries.len()`).
+    heads: IdMap<u64, XsSym>,
     entries: Vec<SymEntry>,
-    /// Reusable buffer for composing child paths; kept at capacity so a
-    /// steady-state [`Interner::child`] hit performs zero allocations.
+    /// Reusable buffer for composing a new child's path, so that path
+    /// is the symbol's only allocation.
     scratch: String,
 }
 
@@ -160,20 +194,21 @@ impl Default for Interner {
 impl Interner {
     /// Creates a table containing only the root.
     pub fn new() -> Interner {
-        let root: Arc<str> = "/".into();
-        let mut by_path = HashMap::new();
-        by_path.insert(root.clone(), XsSym::ROOT);
         Interner {
             base: Arc::new(InternerBase {
-                by_path,
+                hasher: std::hash::RandomState::new(),
+                heads: IdMap::default(),
                 entries: vec![SymEntry {
                     parent: XsSym::ROOT,
                     depth: 0,
                     name_off: 1, // the root's name is the empty slice
-                    path: root,
+                    next: SymLink::NONE,
+                    path: "/".into(),
                 }],
+                #[cfg(test)]
+                mask: u64::MAX,
             }),
-            by_path: HashMap::new(),
+            heads: IdMap::default(),
             entries: Vec::new(),
             scratch: String::with_capacity(128),
         }
@@ -187,13 +222,14 @@ impl Interner {
     /// Folds the local overlay into the shared base, so clones taken
     /// from here on share the whole table by refcount instead of
     /// deep-copying it. Symbols are unaffected (the concatenation order
-    /// is preserved). Called at world fork points; a no-op when the
-    /// overlay is already empty.
+    /// is preserved), and an overlay head replaces the base head its
+    /// chain continues into. Called at world fork points; a no-op when
+    /// the overlay is already empty.
     ///
     /// The overlay is left with no capacity, not merely empty: a
     /// drained `HashMap` keeps its buckets and every clone copies them
-    /// (8 192 empty buckets, ~205 KB, per fork of a 100-guest xl host),
-    /// and the fork's first inserts then land on those cold pages.
+    /// (8 192 empty buckets per fork of a 100-guest xl host), and the
+    /// fork's first inserts then land on those cold pages.
     pub fn freeze(&mut self) {
         if self.entries.is_empty() {
             return;
@@ -205,7 +241,7 @@ impl Interner {
         }
         let base = Arc::get_mut(&mut self.base).expect("just made unique");
         base.entries.extend(std::mem::take(&mut self.entries));
-        base.by_path.extend(std::mem::take(&mut self.by_path));
+        base.heads.extend(std::mem::take(&mut self.heads));
     }
 
     /// The entry behind a symbol, wherever it lives.
@@ -219,14 +255,48 @@ impl Interner {
         }
     }
 
-    /// Two-level lookup: overlay first (it is small or empty, and in an
-    /// unfrozen table it holds everything), then the frozen base.
-    #[inline]
-    fn lookup(&self, path: &str) -> Option<XsSym> {
-        if let Some(&s) = self.by_path.get(path) {
-            return Some(s);
+    /// The index key of the child `name` of `parent`.
+    fn fingerprint(&self, parent: XsSym, name: &str) -> u64 {
+        let fp = self.base.hasher.hash_one((parent, name));
+        #[cfg(test)]
+        let fp = fp & self.base.mask;
+        fp
+    }
+
+    /// The newest symbol with fingerprint `fp`: the overlay's head (it
+    /// is small or empty, and in an unfrozen table it holds
+    /// everything), else the frozen base's.
+    fn head(&self, fp: u64) -> Option<XsSym> {
+        let head = self.heads.get(&fp).or_else(|| self.base.heads.get(&fp));
+        head.copied()
+    }
+
+    /// Walks `fp`'s chain for the child `name` of `parent`.
+    fn find(&self, parent: XsSym, name: &str, fp: u64) -> Option<XsSym> {
+        let mut cur = self.head(fp);
+        while let Some(sym) = cur {
+            let e = self.entry(sym.index());
+            if e.parent == parent && &e.path[e.name_off as usize..] == name {
+                return Some(sym);
+            }
+            cur = e.next.get();
         }
-        self.base.by_path.get(path).copied()
+        None
+    }
+
+    /// Appends the new child of `parent` whose `name` ends `path`, at
+    /// the head of `fp`'s chain.
+    fn push(&mut self, parent: XsSym, name: &str, fp: u64, path: Arc<str>) -> XsSym {
+        let sym = XsSym(self.len() as u32);
+        self.entries.push(SymEntry {
+            parent,
+            depth: self.depth(parent) + 1,
+            name_off: (path.len() - name.len()) as u32,
+            next: self.head(fp).map_or(SymLink::NONE, SymLink::from),
+            path,
+        });
+        self.heads.insert(fp, sym);
+        sym
     }
 
     /// Never empty — the root is always present.
@@ -234,89 +304,63 @@ impl Interner {
         false
     }
 
-    /// Looks a path up without interning it. O(1) on the full string.
+    /// Looks a path up without interning it: one probe per component.
     pub fn resolve(&self, path: &str) -> Option<XsSym> {
-        self.lookup(path)
+        let (sym, below) = self.resolve_prefix(path);
+        (below == 0).then_some(sym)
     }
 
-    /// Interns `path` and every missing ancestor, returning its symbol.
+    /// The deepest interned symbol on `path` and the number of `path`'s
+    /// components below it (0 when `path` itself is interned).
+    pub(crate) fn resolve_prefix(&self, path: &str) -> (XsSym, usize) {
+        let mut names = path.split('/').filter(|c| !c.is_empty());
+        let mut sym = XsSym::ROOT;
+        while let Some(name) = names.next() {
+            match self.resolve_child(sym, name) {
+                Some(child) => sym = child,
+                None => return (sym, 1 + names.count()),
+            }
+        }
+        (sym, 0)
+    }
+
+    /// Interns `path` and every missing ancestor, top-down, returning
+    /// its symbol.
     ///
     /// The caller must pass a well-formed absolute path (an
     /// [`crate::path::XsPath`] invariant); this is not a validator.
     pub fn intern(&mut self, path: &str) -> XsSym {
-        if let Some(s) = self.lookup(path) {
-            return s;
+        let (mut sym, _) = self.resolve_prefix(path);
+        let mut end = self.path_str(sym).trim_end_matches('/').len();
+        for name in path[end..].split('/').filter(|c| !c.is_empty()) {
+            end += 1 + name.len();
+            let fp = self.fingerprint(sym, name);
+            sym = self.push(sym, name, fp, path[..end].into());
         }
-        // Walk ancestors until one is already interned, remembering the
-        // byte lengths of the missing prefixes (deepest first).
-        let mut missing = vec![path.len()];
-        let mut parent = XsSym::ROOT;
-        let mut cur = path;
-        loop {
-            match cur.rfind('/') {
-                Some(0) | None => break, // parent is the root
-                Some(cut) => {
-                    cur = &path[..cut];
-                    if let Some(s) = self.lookup(cur) {
-                        parent = s;
-                        break;
-                    }
-                    missing.push(cut);
-                }
-            }
-        }
-        let base = self.entry(parent.index()).depth;
-        for (depth, end) in (base + 1..).zip(missing.into_iter().rev()) {
-            let arc: Arc<str> = path[..end].into();
-            let name_off = if parent == XsSym::ROOT {
-                1
-            } else {
-                self.entry(parent.index()).path.len() as u32 + 1
-            };
-            let sym = XsSym(self.len() as u32);
-            self.entries.push(SymEntry {
-                parent,
-                depth,
-                name_off,
-                path: arc.clone(),
-            });
-            self.by_path.insert(arc, sym);
-            parent = sym;
-        }
-        parent
+        sym
     }
 
     /// Interns the child `<parent>/<name>` by symbol composition: one
-    /// hash probe and zero allocations when the child is already known
-    /// (the steady state of the request path); the path string is built
-    /// in an internal scratch buffer, never `format!`ed by callers.
+    /// fingerprint and zero allocations when the child is already known
+    /// (the steady state of the request path). A new child's path is
+    /// built in an internal scratch buffer, never `format!`ed by
+    /// callers.
     ///
     /// `name` must be a single well-formed component (non-empty, no
     /// `/`); this is not a validator.
     pub fn child(&mut self, parent: XsSym, name: &str) -> XsSym {
+        let fp = self.fingerprint(parent, name);
+        if let Some(sym) = self.find(parent, name, fp) {
+            return sym;
+        }
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
-        let parent_path = self.path_str(parent);
-        if parent_path != "/" {
-            scratch.push_str(parent_path);
+        if parent != XsSym::ROOT {
+            scratch.push_str(self.path_str(parent));
         }
         scratch.push('/');
         scratch.push_str(name);
-        let sym = match self.lookup(scratch.as_str()) {
-            Some(s) => s,
-            None => {
-                let arc: Arc<str> = scratch.as_str().into();
-                let sym = XsSym(self.len() as u32);
-                self.entries.push(SymEntry {
-                    parent,
-                    depth: self.entry(parent.index()).depth + 1,
-                    name_off: (scratch.len() - name.len()) as u32,
-                    path: arc.clone(),
-                });
-                self.by_path.insert(arc, sym);
-                sym
-            }
-        };
+        let sym = self.push(parent, name, fp, scratch.as_str().into());
         self.scratch = scratch;
         sym
     }
@@ -328,20 +372,9 @@ impl Interner {
         self.child(parent, u32_str(&mut buf, n))
     }
 
-    /// Looks the child `<parent>/<name>` up without interning it. Zero
-    /// allocations; uses the same scratch buffer as [`Interner::child`].
-    pub fn resolve_child(&mut self, parent: XsSym, name: &str) -> Option<XsSym> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        let parent_path = self.path_str(parent);
-        if parent_path != "/" {
-            scratch.push_str(parent_path);
-        }
-        scratch.push('/');
-        scratch.push_str(name);
-        let sym = self.lookup(scratch.as_str());
-        self.scratch = scratch;
-        sym
+    /// Looks the child `<parent>/<name>` up without interning it.
+    pub fn resolve_child(&self, parent: XsSym, name: &str) -> Option<XsSym> {
+        self.find(parent, name, self.fingerprint(parent, name))
     }
 
     /// The full path of a symbol.
@@ -424,11 +457,7 @@ impl Iterator for SymAncestors<'_> {
 
     fn next(&mut self) -> Option<XsSym> {
         let c = self.cur?;
-        self.cur = if c == XsSym::ROOT {
-            None
-        } else {
-            Some(self.interner.parent(c))
-        };
+        self.cur = (c != XsSym::ROOT).then(|| self.interner.parent(c));
         Some(c)
     }
 }
@@ -436,6 +465,8 @@ impl Iterator for SymAncestors<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::SimRng;
+    use std::collections::BTreeMap;
 
     #[test]
     fn intern_is_idempotent_and_append_only() {
@@ -564,15 +595,27 @@ mod tests {
         }
         assert!(i.len() > 3000, "only {} symbols", i.len());
         i.freeze();
-        assert_eq!(i.by_path.capacity(), 0, "frozen overlay map kept its buckets");
-        assert_eq!(i.entries.capacity(), 0, "frozen overlay entries kept their buffer");
+        assert_eq!(
+            i.heads.capacity(),
+            0,
+            "frozen overlay index kept its buckets"
+        );
+        assert_eq!(
+            i.entries.capacity(),
+            0,
+            "frozen overlay entries kept their buffer"
+        );
         // A fork of the frozen table copies no overlay table at all.
         let mut fork = i.clone();
-        assert_eq!(fork.by_path.capacity(), 0);
+        assert_eq!(fork.heads.capacity(), 0);
         assert_eq!(fork.entries.capacity(), 0);
         // Symbols survive the freeze and further interning on either side.
         let fresh = fork.intern("/post/freeze");
-        assert_eq!(i.intern("/post/freeze"), fresh, "forks assign identical symbols");
+        assert_eq!(
+            i.intern("/post/freeze"),
+            fresh,
+            "forks assign identical symbols"
+        );
         for (sym, path) in &syms {
             assert_eq!(i.resolve(path), Some(*sym));
             assert_eq!(fork.intern(path), *sym);
@@ -591,5 +634,208 @@ mod tests {
         assert!(i.is_self_or_descendant_of(a, a));
         assert!(!i.is_self_or_descendant_of(a, ab));
         assert!(!i.is_self_or_descendant_of(axb, a));
+    }
+
+    /// The naive reference for the differential test: a path-keyed
+    /// `BTreeMap` that interns missing ancestors top-down.
+    #[derive(Clone)]
+    struct Model {
+        index: BTreeMap<String, usize>,
+        paths: Vec<String>,
+    }
+
+    impl Model {
+        fn new() -> Model {
+            Model {
+                index: BTreeMap::from([("/".to_string(), 0)]),
+                paths: vec!["/".to_string()],
+            }
+        }
+
+        fn intern(&mut self, path: &str) -> usize {
+            if let Some(&s) = self.index.get(path) {
+                return s;
+            }
+            self.intern(parent_path(path));
+            self.paths.push(path.to_string());
+            self.index.insert(path.to_string(), self.paths.len() - 1);
+            self.paths.len() - 1
+        }
+
+        fn resolve_prefix(&self, path: &str) -> (usize, usize) {
+            let mut cur = path;
+            let mut below = 0;
+            while !self.index.contains_key(cur) {
+                cur = parent_path(cur);
+                below += 1;
+            }
+            (self.index[cur], below)
+        }
+    }
+
+    fn parent_path(path: &str) -> &str {
+        match path.rfind('/') {
+            Some(0) | None => "/",
+            Some(cut) => &path[..cut],
+        }
+    }
+
+    fn join(parent: &str, name: &str) -> String {
+        match parent {
+            "/" => format!("/{name}"),
+            _ => format!("{parent}/{name}"),
+        }
+    }
+
+    /// Asserts the table agrees with the model on its size and on `sym`
+    /// and every ancestor: symbol, path, parent, depth and name.
+    fn check(i: &Interner, m: &Model, sym: XsSym) {
+        assert_eq!(i.len(), m.paths.len(), "len");
+        for s in i.ancestors(sym) {
+            let path = &m.paths[s.index()];
+            assert_eq!(i.path_str(s), path);
+            assert_eq!(
+                i.parent(s).index(),
+                m.index[parent_path(path)],
+                "parent of {path}"
+            );
+            let depth = path.split('/').filter(|c| !c.is_empty()).count();
+            assert_eq!(i.depth(s) as usize, depth, "depth of {path}");
+            assert_eq!(
+                i.name(s),
+                path.rsplit('/').next().unwrap(),
+                "name of {path}"
+            );
+        }
+    }
+
+    /// Every symbol of the table resolves back to itself by path, by
+    /// prefix and by `(parent, name)`.
+    fn check_all(i: &Interner, m: &Model) {
+        for (s, path) in m.paths.iter().enumerate() {
+            let sym = XsSym(s as u32);
+            check(i, m, sym);
+            assert_eq!(i.resolve(path), Some(sym), "resolve {path}");
+            assert_eq!(i.resolve_prefix(path), (sym, 0));
+            if sym != XsSym::ROOT {
+                assert_eq!(i.resolve_child(i.parent(sym), i.name(sym)), Some(sym));
+            }
+        }
+    }
+
+    const NAMES: [&str; 8] = ["a", "b", "dev", "0", "1", "42", "x-y", "state"];
+
+    fn random_path(rng: &mut SimRng) -> String {
+        let depth = 1 + rng.index(4);
+        (0..depth).fold("/".to_string(), |p, _| {
+            join(&p, NAMES[rng.index(NAMES.len())])
+        })
+    }
+
+    /// Runs a seeded op stream over up to four forked tables, each
+    /// checked against its own model after every op, with fingerprints
+    /// cut to `mask`. Returns whether some overlay chain ran into the
+    /// frozen base.
+    fn differential_run(seed: u64, mask: u64, ops: usize) -> bool {
+        let mut rng = SimRng::new(seed);
+        let mut first = Interner::new();
+        Arc::get_mut(&mut first.base).expect("fresh table").mask = mask;
+        let mut worlds = vec![(first, Model::new())];
+        let mut spans_base = false;
+        for _ in 0..ops {
+            let w = rng.index(worlds.len());
+            let can_fork = worlds.len() < 4;
+            let (i, m) = &mut worlds[w];
+            let sym = match rng.index(16) {
+                0..=3 => {
+                    let path = random_path(&mut rng);
+                    let sym = i.intern(&path);
+                    assert_eq!(sym.index(), m.intern(&path), "intern {path}");
+                    sym
+                }
+                4..=7 => {
+                    let parent = XsSym(rng.index(m.paths.len()) as u32);
+                    let name = NAMES[rng.index(NAMES.len())];
+                    let sym = i.child(parent, name);
+                    assert_eq!(sym.index(), m.intern(&join(&m.paths[parent.index()], name)));
+                    sym
+                }
+                8 | 9 => {
+                    let parent = XsSym(rng.index(m.paths.len()) as u32);
+                    let n = rng.index(64) as u32;
+                    let sym = i.child_u32(parent, n);
+                    let path = join(&m.paths[parent.index()], &n.to_string());
+                    assert_eq!(sym.index(), m.intern(&path));
+                    sym
+                }
+                10 | 11 => {
+                    let path = random_path(&mut rng);
+                    let (sym, below) = i.resolve_prefix(&path);
+                    assert_eq!(
+                        (sym.index(), below),
+                        m.resolve_prefix(&path),
+                        "prefix {path}"
+                    );
+                    assert_eq!(
+                        i.resolve(&path).map(XsSym::index),
+                        m.index.get(&path).copied()
+                    );
+                    sym
+                }
+                12 | 13 => {
+                    let parent = XsSym(rng.index(m.paths.len()) as u32);
+                    let name = NAMES[rng.index(NAMES.len())];
+                    let found = i.resolve_child(parent, name);
+                    let path = join(&m.paths[parent.index()], name);
+                    assert_eq!(found.map(XsSym::index), m.index.get(&path).copied());
+                    found.unwrap_or(parent)
+                }
+                14 => {
+                    i.freeze();
+                    check_all(i, m);
+                    XsSym::ROOT
+                }
+                15 if can_fork => {
+                    // Clone, then feed the fork and its original one
+                    // equal op: they must assign equal symbols.
+                    let mut fork = (i.clone(), m.clone());
+                    let path = random_path(&mut rng);
+                    let sym = i.intern(&path);
+                    assert_eq!(fork.0.intern(&path), sym, "forks diverged on {path}");
+                    m.intern(&path);
+                    fork.1.intern(&path);
+                    worlds.push(fork);
+                    sym
+                }
+                _ => XsSym::ROOT,
+            };
+            let (i, m) = &worlds[w];
+            check(i, m, sym);
+            let split = i.base.entries.len();
+            spans_base |= i
+                .entries
+                .iter()
+                .any(|e| e.next.get().is_some_and(|n| n.index() < split));
+        }
+        for (i, m) in &worlds {
+            check_all(i, m);
+        }
+        spans_base
+    }
+
+    #[test]
+    fn interner_matches_a_path_keyed_model() {
+        // Unmasked fingerprints: chains hold true collisions only.
+        for seed in 1..=4 {
+            differential_run(seed, u64::MAX, 3_000);
+        }
+        // Masked to a handful of slots, every probe walks a long chain,
+        // and chains run from overlay heads into the frozen base.
+        for (seed, mask) in [(11, 0), (12, 0x3), (13, 0x3f)] {
+            assert!(
+                differential_run(seed, mask, 1_500),
+                "no chain spans base and overlay"
+            );
+        }
     }
 }

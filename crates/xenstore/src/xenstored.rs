@@ -361,9 +361,10 @@ impl Xenstored {
     //
     // Each operation takes a path or an interned symbol (`impl XsKey`)
     // and charges the same either way. Lookups (`read`, `rm`,
-    // `directory`, `unwatch`) never intern a path; mutations (`write`,
-    // `mkdir`, `set_perms`, `watch`) do. Callers composing symbols are
-    // the allocation-free hot path.
+    // `directory`, `unwatch`) never intern a path; `write` and `mkdir`
+    // intern it only once the store admits them (quota and permission
+    // on the nearest existing node), `set_perms` and `watch` always do.
+    // Callers composing symbols are the allocation-free hot path.
 
     /// Reads a value as a shared payload — a refcount bump, not a copy.
     pub fn read(
@@ -392,7 +393,7 @@ impl Xenstored {
         value: &[u8],
     ) -> Result<(), XsError> {
         self.charge_protocol(cost, meter, self.store.wire_len(key) + value.len());
-        let sym = self.store.sym(key);
+        let sym = self.store.admit(conn, key)?;
         self.store.write(conn, sym, value)?;
         self.note_mutation(cost, meter, sym);
         Ok(())
@@ -407,7 +408,7 @@ impl Xenstored {
         key: impl XsKey,
     ) -> Result<(), XsError> {
         self.charge_protocol(cost, meter, self.store.wire_len(key));
-        let sym = self.store.sym(key);
+        let sym = self.store.admit(conn, key)?;
         self.store.mkdir(conn, sym)?;
         self.note_mutation(cost, meter, sym);
         Ok(())
@@ -1173,6 +1174,77 @@ mod tests {
         }
         assert_eq!(xs.stats().requests, requests + 4);
         assert_eq!(xs.store_census().interned_syms, syms, "a lookup interned");
+    }
+
+    #[test]
+    fn denied_writes_to_fresh_paths_intern_nothing() {
+        let (mut xs, cost, mut meter) = setup();
+        xs.connect(5);
+        let syms = xs.store_census().interned_syms;
+        let generation = xs.store().generation();
+        for i in 0..100_000u32 {
+            let path = p(&format!("/local/domain/0/secret{i}"));
+            let res = xs.write(&cost, &mut meter, 5, &path, b"x");
+            assert_eq!(res, Err(XsError::PermissionDenied), "write {i}");
+        }
+        let after = xs.store_census().interned_syms;
+        assert_eq!(after, syms, "a denied write interned");
+        // Each denial still bumps the generation once, as the creating
+        // write does when the nearest existing node refuses it.
+        assert_eq!(xs.store().generation(), generation + 100_000);
+    }
+
+    #[test]
+    fn refused_creations_charge_as_before_and_intern_nothing() {
+        // Twin daemons refuse the same requests, one through paths never
+        // interned and one through paths interned beforehand (which the
+        // store refuses after interning, as every refusal used to):
+        // equal errors, charges, generations and stats.
+        let (mut fresh, cost, _) = setup();
+        let (mut interned, _, _) = setup();
+        let guest = Perms {
+            owner: 5,
+            others_read: false,
+            others_write: false,
+        };
+        for xs in [&mut fresh, &mut interned] {
+            xs.connect(5);
+            let mut m = Meter::new();
+            xs.mkdir(&cost, &mut m, 0, &p("/local/domain/5")).unwrap();
+            let dir = p("/local/domain/5");
+            xs.set_perms(&cost, &mut m, 0, &dir, guest).unwrap();
+            xs.store_mut_for_tests().set_quota(Some(3));
+        }
+        let requests: [(&str, bool, XsError); 4] = [
+            ("/local/domain/0/secret", true, XsError::PermissionDenied),
+            ("/vm/5", false, XsError::PermissionDenied),
+            ("/local/domain/5/a/b/c/d", true, XsError::QuotaExceeded),
+            ("/local/domain/5/e/f/g/h", false, XsError::QuotaExceeded),
+        ];
+        let syms = fresh.store_census().interned_syms;
+        for (path, write, err) in requests {
+            let path = p(path);
+            interned.sym(&path);
+            let (mut mf, mut mi) = (Meter::new(), Meter::new());
+            let (rf, ri) = if write {
+                let rf = fresh.write(&cost, &mut mf, 5, &path, b"v");
+                (rf, interned.write(&cost, &mut mi, 5, &path, b"v"))
+            } else {
+                let rf = fresh.mkdir(&cost, &mut mf, 5, &path);
+                (rf, interned.mkdir(&cost, &mut mi, 5, &path))
+            };
+            assert_eq!((rf, ri), (Err(err), Err(err)), "{path}");
+            assert_eq!(mf.total(), mi.total(), "{path} charge");
+            assert_eq!(fresh.store().generation(), interned.store().generation());
+        }
+        assert_eq!(fresh.stats(), interned.stats());
+        let after = fresh.store_census().interned_syms;
+        assert_eq!(after, syms, "a refused request interned");
+        assert!(interned.store_census().interned_syms > syms);
+        // Within the quota the same guest still creates its nodes.
+        let ab = p("/local/domain/5/a/b");
+        fresh.write(&cost, &mut Meter::new(), 5, &ab, b"v").unwrap();
+        assert!(fresh.store().exists(&ab));
     }
 
     #[test]
