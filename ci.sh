@@ -90,7 +90,7 @@ hasher_allow=(
   "crates/xenstore/src/tally.rs;(frozen|recent): .*HashMap<;keyed by digests of guest-written name values"
   "crates/toolstack/src/plane.rs;image_instances: .*HashMap<;keyed by image names from config text"
 )
-hasher_hits=$(for f in crates/{simcore,hypervisor,devices,xenstore,toolstack}/src/*.rs; do
+hasher_hits=$(for f in crates/{simcore,hypervisor,devices,noxs,xenstore,toolstack}/src/*.rs; do
   # toolstack's tests.rs is a #[cfg(test)] module in a file of its own.
   [ "${f##*/}" = tests.rs ] && continue
   awk '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next }

@@ -8,59 +8,11 @@
 //! `(backend-id, event channel, grant reference)` triple reaches the guest
 //! differs.
 
-use hypervisor::{DeviceKind, DomId, EvtchnPort, GrantRef, HvError, Hypervisor};
+use hypervisor::{DeviceKind, DomId, EvtchnPort, GrantRef, Hypervisor};
 use simcore::{Category, CostModel, IdMap, Meter};
 
 use crate::xenbus::XenbusState;
-
-/// Device-management errors.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DevError {
-    /// (domain, devid) already has a device of this class.
-    Exists,
-    /// No such device.
-    NotFound,
-    /// Operation illegal in the current xenbus state.
-    BadState,
-    /// The backend refused to allocate the device (resource exhaustion
-    /// on the backend side; injected by the fault plan).
-    Refused,
-    /// A watchdog timeout expired waiting for the other end (hotplug
-    /// daemon unresponsive, xenbus handshake stalled).
-    Timeout,
-    /// Underlying hypercall failed.
-    Hv(HvError),
-}
-
-impl From<HvError> for DevError {
-    fn from(e: HvError) -> Self {
-        DevError::Hv(e)
-    }
-}
-
-impl From<crate::switch::SwitchError> for DevError {
-    fn from(e: crate::switch::SwitchError) -> Self {
-        match e {
-            crate::switch::SwitchError::PortExists => DevError::Exists,
-            crate::switch::SwitchError::NoSuchPort => DevError::NotFound,
-        }
-    }
-}
-
-impl std::fmt::Display for DevError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DevError::Exists => write!(f, "device already exists"),
-            DevError::NotFound => write!(f, "no such device"),
-            DevError::BadState => write!(f, "illegal xenbus state transition"),
-            DevError::Refused => write!(f, "backend refused device allocation"),
-            DevError::Timeout => write!(f, "timed out waiting for peer"),
-            DevError::Hv(e) => write!(f, "hypervisor: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for DevError {}
+use crate::DevError;
 
 /// Back-end state for one device. Plain data with no heap buffer, so a
 /// forked back-end copies its table in one allocation; a vif's MAC is
@@ -81,13 +33,10 @@ pub struct BackendDevice {
     pub frontend_port: Option<EvtchnPort>,
 }
 
-/// A back-end driver instance, normally in Dom0 but optionally in a
-/// dedicated *driver domain* (paper §4.1 footnote: "this functionality
-/// can be put in a separate VM called a driver domain").
+/// A back-end driver instance in Dom0.
 #[derive(Clone, Debug)]
 pub struct Backend {
     kind: DeviceKind,
-    backend_dom: DomId,
     devices: IdMap<(u32, u32), BackendDevice>,
     next_ctrl_frame: u32,
 }
@@ -95,14 +44,8 @@ pub struct Backend {
 impl Backend {
     /// Creates a back-end for one device class in Dom0.
     pub fn new(kind: DeviceKind) -> Backend {
-        Backend::new_in_domain(kind, DomId::DOM0)
-    }
-
-    /// Creates a back-end running in a driver domain.
-    pub fn new_in_domain(kind: DeviceKind, backend_dom: DomId) -> Backend {
         Backend {
             kind,
-            backend_dom,
             devices: IdMap::default(),
             next_ctrl_frame: 0x10_0000,
         }
@@ -111,11 +54,6 @@ impl Backend {
     /// The device class this back-end serves.
     pub fn kind(&self) -> DeviceKind {
         self.kind
-    }
-
-    /// The domain the back-end runs in.
-    pub fn backend_dom(&self) -> DomId {
-        self.backend_dom
     }
 
     /// Deterministic MAC derived from (dom, devid), Xen OUI.
@@ -143,10 +81,10 @@ impl Backend {
             return Err(DevError::Exists);
         }
         meter.charge(Category::Devices, cost.backend_setup);
-        let evtchn = hv.evtchn_alloc_unbound(cost, meter, self.backend_dom, dom)?;
+        let evtchn = hv.evtchn_alloc_unbound(cost, meter, DomId::DOM0, dom)?;
         let frame = self.next_ctrl_frame;
         self.next_ctrl_frame += 1;
-        let grant = hv.grant_access(cost, meter, self.backend_dom, dom, frame, false)?;
+        let grant = hv.grant_access(cost, meter, DomId::DOM0, dom, frame, false)?;
         self.devices.insert(
             (dom.0, devid),
             BackendDevice {
@@ -180,9 +118,8 @@ impl Backend {
         if dev.state != XenbusState::InitWait {
             return Err(DevError::BadState);
         }
-        let backend_dom = self.backend_dom;
-        let fport = hv.evtchn_bind(cost, meter, dom, backend_dom, dev.evtchn)?;
-        hv.grant_map(cost, meter, dom, backend_dom, dev.grant)?;
+        let fport = hv.evtchn_bind(cost, meter, dom, DomId::DOM0, dev.evtchn)?;
+        hv.grant_map(cost, meter, dom, DomId::DOM0, dev.grant)?;
         // Parameter exchange over the control page (replaces the XenStore
         // records under noxs; mirrors them under the XenStore path).
         meter.charge(Category::Devices, cost.ctrl_page_exchange);
@@ -208,17 +145,16 @@ impl Backend {
             .get_mut(&(dom.0, devid))
             .ok_or(DevError::NotFound)?;
         meter.charge(Category::Devices, cost.backend_setup.scale(0.5));
-        let backend_dom = self.backend_dom;
         // Closing either end of a bound channel closes both, so close the
         // channel once: through the front end when bound, else the
         // back-end's unbound offer.
         if let Some(fport) = dev.frontend_port.take() {
             let _ = hv.evtchn_close(dom, fport);
-            let _ = hv.grant_unmap(dom, backend_dom, dev.grant);
+            let _ = hv.grant_unmap(dom, DomId::DOM0, dev.grant);
         } else {
-            let _ = hv.evtchn_close(backend_dom, dev.evtchn);
+            let _ = hv.evtchn_close(DomId::DOM0, dev.evtchn);
         }
-        let _ = hv.grant_end_access(backend_dom, dev.grant);
+        let _ = hv.grant_end_access(DomId::DOM0, dev.grant);
         dev.state = XenbusState::Closed;
         self.devices.remove(&(dom.0, devid));
         Ok(())
@@ -245,7 +181,7 @@ impl Backend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypervisor::DomainConfig;
+    use hypervisor::{DomainConfig, HvError};
 
     const GIB: u64 = 1 << 30;
 

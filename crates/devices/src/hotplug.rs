@@ -10,8 +10,8 @@
 use hypervisor::DomId;
 use simcore::{Category, CostModel, FaultPlan, FaultSite, Meter, FAULT_RETRIES};
 
-use crate::backend::DevError;
-use crate::switch::{SoftwareSwitch, SwitchError};
+use crate::switch::SoftwareSwitch;
+use crate::DevError;
 
 /// Gates a control-plane phase on the fault plan's watchdog.
 ///
@@ -60,7 +60,7 @@ impl Hotplug {
         switch: &mut SoftwareSwitch,
         dom: DomId,
         devid: u32,
-    ) -> Result<(), SwitchError> {
+    ) -> Result<(), DevError> {
         meter.charge(Category::Devices, self.dispatch_cost(cost));
         switch.add_port(cost, meter, dom, devid)
     }
@@ -73,7 +73,7 @@ impl Hotplug {
         switch: &mut SoftwareSwitch,
         dom: DomId,
         devid: u32,
-    ) -> Result<(), SwitchError> {
+    ) -> Result<(), DevError> {
         meter.charge(Category::Devices, self.dispatch_cost(cost));
         switch.del_port(cost, meter, dom, devid)
     }

@@ -9,19 +9,12 @@ use std::collections::BTreeSet;
 use hypervisor::DomId;
 use simcore::{Category, CostModel, Meter};
 
-/// Switch errors.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SwitchError {
-    /// Port already attached.
-    PortExists,
-    /// No such port.
-    NoSuchPort,
-}
+use crate::DevError;
 
 /// A software switch: vif ports of guest domains.
 ///
-/// Ports are keyed by `(domain, devid)`, the pair a vif name encodes
-/// ([`SoftwareSwitch::vif_name`] renders it for display). Value keys
+/// Ports are keyed by `(domain, devid)`, the pair a `vif<dom>.<devid>`
+/// name encodes. Value keys
 /// keep `add_port` allocation-free and let a forked switch copy its
 /// table without one string per port; ordering by domain makes
 /// [`SoftwareSwitch::drop_domain`] a range removal.
@@ -36,35 +29,35 @@ impl SoftwareSwitch {
         SoftwareSwitch::default()
     }
 
-    /// Attaches vif `devid` of `dom`.
+    /// Attaches vif `devid` of `dom`; [`DevError::Exists`] if attached.
     pub fn add_port(
         &mut self,
         cost: &CostModel,
         meter: &mut Meter,
         dom: DomId,
         devid: u32,
-    ) -> Result<(), SwitchError> {
+    ) -> Result<(), DevError> {
         meter.charge(Category::Devices, cost.switch_add_port);
         if self.ports.insert((dom, devid)) {
             Ok(())
         } else {
-            Err(SwitchError::PortExists)
+            Err(DevError::Exists)
         }
     }
 
-    /// Detaches vif `devid` of `dom`.
+    /// Detaches vif `devid` of `dom`; [`DevError::NotFound`] if absent.
     pub fn del_port(
         &mut self,
         cost: &CostModel,
         meter: &mut Meter,
         dom: DomId,
         devid: u32,
-    ) -> Result<(), SwitchError> {
+    ) -> Result<(), DevError> {
         meter.charge(Category::Devices, cost.switch_del_port);
         if self.ports.remove(&(dom, devid)) {
             Ok(())
         } else {
-            Err(SwitchError::NoSuchPort)
+            Err(DevError::NotFound)
         }
     }
 
@@ -87,11 +80,6 @@ impl SoftwareSwitch {
     pub fn port_count(&self) -> usize {
         self.ports.len()
     }
-
-    /// Conventional vif port name.
-    pub fn vif_name(dom: DomId, devid: u32) -> String {
-        format!("vif{}.{}", dom.0, devid)
-    }
 }
 
 #[cfg(test)]
@@ -108,12 +96,12 @@ mod tests {
         assert!(!sw.has_port(DomId(1), 1));
         assert_eq!(
             sw.add_port(&cost, &mut m, DomId(1), 0).unwrap_err(),
-            SwitchError::PortExists
+            DevError::Exists
         );
         sw.del_port(&cost, &mut m, DomId(1), 0).unwrap();
         assert_eq!(
             sw.del_port(&cost, &mut m, DomId(1), 0).unwrap_err(),
-            SwitchError::NoSuchPort
+            DevError::NotFound
         );
         assert!(m.of(Category::Devices) > simcore::SimTime::ZERO);
     }
@@ -131,10 +119,5 @@ mod tests {
         assert_eq!(sw.port_count(), 2);
         assert!(sw.has_port(DomId(2), 0) && sw.has_port(DomId(0), 7));
         assert_eq!(sw.drop_domain(DomId(1)), 0);
-    }
-
-    #[test]
-    fn vif_names_follow_convention() {
-        assert_eq!(SoftwareSwitch::vif_name(DomId(12), 0), "vif12.0");
     }
 }

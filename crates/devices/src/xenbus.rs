@@ -21,31 +21,6 @@ pub enum XenbusState {
 }
 
 impl XenbusState {
-    /// Numeric encoding used in the store.
-    pub fn as_num(self) -> u8 {
-        match self {
-            XenbusState::Initialising => 1,
-            XenbusState::InitWait => 2,
-            XenbusState::Initialised => 3,
-            XenbusState::Connected => 4,
-            XenbusState::Closing => 5,
-            XenbusState::Closed => 6,
-        }
-    }
-
-    /// Parses the numeric encoding.
-    pub fn from_num(n: u8) -> Option<XenbusState> {
-        Some(match n {
-            1 => XenbusState::Initialising,
-            2 => XenbusState::InitWait,
-            3 => XenbusState::Initialised,
-            4 => XenbusState::Connected,
-            5 => XenbusState::Closing,
-            6 => XenbusState::Closed,
-            _ => return None,
-        })
-    }
-
     /// The store encoding as a static string — what [`fmt::Display`]
     /// prints, without allocating.
     pub fn as_str(self) -> &'static str {
@@ -85,16 +60,6 @@ impl fmt::Display for XenbusState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn num_round_trip() {
-        for n in 1..=6u8 {
-            let s = XenbusState::from_num(n).unwrap();
-            assert_eq!(s.as_num(), n);
-        }
-        assert!(XenbusState::from_num(0).is_none());
-        assert!(XenbusState::from_num(7).is_none());
-    }
 
     #[test]
     fn happy_path_is_legal() {

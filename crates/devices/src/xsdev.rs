@@ -17,47 +17,17 @@ use hypervisor::{DeviceKind, DomId, Hypervisor};
 use simcore::{CostModel, FaultPlan, FaultSite, Meter};
 use xenstore::{u32_str, WatchEvent, XsError, Xenstored};
 
-use crate::backend::{Backend, DevError};
+use crate::backend::Backend;
 use crate::hotplug::{watchdog_gate, Hotplug};
 use crate::switch::SoftwareSwitch;
 use crate::xenbus::XenbusState;
+use crate::DevError;
 
 /// Watch token back-ends use for their backend directory.
 const BACKEND_TOKEN: &str = "backend-watch";
 
 /// How many times libxl retries a conflicted transaction before giving up.
 pub const TXN_RETRIES: usize = 8;
-
-/// Store-level failure wrapper.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum XsDevError {
-    /// Store operation failed.
-    Xs(XsError),
-    /// Device-level failure.
-    Dev(DevError),
-}
-
-impl From<XsError> for XsDevError {
-    fn from(e: XsError) -> Self {
-        XsDevError::Xs(e)
-    }
-}
-impl From<DevError> for XsDevError {
-    fn from(e: DevError) -> Self {
-        XsDevError::Dev(e)
-    }
-}
-
-impl std::fmt::Display for XsDevError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            XsDevError::Xs(e) => write!(f, "xenstore: {e}"),
-            XsDevError::Dev(e) => write!(f, "device: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for XsDevError {}
 
 /// Registers the back-end's watch on its backend directory (done once at
 /// back-end start-up).
@@ -84,7 +54,7 @@ pub fn toolstack_announce_device(
     dom: DomId,
     devid: u32,
     mac: &str,
-) -> Result<(), XsDevError> {
+) -> Result<(), DevError> {
     // All path skeletons are composed (and interned at most once) up
     // front; transaction retries then run allocation-free.
     let fe = xs.frontend_dir_sym(dom.0, kind.as_str(), devid);
@@ -150,7 +120,7 @@ pub fn backend_process_events(
     meter: &mut Meter,
     events: &mut Vec<WatchEvent>,
     faults: &mut FaultPlan,
-) -> Result<usize, XsDevError> {
+) -> Result<usize, DevError> {
     xs.take_events_into(cost, meter, 0, events);
     let mut handled = 0;
     for ev in events.iter() {
@@ -179,20 +149,20 @@ pub fn backend_process_events(
             Some(b) => b,
             None => continue, // a class nobody serves
         };
-        let dom = DomId(dom_name.parse().map_err(|_| XsDevError::Xs(XsError::Invalid))?);
-        let devid: u32 = devid_name.parse().map_err(|_| XsDevError::Xs(XsError::Invalid))?;
+        let dom = DomId(dom_name.parse().map_err(|_| DevError::Xs(XsError::Invalid))?);
+        let devid: u32 = devid_name.parse().map_err(|_| DevError::Xs(XsError::Invalid))?;
         let kind = backend.kind();
         if faults.should_inject(FaultSite::BackendRefusal) {
             // The backend declines the allocation outright (resource
             // exhaustion on its side). The toolstack observes the refusal
             // and unwinds the whole create; the announcement written in
             // step 1 is removed by the compensating teardown.
-            return Err(XsDevError::Dev(DevError::Refused));
+            return Err(DevError::Refused);
         }
         let (port, grant) = match backend.alloc_device(hv, cost, meter, dom, devid) {
             Ok(x) => x,
             Err(DevError::Exists) => continue, // re-delivered watch
-            Err(e) => return Err(e.into()),
+            Err(e) => return Err(e),
         };
         let be = xs.backend_dir_sym(0, kind.as_str(), dom.0, devid);
         let be_evtchn = xs.child_sym(be, "event-channel");
@@ -202,12 +172,9 @@ pub fn backend_process_events(
         xs.write(cost, meter, 0, be_evtchn, u32_str(&mut buf, port.0).as_bytes())?;
         xs.write(cost, meter, 0, be_grant, u32_str(&mut buf, grant.0).as_bytes())?;
         xs.write(cost, meter, 0, be_state, XenbusState::InitWait.as_str().as_bytes())?;
-        watchdog_gate(faults, FaultSite::HotplugTimeout, cost, meter)
-            .map_err(XsDevError::Dev)?;
+        watchdog_gate(faults, FaultSite::HotplugTimeout, cost, meter)?;
         if kind == DeviceKind::Net {
-            hotplug
-                .plug_vif(cost, meter, switch, dom, devid)
-                .map_err(|e| XsDevError::Dev(DevError::from(e)))?;
+            hotplug.plug_vif(cost, meter, switch, dom, devid)?;
         } else {
             hotplug.plug_vbd(cost, meter);
         }
@@ -228,11 +195,11 @@ pub fn frontend_connect_via_xenstore(
     dom: DomId,
     devid: u32,
     faults: &mut FaultPlan,
-) -> Result<(), XsDevError> {
+) -> Result<(), DevError> {
     // The handshake can stall before reaching `Connected` (backend wedged
     // between states); the guest's watchdog retries and eventually gives
     // up with a timeout the toolstack turns into a failed boot.
-    watchdog_gate(faults, FaultSite::XenbusStall, cost, meter).map_err(XsDevError::Dev)?;
+    watchdog_gate(faults, FaultSite::XenbusStall, cost, meter)?;
     let kind = backend.kind();
     let fe = xs.frontend_dir_sym(dom.0, kind.as_str(), devid);
     let be = xs.backend_dir_sym(0, kind.as_str(), dom.0, devid);
@@ -266,7 +233,7 @@ pub fn destroy_device_via_xenstore(
     meter: &mut Meter,
     dom: DomId,
     devid: u32,
-) -> Result<(), XsDevError> {
+) -> Result<(), DevError> {
     let kind = backend.kind();
     match backend.close_device(hv, cost, meter, dom, devid) {
         Ok(()) => {
@@ -278,7 +245,7 @@ pub fn destroy_device_via_xenstore(
         // between announcement and allocation); teardown is idempotent
         // and still removes whatever store records the announce left.
         Err(DevError::NotFound) => {}
-        Err(e) => return Err(e.into()),
+        Err(e) => return Err(e),
     }
     let fe = xs.frontend_dir_sym(dom.0, kind.as_str(), devid);
     let be = xs.backend_dir_sym(0, kind.as_str(), dom.0, devid);
@@ -421,7 +388,7 @@ mod tests {
             Hotplug::Xendevd, &w.cost, &mut m, &mut Vec::new(), &mut faults,
         )
         .unwrap_err();
-        assert_eq!(err, XsDevError::Dev(DevError::Refused));
+        assert_eq!(err, DevError::Refused);
         // The backend allocated nothing: no device, no switch port, no
         // grants to leak.
         assert_eq!(w.be.count(), 0);
@@ -442,7 +409,7 @@ mod tests {
             Hotplug::Xendevd, &w.cost, &mut m, &mut Vec::new(), &mut faults,
         )
         .unwrap_err();
-        assert_eq!(err, XsDevError::Dev(DevError::Timeout));
+        assert_eq!(err, DevError::Timeout);
         // Every attempt (initial + retries) paid at least the watchdog
         // timeout while the daemon stayed silent.
         let waited = m.of(Category::Devices) - before;
@@ -466,7 +433,7 @@ mod tests {
             &mut w.xs, &mut w.hv, &mut w.be, &w.cost, &mut m, dom, 0, &mut faults,
         )
         .unwrap_err();
-        assert_eq!(err, XsDevError::Dev(DevError::Timeout));
+        assert_eq!(err, DevError::Timeout);
         // The device never reached Connected and can still be torn down.
         assert_eq!(w.be.device(dom, 0).unwrap().state, XenbusState::InitWait);
         destroy_device_via_xenstore(

@@ -9,6 +9,7 @@
 use crate::domain::DomId;
 use crate::evtchn::EvtchnPort;
 use crate::gnttab::GrantRef;
+use crate::hv::HvError;
 
 /// Device classes that can appear in a device page.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -64,29 +65,18 @@ pub struct DevicePage {
     entries: Vec<DevicePageEntry>,
 }
 
-/// Device-page errors.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DevicePageError {
-    /// The page is full.
-    Full,
-    /// Duplicate (kind, devid).
-    Duplicate,
-    /// No such entry.
-    NotFound,
-}
-
 impl DevicePage {
     /// Appends an entry (Dom0-only; enforced by the hypercall wrapper).
-    pub fn push(&mut self, entry: DevicePageEntry) -> Result<(), DevicePageError> {
+    pub fn push(&mut self, entry: DevicePageEntry) -> Result<(), HvError> {
         if self.entries.len() >= MAX_ENTRIES {
-            return Err(DevicePageError::Full);
+            return Err(HvError::PageFull);
         }
         if self
             .entries
             .iter()
             .any(|e| e.kind == entry.kind && e.devid == entry.devid)
         {
-            return Err(DevicePageError::Duplicate);
+            return Err(HvError::DuplicateEntry);
         }
         // A guest lists a handful of devices, one per slot, so the page
         // costs what it holds.
@@ -96,12 +86,12 @@ impl DevicePage {
     }
 
     /// Removes an entry by (kind, devid).
-    pub fn remove(&mut self, kind: DeviceKind, devid: u32) -> Result<(), DevicePageError> {
+    pub fn remove(&mut self, kind: DeviceKind, devid: u32) -> Result<(), HvError> {
         let i = self
             .entries
             .iter()
             .position(|e| e.kind == kind && e.devid == devid)
-            .ok_or(DevicePageError::NotFound)?;
+            .ok_or(HvError::NoSuchEntry)?;
         self.entries.remove(i);
         Ok(())
     }
@@ -144,7 +134,7 @@ mod tests {
         assert!(p.find(DeviceKind::Net, 0).is_none());
         assert_eq!(
             p.remove(DeviceKind::Net, 0).unwrap_err(),
-            DevicePageError::NotFound
+            HvError::NoSuchEntry
         );
     }
 
@@ -154,7 +144,7 @@ mod tests {
         p.push(entry(DeviceKind::Net, 0)).unwrap();
         assert_eq!(
             p.push(entry(DeviceKind::Net, 0)).unwrap_err(),
-            DevicePageError::Duplicate
+            HvError::DuplicateEntry
         );
         p.push(entry(DeviceKind::Block, 0)).unwrap();
     }
@@ -167,7 +157,7 @@ mod tests {
         }
         assert_eq!(
             p.push(entry(DeviceKind::Net, 9999)).unwrap_err(),
-            DevicePageError::Full
+            HvError::PageFull
         );
     }
 

@@ -130,9 +130,10 @@ pub struct Domain {
 }
 
 impl Domain {
-    /// True if the domain's vCPUs may be scheduled.
-    pub fn is_runnable(&self) -> bool {
-        self.state == DomainState::Running
+    /// Its noxs device page, once set up. Uncharged: the toolstack
+    /// reads the hypervisor's record, the guest does not map the page.
+    pub fn device_page(&self) -> Option<&DevicePage> {
+        self.device_page.as_deref()
     }
 }
 
@@ -145,20 +146,5 @@ mod tests {
         assert!(DomId::DOM0.is_dom0());
         assert!(!DomId(3).is_dom0());
         assert_eq!(format!("{}", DomId(3)), "dom3");
-    }
-
-    #[test]
-    fn runnable_only_when_running() {
-        let mut d = Domain {
-            id: DomId(1),
-            max_mem_mib: 8,
-            vcpu_cores: vec![0].into(),
-            ..Domain::default()
-        };
-        assert!(!d.is_runnable());
-        d.state = DomainState::Running;
-        assert!(d.is_runnable());
-        d.state = DomainState::Suspended;
-        assert!(!d.is_runnable());
     }
 }

@@ -46,16 +46,6 @@ impl Channel {
     }
 }
 
-/// Event-channel errors.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum EvtchnError {
-    /// Port does not exist or is closed.
-    BadPort,
-    /// Bind attempted by a domain the port was not offered to, or the
-    /// port is already bound.
-    NotPermitted,
-}
-
 impl Hypervisor {
     /// `EVTCHNOP_alloc_unbound`: `owner` allocates a port that only
     /// `remote` may bind. Both domains must exist.
@@ -92,7 +82,7 @@ impl Hypervisor {
         Self::charge(meter, cost.hypercall_base + cost.evtchn_op);
         let ch = self.channel_mut(owner, port)?;
         if ch.remote != binder || ch.peer().is_some() {
-            return Err(EvtchnError::NotPermitted.into());
+            return Err(HvError::NotPermitted);
         }
         // An offer's remote is live: a destroy reaps the offers towards it.
         let b = self.record_mut(binder).ok_or(HvError::NoSuchDomain)?;
@@ -116,7 +106,7 @@ impl Hypervisor {
     ) -> Result<(), HvError> {
         Self::charge(meter, cost.hypercall_base + cost.evtchn_op);
         let ch = *self.channel_mut(dom, port)?;
-        let peer = ch.peer().ok_or(EvtchnError::BadPort)?;
+        let peer = ch.peer().ok_or(HvError::BadPort)?;
         self.channel_mut(ch.remote, peer)?.pending = true;
         Ok(())
     }
@@ -134,7 +124,7 @@ impl Hypervisor {
         let ch = self
             .record_mut(dom)
             .and_then(|d| d.ports.remove(&port.0))
-            .ok_or(EvtchnError::BadPort)?;
+            .ok_or(HvError::BadPort)?;
         self.open_channels -= 1;
         self.close_peer(dom, port, ch);
         Ok(())
@@ -159,10 +149,10 @@ impl Hypervisor {
         self.open_channels
     }
 
-    fn channel_mut(&mut self, dom: DomId, port: EvtchnPort) -> Result<&mut Channel, EvtchnError> {
+    fn channel_mut(&mut self, dom: DomId, port: EvtchnPort) -> Result<&mut Channel, HvError> {
         self.record_mut(dom)
             .and_then(|d| d.ports.get_mut(&port.0))
-            .ok_or(EvtchnError::BadPort)
+            .ok_or(HvError::BadPort)
     }
 }
 
@@ -208,7 +198,7 @@ mod tests {
         assert_eq!(
             hv.evtchn_bind(&c, &mut m, DomId(2), DomId(0), p)
                 .unwrap_err(),
-            HvError::Evtchn(EvtchnError::NotPermitted)
+            HvError::NotPermitted
         );
     }
 
@@ -222,7 +212,7 @@ mod tests {
         assert_eq!(
             hv.evtchn_bind(&c, &mut m, DomId(1), DomId(0), p)
                 .unwrap_err(),
-            HvError::Evtchn(EvtchnError::NotPermitted)
+            HvError::NotPermitted
         );
     }
 
@@ -234,7 +224,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             hv.evtchn_send(&c, &mut m, DomId(0), p).unwrap_err(),
-            HvError::Evtchn(EvtchnError::BadPort)
+            HvError::BadPort
         );
     }
 
@@ -260,7 +250,7 @@ mod tests {
         hv.evtchn_close(DomId(1), fp).unwrap();
         assert_eq!(
             hv.evtchn_send(&c, &mut m, DomId(0), bp).unwrap_err(),
-            HvError::Evtchn(EvtchnError::BadPort)
+            HvError::BadPort
         );
         assert_eq!(hv.open_channels(), 0);
     }
@@ -286,7 +276,7 @@ mod tests {
         let bp = hv.evtchn_alloc_unbound(&c, &mut m, back, front).unwrap();
         let fp = hv.evtchn_bind(&c, &mut m, front, back, bp).unwrap();
         hv.evtchn_close(back, bp).unwrap();
-        let bad = Err(HvError::Evtchn(EvtchnError::BadPort));
+        let bad = Err(HvError::BadPort);
         for (dom, port) in [(back, bp), (front, fp)] {
             assert_eq!(hv.evtchn_send(&c, &mut m, dom, port), bad);
             assert_eq!(hv.evtchn_poll(dom, port).map(|_| ()), bad);
@@ -324,7 +314,7 @@ mod tests {
         assert!(hv.evtchn_poll(d1, p10).unwrap());
         hv.evtchn_send(&c, &mut m, d1, p10).unwrap();
         assert!(hv.evtchn_poll(d0, p01).unwrap());
-        let bad = Err(HvError::Evtchn(EvtchnError::BadPort));
+        let bad = Err(HvError::BadPort);
         assert_eq!(hv.evtchn_send(&c, &mut m, d0, p02), bad);
         assert_eq!(hv.evtchn_send(&c, &mut m, d1, p12), bad);
         assert_eq!(hv.evtchn_close(d0, offer), bad);

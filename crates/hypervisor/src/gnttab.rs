@@ -18,19 +18,6 @@ use crate::hv::{HvError, Hypervisor};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct GrantRef(pub u32);
 
-/// Grant-table errors.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum GrantError {
-    /// Reference does not exist.
-    BadRef,
-    /// Mapping attempted by a domain the grant was not issued to.
-    NotPermitted,
-    /// Grant still mapped when the granter tried to end access.
-    StillInUse,
-    /// Already mapped by the grantee.
-    AlreadyMapped,
-}
-
 /// One issued grant. Like Xen's v1 grant entry, the frame is 32-bit.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Grant {
@@ -84,7 +71,7 @@ impl Hypervisor {
         Self::charge(meter, cost.hypercall_base + cost.grant_op);
         let g = self.grant_mut(mapper, granter, gref)?;
         if g.mapped {
-            return Err(GrantError::AlreadyMapped.into());
+            return Err(HvError::AlreadyMapped);
         }
         g.mapped = true;
         Ok(g.frame)
@@ -104,10 +91,10 @@ impl Hypervisor {
     /// Ends access: the granter revokes the reference. Fails while the
     /// grantee still has it mapped. Uncharged, like [`Self::grant_unmap`].
     pub fn grant_end_access(&mut self, granter: DomId, gref: GrantRef) -> Result<(), HvError> {
-        let grants = &mut self.record_mut(granter).ok_or(GrantError::BadRef)?.grants;
+        let grants = &mut self.record_mut(granter).ok_or(HvError::BadRef)?.grants;
         match grants.get(&gref.0) {
-            None => Err(GrantError::BadRef.into()),
-            Some(g) if g.mapped => Err(GrantError::StillInUse.into()),
+            None => Err(HvError::BadRef),
+            Some(g) if g.mapped => Err(HvError::StillInUse),
             Some(&Grant { grantee, .. }) => {
                 grants.remove(&gref.0);
                 self.release(grantee, Held::Grant(granter, gref));
@@ -138,13 +125,13 @@ impl Hypervisor {
         mapper: DomId,
         granter: DomId,
         gref: GrantRef,
-    ) -> Result<&mut Grant, GrantError> {
+    ) -> Result<&mut Grant, HvError> {
         let g = self
             .record_mut(granter)
             .and_then(|d| d.grants.get_mut(&gref.0))
-            .ok_or(GrantError::BadRef)?;
+            .ok_or(HvError::BadRef)?;
         if g.grantee != mapper {
-            return Err(GrantError::NotPermitted);
+            return Err(HvError::NotPermitted);
         }
         Ok(g)
     }
@@ -178,7 +165,7 @@ mod tests {
         assert_eq!(hv.grant_map(&c, &mut m, d0, g, gref).unwrap(), 0x1000);
         assert_eq!(
             hv.grant_end_access(g, gref).unwrap_err(),
-            HvError::Grant(GrantError::StillInUse)
+            HvError::StillInUse
         );
         hv.grant_unmap(d0, g, gref).unwrap();
         hv.grant_end_access(g, gref).unwrap();
@@ -194,7 +181,7 @@ mod tests {
         assert_eq!(
             hv.grant_map(&c, &mut m, DomId(2), DomId(1), gref)
                 .unwrap_err(),
-            HvError::Grant(GrantError::NotPermitted)
+            HvError::NotPermitted
         );
     }
 
@@ -208,7 +195,7 @@ mod tests {
         assert_eq!(
             hv.grant_map(&c, &mut m, DomId(0), DomId(1), gref)
                 .unwrap_err(),
-            HvError::Grant(GrantError::AlreadyMapped)
+            HvError::AlreadyMapped
         );
     }
 
@@ -238,10 +225,7 @@ mod tests {
         hv.grant_map(&c, &mut m, DomId(1), DomId(0), to).unwrap();
         hv.destroy(&c, &mut m, DomId(1)).unwrap();
         assert_eq!(hv.grant_count(), 1);
-        assert_eq!(
-            hv.grant_end_access(DomId(0), to),
-            Err(HvError::Grant(GrantError::BadRef))
-        );
+        assert_eq!(hv.grant_end_access(DomId(0), to), Err(HvError::BadRef));
     }
 
     #[test]

@@ -5,14 +5,15 @@ use std::sync::Arc;
 use simcore::memory::OutOfMemory;
 use simcore::{Category, CostModel, IdMap, MemoryPressure, Meter};
 
-use crate::devpage::{DevicePage, DevicePageEntry, DevicePageError, DeviceKind};
+use crate::devpage::{DevicePage, DevicePageEntry, DeviceKind};
 use crate::domain::{DomId, Domain, DomainConfig, DomainState, Held, ShutdownReason};
-use crate::evtchn::{EvtchnError, EvtchnPort};
-use crate::gnttab::{GrantError, GrantRef};
+use crate::evtchn::EvtchnPort;
+use crate::gnttab::GrantRef;
 
 const MIB: u64 = 1 << 20;
 
-/// Hypercall errors.
+/// Hypercall errors: every failure of the hypervisor layer, the event
+/// channels, grant tables and noxs device pages included.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum HvError {
     /// Unknown domain id.
@@ -21,14 +22,25 @@ pub enum HvError {
     BadState,
     /// Guest memory could not be allocated.
     OutOfMemory(OutOfMemory),
-    /// Caller lacks the privilege (most noxs calls are Dom0-only).
+    /// The caller may not do this: a noxs call from a domain other than
+    /// Dom0, a bind by a domain the port was not offered to (or of a
+    /// port already bound), or a map by a domain the grant was not
+    /// issued to.
     NotPermitted,
-    /// Event-channel failure.
-    Evtchn(EvtchnError),
-    /// Grant-table failure.
-    Grant(GrantError),
-    /// Device-page failure.
-    DevPage(DevicePageError),
+    /// The event-channel port does not exist or is closed.
+    BadPort,
+    /// The grant reference does not exist.
+    BadRef,
+    /// The granter tried to end access to a grant still mapped.
+    StillInUse,
+    /// The grantee already maps the grant.
+    AlreadyMapped,
+    /// The device page is full.
+    PageFull,
+    /// The device page already lists this (kind, devid).
+    DuplicateEntry,
+    /// The device page lists no such (kind, devid).
+    NoSuchEntry,
     /// Every domid below the configured limit is live.
     DomidsExhausted,
 }
@@ -40,9 +52,13 @@ impl std::fmt::Display for HvError {
             HvError::BadState => write!(f, "operation invalid in current domain state"),
             HvError::OutOfMemory(e) => write!(f, "{e}"),
             HvError::NotPermitted => write!(f, "not permitted"),
-            HvError::Evtchn(e) => write!(f, "event channel error: {e:?}"),
-            HvError::Grant(e) => write!(f, "grant error: {e:?}"),
-            HvError::DevPage(e) => write!(f, "device page error: {e:?}"),
+            HvError::BadPort => write!(f, "no such event-channel port"),
+            HvError::BadRef => write!(f, "no such grant reference"),
+            HvError::StillInUse => write!(f, "grant still mapped"),
+            HvError::AlreadyMapped => write!(f, "grant already mapped"),
+            HvError::PageFull => write!(f, "device page full"),
+            HvError::DuplicateEntry => write!(f, "device already listed in the device page"),
+            HvError::NoSuchEntry => write!(f, "no such device-page entry"),
             HvError::DomidsExhausted => write!(f, "no free domid below the limit"),
         }
     }
@@ -50,21 +66,6 @@ impl std::fmt::Display for HvError {
 
 impl std::error::Error for HvError {}
 
-impl From<EvtchnError> for HvError {
-    fn from(e: EvtchnError) -> Self {
-        HvError::Evtchn(e)
-    }
-}
-impl From<GrantError> for HvError {
-    fn from(e: GrantError) -> Self {
-        HvError::Grant(e)
-    }
-}
-impl From<DevicePageError> for HvError {
-    fn from(e: DevicePageError) -> Self {
-        HvError::DevPage(e)
-    }
-}
 impl From<OutOfMemory> for HvError {
     fn from(e: OutOfMemory) -> Self {
         HvError::OutOfMemory(e)
@@ -469,14 +470,14 @@ impl Hypervisor {
         meter: &mut Meter,
         caller: DomId,
         dom: DomId,
-        edit: impl FnOnce(&mut DevicePage) -> Result<(), DevicePageError>,
+        edit: impl FnOnce(&mut DevicePage) -> Result<(), HvError>,
     ) -> Result<(), HvError> {
         if !caller.is_dom0() {
             return Err(HvError::NotPermitted);
         }
         Self::charge(meter, cost.hypercall_base + cost.noxs_page_op);
         let page = self.domain_mut(dom)?.device_page.as_mut();
-        Ok(edit(Arc::make_mut(page.ok_or(HvError::NoSuchDomain)?))?)
+        edit(Arc::make_mut(page.ok_or(HvError::NoSuchDomain)?))
     }
 }
 
@@ -506,7 +507,7 @@ mod tests {
         assert_eq!(hv.domain(id).unwrap().populated_mib, 64);
         let used_before = hv.memory.used();
         hv.unpause(&cost, &mut m, id).unwrap();
-        assert!(hv.domain(id).unwrap().is_runnable());
+        assert_eq!(hv.domain(id).unwrap().state, DomainState::Running);
         hv.destroy(&cost, &mut m, id).unwrap();
         assert_eq!(hv.memory.used(), used_before - 64 * MIB);
         assert!(hv.domain(id).is_err());
@@ -610,7 +611,8 @@ mod tests {
             Some(ShutdownReason::Suspend)
         );
         hv.resume(&cost, &mut m, id).unwrap();
-        assert!(hv.domain(id).unwrap().is_runnable());
+        assert_eq!(hv.domain(id).unwrap().state, DomainState::Running);
+        assert_eq!(hv.domain(id).unwrap().shutdown_reason, None);
     }
 
     #[test]

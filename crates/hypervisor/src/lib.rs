@@ -9,7 +9,8 @@
 //! details flow instead of the XenStore.
 //!
 //! Every hypercall charges its cost to a [`simcore::Meter`] under
-//! [`simcore::Category::Hypervisor`].
+//! [`simcore::Category::Hypervisor`] and fails with one flat [`HvError`],
+//! whichever of these parts refused it.
 
 pub mod devpage;
 pub mod domain;

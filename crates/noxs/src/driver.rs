@@ -12,45 +12,8 @@
 //!    control page.
 
 use devices::{watchdog_gate, Backend, DevError, Hotplug, SoftwareSwitch};
-use hypervisor::{DevicePageEntry, DeviceKind, DomId, HvError, Hypervisor};
+use hypervisor::{DevicePageEntry, DeviceKind, DomId, Hypervisor};
 use simcore::{Category, CostModel, FaultPlan, FaultSite, Meter};
-
-/// noxs driver errors.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum NoxsError {
-    /// Hypercall failure.
-    Hv(HvError),
-    /// Back-end failure.
-    Dev(DevError),
-    /// The back-end does not run in Dom0: "currently this mechanism only
-    /// works if the back-ends run in Dom0" (paper footnote 4).
-    BackendNotDom0,
-}
-
-impl From<HvError> for NoxsError {
-    fn from(e: HvError) -> Self {
-        NoxsError::Hv(e)
-    }
-}
-impl From<DevError> for NoxsError {
-    fn from(e: DevError) -> Self {
-        NoxsError::Dev(e)
-    }
-}
-
-impl std::fmt::Display for NoxsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NoxsError::Hv(e) => write!(f, "hypervisor: {e}"),
-            NoxsError::Dev(e) => write!(f, "device: {e}"),
-            NoxsError::BackendNotDom0 => {
-                write!(f, "noxs requires back-ends in Dom0 (paper footnote 4)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for NoxsError {}
 
 /// Ensures the guest has a device page (idempotent; done once per guest
 /// at creation).
@@ -59,7 +22,7 @@ pub fn setup_device_page(
     cost: &CostModel,
     meter: &mut Meter,
     dom: DomId,
-) -> Result<(), NoxsError> {
+) -> Result<(), DevError> {
     hv.devpage_setup(cost, meter, DomId::DOM0, dom)?;
     Ok(())
 }
@@ -77,17 +40,14 @@ pub fn create_device(
     dom: DomId,
     devid: u32,
     faults: &mut FaultPlan,
-) -> Result<(), NoxsError> {
-    if backend.backend_dom() != DomId::DOM0 {
-        return Err(NoxsError::BackendNotDom0);
-    }
+) -> Result<(), DevError> {
     // Step 1: ioctl into the noxs module; the backend allocates the
     // channel + grant and returns the details.
     meter.charge(Category::Devices, cost.noxs_ioctl);
     if faults.should_inject(FaultSite::BackendRefusal) {
         // The ioctl returns the backend's refusal; nothing was allocated
         // and the toolstack unwinds the create.
-        return Err(NoxsError::Dev(DevError::Refused));
+        return Err(DevError::Refused);
     }
     let (evtchn, grant) = backend.alloc_device(hv, cost, meter, dom, devid)?;
     // Step 2: hypercall writes the details into the device page.
@@ -104,11 +64,9 @@ pub fn create_device(
             grant,
         },
     )?;
-    watchdog_gate(faults, FaultSite::HotplugTimeout, cost, meter).map_err(NoxsError::Dev)?;
+    watchdog_gate(faults, FaultSite::HotplugTimeout, cost, meter)?;
     if backend.kind() == DeviceKind::Net {
-        hotplug
-            .plug_vif(cost, meter, switch, dom, devid)
-            .map_err(|e| NoxsError::Dev(DevError::from(e)))?;
+        hotplug.plug_vif(cost, meter, switch, dom, devid)?;
     }
     Ok(())
 }
@@ -122,7 +80,7 @@ pub fn guest_connect_devices(
     meter: &mut Meter,
     dom: DomId,
     faults: &mut FaultPlan,
-) -> Result<usize, NoxsError> {
+) -> Result<usize, DevError> {
     // Step 3: ask the hypervisor for the device page and map it.
     let page = hv.devpage_read(cost, meter, dom)?;
     let mut connected = 0;
@@ -134,10 +92,10 @@ pub fn guest_connect_devices(
         let backend = backends
             .iter_mut()
             .find(|b| b.kind() == entry.kind)
-            .ok_or(NoxsError::Dev(DevError::NotFound))?;
+            .ok_or(DevError::NotFound)?;
         // The control-page handshake can stall exactly like xenbus; the
         // guest's watchdog bounds the wait.
-        watchdog_gate(faults, FaultSite::XenbusStall, cost, meter).map_err(NoxsError::Dev)?;
+        watchdog_gate(faults, FaultSite::XenbusStall, cost, meter)?;
         // Step 4: map the grant, bind the channel, exchange parameters.
         backend.frontend_connect(hv, cost, meter, dom, entry.devid)?;
         connected += 1;
@@ -156,7 +114,7 @@ pub fn destroy_device(
     meter: &mut Meter,
     dom: DomId,
     devid: u32,
-) -> Result<(), NoxsError> {
+) -> Result<(), DevError> {
     meter.charge(Category::Devices, cost.noxs_ioctl);
     hv.devpage_remove(cost, meter, DomId::DOM0, dom, backend.kind(), devid)?;
     backend.close_device(hv, cost, meter, dom, devid)?;
@@ -274,6 +232,6 @@ mod tests {
         let err = guest_connect_devices(
             &mut hv, &mut [&mut net], &cost, &mut m, dom, &mut FaultPlan::none(),
         ).unwrap_err();
-        assert_eq!(err, NoxsError::Hv(HvError::NoSuchDomain));
+        assert_eq!(err, DevError::Hv(hypervisor::HvError::NoSuchDomain));
     }
 }

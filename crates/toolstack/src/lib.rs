@@ -2,12 +2,11 @@
 //! `chaos`/libchaos, with the split-toolstack daemon (paper §5).
 //!
 //! The [`ControlPlane`] owns everything living in Dom0 — xenstored, the
-//! hypervisor interface, back-end drivers, the software switch, the
-//! sysctl back-end, the CPU contention model and the chaos daemon's
-//! shell pool — and exposes VM lifecycle operations under any of the
-//! five toolstack configurations the paper evaluates (Figure 9):
-//! `xl`, `chaos [XS]`, `chaos [XS+split]`, `chaos [NoXS]` and full
-//! `LightVM` (noxs + split).
+//! hypervisor interface, back-end drivers, the software switch, the CPU
+//! contention model and the chaos daemon's shell pool — and exposes VM
+//! lifecycle operations under any of the five toolstack configurations
+//! the paper evaluates (Figure 9): `xl`, `chaos [XS]`,
+//! `chaos [XS+split]`, `chaos [NoXS]` and full `LightVM` (noxs + split).
 //!
 //! Every `create` returns a [`CreateReport`] carrying the per-category
 //! cost breakdown, reproducing the instrumentation behind Figure 5.

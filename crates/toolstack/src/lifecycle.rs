@@ -7,7 +7,7 @@
 //! |---|---|---|
 //! | `suspend` | `control/shutdown` + the guest's wait | sysctl split device |
 //! | `arrive` | register, announce + connect each device | device page, sysctl, device ioctls, connect |
-//! | `depart` | `xs_teardown` | `noxs_teardown`, uncharged record drop |
+//! | `depart` | `teardown`: devices, store dirs, disconnect | `teardown`: devices; uncharged record drop |
 //! | `resume` | hypervisor resume, request withdrawn | sysctl resume |
 //!
 //! Under the XenStore the suspend handshake goes through watches, and
@@ -167,7 +167,7 @@ impl ControlPlane {
             meter.charge(Category::Other, wait);
             self.hv.shutdown(cost, meter, dom, ShutdownReason::Suspend)?;
         } else {
-            self.sysctl.request_suspend(&mut self.hv, cost, meter, dom)?;
+            noxs::sysctl::request_suspend(&mut self.hv, cost, meter, dom)?;
         }
         meter.charge(Category::Other, cost.xc_context_save);
         Ok(())
@@ -181,7 +181,7 @@ impl ControlPlane {
             let cs = self.xs.control_shutdown_sym(dom.0);
             self.xs.write(cost, meter, 0, cs, b"")?;
         } else {
-            self.sysctl.resume(&mut self.hv, cost, meter, dom)?;
+            noxs::sysctl::resume(&mut self.hv, cost, meter, dom)?;
         }
         Ok(())
     }

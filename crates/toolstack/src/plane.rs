@@ -12,10 +12,10 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use devices::{xsdev, Backend, Hotplug, SoftwareSwitch};
+use devices::{xsdev, Backend, DevError, Hotplug, SoftwareSwitch};
 use guests::GuestImage;
 use hypervisor::{DeviceKind, DomId, DomainConfig, Hypervisor, HvError};
-use noxs::{driver as noxs_driver, SysctlBackend};
+use noxs::{driver as noxs_driver, sysctl};
 use simcore::{
     Category, CostModel, CpuSim, FaultPlan, FaultSite, Machine, Meter, SimRng, SimTime, TaskId,
     FAULT_RETRIES,
@@ -104,8 +104,9 @@ pub enum PlaneError {
     Hv(HvError),
     /// XenStore failure.
     Xs(XsError),
-    /// Device failure.
-    Dev(String),
+    /// Device-level failure. Never `DevError::Hv` or `DevError::Xs`:
+    /// those arrive as [`PlaneError::Hv`] and [`PlaneError::Xs`].
+    Dev(DevError),
     /// A control-plane phase timed out after bounded retries (names the
     /// phase that gave up).
     Timeout(&'static str),
@@ -124,19 +125,15 @@ impl From<XsError> for PlaneError {
         PlaneError::Xs(e)
     }
 }
-impl From<xsdev::XsDevError> for PlaneError {
-    fn from(e: xsdev::XsDevError) -> Self {
-        PlaneError::Dev(e.to_string())
-    }
-}
-impl From<noxs_driver::NoxsError> for PlaneError {
-    fn from(e: noxs_driver::NoxsError) -> Self {
-        PlaneError::Dev(e.to_string())
-    }
-}
-impl From<noxs::sysctl::SysctlError> for PlaneError {
-    fn from(e: noxs::sysctl::SysctlError) -> Self {
-        PlaneError::Dev(e.to_string())
+/// A device-layer failure keeps its one typed form: a hypercall or store
+/// failure under the device is the plane's own `Hv` or `Xs`.
+impl From<DevError> for PlaneError {
+    fn from(e: DevError) -> Self {
+        match e {
+            DevError::Hv(e) => PlaneError::Hv(e),
+            DevError::Xs(e) => PlaneError::Xs(e),
+            e => PlaneError::Dev(e),
+        }
     }
 }
 
@@ -267,21 +264,19 @@ struct BackendOps<'a> {
 /// (a device that refuses to die stays in the backend table forever).
 /// Each swallow site therefore classifies its error: absence
 /// (`NotFound`-class — the thing is already gone, so nothing can have
-/// leaked) stays silent with a comment at the site saying why, and
-/// anything else increments the site's counter here. The churn census
-/// reports the totals; monotone growth between matching checkpoints is
-/// a leak fingerprint with the site name attached.
+/// leaked; [`DevError::is_absence`] for devices) stays silent with a
+/// comment at the site saying why, and anything else increments the
+/// site's counter here. The churn census reports the totals; monotone
+/// growth between matching checkpoints is a leak fingerprint with the
+/// site name attached.
 ///
 /// These are cumulative counters, so the census treats them as
 /// report-only (they are excluded from checkpoint equality).
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct TeardownErrors {
-    /// XenStore-path device teardown failed with something other than
-    /// "already gone".
-    pub xsdev: u64,
-    /// noxs device teardown failed with something other than
-    /// "already gone" (rollback or destroy).
-    pub noxs: u64,
+    /// Device teardown, through the XenStore or noxs, failed with
+    /// something other than "already gone".
+    pub devices: u64,
     /// Removing `/local/domain/<d>` or `/vm/<d>` failed with something
     /// other than `NotFound`.
     pub store_dirs: u64,
@@ -298,31 +293,8 @@ pub struct TeardownErrors {
 impl TeardownErrors {
     /// Sum over every site.
     pub fn total(&self) -> u64 {
-        self.xsdev + self.noxs + self.store_dirs + self.hv_destroy + self.unwatch + self.boot_unwind
+        self.devices + self.store_dirs + self.hv_destroy + self.unwatch + self.boot_unwind
     }
-}
-
-/// True if an XS-path device-teardown error means "already gone":
-/// nothing existed, so nothing can have leaked.
-fn xsdev_err_is_absence(e: &xsdev::XsDevError) -> bool {
-    matches!(
-        e,
-        xsdev::XsDevError::Xs(XsError::NotFound)
-            | xsdev::XsDevError::Dev(devices::DevError::NotFound)
-    )
-}
-
-/// True if a noxs device-teardown error means "already gone": the
-/// device-page entry was never written, the backend never allocated
-/// the device, or the domain itself is gone.
-fn noxs_err_is_absence(e: &noxs_driver::NoxsError) -> bool {
-    use hypervisor::devpage::DevicePageError;
-    matches!(
-        e,
-        noxs_driver::NoxsError::Dev(devices::DevError::NotFound)
-            | noxs_driver::NoxsError::Hv(HvError::NoSuchDomain)
-            | noxs_driver::NoxsError::Hv(HvError::DevPage(DevicePageError::NotFound))
-    )
 }
 
 /// Dom0 and everything in it.
@@ -344,8 +316,6 @@ pub struct ControlPlane {
     pub console: Backend,
     /// The software switch.
     pub switch: SoftwareSwitch,
-    /// The sysctl back-end (noxs power control).
-    pub sysctl: SysctlBackend,
     /// The CPU contention model (all cores, Dom0's first).
     pub cpu: CpuSim,
     /// The split-toolstack daemon (pool used in split modes).
@@ -410,7 +380,6 @@ impl ControlPlane {
             blk: Backend::new(DeviceKind::Block),
             console: Backend::new(DeviceKind::Console),
             switch: SoftwareSwitch::new(),
-            sysctl: SysctlBackend::new(),
             cpu,
             daemon: ChaosDaemon::new(8),
             faults: FaultPlan::none(),
@@ -731,10 +700,7 @@ impl ControlPlane {
     ) -> Result<(), PlaneError> {
         meter.charge(Category::Devices, cost.noxs_ioctl);
         let ops = self.backend(kind);
-        let (evtchn, grant) = ops
-            .backend
-            .alloc_device(ops.hv, cost, meter, dom, devid)
-            .map_err(|e| PlaneError::Dev(e.to_string()))?;
+        let (evtchn, grant) = ops.backend.alloc_device(ops.hv, cost, meter, dom, devid)?;
         let entry = hypervisor::DevicePageEntry {
             kind,
             devid,
@@ -1195,7 +1161,7 @@ impl ControlPlane {
         dom: DomId,
     ) -> Result<(), PlaneError> {
         noxs_driver::setup_device_page(&mut self.hv, cost, meter, dom)?;
-        self.sysctl.setup(&mut self.hv, cost, meter, dom)?;
+        sysctl::setup(&mut self.hv, cost, meter, dom)?;
         Ok(())
     }
 
@@ -1234,7 +1200,14 @@ impl ControlPlane {
     }
 
     /// Tears down a guest that is leaving this host through its
-    /// mechanism's teardown. The domain itself is the caller's.
+    /// mechanism: removes `devices` through the XenStore handshake's
+    /// teardown or the noxs driver, then, under the XenStore, removes
+    /// `/local/domain/<d>` and `/vm/<d>` and disconnects the guest. The
+    /// domain itself is the caller's; a noxs guest's sysctl device is a
+    /// device-page entry and dies with it. A guest whose build failed
+    /// may lack any of these, and `/vm/<d>` only exists under xl, so
+    /// absence errors are routine and stay silent; anything else may
+    /// mask a leak and is counted in [`TeardownErrors`].
     pub(crate) fn teardown(
         &mut self,
         cost: &CostModel,
@@ -1242,34 +1215,24 @@ impl ControlPlane {
         dom: DomId,
         devices: &[Device],
     ) {
-        if self.mode.uses_xenstore() {
-            self.xs_teardown(cost, meter, dom, devices);
-        } else {
-            self.noxs_teardown(cost, meter, dom, devices);
-        }
-    }
-
-    /// The XenStore teardown: removes `devices`, `/local/domain/<d>` and
-    /// `/vm/<d>`, and disconnects the guest. A guest whose build
-    /// failed may lack any of these, and `/vm/<d>` only exists under
-    /// xl, so absence errors are routine and stay silent; anything else
-    /// may mask a leak and is counted in [`TeardownErrors`].
-    fn xs_teardown(
-        &mut self,
-        cost: &CostModel,
-        meter: &mut Meter,
-        dom: DomId,
-        devices: &[Device],
-    ) {
+        let xenstore = self.mode.uses_xenstore();
         for &(kind, devid) in devices {
             let ops = self.backend(kind);
-            if let Err(e) = xsdev::destroy_device_via_xenstore(
-                ops.xs, ops.hv, ops.backend, ops.switch, ops.hotplug, cost, meter, dom, devid,
-            ) {
-                if !xsdev_err_is_absence(&e) {
-                    self.teardown_errors.xsdev += 1;
-                }
+            let torn = if xenstore {
+                xsdev::destroy_device_via_xenstore(
+                    ops.xs, ops.hv, ops.backend, ops.switch, ops.hotplug, cost, meter, dom, devid,
+                )
+            } else {
+                noxs_driver::destroy_device(
+                    ops.hv, ops.backend, ops.switch, ops.hotplug, cost, meter, dom, devid,
+                )
+            };
+            if torn.is_err_and(|e| !e.is_absence()) {
+                self.teardown_errors.devices += 1;
             }
+        }
+        if !xenstore {
+            return;
         }
         for dir in [self.xs.domain_dir_sym(dom.0), self.xs.vm_dir_sym(dom.0)] {
             if let Err(e) = self.xs.rm(cost, meter, 0, dir) {
@@ -1279,29 +1242,6 @@ impl ControlPlane {
             }
         }
         self.xs.disconnect(dom.0);
-    }
-
-    /// The noxs teardown: removes `devices` from the device page and
-    /// their back-ends and forgets the guest's sysctl device. Absence
-    /// errors stay silent; anything else is counted.
-    fn noxs_teardown(
-        &mut self,
-        cost: &CostModel,
-        meter: &mut Meter,
-        dom: DomId,
-        devices: &[Device],
-    ) {
-        for &(kind, devid) in devices {
-            let ops = self.backend(kind);
-            if let Err(e) = noxs_driver::destroy_device(
-                ops.hv, ops.backend, ops.switch, ops.hotplug, cost, meter, dom, devid,
-            ) {
-                if !noxs_err_is_absence(&e) {
-                    self.teardown_errors.noxs += 1;
-                }
-            }
-        }
-        self.sysctl.drop_domain(dom);
     }
 
     /// Forgets a departed noxs guest's `devices` and switch ports

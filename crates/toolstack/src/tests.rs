@@ -253,7 +253,11 @@ fn save_restore_round_trip_all_modes() {
             assert_eq!(restored.state, DomainState::Running, "{mode:?}");
             assert_eq!(restored.populated_mib, saved.mem_mib, "{mode:?}");
             assert!(t_save > last_save && t_restore > SimTime::ZERO, "{mode:?}/{}", img.name);
-            assert_eq!(cp.sysctl.is_set_up(new_dom), !mode.uses_xenstore(), "{mode:?}");
+            // A noxs guest's sysctl device is its device-page entry.
+            let sysctl = restored
+                .device_page()
+                .and_then(|page| page.find(hypervisor::DeviceKind::Sysctl, 0));
+            assert_eq!(sysctl.is_some(), !mode.uses_xenstore(), "{mode:?}");
             last_save = t_save;
 
             // A restore whose memory does not fit leaves no domain and
@@ -469,41 +473,36 @@ fn page_sharing_resets_when_instances_die() {
 }
 
 #[test]
-fn driver_domain_backend_works_on_xs_path_only() {
-    use devices::Backend;
-    use hypervisor::{DeviceKind, DomainConfig};
+fn device_layer_failures_keep_one_typed_form() {
+    use devices::DevError;
+    use hypervisor::{DeviceKind, DomId, HvError};
     use simcore::Meter;
-    // Boot a driver domain, then serve a guest's vif from it via noxs:
-    // rejected, as in the prototype (footnote 4).
+    use xenstore::XsError;
+    // The conversion: a hypercall or store failure under a device is the
+    // plane's own `Hv` or `Xs`; only device-level failures stay `Dev`.
+    for (dev, plane) in [
+        (DevError::Hv(HvError::BadPort), PlaneError::Hv(HvError::BadPort)),
+        (DevError::Xs(XsError::Again), PlaneError::Xs(XsError::Again)),
+        (DevError::Refused, PlaneError::Dev(DevError::Refused)),
+        (DevError::Timeout, PlaneError::Dev(DevError::Timeout)),
+    ] {
+        assert_eq!(PlaneError::from(dev), plane);
+    }
+    // Through the device paths: a noxs attach for a domain that does not
+    // exist fails in the back-end's first hypercall, and a XenStore
+    // connect for a device never announced fails on its first read.
     let mut cp = plane(ToolstackMode::ChaosNoxs);
-    let cost = cp.cost();
-    let mut m = Meter::new();
-    let drv = cp
-        .hv
-        .create_domain(&cost, &mut m, &DomainConfig { max_mem_mib: 32, vcpus: 1 })
-        .unwrap();
-    let mut drv_net = Backend::new_in_domain(DeviceKind::Net, drv);
-    let guest = cp
-        .hv
-        .create_domain(&cost, &mut m, &DomainConfig::default())
-        .unwrap();
-    cp.hv.devpage_setup(&cost, &mut m, hypervisor::DomId::DOM0, guest).unwrap();
-    let err = noxs::driver::create_device(
-        &mut cp.hv, &mut drv_net, &mut cp.switch, devices::Hotplug::Xendevd,
-        &cost, &mut m, guest, 0, &mut simcore::FaultPlan::none(),
-    )
-    .unwrap_err();
-    assert_eq!(err, noxs::driver::NoxsError::BackendNotDom0);
-
-    // The same driver-domain backend works over the raw split-driver
-    // machinery (what the XenStore path uses).
-    drv_net.alloc_device(&mut cp.hv, &cost, &mut m, guest, 0).unwrap();
-    drv_net.frontend_connect(&mut cp.hv, &cost, &mut m, guest, 0).unwrap();
+    let (cost, mut m) = (cp.cost(), Meter::new());
     assert_eq!(
-        drv_net.device(guest, 0).unwrap().state,
-        devices::XenbusState::Connected
+        cp.noxs_attach(&cost, &mut m, DomId(99), (DeviceKind::Net, 0)),
+        Err(PlaneError::Hv(HvError::NoSuchDomain))
     );
-    assert_eq!(drv_net.backend_dom(), drv);
+    let mut cp = plane(ToolstackMode::ChaosXs);
+    let (dom, ..) = cp.create_and_boot("vm", &GuestImage::unikernel_noop()).unwrap();
+    assert_eq!(
+        cp.xs_connect(&cost, &mut m, dom, (DeviceKind::Net, 0)),
+        Err(PlaneError::Xs(XsError::NotFound))
+    );
 }
 
 // --- xl's name scan: closed form vs real scan -------------------------------

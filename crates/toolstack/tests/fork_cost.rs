@@ -87,6 +87,10 @@ fn stamping_a_host_allocates_only_what_the_fork_writes() {
             let cp = t.stamp(host);
             let (c1, b1) = counts();
             let (allocs, bytes) = (c1 - c0, b1 - b0);
+            if host == 0 {
+                // Shown with `--nocapture`: the figures DESIGN.md §6j quotes.
+                eprintln!("{mode:?} stamp: {allocs} allocations, {bytes} bytes");
+            }
             assert!(
                 allocs <= MAX_ALLOCS && bytes <= MAX_BYTES,
                 "{mode:?} stamp {host}: {allocs} allocations, {bytes} bytes \

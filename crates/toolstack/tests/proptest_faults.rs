@@ -9,11 +9,12 @@
 //! `FaultPlan` (the build environment is offline, so no proptest), with
 //! fixed seeds per case: failures reproduce exactly.
 
+use devices::DevError;
 use guests::GuestImage;
 use hypervisor::DomainState;
 use simcore::faults::{FaultPlan, FaultSite};
 use simcore::{Machine, MachinePreset};
-use toolstack::plane::{ControlPlane, ToolstackMode};
+use toolstack::plane::{ControlPlane, PlaneError, ToolstackMode};
 
 fn plane(mode: ToolstackMode) -> ControlPlane {
     ControlPlane::new(Machine::preset(MachinePreset::XeonE5_1630V3), 1, mode, 42)
@@ -39,14 +40,19 @@ const OPS: [Op; 3] = [Op::Create, Op::Restore, Op::MigrateIn];
 /// the snapshot — via compensating rollback on failure, or via destroy
 /// on success (sites that only add latency, or that the mode never
 /// exercises). A migration whose target failed leaves the guest running
-/// at its source. Returns the outcome string and the final digest for
-/// determinism checks.
+/// at its source. Returns the outcome — the charged times, or the typed
+/// error — and the final digest for determinism checks.
 ///
 /// Digests use the fast incremental path with the Dom0 drain
 /// (`world_digest64`, not the at-rest variant): a rolled-back create
 /// fires extra Dom0 watch events on the way down, so only drained
 /// worlds compare like with like here.
-fn run_case(mode: ToolstackMode, op: Op, site: FaultSite, seed: u64) -> (String, u128) {
+fn run_case(
+    mode: ToolstackMode,
+    op: Op,
+    site: FaultSite,
+    seed: u64,
+) -> (Result<String, PlaneError>, u128) {
     let mut cp = plane(mode);
     let img = GuestImage::unikernel_daytime();
     cp.prewarm(&img);
@@ -95,7 +101,7 @@ fn run_case(mode: ToolstackMode, op: Op, site: FaultSite, seed: u64) -> (String,
     let outcome = match built {
         Ok((dom, times)) => {
             cp.destroy_vm(dom).expect("victim destroy succeeds");
-            format!("ok dom={} {times}", dom.0)
+            Ok(format!("dom={} {times}", dom.0))
         }
         Err(e) => {
             if let Op::Create = op {
@@ -105,7 +111,7 @@ fn run_case(mode: ToolstackMode, op: Op, site: FaultSite, seed: u64) -> (String,
                     site.name()
                 );
             }
-            format!("err {e:?}")
+            Err(e)
         }
     };
     cp.set_fault_plan(FaultPlan::none());
@@ -131,14 +137,14 @@ fn run_case(mode: ToolstackMode, op: Op, site: FaultSite, seed: u64) -> (String,
         .collect();
     assert!(
         leaked.is_empty(),
-        "{mode:?}/{op:?}/{} seed {seed}: census drifted after `{outcome}`: {leaked:?}",
+        "{mode:?}/{op:?}/{} seed {seed}: census drifted after `{outcome:?}`: {leaked:?}",
         site.name()
     );
     let after = cp.world_digest64();
     assert_eq!(
         before,
         after,
-        "{mode:?}/{op:?}/{} seed {seed}: leaked state after `{outcome}`",
+        "{mode:?}/{op:?}/{} seed {seed}: leaked state after `{outcome:?}`",
         site.name()
     );
     (outcome, after)
@@ -158,7 +164,9 @@ fn injection_at_every_site_leaves_no_leaks() {
         for op in OPS {
             for site in FaultSite::ALL {
                 for seed in [1, 7, 0xfa17] {
-                    run_case(mode, op, site, seed);
+                    // run_case asserts the no-leak property itself;
+                    // either outcome is allowed here.
+                    let _ = run_case(mode, op, site, seed);
                 }
             }
         }
@@ -180,48 +188,47 @@ fn identical_seeds_give_identical_artefacts() {
     }
 }
 
+/// The device-path sites and the typed error each fails a build with.
+const DEVICE_SITES: [(FaultSite, PlaneError); 3] = [
+    (FaultSite::HotplugTimeout, PlaneError::Dev(DevError::Timeout)),
+    (FaultSite::XenbusStall, PlaneError::Dev(DevError::Timeout)),
+    (FaultSite::BackendRefusal, PlaneError::Dev(DevError::Refused)),
+];
+
 /// Sites with guaranteed-fatal semantics do fail at rate 1.0 in the
-/// modes that exercise them — the no-leak property above is vacuous if
-/// rollback never runs.
+/// modes that exercise them, each with its exact typed error — the
+/// no-leak property above is vacuous if rollback never runs.
 #[test]
 fn fatal_sites_actually_fail() {
-    let fatal_xs = [
-        FaultSite::TxnStorm,
-        FaultSite::HotplugTimeout,
-        FaultSite::XenbusStall,
-        FaultSite::BackendRefusal,
-    ];
+    let outcome = |mode: ToolstackMode, op: Op, site: FaultSite| {
+        let (outcome, _) = run_case(mode, op, site, 3);
+        (outcome, format!("{mode:?}/{op:?}/{}", site.name()))
+    };
     for op in OPS {
-        for site in fatal_xs {
-            let (outcome, _) = run_case(ToolstackMode::ChaosXs, op, site, 3);
-            assert!(outcome.starts_with("err"), "chaos[XS]/{op:?}/{}: {outcome}", site.name());
+        let (got, case) = outcome(ToolstackMode::ChaosXs, op, FaultSite::TxnStorm);
+        assert_eq!(got, Err(PlaneError::Timeout("domain registration")), "{case}");
+        for (site, err) in DEVICE_SITES {
+            let (got, case) = outcome(ToolstackMode::ChaosXs, op, site);
+            assert_eq!(got, Err(err), "{case}");
         }
     }
     // ChaosNoxs creates domains directly, so device-path sites are hit
-    // on the victim's own create/boot, and on its restore.
-    for op in [Op::Create, Op::Restore] {
-        for site in [
-            FaultSite::HotplugTimeout,
-            FaultSite::XenbusStall,
-            FaultSite::BackendRefusal,
-        ] {
-            let (outcome, _) = run_case(ToolstackMode::ChaosNoxs, op, site, 3);
-            assert!(outcome.starts_with("err"), "chaos[NoXS]/{op:?}/{}: {outcome}", site.name());
-        }
-    }
+    // on the victim's own create/boot, and on its restore, with the
+    // errors chaos [XS] gives (`device_faults_fail_alike_under_both_mechanisms`).
+    //
     // A noxs migration's daemon pre-creates the target's vifs under the
     // destination's plan, in both noxs modes. (The migrated guest does
     // not reconnect through xenbus, so the stall site stays quiet.)
     for mode in [ToolstackMode::ChaosNoxs, ToolstackMode::LightVm] {
-        for site in [FaultSite::HotplugTimeout, FaultSite::BackendRefusal] {
-            let (outcome, _) = run_case(mode, Op::MigrateIn, site, 3);
-            assert!(outcome.starts_with("err"), "{mode:?}/MigrateIn/{}: {outcome}", site.name());
+        for (site, err) in [&DEVICE_SITES[0], &DEVICE_SITES[2]] {
+            let (got, case) = outcome(mode, Op::MigrateIn, *site);
+            assert_eq!(got, Err(err.clone()), "{case}");
         }
     }
     // In LightVm the victim still connects its frontends at boot, so the
     // xenbus-stall site fails it there.
-    let (outcome, _) = run_case(ToolstackMode::LightVm, Op::Create, FaultSite::XenbusStall, 3);
-    assert!(outcome.starts_with("err"), "lightvm/xenbus-stall: {outcome}");
+    let (got, case) = outcome(ToolstackMode::LightVm, Op::Create, FaultSite::XenbusStall);
+    assert_eq!(got, Err(PlaneError::Dev(DevError::Timeout)), "{case}");
     // Store-side sites never touch a noxs-mode host; and the remaining
     // create-path sites land on the daemon's pool refill (recorded
     // there), not on the victim, which is finished from a healthy
@@ -232,7 +239,22 @@ fn fatal_sites_actually_fail() {
         FaultSite::HotplugTimeout,
         FaultSite::BackendRefusal,
     ] {
-        let (outcome, _) = run_case(ToolstackMode::LightVm, Op::Create, site, 3);
-        assert!(outcome.starts_with("ok"), "lightvm/{}: {outcome}", site.name());
+        let (got, case) = outcome(ToolstackMode::LightVm, Op::Create, site);
+        assert!(got.is_ok(), "{case}: {got:?}");
+    }
+}
+
+/// A device fault fails a create or a restore with the same typed error
+/// whichever mechanism carries the device: chaos [XS] and chaos [NoXS]
+/// differ only in the store, so their error kinds must not.
+#[test]
+fn device_faults_fail_alike_under_both_mechanisms() {
+    for op in [Op::Create, Op::Restore] {
+        for (site, err) in DEVICE_SITES {
+            let (xs, _) = run_case(ToolstackMode::ChaosXs, op, site, 3);
+            let (noxs, _) = run_case(ToolstackMode::ChaosNoxs, op, site, 3);
+            assert_eq!(noxs, xs, "{op:?}/{}", site.name());
+            assert_eq!(noxs, Err(err), "{op:?}/{}", site.name());
+        }
     }
 }

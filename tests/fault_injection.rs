@@ -132,7 +132,10 @@ fn migration_to_full_host_fails_safely() {
     let err = src
         .migrate_to(&mut dst, &lightvm::net::Link::lan(), vm.dom)
         .unwrap_err();
-    assert!(matches!(err, PlaneError::Dev(_) | PlaneError::Hv(_)), "{err:?}");
+    assert!(
+        matches!(err, PlaneError::Hv(hypervisor::HvError::OutOfMemory(_))),
+        "{err:?}"
+    );
     assert_eq!(dst.running(), 0);
     // Nothing of the half-built target domain is left behind.
     assert_eq!(dst.plane.hv.domain_count(), 0);
