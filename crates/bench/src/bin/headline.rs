@@ -1,10 +1,9 @@
 //! Table H: the paper's headline in-text numbers, re-measured.
 
 use guests::GuestImage;
-use lightvm::Host;
-use lightvm::ToolstackMode;
+use lightvm::{ControlPlane, ToolstackMode};
 use lvnet::Link;
-use simcore::MachinePreset;
+use simcore::{Machine, MachinePreset};
 
 fn main() {
     println!("# Table H — headline numbers (paper -> measured)");
@@ -12,12 +11,14 @@ fn main() {
     let img_day = GuestImage::unikernel_daytime();
 
     // Boot record: noop unikernel, no devices, all optimisations.
-    let mut host = Host::new(MachinePreset::XeonE5_1630V3, 1, ToolstackMode::LightVm, 42);
-    host.prewarm(&img_noop);
-    let vm = host.launch_auto(&img_noop).unwrap();
+    let xeon = Machine::preset(MachinePreset::XeonE5_1630V3);
+    let mut plane = ControlPlane::new(xeon.clone(), 1, ToolstackMode::LightVm, 42);
+    plane.prewarm(&img_noop);
+    let name = format!("{}-0", img_noop.name);
+    let (_, create, boot) = plane.create_and_boot(&name, &img_noop).unwrap();
     println!(
         "noop instantiation (paper 2.3 ms):       {:.2} ms",
-        (vm.create_time + vm.boot_time).as_millis_f64()
+        (create + boot).as_millis_f64()
     );
 
     // Daytime image footprints.
@@ -31,17 +32,18 @@ fn main() {
     );
 
     // Checkpointing.
-    let mut host = Host::new(MachinePreset::XeonE5_1630V3, 2, ToolstackMode::LightVm, 43);
-    host.prewarm(&img_day);
-    let vm = host.launch_auto(&img_day).unwrap();
-    let (saved, t_save) = host.save(vm.dom).unwrap();
-    let (dom, t_restore) = host.restore(&saved).unwrap();
+    let mut plane = ControlPlane::new(xeon.clone(), 2, ToolstackMode::LightVm, 43);
+    plane.prewarm(&img_day);
+    let name = format!("{}-0", img_day.name);
+    let (dom, _, _) = plane.create_and_boot(&name, &img_day).unwrap();
+    let (saved, t_save) = plane.save_vm(dom).unwrap();
+    let (dom, t_restore) = plane.restore_vm(&saved).unwrap();
     println!("save (paper ~30 ms):                      {:.1} ms", t_save.as_millis_f64());
     println!("restore (paper ~20 ms):                   {:.1} ms", t_restore.as_millis_f64());
 
     // Migration.
-    let mut dst = Host::new(MachinePreset::XeonE5_1630V3, 2, ToolstackMode::LightVm, 44);
-    let (_, t_mig) = host.migrate_to(&mut dst, &Link::lan(), dom).unwrap();
+    let mut dst = ControlPlane::new(xeon, 2, ToolstackMode::LightVm, 44);
+    let (_, t_mig) = plane.migrate_vm_to(&mut dst, &Link::lan(), dom).unwrap();
     println!("migration (paper ~60 ms):                 {:.1} ms", t_mig.as_millis_f64());
 
     // fork/exec baseline.

@@ -1,6 +1,7 @@
 //! The `chaos` command-line front-end (paper §5: chaos replaces xl).
 //!
-//! A small, dependency-free command interpreter over a [`Host`]. The
+//! A small, dependency-free command interpreter over a
+//! [`ControlPlane`]. The
 //! binary in `src/bin/chaos.rs` wires it to stdin or a script file; the
 //! interpreter itself is a library type so its behaviour is unit-tested.
 //!
@@ -18,10 +19,8 @@ use std::fmt::Write as _;
 use guests::GuestImage;
 use hypervisor::DomId;
 use lvnet::Link;
-use simcore::MachinePreset;
-use toolstack::{SavedVm, ToolstackMode, VmConfig};
-
-use crate::host::Host;
+use simcore::{Machine, MachinePreset};
+use toolstack::{ControlPlane, SavedVm, ToolstackMode, VmConfig};
 
 /// Outcome of one interpreted command.
 #[derive(Debug, PartialEq, Eq)]
@@ -35,9 +34,9 @@ pub enum CmdOutcome {
 /// The interactive session state: a primary host, an optional migration
 /// target, and the checkpoint shelf.
 pub struct Cli {
-    host: Host,
+    plane: ControlPlane,
     /// Secondary host for `migrate`.
-    peer: Option<Host>,
+    peer: Option<ControlPlane>,
     saved: HashMap<String, SavedVm>,
     names: HashMap<String, DomId>,
     seed: u64,
@@ -89,7 +88,7 @@ impl Cli {
     /// Creates a session.
     pub fn new(machine: MachinePreset, dom0_cores: usize, mode: ToolstackMode, seed: u64) -> Cli {
         Cli {
-            host: Host::new(machine, dom0_cores, mode, seed),
+            plane: ControlPlane::new(Machine::preset(machine), dom0_cores, mode, seed),
             peer: None,
             saved: HashMap::new(),
             names: HashMap::new(),
@@ -97,9 +96,9 @@ impl Cli {
         }
     }
 
-    /// The wrapped host (for assertions and scripting).
-    pub fn host(&self) -> &Host {
-        &self.host
+    /// The primary host's control plane (for assertions and scripting).
+    pub fn plane(&self) -> &ControlPlane {
+        &self.plane
     }
 
     /// Interprets one command line, appending human-readable output.
@@ -163,15 +162,14 @@ impl Cli {
             let _ = writeln!(out, "name {name} already in use here");
             return;
         }
-        match self.host.launch(name, &image) {
-            Ok(vm) => {
-                self.names.insert(name.to_string(), vm.dom);
+        match self.plane.create_and_boot(name, &image) {
+            Ok((dom, create, boot)) => {
+                self.names.insert(name.to_string(), dom);
                 let _ = writeln!(
                     out,
-                    "created {name} ({}) in {:.2} ms, booted in {:.2} ms",
-                    vm.dom,
-                    vm.create_time.as_millis_f64(),
-                    vm.boot_time.as_millis_f64()
+                    "created {name} ({dom}) in {:.2} ms, booted in {:.2} ms",
+                    create.as_millis_f64(),
+                    boot.as_millis_f64()
                 );
             }
             Err(e) => {
@@ -217,15 +215,14 @@ impl Cli {
             let _ = writeln!(out, "name {name} already in use here");
             return;
         }
-        match self.host.launch(&name, &image) {
-            Ok(vm) => {
-                self.names.insert(name.clone(), vm.dom);
+        match self.plane.create_and_boot(&name, &image) {
+            Ok((dom, create, boot)) => {
+                self.names.insert(name.clone(), dom);
                 let _ = writeln!(
                     out,
-                    "created {name} ({}) from {path} in {:.2} ms (+{:.2} ms boot)",
-                    vm.dom,
-                    vm.create_time.as_millis_f64(),
-                    vm.boot_time.as_millis_f64()
+                    "created {name} ({dom}) from {path} in {:.2} ms (+{:.2} ms boot)",
+                    create.as_millis_f64(),
+                    boot.as_millis_f64()
                 );
             }
             Err(e) => {
@@ -243,13 +240,13 @@ impl Cli {
             let _ = writeln!(out, "unknown image {image}");
             return;
         };
-        self.host.prewarm(&image);
-        let _ = writeln!(out, "pool: {} shells ready", self.host.plane.daemon.len());
+        self.plane.prewarm(&image);
+        let _ = writeln!(out, "pool: {} shells ready", self.plane.daemon.len());
     }
 
     fn list(&self, out: &mut String) {
         let _ = writeln!(out, "{:<6} {:<16} {:<16} {:>8}  STATE", "DOMID", "NAME", "IMAGE", "MEM");
-        for (dom, vm) in self.host.plane.vms() {
+        for (dom, vm) in self.plane.vms() {
             let state = if vm.booted { "running" } else { "created" };
             let _ = writeln!(
                 out,
@@ -275,7 +272,7 @@ impl Cli {
             return;
         };
         let Some(dom) = self.lookup(name, out) else { return };
-        match self.host.destroy(dom) {
+        match self.plane.destroy_vm(dom) {
             Ok(t) => {
                 self.names.remove(*name);
                 let _ = writeln!(out, "destroyed {name} in {:.2} ms", t.as_millis_f64());
@@ -292,7 +289,7 @@ impl Cli {
             return;
         };
         let Some(dom) = self.lookup(name, out) else { return };
-        match self.host.save(dom) {
+        match self.plane.save_vm(dom) {
             Ok((saved, t)) => {
                 self.names.remove(*name);
                 self.saved.insert(name.to_string(), saved);
@@ -313,7 +310,7 @@ impl Cli {
             let _ = writeln!(out, "no checkpoint named {name}");
             return;
         };
-        match self.host.restore(&saved) {
+        match self.plane.restore_vm(&saved) {
             Ok((dom, t)) => {
                 self.names.insert(name.to_string(), dom);
                 let _ = writeln!(
@@ -336,19 +333,19 @@ impl Cli {
         };
         let Some(dom) = self.lookup(name, out) else { return };
         if self.peer.is_none() {
-            let machine = self.host.plane.machine.clone();
-            let mode = self.host.plane.mode;
-            self.peer = Some(Host::with_machine(machine, 1, mode, self.seed ^ peer_seed()));
+            let machine = self.plane.machine.clone();
+            let mode = self.plane.mode;
+            self.peer = Some(ControlPlane::new(machine, 1, mode, self.seed ^ peer_seed()));
         }
         let peer = self.peer.as_mut().expect("just ensured");
-        match self.host.migrate_to(peer, &Link::lan(), dom) {
+        match self.plane.migrate_vm_to(peer, &Link::lan(), dom) {
             Ok((new_dom, t)) => {
                 self.names.remove(*name);
                 let _ = writeln!(
                     out,
                     "migrated {name} to peer host ({new_dom}) in {:.2} ms; peer now runs {} VM(s)",
                     t.as_millis_f64(),
-                    peer.running()
+                    peer.running_count()
                 );
             }
             Err(e) => {
@@ -358,7 +355,7 @@ impl Cli {
     }
 
     fn info(&self, out: &mut String) {
-        let p = &self.host.plane;
+        let p = &self.plane;
         let _ = writeln!(out, "machine:   {}", p.machine.name);
         let _ = writeln!(out, "toolstack: {}", p.mode.label());
         let _ = writeln!(out, "vms:       {}", p.running_count());
@@ -410,7 +407,7 @@ mod tests {
         assert!(out.contains("web") && out.contains("daytime") && out.contains("running"));
         let out = run(&mut c, "destroy web");
         assert!(out.contains("destroyed web"));
-        assert_eq!(c.host().running(), 0);
+        assert_eq!(c.plane().running_count(), 0);
     }
 
     #[test]
@@ -419,7 +416,7 @@ mod tests {
         run(&mut c, "create a daytime");
         let out = run(&mut c, "create a daytime");
         assert!(out.contains("already in use"), "{out}");
-        assert_eq!(c.host().running(), 1);
+        assert_eq!(c.plane().running_count(), 1);
     }
 
     #[test]
@@ -440,10 +437,10 @@ mod tests {
         run(&mut c, "create ck daytime");
         let out = run(&mut c, "save ck");
         assert!(out.contains("saved ck"), "{out}");
-        assert_eq!(c.host().running(), 0);
+        assert_eq!(c.plane().running_count(), 0);
         let out = run(&mut c, "restore ck");
         assert!(out.contains("restored ck"), "{out}");
-        assert_eq!(c.host().running(), 1);
+        assert_eq!(c.plane().running_count(), 1);
         // Name is live again.
         assert!(run(&mut c, "destroy ck").contains("destroyed"));
     }
@@ -455,7 +452,7 @@ mod tests {
         let out = run(&mut c, "migrate roam");
         assert!(out.contains("migrated roam"), "{out}");
         assert!(out.contains("peer now runs 1"));
-        assert_eq!(c.host().running(), 0);
+        assert_eq!(c.plane().running_count(), 0);
     }
 
     #[test]
@@ -480,7 +477,7 @@ mod tests {
         let out = run(&mut c, &format!("create-config {}", path.display()));
         assert!(out.contains("created cfged"), "{out}");
         // The config's memory override took effect.
-        let (_, vm) = c.host().plane.vms().next().unwrap();
+        let (_, vm) = c.plane().vms().next().unwrap();
         assert_eq!(vm.image.mem_mib, 16);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -498,9 +495,9 @@ mod tests {
         .unwrap();
         let out = run(&mut c, &format!("create-config {}", path.display()));
         assert!(out.contains("created smp"), "{out}");
-        let (&dom, vm) = c.host().plane.vms().next().unwrap();
+        let (&dom, vm) = c.plane().vms().next().unwrap();
         assert_eq!(vm.image.vcpus, 4);
-        assert_eq!(c.host().plane.hv.domain(dom).unwrap().vcpu_cores.len(), 4);
+        assert_eq!(c.plane().hv.domain(dom).unwrap().vcpu_cores.len(), 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -520,7 +517,7 @@ mod tests {
         assert!(out.contains("create failed"), "{out}");
         let list = run(&mut c, "list");
         assert_eq!(list.lines().count(), 1, "only the header: {list}");
-        assert_eq!(c.host().running(), 0);
+        assert_eq!(c.plane().running_count(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

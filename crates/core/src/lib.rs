@@ -2,9 +2,10 @@
 //! (reproduction of Manco et al., *My VM is Lighter (and Safer) than your
 //! Container*, SOSP 2017).
 //!
-//! This crate is the top of the stack: a [`Host`] facade over the
-//! simulated Xen control plane ([`toolstack::ControlPlane`]) plus the
-//! paper's four §7 use cases as runnable library modules:
+//! This crate is the top of the stack: the `chaos` command line
+//! ([`cli`]) over the simulated Xen control plane
+//! ([`toolstack::ControlPlane`], the paper's libchaos) plus the paper's
+//! four §7 use cases as runnable library modules:
 //!
 //! - [`usecases::firewall`]: per-user personal firewalls at the mobile
 //!   edge (Figure 16a);
@@ -16,24 +17,23 @@
 //! # Quick start
 //!
 //! ```
-//! use lightvm::{Host, ToolstackMode};
+//! use lightvm::{ControlPlane, ToolstackMode};
 //! use lightvm::guests::GuestImage;
-//! use simcore::MachinePreset;
+//! use simcore::{Machine, MachinePreset};
 //!
 //! // A 4-core host driven by the full LightVM control plane.
-//! let mut host = Host::new(MachinePreset::XeonE5_1630V3, 1, ToolstackMode::LightVm, 42);
+//! let machine = Machine::preset(MachinePreset::XeonE5_1630V3);
+//! let mut plane = ControlPlane::new(machine, 1, ToolstackMode::LightVm, 42);
 //! let image = GuestImage::unikernel_daytime();
-//! host.prewarm(&image);
-//! let vm = host.launch("my-first-vm", &image).unwrap();
+//! plane.prewarm(&image);
+//! let (_dom, create, boot) = plane.create_and_boot("my-first-vm", &image).unwrap();
 //! // Millisecond-scale instantiation:
-//! assert!((vm.create_time + vm.boot_time).as_millis_f64() < 10.0);
+//! assert!((create + boot).as_millis_f64() < 10.0);
 //! ```
 
 pub mod cli;
-pub mod host;
 pub mod usecases;
 
-pub use host::{Host, LaunchedVm};
 pub use toolstack::{ControlPlane, CreateReport, PlaneError, SavedVm, ToolstackMode, VmConfig};
 
 // Re-export the substrate crates under stable names so downstream users

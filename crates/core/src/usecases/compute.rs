@@ -14,9 +14,7 @@ use std::collections::HashMap;
 use guests::GuestImage;
 use hypervisor::DomId;
 use simcore::{Machine, MachinePreset, SimTime, TaskId};
-use toolstack::ToolstackMode;
-
-use crate::host::Host;
+use toolstack::{ControlPlane, ToolstackMode};
 
 /// Experiment configuration.
 #[derive(Clone, Debug)]
@@ -70,15 +68,15 @@ const XS_SPILLOVER: f64 = 1.0;
 /// Runs the experiment on the paper's 4-core machine (3 guest cores +
 /// one dedicated Dom0 core).
 pub fn run(cfg: &ComputeConfig) -> ComputeResult {
-    let mut host = Host::with_machine(
+    let mut plane = ControlPlane::new(
         Machine::preset(MachinePreset::XeonE5_1630V3),
         1,
         cfg.mode,
         cfg.seed,
     );
     let image = GuestImage::unikernel_minipython();
-    host.prewarm(&image);
-    let guest_cores: Vec<usize> = host.plane.hv.guest_cores().to_vec();
+    plane.prewarm(&image);
+    let guest_cores: Vec<usize> = plane.hv.guest_cores().to_vec();
     let mut spill_rr = 0usize;
 
     let mut service_times = vec![SimTime::ZERO; cfg.requests];
@@ -102,7 +100,7 @@ pub fn run(cfg: &ComputeConfig) -> ComputeResult {
             None
         };
         let t_start = pending.iter().map(|p| p.0).min();
-        let t_done = host.plane.cpu.next_completion();
+        let t_done = plane.cpu.next_completion();
         let t_next = [
             t_arrival,
             t_start,
@@ -113,25 +111,25 @@ pub fn run(cfg: &ComputeConfig) -> ComputeResult {
         .min()
         .expect("work remains, so an event must exist");
 
-        host.plane.cpu.advance_to(t_next);
+        plane.cpu.advance_to(t_next);
 
         // Completions first: they free capacity at this instant.
         if let Some((t, task)) = t_done {
             if t == t_next {
                 if spills.remove(&task) {
-                    host.plane.cpu.remove(task);
+                    plane.cpu.remove(task);
                     continue;
                 }
                 if let Some((idx, dom, arrival)) = running.remove(&task) {
-                    host.plane.cpu.remove(task);
+                    plane.cpu.remove(task);
                     service_times[idx] = t - arrival;
-                    let destroy = host.destroy(dom).expect("destroys");
+                    let destroy = plane.destroy_vm(dom).expect("destroys");
                     spill_xs_work(
-                        &mut host, &guest_cores, &mut spill_rr, &mut spills,
+                        &mut plane, &guest_cores, &mut spill_rr, &mut spills,
                         destroy.scale(0.7 * spillover(cfg.mode)),
                     );
                     done += 1;
-                    concurrency.push((t, host.running()));
+                    concurrency.push((t, plane.running_count()));
                     continue;
                 }
             }
@@ -140,8 +138,8 @@ pub fn run(cfg: &ComputeConfig) -> ComputeResult {
         // Job starts (boot finished).
         if let Some(pos) = pending.iter().position(|p| p.0 == t_next) {
             let (_, idx, dom, arrival) = pending.swap_remove(pos);
-            let core = host.plane.vm(dom).expect("vm exists").core;
-            let task = host.plane.cpu.add_finite(core, cfg.job_cpu);
+            let core = plane.vm(dom).expect("vm exists").core;
+            let task = plane.cpu.add_finite(core, cfg.job_cpu);
             running.insert(task, (idx, dom, arrival));
             continue;
         }
@@ -151,20 +149,19 @@ pub fn run(cfg: &ComputeConfig) -> ComputeResult {
             let idx = next_arrival;
             next_arrival += 1;
             let name = format!("mp-{idx}");
-            let report = host
-                .plane
+            let report = plane
                 .create_vm(&name, &image)
                 .expect("compute service VM creates");
-            let boot = host.plane.boot_vm(report.dom).expect("boots");
+            let boot = plane.boot_vm(report.dom).expect("boots");
             create_times.push(report.total());
             let xs_time = report.meter.of(simcore::Category::Xenstore);
             spill_xs_work(
-                &mut host, &guest_cores, &mut spill_rr, &mut spills,
+                &mut plane, &guest_cores, &mut spill_rr, &mut spills,
                 xs_time.scale(spillover(cfg.mode)),
             );
             let start = t_next + report.total() + boot;
             pending.push((start, idx, report.dom, t_next));
-            concurrency.push((t_next, host.running()));
+            concurrency.push((t_next, plane.running_count()));
         }
     }
 
@@ -185,7 +182,7 @@ fn spillover(mode: ToolstackMode) -> f64 {
 
 /// Injects `amount` of control-plane interrupt work onto a guest core.
 fn spill_xs_work(
-    host: &mut Host,
+    plane: &mut ControlPlane,
     guest_cores: &[usize],
     rr: &mut usize,
     spills: &mut std::collections::HashSet<TaskId>,
@@ -196,7 +193,7 @@ fn spill_xs_work(
     }
     let core = guest_cores[*rr % guest_cores.len()];
     *rr += 1;
-    let task = host.plane.cpu.add_finite(core, amount.as_secs_f64());
+    let task = plane.cpu.add_finite(core, amount.as_secs_f64());
     spills.insert(task);
 }
 

@@ -3,16 +3,18 @@
 
 use lightvm::guests::GuestImage;
 use lightvm::usecases::jit::{self, JitConfig};
-use lightvm::{Host, ToolstackMode};
-use simcore::MachinePreset;
+use lightvm::{ControlPlane, ToolstackMode};
+use simcore::{Machine, MachinePreset};
 
 fn sweep(seed: u64) -> Vec<u64> {
-    let mut host = Host::new(MachinePreset::XeonE5_1630V3, 1, ToolstackMode::Xl, seed);
+    let machine = Machine::preset(MachinePreset::XeonE5_1630V3);
+    let mut plane = ControlPlane::new(machine, 1, ToolstackMode::Xl, seed);
     let img = GuestImage::unikernel_daytime();
     (0..50)
-        .map(|_| {
-            let vm = host.launch_auto(&img).unwrap();
-            (vm.create_time + vm.boot_time).as_nanos()
+        .map(|k| {
+            let name = format!("{}-{k}", img.name);
+            let (_, create, boot) = plane.create_and_boot(&name, &img).unwrap();
+            (create + boot).as_nanos()
         })
         .collect()
 }

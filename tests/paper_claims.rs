@@ -3,18 +3,22 @@
 
 use container::{ContainerImage, DockerRuntime, ProcessRuntime};
 use lightvm::guests::GuestImage;
-use lightvm::{Host, ToolstackMode};
+use lightvm::{ControlPlane, ToolstackMode};
 use simcore::{CostModel, Machine, MachinePreset};
+
+fn host(preset: MachinePreset, dom0_cores: usize, mode: ToolstackMode, seed: u64) -> ControlPlane {
+    ControlPlane::new(Machine::preset(preset), dom0_cores, mode, seed)
+}
 
 /// "LightVM can boot a VM in 2.3ms, comparable to fork/exec on Linux
 /// (1ms), and two orders of magnitude faster than Docker."
 #[test]
 fn abstract_headline_comparisons() {
-    let mut host = Host::new(MachinePreset::XeonE5_1630V3, 1, ToolstackMode::LightVm, 1);
+    let mut lv = host(MachinePreset::XeonE5_1630V3, 1, ToolstackMode::LightVm, 1);
     let noop = GuestImage::unikernel_noop();
-    host.prewarm(&noop);
-    let vm = host.launch_auto(&noop).unwrap();
-    let lightvm_ms = (vm.create_time + vm.boot_time).as_millis_f64();
+    lv.prewarm(&noop);
+    let (_, create, boot) = lv.create_and_boot("noop-0", &noop).unwrap();
+    let lightvm_ms = (create + boot).as_millis_f64();
 
     let cost = CostModel::paper_defaults();
     let mut docker = DockerRuntime::new(
@@ -44,49 +48,50 @@ fn abstract_headline_comparisons() {
 /// 1/10 scale here; the figure harness does the full 8,000.
 #[test]
 fn high_density_packing() {
-    let mut host = Host::new(MachinePreset::AmdOpteron4X6376, 4, ToolstackMode::LightVm, 2);
+    let mut lv = host(MachinePreset::AmdOpteron4X6376, 4, ToolstackMode::LightVm, 2);
     let img = GuestImage::unikernel_noop();
-    host.prewarm(&img);
+    lv.prewarm(&img);
     let mut first = None;
     let mut last = None;
-    for _ in 0..800 {
-        let vm = host.launch_auto(&img).unwrap();
-        let t = vm.create_time + vm.boot_time;
+    for k in 0..800 {
+        let name = format!("{}-{k}", img.name);
+        let (_, create, boot) = lv.create_and_boot(&name, &img).unwrap();
+        let t = create + boot;
         first.get_or_insert(t);
         last = Some(t);
     }
-    assert_eq!(host.running(), 800);
+    assert_eq!(lv.running_count(), 800);
     let (first, last) = (first.unwrap(), last.unwrap());
     assert!(
         last < first.scale(1.3),
         "instantiation should stay constant: {first} -> {last}"
     );
     // Memory stays modest: ~4.4 MiB per guest.
-    assert!(host.memory_used() < 5 * (1u64 << 30));
+    assert!(lv.guest_memory_used() < 5 * (1u64 << 30));
 }
 
 /// §6.2: checkpoint ~30/20 ms and migration ~60 ms for LightVM,
 /// density-independent; xl takes 128/550 ms.
 #[test]
 fn checkpoint_and_migration_claims() {
-    let mut lv = Host::new(MachinePreset::XeonE5_1630V3, 2, ToolstackMode::LightVm, 3);
+    let mut lv = host(MachinePreset::XeonE5_1630V3, 2, ToolstackMode::LightVm, 3);
     let img = GuestImage::unikernel_daytime();
-    let vm = lv.launch_auto(&img).unwrap();
-    let (saved, t_save) = lv.save(vm.dom).unwrap();
-    let (dom, t_restore) = lv.restore(&saved).unwrap();
+    let (dom, _, _) = lv.create_and_boot("daytime-0", &img).unwrap();
+    let (saved, t_save) = lv.save_vm(dom).unwrap();
+    let (dom, t_restore) = lv.restore_vm(&saved).unwrap();
     assert!((10.0..45.0).contains(&t_save.as_millis_f64()), "save {t_save}");
     assert!((8.0..35.0).contains(&t_restore.as_millis_f64()), "restore {t_restore}");
 
-    let mut dst = Host::new(MachinePreset::XeonE5_1630V3, 2, ToolstackMode::LightVm, 4);
+    let mut dst = host(MachinePreset::XeonE5_1630V3, 2, ToolstackMode::LightVm, 4);
     let (_, t_mig) = lv
-        .migrate_to(&mut dst, &lightvm::net::Link::lan(), dom)
+        .migrate_vm_to(&mut dst, &lightvm::net::Link::lan(), dom)
         .unwrap();
     assert!((40.0..100.0).contains(&t_mig.as_millis_f64()), "migration {t_mig}");
 
-    let mut xl = Host::new(MachinePreset::XeonE5_1630V3, 2, ToolstackMode::Xl, 5);
-    let vm = xl.launch_auto(&img).unwrap();
-    let (saved, t_save_xl) = xl.save(vm.dom).unwrap();
-    let (_, t_restore_xl) = xl.restore(&saved).unwrap();
+    let mut xl = host(MachinePreset::XeonE5_1630V3, 2, ToolstackMode::Xl, 5);
+    let (dom, _, _) = xl.create_and_boot("daytime-0", &img).unwrap();
+    let (saved, t_save_xl) = xl.save_vm(dom).unwrap();
+    let (_, t_restore_xl) = xl.restore_vm(&saved).unwrap();
     assert!(
         t_save_xl > t_save.scale(3.0),
         "xl save {t_save_xl} vs LightVM {t_save}"
@@ -118,13 +123,13 @@ fn memory_footprint_ordering() {
 /// superlinearity at 1/5 scale (absolute values in EXPERIMENTS.md).
 #[test]
 fn xl_thousandth_guest_ordering() {
-    let machine = || Machine::preset(MachinePreset::XeonE5_1630V3);
     let last_create = |img: &GuestImage| {
-        let mut host = Host::with_machine(machine(), 1, ToolstackMode::Xl, 6);
+        let mut xl = host(MachinePreset::XeonE5_1630V3, 1, ToolstackMode::Xl, 6);
         let mut last = None;
-        for _ in 0..200 {
-            let vm = host.launch_auto(img).unwrap();
-            last = Some(vm.create_time);
+        for k in 0..200 {
+            let name = format!("{}-{k}", img.name);
+            let (_, create, _) = xl.create_and_boot(&name, img).unwrap();
+            last = Some(create);
         }
         last.unwrap()
     };
@@ -148,10 +153,10 @@ fn pause_unpause() {
     docker.pause_container(id).unwrap();
     docker.unpause_container(id).unwrap();
 
-    let mut host = Host::new(MachinePreset::XeonE5_1630V3, 1, ToolstackMode::LightVm, 8);
-    let vm = host.launch_auto(&GuestImage::unikernel_daytime()).unwrap();
+    let mut lv = host(MachinePreset::XeonE5_1630V3, 1, ToolstackMode::LightVm, 8);
+    let (dom, _, _) = lv.create_and_boot("daytime-0", &GuestImage::unikernel_daytime()).unwrap();
     let mut m = simcore::Meter::new();
-    host.plane.hv.pause(&cost, &mut m, vm.dom).unwrap();
-    host.plane.hv.unpause(&cost, &mut m, vm.dom).unwrap();
+    lv.hv.pause(&cost, &mut m, dom).unwrap();
+    lv.hv.unpause(&cost, &mut m, dom).unwrap();
     assert!(m.total() < simcore::SimTime::from_millis(1));
 }
