@@ -69,6 +69,26 @@ if grep -Eq '^warning: .* generated [0-9]+ warnings?' "$build_log"; then
 fi
 rm -f "$build_log"
 
+echo "== examples (release; each must exit 0) =="
+# The examples are built above but nothing else runs them, and they are
+# the first code a reader copies: every [[example]] target in the root
+# Cargo.toml must run to completion.
+examples=$(awk '/^\[\[example\]\]/ { ex = 1; next }
+  ex && /^name = / { gsub(/"/, "", $3); print $3; ex = 0 }' Cargo.toml)
+if [ -z "$examples" ]; then
+  echo "ci: no [[example]] targets found in Cargo.toml" >&2
+  exit 1
+fi
+examples_start=$(date +%s.%N)
+for ex in $examples; do
+  if ! cargo run -q --release --example "$ex" > /dev/null; then
+    echo "ci: example $ex failed" >&2
+    exit 1
+  fi
+done
+awk -v s="$examples_start" -v e="$(date +%s.%N)" -v n="$(printf '%s\n' "$examples" | grep -c .)" \
+  'BEGIN { printf "examples: %d ran in %.2f s\n", n, e - s }'
+
 echo "== clippy (workspace, all targets; warnings are errors) =="
 # Every lint clippy enables by default must hold; a deliberate exception
 # is an #[allow] at the site with a one-line reason.
@@ -203,9 +223,10 @@ done
 echo "churn: 6 units leak-free (digest, census, arena, interner, teardown)"
 
 echo "== cluster determinism gate (replay bytes + DAG widths) =="
-# The cluster figure couples thousands of fork-stamped hosts through
-# the conservative-lookahead epoch executor (DESIGN.md §6j); each unit
-# steps its hosts in index order on its own thread. Replaying the
+# The cluster figure couples thousands of fork-stamped hosts to one
+# controller in lockstep epochs of the network delay (conservative
+# lookahead, DESIGN.md §6j); `cluster::run_scenario` steps each unit's
+# hosts in index order on the unit's own thread. Replaying the
 # cluster figure on its own (`runall --filter cluster`) from the same
 # seed must reproduce the full run's bytes; --jobs widens the DAG
 # runner's pool, which spreads the six cluster units over workers and
@@ -342,7 +363,7 @@ fi
 echo "== throughput gate (aggregate_events_per_sec) =="
 # Covers the cluster units too: their simulated events (hundreds of
 # thousands of host-world events per run) land in the same report, so
-# an events/s collapse in the epoch executor trips this gate.
+# an events/s collapse in the cluster's epoch stepping trips this gate.
 extract_rate() {
   grep -m1 -o '"aggregate_events_per_sec": *[0-9.]*' "$1" | grep -o '[0-9.]*$'
 }

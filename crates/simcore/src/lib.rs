@@ -15,6 +15,8 @@
 //! - [`MemoryPressure`]: host memory accounting and reclaim pressure.
 //! - [`IdMap`]: a `HashMap` with a fast hasher, for keys the simulator
 //!   assigns itself (domain ids, ports, task ids, symbols).
+//! - [`thread_cpu_ns`]: the calling thread's host CPU time, for tests
+//!   that bound host-cost ratios.
 //!
 //! Each simulated world is single-threaded and fully deterministic:
 //! reruns with the same seed produce byte-identical figure data.
@@ -23,6 +25,7 @@
 pub mod costs;
 pub mod cpu;
 pub mod faults;
+pub mod hostclock;
 pub mod idmap;
 pub mod machine;
 pub mod memory;
@@ -32,6 +35,7 @@ pub mod time;
 pub use costs::{Category, CostModel, Meter};
 pub use faults::{FaultPlan, FaultSite, FAULT_RETRIES};
 pub use cpu::{CpuSim, TaskId, TaskKind};
+pub use hostclock::thread_cpu_ns;
 pub use idmap::{IdHasher, IdMap};
 pub use machine::{Machine, MachinePreset};
 pub use memory::MemoryPressure;

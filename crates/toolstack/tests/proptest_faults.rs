@@ -11,10 +11,11 @@
 
 use devices::DevError;
 use guests::GuestImage;
-use hypervisor::DomainState;
+use hypervisor::{DomId, DomainState};
 use simcore::faults::{FaultPlan, FaultSite};
 use simcore::{Machine, MachinePreset};
 use toolstack::plane::{ControlPlane, PlaneError, ToolstackMode};
+use toolstack::SavedVm;
 
 fn plane(mode: ToolstackMode) -> ControlPlane {
     ControlPlane::new(Machine::preset(MachinePreset::XeonE5_1630V3), 1, mode, 42)
@@ -34,25 +35,18 @@ enum Op {
 
 const OPS: [Op; 3] = [Op::Create, Op::Restore, Op::MigrateIn];
 
-/// One full scenario: boot a healthy resident VM, snapshot the world,
-/// then build a victim through `op` with certain injection at `site`.
-/// Whatever the outcome, the host that built the victim must return to
-/// the snapshot — via compensating rollback on failure, or via destroy
-/// on success (sites that only add latency, or that the mode never
-/// exercises). A migration whose target failed leaves the guest running
-/// at its source. Returns the outcome — the charged times, or the typed
-/// error — and the final digest for determinism checks.
-///
-/// Digests use the fast incremental path with the Dom0 drain
-/// (`world_digest64`, not the at-rest variant): a rolled-back create
-/// fires extra Dom0 watch events on the way down, so only drained
-/// worlds compare like with like here.
-fn run_case(
-    mode: ToolstackMode,
-    op: Op,
-    site: FaultSite,
-    seed: u64,
-) -> (Result<String, PlaneError>, u128) {
+/// A host ready for the victim's build: a healthy resident VM booted,
+/// plus what `op` builds the victim from.
+struct Case {
+    cp: ControlPlane,
+    /// The migration source (used by [`Op::MigrateIn`] only).
+    src: ControlPlane,
+    img: GuestImage,
+    saved: Option<SavedVm>,
+    src_dom: Option<DomId>,
+}
+
+fn prepare(mode: ToolstackMode, op: Op) -> Case {
     let mut cp = plane(mode);
     let img = GuestImage::unikernel_daytime();
     cp.prewarm(&img);
@@ -66,16 +60,22 @@ fn run_case(
             (Some(cp.save_vm(dom).expect("fault-free save").0), None)
         }
         Op::MigrateIn => {
-            let (dom, ..) = src.create_and_boot("victim", &img).expect("fault-free boot");
+            let (dom, ..) = src
+                .create_and_boot("victim", &img)
+                .expect("fault-free boot");
             (None, Some(dom))
         }
     };
-    let before = cp.world_digest64();
-    let census = cp.census();
+    Case { cp, src, img, saved, src_dom }
+}
 
-    cp.set_fault_plan(FaultPlan::at_site(seed, site));
-    let built = match op {
-        Op::Create => cp.create_and_boot("victim", &img).map(|(dom, create, boot)| {
+/// Builds the victim through `op`, returning its domain and charged
+/// times. A migration whose target failed must leave the guest running
+/// at its source.
+fn build(case: &mut Case, mode: ToolstackMode, op: Op) -> Result<(DomId, String), PlaneError> {
+    let Case { cp, src, img, saved, src_dom } = case;
+    match op {
+        Op::Create => cp.create_and_boot("victim", img).map(|(dom, create, boot)| {
             (dom, format!("create={create} boot={boot}"))
         }),
         Op::Restore => cp
@@ -84,7 +84,7 @@ fn run_case(
         Op::MigrateIn => {
             let link = lvnet::Link::datacenter();
             let from = src_dom.expect("booted above");
-            let moved = src.migrate_vm_to(&mut cp, &link, from);
+            let moved = src.migrate_vm_to(cp, &link, from);
             if moved.is_err() {
                 let dom = src.hv.domain(from).expect("the guest stays at its source");
                 assert_eq!(dom.state, DomainState::Running, "{mode:?}: source not resumed");
@@ -97,7 +97,45 @@ fn run_case(
             }
             moved.map(|(dom, t)| (dom, format!("migrate={t}")))
         }
-    };
+    }
+}
+
+/// The world digest of a fault-free twin of the case after the same
+/// build, destroy and pool refill.
+fn twin_digest(mode: ToolstackMode, op: Op) -> u128 {
+    let mut twin = prepare(mode, op);
+    let (dom, _) = build(&mut twin, mode, op).expect("fault-free build");
+    twin.cp.destroy_vm(dom).expect("fault-free destroy");
+    twin.cp.prewarm(&twin.img);
+    twin.cp.world_digest64()
+}
+
+/// One full scenario: boot a healthy resident VM, snapshot the world,
+/// then build a victim through `op` with certain injection at `site`.
+/// Whatever the outcome, the host that built the victim must return to
+/// the snapshot — via compensating rollback on failure, or via destroy
+/// on success (sites that only add latency, or that the mode never
+/// exercises) — or, for a split-mode create, match a fault-free twin.
+/// Returns the outcome — the charged times, or the typed
+/// error — and the final digest for determinism checks.
+///
+/// Digests use the fast incremental path with the Dom0 drain
+/// (`world_digest64`, not the at-rest variant): a rolled-back create
+/// fires extra Dom0 watch events on the way down, so only drained
+/// worlds compare like with like here.
+fn run_case(
+    mode: ToolstackMode,
+    op: Op,
+    site: FaultSite,
+    seed: u64,
+) -> (Result<String, PlaneError>, u128) {
+    let mut case = prepare(mode, op);
+    let before = case.cp.world_digest64();
+    let census = case.cp.census();
+
+    case.cp.set_fault_plan(FaultPlan::at_site(seed, site));
+    let built = build(&mut case, mode, op);
+    let cp = &mut case.cp;
     let outcome = match built {
         Ok((dom, times)) => {
             cp.destroy_vm(dom).expect("victim destroy succeeds");
@@ -118,7 +156,7 @@ fn run_case(
     // A split-mode daemon may have aborted (and rolled back) a shell
     // refill under injection, leaving the pool legitimately one short;
     // top it back up fault-free so the snapshots compare like with like.
-    cp.prewarm(&img);
+    cp.prewarm(&case.img);
 
     // The store arena and the interner keep their high-water marks, and
     // queued Dom0 watch events are drained by the digest below.
@@ -141,12 +179,32 @@ fn run_case(
         site.name()
     );
     let after = cp.world_digest64();
-    assert_eq!(
-        before,
-        after,
-        "{mode:?}/{op:?}/{} seed {seed}: leaked state after `{outcome:?}`",
-        site.name()
-    );
+    // Chaos [XS+split] hands a created victim a pooled shell, and the
+    // refill above pre-creates its replacement under a fresh domid,
+    // whose `/local/domain/<domid>` the snapshot never had: a fault-free
+    // twin that ran the same create is the reference instead. Under
+    // hotplug-timeout and backend-refusal the create succeeds, but the
+    // pool refill inside `create_vm` fails and burns domids, so the
+    // shell refilled afterwards carries another domid than the twin's
+    // and only the census above can hold. Renaming domids would close
+    // that gap (ROADMAP 13(a)).
+    let reference = match (mode, op, site) {
+        (
+            ToolstackMode::ChaosXsSplit,
+            Op::Create,
+            FaultSite::HotplugTimeout | FaultSite::BackendRefusal,
+        ) => None,
+        (ToolstackMode::ChaosXsSplit, Op::Create, _) => Some(twin_digest(mode, op)),
+        _ => Some(before),
+    };
+    if let Some(reference) = reference {
+        assert_eq!(
+            reference,
+            after,
+            "{mode:?}/{op:?}/{} seed {seed}: leaked state after `{outcome:?}`",
+            site.name()
+        );
+    }
     (outcome, after)
 }
 
@@ -158,6 +216,7 @@ fn injection_at_every_site_leaves_no_leaks() {
     for mode in [
         ToolstackMode::Xl,
         ToolstackMode::ChaosXs,
+        ToolstackMode::ChaosXsSplit,
         ToolstackMode::ChaosNoxs,
         ToolstackMode::LightVm,
     ] {

@@ -7,8 +7,10 @@
 //! then times their destroys, times save+restore round trips of guests
 //! spread over its population, and boots a few more untimed and times
 //! their migrations out to a small destination host, which destroys
-//! them untimed. The ratio of the medians cancels host load that hits
-//! both hosts alike.
+//! them untimed. Times are the test thread's host CPU time, so time
+//! spent waiting for a core on a loaded machine is not counted, and the
+//! ratio of the medians cancels what load still hits both hosts alike
+//! (cache and memory-bandwidth contention).
 //!
 //! Under noxs (chaos [NoXS] and LightVM) the hypervisor and the
 //! back-ends are the whole teardown, and both reap only what the guest
@@ -19,12 +21,10 @@
 //! `cargo test --release -p toolstack --test teardown_scaling --
 //! --nocapture` to see them.
 
-use std::time::Instant;
-
 use guests::GuestImage;
 use hypervisor::DomId;
 use lvnet::Link;
-use simcore::{Machine, MachinePreset};
+use simcore::{thread_cpu_ns, Machine, MachinePreset};
 use toolstack::{ControlPlane, ToolstackMode};
 
 const SMALL: usize = 200;
@@ -44,7 +44,7 @@ struct Host {
     img: GuestImage,
     live: Vec<DomId>,
     booted: usize,
-    /// Host seconds per operation, one entry per batch, for each of
+    /// Host CPU seconds per operation, one entry per batch, for each of
     /// [`OPS`].
     times: [Vec<f64>; 3],
 }
@@ -76,32 +76,37 @@ impl Host {
     /// One timed batch each of destroys, round trips and migrations.
     fn batch(&mut self) {
         let victims: Vec<DomId> = (0..VICTIMS).map(|_| self.boot()).collect();
-        let start = Instant::now();
+        let start = thread_cpu_ns();
         for dom in victims {
             self.cp.destroy_vm(dom).expect("destroy");
         }
-        self.times[0].push(start.elapsed().as_secs_f64() / VICTIMS as f64);
+        self.times[0].push(per_victim(start));
 
-        let start = Instant::now();
+        let start = thread_cpu_ns();
         for i in 0..VICTIMS {
             let slot = i * self.live.len() / VICTIMS;
             let (saved, _) = self.cp.save_vm(self.live[slot]).expect("save");
             self.live[slot] = self.cp.restore_vm(&saved).expect("restore").0;
         }
-        self.times[1].push(start.elapsed().as_secs_f64() / VICTIMS as f64);
+        self.times[1].push(per_victim(start));
 
         let link = Link::datacenter();
         let movers: Vec<DomId> = (0..VICTIMS).map(|_| self.boot()).collect();
-        let start = Instant::now();
+        let start = thread_cpu_ns();
         let arrived: Vec<DomId> = movers
             .into_iter()
             .map(|dom| self.cp.migrate_vm_to(&mut self.dst, &link, dom).expect("migrate").0)
             .collect();
-        self.times[2].push(start.elapsed().as_secs_f64() / VICTIMS as f64);
+        self.times[2].push(per_victim(start));
         for dom in arrived {
             self.dst.destroy_vm(dom).expect("destroy at the destination");
         }
     }
+}
+
+/// Host CPU seconds per victim since `start` (a [`thread_cpu_ns`] reading).
+fn per_victim(start: u64) -> f64 {
+    (thread_cpu_ns() - start) as f64 / 1e9 / VICTIMS as f64
 }
 
 fn median(v: &mut [f64]) -> f64 {

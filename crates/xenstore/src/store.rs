@@ -609,6 +609,11 @@ impl Store {
         self.find_node(key).map(|n| n.generation)
     }
 
+    /// A node's permissions, `None` if absent.
+    pub(crate) fn perms(&self, key: impl XsKey) -> Option<Perms> {
+        self.find_node(key).map(|n| n.perms)
+    }
+
     /// The node behind `key` if `dom` may read it.
     fn readable(&self, dom: u32, key: impl XsKey) -> Result<&Node, XsError> {
         let node = self.find_node(key).ok_or(XsError::NotFound)?;
@@ -715,11 +720,14 @@ impl Store {
         Ok(self.sym(key))
     }
 
-    /// How many more nodes `dom` may own, if it has a quota (Dom0 is
-    /// exempt).
+    /// The node quota `dom` is held to, if any (Dom0 is exempt).
+    pub(crate) fn quota_of(&self, dom: u32) -> Option<usize> {
+        self.quota.filter(|_| dom != 0)
+    }
+
+    /// How many more nodes `dom` may own, if it has a quota.
     fn quota_room(&self, dom: u32) -> Option<usize> {
-        let quota = self.quota.filter(|_| dom != 0)?;
-        Some(quota.saturating_sub(self.owned.get(&dom).copied().unwrap_or(0)))
+        Some(self.quota_of(dom)?.saturating_sub(self.owned_by(dom)))
     }
 
     /// Writes an already-shared payload (transaction commit, ambient
@@ -884,31 +892,8 @@ impl Store {
         if !target.perms.may_write(dom) {
             return Err(XsError::PermissionDenied);
         }
-        // Collect the subtree in DFS doom order: the order in which a
-        // stack walk that pushes each node's children first to last pops
-        // them, i.e. pre-order visiting children last to first. The
-        // `prev_sibling` links let the walk back up without a stack.
         let mut doomed = std::mem::take(&mut self.doomed_scratch);
-        let mut cur = sym;
-        'walk: loop {
-            doomed.push(cur);
-            let mut node = self.node(cur).expect("subtree nodes exist");
-            if let Some(c) = node.last_child.get() {
-                cur = c;
-                continue;
-            }
-            // A leaf: climb to the nearest node at or below `sym` with a
-            // previous sibling, which is the next one the stack pops.
-            while cur != sym {
-                if let Some(p) = node.prev_sibling.get() {
-                    cur = p;
-                    continue 'walk;
-                }
-                cur = self.parent_sym(cur);
-                node = self.node(cur).expect("subtree nodes exist");
-            }
-            break;
-        }
+        self.for_each_in_subtree(sym, |s| doomed.push(s));
         let removed = doomed.len();
         let parent = self.parent_sym(sym);
         self.unlink_child(parent, sym);
@@ -944,6 +929,34 @@ impl Store {
         self.node_count -= removed;
         self.invalidate_hash_up(parent);
         Ok(())
+    }
+
+    /// Visits the live node `sym` and every node below it in DFS doom
+    /// order: the order in which a stack walk that pushes each node's
+    /// children first to last pops them, i.e. pre-order visiting
+    /// children last to first. The `prev_sibling` links let the walk
+    /// back up without a stack.
+    pub(crate) fn for_each_in_subtree(&self, sym: XsSym, mut f: impl FnMut(XsSym)) {
+        let mut cur = sym;
+        'walk: loop {
+            f(cur);
+            let mut node = self.node(cur).expect("subtree nodes exist");
+            if let Some(c) = node.last_child.get() {
+                cur = c;
+                continue;
+            }
+            // A leaf: climb to the nearest node at or below `sym` with a
+            // previous sibling, which is the next one the stack pops.
+            while cur != sym {
+                if let Some(p) = node.prev_sibling.get() {
+                    cur = p;
+                    continue 'walk;
+                }
+                cur = self.parent_sym(cur);
+                node = self.node(cur).expect("subtree nodes exist");
+            }
+            return;
+        }
     }
 
     /// Lists the child names of a node, sorted.
@@ -1713,7 +1726,7 @@ mod tests {
         }
     }
 
-    /// Host time per `rm` of a guest-shaped directory does not grow with
+    /// Host CPU time per `rm` of a guest-shaped directory does not grow with
     /// its sibling count: the median over interleaved batches with 4000
     /// siblings is at most twice that with 200. With a sibling walk in
     /// `unlink_child` instead of the back links it reads about 12x in a
@@ -1763,12 +1776,12 @@ mod tests {
             .collect();
         for _ in 0..BATCHES {
             for h in &mut hosts {
-                let start = std::time::Instant::now();
+                let start = simcore::thread_cpu_ns();
                 for &(_, sym) in &h.victims {
                     h.store.rm(0, sym).unwrap();
                 }
                 h.per_rm
-                    .push(start.elapsed().as_secs_f64() / f64::from(VICTIMS));
+                    .push((simcore::thread_cpu_ns() - start) as f64 / 1e9 / f64::from(VICTIMS));
                 // Re-created guests rejoin at the chain's tail.
                 for &(d, _) in &h.victims {
                     add_guest(&mut h.store, d);

@@ -369,8 +369,10 @@ impl Txn {
     /// scratch buffer.
     ///
     /// On conflict the caller receives [`XsError::Again`]; clients
-    /// restart the transaction from scratch. Either way the transaction
-    /// is finished and may be recycled via [`Txn::reset`].
+    /// restart the transaction from scratch. A log the store refuses
+    /// (permissions, quota) is refused whole: nothing of it is applied.
+    /// Either way the transaction is finished and may be recycled via
+    /// [`Txn::reset`].
     pub fn commit(&mut self, main: &mut Store, fired: &mut Vec<XsSym>) -> Result<(), XsError> {
         fired.clear();
         for (&sym, gen0) in &self.touched {
@@ -378,6 +380,17 @@ impl Txn {
                 return Err(XsError::Again);
             }
         }
+        // Dom0 may write anything and has no quota: its logs cannot be
+        // refused, so only a guest's log is checked before it applies.
+        if self.conn != 0 {
+            self.admit_log(main)?;
+        }
+        self.replay(main, fired)
+    }
+
+    /// Applies the write log to `main` op by op, appending the written
+    /// symbols to `fired`; stops at the first op the store refuses.
+    fn replay(&mut self, main: &mut Store, fired: &mut Vec<XsSym>) -> Result<(), XsError> {
         let log = std::mem::take(&mut self.write_log);
         let mut result = Ok(());
         for op in &log {
@@ -411,6 +424,158 @@ impl Txn {
         // Hand the log's capacity back for reuse by the next occupant.
         self.write_log = log;
         result
+    }
+
+    /// Checks the whole write log against `main` before any of it
+    /// applies, by the rules the replay would meet op by op: a write
+    /// needs write access to its node or, when it creates nodes, to
+    /// the nearest existing ancestor (as [`Store::admit`]) and quota
+    /// room for every node it creates; a remove needs write access to
+    /// its target; a permission change needs ownership. Nodes the log
+    /// creates are the caller's, nodes it removes are gone for the ops
+    /// after, and removed nodes credit the caller's quota.
+    fn admit_log(&self, main: &Store) -> Result<(), XsError> {
+        let mut shadow = Shadow {
+            main,
+            conn: self.conn,
+            view: IdMap::default(),
+            owned: main.owned_by(self.conn),
+        };
+        for op in &self.write_log {
+            match *op {
+                WriteOp::Write(sym, _) => shadow.write(sym)?,
+                WriteOp::Rm(sym) => shadow.rm(sym)?,
+                WriteOp::SetPerms(sym, perms) => shadow.set_perms(sym, perms)?,
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A node as the write log leaves it while [`Txn::admit_log`] walks the
+/// log: live with these permissions, or removed with its subtree.
+#[derive(Clone, Copy)]
+enum Shade {
+    /// `cut`: the node was re-created under a removal, so the main
+    /// store's nodes below it stay hidden.
+    Live { perms: Perms, cut: bool },
+    Gone,
+}
+
+/// The main store seen through the ops of a write log checked so far.
+struct Shadow<'a> {
+    main: &'a Store,
+    conn: u32,
+    /// Nodes the log created, re-permissioned or removed.
+    view: IdMap<XsSym, Shade>,
+    /// Nodes `conn` owns after the ops so far.
+    owned: usize,
+}
+
+impl Shadow<'_> {
+    /// `sym`'s permissions if it exists after the ops so far. The
+    /// nearest ancestor-or-self entry decides, as in [`Txn::exists_view`].
+    fn perms(&self, sym: XsSym) -> Option<Perms> {
+        let mut cur = sym;
+        loop {
+            match self.view.get(&cur) {
+                Some(&Shade::Live { perms, .. }) if cur == sym => return Some(perms),
+                Some(Shade::Gone | Shade::Live { cut: true, .. }) => return None,
+                Some(Shade::Live { cut: false, .. }) => break,
+                None if cur == XsSym::ROOT => break,
+                None => cur = self.main.parent_sym(cur),
+            }
+        }
+        self.main.perms(sym)
+    }
+
+    /// Whether a node created at `sym` would hide the main store's
+    /// nodes below it.
+    fn is_cut(&self, sym: XsSym) -> bool {
+        let mut cur = sym;
+        loop {
+            match self.view.get(&cur) {
+                Some(Shade::Gone) => return true,
+                Some(&Shade::Live { cut, .. }) => return cut,
+                None if cur == XsSym::ROOT => return false,
+                None => cur = self.main.parent_sym(cur),
+            }
+        }
+    }
+
+    fn write(&mut self, sym: XsSym) -> Result<(), XsError> {
+        if let Some(perms) = self.perms(sym) {
+            return if perms.may_write(self.conn) {
+                Ok(())
+            } else {
+                Err(XsError::PermissionDenied)
+            };
+        }
+        let mut chain = vec![sym];
+        let mut parent = self.main.parent_sym(sym);
+        let parent_perms = loop {
+            match self.perms(parent) {
+                Some(perms) => break perms,
+                None => {
+                    chain.push(parent);
+                    parent = self.main.parent_sym(parent);
+                }
+            }
+        };
+        let room = self.main.quota_of(self.conn).map(|q| q.saturating_sub(self.owned));
+        if room.is_some_and(|room| chain.len() > room) {
+            return Err(XsError::QuotaExceeded);
+        }
+        if !parent_perms.may_write(self.conn) {
+            return Err(XsError::PermissionDenied);
+        }
+        let perms = Perms {
+            owner: self.conn,
+            others_read: parent_perms.others_read,
+            others_write: false,
+        };
+        for &s in chain.iter().rev() {
+            let cut = self.is_cut(s);
+            self.view.insert(s, Shade::Live { perms, cut });
+        }
+        self.owned += chain.len();
+        Ok(())
+    }
+
+    fn rm(&mut self, sym: XsSym) -> Result<(), XsError> {
+        // The replay tolerates a target an earlier op already removed.
+        let Some(perms) = self.perms(sym) else { return Ok(()) };
+        if !perms.may_write(self.conn) {
+            return Err(XsError::PermissionDenied);
+        }
+        let main = self.main;
+        if main.quota_of(self.conn).is_some() {
+            let mut below: Vec<XsSym> = Vec::new();
+            if main.exists(sym) {
+                main.for_each_in_subtree(sym, |s| below.push(s));
+            }
+            below.extend(self.view.keys().filter(|&&s| main.sym_is_self_or_descendant(s, sym)));
+            below.sort_unstable();
+            below.dedup();
+            let mine = below
+                .iter()
+                .filter(|&&s| self.perms(s).is_some_and(|p| p.owner == self.conn))
+                .count();
+            self.owned = self.owned.saturating_sub(mine);
+        }
+        self.view.retain(|&s, _| !main.sym_is_self_or_descendant(s, sym));
+        self.view.insert(sym, Shade::Gone);
+        Ok(())
+    }
+
+    fn set_perms(&mut self, sym: XsSym, perms: Perms) -> Result<(), XsError> {
+        let old = self.perms(sym).ok_or(XsError::NotFound)?;
+        if old.owner != self.conn {
+            return Err(XsError::PermissionDenied);
+        }
+        let cut = matches!(self.view.get(&sym), Some(Shade::Live { cut: true, .. }));
+        self.view.insert(sym, Shade::Live { perms, cut });
+        Ok(())
     }
 }
 
@@ -597,6 +762,71 @@ mod tests {
             let recount = t.overlay.values().filter(|o| o.hides_main()).count();
             assert_eq!(t.cuts, recount, "step {step}");
         }
+    }
+
+    #[test]
+    fn refused_guest_log_applies_nothing() {
+        let mut store = Store::new();
+        store.write(0, &p("/own"), b"").unwrap();
+        store.set_perms(0, &p("/own"), Perms::private(5)).unwrap();
+        store.write(0, &p("/dom0"), b"").unwrap();
+        let mut t = Txn::start(TxnId(1), 5, &store);
+        t.write(&store, &p("/own/a"), b"1").unwrap();
+        t.write(&store, &p("/dom0/b"), b"2").unwrap();
+        let before = store.generation();
+        assert_eq!(commit(&mut t, &mut store).unwrap_err(), XsError::PermissionDenied);
+        assert!(!store.exists(&p("/own/a")), "the permitted op must not apply alone");
+        assert_eq!(store.generation(), before);
+        assert_eq!(store.owned_by(5), 0);
+    }
+
+    /// The up-front check of a guest's log refuses exactly the logs the
+    /// op-by-op replay refuses, with the same error: random logs over a
+    /// small tree of mixed owners, under a tight quota.
+    #[test]
+    fn log_check_matches_op_by_op_replay() {
+        let paths = ["/a", "/a/b", "/a/b/c", "/a/b/d", "/a/e", "/f", "/f/g"].map(p);
+        let mut rng = simcore::SimRng::new(0xA11);
+        let pick = |rng: &mut simcore::SimRng| paths[rng.index(paths.len())].clone();
+        let (mut refused, mut applied) = (0, 0);
+        for case in 0..20_000 {
+            let mut store = Store::new();
+            store.set_quota(Some(1 + rng.index(8)));
+            if rng.chance(0.8) {
+                store.set_perms(0, &XsPath::root(), Perms { others_write: true, ..Perms::dom0() }).unwrap();
+            }
+            for _ in 0..3 + rng.index(8) {
+                let path = pick(&mut rng);
+                let _ = store.write([0, 0, 5, 7][rng.index(4)], &path, b"v");
+                if rng.chance(0.4) {
+                    let perms = Perms {
+                        owner: [0, 5, 5, 7][rng.index(4)],
+                        others_read: true,
+                        others_write: rng.chance(0.3),
+                    };
+                    let _ = store.set_perms(0, &path, perms);
+                }
+            }
+            let mut t = Txn::start(TxnId(case), 5, &store);
+            for _ in 0..1 + rng.index(6) {
+                let path = pick(&mut rng);
+                let _ = match rng.index(7) {
+                    0 | 1 => t.rm(&store, &path),
+                    2 => t.set_perms(&store, &path, Perms {
+                        owner: [5, 7][rng.index(2)],
+                        others_read: true,
+                        others_write: rng.chance(0.5),
+                    }),
+                    _ => t.write(&store, &path, b"w"),
+                };
+            }
+            let checked = t.admit_log(&store);
+            let mut replayed = store.clone();
+            let sequential = t.replay(&mut replayed, &mut Vec::new());
+            assert_eq!(checked, sequential, "case {case}");
+            if checked.is_ok() { applied += 1 } else { refused += 1 }
+        }
+        assert!(refused > 2000 && applied > 2000, "{refused} refused, {applied} applied");
     }
 
     #[test]

@@ -1055,6 +1055,27 @@ mod tests {
     }
 
     #[test]
+    fn refused_guest_commit_applies_nothing_and_fires_no_watch() {
+        let (mut xs, cost, mut meter) = setup();
+        let own = p("/local/domain/5");
+        xs.write(&cost, &mut meter, 0, &own, b"").unwrap();
+        xs.set_perms(&cost, &mut meter, 0, &own, Perms::private(5)).unwrap();
+        xs.write(&cost, &mut meter, 0, &p("/local/domain/0"), b"").unwrap();
+        xs.connect(5);
+        xs.watch(&cost, &mut meter, 0, &own, "tok");
+        let _ = xs.take_events(&cost, &mut meter, 0);
+        let id = xs.txn_start(&cost, &mut meter, 5);
+        xs.txn_write(&cost, &mut meter, 5, id, &p("/local/domain/5/a"), b"1").unwrap();
+        xs.txn_write(&cost, &mut meter, 5, id, &p("/local/domain/0/b"), b"2").unwrap();
+        assert_eq!(
+            xs.txn_end(&cost, &mut meter, 5, id, true).unwrap_err(),
+            XsError::PermissionDenied
+        );
+        assert!(!xs.store().exists(&p("/local/domain/5/a")));
+        assert_eq!(xs.pending_events(0), 0);
+    }
+
+    #[test]
     fn disconnect_drops_watches_and_txns() {
         let (mut xs, cost, mut meter) = setup();
         xs.connect(9);
