@@ -89,6 +89,16 @@ done
 awk -v s="$examples_start" -v e="$(date +%s.%N)" -v n="$(printf '%s\n' "$examples" | grep -c .)" \
   'BEGIN { printf "examples: %d ran in %.2f s\n", n, e - s }'
 
+echo "== chaos script (examples/lifecycle.chaos under every --mode; each must exit 0) =="
+# The committed script uses every op of the chaos language; a line that
+# no longer parses makes chaos exit 2.
+for mode in xl chaos-xs chaos-xs-split chaos-noxs lightvm; do
+  if ! cargo run -q --release -p lightvm --bin chaos -- --mode "$mode" examples/lifecycle.chaos > /dev/null; then
+    echo "ci: examples/lifecycle.chaos failed under --mode $mode" >&2
+    exit 1
+  fi
+done
+
 echo "== clippy (workspace, all targets; warnings are errors) =="
 # Every lint clippy enables by default must hold; a deliberate exception
 # is an #[allow] at the site with a one-line reason.
@@ -137,12 +147,12 @@ test_log="$(mktemp)"
 cargo test -q --workspace 2>&1 | tee "$test_log"
 # Suite-count guard: a botched invocation (or a workspace edit that
 # drops crates from the build) silently shrinks coverage. The workspace
-# runs 51 test binaries; fail loudly if any of them did not run.
+# runs 52 test binaries; fail loudly if any of them did not run.
 suites=$(grep -c '^test result: ok' "$test_log" || true)
 rm -f "$test_log"
-echo "workspace test suites: $suites (guard: >= 51)"
-if [ "$suites" -lt 51 ]; then
-  echo "ci: only $suites test suite(s) ran — workspace coverage lost (expected >= 51)" >&2
+echo "workspace test suites: $suites (guard: >= 52)"
+if [ "$suites" -lt 52 ]; then
+  echo "ci: only $suites test suite(s) ran — workspace coverage lost (expected >= 52)" >&2
   exit 1
 fi
 

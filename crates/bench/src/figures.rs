@@ -465,27 +465,21 @@ fn fig05(scale: Scale) -> FigureSpec {
 
 fn fig09(scale: Scale) -> FigureSpec {
     let n = scale.scaled(1000);
-    let units = [
-        ToolstackMode::Xl,
-        ToolstackMode::ChaosXs,
-        ToolstackMode::ChaosXsSplit,
-        ToolstackMode::ChaosNoxs,
-        ToolstackMode::LightVm,
-    ]
-    .into_iter()
-    .map(|mode| {
-        sweep_unit(
-            mode.label(),
-            xeon(),
-            1,
-            mode,
-            GuestImage::unikernel_daytime(),
-            n,
-            42,
-            |label, pts| vec![series_ms(label, pts, |p| p.create)],
-        )
-    })
-    .collect();
+    let units = ToolstackMode::ALL
+        .into_iter()
+        .map(|mode| {
+            sweep_unit(
+                mode.label(),
+                xeon(),
+                1,
+                mode,
+                GuestImage::unikernel_daytime(),
+                n,
+                42,
+                |label, pts| vec![series_ms(label, pts, |p| p.create)],
+            )
+        })
+        .collect();
     FigureSpec {
         id: "fig09",
         title: "Creation time under each mechanism combination (daytime unikernel)",

@@ -8,6 +8,8 @@
 //! ```
 //!
 //! With script files, commands are read from them; otherwise from stdin.
+//! A script line that is not a command stops the run with exit status 2,
+//! naming the file and line; an op that fails only prints why.
 
 use std::io::{BufRead, Write};
 
@@ -71,12 +73,12 @@ fn main() {
         for path in scripts {
             let text = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-            for line in text.lines() {
+            for (i, line) in text.lines().enumerate() {
                 let mut out = String::new();
-                let outcome = cli.exec(line, &mut out);
-                print!("{out}");
-                if outcome == CmdOutcome::Quit {
-                    return;
+                match cli.exec(line, &mut out) {
+                    CmdOutcome::Continue => print!("{out}"),
+                    CmdOutcome::Quit => return,
+                    CmdOutcome::Invalid => die(&format!("{path}:{}: {}", i + 1, out.trim_end())),
                 }
             }
         }

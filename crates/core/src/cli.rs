@@ -1,9 +1,12 @@
 //! The `chaos` command-line front-end (paper §5: chaos replaces xl).
 //!
-//! A small, dependency-free command interpreter over a
-//! [`ControlPlane`]. The
-//! binary in `src/bin/chaos.rs` wires it to stdin or a script file; the
-//! interpreter itself is a library type so its behaviour is unit-tested.
+//! A small command interpreter over a [`World`]. Every line that is
+//! not one of the CLI's own commands (`help`, `images`, `list`, `info`,
+//! `quit`, comments and `create-config`) is a [`toolstack::op::Op`],
+//! parsed and run by the same code the lifecycle property suites use.
+//! The binary in `src/bin/chaos.rs` wires it to stdin or a script file;
+//! the interpreter itself is a library type so its behaviour is
+//! unit-tested.
 //!
 //! ```text
 //! chaos> create web tinyx-nginx
@@ -13,14 +16,12 @@
 //! 1      web   tinyx-nginx  30 MiB  running
 //! ```
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use guests::GuestImage;
-use hypervisor::DomId;
-use lvnet::Link;
 use simcore::{Machine, MachinePreset};
-use toolstack::{ControlPlane, SavedVm, ToolstackMode, VmConfig};
+use toolstack::op::{Applied, Host, Op, OpError, World};
+use toolstack::{ControlPlane, ToolstackMode, VmConfig};
 
 /// Outcome of one interpreted command.
 #[derive(Debug, PartialEq, Eq)]
@@ -29,29 +30,21 @@ pub enum CmdOutcome {
     Continue,
     /// `quit` was issued.
     Quit,
+    /// The line is not a command (its error is in the output): a
+    /// script stops here.
+    Invalid,
 }
 
-/// The interactive session state: a primary host, an optional migration
-/// target, and the checkpoint shelf.
+/// The interactive session: a [`World`] (the primary host, a migration
+/// peer, guest names and checkpoints) and the commands that only read
+/// it.
 pub struct Cli {
-    plane: ControlPlane,
-    /// Secondary host for `migrate`.
-    peer: Option<ControlPlane>,
-    saved: HashMap<String, SavedVm>,
-    names: HashMap<String, DomId>,
-    seed: u64,
+    world: World,
 }
 
 /// Parses a `ToolstackMode` name as accepted by `--mode`.
 pub fn parse_mode(s: &str) -> Option<ToolstackMode> {
-    Some(match s {
-        "xl" => ToolstackMode::Xl,
-        "chaos-xs" => ToolstackMode::ChaosXs,
-        "chaos-xs-split" => ToolstackMode::ChaosXsSplit,
-        "chaos-noxs" => ToolstackMode::ChaosNoxs,
-        "lightvm" => ToolstackMode::LightVm,
-        _ => return None,
-    })
+    s.parse().ok()
 }
 
 /// Parses a machine preset name as accepted by `--machine`.
@@ -66,39 +59,39 @@ pub fn parse_machine(s: &str) -> Option<MachinePreset> {
 
 /// Resolves an image name from the guest registry.
 pub fn parse_image(s: &str) -> Option<GuestImage> {
-    Some(match s {
-        "noop" => GuestImage::unikernel_noop(),
-        "daytime" => GuestImage::unikernel_daytime(),
-        "minipython" => GuestImage::unikernel_minipython(),
-        "clickos" => GuestImage::clickos_firewall(),
-        "tls-unikernel" => GuestImage::unikernel_tls(),
-        "tinyx-noop" => GuestImage::tinyx_noop(),
-        "debian" => GuestImage::debian(),
-        other => {
-            let app = other.strip_prefix("tinyx-")?;
-            // Panics inside GuestImage::tinyx for unknown apps; check
-            // the registry first.
-            tinyx::PackageDb::standard().app(app).ok()?;
-            GuestImage::tinyx(app)
-        }
-    })
+    GuestImage::by_name(s)
 }
+
+const HELP: &str = "\
+commands:
+  create <name> <image> [mem=<MiB>] [vcpus=<n>]
+                             create and boot a VM
+  create-config <file>       create from an xl config file
+  prewarm <image>            fill the chaos daemon's shell pool
+  list                       list VMs
+  destroy <name>             destroy a VM
+  save <name>                checkpoint a VM to the ramdisk
+  restore <name>             restore a checkpointed VM
+  migrate <name>             migrate a VM to the other host (LAN)
+  fault [peer] <site> <seed> inject at every opportunity of <site>
+  fault [peer] none          stop injecting
+  fork-probe <name>          create a daytime VM on a throwaway fork
+  xs-write <path> <value>    Dom0 store write (\\xNN escapes, \"\" is empty)
+  xs-rm <path>               Dom0 store remove
+  xs-txn <path> commit|abort Dom0 transaction writing <path>/a and <path>/b
+  images                     list known guest images
+  info                       host statistics
+  quit                       leave";
 
 impl Cli {
     /// Creates a session.
     pub fn new(machine: MachinePreset, dom0_cores: usize, mode: ToolstackMode, seed: u64) -> Cli {
-        Cli {
-            plane: ControlPlane::new(Machine::preset(machine), dom0_cores, mode, seed),
-            peer: None,
-            saved: HashMap::new(),
-            names: HashMap::new(),
-            seed,
-        }
+        Cli { world: World::new(Machine::preset(machine), dom0_cores, mode, seed) }
     }
 
     /// The primary host's control plane (for assertions and scripting).
     pub fn plane(&self) -> &ControlPlane {
-        &self.plane
+        self.world.plane()
     }
 
     /// Interprets one command line, appending human-readable output.
@@ -107,41 +100,39 @@ impl Cli {
         let Some(cmd) = parts.next() else {
             return CmdOutcome::Continue;
         };
-        let args: Vec<&str> = parts.collect();
         match cmd {
-            "help" => self.help(out),
+            "help" => {
+                let _ = writeln!(out, "{HELP}");
+            }
             "images" => self.images(out),
-            "create" => self.create(&args, out),
-            "create-config" => self.create_config(&args, out),
             "list" => self.list(out),
-            "destroy" => self.destroy(&args, out),
-            "save" => self.save(&args, out),
-            "restore" => self.restore(&args, out),
-            "migrate" => self.migrate(&args, out),
-            "prewarm" => self.prewarm(&args, out),
             "info" => self.info(out),
             "quit" | "exit" => return CmdOutcome::Quit,
-            "#" => {} // comment
-            other if other.starts_with('#') => {}
-            other => {
-                let _ = writeln!(out, "unknown command: {other} (try `help`)");
+            comment if comment.starts_with('#') => {}
+            "create-config" => {
+                let args: Vec<&str> = parts.collect();
+                let [path] = args[..] else {
+                    let _ = writeln!(out, "usage: create-config <file>");
+                    return CmdOutcome::Invalid;
+                };
+                self.create_config(path, out);
             }
+            _ => match line.parse::<Op>() {
+                Ok(op) => {
+                    let done = self.world.apply(&op);
+                    self.report(&op, done, out);
+                }
+                Err(e) => {
+                    let _ = writeln!(out, "{e}");
+                    return CmdOutcome::Invalid;
+                }
+            },
         }
         CmdOutcome::Continue
     }
 
-    fn help(&self, out: &mut String) {
-        let _ = writeln!(
-            out,
-            "commands:\n  create <name> <image>     create and boot a VM\n  create-config <file>      create from an xl config file\n  prewarm <image>           fill the chaos daemon's shell pool\n  list                      list VMs\n  destroy <name>            destroy a VM\n  save <name>               checkpoint a VM to the ramdisk\n  restore <name>            restore a checkpointed VM\n  migrate <name>            migrate a VM to the peer host (LAN)\n  images                    list known guest images\n  info                      host statistics\n  quit                      leave"
-        );
-    }
-
     fn images(&self, out: &mut String) {
-        let _ = writeln!(
-            out,
-            "noop daytime minipython clickos tls-unikernel tinyx-noop tinyx-<app> debian"
-        );
+        let _ = writeln!(out, "{} tinyx-<app>", GuestImage::NAMES.join(" "));
         let _ = writeln!(
             out,
             "tinyx apps: {}",
@@ -149,40 +140,9 @@ impl Cli {
         );
     }
 
-    fn create(&mut self, args: &[&str], out: &mut String) {
-        let [name, image] = args else {
-            let _ = writeln!(out, "usage: create <name> <image>");
-            return;
-        };
-        let Some(image) = parse_image(image) else {
-            let _ = writeln!(out, "unknown image {image} (try `images`)");
-            return;
-        };
-        if self.names.contains_key(*name) {
-            let _ = writeln!(out, "name {name} already in use here");
-            return;
-        }
-        match self.plane.create_and_boot(name, &image) {
-            Ok((dom, create, boot)) => {
-                self.names.insert(name.to_string(), dom);
-                let _ = writeln!(
-                    out,
-                    "created {name} ({dom}) in {:.2} ms, booted in {:.2} ms",
-                    create.as_millis_f64(),
-                    boot.as_millis_f64()
-                );
-            }
-            Err(e) => {
-                let _ = writeln!(out, "create failed: {e}");
-            }
-        }
-    }
-
-    fn create_config(&mut self, args: &[&str], out: &mut String) {
-        let [path] = args else {
-            let _ = writeln!(out, "usage: create-config <file>");
-            return;
-        };
+    /// `create-config <file>`: the config's name, kernel image (by file
+    /// stem), memory and vCPUs, as one `create`.
+    fn create_config(&mut self, path: &str, out: &mut String) {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) => {
@@ -197,56 +157,77 @@ impl Cli {
                 return;
             }
         };
-        // Derive the image from the kernel path's file stem.
-        let stem = cfg
-            .kernel
-            .rsplit('/')
-            .next()
-            .unwrap_or("")
-            .trim_end_matches(".bin");
-        let Some(mut image) = parse_image(stem) else {
+        let stem = cfg.kernel.rsplit('/').next().unwrap_or("").trim_end_matches(".bin");
+        if GuestImage::by_name(stem).is_none() {
             let _ = writeln!(out, "config kernel {} does not name a known image", cfg.kernel);
             return;
-        };
-        image.mem_mib = cfg.memory_mib;
-        image.vcpus = cfg.vcpus;
-        let name = cfg.name.clone();
-        if self.names.contains_key(&name) {
-            let _ = writeln!(out, "name {name} already in use here");
-            return;
         }
-        match self.plane.create_and_boot(&name, &image) {
-            Ok((dom, create, boot)) => {
-                self.names.insert(name.clone(), dom);
+        let op = Op::Create {
+            name: cfg.name.clone(),
+            image: stem.to_string(),
+            mem: Some(cfg.memory_mib),
+            vcpus: Some(cfg.vcpus),
+        };
+        match self.world.apply(&op) {
+            Ok(Applied { dom: Some(dom), times, .. }) => {
                 let _ = writeln!(
                     out,
-                    "created {name} ({dom}) from {path} in {:.2} ms (+{:.2} ms boot)",
-                    create.as_millis_f64(),
-                    boot.as_millis_f64()
+                    "created {} ({dom}) from {path} in {:.2} ms (+{:.2} ms boot)",
+                    cfg.name,
+                    times[0].as_millis_f64(),
+                    times[1].as_millis_f64()
                 );
             }
-            Err(e) => {
-                let _ = writeln!(out, "create failed: {e}");
-            }
+            done => self.report(&op, done, out),
         }
     }
 
-    fn prewarm(&mut self, args: &[&str], out: &mut String) {
-        let [image] = args else {
-            let _ = writeln!(out, "usage: prewarm <image>");
-            return;
+    /// Prints what an op did, or why it failed.
+    fn report(&self, op: &Op, done: Result<Applied, OpError>, out: &mut String) {
+        let done = match done {
+            Ok(done) => done,
+            Err(OpError::Plane(e)) => {
+                let _ = writeln!(out, "{} failed: {e}", op.command());
+                return;
+            }
+            Err(e) => {
+                let _ = writeln!(out, "{e}");
+                return;
+            }
         };
-        let Some(image) = parse_image(image) else {
-            let _ = writeln!(out, "unknown image {image}");
-            return;
+        let ms: Vec<String> =
+            done.times.iter().map(|t| format!("{:.2} ms", t.as_millis_f64())).collect();
+        let dom = done.dom.map(|d| format!(" ({d})")).unwrap_or_default();
+        let _ = match op {
+            Op::Create { name, .. } => {
+                writeln!(out, "created {name}{dom} in {}, booted in {}", ms[0], ms[1])
+            }
+            Op::Destroy(name) => writeln!(out, "destroyed {name} in {}", ms[0]),
+            Op::Save(name) => writeln!(out, "saved {name} in {}", ms[0]),
+            Op::Restore(name) => writeln!(out, "restored {name}{dom} in {}", ms[0]),
+            Op::Migrate(name) => {
+                let (to, running) = match self.world.guest(name) {
+                    Some((Host::Peer, _)) => ("peer", self.world.peer().map(|p| p.running_count())),
+                    _ => ("primary", Some(self.world.plane().running_count())),
+                };
+                let running = running.unwrap_or_default();
+                writeln!(
+                    out,
+                    "migrated {name} to {to} host{dom} in {}; {to} now runs {running} VM(s)",
+                    ms[0]
+                )
+            }
+            Op::Prewarm(_) => {
+                writeln!(out, "pool: {} shells ready", self.world.plane().daemon.len())
+            }
+            _ if ms.is_empty() => writeln!(out, "{op}: ok"),
+            _ => writeln!(out, "{op}: ok{dom} in {}", ms.join(" + ")),
         };
-        self.plane.prewarm(&image);
-        let _ = writeln!(out, "pool: {} shells ready", self.plane.daemon.len());
     }
 
     fn list(&self, out: &mut String) {
         let _ = writeln!(out, "{:<6} {:<16} {:<16} {:>8}  STATE", "DOMID", "NAME", "IMAGE", "MEM");
-        for (dom, vm) in self.plane.vms() {
+        for (dom, vm) in self.world.plane().vms() {
             let state = if vm.booted { "running" } else { "created" };
             let _ = writeln!(
                 out,
@@ -256,106 +237,8 @@ impl Cli {
         }
     }
 
-    fn lookup(&self, name: &str, out: &mut String) -> Option<DomId> {
-        match self.names.get(name) {
-            Some(d) => Some(*d),
-            None => {
-                let _ = writeln!(out, "no VM named {name}");
-                None
-            }
-        }
-    }
-
-    fn destroy(&mut self, args: &[&str], out: &mut String) {
-        let [name] = args else {
-            let _ = writeln!(out, "usage: destroy <name>");
-            return;
-        };
-        let Some(dom) = self.lookup(name, out) else { return };
-        match self.plane.destroy_vm(dom) {
-            Ok(t) => {
-                self.names.remove(*name);
-                let _ = writeln!(out, "destroyed {name} in {:.2} ms", t.as_millis_f64());
-            }
-            Err(e) => {
-                let _ = writeln!(out, "destroy failed: {e}");
-            }
-        }
-    }
-
-    fn save(&mut self, args: &[&str], out: &mut String) {
-        let [name] = args else {
-            let _ = writeln!(out, "usage: save <name>");
-            return;
-        };
-        let Some(dom) = self.lookup(name, out) else { return };
-        match self.plane.save_vm(dom) {
-            Ok((saved, t)) => {
-                self.names.remove(*name);
-                self.saved.insert(name.to_string(), saved);
-                let _ = writeln!(out, "saved {name} in {:.2} ms", t.as_millis_f64());
-            }
-            Err(e) => {
-                let _ = writeln!(out, "save failed: {e}");
-            }
-        }
-    }
-
-    fn restore(&mut self, args: &[&str], out: &mut String) {
-        let [name] = args else {
-            let _ = writeln!(out, "usage: restore <name>");
-            return;
-        };
-        let Some(saved) = self.saved.remove(*name) else {
-            let _ = writeln!(out, "no checkpoint named {name}");
-            return;
-        };
-        match self.plane.restore_vm(&saved) {
-            Ok((dom, t)) => {
-                self.names.insert(name.to_string(), dom);
-                let _ = writeln!(
-                    out,
-                    "restored {name} ({dom}) in {:.2} ms",
-                    t.as_millis_f64()
-                );
-            }
-            Err(e) => {
-                self.saved.insert(name.to_string(), saved);
-                let _ = writeln!(out, "restore failed: {e}");
-            }
-        }
-    }
-
-    fn migrate(&mut self, args: &[&str], out: &mut String) {
-        let [name] = args else {
-            let _ = writeln!(out, "usage: migrate <name>");
-            return;
-        };
-        let Some(dom) = self.lookup(name, out) else { return };
-        if self.peer.is_none() {
-            let machine = self.plane.machine.clone();
-            let mode = self.plane.mode;
-            self.peer = Some(ControlPlane::new(machine, 1, mode, self.seed ^ peer_seed()));
-        }
-        let peer = self.peer.as_mut().expect("just ensured");
-        match self.plane.migrate_vm_to(peer, &Link::lan(), dom) {
-            Ok((new_dom, t)) => {
-                self.names.remove(*name);
-                let _ = writeln!(
-                    out,
-                    "migrated {name} to peer host ({new_dom}) in {:.2} ms; peer now runs {} VM(s)",
-                    t.as_millis_f64(),
-                    peer.running_count()
-                );
-            }
-            Err(e) => {
-                let _ = writeln!(out, "migration failed: {e}");
-            }
-        }
-    }
-
     fn info(&self, out: &mut String) {
-        let p = &self.plane;
+        let p = self.world.plane();
         let _ = writeln!(out, "machine:   {}", p.machine.name);
         let _ = writeln!(out, "toolstack: {}", p.mode.label());
         let _ = writeln!(out, "vms:       {}", p.running_count());
@@ -377,11 +260,6 @@ impl Cli {
             p.xs.log_rotations()
         );
     }
-}
-
-/// Seed tweak so the peer host's RNG stream differs from the primary's.
-fn peer_seed() -> u64 {
-    0x9e37
 }
 
 #[cfg(test)]
@@ -536,6 +414,25 @@ mod tests {
         }
         assert!(parse_image("tinyx-emacs").is_none());
         assert!(parse_image("windows").is_none());
+    }
+
+    /// Lines of command words, names and junk in any order — through
+    /// the CLI's own commands and every op — print and never panic.
+    #[test]
+    fn random_lines_never_panic() {
+        let words = [
+            "create", "create-config", "destroy", "save", "restore", "migrate", "prewarm",
+            "fault", "peer", "none", "xs-crash", "txn-storm", "7", "fork-probe", "xs-write",
+            "xs-rm", "xs-txn", "commit", "abort", "daytime", "tinyx-emacs", "a", "b", "/a",
+            "\\x", "\"\"", "mem=4", "vcpus=200", "18446744073709551616", "list", "info", "#",
+        ];
+        let mut c = cli();
+        let mut rng = simcore::SimRng::new(0xc11);
+        for _ in 0..2000 {
+            let line: Vec<&str> =
+                (0..rng.index(6)).map(|_| words[rng.index(words.len())]).collect();
+            c.exec(&line.join(" "), &mut String::new());
+        }
     }
 
     #[test]

@@ -53,6 +53,31 @@ pub struct GuestImage {
 }
 
 impl GuestImage {
+    /// The registry's fixed names, in listing order. Any `tinyx-<app>`
+    /// with `<app>` in the Tinyx application registry also resolves.
+    pub const NAMES: [&'static str; 7] =
+        ["noop", "daytime", "minipython", "clickos", "tls-unikernel", "tinyx-noop", "debian"];
+
+    /// Resolves a registry name (one of [`GuestImage::NAMES`] or
+    /// `tinyx-<app>`). Unknown names, including unregistered Tinyx apps,
+    /// are `None`: [`GuestImage::tinyx`] would panic on them.
+    pub fn by_name(name: &str) -> Option<GuestImage> {
+        Some(match name {
+            "noop" => GuestImage::unikernel_noop(),
+            "daytime" => GuestImage::unikernel_daytime(),
+            "minipython" => GuestImage::unikernel_minipython(),
+            "clickos" => GuestImage::clickos_firewall(),
+            "tls-unikernel" => GuestImage::unikernel_tls(),
+            "tinyx-noop" => GuestImage::tinyx_noop(),
+            "debian" => GuestImage::debian(),
+            other => {
+                let app = other.strip_prefix("tinyx-")?;
+                tinyx::PackageDb::standard().app(app).ok()?;
+                GuestImage::tinyx(app)
+            }
+        })
+    }
+
     // --- unikernels (paper §3.1) -------------------------------------------
 
     /// The noop unikernel: no devices, the 2.3 ms boot record holder.

@@ -56,6 +56,11 @@ impl FaultSite {
         }
     }
 
+    /// The site whose [`FaultSite::name`] is `name`.
+    pub fn from_name(name: &str) -> Option<FaultSite> {
+        FaultSite::ALL.into_iter().find(|site| site.name() == name)
+    }
+
     fn index(self) -> usize {
         match self {
             FaultSite::XsCrash => 0,

@@ -51,6 +51,15 @@ pub enum ToolstackMode {
 }
 
 impl ToolstackMode {
+    /// Every mode, in Figure 9's order.
+    pub const ALL: [ToolstackMode; 5] = [
+        ToolstackMode::Xl,
+        ToolstackMode::ChaosXs,
+        ToolstackMode::ChaosXsSplit,
+        ToolstackMode::ChaosNoxs,
+        ToolstackMode::LightVm,
+    ];
+
     /// True if this mode goes through the XenStore.
     pub fn uses_xenstore(self) -> bool {
         matches!(self, ToolstackMode::Xl | ToolstackMode::ChaosXs | ToolstackMode::ChaosXsSplit)
@@ -90,6 +99,30 @@ impl ToolstackMode {
             ToolstackMode::ChaosNoxs => "chaos [NoXS]",
             ToolstackMode::LightVm => "LightVM",
         }
+    }
+
+    /// Command-line name (`chaos --mode`), which [`str::parse`] reads
+    /// back.
+    pub fn name(self) -> &'static str {
+        match self {
+            ToolstackMode::Xl => "xl",
+            ToolstackMode::ChaosXs => "chaos-xs",
+            ToolstackMode::ChaosXsSplit => "chaos-xs-split",
+            ToolstackMode::ChaosNoxs => "chaos-noxs",
+            ToolstackMode::LightVm => "lightvm",
+        }
+    }
+}
+
+impl std::str::FromStr for ToolstackMode {
+    type Err = String;
+
+    /// Parses a [`ToolstackMode::name`].
+    fn from_str(s: &str) -> Result<ToolstackMode, String> {
+        ToolstackMode::ALL
+            .into_iter()
+            .find(|mode| mode.name() == s)
+            .ok_or_else(|| format!("unknown toolstack mode {s}"))
     }
 }
 

@@ -230,13 +230,7 @@ fn destroy_releases_everything() {
 
 #[test]
 fn save_restore_round_trip_all_modes() {
-    for mode in [
-        ToolstackMode::Xl,
-        ToolstackMode::ChaosXs,
-        ToolstackMode::ChaosXsSplit,
-        ToolstackMode::ChaosNoxs,
-        ToolstackMode::LightVm,
-    ] {
+    for mode in ToolstackMode::ALL {
         let mut cp = plane(mode);
         // Bigger guests take longer to save: the ramdisk dump is per MiB.
         let mut last_save = SimTime::ZERO;

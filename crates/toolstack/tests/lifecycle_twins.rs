@@ -10,67 +10,69 @@
 
 use guests::GuestImage;
 use simcore::{Machine, MachinePreset};
+use toolstack::op::World;
 use toolstack::plane::{ControlPlane, ToolstackMode};
 
-const MODES: [ToolstackMode; 5] = [
-    ToolstackMode::Xl,
-    ToolstackMode::ChaosXs,
-    ToolstackMode::ChaosXsSplit,
-    ToolstackMode::ChaosNoxs,
-    ToolstackMode::LightVm,
-];
-
-/// A host with a warm shell pool and one resident guest, so the
-/// per-class back-end directories exist before the guest under test.
-fn host(mode: ToolstackMode, img: &GuestImage) -> ControlPlane {
-    let mut cp = ControlPlane::new(Machine::preset(MachinePreset::XeonE5_1630V3), 1, mode, 42);
-    cp.prewarm(img);
-    cp.create_and_boot("resident", img).expect("resident boots");
-    cp
-}
-
-/// The reference: `host` after create→destroy of the guest under test.
-fn created_and_destroyed(mode: ToolstackMode, img: &GuestImage) -> u128 {
-    let mut cp = host(mode, img);
-    let (dom, ..) = cp.create_and_boot("victim", img).expect("victim boots");
-    cp.destroy_vm(dom).expect("victim destroys");
-    cp.world_digest64()
+/// A world whose hosts each have a warm shell pool and one resident
+/// guest, so the per-class back-end directories exist before the guest
+/// under test.
+fn hosts(mode: ToolstackMode, img: &str) -> World {
+    let mut world = World::new(Machine::preset(MachinePreset::XeonE5_1630V3), 1, mode, 42);
+    world
+        .run(&format!("prewarm {img}\ncreate resident {img}"))
+        .expect("resident boots");
+    let image = GuestImage::by_name(img).expect("a registry image");
+    let peer = world.peer_mut();
+    peer.prewarm(&image);
+    peer.create_and_boot("resident", &image)
+        .expect("peer resident boots");
+    world
 }
 
 fn assert_clean(cp: &mut ControlPlane, want: u128, what: &str) {
-    assert_eq!(cp.teardown_errors.total(), 0, "{what}: teardown errors {:?}", cp.teardown_errors);
-    assert_eq!(cp.world_digest64(), want, "{what}: differs from its twin\n{:?}", cp.census());
+    assert_eq!(
+        cp.teardown_errors.total(),
+        0,
+        "{what}: teardown errors {:?}",
+        cp.teardown_errors
+    );
+    assert_eq!(
+        cp.world_digest64(),
+        want,
+        "{what}: differs from its twin\n{:?}",
+        cp.census()
+    );
 }
 
 #[test]
 fn every_lifecycle_matches_its_twin() {
-    for img in [GuestImage::unikernel_daytime(), GuestImage::debian()] {
-        for mode in MODES {
-            let what = |path: &str| format!("{mode:?}/{}/{path}", img.name);
-            let reference = created_and_destroyed(mode, &img);
+    for img in ["daytime", "debian"] {
+        for mode in ToolstackMode::ALL {
+            let what = |path: &str| format!("{mode:?}/{img}/{path}");
+            // The reference: create→destroy of the guest under test.
+            let mut twin = hosts(mode, img);
+            twin.run(&format!("create victim {img}\ndestroy victim"))
+                .expect("victim lives");
+            let reference = twin.plane_mut().world_digest64();
+            let untouched = twin.peer_mut().world_digest64();
 
-            let mut cp = host(mode, &img);
-            let (dom, ..) = cp.create_and_boot("victim", &img).expect("victim boots");
-            cp.destroy_vm(dom).expect("victim destroys");
-            assert_clean(&mut cp, reference, &what("create-destroy"));
-
-            let mut cp = host(mode, &img);
-            let (dom, ..) = cp.create_and_boot("victim", &img).expect("victim boots");
-            let (saved, _) = cp.save_vm(dom).expect("victim saves");
-            let (dom, _) = cp.restore_vm(&saved).expect("victim restores");
-            cp.destroy_vm(dom).expect("restored victim destroys");
-            assert_clean(&mut cp, reference, &what("save-restore-destroy"));
-
-            let mut src = host(mode, &img);
-            let mut dst = host(mode, &img);
-            let untouched = host(mode, &img).world_digest64();
-            let (dom, ..) = src.create_and_boot("victim", &img).expect("victim boots");
-            let (moved, _) = src
-                .migrate_vm_to(&mut dst, &lvnet::Link::datacenter(), dom)
-                .expect("victim migrates");
-            dst.destroy_vm(moved).expect("migrated victim destroys");
-            assert_clean(&mut src, reference, &what("migrate source"));
-            assert_clean(&mut dst, untouched, &what("migrate destination"));
+            for (path, script) in [
+                ("create-destroy", "destroy victim"),
+                (
+                    "save-restore-destroy",
+                    "save victim\nrestore victim\ndestroy victim",
+                ),
+                ("migrate", "migrate victim\ndestroy victim"),
+            ] {
+                let mut world = hosts(mode, img);
+                world
+                    .run(&format!("create victim {img}\n{script}"))
+                    .expect(path);
+                assert_clean(world.plane_mut(), reference, &what(path));
+                // A migrated guest is destroyed at the peer, which must
+                // then be as if it never received it.
+                assert_clean(world.peer_mut(), untouched, &what(&format!("{path} peer")));
+            }
         }
     }
 }

@@ -106,13 +106,6 @@ fn config_text_creates_or_fails_cleanly() {
         u64::MAX,
         u32::MAX as u64,
     ];
-    const MODES: [ToolstackMode; 5] = [
-        ToolstackMode::Xl,
-        ToolstackMode::ChaosXs,
-        ToolstackMode::ChaosXsSplit,
-        ToolstackMode::ChaosNoxs,
-        ToolstackMode::LightVm,
-    ];
     let mut rng = SimRng::new(0xCF64);
     let mut values: Vec<(u64, u64)> =
         EDGES.iter().flat_map(|&m| EDGES.iter().map(move |&v| (m, v))).collect();
@@ -138,7 +131,7 @@ fn config_text_creates_or_fails_cleanly() {
         let mut img = image.clone();
         img.mem_mib = cfg.memory_mib;
         img.vcpus = cfg.vcpus;
-        for mode in MODES {
+        for mode in ToolstackMode::ALL {
             let mut cp = ControlPlane::new(machine.clone(), 1, mode, 7);
             cp.prewarm(&image);
             let res = cp.create_and_boot(&cfg.name, &img);

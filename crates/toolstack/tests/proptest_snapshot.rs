@@ -19,13 +19,6 @@ use guests::GuestImage;
 use simcore::{Machine, MachinePreset};
 use toolstack::{ControlPlane, ToolstackMode};
 
-const MODES: [ToolstackMode; 5] = [
-    ToolstackMode::Xl,
-    ToolstackMode::ChaosXs,
-    ToolstackMode::ChaosXsSplit,
-    ToolstackMode::ChaosNoxs,
-    ToolstackMode::LightVm,
-];
 
 /// Densities to snapshot at; the largest is the resume target.
 const STEPS: [usize; 4] = [1, 5, 20, 50];
@@ -54,7 +47,7 @@ fn advance(cp: &mut ControlPlane, from: usize, to: usize) {
 #[test]
 fn fork_resumed_from_any_step_matches_fresh_simulation() {
     let target = *STEPS.last().unwrap();
-    for mode in MODES {
+    for mode in ToolstackMode::ALL {
         for seed in SEEDS {
             // Straight-line reference build, forking along the way.
             let mut cp = base_plane(mode, seed);
@@ -97,7 +90,7 @@ fn probe_sequence(cp: &mut ControlPlane) -> Vec<f64> {
 
 #[test]
 fn sequences_on_fork_match_original_and_leave_it_untouched() {
-    for mode in MODES {
+    for mode in ToolstackMode::ALL {
         for seed in SEEDS {
             let n = 10;
             let mut original = base_plane(mode, seed);

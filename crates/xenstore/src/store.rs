@@ -281,7 +281,8 @@ pub struct Store {
     free_slots: Vec<u32>,
     node_count: usize,
     generation: u64,
-    /// Nodes owned per domain (Dom0 exempt from quota).
+    /// Nodes owned per domain (Dom0 exempt from quota), kept while a
+    /// quota is set.
     owned: BTreeMap<u32, usize>,
     /// Per-domain node quota (None = unlimited).
     quota: Option<usize>,
@@ -342,14 +343,41 @@ impl Store {
     }
 
     /// Sets the per-domain node quota (xenstored's `quota-max-entity`,
-    /// default 1000 in real deployments). Dom0 is exempt.
+    /// default 1000 in real deployments). Dom0 is exempt. Owners are
+    /// counted only while a quota is set, so setting one counts the
+    /// live nodes: a host without a quota keeps no entry per guest.
     pub fn set_quota(&mut self, quota: Option<usize>) {
         self.quota = quota;
+        self.owned.clear();
+        if quota.is_some() {
+            for slot in 0..self.slots {
+                if let Some(node) = self.nodes.get(slot) {
+                    let owner = node.perms.owner;
+                    self.count_owned(owner, true);
+                }
+            }
+        }
     }
 
-    /// Nodes currently owned by a domain.
+    /// Nodes currently owned by a domain, while a quota is set.
     pub fn owned_by(&self, dom: u32) -> usize {
         self.owned.get(&dom).copied().unwrap_or(0)
+    }
+
+    /// Counts one node more (`gained`) or fewer for `owner`'s quota.
+    /// Dom0 is uncounted, and an owner's entry goes when it reaches 0.
+    fn count_owned(&mut self, owner: u32, gained: bool) {
+        if owner == 0 || self.quota.is_none() {
+            return;
+        }
+        if gained {
+            *self.owned.entry(owner).or_insert(0) += 1;
+        } else if let Some(count) = self.owned.get_mut(&owner) {
+            *count -= 1;
+            if *count == 0 {
+                self.owned.remove(&owner);
+            }
+        }
     }
 
     /// Number of nodes including the root.
@@ -841,7 +869,7 @@ impl Store {
             parent = s;
         }
         self.node_count += created;
-        if dom != 0 && created > 0 {
+        if dom != 0 && created > 0 && self.quota.is_some() {
             *self.owned.entry(dom).or_insert(0) += created;
         }
         Ok(())
@@ -911,11 +939,7 @@ impl Store {
                 TallyRole::Name => self.tally.name(&node.value, false),
                 TallyRole::Untallied => {}
             }
-            if node.perms.owner != 0 {
-                if let Some(c) = self.owned.get_mut(&node.perms.owner) {
-                    *c = c.saturating_sub(1);
-                }
-            }
+            self.count_owned(node.perms.owner, false);
             *self.slot_of.get_mut(idx) = NO_SLOT;
             self.free_slots.push(slot);
         }
@@ -995,22 +1019,32 @@ impl Store {
         Ok(count)
     }
 
-    /// Sets a node's permissions. Only Dom0 or the owner may do this.
+    /// Sets a node's permissions. Only Dom0 or the owner may do this,
+    /// and only Dom0 may change the owner (as cxenstored refuses an
+    /// unprivileged owner change): a guest that could give nodes away
+    /// would escape its quota. The new owner takes the node's quota
+    /// entry over from the old one, as cxenstored's `do_set_perms` moves
+    /// its entry count. A missing path is `NotFound` and is not
+    /// interned.
     pub fn set_perms(&mut self, dom: u32, key: impl XsKey, perms: Perms) -> Result<(), XsError> {
-        let sym = self.sym(key);
+        let sym = self.find(key);
         // As before the flattening: the global generation bumps even when
         // the lookup or permission check below fails.
         self.generation += 1;
         let generation = self.generation;
-        let node = match self.node_mut(sym) {
-            Some(n) => n,
-            None => return Err(XsError::NotFound),
+        let Some(node) = sym.and_then(|sym| self.node_mut(sym)) else {
+            return Err(XsError::NotFound);
         };
-        if dom != 0 && dom != node.perms.owner {
+        let old = node.perms.owner;
+        if dom != 0 && (dom != old || perms.owner != old) {
             return Err(XsError::PermissionDenied);
         }
         node.perms = perms;
         node.generation = generation;
+        if perms.owner != old {
+            self.count_owned(old, false);
+            self.count_owned(perms.owner, true);
+        }
         // Deliberately no hash invalidation: permissions (like
         // generations) are excluded from world digests — see DESIGN.md
         // §6h — so the Merkle cache stays warm across perms churn.
@@ -1287,14 +1321,14 @@ mod tests {
     #[test]
     fn quota_limits_guest_nodes_but_not_dom0() {
         let mut s = Store::new();
-        s.set_quota(Some(3));
-        // Guest 7 owns its subtree.
+        s.set_quota(Some(4));
+        // Guest 7 owns its subtree; /g, given to it, is one of its nodes.
         s.write(0, &p("/g"), b"").unwrap();
         s.set_perms(0, &p("/g"), Perms { owner: 7, others_read: true, others_write: true }).unwrap();
         s.write(7, &p("/g/a"), b"").unwrap();
         s.write(7, &p("/g/b"), b"").unwrap();
         s.write(7, &p("/g/c"), b"").unwrap();
-        assert_eq!(s.owned_by(7), 3);
+        assert_eq!(s.owned_by(7), 4);
         assert_eq!(s.write(7, &p("/g/d"), b"").unwrap_err(), XsError::QuotaExceeded);
         // Rewriting an existing node is fine (no new nodes).
         s.write(7, &p("/g/a"), b"update").unwrap();
@@ -1307,15 +1341,50 @@ mod tests {
     #[test]
     fn quota_credits_back_on_rm() {
         let mut s = Store::new();
-        s.set_quota(Some(2));
+        s.set_quota(Some(3));
         s.write(0, &p("/g"), b"").unwrap();
         s.set_perms(0, &p("/g"), Perms { owner: 5, others_read: true, others_write: true }).unwrap();
         s.write(5, &p("/g/a"), b"").unwrap();
         s.write(5, &p("/g/b"), b"").unwrap();
         assert_eq!(s.write(5, &p("/g/c"), b"").unwrap_err(), XsError::QuotaExceeded);
         s.rm(5, &p("/g/a")).unwrap();
-        assert_eq!(s.owned_by(5), 1);
+        assert_eq!(s.owned_by(5), 2);
         s.write(5, &p("/g/c"), b"").unwrap();
+    }
+
+    /// A node Dom0 gives away stops counting against its old owner:
+    /// removing it credits the new owner, and the old one keeps its
+    /// room. A guest may not give its nodes away.
+    #[test]
+    fn set_perms_moves_the_quota_entry() {
+        let mut s = Store::new();
+        s.set_quota(Some(3));
+        s.set_perms(0, XsSym::ROOT, Perms { others_write: true, ..Perms::dom0() }).unwrap();
+        for n in ["/a", "/b", "/c"] {
+            s.write(5, &p(n), b"").unwrap();
+        }
+        assert_eq!(s.set_perms(5, &p("/a"), Perms::private(7)), Err(XsError::PermissionDenied));
+        assert_eq!((s.owned_by(5), s.owned_by(7)), (3, 0));
+        s.set_perms(0, &p("/a"), Perms::private(7)).unwrap();
+        assert_eq!((s.owned_by(5), s.owned_by(7)), (2, 1));
+        s.rm(7, &p("/a")).unwrap();
+        assert_eq!((s.owned_by(5), s.owned_by(7)), (2, 0));
+        s.write(5, &p("/d"), b"").unwrap();
+        // Dom0 is uncounted on either side of a change.
+        s.set_perms(0, &p("/d"), Perms::dom0()).unwrap();
+        assert_eq!(s.owned_by(5), 2);
+        s.set_perms(0, &p("/d"), Perms::private(5)).unwrap();
+        assert_eq!(s.owned_by(5), 3);
+    }
+
+    #[test]
+    fn set_perms_on_a_missing_path_interns_nothing() {
+        let mut s = Store::new();
+        let syms = s.census().interned_syms;
+        let generation = s.generation();
+        assert_eq!(s.set_perms(0, &p("/ghost/x"), Perms::dom0()), Err(XsError::NotFound));
+        assert_eq!(s.census().interned_syms, syms);
+        assert_eq!(s.generation(), generation + 1);
     }
 
     /// Every mutation path keeps the cached Merkle digest in sync with
@@ -1450,17 +1519,17 @@ mod tests {
     #[test]
     fn quota_counts_implicit_parents() {
         let mut s = Store::new();
-        s.set_quota(Some(2));
+        s.set_quota(Some(3));
         s.write(0, &p("/g"), b"").unwrap();
         s.set_perms(0, &p("/g"), Perms { owner: 9, others_read: true, others_write: true }).unwrap();
-        // /g/x/y/z would create three nodes: over the quota of 2.
+        // /g/x/y/z would create three nodes: over the 2 left of 3.
         assert_eq!(
             s.write(9, &p("/g/x/y/z"), b"").unwrap_err(),
             XsError::QuotaExceeded
         );
         // Two levels fit.
         s.write(9, &p("/g/x/y"), b"").unwrap();
-        assert_eq!(s.owned_by(9), 2);
+        assert_eq!(s.owned_by(9), 3);
     }
 
     /// Directory path → child names in insertion order: the naive model

@@ -355,10 +355,10 @@ impl Txn {
         key: impl XsKey,
         perms: Perms,
     ) -> Result<(), XsError> {
-        let sym = main.sym(key);
-        if !self.exists(main, sym) {
-            return Err(XsError::NotFound);
-        }
+        let sym = main
+            .find(key)
+            .filter(|&sym| self.exists(main, sym))
+            .ok_or(XsError::NotFound)?;
         self.write_log.push(WriteOp::SetPerms(sym, perms));
         Ok(())
     }
@@ -431,9 +431,10 @@ impl Txn {
     /// needs write access to its node or, when it creates nodes, to
     /// the nearest existing ancestor (as [`Store::admit`]) and quota
     /// room for every node it creates; a remove needs write access to
-    /// its target; a permission change needs ownership. Nodes the log
-    /// creates are the caller's, nodes it removes are gone for the ops
-    /// after, and removed nodes credit the caller's quota.
+    /// its target; a permission change needs ownership and keeps the
+    /// owner. Nodes the log creates are the caller's, nodes it removes
+    /// are gone for the ops after, and removed nodes credit the caller's
+    /// quota.
     fn admit_log(&self, main: &Store) -> Result<(), XsError> {
         let mut shadow = Shadow {
             main,
@@ -570,7 +571,7 @@ impl Shadow<'_> {
 
     fn set_perms(&mut self, sym: XsSym, perms: Perms) -> Result<(), XsError> {
         let old = self.perms(sym).ok_or(XsError::NotFound)?;
-        if old.owner != self.conn {
+        if old.owner != self.conn || perms.owner != self.conn {
             return Err(XsError::PermissionDenied);
         }
         let cut = matches!(self.view.get(&sym), Some(Shade::Live { cut: true, .. }));

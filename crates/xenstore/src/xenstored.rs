@@ -361,9 +361,9 @@ impl Xenstored {
     //
     // Each operation takes a path or an interned symbol (`impl XsKey`)
     // and charges the same either way. Lookups (`read`, `rm`,
-    // `directory`, `unwatch`) never intern a path; `write` and `mkdir`
-    // intern it only once the store admits them (quota and permission
-    // on the nearest existing node), `set_perms` and `watch` always do.
+    // `directory`, `unwatch`, `set_perms`) never intern a path; `write`
+    // and `mkdir` intern it only once the store admits them (quota and
+    // permission on the nearest existing node), `watch` always does.
     // Callers composing symbols are the allocation-free hot path.
 
     /// Reads a value as a shared payload — a refcount bump, not a copy.
@@ -511,7 +511,10 @@ impl Xenstored {
         perms: Perms,
     ) -> Result<(), XsError> {
         self.charge_protocol(cost, meter, self.store.wire_len(key));
-        let sym = self.store.sym(key);
+        let Some(sym) = self.store.find(key) else {
+            // `NotFound`, with the generation bump a failure makes.
+            return self.store.set_perms(conn, key, perms);
+        };
         self.store.set_perms(conn, sym, perms)?;
         self.note_mutation(cost, meter, sym);
         Ok(())
@@ -1266,6 +1269,22 @@ mod tests {
         let ab = p("/local/domain/5/a/b");
         fresh.write(&cost, &mut Meter::new(), 5, &ab, b"v").unwrap();
         assert!(fresh.store().exists(&ab));
+    }
+
+    #[test]
+    fn set_perms_on_missing_paths_interns_nothing() {
+        let (mut xs, cost, mut meter) = setup();
+        let syms = xs.store_census().interned_syms;
+        let (requests, generation) = (xs.stats().requests, xs.store().generation());
+        for i in 0..10_000u32 {
+            let path = p(&format!("/local/domain/0/missing{i}"));
+            let res = xs.set_perms(&cost, &mut meter, 0, &path, Perms::dom0());
+            assert_eq!(res, Err(XsError::NotFound), "set_perms {i}");
+        }
+        assert_eq!(xs.store_census().interned_syms, syms, "a set_perms interned");
+        // Each still costs a request and bumps the generation.
+        assert_eq!(xs.stats().requests, requests + 10_000);
+        assert_eq!(xs.store().generation(), generation + 10_000);
     }
 
     #[test]

@@ -78,13 +78,7 @@ fn migration_ring_across_three_hosts() {
 
 #[test]
 fn all_five_modes_run_the_same_workload() {
-    for mode in [
-        ToolstackMode::Xl,
-        ToolstackMode::ChaosXs,
-        ToolstackMode::ChaosXsSplit,
-        ToolstackMode::ChaosNoxs,
-        ToolstackMode::LightVm,
-    ] {
+    for mode in ToolstackMode::ALL {
         let mut host = xeon(1, mode, 3);
         let img = GuestImage::unikernel_daytime();
         host.prewarm(&img);
