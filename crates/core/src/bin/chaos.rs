@@ -13,7 +13,7 @@
 
 use std::io::{BufRead, Write};
 
-use lightvm::cli::{parse_machine, parse_mode, Cli, CmdOutcome};
+use lightvm::cli::{parse_machine, Cli, CmdOutcome};
 use simcore::MachinePreset;
 use toolstack::ToolstackMode;
 
@@ -29,7 +29,7 @@ fn main() {
         match arg.as_str() {
             "--mode" => {
                 let v = args.next().unwrap_or_default();
-                mode = parse_mode(&v).unwrap_or_else(|| die(&format!("bad --mode {v}")));
+                mode = v.parse::<ToolstackMode>().unwrap_or_else(|_| die(&format!("bad --mode {v}")));
             }
             "--machine" => {
                 let v = args.next().unwrap_or_default();

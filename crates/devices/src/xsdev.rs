@@ -319,12 +319,8 @@ mod tests {
         assert!(m.of(Category::Devices) > simcore::SimTime::ZERO);
         // The store now holds the negotiated parameters.
         let be_dir = layout::backend_dir(0, "vif", dom.0, 0);
-        let state = w
-            .xs
-            .store()
-            .read_str(0, &be_dir.child("state").unwrap())
-            .unwrap();
-        assert_eq!(state, XenbusState::Connected.to_string());
+        let state = w.xs.store().read(0, &be_dir.child("state").unwrap()).unwrap();
+        assert_eq!(state, XenbusState::Connected.to_string().as_bytes());
     }
 
     #[test]

@@ -637,11 +637,6 @@ impl Store {
         self.find_node(key).map(|n| n.generation)
     }
 
-    /// A node's permissions, `None` if absent.
-    pub(crate) fn perms(&self, key: impl XsKey) -> Option<Perms> {
-        self.find_node(key).map(|n| n.perms)
-    }
-
     /// The node behind `key` if `dom` may read it.
     fn readable(&self, dom: u32, key: impl XsKey) -> Result<&Node, XsError> {
         let node = self.find_node(key).ok_or(XsError::NotFound)?;
@@ -709,11 +704,6 @@ impl Store {
         self.empty.clone()
     }
 
-    /// Reads a node's value as UTF-8 (lossy values are an error).
-    pub fn read_str(&self, dom: u32, key: impl XsKey) -> Result<&str, XsError> {
-        std::str::from_utf8(self.read(dom, key)?).map_err(|_| XsError::Invalid)
-    }
-
     /// Writes `value` to the node, creating it and any missing parents
     /// (xenstored semantics). New nodes are owned by `dom`; the root is
     /// not writable.
@@ -723,11 +713,11 @@ impl Store {
     }
 
     /// The key's symbol for a write or mkdir by `dom`, interning its path
-    /// only if the mutation gets past the quota and permission checks
-    /// that guard node creation: a path beyond the interned prefix has
-    /// no node, so its nearest existing ancestor decides. A refused
-    /// request interns nothing, with the error (and, on `EACCES`, the
-    /// generation bump) that the creating write would have produced.
+    /// only if the write gets past [`Store::check_write`]: a path beyond
+    /// the interned prefix has no node, so its nearest existing ancestor
+    /// decides. A refused request interns nothing, with the error (and,
+    /// on `EACCES`, the generation bump) that the creating write would
+    /// have produced.
     pub(crate) fn admit(&mut self, dom: u32, key: impl XsKey) -> Result<XsSym, XsError> {
         let (mut sym, mut missing) = key.find_prefix(&self.interner.borrow());
         if missing == 0 {
@@ -737,25 +727,28 @@ impl Store {
             sym = self.parent_sym(sym);
             missing += 1;
         }
-        if self.quota_room(dom).is_some_and(|room| missing > room) {
-            return Err(XsError::QuotaExceeded);
-        }
-        let nearest = self.node(sym).expect("nearest existing node");
-        if !nearest.perms.may_write(dom) {
-            self.generation += 1;
-            return Err(XsError::PermissionDenied);
-        }
+        self.check_write(dom, sym, missing)?;
         Ok(self.sym(key))
     }
 
-    /// The node quota `dom` is held to, if any (Dom0 is exempt).
-    pub(crate) fn quota_of(&self, dom: u32) -> Option<usize> {
-        self.quota.filter(|_| dom != 0)
-    }
-
-    /// How many more nodes `dom` may own, if it has a quota.
-    fn quota_room(&self, dom: u32) -> Option<usize> {
-        Some(self.quota_of(dom)?.saturating_sub(self.owned_by(dom)))
+    /// The one rule every write by `dom` meets. `node` is the written
+    /// node, or its nearest existing ancestor when the write creates
+    /// the `missing` nodes below it: they must fit `dom`'s node quota
+    /// (Dom0 is exempt), and `dom` must be allowed to write `node`. A
+    /// node `dom` creates is its own, so nothing below `node` needs a
+    /// check of its own. A permission refusal bumps the generation once
+    /// (xenstored's failed write did); a quota refusal does not.
+    fn check_write(&mut self, dom: u32, node: XsSym, missing: usize) -> Result<(), XsError> {
+        let quota = self.quota.filter(|_| dom != 0);
+        if quota.is_some_and(|q| missing > q.saturating_sub(self.owned_by(dom))) {
+            return Err(XsError::QuotaExceeded);
+        }
+        let perms = self.node(node).expect("checked node is live").perms;
+        if !perms.may_write(dom) {
+            self.generation += 1;
+            return Err(XsError::PermissionDenied);
+        }
+        Ok(())
     }
 
     /// Writes an already-shared payload (transaction commit, ambient
@@ -783,114 +776,67 @@ impl Store {
             Some(rc) => ValSrc::Shared(rc),
             None => value,
         };
-        // Fast path: the node exists, so all its ancestors do too and no
-        // quota or parent checks apply — only the node's own write bit.
-        // (The generation still bumps before a permission failure, as on
-        // the slow path below.)
-        if self.node(sym).is_some() {
-            self.generation += 1;
-            self.assign(dom, sym, &value, self.generation)?;
-            self.invalidate_hash_up(sym);
-            return Ok(());
-        }
-        // Slow path: build the root-exclusive ancestor chain (top-down)
-        // in the reusable scratch buffer so steady-state node creation
-        // does not allocate.
+        // The missing nodes from `sym` up (none when it exists), in the
+        // reusable scratch buffer so steady-state node creation does
+        // not allocate, and the nearest node that does exist.
         let mut chain = std::mem::take(&mut self.chain_scratch);
         chain.clear();
-        chain.extend(self.interner.borrow().ancestors(sym));
-        chain.pop(); // the root always exists
-        chain.reverse();
-        let res = self.write_chain_sym(dom, &chain, value);
+        let mut nearest = sym;
+        while self.node(nearest).is_none() {
+            chain.push(nearest);
+            nearest = self.parent_sym(nearest);
+        }
+        let res = self.check_write(dom, nearest, chain.len());
+        if res.is_ok() {
+            self.write_chain_sym(dom, nearest, &chain, &value);
+        }
         self.chain_scratch = chain;
         res
     }
 
-    /// Creates every missing node on `chain` (top-down, root excluded)
-    /// and assigns `value` to the last one. Factored out of
-    /// [`Store::write_val_sym`] so its early returns cannot leak the
-    /// scratch chain buffer.
-    fn write_chain_sym(
-        &mut self,
-        dom: u32,
-        chain: &[XsSym],
-        value: ValSrc<'_>,
-    ) -> Result<(), XsError> {
-        // Quota pre-check: every node this write would create must fit.
-        if let Some(room) = self.quota_room(dom) {
-            let missing = chain.iter().filter(|&&s| self.node(s).is_none()).count();
-            if missing > room {
-                return Err(XsError::QuotaExceeded);
-            }
-        }
+    /// Creates the nodes of `chain` (bottom-up: the target first, each
+    /// node the parent of the one before) below the live node `nearest`,
+    /// owned by `dom`, and assigns `value` to the target (`nearest`
+    /// itself when the chain is empty), all at a new generation. The
+    /// caller has admitted the write ([`Store::check_write`]).
+    fn write_chain_sym(&mut self, dom: u32, nearest: XsSym, chain: &[XsSym], value: &ValSrc<'_>) {
         self.generation += 1;
-        let generation = self.generation;
-        let mut created = 0usize;
-        let mut parent = XsSym::ROOT;
-        for (i, &s) in chain.iter().enumerate() {
-            let is_last = i + 1 == chain.len();
-            let role = self.tally_role(s);
-            if self.node(s).is_none() {
-                let parent_perms = self.node(parent).expect("parent exists").perms;
-                if !parent_perms.may_write(dom) {
-                    self.node_count += created;
-                    return Err(XsError::PermissionDenied);
-                }
-                let perms = Perms {
-                    owner: dom,
-                    others_read: parent_perms.others_read,
-                    others_write: false,
-                };
-                let empty = self.empty.clone();
-                self.insert_node(s, Node::new(&empty, perms, generation));
-                self.link_child(parent, s);
-                // Restore the dirty-chain invariant (a fresh `None` cache
-                // must not sit below a cached ancestor). The first hop
-                // pays O(depth); siblings created next find the parent
-                // already dirty and exit immediately.
-                self.invalidate_hash_up(parent);
-                created += 1;
-                match role {
-                    TallyRole::Entry => self.tally.entry(self.scanned_name_path_len(s), true),
-                    TallyRole::Name => self.tally.name(b"", true),
-                    TallyRole::Untallied => {}
-                }
+        let mut parent = nearest;
+        for &s in chain.iter().rev() {
+            let perms = Perms {
+                owner: dom,
+                others_read: self.node(parent).expect("parent is live").perms.others_read,
+                others_write: false,
+            };
+            let empty = self.empty.clone();
+            self.insert_node(s, Node::new(&empty, perms, self.generation));
+            self.link_child(parent, s);
+            // Restore the dirty-chain invariant (a fresh `None` cache
+            // must not sit below a cached ancestor). The first hop
+            // pays O(depth); siblings created next find the parent
+            // already dirty and exit immediately.
+            self.invalidate_hash_up(parent);
+            match self.tally_role(s) {
+                TallyRole::Entry => self.tally.entry(self.scanned_name_path_len(s), true),
+                TallyRole::Name => self.tally.name(b"", true),
+                TallyRole::Untallied => {}
             }
-            if is_last {
-                if let Err(e) = self.assign(dom, s, &value, generation) {
-                    // A permission failure on the final node can only
-                    // happen when it already existed; implicitly created
-                    // parents stay, as in xenstored.
-                    self.node_count += created;
-                    return Err(e);
-                }
-                self.invalidate_hash_up(s);
-            }
+            self.count_owned(dom, true);
             parent = s;
         }
-        self.node_count += created;
-        if dom != 0 && created > 0 && self.quota.is_some() {
-            *self.owned.entry(dom).or_insert(0) += created;
-        }
-        Ok(())
+        self.node_count += chain.len();
+        self.assign(parent, value);
+        self.invalidate_hash_up(parent);
     }
 
-    /// Assigns `value` to the live node `sym` if `dom` may write it,
-    /// moving the node's value in the tally's name multiset when it is a
-    /// tallied `name` node.
-    fn assign(
-        &mut self,
-        dom: u32,
-        sym: XsSym,
-        value: &ValSrc<'_>,
-        generation: u64,
-    ) -> Result<(), XsError> {
+    /// Assigns `value` to the live node `sym` at the current generation,
+    /// moving the node's value in the tally's name multiset when it is
+    /// a tallied `name` node.
+    fn assign(&mut self, sym: XsSym, value: &ValSrc<'_>) {
         let named = self.tally_role(sym) == TallyRole::Name;
         let empty = self.empty.clone();
+        let generation = self.generation;
         let node = self.node_mut(sym).expect("assigned node is live");
-        if !node.perms.may_write(dom) {
-            return Err(XsError::PermissionDenied);
-        }
         let old = named.then(|| Arc::clone(&node.value));
         value.assign(&empty, &mut node.value);
         node.generation = generation;
@@ -899,7 +845,6 @@ impl Store {
             self.tally.name(&old, false);
             self.tally.name(&new, true);
         }
-        Ok(())
     }
 
     /// Creates an empty directory node.
@@ -960,7 +905,7 @@ impl Store {
     /// children first to last pops them, i.e. pre-order visiting
     /// children last to first. The `prev_sibling` links let the walk
     /// back up without a stack.
-    pub(crate) fn for_each_in_subtree(&self, sym: XsSym, mut f: impl FnMut(XsSym)) {
+    fn for_each_in_subtree(&self, sym: XsSym, mut f: impl FnMut(XsSym)) {
         let mut cur = sym;
         'walk: loop {
             f(cur);
@@ -1309,13 +1254,6 @@ mod tests {
             s.set_perms(5, &p("/n"), Perms::private(5)).unwrap_err(),
             XsError::PermissionDenied
         );
-    }
-
-    #[test]
-    fn read_str_rejects_non_utf8() {
-        let mut s = Store::new();
-        s.write(0, &p("/bin"), &[0xff, 0xfe]).unwrap();
-        assert_eq!(s.read_str(0, &p("/bin")).unwrap_err(), XsError::Invalid);
     }
 
     #[test]

@@ -119,11 +119,6 @@ impl Txn {
         self.touched.len()
     }
 
-    /// Number of buffered write operations.
-    pub fn write_ops(&self) -> usize {
-        self.write_log.len()
-    }
-
     /// Iterates over the symbols this transaction has touched (in no
     /// particular order — callers needing determinism must sort).
     pub(crate) fn touched_syms(&self) -> impl Iterator<Item = XsSym> + '_ {
@@ -381,11 +376,19 @@ impl Txn {
             }
         }
         // Dom0 may write anything and has no quota: its logs cannot be
-        // refused, so only a guest's log is checked before it applies.
-        if self.conn != 0 {
-            self.admit_log(main)?;
+        // refused, so they replay in place. A guest's log replays over
+        // the live store with a copy kept, and the copy comes back at
+        // the first refusal.
+        if self.conn == 0 {
+            return self.replay(main, fired);
         }
-        self.replay(main, fired)
+        let before = main.clone();
+        let result = self.replay(main, fired);
+        if result.is_err() {
+            *main = before;
+            fired.clear();
+        }
+        result
     }
 
     /// Applies the write log to `main` op by op, appending the written
@@ -424,159 +427,6 @@ impl Txn {
         // Hand the log's capacity back for reuse by the next occupant.
         self.write_log = log;
         result
-    }
-
-    /// Checks the whole write log against `main` before any of it
-    /// applies, by the rules the replay would meet op by op: a write
-    /// needs write access to its node or, when it creates nodes, to
-    /// the nearest existing ancestor (as [`Store::admit`]) and quota
-    /// room for every node it creates; a remove needs write access to
-    /// its target; a permission change needs ownership and keeps the
-    /// owner. Nodes the log creates are the caller's, nodes it removes
-    /// are gone for the ops after, and removed nodes credit the caller's
-    /// quota.
-    fn admit_log(&self, main: &Store) -> Result<(), XsError> {
-        let mut shadow = Shadow {
-            main,
-            conn: self.conn,
-            view: IdMap::default(),
-            owned: main.owned_by(self.conn),
-        };
-        for op in &self.write_log {
-            match *op {
-                WriteOp::Write(sym, _) => shadow.write(sym)?,
-                WriteOp::Rm(sym) => shadow.rm(sym)?,
-                WriteOp::SetPerms(sym, perms) => shadow.set_perms(sym, perms)?,
-            }
-        }
-        Ok(())
-    }
-}
-
-/// A node as the write log leaves it while [`Txn::admit_log`] walks the
-/// log: live with these permissions, or removed with its subtree.
-#[derive(Clone, Copy)]
-enum Shade {
-    /// `cut`: the node was re-created under a removal, so the main
-    /// store's nodes below it stay hidden.
-    Live { perms: Perms, cut: bool },
-    Gone,
-}
-
-/// The main store seen through the ops of a write log checked so far.
-struct Shadow<'a> {
-    main: &'a Store,
-    conn: u32,
-    /// Nodes the log created, re-permissioned or removed.
-    view: IdMap<XsSym, Shade>,
-    /// Nodes `conn` owns after the ops so far.
-    owned: usize,
-}
-
-impl Shadow<'_> {
-    /// `sym`'s permissions if it exists after the ops so far. The
-    /// nearest ancestor-or-self entry decides, as in [`Txn::exists_view`].
-    fn perms(&self, sym: XsSym) -> Option<Perms> {
-        let mut cur = sym;
-        loop {
-            match self.view.get(&cur) {
-                Some(&Shade::Live { perms, .. }) if cur == sym => return Some(perms),
-                Some(Shade::Gone | Shade::Live { cut: true, .. }) => return None,
-                Some(Shade::Live { cut: false, .. }) => break,
-                None if cur == XsSym::ROOT => break,
-                None => cur = self.main.parent_sym(cur),
-            }
-        }
-        self.main.perms(sym)
-    }
-
-    /// Whether a node created at `sym` would hide the main store's
-    /// nodes below it.
-    fn is_cut(&self, sym: XsSym) -> bool {
-        let mut cur = sym;
-        loop {
-            match self.view.get(&cur) {
-                Some(Shade::Gone) => return true,
-                Some(&Shade::Live { cut, .. }) => return cut,
-                None if cur == XsSym::ROOT => return false,
-                None => cur = self.main.parent_sym(cur),
-            }
-        }
-    }
-
-    fn write(&mut self, sym: XsSym) -> Result<(), XsError> {
-        if let Some(perms) = self.perms(sym) {
-            return if perms.may_write(self.conn) {
-                Ok(())
-            } else {
-                Err(XsError::PermissionDenied)
-            };
-        }
-        let mut chain = vec![sym];
-        let mut parent = self.main.parent_sym(sym);
-        let parent_perms = loop {
-            match self.perms(parent) {
-                Some(perms) => break perms,
-                None => {
-                    chain.push(parent);
-                    parent = self.main.parent_sym(parent);
-                }
-            }
-        };
-        let room = self.main.quota_of(self.conn).map(|q| q.saturating_sub(self.owned));
-        if room.is_some_and(|room| chain.len() > room) {
-            return Err(XsError::QuotaExceeded);
-        }
-        if !parent_perms.may_write(self.conn) {
-            return Err(XsError::PermissionDenied);
-        }
-        let perms = Perms {
-            owner: self.conn,
-            others_read: parent_perms.others_read,
-            others_write: false,
-        };
-        for &s in chain.iter().rev() {
-            let cut = self.is_cut(s);
-            self.view.insert(s, Shade::Live { perms, cut });
-        }
-        self.owned += chain.len();
-        Ok(())
-    }
-
-    fn rm(&mut self, sym: XsSym) -> Result<(), XsError> {
-        // The replay tolerates a target an earlier op already removed.
-        let Some(perms) = self.perms(sym) else { return Ok(()) };
-        if !perms.may_write(self.conn) {
-            return Err(XsError::PermissionDenied);
-        }
-        let main = self.main;
-        if main.quota_of(self.conn).is_some() {
-            let mut below: Vec<XsSym> = Vec::new();
-            if main.exists(sym) {
-                main.for_each_in_subtree(sym, |s| below.push(s));
-            }
-            below.extend(self.view.keys().filter(|&&s| main.sym_is_self_or_descendant(s, sym)));
-            below.sort_unstable();
-            below.dedup();
-            let mine = below
-                .iter()
-                .filter(|&&s| self.perms(s).is_some_and(|p| p.owner == self.conn))
-                .count();
-            self.owned = self.owned.saturating_sub(mine);
-        }
-        self.view.retain(|&s, _| !main.sym_is_self_or_descendant(s, sym));
-        self.view.insert(sym, Shade::Gone);
-        Ok(())
-    }
-
-    fn set_perms(&mut self, sym: XsSym, perms: Perms) -> Result<(), XsError> {
-        let old = self.perms(sym).ok_or(XsError::NotFound)?;
-        if old.owner != self.conn || perms.owner != self.conn {
-            return Err(XsError::PermissionDenied);
-        }
-        let cut = matches!(self.view.get(&sym), Some(Shade::Live { cut: true, .. }));
-        self.view.insert(sym, Shade::Live { perms, cut });
-        Ok(())
     }
 }
 
@@ -711,7 +561,6 @@ mod tests {
         t.reset(TxnId(2), 0, &store);
         assert_eq!(t.id, TxnId(2));
         assert_eq!(t.touched_nodes(), 0);
-        assert_eq!(t.write_ops(), 0);
         assert_eq!(&*t.read(&store, &p("/x")).unwrap(), b"1");
         t.write(&store, &p("/y"), b"2").unwrap();
         let fired = commit(&mut t, &mut store).unwrap();
@@ -781,11 +630,12 @@ mod tests {
         assert_eq!(store.owned_by(5), 0);
     }
 
-    /// The up-front check of a guest's log refuses exactly the logs the
-    /// op-by-op replay refuses, with the same error: random logs over a
-    /// small tree of mixed owners, under a tight quota.
+    /// A guest's commit returns what the op-by-op replay of its log on
+    /// a copy returns, and leaves the store as that replay does when the
+    /// log applies and as it was when the log is refused: random logs
+    /// over a small tree of mixed owners, under a tight quota.
     #[test]
-    fn log_check_matches_op_by_op_replay() {
+    fn guest_commit_replays_or_rolls_back() {
         let paths = ["/a", "/a/b", "/a/b/c", "/a/b/d", "/a/e", "/f", "/f/g"].map(p);
         let mut rng = simcore::SimRng::new(0xA11);
         let pick = |rng: &mut simcore::SimRng| paths[rng.index(paths.len())].clone();
@@ -821,13 +671,22 @@ mod tests {
                     _ => t.write(&store, &path, b"w"),
                 };
             }
-            let checked = t.admit_log(&store);
             let mut replayed = store.clone();
             let sequential = t.replay(&mut replayed, &mut Vec::new());
-            assert_eq!(checked, sequential, "case {case}");
-            if checked.is_ok() { applied += 1 } else { refused += 1 }
+            let before = store.clone();
+            let committed = t.commit(&mut store, &mut Vec::new());
+            assert_eq!(committed, sequential, "case {case}");
+            let expected = if committed.is_ok() { &replayed } else { &before };
+            assert_eq!(state(&store), state(expected), "case {case}");
+            if committed.is_ok() { applied += 1 } else { refused += 1 }
         }
         assert!(refused > 2000 && applied > 2000, "{refused} refused, {applied} applied");
+    }
+
+    /// What a commit may change: content, size, generation, arena and
+    /// interner occupancy, and the quota counts of the guests above.
+    fn state(s: &Store) -> (u128, usize, u64, crate::StoreCensus, usize, usize) {
+        (s.subtree_digest(), s.node_count(), s.generation(), s.census(), s.owned_by(5), s.owned_by(7))
     }
 
     #[test]

@@ -1223,15 +1223,18 @@ mod tests {
         // Twin daemons refuse the same requests, one through paths never
         // interned and one through paths interned beforehand (which the
         // store refuses after interning, as every refusal used to):
-        // equal errors, charges, generations and stats.
+        // equal errors, charges, generations and stats. A third daemon
+        // takes each request as a one-op transaction, refused at commit
+        // with the same error and rolled back whole.
         let (mut fresh, cost, _) = setup();
         let (mut interned, _, _) = setup();
+        let (mut txn, _, _) = setup();
         let guest = Perms {
             owner: 5,
             others_read: false,
             others_write: false,
         };
-        for xs in [&mut fresh, &mut interned] {
+        for xs in [&mut fresh, &mut interned, &mut txn] {
             xs.connect(5);
             let mut m = Meter::new();
             xs.mkdir(&cost, &mut m, 0, &p("/local/domain/5")).unwrap();
@@ -1260,6 +1263,15 @@ mod tests {
             assert_eq!((rf, ri), (Err(err), Err(err)), "{path}");
             assert_eq!(mf.total(), mi.total(), "{path} charge");
             assert_eq!(fresh.store().generation(), interned.store().generation());
+            let (mut mt, generation) = (Meter::new(), txn.store().generation());
+            let id = txn.txn_start(&cost, &mut mt, 5);
+            if write {
+                txn.txn_write(&cost, &mut mt, 5, id, &path, b"v").unwrap();
+            } else {
+                txn.txn_mkdir(&cost, &mut mt, 5, id, &path).unwrap();
+            }
+            assert_eq!(txn.txn_end(&cost, &mut mt, 5, id, true), Err(err), "{path} commit");
+            assert_eq!(txn.store().generation(), generation, "{path} commit rolled back");
         }
         assert_eq!(fresh.stats(), interned.stats());
         let after = fresh.store_census().interned_syms;
@@ -1269,6 +1281,10 @@ mod tests {
         let ab = p("/local/domain/5/a/b");
         fresh.write(&cost, &mut Meter::new(), 5, &ab, b"v").unwrap();
         assert!(fresh.store().exists(&ab));
+        let id = txn.txn_start(&cost, &mut Meter::new(), 5);
+        txn.txn_write(&cost, &mut Meter::new(), 5, id, &ab, b"v").unwrap();
+        txn.txn_end(&cost, &mut Meter::new(), 5, id, true).unwrap();
+        assert!(txn.store().exists(&ab));
     }
 
     #[test]
