@@ -3,7 +3,9 @@
 # whole test suite (with a suite-count guard so lost --workspace
 # coverage fails loudly), then regenerate all figures at quick scale
 # through the DAG runner. Fails if any expected artefact is missing,
-# if disabling the world-store cache changes any artefact byte, if any
+# if disabling the world-store cache changes any artefact byte (quick
+# scale against the --seq run; full scale at --jobs 2 against the
+# committed results/), if any
 # scheduler width changes any artefact byte (quick scale at --jobs 2;
 # full scale at --jobs 1/2/8 against the committed
 # sequential reference in results/), if the full-scale sequential wall
@@ -191,9 +193,9 @@ fi
 
 echo "== scheduler determinism gate (quick scale, --jobs 2 vs --seq) =="
 # The DAG scheduler must be invisible in the artefacts: the same quick
-# run on two workers — chain rungs, probe walks, compute runs and units
-# genuinely interleaving — must reproduce the sequential reference byte
-# for byte.
+# run on two workers — chain climbs, probe walks, compute runs and
+# units genuinely interleaving — must reproduce the sequential
+# reference byte for byte.
 LIGHTVM_QUICK=1 LIGHTVM_FIG_DIR="$FIG_DIR/jobs2" \
   cargo run --release -p bench --bin runall -- --jobs 2 \
   --report "$FIG_DIR/jobs2/bench_runner.json" > /dev/null
@@ -260,15 +262,22 @@ done
 echo "cluster: replay byte-identical at DAG widths 1/2/8, evac units leak-free"
 
 echo "== snapshot-cache gate (cached vs --no-snapshot-cache) =="
-# Figure units share results through bench::worldcache (chain rung
-# records and observables, probe walks, compute runs). Sharing must be
-# invisible in the artefacts: re-running with the cache disabled —
-# every unit re-simulates what it reads from scratch — must reproduce
-# the cached run's bytes exactly.
+# Figure units share results through bench::worldcache (each chain's
+# records and per-rung observables, probe walks, compute runs), each
+# built by one producer task. Sharing must be invisible in the
+# artefacts: re-running with the cache disabled — every unit
+# re-simulates what it reads from scratch, the reference path — must
+# reproduce the cached run's bytes exactly, at quick scale and at full
+# scale (the committed results/ are the cached sequential reference;
+# --jobs 2 also interleaves the inline simulations).
 LIGHTVM_QUICK=1 LIGHTVM_FIG_DIR="$FIG_DIR/nocache" \
   cargo run --release -p bench --bin runall -- --no-snapshot-cache \
   --report "$FIG_DIR/nocache/bench_runner.json" > /dev/null
 same_artefacts "$FIG_DIR" "$FIG_DIR/nocache" "with the snapshot cache disabled"
+LIGHTVM_FIG_DIR="$FIG_DIR/nocache-full" \
+  cargo run --release -p bench --bin runall -- --no-snapshot-cache --jobs 2 \
+  --report "$FIG_DIR/nocache-full/bench_runner.json" > /dev/null
+same_artefacts results "$FIG_DIR/nocache-full" "at full scale with the snapshot cache disabled"
 
 echo "== fault-free baseline gate (full scale vs committed results/) =="
 # With the fault plan inactive the injection layer must consume zero

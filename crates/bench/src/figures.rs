@@ -17,7 +17,7 @@ use metrics::{Cdf, Series};
 use simcore::{Category, CostModel, Machine, MachinePreset};
 use toolstack::{ControlPlane, ToolstackMode};
 
-use crate::worldcache::{RungInfo, Store, WorldSpec};
+use crate::worldcache::{self, RungInfo, Store, WorldSpec};
 use crate::{density_steps, series_ms, SweepPoint};
 
 /// Run-size profile, passed explicitly so tests can pin it without
@@ -120,8 +120,8 @@ impl UnitOutput {
 
 /// A shared resource a unit consumes. Units declare these instead of
 /// lazily racing to build caches: the planner (`crate::sched`) turns
-/// each distinct dependency into exactly one producing task, whose
-/// result the run's [`Store`] keeps, and gates the unit on it,
+/// each distinct resource ([`Dep::key`]) into exactly one producing
+/// task, whose result the run's [`Store`] keeps, and gates the unit on it,
 /// so the expensive builds are scheduled explicitly, ahead of the
 /// units that read them, and units run as pure readers. With the cache
 /// off no producer tasks exist and the unit bodies simulate inline,
@@ -129,6 +129,7 @@ impl UnitOutput {
 // A plan holds one `Dep` per declared read, built once at plan time;
 // boxing the large `WorldSpec` would save nothing measurable.
 #[allow(clippy::large_enum_variant)]
+#[derive(Clone)]
 pub enum Dep {
     /// Records and rung observables of `spec`'s chain at `rung`
     /// ([`Store::records_at`]).
@@ -148,6 +149,16 @@ impl Dep {
                 format!("walk {} ({} steps)", mode.label(), steps.len())
             }
             Dep::Compute { cfg } => format!("compute {}/{}", cfg.mode.label(), cfg.requests),
+        }
+    }
+
+    /// The resource read, as the planner and the store key it: a
+    /// chain's key is its world's, whatever the rung.
+    pub(crate) fn key(&self) -> String {
+        match self {
+            Dep::Chain { spec, .. } => spec.key(),
+            Dep::Walk { mode, steps } => worldcache::walk_key(*mode, steps),
+            Dep::Compute { cfg } => worldcache::compute_key(cfg),
         }
     }
 }
@@ -1058,9 +1069,4 @@ pub fn all_specs(scale: Scale) -> Vec<FigureSpec> {
         crate::churn::spec(scale),
         crate::cluster::spec(scale),
     ]
-}
-
-/// Builds one figure's spec by id.
-pub fn spec_by_id(scale: Scale, id: &str) -> Option<FigureSpec> {
-    all_specs(scale).into_iter().find(|s| s.id == id)
 }

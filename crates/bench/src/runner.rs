@@ -2,14 +2,14 @@
 //! (see [`crate::sched`]) and deterministically reassembles the
 //! figures.
 //!
-//! Each run creates one [`Store`] — the run's chains, compute results,
-//! walks and reuse switch — and hands it to every task body; nothing is
-//! process-global, so concurrent or repeated runs cannot see each
-//! other. The planner turns every distinct resource the units declare —
-//! chain rungs, probe walks, compute runs — into explicit producer
-//! tasks, and gates the consuming units on them; the executor then runs
-//! the graph in plan order (lowest ready task id first) on `jobs`
-//! workers. That pool is the run's only parallelism: a task body, the
+//! Each run creates one [`Store`] — the run's published chains,
+//! compute results, walks and reuse switch — and hands it to every task
+//! body; nothing is process-global, so concurrent or repeated runs
+//! cannot see each other. The planner turns every distinct resource the
+//! units declare — chains, probe walks, compute runs — into one
+//! producer task with no dependencies, and gates the consuming units on
+//! their producers; the executor then runs the graph in plan order
+//! (lowest ready task id first) on `jobs` workers. That pool is the run's only parallelism: a task body, the
 //! cluster units' epoch loops included, runs on the one thread that
 //! claimed it.
 //! Results are written into per-unit slots and the merge walks figures
@@ -17,8 +17,9 @@
 //! independent of scheduling (`--seq`, `--jobs 1` and `--jobs N` all
 //! produce identical artefacts; ci.sh gates this). Determinism is also
 //! guaranteed per task: each task owns the simulated state it touches
-//! (a unit or walk its whole simulation, a chain task its chain under
-//! the chain lock), so no simulated state races across threads.
+//! (a unit, walk or chain its whole simulation) and the store only
+//! shares finished results, so no simulated state races across
+//! threads.
 //!
 //! Allocation and wall-time attribution: counting is per thread and a
 //! task runs entirely on the thread that claimed it, so each task's
@@ -58,11 +59,11 @@ pub fn run_with(
     specs: Vec<FigureSpec>,
     jobs: usize,
     quick: bool,
-    mut store: Store,
+    store: Store,
 ) -> (Vec<FigureRun>, RunnerReport, Store) {
     let started = Instant::now();
 
-    let (heads, plan) = sched::plan(specs, &mut store);
+    let (heads, plan) = sched::plan(specs, &store);
     let jobs = jobs.max(1).min(plan.len().max(1));
     let (trace, unit_results) = sched::execute(plan, jobs, started, &store);
 

@@ -1,42 +1,40 @@
 //! Dependency-aware DAG scheduler for the figure runner.
 //!
 //! Most figure units are cheap *readers* of shared results — a
-//! world-store chain rung, a probe walk, a compute run. The planner
-//! makes the builds explicit: every distinct resource a unit declares
-//! (see [`Dep`]) becomes exactly one producing task, and every chain
-//! read is declared on the run's [`Store`] up front:
+//! world-store chain, a probe walk, a compute run. The planner makes
+//! the builds explicit: every distinct resource the units declare (see
+//! [`Dep::key`]) becomes exactly one producer task with no
+//! dependencies, which builds the whole result and publishes it on the
+//! run's [`Store`]:
 //!
-//! * **chain** tasks climb a world-store chain to one declared rung
-//!   ([`Store::build_to`]), publishing records and rung observables as
-//!   they pass;
-//! * **probe** tasks each run one whole probe walk
+//! * a **chain** task climbs one world through every rung its readers
+//!   declared ([`Store::run_chain`]);
+//! * a **probe** task runs one whole probe walk
 //!   ([`probewalk::run_walk`](crate::probewalk::run_walk)): climb the
 //!   walk's world and probe a throwaway fork at every step;
-//! * **compute** tasks run the shared overload simulation;
+//! * a **compute** task runs the shared overload simulation;
 //! * **unit** tasks are the figure units themselves, gated on their
 //!   declared producers and otherwise free to run anywhere.
 //!
 //! Every run starts cold (the store is per run), so every declared
-//! resource gets its producer. Task ids are topological by
-//! construction (every dependency's id is smaller than its
-//! dependent's), and execution is plan order: the ready heap pops the
-//! lowest ready id, so `--jobs 1` runs the tasks exactly in id order
-//! and a wider pool always starts the lowest id whose dependencies are
-//! done. None of this affects artefact bytes — results are merged in
-//! declared order and every task body is deterministic — which the
-//! determinism tests and ci.sh's `--jobs` byte gates pin.
+//! resource gets its producer. Producers precede units in the plan, so
+//! task ids are topological, and execution is plan order: the ready
+//! heap pops the lowest ready id, so `--jobs 1` runs the tasks exactly
+//! in id order and a wider pool always starts the lowest id whose
+//! dependencies are done. None of this affects artefact bytes —
+//! results are merged in declared order and every task body is
+//! deterministic — which the determinism tests and ci.sh's `--jobs`
+//! byte gates pin.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-use lightvm::usecases::compute::ComputeConfig;
 use metrics::TaskPerf;
-use toolstack::ToolstackMode;
 
 use crate::figures::{Dep, FigureSpec, UnitOutput};
-use crate::worldcache::{Key, Store, WorldSpec};
+use crate::worldcache::Store;
 
 /// What a task does when it runs. Infra bodies return an event count
 /// for the trace (boots climbed, probes run, requests simulated).
@@ -71,12 +69,8 @@ pub struct TaskView {
 
 impl Plan {
     /// Number of schedulable tasks.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.tasks.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
     }
 
     /// Body-free view of the graph.
@@ -93,134 +87,43 @@ impl Plan {
     }
 }
 
-/// Builds the task graph for `specs`, declaring every chain read it
-/// plans on `store`. Returns the figure heads (stripped of units, for
-/// merging) and the plan.
+/// Builds the task graph for `specs`. Returns the figure heads
+/// (stripped of units, for merging) and the plan.
 ///
-/// With the cache off (`store.cache == false`) no infrastructure tasks
-/// are emitted and units carry no dependencies: each unit body
-/// simulates what it needs inline, byte-identically — the planner only
-/// ever changes *when* work happens, never *what* runs.
-pub fn plan(specs: Vec<FigureSpec>, store: &mut Store) -> (Vec<FigureSpec>, Plan) {
-    let mut tasks: Vec<Task> = Vec::new();
-
-    // ---- collect distinct resources, in first-encounter order ----
-    struct ChainReq {
-        spec: WorldSpec,
-        rungs: Vec<usize>,
-    }
-    let mut chains: Vec<ChainReq> = Vec::new();
-    let mut chain_of: HashMap<Key, usize> = HashMap::new();
-    let mut need = |spec: &WorldSpec, rung: usize| {
-        let idx = *chain_of.entry(spec.key()).or_insert_with(|| {
-            chains.push(ChainReq {
-                spec: spec.clone(),
-                rungs: Vec::new(),
-            });
-            chains.len() - 1
-        });
-        chains[idx].rungs.push(rung);
-    };
-    let mut walks: Vec<(ToolstackMode, Vec<usize>)> = Vec::new();
-    let mut computes: Vec<ComputeConfig> = Vec::new();
-
+/// With the cache off (`store.cache == false`) no producer tasks are
+/// emitted and units carry no dependencies: each unit body simulates
+/// what it needs inline, byte-identically — the planner only ever
+/// changes *when* work happens, never *what* runs.
+pub fn plan(specs: Vec<FigureSpec>, store: &Store) -> (Vec<FigureSpec>, Plan) {
+    // ---- distinct resources, in first-encounter order, with every
+    // rung a chain's readers declared ----
+    let mut resources: Vec<(Dep, Vec<usize>)> = Vec::new();
+    let mut producer: HashMap<String, usize> = HashMap::new();
     if store.cache {
-        for spec in &specs {
-            for unit in &spec.units {
-                for dep in &unit.deps {
-                    match dep {
-                        Dep::Chain { spec: ws, rung } => {
-                            need(ws, *rung);
-                            store.declare_chain(ws, *rung);
-                        }
-                        Dep::Walk { mode, steps } => {
-                            if !walks.iter().any(|(m, s)| m == mode && s == steps) {
-                                walks.push((*mode, steps.clone()));
-                            }
-                        }
-                        Dep::Compute { cfg } => {
-                            if !computes.iter().any(|c| format!("{c:?}") == format!("{cfg:?}")) {
-                                computes.push(cfg.clone());
-                            }
-                        }
-                    }
-                }
+        for dep in specs.iter().flat_map(|s| &s.units).flat_map(|u| &u.deps) {
+            let id = *producer.entry(dep.key()).or_insert_with(|| {
+                resources.push((dep.clone(), Vec::new()));
+                resources.len() - 1
+            });
+            if let Dep::Chain { rung, .. } = dep {
+                resources[id].1.push(*rung);
             }
         }
     }
 
-    // ---- emit producer tasks (ids are topological: deps come first) ----
-    // One chain task per distinct declared rung, climbing in ascending
-    // order, each depending on the previous rung's task.
-    let mut chain_task: HashMap<(Key, usize), usize> = HashMap::new();
-    for req in &mut chains {
-        req.rungs.sort_unstable();
-        req.rungs.dedup();
-        let key = req.spec.key();
-        let mut prev: Option<usize> = None;
-        for &rung in &req.rungs {
-            let id = tasks.len();
-            let spec = req.spec.clone();
-            tasks.push(Task {
-                kind: "chain",
-                label: format!("chain {}@{rung}", req.spec.label()),
-                figure: String::new(),
-                deps: prev.into_iter().collect(),
-                slot: None,
-                body: Body::Infra(Box::new(move |store: &Store| store.build_to(&spec, rung))),
-            });
-            chain_task.insert((key.clone(), rung), id);
-            prev = Some(id);
-        }
-    }
-
-    // A walk is one task: the whole climb plus a probe pair per step.
-    let walk_base = tasks.len();
-    for (mode, steps) in &walks {
-        let (mode, steps) = (*mode, steps.clone());
-        tasks.push(Task {
-            kind: "probe",
-            label: format!("probe {} ({} steps)", mode.label(), steps.len()),
-            figure: String::new(),
-            deps: Vec::new(),
-            slot: None,
-            body: Body::Infra(Box::new(move |store: &Store| store.run_walk(mode, &steps))),
-        });
-    }
-
-    let mut compute_task: HashMap<String, usize> = HashMap::new();
-    for cfg in computes {
-        compute_task.insert(format!("{cfg:?}"), tasks.len());
-        tasks.push(Task {
-            kind: "compute",
-            label: format!("compute {}/{}", cfg.mode.label(), cfg.requests),
-            figure: String::new(),
-            deps: Vec::new(),
-            slot: None,
-            body: Body::Infra(Box::new(move |store: &Store| store.run_compute(&cfg))),
-        });
-    }
+    // ---- one producer task per resource, none with dependencies ----
+    let mut tasks: Vec<Task> = resources.into_iter().map(producer_task).collect();
 
     // ---- unit tasks, in declared (figure, unit) order ----
     let mut heads = Vec::with_capacity(specs.len());
     for (fi, mut spec) in specs.into_iter().enumerate() {
         for (ui, unit) in spec.units.drain(..).enumerate() {
-            // With the cache off nothing was planned: nothing to wait on.
-            let deps: Vec<usize> = if store.cache {
-                unit.deps
-                    .iter()
-                    .map(|dep| match dep {
-                        Dep::Chain { spec: ws, rung } => chain_task[&(ws.key(), *rung)],
-                        Dep::Walk { mode, steps } => {
-                            let w = walks.iter().position(|(m, s)| m == mode && s == steps);
-                            walk_base + w.expect("walk planned")
-                        }
-                        Dep::Compute { cfg } => compute_task[&format!("{cfg:?}")],
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
+            // Every declared key has its producer, unless the cache is
+            // off: then nothing was planned and the unit waits on nothing.
+            let mut deps: Vec<usize> =
+                unit.deps.iter().filter_map(|d| producer.get(&d.key()).copied()).collect();
+            deps.sort_unstable();
+            deps.dedup();
             tasks.push(Task {
                 kind: "unit",
                 label: unit.label,
@@ -232,17 +135,35 @@ pub fn plan(specs: Vec<FigureSpec>, store: &mut Store) -> (Vec<FigureSpec>, Plan
         }
         heads.push(spec);
     }
-
-    for (i, t) in tasks.iter_mut().enumerate() {
-        t.deps.sort_unstable();
-        t.deps.dedup();
-        debug_assert!(
-            t.deps.iter().all(|&d| d < i),
-            "task ids must be topological"
-        );
-    }
-
     (heads, Plan { tasks })
+}
+
+/// The task that builds `dep`'s resource; a chain climbs through
+/// `rungs` and is labelled with its top one.
+fn producer_task((dep, rungs): (Dep, Vec<usize>)) -> Task {
+    let (kind, label) = match &dep {
+        Dep::Chain { spec, .. } => {
+            let top = rungs.iter().copied().max().unwrap_or(0);
+            ("chain", format!("chain {}@{top}", spec.label()))
+        }
+        Dep::Walk { mode, steps } => {
+            ("probe", format!("probe {} ({} steps)", mode.label(), steps.len()))
+        }
+        Dep::Compute { .. } => ("compute", dep.describe()),
+    };
+    let body: Box<dyn FnOnce(&Store) -> u64 + Send> = match dep {
+        Dep::Chain { spec, .. } => Box::new(move |store: &Store| store.run_chain(&spec, &rungs)),
+        Dep::Walk { mode, steps } => Box::new(move |store: &Store| store.run_walk(mode, &steps)),
+        Dep::Compute { cfg } => Box::new(move |store: &Store| store.run_compute(&cfg)),
+    };
+    Task {
+        kind,
+        label,
+        figure: String::new(),
+        deps: Vec::new(),
+        slot: None,
+        body: Body::Infra(body),
+    }
 }
 
 /// A completed unit task's output, tagged with its destination slot.
@@ -355,10 +276,6 @@ pub(crate) fn execute(
     store: &Store,
 ) -> (Vec<TaskPerf>, Vec<UnitResult>) {
     let n = plan.tasks.len();
-    if n == 0 {
-        return (Vec::new(), Vec::new());
-    }
-
     let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut indeg = vec![0usize; n];
     for (i, t) in plan.tasks.iter().enumerate() {

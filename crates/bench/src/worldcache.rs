@@ -8,23 +8,22 @@
 //! [`runner::run`](crate::runner::run) creates one [`Store`] per run and
 //! hands it to every task body; nothing outlives the run, so every run
 //! starts cold and no run can observe another's state. The planner
-//! ([`crate::sched`]) *declares* every read up front, and one producer
-//! task builds each shared result:
+//! ([`crate::sched`]) gives every shared result exactly one producer
+//! task, with no dependencies, that builds it whole and publishes it:
 //!
-//! * a **chain** is its tip (the live world, advanced in place by the
-//!   chain's rung tasks and dropped once the top declared rung is
-//!   reached) plus per-create records and [`RungInfo`] observables
-//!   published as it climbs — what `Dep::Chain` readers get
-//!   ([`Store::records_at`]). The tip is the only live world the store
-//!   ever holds, and only while its chain climbs;
+//! * a **chain** ([`Store::run_chain`]) climbs a fresh world through
+//!   every rung its readers declared, and publishes the per-create
+//!   records plus the [`RungInfo`] observables at each rung — what
+//!   `Dep::Chain` readers get ([`Store::records_at`]);
 //! * a **walk** is a finished probe walk ([`probewalk::run_walk`]);
 //! * a **compute** result is a finished overload simulation.
 //!
-//! The store shares results, never live worlds. A unit that mutates a
-//! world (churn, cluster) builds it with [`Store::simulate`] and forks
-//! it itself where it needs copies; the probe walk forks its own
-//! climbing world at every step. Reading a result no producer published
-//! is a planner bug and panics with the spec and the rung.
+//! The store shares results, never live worlds: a producer's world is
+//! dropped when its task ends. A unit that mutates a world (churn,
+//! cluster) builds it with [`Store::simulate`] and forks it itself
+//! where it needs copies; the probe walk forks its own climbing world
+//! at every step. Reading a result no producer published is a planner
+//! bug and panics with the resource's key.
 //!
 //! Correctness rests on determinism: a chain is keyed by everything its
 //! evolution depends on (the simulation is fully seeded), and guests
@@ -33,7 +32,7 @@
 //! every unit [`Store::simulate`]s its world from scratch through the
 //! same [`Store::advance`] — produces identical bytes.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -81,14 +80,22 @@ impl WorldSpec {
     /// model included) so that two specs which merely *print* alike —
     /// say, an ablation's perturbed cost model on the stock machine
     /// name — can never share a chain.
-    pub(crate) fn key(&self) -> Key {
+    pub(crate) fn key(&self) -> String {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         format!("{:?}|{:?}", self.machine, self.image).hash(&mut h);
-        (self.label(), h.finish())
+        format!("{} #{:016x}", self.label(), h.finish())
     }
 }
 
-pub(crate) type Key = (String, u64);
+/// Key of `mode`'s probe walk over `steps`.
+pub(crate) fn walk_key(mode: ToolstackMode, steps: &[usize]) -> String {
+    format!("walk {} {steps:?}", mode.label())
+}
+
+/// Key of the overload simulation for `cfg`.
+pub(crate) fn compute_key(cfg: &ComputeConfig) -> String {
+    format!("compute {cfg:?}")
+}
 
 /// One guest's measurements from a chain climb, reusable by every
 /// consumer of the chain (the guest index is the record's position).
@@ -138,8 +145,7 @@ impl CacheStats {
 
 /// Cheap world-level observables captured when a chain passes a rung:
 /// everything a pure *reader* of the chain consumes besides the
-/// per-create records, so a `Dep::Chain` reader never touches the live
-/// world — even after the tip has grown past its rung.
+/// per-create records, so a `Dep::Chain` reader never needs a world.
 #[derive(Clone, Copy, Debug)]
 pub struct RungInfo {
     /// Simulated clock at this density, in milliseconds.
@@ -166,30 +172,37 @@ impl RungInfo {
     }
 }
 
-#[derive(Default)]
+/// A climbed chain: the records of every guest up to its top rung and
+/// the observables at each declared rung.
 struct Chain {
     records: Vec<CreateRecord>,
-    /// Guests booted on the tip so far.
-    at: usize,
-    /// The live world at `at` guests, built by the first rung task and
-    /// dropped by the task that reaches `top`.
-    tip: Option<ControlPlane>,
-    /// Highest rung any consumer declared.
-    top: usize,
-    /// Observables published at every rung task's target.
-    info: HashMap<usize, RungInfo>,
+    rungs: BTreeMap<usize, RungInfo>,
 }
 
-type WalkKey = (&'static str, Vec<usize>);
+/// Published results of one kind, by key.
+type Shelf<V> = Mutex<HashMap<String, V>>;
+
+fn publish<V>(shelf: &Shelf<V>, key: String, value: V) {
+    shelf.lock().expect("worldcache lock").insert(key, value);
+}
+
+fn published<V: Clone>(shelf: &Shelf<V>, key: &str) -> V {
+    shelf
+        .lock()
+        .expect("worldcache lock")
+        .get(key)
+        .cloned()
+        .unwrap_or_else(|| panic!("worldcache: {key} read before its producer task ran"))
+}
 
 /// One run's reuse state and configuration. See the module docs.
 pub struct Store {
     /// Share results between units (`runall --no-snapshot-cache` clears
     /// it: every unit simulates what it reads, byte-identically).
     pub cache: bool,
-    chains: HashMap<Key, Mutex<Chain>>,
-    computes: Mutex<HashMap<String, ComputeResult>>,
-    walks: Mutex<HashMap<WalkKey, Arc<Walk>>>,
+    chains: Shelf<Arc<Chain>>,
+    computes: Shelf<ComputeResult>,
+    walks: Shelf<Arc<Walk>>,
     boots_simulated: AtomicU64,
 }
 
@@ -203,27 +216,11 @@ impl Store {
     pub fn new(cache: bool) -> Store {
         Store {
             cache,
-            chains: HashMap::new(),
-            computes: Mutex::new(HashMap::new()),
-            walks: Mutex::new(HashMap::new()),
+            chains: Shelf::default(),
+            computes: Shelf::default(),
+            walks: Shelf::default(),
             boots_simulated: AtomicU64::new(0),
         }
-    }
-
-    /// Declares a read of `spec`'s chain at `rung` (records + rung
-    /// observables). Plan time only.
-    pub(crate) fn declare_chain(&mut self, spec: &WorldSpec, rung: usize) {
-        let chain = self.chains.entry(spec.key()).or_default();
-        let chain = chain.get_mut().expect("worldcache chain lock");
-        chain.top = chain.top.max(rung);
-    }
-
-    fn chain(&self, spec: &WorldSpec, rung: usize) -> std::sync::MutexGuard<'_, Chain> {
-        self.chains
-            .get(&spec.key())
-            .unwrap_or_else(|| panic!("worldcache: {}@{rung} read but never declared", spec.label()))
-            .lock()
-            .expect("worldcache chain lock")
     }
 
     /// Boots guests `from..to` with canonical names, appending their
@@ -261,32 +258,22 @@ impl Store {
         (cp, records)
     }
 
-    /// Chain-task body: climbs `spec`'s tip in place to `target`,
-    /// publishing the records on the way and the rung observables at
-    /// `target` (every chain task ends at a declared rung, the only
-    /// rungs [`Store::records_at`] reads), and drops the tip at the
-    /// chain's top rung. Capturing observables is read-only, so the
-    /// world evolves identically with the cache on or off. Returns the boots this call
-    /// simulated.
-    pub fn build_to(&self, spec: &WorldSpec, target: usize) -> u64 {
-        let mut guard = self.chain(spec, target);
-        let chain = &mut *guard;
-        assert!(
-            chain.at <= target && target <= chain.top && (chain.tip.is_some() || chain.at == 0),
-            "worldcache: {} rung {target} out of order (tip at {}, top {})",
-            spec.label(),
-            chain.at,
-            chain.top
-        );
-        let world = chain.tip.get_or_insert_with(|| spec.build_base());
-        let boots = (target - chain.at) as u64;
-        self.advance(world, &spec.image, chain.at, target, &mut chain.records);
-        chain.info.entry(target).or_insert_with(|| RungInfo::capture(world));
-        chain.at = target;
-        let spent = if target == chain.top { chain.tip.take() } else { None };
-        drop(guard);
-        // Nobody can read past the top rung: free the tip off the lock.
-        drop(spent);
+    /// Chain-task body: climbs a fresh `spec` world through `rungs` in
+    /// ascending order and publishes its records and the observables at
+    /// each rung (a read-only capture) for [`Store::records_at`]; the
+    /// world is dropped on return. Returns the boots simulated.
+    pub fn run_chain(&self, spec: &WorldSpec, rungs: &[usize]) -> u64 {
+        let mut rungs = rungs.to_vec();
+        rungs.sort_unstable();
+        rungs.dedup();
+        let mut cp = spec.build_base();
+        let mut chain = Chain { records: Vec::new(), rungs: BTreeMap::new() };
+        for rung in rungs {
+            self.advance(&mut cp, &spec.image, chain.records.len(), rung, &mut chain.records);
+            chain.rungs.insert(rung, RungInfo::capture(&cp));
+        }
+        let boots = chain.records.len() as u64;
+        publish(&self.chains, spec.key(), Arc::new(chain));
         boots
     }
 
@@ -298,12 +285,11 @@ impl Store {
             let (cp, records) = self.simulate(spec, target);
             return (RungInfo::capture(&cp), records, CacheStats::default());
         }
-        let chain = self.chain(spec, target);
-        let info = *chain.info.get(&target).unwrap_or_else(|| {
-            panic!("worldcache: {} rung {target} read before its chain task published it", spec.label())
+        let chain = published(&self.chains, &spec.key());
+        let info = *chain.rungs.get(&target).unwrap_or_else(|| {
+            panic!("worldcache: {} rung {target} was never declared", spec.label())
         });
         let records = chain.records[..target].to_vec();
-        drop(chain);
         let stats = match target {
             0 => CacheStats::default(),
             _ => CacheStats::reused(target as u64),
@@ -317,7 +303,7 @@ impl Store {
     pub(crate) fn run_compute(&self, cfg: &ComputeConfig) -> u64 {
         let r = compute::run(cfg);
         let events = (r.service_times.len() + r.concurrency.len()) as u64;
-        self.computes.lock().expect("compute lock").insert(format!("{cfg:?}"), r);
+        publish(&self.computes, compute_key(cfg), r);
         events
     }
 
@@ -327,14 +313,7 @@ impl Store {
         if !self.cache {
             return (compute::run(cfg), CacheStats::default());
         }
-        let r = self
-            .computes
-            .lock()
-            .expect("compute lock")
-            .get(&format!("{cfg:?}"))
-            .cloned()
-            .unwrap_or_else(|| panic!("worldcache: compute {cfg:?} read before its task ran"));
-        (r, CacheStats::reused(0))
+        (published(&self.computes, &compute_key(cfg)), CacheStats::reused(0))
     }
 
     /// Walk-task body: runs `mode`'s probe walk over `steps` and keeps
@@ -343,10 +322,7 @@ impl Store {
     pub(crate) fn run_walk(&self, mode: ToolstackMode, steps: &[usize]) -> u64 {
         let w = probewalk::run_walk(self, mode, steps);
         let probes = w.probes;
-        self.walks
-            .lock()
-            .expect("walk lock")
-            .insert((mode.label(), steps.to_vec()), Arc::new(w));
+        publish(&self.walks, walk_key(mode, steps), Arc::new(w));
         probes
     }
 
@@ -356,13 +332,7 @@ impl Store {
         if !self.cache {
             return (Arc::new(probewalk::run_walk(self, mode, steps)), CacheStats::default());
         }
-        let w = self
-            .walks
-            .lock()
-            .expect("walk lock")
-            .get(&(mode.label(), steps.to_vec()))
-            .cloned()
-            .unwrap_or_else(|| panic!("worldcache: walk {} read before its task ran", mode.label()));
+        let w = published(&self.walks, &walk_key(mode, steps));
         let stats = CacheStats::reused(w.boots);
         (w, stats)
     }
@@ -381,10 +351,46 @@ impl Store {
         }
         format!(
             "worldcache: {} chains, {} hits, {} boots saved ({} simulated)",
-            self.chains.len(),
+            self.chains.lock().expect("worldcache lock").len(),
             report.units.iter().map(|u| u.snapshot_hits).sum::<u64>(),
             report.total_boots_saved(),
             self.boots_simulated(),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simcore::{Category, MachinePreset};
+
+    /// A chain climbed once serves each declared rung exactly what a
+    /// from-scratch simulation to that rung produces.
+    #[test]
+    fn chain_rungs_match_fresh_simulations() {
+        let spec = WorldSpec {
+            machine: Machine::preset(MachinePreset::XeonE5_1630V3),
+            dom0_cores: 1,
+            mode: ToolstackMode::LightVm,
+            image: GuestImage::unikernel_daytime(),
+            seed: 42,
+        };
+        let store = Store::default();
+        assert_eq!(store.run_chain(&spec, &[200, 1000]), 1000);
+        for rung in [200, 1000] {
+            let (info, records, stats) = store.records_at(&spec, rung);
+            let (cp, fresh) = store.simulate(&spec, rung);
+            let want = RungInfo::capture(&cp);
+            let bits = |i: RungInfo| (i.virtual_ms.to_bits(), i.events, i.log_rotations, i.txn_conflicts);
+            assert_eq!(bits(info), bits(want), "rung {rung}");
+            assert_eq!(stats.boots_saved, rung as u64);
+            assert_eq!(records.len(), fresh.len());
+            for (i, (a, b)) in records.iter().zip(&fresh).enumerate() {
+                let meter = |r: &CreateRecord| Category::ALL.map(|c| r.meter.of(c));
+                assert_eq!(meter(a), meter(b), "guest {i}");
+                assert_eq!(a.boot, b.boot, "guest {i}");
+                assert_eq!(a.util_after.to_bits(), b.util_after.to_bits(), "guest {i}");
+            }
+        }
     }
 }

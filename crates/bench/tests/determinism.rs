@@ -3,21 +3,27 @@
 //! order, never completion order. Scale is pinned explicitly so the test
 //! never touches the environment.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-use bench::figures::{spec_by_id, Scale};
+use bench::figures::{all_specs, Dep, FigureSpec, Scale};
 use bench::runner;
+use bench::worldcache::WorldSpec;
+
+/// The registered figure `id`.
+fn spec_by_id(scale: Scale, id: &str) -> FigureSpec {
+    all_specs(scale).into_iter().find(|s| s.id == id).expect("registered")
+}
 
 /// fig14 (3 units, cheap at quick scale): sequential single-figure run
 /// vs the thread-pool runner at 4 workers.
 #[test]
 fn parallel_merge_is_byte_identical_to_sequential() {
     let scale = Scale::quick();
-    let spec = spec_by_id(scale, "fig14").expect("fig14 registered");
+    let spec = spec_by_id(scale, "fig14");
     let (mut seq, _) = runner::run(vec![spec], 1, scale.quick);
     let seq = seq.remove(0);
     let (mut par, report) =
-        runner::run(vec![spec_by_id(scale, "fig14").unwrap()], 4, scale.quick);
+        runner::run(vec![spec_by_id(scale, "fig14")], 4, scale.quick);
     assert_eq!(par.len(), 1);
     let par = par.remove(0);
 
@@ -36,7 +42,7 @@ fn parallel_merge_is_byte_identical_to_sequential() {
 /// alone, so no id may be a substring of another.
 #[test]
 fn every_figure_id_filters_to_itself_alone() {
-    let specs = bench::figures::all_specs(Scale::quick());
+    let specs = all_specs(Scale::quick());
     for a in &specs {
         let hits: Vec<&str> = specs
             .iter()
@@ -55,7 +61,7 @@ fn worker_count_does_not_change_output() {
     let ids = ["fig16b", "fig18"];
     let build = || {
         ids.iter()
-            .map(|id| spec_by_id(scale, id).expect("registered"))
+            .map(|id| spec_by_id(scale, id))
             .collect::<Vec<_>>()
     };
     let (one, _) = runner::run(build(), 1, scale.quick);
@@ -90,7 +96,7 @@ fn artefacts_identical_across_worker_counts() {
     let ids = ["fig04", "fig05", "fig12a", "fig12b", "fig13", "fig17", "fig18", "faults"];
     let build = || {
         ids.iter()
-            .map(|id| spec_by_id(scale, id).expect("registered"))
+            .map(|id| spec_by_id(scale, id))
             .collect::<Vec<_>>()
     };
     let (base_figs, base_rep) = runner::run(build(), 1, scale.quick);
@@ -126,15 +132,14 @@ fn artefacts_identical_across_worker_counts() {
 
 /// The planner's task graph is well-formed: task ids are topological
 /// (so the DAG cannot contain a cycle), every dependency edge points at
-/// an existing task, every infrastructure resource has exactly one
-/// producer task, and the chain tasks are exactly the distinct declared
-/// rungs. Planned at full scale into a fresh store, without running
-/// anything.
+/// an existing task, every shared resource has exactly one producer
+/// task with no dependencies, and a chain is one task that climbs to
+/// its highest declared rung. Planned at full scale into a fresh
+/// store, without running anything.
 #[test]
 fn plan_is_acyclic_with_unique_producers() {
-    let mut store = bench::worldcache::Store::default();
-    let (heads, plan) =
-        bench::sched::plan(bench::figures::all_specs(Scale::full()), &mut store);
+    let store = bench::worldcache::Store::default();
+    let (heads, plan) = bench::sched::plan(all_specs(Scale::full()), &store);
     let tasks = plan.view();
     assert!(!tasks.is_empty());
 
@@ -150,11 +155,13 @@ fn plan_is_acyclic_with_unique_producers() {
                 let prev = producers.insert(t.label.clone(), i);
                 assert_eq!(prev, None, "duplicate producer for {}", t.label);
                 assert!(t.figure.is_empty());
+                assert!(t.deps.is_empty(), "producer {} has dependencies", t.label);
             }
             "unit" => assert!(!t.figure.is_empty()),
             other => panic!("unknown task kind {other}"),
         }
     }
+    assert_eq!(tasks.len(), 88, "tasks in the full-scale plan");
 
     // Units that declared dependencies got them wired: spot-check every
     // dependency flavour.
@@ -170,21 +177,26 @@ fn plan_is_acyclic_with_unique_producers() {
     assert_eq!(dep_kinds("fig13").len(), 4);
     assert!(dep_kinds("fig17").contains(&"compute"));
 
-    // One chain task per distinct declared rung, and no intermediate
-    // rungs: a chain task's label names the rung it climbs to, in the
-    // same form as the declaring dependency.
+    // One chain task per distinct chain, labelled with its highest
+    // declared rung in the same form as the declaring dependency.
     let chain_tasks: BTreeSet<String> = tasks
         .iter()
         .filter(|t| t.kind == "chain")
         .map(|t| t.label.clone())
         .collect();
-    let declared_rungs: BTreeSet<String> = bench::figures::all_specs(Scale::full())
-        .iter()
-        .flat_map(|s| s.units.iter().flat_map(|u| u.deps.iter()))
-        .filter(|d| matches!(d, bench::figures::Dep::Chain { .. }))
-        .map(|d| d.describe())
+    let mut tops: BTreeMap<String, (WorldSpec, usize)> = BTreeMap::new();
+    for dep in all_specs(Scale::full()).into_iter().flat_map(|s| s.units).flat_map(|u| u.deps) {
+        if let Dep::Chain { spec, rung } = dep {
+            let top = tops.entry(spec.label()).or_insert((spec, rung));
+            top.1 = top.1.max(rung);
+        }
+    }
+    let top_rungs: BTreeSet<String> = tops
+        .into_values()
+        .map(|(spec, rung)| Dep::Chain { spec, rung }.describe())
         .collect();
-    assert_eq!(chain_tasks, declared_rungs, "chain tasks are exactly the declared rungs");
+    assert_eq!(chain_tasks, top_rungs, "one chain task per chain, at its top rung");
+    assert_eq!(chain_tasks.len(), 12, "chain tasks in the full-scale plan");
 
     // A probe walk is one producer task that climbs its own world: one
     // per distinct walk (fig12a/b and fig13 share four), with no
@@ -212,7 +224,7 @@ fn plan_is_acyclic_with_unique_producers() {
     // Every unit survived planning (heads come back drained, so count
     // against a fresh registry).
     let n_units = tasks.iter().filter(|t| t.kind == "unit").count();
-    let declared: usize = bench::figures::all_specs(Scale::full())
+    let declared: usize = all_specs(Scale::full())
         .iter()
         .map(|s| s.units.len())
         .sum();
@@ -223,7 +235,7 @@ fn plan_is_acyclic_with_unique_producers() {
 /// The registry itself is stable: same scale, same specs.
 #[test]
 fn registry_is_complete_and_stable() {
-    let specs = bench::figures::all_specs(Scale::quick());
+    let specs = all_specs(Scale::quick());
     let ids: Vec<&str> = specs.iter().map(|s| s.id).collect();
     assert_eq!(
         ids,

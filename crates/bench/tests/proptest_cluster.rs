@@ -16,7 +16,7 @@
 //!   template's digest and full resource census (the churn leak-check
 //!   applied at cluster scale).
 
-use bench::figures::{spec_by_id, Scale};
+use bench::figures::Scale;
 use bench::runner;
 use guests::GuestImage;
 use simcore::{Machine, MachinePreset};
@@ -24,8 +24,7 @@ use toolstack::{ControlPlane, HostTemplate, ToolstackMode};
 
 fn run_cluster(jobs: usize) -> (metrics::Figure, metrics::RunnerReport) {
     let scale = Scale::quick();
-    let spec = spec_by_id(scale, "cluster").expect("cluster registered");
-    let (mut runs, report) = runner::run(vec![spec], jobs, scale.quick);
+    let (mut runs, report) = runner::run(vec![bench::cluster::spec(scale)], jobs, scale.quick);
     assert_eq!(runs.len(), 1);
     (runs.remove(0).figure, report)
 }

@@ -48,11 +48,6 @@ impl ProcessRuntime {
         (pid, dt)
     }
 
-    /// Terminates a process.
-    pub fn kill(&mut self, pid: Pid) -> bool {
-        self.procs.remove(&pid)
-    }
-
     /// Live processes.
     pub fn count(&self) -> usize {
         self.procs.len()
@@ -106,14 +101,14 @@ mod tests {
     }
 
     #[test]
-    fn kill_and_memory_accounting() {
+    fn memory_accounting() {
         let cost = CostModel::paper_defaults();
         let mut rt = ProcessRuntime::new(1);
-        let (pid, _) = rt.spawn(&cost);
+        assert_eq!(rt.total_memory(), 0);
+        rt.spawn(&cost);
         assert_eq!(rt.count(), 1);
         assert_eq!(rt.total_memory(), rt.rss_per_process);
-        assert!(rt.kill(pid));
-        assert!(!rt.kill(pid));
-        assert_eq!(rt.total_memory(), 0);
+        rt.spawn(&cost);
+        assert_eq!(rt.total_memory(), 2 * rt.rss_per_process);
     }
 }

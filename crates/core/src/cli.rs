@@ -222,9 +222,8 @@ impl Cli {
             "{:<6} {:<8} {:<16} {:<16} {:>9}  STATE",
             "DOMID", "HOST", "NAME", "IMAGE", "MEM"
         );
-        let hosts = [("primary", Some(self.world.plane())), ("peer", self.world.peer())];
-        for (host, plane) in hosts {
-            for (dom, vm) in plane.into_iter().flat_map(ControlPlane::vms) {
+        for (host, plane) in self.hosts() {
+            for (dom, vm) in plane.vms() {
                 let state = if vm.booted { "running" } else { "created" };
                 let _ = writeln!(
                     out,
@@ -241,23 +240,32 @@ impl Cli {
         let _ = writeln!(out, "toolstack: {}", p.mode.label());
         let peer = self.world.peer().map_or(0, ControlPlane::running_count);
         let _ = writeln!(out, "vms:       {} primary, {peer} peer", p.running_count());
-        let _ = writeln!(
-            out,
-            "memory:    {:.1} MB guest / {:.1} GB host used",
-            p.guest_memory_used() as f64 / 1e6,
-            p.hv.memory.used() as f64 / 1e9
-        );
-        let _ = writeln!(out, "cpu:       {:.2}% utilised", p.cpu_utilization() * 100.0);
-        let _ = writeln!(out, "pool:      {} shells", p.daemon.len());
-        let st = p.xs.stats();
-        let _ = writeln!(
-            out,
-            "xenstore:  {} requests, {} commits, {} conflicts, {} rotations",
-            st.requests,
-            st.txn_commits,
-            st.txn_conflicts,
-            p.xs.log_rotations()
-        );
+        for (host, p) in self.hosts() {
+            let _ = writeln!(out, "host:      {host}");
+            let _ = writeln!(
+                out,
+                "memory:    {:.1} MB guest / {:.1} GB host used",
+                p.guest_memory_used() as f64 / 1e6,
+                p.hv.memory.used() as f64 / 1e9
+            );
+            let _ = writeln!(out, "cpu:       {:.2}% utilised", p.cpu_utilization() * 100.0);
+            let _ = writeln!(out, "pool:      {} shells", p.daemon.len());
+            let st = p.xs.stats();
+            let _ = writeln!(
+                out,
+                "xenstore:  {} requests, {} commits, {} conflicts, {} rotations",
+                st.requests,
+                st.txn_commits,
+                st.txn_conflicts,
+                p.xs.log_rotations()
+            );
+        }
+    }
+
+    /// The primary host, then the migration peer once it exists.
+    fn hosts(&self) -> impl Iterator<Item = (&'static str, &ControlPlane)> {
+        let peer = self.world.peer().map(|p| ("peer", p));
+        std::iter::once(("primary", self.world.plane())).chain(peer)
     }
 }
 
@@ -409,7 +417,7 @@ mod tests {
     #[test]
     fn list_and_info_cover_both_hosts() {
         let mut c = cli();
-        run(&mut c, "create roam daytime");
+        run(&mut c, "create roam daytime mem=64");
         run(&mut c, "create home daytime");
         run(&mut c, "migrate roam");
         let list = run(&mut c, "list");
@@ -421,6 +429,18 @@ mod tests {
         assert_eq!(host_of("home"), Some("primary"), "{list}");
         let info = run(&mut c, "info");
         assert!(info.contains("vms:       1 primary, 1 peer"), "{info}");
+        // Each host prints its own statistics, the peer's after the
+        // primary's: the migrated 64 MiB guest's memory is on the peer.
+        let (primary, peer) = info.split_once("host:      peer\n").expect("peer statistics");
+        assert!(primary.contains("host:      primary\n"), "{info}");
+        let memory = |p: &ControlPlane| {
+            format!("memory:    {:.1} MB guest", p.guest_memory_used() as f64 / 1e6)
+        };
+        let peer_plane = c.world.peer().expect("peer exists");
+        assert!(peer_plane.guest_memory_used() > c.world.plane().guest_memory_used());
+        assert!(peer.contains(&memory(peer_plane)), "{info}");
+        assert!(primary.contains(&memory(c.world.plane())), "{info}");
+        assert!(peer.contains("xenstore:"), "{info}");
     }
 
     /// Lines of command words, names and junk in any order — through
@@ -448,6 +468,7 @@ mod tests {
         run(&mut c, "create i daytime");
         let out = run(&mut c, "info");
         assert!(out.contains("LightVM"));
+        assert!(!out.contains("host:      peer"), "no peer yet: {out}");
         assert!(out.contains("vms:       1"));
         assert!(out.contains("xenstore:  0 requests"));
     }

@@ -84,7 +84,7 @@ impl Backend {
         let evtchn = hv.evtchn_alloc_unbound(cost, meter, DomId::DOM0, dom)?;
         let frame = self.next_ctrl_frame;
         self.next_ctrl_frame += 1;
-        let grant = hv.grant_access(cost, meter, DomId::DOM0, dom, frame, false)?;
+        let grant = hv.grant_access(cost, meter, DomId::DOM0, dom, frame)?;
         self.devices.insert(
             (dom.0, devid),
             BackendDevice {

@@ -71,11 +71,6 @@ impl SoftwareSwitch {
         dropped
     }
 
-    /// True if vif `devid` of `dom` is attached.
-    pub fn has_port(&self, dom: DomId, devid: u32) -> bool {
-        self.ports.contains(&(dom, devid))
-    }
-
     /// Number of attached ports.
     pub fn port_count(&self) -> usize {
         self.ports.len()
@@ -92,8 +87,11 @@ mod tests {
         let mut m = Meter::new();
         let mut sw = SoftwareSwitch::new();
         sw.add_port(&cost, &mut m, DomId(1), 0).unwrap();
-        assert!(sw.has_port(DomId(1), 0));
-        assert!(!sw.has_port(DomId(1), 1));
+        assert_eq!(sw.port_count(), 1);
+        assert_eq!(
+            sw.del_port(&cost, &mut m, DomId(1), 1).unwrap_err(),
+            DevError::NotFound
+        );
         assert_eq!(
             sw.add_port(&cost, &mut m, DomId(1), 0).unwrap_err(),
             DevError::Exists
@@ -117,7 +115,9 @@ mod tests {
         sw.add_port(&cost, &mut m, DomId(0), 7).unwrap();
         assert_eq!(sw.drop_domain(DomId(1)), 2);
         assert_eq!(sw.port_count(), 2);
-        assert!(sw.has_port(DomId(2), 0) && sw.has_port(DomId(0), 7));
         assert_eq!(sw.drop_domain(DomId(1)), 0);
+        // The other domains' ports survive.
+        sw.del_port(&cost, &mut m, DomId(2), 0).unwrap();
+        sw.del_port(&cost, &mut m, DomId(0), 7).unwrap();
     }
 }

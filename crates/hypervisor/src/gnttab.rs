@@ -24,7 +24,6 @@ pub(crate) struct Grant {
     pub(crate) grantee: DomId,
     /// Frame number in the granter's pseudo-physical space.
     frame: u32,
-    readonly: bool,
     mapped: bool,
 }
 
@@ -38,7 +37,6 @@ impl Hypervisor {
         granter: DomId,
         grantee: DomId,
         frame: u32,
-        readonly: bool,
     ) -> Result<GrantRef, HvError> {
         Self::charge(meter, cost.hypercall_base + cost.grant_op);
         if self.record_mut(grantee).is_none() {
@@ -50,7 +48,6 @@ impl Hypervisor {
         let grant = Grant {
             grantee,
             frame,
-            readonly,
             mapped: false,
         };
         g.grants.insert(gref.0, grant);
@@ -104,16 +101,6 @@ impl Hypervisor {
         }
     }
 
-    /// Whether a live grant is read-only.
-    pub fn grant_is_readonly(&self, granter: DomId, gref: GrantRef) -> Option<bool> {
-        let d = if granter.is_dom0() {
-            &self.dom0
-        } else {
-            self.domain(granter).ok()?
-        };
-        d.grants.get(&gref.0).map(|g| g.readonly)
-    }
-
     /// Number of live grants on the host.
     pub fn grant_count(&self) -> usize {
         self.live_grants
@@ -161,7 +148,7 @@ mod tests {
     fn grant_map_unmap_end() {
         let (mut hv, c, mut m) = host(1);
         let (g, d0) = (DomId(1), DomId(0));
-        let gref = hv.grant_access(&c, &mut m, g, d0, 0x1000, false).unwrap();
+        let gref = hv.grant_access(&c, &mut m, g, d0, 0x1000).unwrap();
         assert_eq!(hv.grant_map(&c, &mut m, d0, g, gref).unwrap(), 0x1000);
         assert_eq!(
             hv.grant_end_access(g, gref).unwrap_err(),
@@ -176,7 +163,7 @@ mod tests {
     fn wrong_grantee_cannot_map() {
         let (mut hv, c, mut m) = host(2);
         let gref = hv
-            .grant_access(&c, &mut m, DomId(1), DomId(0), 1, true)
+            .grant_access(&c, &mut m, DomId(1), DomId(0), 1)
             .unwrap();
         assert_eq!(
             hv.grant_map(&c, &mut m, DomId(2), DomId(1), gref)
@@ -189,7 +176,7 @@ mod tests {
     fn double_map_rejected() {
         let (mut hv, c, mut m) = host(1);
         let gref = hv
-            .grant_access(&c, &mut m, DomId(1), DomId(0), 1, true)
+            .grant_access(&c, &mut m, DomId(1), DomId(0), 1)
             .unwrap();
         hv.grant_map(&c, &mut m, DomId(0), DomId(1), gref).unwrap();
         assert_eq!(
@@ -200,27 +187,14 @@ mod tests {
     }
 
     #[test]
-    fn readonly_flag_visible() {
-        let (mut hv, c, mut m) = host(1);
-        let ro = hv
-            .grant_access(&c, &mut m, DomId(1), DomId(0), 1, true)
-            .unwrap();
-        let rw = hv
-            .grant_access(&c, &mut m, DomId(1), DomId(0), 2, false)
-            .unwrap();
-        assert_eq!(hv.grant_is_readonly(DomId(1), ro), Some(true));
-        assert_eq!(hv.grant_is_readonly(DomId(1), rw), Some(false));
-    }
-
-    #[test]
     fn destroy_drops_grants_in_both_directions() {
         let (mut hv, c, mut m) = host(2);
-        hv.grant_access(&c, &mut m, DomId(1), DomId(0), 1, false)
+        hv.grant_access(&c, &mut m, DomId(1), DomId(0), 1)
             .unwrap(); // granted by 1
         let to = hv
-            .grant_access(&c, &mut m, DomId(0), DomId(1), 2, false)
+            .grant_access(&c, &mut m, DomId(0), DomId(1), 2)
             .unwrap(); // to 1
-        hv.grant_access(&c, &mut m, DomId(0), DomId(2), 3, false)
+        hv.grant_access(&c, &mut m, DomId(0), DomId(2), 3)
             .unwrap(); // unrelated
         hv.grant_map(&c, &mut m, DomId(1), DomId(0), to).unwrap();
         hv.destroy(&c, &mut m, DomId(1)).unwrap();
@@ -232,10 +206,10 @@ mod tests {
     fn refs_are_per_granter() {
         let (mut hv, c, mut m) = host(2);
         let a = hv
-            .grant_access(&c, &mut m, DomId(1), DomId(0), 1, false)
+            .grant_access(&c, &mut m, DomId(1), DomId(0), 1)
             .unwrap();
         let b = hv
-            .grant_access(&c, &mut m, DomId(2), DomId(0), 1, false)
+            .grant_access(&c, &mut m, DomId(2), DomId(0), 1)
             .unwrap();
         assert_eq!(a, b, "each granter has its own ref space");
     }

@@ -652,8 +652,8 @@ mod tests {
         let port = hv.evtchn_alloc_unbound(&cost, &mut m, DomId::DOM0, id).unwrap();
         hv.evtchn_bind(&cost, &mut m, id, DomId::DOM0, port).unwrap();
         hv.evtchn_alloc_unbound(&cost, &mut m, DomId::DOM0, id).unwrap();
-        hv.grant_access(&cost, &mut m, id, DomId::DOM0, 1, false).unwrap();
-        hv.grant_access(&cost, &mut m, DomId::DOM0, id, 2, false).unwrap();
+        hv.grant_access(&cost, &mut m, id, DomId::DOM0, 1).unwrap();
+        hv.grant_access(&cost, &mut m, DomId::DOM0, id, 2).unwrap();
         hv.devpage_setup(&cost, &mut m, DomId::DOM0, id).unwrap();
         hv.destroy(&cost, &mut m, id).unwrap();
         assert_eq!(hv.open_channels(), 0);
@@ -669,7 +669,7 @@ mod tests {
             let id = hv.create_domain(&cost, &mut m, &DomainConfig::default()).unwrap();
             assert_eq!(id, DomId(1));
             let offer = hv.evtchn_alloc_unbound(&cost, &mut m, id, DomId::DOM0).unwrap();
-            let gref = hv.grant_access(&cost, &mut m, id, DomId::DOM0, 1, false).unwrap();
+            let gref = hv.grant_access(&cost, &mut m, id, DomId::DOM0, 1).unwrap();
             assert_eq!((offer, gref), (EvtchnPort(1), GrantRef(1)));
             hv.destroy(&cost, &mut m, id).unwrap();
         }

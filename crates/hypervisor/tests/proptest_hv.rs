@@ -185,7 +185,7 @@ fn evtchn_open_count() {
                 6 => {
                     let (granter, grantee) = (live[a].dom, live[b].dom);
                     let gref = hv
-                        .grant_access(&cost, &mut m, granter, grantee, 7, false)
+                        .grant_access(&cost, &mut m, granter, grantee, 7)
                         .unwrap();
                     assert_eq!(gref, GrantRef(live[a].next_ref), "{granter:?}'s next ref");
                     live[a].next_ref += 1;
@@ -268,7 +268,7 @@ fn grant_lifecycle() {
         let mut refs = Vec::new();
         for i in 0..n {
             let r = hv
-                .grant_access(&cost, &mut m, g, d0, i as u32, false)
+                .grant_access(&cost, &mut m, g, d0, i as u32)
                 .unwrap();
             hv.grant_map(&cost, &mut m, d0, g, r).unwrap();
             refs.push(r);

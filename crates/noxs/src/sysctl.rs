@@ -25,7 +25,7 @@ pub fn setup(
     dom: DomId,
 ) -> Result<(), DevError> {
     let evtchn = hv.evtchn_alloc_unbound(cost, meter, DomId::DOM0, dom)?;
-    let grant = hv.grant_access(cost, meter, DomId::DOM0, dom, 0x20_0000 + dom.0, false)?;
+    let grant = hv.grant_access(cost, meter, DomId::DOM0, dom, 0x20_0000 + dom.0)?;
     hv.devpage_write(
         cost,
         meter,

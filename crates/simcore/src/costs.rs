@@ -99,24 +99,6 @@ impl Meter {
     pub fn of(&self, cat: Category) -> SimTime {
         self.by_cat[cat as usize]
     }
-
-    /// Difference against an earlier snapshot of the same meter.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `earlier` is not a prefix of `self`
-    /// (i.e. has more charge in some category).
-    pub fn since(&self, earlier: &Meter) -> Meter {
-        let mut out = Meter::new();
-        for cat in Category::ALL {
-            let d = self.of(cat).saturating_sub(earlier.of(cat));
-            debug_assert!(self.of(cat) >= earlier.of(cat), "meter went backwards");
-            if !d.is_zero() {
-                out.charge(cat, d);
-            }
-        }
-        out
-    }
 }
 
 macro_rules! cost_model {
@@ -315,19 +297,6 @@ mod tests {
         assert_eq!(m.of(Category::Xenstore), SimTime::from_millis(5));
         assert_eq!(m.of(Category::Devices), SimTime::from_millis(1));
         assert_eq!(m.of(Category::Config), SimTime::ZERO);
-    }
-
-    #[test]
-    fn meter_since_gives_delta() {
-        let mut m = Meter::new();
-        m.charge(Category::Load, SimTime::from_millis(1));
-        let snap = m;
-        m.charge(Category::Load, SimTime::from_millis(2));
-        m.charge(Category::Config, SimTime::from_millis(4));
-        let d = m.since(&snap);
-        assert_eq!(d.of(Category::Load), SimTime::from_millis(2));
-        assert_eq!(d.of(Category::Config), SimTime::from_millis(4));
-        assert_eq!(d.total(), SimTime::from_millis(6));
     }
 
     #[test]

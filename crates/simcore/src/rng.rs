@@ -3,8 +3,7 @@
 //! The generator is a self-contained xoshiro256++ seeded through
 //! SplitMix64 — no external crates, so the workspace builds in fully
 //! offline environments while keeping the statistical quality the
-//! workloads rely on (jitter bands, exponential arrivals, tail
-//! fractions).
+//! workloads rely on (jitter bands, tail fractions).
 
 use crate::time::SimTime;
 
@@ -117,13 +116,6 @@ impl SimRng {
         }
     }
 
-    /// Exponentially distributed span with the given mean, for open-loop
-    /// arrival processes.
-    pub fn exponential(&mut self, mean: SimTime) -> SimTime {
-        let u = 1.0 - self.unit(); // in (0, 1]
-        mean.scale(-u.ln())
-    }
-
     /// Samples `k` distinct indices from `[0, n)` (Floyd's algorithm),
     /// returned in ascending order.
     ///
@@ -208,16 +200,6 @@ mod tests {
             let j = r.jitter(t, 0.1);
             assert!(j >= SimTime::from_millis(90) && j <= SimTime::from_millis(110));
         }
-    }
-
-    #[test]
-    fn exponential_mean_is_close() {
-        let mut r = SimRng::new(9);
-        let mean = SimTime::from_millis(10);
-        let n = 20_000;
-        let total: SimTime = (0..n).map(|_| r.exponential(mean)).sum();
-        let avg = total.as_millis_f64() / n as f64;
-        assert!((avg - 10.0).abs() < 0.5, "mean was {avg}");
     }
 
     #[test]

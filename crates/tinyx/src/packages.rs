@@ -51,7 +51,6 @@ macro_rules! pkg {
 }
 
 const KIB: u64 = 1 << 10;
-const MIB: u64 = 1 << 20;
 
 /// The package repository, keyed by name.
 pub struct PackageDb {
@@ -254,12 +253,6 @@ impl PackageDb {
             .map(|p| p.size)
             .sum()
     }
-
-    /// Installed size of a full Debian-jessie-like base (what the paper's
-    /// Debian guest carries): every package in the repository.
-    pub fn debian_base_size(&self) -> u64 {
-        self.packages.values().map(|p| p.size).sum::<u64>() + 1_040 * MIB
-    }
 }
 
 #[cfg(test)]
@@ -312,13 +305,6 @@ mod tests {
         let db = PackageDb::standard();
         let app = db.app("noop").unwrap();
         assert!(db.objdump_deps(app).unwrap().is_empty());
-    }
-
-    #[test]
-    fn debian_base_is_gigabyte_scale() {
-        let db = PackageDb::standard();
-        let size = db.debian_base_size();
-        assert!(size > 1_000 * MIB, "got {size}");
     }
 
     #[test]

@@ -370,7 +370,6 @@ pub struct ControlPlane {
     /// Work done off the critical path (pool refills).
     pub background_meter: Meter,
     pub(crate) dom0_load_total: f64,
-    pub(crate) created_total: u64,
     /// Page-sharing fraction (§9 future work): when set, instances of an
     /// already-running image share this fraction of their pages.
     page_sharing: Option<f64>,
@@ -423,7 +422,6 @@ impl ControlPlane {
             rng: SimRng::new(seed),
             background_meter: Meter::new(),
             dom0_load_total: 0.0,
-            created_total: 0,
             page_sharing: None,
             image_instances: std::collections::HashMap::new(),
             xs_events: Vec::new(),
@@ -643,7 +641,6 @@ impl ControlPlane {
                 booted: false,
             }),
         );
-        self.created_total += 1;
 
         // The split daemon replenishes the pool off the critical path.
         if self.mode.uses_split() {

@@ -80,16 +80,16 @@ impl Mix128 {
     }
 }
 
-/// One-shot convenience: the digest of a single byte string.
-pub fn hash_bytes(bytes: &[u8]) -> u128 {
-    let mut m = Mix128::new();
-    m.write_field(bytes);
-    m.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The digest of a single byte string.
+    fn hash_bytes(bytes: &[u8]) -> u128 {
+        let mut m = Mix128::new();
+        m.write_field(bytes);
+        m.finish()
+    }
 
     #[test]
     fn distinct_inputs_distinct_digests() {
